@@ -18,6 +18,7 @@ from .chaincore import (
     compose,
     hom_bracket,
     identity_map,
+    zero_map,
 )
 from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul
 from .polyforms import Form, Poly, contract_form, exterior_derivative
@@ -73,12 +74,22 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
 
 
 def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
-    """k-fold composition of the degree-1 cocycle; k = 0 is the identity."""
+    """k-fold composition of the degree-1 cocycle; k = 0 is the identity.
+
+    The power is zero without composing once k exceeds the length of the
+    complex (no degree i with i + k in it) or the number of variables (a
+    wedge of k one-forms); its form degree is then capped at n, as in
+    `compose`.
+    """
     if k < 0:
         raise ValueError("power must be nonnegative")
     cx = at.chain_map.source
     if k == 0:
         return AtiyahCocycle(identity_map(cx), 0, at.connection)
+    support = cx.support()
+    length = support[-1] - support[0] if support else 0
+    if k > min(length, cx.n):
+        return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)), k, at.connection)
     acc = at.chain_map
     for _ in range(k - 1):
         acc = compose(at.chain_map, acc)

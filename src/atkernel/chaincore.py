@@ -488,12 +488,12 @@ def component_basis(c: FreeComplex, i: int, d: int) -> list[tuple[int, tuple[int
     return out
 
 
-def component_matrix(c: FreeComplex, i: int, d: int) -> tuple[list, list, linalg.Matrix]:
-    """Matrix of d(i) on the internal-degree-d component over Q."""
+def component_matrix(c: FreeComplex, i: int, d: int) -> tuple[list, list, list[linalg.Row]]:
+    """Sparse matrix of d(i) on the internal-degree-d component over Q."""
     src = component_basis(c, i, d)
     tgt = component_basis(c, i + 1, d)
     tgt_index = {key: pos for pos, key in enumerate(tgt)}
-    mat = linalg.zeros(len(tgt), len(src))
+    mat: list[linalg.Row] = [{} for _ in tgt]
     dmat = c.d_matrix(i)
     for col, (s_idx, expt) in enumerate(src):
         for t_idx in range(c.rank(i + 1)):
@@ -503,18 +503,17 @@ def component_matrix(c: FreeComplex, i: int, d: int) -> tuple[list, list, linalg
                 row = tgt_index.get(key)
                 if row is None:
                     raise GradingError("inhomogeneous differential entry")
-                mat[row][col] += coeff
+                mat[row][col] = mat[row].get(col, 0) + coeff
     return src, tgt, mat
 
 
 def homology_rank(c: FreeComplex, i: int, d: int) -> int:
     """dim_Q H^i(C)_d for a graded complex."""
-    _, _, mat_out = component_matrix(c, i, d)
-    dim_i = len(component_basis(c, i, d))
-    rank_out = linalg.rank(mat_out) if mat_out and mat_out[0] else 0
-    _, _, mat_in = component_matrix(c, i - 1, d)
-    rank_in = linalg.rank(mat_in) if mat_in and mat_in[0] else 0
-    return dim_i - rank_out - rank_in
+    src, tgt, mat_out = component_matrix(c, i, d)
+    rank_out = linalg.rank(mat_out) if src and tgt else 0
+    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d)
+    rank_in = linalg.rank(mat_in) if src_in and tgt_in else 0
+    return len(src) - rank_out - rank_in
 
 
 def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
@@ -596,7 +595,8 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                             bound = max(bound, sum(expt))
                     if block:
                         blocks[(i, t, s)] = block
-        equations: list[tuple[dict[int, Fraction], Fraction]] = []
+        rows_eq: list[linalg.Row] = []
+        rhs_eq: list[Fraction] = []
         sign = (-1) ** r_h
         lo = min(src.support() + tgt.support()) - 1
         hi = max(src.support() + tgt.support()) + 1
@@ -636,10 +636,9 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                                 row = rows_by_key.setdefault((idx, tot), {})
                                 row[vi] = row.get(vi, Fraction(0)) - sign * q2
                     for key in set(rows_by_key) | set(rhs_by_key):
-                        equations.append(
-                            (rows_by_key.get(key, {}), rhs_by_key.get(key, Fraction(0)))
-                        )
-        solution = linalg.solve_fraction_system(equations, num_vars)
+                        rows_eq.append(rows_by_key.get(key, {}))
+                        rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
+        solution = linalg.solve(rows_eq, rhs_eq, num_vars)
         if solution is None:
             return GradedSolveReport(False, None, bound)
         mats: dict[int, list[list[Form]]] = {}

@@ -74,13 +74,16 @@ def _monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]
     if not names:
         raise MonomialIdealError("no variables found in ideal")
     names = tuple(names)
-    exps = []
-    for c in chunks:
-        p = parse_poly(c, names)
-        if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
-            raise MonomialIdealError(f"not a monomial: {c!r}")
-        exps.append(next(iter(p.terms)))
+    exps = [_monomial_exponent(c, names) for c in chunks]
     return MonomialIdeal.from_exponents(len(names), exps), names
+
+
+def _monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Exponent vector of a monomial with coefficient 1."""
+    p = parse_poly(text, names)
+    if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
+        raise MonomialIdealError(f"not a monomial: {text!r}")
+    return next(iter(p.terms))
 
 
 def _variable_tokens(text: str) -> list[str]:
@@ -143,8 +146,8 @@ def _cmd_ch(args) -> int:
 
 def _cmd_semireg(args) -> int:
     session = _load_session(args.input)
-    seq_name, hom = session.hom(args.hom)
-    kz = build_koszul(hom.ideal)
+    _, hom = session.hom(args.hom)
+    kz = _guarded_koszul(hom.ideal)
     k = args.k if args.k is not None else hom.ideal.q - 1
     rep = ext1_representative(hom, kz)
     out = sigma_component(rep, k, kz)
@@ -155,6 +158,7 @@ def _cmd_semireg(args) -> int:
 def _cmd_blochcmp(args) -> int:
     session = _load_session(args.input)
     _, hom = session.hom(args.hom)
+    _guarded_koszul(hom.ideal)
     report = compare_semireg(hom)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
     print(f"tau: {cousin_to_text(report.atiyah_route, session.var_names)}")
@@ -185,7 +189,10 @@ def _cmd_sff(args) -> int:
     if preset.startswith("euler"):
         n_proj = 1
         if ":" in preset:
-            n_proj = int(preset.split(":", 1)[1])
+            text = preset.split(":", 1)[1]
+            if not text.isdigit() or int(text) < 1:
+                raise SessionError(f"euler needs a positive integer n, got {text!r}", 0)
+            n_proj = int(text)
         sigma, names = euler_preset(n_proj)
         print(map_to_text(sigma, "sigma", names))
         gens = euler_generator_forms(n_proj)
@@ -218,11 +225,7 @@ def _cmd_sff(args) -> int:
 
 def _cmd_iclosure(args) -> int:
     ideal, names = _monomial_ideal_from_text(args.ideal)
-    query_poly = parse_poly(args.test, names)
-    if len(query_poly.terms) != 1:
-        raise MonomialIdealError(f"not a monomial: {args.test!r}")
-    query = next(iter(query_poly.terms))
-    cert = closure_member(ideal, query)
+    cert = closure_member(ideal, _monomial_exponent(args.test, names))
     if cert.verdict:
         lam = ", ".join(str(v) for v in cert.lambdas)
         slack = ", ".join(str(v) for v in cert.slack)
@@ -252,7 +255,7 @@ def _cmd_dimcheck(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    results, all_pass = run_selftest(jobs=args.jobs)
+    results, all_pass = run_selftest()
     for name, passed, total in results:
         status = "ok" if passed == total else "FAIL"
         print(f"{name}: {passed}/{total} {status}")
@@ -320,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dimcheck)
 
     p = sub.add_parser("selftest", help="run the invariant corpus")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -320,8 +321,8 @@ def cousin_coboundary_solve(
                 for e in monos:
                     var_index[(i, idx, e)] = len(var_index)
         # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
-        rows: dict[tuple, dict[int, object]] = {}
-        rhs: dict[tuple, object] = {}
+        rows: dict[tuple, linalg.Row] = {}
+        rhs: dict[tuple, Fraction] = {}
         for idx, coeff in target_num.terms.items():
             for e, c in coeff.terms.items():
                 rhs[(idx, e)] = c
@@ -332,14 +333,12 @@ def cousin_coboundary_solve(
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
                 rows.setdefault(key, {})
                 rows[key][vi] = rows[key].get(vi, 0) + sign * c2
-        keys = set(rows) | set(rhs)
-        equations = []
-        from fractions import Fraction
-
-        for key in keys:
-            coeffs = {vi: Fraction(v) for vi, v in rows.get(key, {}).items()}
-            equations.append((coeffs, Fraction(rhs.get(key, 0))))
-        solution = linalg.solve_fraction_system(equations, len(var_index))
+        keys = list(set(rows) | set(rhs))
+        solution = linalg.solve(
+            [rows.get(key, {}) for key in keys],
+            [rhs.get(key, Fraction(0)) for key in keys],
+            len(var_index),
+        )
         if solution is None:
             continue
         entries: dict[tuple[int, ...], LocalizedForm] = {}

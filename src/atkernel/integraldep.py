@@ -149,11 +149,12 @@ def _phase1_lp(a_eq: list[list[Fraction]], b: list[Fraction]):
             if bv < cols:
                 x[bv] = tab[i][total]
         return "x", x
-    # duals: solve B^T y = c_B over the original columns
-    orig = [row[:] + [Fraction(1 if j == i else 0) for j in range(rows)] for i, row in enumerate(a_eq)]
-    bt = [[orig[i][basis[k]] for i in range(rows)] for k in range(rows)]
-    rhs = [cost[basis[k]] for k in range(rows)]
-    y = linalg.solve(bt, rhs)
+    # duals: solve B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
+    bt = [
+        {i: a_eq[i][j] for i in range(rows) if a_eq[i][j]} if j < cols else {j - cols: Fraction(1)}
+        for j in basis
+    ]
+    y = linalg.solve(bt, [cost[j] for j in basis], rows)
     if y is None:
         raise AssertionError("singular basis in dual extraction")
     return "y", y

@@ -18,10 +18,8 @@ from .chaincore import (
     FreeComplex,
     GradingError,
     ShapeError,
-    component_matrix,
-    component_basis,
+    homology_rank,
 )
-from . import linalg
 from .polyforms import Form, Poly
 
 
@@ -219,16 +217,4 @@ def verify_regular(ideal: RegularSequenceIdeal, degree_bound: int | None = None)
     cx = k.complex
     bound = degree_bound if degree_bound is not None else default_regularity_bound(ideal)
     min_w = min(b.weight for b in cx.basis(-1))
-    for d in range(min_w, bound + 1):
-        dim = len(component_basis(cx, -1, d))
-        if dim == 0:
-            continue
-        _, _, mat_out = component_matrix(cx, -1, d)
-        rank_out = linalg.rank(mat_out) if mat_out and mat_out[0] else 0
-        rank_in = 0
-        if cx.rank(-2):
-            _, _, mat_in = component_matrix(cx, -2, d)
-            rank_in = linalg.rank(mat_in) if mat_in and mat_in[0] else 0
-        if dim - rank_out - rank_in != 0:
-            return False
-    return True
+    return all(homology_rank(cx, -1, d) == 0 for d in range(min_w, bound + 1))

@@ -1,89 +1,61 @@
-"""Exact linear algebra over Q used by the graded solvers.
+"""Exact sparse linear algebra over Q used by the graded solvers.
 
-Matrices are lists of rows of Fractions.  Everything here is
-allocation-per-call; no shared scratch state.
+A row is a dict from column index to Fraction; absent columns are zero.
+One elimination routine serves both entry points.  Its pivot columns are
+the leftmost linearly independent columns, whatever the row order, and
+free variables are set to zero, so the particular solution is unique.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-Row = list[Fraction]
-Matrix = list[Row]
+Row = dict[int, Fraction]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+def _echelon(rows: Sequence[Row], rhs_col: int | None = None) -> dict[int, Row] | None:
+    """Pivot rows keyed by their lowest column, each scaled to pivot 1.
 
-
-def rank(mat: Matrix) -> int:
-    work = [row[:] for row in mat]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def solve(mat: Matrix, rhs: Row) -> Row | None:
-    """One particular solution of mat*x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, so the output is deterministic.
+    Each incoming row is reduced against the pivot rows found so far.  A
+    row carrying a right-hand side at column `rhs_col` that reduces to
+    that entry alone is inconsistent, and the answer is None.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows != len(rhs):
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if c == rhs_col:
+                    return None
+                inv = 1 / row[c]
+                pivots[c] = {j: v * inv for j, v in row.items()}
+                break
+            factor = row[c]
+            for j, v in prow.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return pivots
+
+
+def rank(rows: Sequence[Row]) -> int:
+    return len(_echelon(rows))
+
+
+def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> list[Fraction] | None:
+    """One particular solution of rows*x = rhs, or None if inconsistent."""
+    if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
-    work = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if work[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for prow, pcol in pivots:
-        x[pcol] = work[prow][cols]
+    pivots = _echelon([{**row, ncols: b} for row, b in zip(rows, rhs)], ncols)
+    if pivots is None:
+        return None
+    x = [Fraction(0)] * ncols
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        known = sum(v * x[j] for j, v in prow.items() if c < j < ncols)
+        x[c] = prow.get(ncols, Fraction(0)) - known
     return x
-
-
-def solve_fraction_system(
-    equations: Sequence[tuple[dict[int, Fraction], Fraction]], num_vars: int
-) -> Row | None:
-    """Solve a sparse system given as (coefficient map, rhs) pairs."""
-    mat = zeros(len(equations), num_vars)
-    rhs: Row = []
-    for i, (coeffs, b) in enumerate(equations):
-        for j, v in coeffs.items():
-            mat[i][j] = v
-        rhs.append(b)
-    if num_vars == 0:
-        return [] if all(b == 0 for b in rhs) else None
-    return solve(mat, rhs)

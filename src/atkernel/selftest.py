@@ -7,7 +7,6 @@ the stated verification matrix; everything is seeded and deterministic.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .atiyah import (
     atiyah_cocycle,
@@ -525,12 +524,8 @@ ALL_GROUPS = [
 ]
 
 
-def run_selftest(jobs: int | None = None) -> tuple[list[Group], bool]:
-    """Run every group, possibly across worker threads; data is immutable."""
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda g: g(), ALL_GROUPS))
-    else:
-        results = [g() for g in ALL_GROUPS]
+def run_selftest() -> tuple[list[Group], bool]:
+    """Run every group in order."""
+    results = [g() for g in ALL_GROUPS]
     all_pass = all(passed == total for _, passed, total in results)
     return results, all_pass

@@ -94,6 +94,11 @@ def minus_at_power(kz: KoszulComplex, k: int) -> ChainMap:
     return atiyah_power(negated, k).chain_map
 
 
+def _over_factorial(u: ChainMap, k: int, sign: int = 1) -> ChainMap:
+    """sign * u / k!; a zero u (k beyond the length) is returned before k! is formed."""
+    return u if u.is_zero() else u.scale(Fraction(sign, factorial(k)))
+
+
 def chern_character(
     ideal_or_free: RegularSequenceIdeal | FreeComplex, k: int
 ) -> CousinElement:
@@ -104,14 +109,14 @@ def chern_character(
         return CousinElement(ideal_or_free.n, (), 0, {})
     kz = build_koszul(ideal_or_free)
     at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
-    return local_trace(at_k.scale(Fraction((-1) ** k, factorial(k))), kz)
+    return local_trace(_over_factorial(at_k, k, (-1) ** k), kz)
 
 
 def tau_atiyah(phi: NormalHom, component: int | None = None) -> CousinElement:
     """Trace of the phi-derivation against (-At)^k / k!; k defaults to q-1."""
     kz = build_koszul(phi.ideal)
     k = phi.ideal.q - 1 if component is None else component
-    power = minus_at_power(kz, k).scale(Fraction(1, factorial(k)))
+    power = _over_factorial(minus_at_power(kz, k), k)
     rep = ext1_representative(phi, kz)
     return local_trace(compose(rep, power), kz)
 
@@ -136,7 +141,7 @@ def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:
     """k-th component of the semiregularity map on a cocycle xi."""
     if not is_cocycle(xi):
         raise ShapeError("sigma needs a cocycle input")
-    power = minus_at_power(kz, k).scale(Fraction(1, factorial(k)))
+    power = _over_factorial(minus_at_power(kz, k), k)
     return local_trace(compose(xi, power), kz)
 
 

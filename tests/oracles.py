@@ -78,11 +78,19 @@ def _subsets(items, max_size):
 def _solve_exact(rows, rhs):
     """Solve a small linear system exactly; None when inconsistent or
     underdetermined in a way that leaves no pivot solution."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return None
-    cols = len(rows[0])
-    work = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    return dense_gauss_jordan(rows, rhs, len(rows[0]))[1]
+
+
+def dense_gauss_jordan(rows, rhs, cols):
+    """Dense Gauss-Jordan over Fraction: (rank, solution or None).
+
+    The reference for the sparse solver: pivots are taken column by
+    column and free variables are set to zero.
+    """
+    m = len(rows)
+    work = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -100,10 +108,9 @@ def _solve_exact(rows, rhs):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if work[i][cols] != 0:
-            return None
+    if any(work[i][cols] != 0 for i in range(r, m)):
+        return r, None
     sol = [Fraction(0)] * cols
     for prow, pcol in pivots:
         sol[pcol] = work[prow][cols]
-    return sol
+    return r, sol

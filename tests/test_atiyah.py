@@ -16,6 +16,7 @@ from atkernel.chaincore import (
     BasisElement,
     FreeComplex,
     ShapeError,
+    compose,
     hom_bracket,
     is_cocycle,
     solve_coboundary,
@@ -82,6 +83,27 @@ class TestPowers:
         kz = kos(["x", "y"], XY, (1, 1))
         at = atiyah_cocycle(kz.complex)
         assert atiyah_power(at, 3).chain_map.is_zero()
+
+    def test_zero_beyond_length_matches_composition(self):
+        # q = 1 < n = 2 for x^2, q = n = 2 for (x, y); with a perturbed
+        # connection too, the short cut must equal the k-fold composition
+        rng = random.Random(5)
+        for texts in (["x^2"], ["x", "y"]):
+            kz = kos(texts, XY, (1, 1))
+            for conn in (None, graded_random_connection(rng, kz.complex, internal_degree=1)):
+                at = atiyah_cocycle(kz.complex, conn)
+                acc = at.chain_map
+                for k in range(2, 5):
+                    acc = compose(at.chain_map, acc)
+                    power = atiyah_power(at, k)
+                    assert power.chain_map == acc and acc.is_zero() == (k > kz.q)
+                    assert power.chain_map.form_degree == acc.form_degree
+                    assert power.power == k
+
+    def test_huge_power_is_immediate(self):
+        at = atiyah_cocycle(kos(["x", "y"], XY, (1, 1)).complex)
+        power = atiyah_power(at, 10**8)
+        assert power.chain_map.is_zero() and power.chain_map.degree == 10**8
 
     def test_component_on_codim_one_layer(self):
         # top-but-one source: gamma with one index removed maps to

@@ -1,0 +1,99 @@
+"""The sparse exact solver against a dense Gauss-Jordan reference."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from atkernel import linalg
+from oracles import dense_gauss_jordan
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+def _random_system(rng, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in range(ncols):
+            if rng.random() < density:
+                row[c] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows.append(row)
+    # a consistent right-hand side about half the time
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+        rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-2, 2)) for _ in rows]
+    return rows, rhs
+
+
+def _assert_matches_reference(rows, rhs, ncols):
+    ref_rank, ref_solution = dense_gauss_jordan(_dense(rows, ncols), rhs, ncols)
+    assert linalg.rank(rows) == ref_rank
+    solution = linalg.solve(rows, rhs, ncols)
+    assert (solution is None) == (ref_solution is None)
+    assert solution == ref_solution
+    if solution is not None:
+        for row, b in zip(rows, rhs):
+            assert sum((v * solution[c] for c, v in row.items()), Fraction(0)) == b
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_sparse_systems_match_dense_reference(seed):
+    rng = random.Random(f"linalg:{seed}")
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        rows, rhs = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
+        _assert_matches_reference(rows, rhs, ncols)
+
+
+def test_zero_rows():
+    assert linalg.rank([]) == 0
+    assert linalg.solve([], [], 3) == [0, 0, 0]
+    _assert_matches_reference([], [], 3)
+
+
+def test_zero_columns():
+    assert linalg.rank([{}, {}]) == 0
+    assert linalg.solve([{}, {}], [Fraction(0), Fraction(0)], 0) == []
+    assert linalg.solve([{}, {}], [Fraction(0), Fraction(1)], 0) is None
+    _assert_matches_reference([{}, {}], [Fraction(0), Fraction(0)], 0)
+    _assert_matches_reference([{}, {}], [Fraction(0), Fraction(1)], 0)
+
+
+def test_all_zero_rhs_gives_zero_solution():
+    rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
+    rhs = [Fraction(0)] * 3
+    assert linalg.solve(rows, rhs, 3) == [0, 0, 0]
+    _assert_matches_reference(rows, rhs, 3)
+
+
+def test_duplicate_rows():
+    row = {0: Fraction(1, 2), 3: Fraction(2)}
+    rows = [row, dict(row), {1: Fraction(1)}, dict(row)]
+    rhs = [Fraction(5)] * 4
+    assert linalg.rank(rows) == 2
+    assert linalg.solve(rows, rhs, 4) == [10, 5, 0, 0]
+    _assert_matches_reference(rows, rhs, 4)
+
+
+def test_inconsistent_only_in_last_row():
+    rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    assert linalg.solve(rows, [Fraction(1), Fraction(2), Fraction(3)], 2) == [1, 2]
+    assert linalg.solve(rows, [Fraction(1), Fraction(2), Fraction(4)], 2) is None
+    _assert_matches_reference(rows, [Fraction(1), Fraction(2), Fraction(4)], 2)
+
+
+def test_cancelled_entries_and_inputs_untouched():
+    rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(4), 2: Fraction(0)}]
+    snapshot = [dict(row) for row in rows]
+    assert linalg.rank(rows) == 1
+    assert linalg.solve(rows, [Fraction(1), Fraction(2)], 3) == [0, Fraction(1, 2), 0]
+    assert rows == snapshot
+
+
+def test_rhs_length_mismatch():
+    with pytest.raises(ValueError):
+        linalg.solve([{0: Fraction(1)}], [], 1)

@@ -1,9 +1,11 @@
 """Session parsing and the command-line surface, including exit codes."""
 import subprocess
 import sys
+import time
 
 import pytest
 
+from atkernel.cli import main
 from atkernel.polyforms import parse_poly
 from atkernel.session import SessionError, parse_session
 
@@ -15,6 +17,12 @@ seq W = x^2
 hom phi on Z = 1 ; 0
 hom psi on W = 1
 der ddx = x: 1, y: 0
+"""
+
+NONREGULAR = """\
+ring Q[x, y, z]
+seq B = x*y ; x*z
+hom bad on B = 1 ; 0
 """
 
 
@@ -150,6 +158,25 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "regularity" in out.stderr
 
+    def test_blochcmp_regularity_guard_is_two(self, tmp_path):
+        out = run_cli(["blochcmp", "--hom", "bad"], NONREGULAR, tmp_path)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "regularity" in out.stderr
+
+    def test_semireg_regularity_guard_is_two(self, tmp_path):
+        out = run_cli(["semireg", "--hom", "bad", "--k", "1"], NONREGULAR, tmp_path)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "regularity" in out.stderr
+
+    def test_iclosure_test_coefficient_is_two(self):
+        out = run_cli(["iclosure", "--ideal", "x^3,y^3", "--test", "2*x"])
+        assert out.returncode == 2 and out.stdout == ""
+
+    @pytest.mark.parametrize("n", ["0", "-1", "1.5"])
+    def test_sff_euler_needs_positive_integer(self, n):
+        out = run_cli(["sff", "--preset", f"euler:{n}"])
+        assert out.returncode == 2 and out.stdout == ""
+
     def test_inline_derivation_literal(self, tmp_path):
         out = run_cli(
             ["atk", "--seq", "W", "--power", "1", "--derivation", "x: 1, y: 0"],
@@ -166,3 +193,29 @@ class TestExitCodes:
     def test_missing_required_flag_is_two(self):
         out = run_cli(["iclosure", "--ideal", "x^2"])
         assert out.returncode == 2
+
+
+class TestPowerBound:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["atk", "--seq", "Z", "--power", "100000000"],
+             "map at^100000000 {\n  degree 100000000;\n  formdeg 2;\n}\n"),
+            (["ch", "--seq", "Z", "--k", "100000000"], "0\n"),
+            (["semireg", "--hom", "phi", "--k", "100000000"], "0\n"),
+        ],
+    )
+    def test_huge_power_returns_at_once(self, argv, expected, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        start = time.perf_counter()
+        code = main([*argv, "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
+    def test_power_beyond_length_prints_zero_map(self, tmp_path):
+        # q + 1 = 3 for Z = x ; y: the bytes the k-fold composition printed
+        out = run_cli(["atk", "--seq", "Z", "--power", "3"], SESSION, tmp_path)
+        assert out.returncode == 0
+        assert out.stdout == "map at^3 {\n  degree 3;\n  formdeg 2;\n}\n"
