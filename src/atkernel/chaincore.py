@@ -25,10 +25,13 @@ from .polyforms import (
     Form,
     ParseError,
     Poly,
+    _form_from_acc,
+    _mul_into,
+    _poly_from_acc,
+    _wedge_into,
     form_to_text,
     parse_form,
     poly_to_text,
-    wedge,
 )
 
 MAX_TOTAL_RANK = 64
@@ -63,10 +66,14 @@ def _poly_matmul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> Po
     for i in range(rows):
         row = []
         for j in range(cols):
-            acc = Poly.zero(n)
+            # every product of the entry goes into one raw accumulator
+            acc: dict = {}
             for m in range(mid):
-                acc = acc + a[i][m] * b[m][j]
-            row.append(acc)
+                x, y = a[i][m], b[m][j]
+                if x.n != n or y.n != n:
+                    raise ArityError("matrix entry arity mismatch")
+                _mul_into(acc, x, y)
+            row.append(_poly_from_acc(n, acc))
         out.append(tuple(row))
     return tuple(out)
 
@@ -311,6 +318,47 @@ def differential_map(c: FreeComplex) -> ChainMap:
     return ChainMap(c, c, 1, 0, mats)
 
 
+def _wedge_products(
+    acc: list[list[dict]],
+    a: Sequence[Sequence[Form]],
+    b: Sequence[Sequence[Form]],
+    n: int,
+    out_deg: int,
+    negate: bool = False,
+) -> None:
+    """Add the wedge product a . b, or its negative, into acc[i][j].
+
+    Each acc[i][j] is a raw form accumulator (see polyforms._wedge_into);
+    zero entries are skipped, and a product of form degree out_deg is the
+    only kind that may contribute.
+    """
+    for arow, acc_row in zip(a, acc):
+        for x, brow in zip(arow, b):
+            if not x.terms:
+                continue
+            if x.n != n:
+                raise ArityError("matrix entry arity mismatch")
+            for j, y in enumerate(brow):
+                if not y.terms:
+                    continue
+                if y.n != n:
+                    raise ArityError("matrix entry arity mismatch")
+                degree = x.degree + y.degree
+                if degree > n:
+                    continue
+                if degree != out_deg:
+                    raise ShapeError("nonuniform form degree in chain map")
+                _wedge_into(acc_row[j], x, y, negate)
+
+
+def _forms_from_acc(acc: list[list[dict]], n: int, out_deg: int) -> FormMatrix:
+    zero = Form.zero(n, out_deg)
+    return tuple(
+        tuple(_form_from_acc(n, out_deg, entry) if entry else zero for entry in row)
+        for row in acc
+    )
+
+
 def _wedge_matmul(
     a: Sequence[Sequence[Form]],
     b: Sequence[Sequence[Form]],
@@ -320,19 +368,12 @@ def _wedge_matmul(
 ) -> FormMatrix:
     # shape=(rows, mid, cols) is needed whenever a factor can be empty
     if shape is not None:
-        rows, mid, cols = shape
+        rows, _, cols = shape
     else:
-        rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = Form.zero(n, out_deg)
-            for m in range(mid):
-                acc = acc + wedge(a[i][m], b[m][j])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        rows, cols = len(a), len(b[0]) if b else 0
+    acc = [[{} for _ in range(cols)] for _ in range(rows)]
+    _wedge_products(acc, a, b, n, out_deg)
+    return _forms_from_acc(acc, n, out_deg)
 
 
 def compose(u: ChainMap, v: ChainMap) -> ChainMap:
@@ -363,23 +404,24 @@ def hom_bracket(h: ChainMap) -> ChainMap:
         cols = src.rank(i)
         if rows == 0 or cols == 0:
             continue
-        dh = _wedge_matmul(
+        # d h and -(-1)^r h d accumulate into one sum per entry
+        acc = [[{} for _ in range(cols)] for _ in range(rows)]
+        _wedge_products(
+            acc,
             tuple(tuple(Form.from_poly(p) for p in row) for row in tgt.d_matrix(i + r)),
             h.matrix(i),
             src.n,
             h.form_degree,
-            shape=(rows, tgt.rank(i + r), cols),
         )
-        hd = _wedge_matmul(
+        _wedge_products(
+            acc,
             h.matrix(i + 1),
             tuple(tuple(Form.from_poly(p) for p in row) for row in src.d_matrix(i)),
             src.n,
             h.form_degree,
-            shape=(rows, src.rank(i + 1), cols),
+            negate=sign > 0,
         )
-        mats[i] = tuple(
-            tuple(a - b.scale(sign) for a, b in zip(ra, rb)) for ra, rb in zip(dh, hd)
-        )
+        mats[i] = _forms_from_acc(acc, src.n, h.form_degree)
     return ChainMap(src, tgt, r + 1, h.form_degree, mats)
 
 

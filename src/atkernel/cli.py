@@ -55,15 +55,17 @@ def _load_session(path: str | None) -> SessionFile:
 
 
 def _guarded_koszul(ideal):
-    """Build the resolution after the truncated regularity guard.
+    """Build the resolution once and run the truncated regularity guard on it.
 
     Nonzero first Koszul homology in low degrees proves the sequence is
     not regular, so the guard refuses; ungraded input skips the check.
+    Commands pass the returned complex on instead of building it again.
     """
+    kz = build_koszul(ideal)
     if ideal.var_weights is not None and ideal.q >= 2:
-        if not verify_regular(ideal, degree_bound_override()):
+        if not verify_regular(ideal, degree_bound_override(), kz):
             raise SessionError("sequence failed the regularity guard", 0)
-    return build_koszul(ideal)
+    return kz
 
 
 def _monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
@@ -137,9 +139,9 @@ def _resolve_derivation(session: SessionFile, text: str):
 def _cmd_ch(args) -> int:
     session = _load_session(args.input)
     ideal = session.sequence(args.seq)
-    _guarded_koszul(ideal)
+    kz = _guarded_koszul(ideal)
     k = args.k if args.k is not None else ideal.q
-    out = chern_character(ideal, k)
+    out = chern_character(ideal, k, kz)
     print(cousin_to_text(out, session.var_names))
     return 0
 
@@ -158,8 +160,8 @@ def _cmd_semireg(args) -> int:
 def _cmd_blochcmp(args) -> int:
     session = _load_session(args.input)
     _, hom = session.hom(args.hom)
-    _guarded_koszul(hom.ideal)
-    report = compare_semireg(hom)
+    kz = _guarded_koszul(hom.ideal)
+    report = compare_semireg(hom, kz=kz)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
     print(f"tau: {cousin_to_text(report.atiyah_route, session.var_names)}")
     verdict = {

@@ -203,10 +203,7 @@ def functoriality_pairs() -> list[tuple[ChainMap, KoszulComplex, KoszulComplex]]
                     coeff = coeff * fpolys[i - 1]
                 mat[s][s] = Form.from_poly(coeff)
             mats[-p] = mat
-        return compose_chain(src, tgt, mats), src, tgt
-
-    def compose_chain(src, tgt, mats):
-        return ChainMap(src.complex, tgt.complex, 0, 0, mats)
+        return ChainMap(src.complex, tgt.complex, 0, 0, mats), src, tgt
 
     out.append(lift_map(["x^2"], ["x"], ("x",), (1,), ["x"]))
     out.append(lift_map(["x^2", "y^3"], ["x", "y^3"], ("x", "y"), (3, 2), ["x", "1"]))

@@ -191,12 +191,12 @@ def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
     )
 
 
-def psi_section(ideal: RegularSequenceIdeal) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Table alpha -> (sign (-1)^{binom(|alpha|,2)}, denominator exponent 1)."""
+def psi_section(ideal: RegularSequenceIdeal) -> dict[tuple[int, ...], int]:
+    """Table alpha -> sign (-1)^{binom(|alpha|,2)} of the canonical section."""
     out = {}
     for p in range(ideal.q + 1):
         for alpha in index_sets(ideal.q, p):
-            out[alpha] = ((-1) ** comb(p, 2), 1 if p else 0)
+            out[alpha] = (-1) ** comb(p, 2)
     return out
 
 
@@ -247,9 +247,8 @@ def local_trace(u: ChainMap, k: KoszulComplex | None = None) -> CousinElement:
                 if entry.is_zero():
                     continue
                 alpha_prime = tuple(sorted(aset - set(beta)))
-                psi_sign, _ = psi[alpha_prime]
                 sign = (
-                    psi_sign
+                    psi[alpha_prime]
                     * _shuffle_sign(beta, alpha_prime)
                     * (-1) ** (p_beta * (1 + len(alpha_prime)))
                 )

@@ -150,6 +150,15 @@ def build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
     return KoszulComplex(ideal, cx)
 
 
+def _koszul_of(ideal: RegularSequenceIdeal, kz: KoszulComplex | None) -> KoszulComplex:
+    """kz, which must resolve `ideal`, or a fresh build when it is None."""
+    if kz is None:
+        return build_koszul(ideal)
+    if kz.ideal != ideal:
+        raise ShapeError("Koszul complex resolves a different sequence")
+    return kz
+
+
 def dual_basis_map(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
     """The wedge of dual functionals for alpha as a map K^{-p} -> K^0.
 
@@ -205,15 +214,19 @@ def default_regularity_bound(ideal: RegularSequenceIdeal) -> int:
     return 2 * max(f.weighted_degree(weights) for f in ideal.polys) + 4
 
 
-def verify_regular(ideal: RegularSequenceIdeal, degree_bound: int | None = None) -> bool:
+def verify_regular(
+    ideal: RegularSequenceIdeal,
+    degree_bound: int | None = None,
+    kz: KoszulComplex | None = None,
+) -> bool:
     """Check H^{-1}(K) = 0 in internal degrees up to the bound.
 
     A True answer is a truncated certificate, not a proof; ungraded input
-    is refused.
+    is refused.  kz, when given, is the ideal's Koszul complex.
     """
     if ideal.var_weights is None:
         raise GradingError("regularity check needs a graded sequence")
-    k = build_koszul(ideal)
+    k = _koszul_of(ideal, kz)
     cx = k.complex
     bound = degree_bound if degree_bound is not None else default_regularity_bound(ideal)
     min_w = min(b.weight for b in cx.basis(-1))

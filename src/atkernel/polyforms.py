@@ -9,6 +9,7 @@ lexicographic with the variable order fixed by the ring declaration.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 MAX_ARITY = 16
@@ -55,6 +56,16 @@ class Poly:
         self.n = n
         self.terms = clean
 
+    @staticmethod
+    def _raw(n: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+        """Trusted constructor for internal arithmetic: `terms` must already
+        be canonical (length-n exponent tuples, nonzero Fraction values) and
+        is kept, not copied."""
+        p = object.__new__(Poly)
+        p.n = n
+        p.terms = terms
+        return p
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -91,31 +102,28 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for expt, coeff in other.terms.items():
-            acc = terms.get(expt, Fraction(0)) + coeff
-            if acc:
-                terms[expt] = acc
+            prev = terms.get(expt)
+            if prev is None:
+                terms[expt] = coeff
+                continue
+            total = prev + coeff
+            if total:
+                terms[expt] = total
             else:
-                terms.pop(expt, None)
-        return Poly(self.n, terms)
+                del terms[expt]
+        return Poly._raw(self.n, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Poly(self.n, terms)
+        acc: dict[tuple[int, ...], Fraction] = {}
+        _mul_into(acc, self, other)
+        return _poly_from_acc(self.n, acc)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -127,7 +135,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return Poly(self.n, {e: c * v for e, v in self.terms.items()} if c else {})
+        return Poly._raw(self.n, {e: c * v for e, v in self.terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
@@ -169,7 +177,7 @@ class Poly:
             e = list(expt)
             e[i] -= 1
             terms[tuple(e)] = coeff * expt[i]
-        return Poly(self.n, terms)
+        return Poly._raw(self.n, terms)
 
     def apply_derivation(self, values: Sequence["Poly"]) -> "Poly":
         """Extend x_i -> values[i] to this polynomial by the Leibniz rule."""
@@ -262,6 +270,17 @@ class Form:
         self.terms = clean
 
     @staticmethod
+    def _raw(n: int, degree: int, terms: dict[tuple[int, ...], Poly]) -> "Form":
+        """Trusted constructor for internal arithmetic: `terms` must map
+        strictly increasing length-`degree` index tuples to nonzero arity-n
+        Polys, and is kept, not copied."""
+        w = object.__new__(Form)
+        w.n = n
+        w.degree = degree
+        w.terms = terms
+        return w
+
+    @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
         return Form(n, degree, {})
 
@@ -288,24 +307,33 @@ class Form:
             raise ValueError("cannot add forms of different degree")
         terms = dict(self.terms)
         for idx, coeff in other.terms.items():
-            acc = terms.get(idx, Poly.zero(self.n)) + coeff
-            if acc.is_zero():
-                terms.pop(idx, None)
+            prev = terms.get(idx)
+            if prev is None:
+                terms[idx] = coeff
+                continue
+            total = prev + coeff
+            if total.terms:
+                terms[idx] = total
             else:
-                terms[idx] = acc
-        return Form(self.n, self.degree, terms)
+                del terms[idx]
+        return Form._raw(self.n, self.degree, terms)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.degree, {i: -c for i, c in self.terms.items()})
+        return Form._raw(self.n, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        return Form(self.n, self.degree, {i: p.scale(c) for i, p in self.terms.items()})
+        c = Fraction(c)
+        if not c:
+            return Form._raw(self.n, self.degree, {})
+        return Form._raw(self.n, self.degree, {i: p.scale(c) for i, p in self.terms.items()})
 
     def mul_poly(self, p: Poly) -> "Form":
-        return Form(self.n, self.degree, {i: c * p for i, c in self.terms.items()})
+        # a product of nonzero polynomials is nonzero, so only p can kill terms
+        terms = {i: c * p for i, c in self.terms.items()}
+        return Form._raw(self.n, self.degree, terms if p.terms else {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form) or self.n != other.n:
@@ -334,25 +362,65 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
     return (-1) ** inversions, tuple(sorted(merged))
 
 
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; returns the zero Form when the degree exceeds n."""
-    a._check(b)
-    degree = a.degree + b.degree
-    if degree > a.n:
-        return Form.zero(a.n, a.n)
-    terms: dict[tuple[int, ...], Poly] = {}
+# -- raw accumulators ------------------------------------------------------
+#
+# The fused kernels sum many products into plain dicts, {expt: Fraction} for
+# a polynomial and {idx: {expt: Fraction}} for a form, which may hold zero
+# coefficients until the result is built once by _poly_from_acc or
+# _form_from_acc.  Operands are canonical and share one arity.
+
+
+def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
+    """Add p*q, or -(p*q) when negate is set, into a raw polynomial accumulator."""
+    q_items = q.terms.items()
+    for e1, c1 in p.terms.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in q_items:
+            e = tuple(map(add, e1, e2))
+            prev = acc.get(e)
+            acc[e] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def _poly_from_acc(n: int, acc: dict) -> Poly:
+    return Poly._raw(n, {e: c for e, c in acc.items() if c})
+
+
+def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
+    """Add a ^ b, or -(a ^ b) when negate is set, into a raw form accumulator.
+
+    The caller has checked that a.degree + b.degree <= n.
+    """
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             merged = _merge_indices(ia, ib)
             if merged is None:
                 continue
             sign, idx = merged
-            acc = terms.get(idx, Poly.zero(a.n)) + (ca * cb).scale(sign)
-            if acc.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = acc
-    return Form(a.n, degree, terms)
+            out = acc.get(idx)
+            if out is None:
+                out = acc[idx] = {}
+            _mul_into(out, ca, cb, negate ^ (sign < 0))
+
+
+def _form_from_acc(n: int, degree: int, acc: dict) -> Form:
+    terms = {}
+    for idx, coeffs in acc.items():
+        p = _poly_from_acc(n, coeffs)
+        if p.terms:
+            terms[idx] = p
+    return Form._raw(n, degree, terms)
+
+
+def wedge(a: Form, b: Form) -> Form:
+    """Exterior product; returns the zero Form when the degree exceeds n."""
+    a._check(b)
+    degree = a.degree + b.degree
+    if degree > a.n:
+        return Form.zero(a.n, a.n)
+    acc: dict = {}
+    _wedge_into(acc, a, b)
+    return _form_from_acc(a.n, degree, acc)
 
 
 def exterior_derivative(f: Poly) -> Form:

@@ -29,7 +29,13 @@ from .cousin import (
     cousin_coboundary_solve,
     local_trace,
 )
-from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
+from .koszul import (
+    KoszulComplex,
+    RegularSequenceIdeal,
+    _koszul_of,
+    build_koszul,
+    index_sets,
+)
 from .polyforms import Form, Poly, exterior_derivative, wedge
 
 
@@ -67,7 +73,7 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     The bracket of this extension vanishes identically over the ambient
     ring, which the constructor asserts.
     """
-    kz = kz or build_koszul(phi.ideal)
+    kz = _koszul_of(phi.ideal, kz)
     n, q = kz.n, kz.q
     mats = {}
     for p in range(1, q + 1):
@@ -100,21 +106,31 @@ def _over_factorial(u: ChainMap, k: int, sign: int = 1) -> ChainMap:
 
 
 def chern_character(
-    ideal_or_free: RegularSequenceIdeal | FreeComplex, k: int
+    ideal_or_free: RegularSequenceIdeal | FreeComplex,
+    k: int,
+    kz: KoszulComplex | None = None,
 ) -> CousinElement:
-    """Trace of (-1)^k At^k / k! as a Cousin representative."""
+    """Trace of (-1)^k At^k / k! as a Cousin representative.
+
+    kz, when given, is the ideal's Koszul complex and is not built again.
+    """
     if isinstance(ideal_or_free, FreeComplex):
         if k == 0:
             return local_trace(identity_map(ideal_or_free))
         return CousinElement(ideal_or_free.n, (), 0, {})
-    kz = build_koszul(ideal_or_free)
+    kz = _koszul_of(ideal_or_free, kz)
     at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
     return local_trace(_over_factorial(at_k, k, (-1) ** k), kz)
 
 
-def tau_atiyah(phi: NormalHom, component: int | None = None) -> CousinElement:
-    """Trace of the phi-derivation against (-At)^k / k!; k defaults to q-1."""
-    kz = build_koszul(phi.ideal)
+def tau_atiyah(
+    phi: NormalHom, component: int | None = None, kz: KoszulComplex | None = None
+) -> CousinElement:
+    """Trace of the phi-derivation against (-At)^k / k!; k defaults to q-1.
+
+    kz, when given, is the Koszul complex of phi's ideal.
+    """
+    kz = _koszul_of(phi.ideal, kz)
     k = phi.ideal.q - 1 if component is None else component
     power = _over_factorial(minus_at_power(kz, k), k)
     rep = ext1_representative(phi, kz)
@@ -145,9 +161,14 @@ def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:
     return local_trace(compose(xi, power), kz)
 
 
-def compare_semireg(phi: NormalHom, m_bound: int = 4) -> SemiregReport:
-    """Both semiregularity routes plus an equality verdict."""
-    tau = tau_atiyah(phi)
+def compare_semireg(
+    phi: NormalHom, m_bound: int = 4, kz: KoszulComplex | None = None
+) -> SemiregReport:
+    """Both semiregularity routes plus an equality verdict.
+
+    kz, when given, is the Koszul complex of phi's ideal.
+    """
+    tau = tau_atiyah(phi, kz=kz)
     mu = bloch_mu(phi)
     k = phi.ideal.q - 1
     if tau == mu:
@@ -223,10 +244,9 @@ class ExtensionLadder:
     """A short exact sequence of modules with a split resolution ladder.
 
     The total resolution carries the module-part splitting P = P' + P''
-    (P'-part columns first in every degree); pi, pi_prime, pi_dprime are
-    the augmentations onto generator coordinates of F, F', F''; lift is a
-    generator-level section of p; relations cut F'' out of its free cover
-    (empty means F'' is free).
+    (P'-part columns first in every degree); pi and pi_dprime are the
+    augmentations onto generator coordinates of F and F''; relations cut
+    F'' out of its free cover (empty means F'' is free).
     """
 
     n: int
@@ -238,9 +258,7 @@ class ExtensionLadder:
     total: FreeComplex
     split: dict[int, int]
     pi: tuple[tuple[Poly, ...], ...]
-    pi_prime: tuple[tuple[Poly, ...], ...]
     pi_dprime: tuple[tuple[Poly, ...], ...]
-    lift: tuple[tuple[Poly, ...], ...]
     relations: tuple[Poly, ...] = ()
     nabla_values: tuple[tuple[Form, ...], ...] | None = None
 
@@ -286,9 +304,7 @@ def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> Ex
         total=total,
         split={0: 1, -1: 0},
         pi=((f, one),),
-        pi_prime=((one,),),
         pi_dprime=((one,),),
-        lift=((one,),),
         relations=(f,),
     )
 
@@ -311,18 +327,11 @@ def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLad
         tuple(one if m == rank_prime + t else zero for m in range(rank_prime + rank_dprime))
         for t in range(rank_dprime)
     )
-    ident_p = tuple(
-        tuple(one if a == b else zero for b in range(rank_prime)) for a in range(rank_prime)
-    )
     ident_d = tuple(
         tuple(one if a == b else zero for b in range(rank_dprime)) for a in range(rank_dprime)
     )
     pi = tuple(
         tuple(one if a == b else zero for b in range(rank_prime + rank_dprime))
-        for a in range(rank_prime + rank_dprime)
-    )
-    lift = tuple(
-        tuple(one if a == rank_prime + b else zero for b in range(rank_dprime))
         for a in range(rank_prime + rank_dprime)
     )
     return ExtensionLadder(
@@ -335,9 +344,7 @@ def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLad
         total=total,
         split={0: rank_prime},
         pi=pi,
-        pi_prime=ident_p,
         pi_dprime=ident_d,
-        lift=lift,
         relations=(),
     )
 

@@ -1,16 +1,16 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own algorithms: the Koszul
-differential is expanded by a recursive Leibniz evaluator, and Newton
+differential is expanded by a recursive Leibniz evaluator, Newton
 polyhedron membership is decided by brute-force enumeration of candidate
-LP bases.
+LP bases, and matrix products are sums of the public binary operations.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from atkernel.polyforms import Poly
+from atkernel.polyforms import Form, Poly, wedge
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -114,3 +114,34 @@ def dense_gauss_jordan(rows, rhs, cols):
     for prow, pcol in pivots:
         sol[pcol] = work[prow][cols]
     return r, sol
+
+
+def poly_matmul_oracle(a, b):
+    """Entry (i, j) is the running sum of a[i][m] * b[m][j]."""
+    n = a[0][0].n
+    cols = len(b[0]) if b else 0
+    out = []
+    for arow in a:
+        row = []
+        for j in range(cols):
+            acc = Poly.zero(n)
+            for m in range(len(b)):
+                acc = acc + arow[m] * b[m][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def wedge_matmul_oracle(a, b, n, out_deg, shape=None):
+    """Entry (i, j) is the running sum of wedge(a[i][m], b[m][j])."""
+    rows, mid, cols = shape or (len(a), len(b), len(b[0]) if b else 0)
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = Form.zero(n, out_deg)
+            for m in range(mid):
+                acc = acc + wedge(a[i][m], b[m][j])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)

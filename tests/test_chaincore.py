@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from atkernel.atiyah import DerivationSpec, atiyah_cocycle, contract_derivation
 from atkernel.chaincore import (
     BasisElement,
     ChainMap,
@@ -24,10 +25,14 @@ from atkernel.chaincore import (
     shift_map,
     solve_coboundary,
     zero_map,
+    _poly_matmul,
+    _wedge_matmul,
 )
-from atkernel.corpus import corpus_entries, random_chain_map
+from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
+
+from oracles import poly_matmul_oracle, wedge_matmul_oracle
 
 X = ("x",)
 XY = ("x", "y")
@@ -106,6 +111,83 @@ class TestCompose:
         assert uv.matrix(0)[0][0] == parse_form("x*y*dx^dy", XY)
         vu = compose(v, u)
         assert vu.matrix(0)[0][0] == parse_form("-x*y*dx^dy", XY)
+
+
+def koszul_squares(q):
+    """K(x_1^2, .., x_q^2) over four variables."""
+    n = 4
+    polys = tuple(Poly.monomial(n, tuple(2 if j == i else 0 for j in range(n))) for i in range(q))
+    return build_koszul(RegularSequenceIdeal(n, polys, (1,) * n))
+
+
+def _zero_padded(rng, u):
+    """u with about a third of its entries replaced by degree-0 zero forms,
+    which a map of any form degree may carry."""
+    n = u.source.n
+    mats = {
+        i: [[Form.zero(n, 0) if rng.random() < 0.35 else f for f in row] for row in mat]
+        for i, mat in u.mats.items()
+    }
+    return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
+
+
+class TestFusedProducts:
+    """The accumulate-once matrix products against the naive sums of the
+    public binary operations, entry by entry."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_wedge_matmul_matches_sum_of_wedges(self, q):
+        kz = koszul_squares(q)
+        cx, n = kz.complex, kz.n
+        rng = random.Random(40 + q)
+        maps = [atiyah_cocycle(cx).chain_map, differential_map(cx), identity_map(cx)]
+        maps += [random_chain_map(rng, kz, d, fd) for d, fd in ((0, 0), (1, 1), (-1, 2))]
+        maps += [_zero_padded(rng, u) for u in maps[:1] + maps[3:]]
+        for u in maps:
+            for v in maps:
+                out_deg = min(u.form_degree + v.form_degree, n)
+                # every degree of the support, so all-zero padding matrices
+                # from ChainMap.matrix take part
+                for i in cx.support():
+                    shape = (cx.rank(i + v.degree + u.degree), cx.rank(i + v.degree), cx.rank(i))
+                    a, b = u.matrix(i + v.degree), v.matrix(i)
+                    got = _wedge_matmul(a, b, n, out_deg, shape)
+                    assert got == wedge_matmul_oracle(a, b, n, out_deg, shape)
+                    assert all(w.degree == out_deg for row in got for w in row)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_poly_matmul_matches_sum_of_products(self, q):
+        kz = koszul_squares(q)
+        cx, n = kz.complex, kz.n
+        rng = random.Random(50 + q)
+        for i in sorted(cx.diff):
+            d = cx.d_matrix(i)
+            rand = [
+                [random_poly(rng, n) if rng.random() < 0.6 else Poly.zero(n) for _ in range(3)]
+                for _ in range(cx.rank(i))
+            ]
+            for a, b in ((d, rand), (cx.d_matrix(i + 1), d)):
+                if a and b:
+                    assert _poly_matmul(a, b) == poly_matmul_oracle(a, b)
+
+    def test_contraction_of_composed_map_with_zero_entries(self):
+        # compose's zero entries carry the form degree of the composite, so
+        # contracting a form-degree-1 composite needs no special case
+        ideal = RegularSequenceIdeal(
+            3, tuple(parse_poly(t, ("x", "y", "z")) for t in ("x", "y", "z")), (1, 1, 1)
+        )
+        cx = build_koszul(ideal).complex
+        at = atiyah_cocycle(cx).chain_map
+        assert any(w.is_zero() for mat in at.mats.values() for row in mat for w in row)
+        # the same map with every zero entry of form degree 0
+        padded = ChainMap(cx, cx, 1, 1, {
+            i: [[w if w.terms else Form.zero(3, 0) for w in row] for row in mat]
+            for i, mat in at.mats.items()
+        })
+        composed = compose(padded, identity_map(cx))
+        assert composed == at
+        xi = DerivationSpec((Poly.one(3), Poly.zero(3), Poly.variable(3, 2)))
+        assert contract_derivation(xi, composed) == contract_derivation(xi, at)
 
 
 class TestShift:

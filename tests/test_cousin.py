@@ -127,10 +127,10 @@ class TestOmegaPsi:
     def test_psi_signs(self):
         ideal = ideal_of(["x", "y", "z"], ("x", "y", "z"))
         table = psi_section(ideal)
-        assert table[()] == (1, 0)
-        assert all(table[(i,)][0] == 1 for i in (1, 2, 3))
-        assert table[(1, 2)][0] == -1
-        assert table[(1, 2, 3)][0] == -1
+        assert table[()] == 1
+        assert all(table[(i,)] == 1 for i in (1, 2, 3))
+        assert table[(1, 2)] == -1
+        assert table[(1, 2, 3)] == -1
 
 
 class TestLocalTrace:

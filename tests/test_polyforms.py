@@ -1,4 +1,5 @@
 """Polynomial and exterior form arithmetic."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from atkernel.chaincore import _poly_matmul, _wedge_matmul
 from atkernel.polyforms import (
     ArityError,
     Form,
@@ -211,3 +213,132 @@ class TestContract:
 
         with pytest.raises(ValueError):
             contract_form([Poly.one(2), Poly.zero(2)], Form.from_poly(Poly.one(2)))
+
+
+def _rand_poly(rng, n, terms=3, max_exp=2):
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        expt = tuple(rng.randint(0, max_exp) for _ in range(n))
+        out[expt] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Poly(n, out)
+
+
+def _rand_form(rng, n, degree):
+    combos = list(itertools.combinations(range(n), degree))
+    picked = rng.sample(combos, rng.randint(0, len(combos)))
+    return Form(n, degree, {idx: _rand_poly(rng, n) for idx in picked})
+
+
+def assert_canonical_poly(p, n):
+    assert p.n == n
+    assert p == Poly(p.n, p.terms)
+    for expt, coeff in p.terms.items():
+        assert type(expt) is tuple and len(expt) == n
+        assert all(type(e) is int and e >= 0 for e in expt)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def assert_canonical_form(w, n, degree):
+    assert w.n == n and w.degree == degree
+    assert w == Form(w.n, w.degree, w.terms)
+    for idx, coeff in w.terms.items():
+        assert type(idx) is tuple and len(idx) == degree
+        assert not coeff.is_zero()
+        assert_canonical_poly(coeff, n)
+
+
+class TestTrustedResultsAreCanonical:
+    """Internal arithmetic builds results without revalidation, so each
+    result must already be what the public constructor would make."""
+
+    def test_poly_operations(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            f, g = _rand_poly(rng, n), _rand_poly(rng, n)
+            # g - f shares f's support, so sums and products cancel terms
+            h = g - f
+            results = [f + g, f + h, f + (-f), f - g, -f, f * g, (f + g) * (f - g), f * h]
+            results += [f.scale(c) for c in (0, Fraction(1, 2), -3)]
+            results += [f.derivative(i) for i in range(n)]
+            for r in results:
+                assert_canonical_poly(r, n)
+
+    def test_form_operations(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            da, db = rng.randint(0, n), rng.randint(0, n)
+            a, a2 = _rand_form(rng, n, da), _rand_form(rng, n, da)
+            b = _rand_form(rng, n, db)
+            p = _rand_poly(rng, n)
+            for r in (a + a2, a + (a2 - a), a - a, -a, a.scale(0), a.scale(Fraction(-2, 3))):
+                assert_canonical_form(r, n, da)
+            for r in (a.mul_poly(p), a.mul_poly(Poly.zero(n))):
+                assert_canonical_form(r, n, da)
+            w = wedge(a, b)
+            assert_canonical_form(w, n, min(da + db, n))
+            if da + db <= n:
+                # a ^ b + (-a) ^ b cancels every term
+                assert_canonical_form(wedge(a, b) + wedge(-a, b), n, da + db)
+
+    def test_matrix_products(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            rows, mid, cols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            a = [[_rand_poly(rng, n) for _ in range(mid)] for _ in range(rows)]
+            b = [[_rand_poly(rng, n) for _ in range(cols)] for _ in range(mid)]
+            for row in _poly_matmul(a, b):
+                for r in row:
+                    assert_canonical_poly(r, n)
+            da, db = rng.randint(0, n), rng.randint(0, n)
+            fa = [[_rand_form(rng, n, da) for _ in range(mid)] for _ in range(rows)]
+            fb = [[_rand_form(rng, n, db) for _ in range(cols)] for _ in range(mid)]
+            out_deg = min(da + db, n)
+            for row in _wedge_matmul(fa, fb, n, out_deg):
+                for w in row:
+                    assert_canonical_form(w, n, out_deg)
+
+
+class TestPublicBoundary:
+    """The public constructors and operators keep every check."""
+
+    @pytest.mark.parametrize("terms", [{(1,): 1}, {(1, 0, 0): 1}, {(-1, 0): 1}])
+    def test_poly_rejects_bad_exponent_vectors(self, terms):
+        with pytest.raises(ValueError):
+            Poly(2, terms)
+
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_poly_rejects_arity_out_of_range(self, n):
+        with pytest.raises(ArityError):
+            Poly(n, {})
+
+    @pytest.mark.parametrize(
+        "degree, idx", [(2, (1, 0)), (2, (0, 0)), (1, (2,)), (1, (-1,)), (2, (0,))]
+    )
+    def test_form_rejects_bad_index_tuples(self, degree, idx):
+        with pytest.raises(ValueError):
+            Form(2, degree, {idx: Poly.one(2)})
+
+    def test_form_rejects_degree_out_of_range(self):
+        with pytest.raises(ValueError):
+            Form(2, 3, {})
+
+    def test_form_rejects_coefficient_arity_mismatch(self):
+        with pytest.raises(ArityError):
+            Form(2, 1, {(0,): Poly.one(3)})
+
+    def test_operators_reject_mixed_arity(self):
+        p2, p3 = P("x + y"), parse_poly("x + z", XYZ)
+        w2, w3 = parse_form("x*dx", XY), parse_form("y*dz", XYZ)
+        for op in (
+            lambda: p2 + p3,
+            lambda: p2 * p3,
+            lambda: p2 - p3,
+            lambda: w2 + w3,
+            lambda: wedge(w2, w3),
+            lambda: w2.mul_poly(p3),
+        ):
+            with pytest.raises(ArityError):
+                op()

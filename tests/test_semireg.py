@@ -107,6 +107,18 @@ class TestChernCharacter:
             )
             assert chern_character(ideal, ideal.q) == expected
 
+    def test_given_complex_is_used_and_must_match(self):
+        ideal = ideal_of(["x", "y^2"], XY)
+        kz = build_koszul(ideal)
+        assert chern_character(ideal, 2, kz) == chern_character(ideal, 2)
+        phi = NormalHom(ideal, (Poly.one(2), Poly.variable(2, 0)))
+        assert compare_semireg(phi, kz=kz).atiyah_route == compare_semireg(phi).atiyah_route
+        other = build_koszul(ideal_of(["x", "y"], XY))
+        with pytest.raises(ShapeError):
+            chern_character(ideal, 2, other)
+        with pytest.raises(ShapeError):
+            compare_semireg(phi, kz=other)
+
     def test_principal_hand_chain(self):
         # At(K(x^2)) = [-d(x^2)]; tracing -At gives (d(x^2))/x^2
         ideal = ideal_of(["x^2"], X)

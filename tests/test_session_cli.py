@@ -1,10 +1,14 @@
 """Session parsing and the command-line surface, including exit codes."""
+import importlib
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import atkernel
+from atkernel import koszul
 from atkernel.cli import main
 from atkernel.polyforms import parse_poly
 from atkernel.session import SessionError, parse_session
@@ -219,3 +223,28 @@ class TestPowerBound:
         out = run_cli(["atk", "--seq", "Z", "--power", "3"], SESSION, tmp_path)
         assert out.returncode == 0
         assert out.stdout == "map at^3 {\n  degree 3;\n  formdeg 2;\n}\n"
+
+
+class TestOneKoszulBuild:
+    @pytest.mark.parametrize(
+        "argv",
+        [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"], ["semireg", "--hom", "phi", "--k", "1"]],
+    )
+    def test_command_builds_the_complex_once(self, argv, tmp_path, monkeypatch, capsys):
+        # Z = x ; y is graded with q = 2, so the regularity guard runs too
+        built = []
+        real = koszul.build_koszul
+
+        def counting(ideal):
+            built.append(ideal)
+            return real(ideal)
+
+        for info in pkgutil.iter_modules(atkernel.__path__):
+            module = importlib.import_module(f"atkernel.{info.name}")
+            if getattr(module, "build_koszul", None) is real:
+                monkeypatch.setattr(module, "build_koszul", counting)
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        assert main([*argv, "--input", str(path)]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == 1
