@@ -530,10 +530,15 @@ def component_basis(c: FreeComplex, i: int, d: int) -> list[tuple[int, tuple[int
     return out
 
 
-def component_matrix(c: FreeComplex, i: int, d: int) -> tuple[list, list, list[linalg.Row]]:
-    """Sparse matrix of d(i) on the internal-degree-d component over Q."""
-    src = component_basis(c, i, d)
-    tgt = component_basis(c, i + 1, d)
+def component_matrix(
+    c: FreeComplex, i: int, d: int, src: list | None = None, tgt: list | None = None
+) -> tuple[list, list, list[linalg.Row]]:
+    """Sparse matrix of d(i) on the internal-degree-d component over Q.
+
+    src and tgt, when given, are the component bases in degrees i and i+1.
+    """
+    src = component_basis(c, i, d) if src is None else src
+    tgt = component_basis(c, i + 1, d) if tgt is None else tgt
     tgt_index = {key: pos for pos, key in enumerate(tgt)}
     mat: list[linalg.Row] = [{} for _ in tgt]
     dmat = c.d_matrix(i)
@@ -545,15 +550,17 @@ def component_matrix(c: FreeComplex, i: int, d: int) -> tuple[list, list, list[l
                 row = tgt_index.get(key)
                 if row is None:
                     raise GradingError("inhomogeneous differential entry")
-                mat[row][col] = mat[row].get(col, 0) + coeff
+                # distinct (t_idx, e2) give distinct keys: one write per entry
+                mat[row][col] = coeff
     return src, tgt, mat
 
 
 def homology_rank(c: FreeComplex, i: int, d: int) -> int:
     """dim_Q H^i(C)_d for a graded complex."""
-    src, tgt, mat_out = component_matrix(c, i, d)
+    basis = component_basis(c, i, d)
+    src, tgt, mat_out = component_matrix(c, i, d, src=basis)
     rank_out = linalg.rank(mat_out) if src and tgt else 0
-    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d)
+    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d, tgt=basis)
     rank_in = linalg.rank(mat_in) if src_in and tgt_in else 0
     return len(src) - rank_out - rank_in
 

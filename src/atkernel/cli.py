@@ -44,12 +44,12 @@ def degree_bound_override() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise SessionError(f"bad ATK_DEGREE_BOUND {raw!r}", 0) from None
+        raise SessionError(f"bad ATK_DEGREE_BOUND {raw!r}") from None
 
 
 def _load_session(path: str | None) -> SessionFile:
     if path is None:
-        raise SessionError("this command needs --input <session file>", 0)
+        raise SessionError("this command needs --input <session file>")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_session(fh.read())
 
@@ -64,14 +64,23 @@ def _guarded_koszul(ideal):
     kz = build_koszul(ideal)
     if ideal.var_weights is not None and ideal.q >= 2:
         if not verify_regular(ideal, degree_bound_override(), kz):
-            raise SessionError("sequence failed the regularity guard", 0)
+            raise SessionError("sequence failed the regularity guard")
     return kz
 
 
+def _named(table: dict, kind: str, flag: str, name: str):
+    """The session entry that a command-line flag names."""
+    if name not in table:
+        raise SessionError(f"argument {flag}: unknown {kind} {name!r}")
+    return table[name]
+
+
 def _monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
-    chunks = [c.strip() for c in text.split(",") if c.strip()]
-    if not chunks:
+    chunks = [c.strip() for c in text.split(",")]
+    if not any(chunks):
         raise MonomialIdealError("empty ideal")
+    if not all(chunks):
+        raise MonomialIdealError(f"empty generator in ideal {text!r}")
     names = sorted({tok for c in chunks for tok in _variable_tokens(c)})
     if not names:
         raise MonomialIdealError("no variables found in ideal")
@@ -104,7 +113,7 @@ def _variable_tokens(text: str) -> list[str]:
 
 def _cmd_atk(args) -> int:
     session = _load_session(args.input)
-    ideal = session.sequence(args.seq)
+    ideal = _named(session.sequences, "sequence", "--seq", args.seq)
     kz = _guarded_koszul(ideal)
     at = atiyah_power(atiyah_cocycle(kz.complex), args.power)
     result = at.chain_map
@@ -122,7 +131,7 @@ def _resolve_derivation(session: SessionFile, text: str):
     if text in session.derivations:
         return session.derivations[text]
     if ":" not in text:
-        raise SessionError(f"unknown derivation {text!r}", 0)
+        raise SessionError(f"argument --derivation: unknown derivation {text!r}")
     from .polyforms import Poly
     from .atiyah import DerivationSpec
 
@@ -131,14 +140,14 @@ def _resolve_derivation(session: SessionFile, text: str):
         var, _, expr = chunk.partition(":")
         var = var.strip()
         if var not in values:
-            raise SessionError(f"unknown variable {var!r} in derivation", 0)
+            raise SessionError(f"argument --derivation: unknown variable {var!r}")
         values[var] = parse_poly(expr.strip(), session.var_names)
     return DerivationSpec(tuple(values[v] for v in session.var_names))
 
 
 def _cmd_ch(args) -> int:
     session = _load_session(args.input)
-    ideal = session.sequence(args.seq)
+    ideal = _named(session.sequences, "sequence", "--seq", args.seq)
     kz = _guarded_koszul(ideal)
     k = args.k if args.k is not None else ideal.q
     out = chern_character(ideal, k, kz)
@@ -148,7 +157,7 @@ def _cmd_ch(args) -> int:
 
 def _cmd_semireg(args) -> int:
     session = _load_session(args.input)
-    _, hom = session.hom(args.hom)
+    _, hom = _named(session.homs, "hom", "--hom", args.hom)
     kz = _guarded_koszul(hom.ideal)
     k = args.k if args.k is not None else hom.ideal.q - 1
     rep = ext1_representative(hom, kz)
@@ -159,7 +168,7 @@ def _cmd_semireg(args) -> int:
 
 def _cmd_blochcmp(args) -> int:
     session = _load_session(args.input)
-    _, hom = session.hom(args.hom)
+    _, hom = _named(session.homs, "hom", "--hom", args.hom)
     kz = _guarded_koszul(hom.ideal)
     report = compare_semireg(hom, kz=kz)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
@@ -175,8 +184,8 @@ def _cmd_blochcmp(args) -> int:
 
 def _cmd_obstruct(args) -> int:
     session = _load_session(args.input)
-    ideal = session.sequence(args.seq)
-    deriv = session.derivation(args.derivation)
+    ideal = _named(session.sequences, "sequence", "--seq", args.seq)
+    deriv = _named(session.derivations, "derivation", "--derivation", args.derivation)
     kz = _guarded_koszul(ideal)
     ob = obstruction_cocycle(kz, deriv)
     print(map_to_text(ob, "obstruction", session.var_names))
@@ -193,7 +202,7 @@ def _cmd_sff(args) -> int:
         if ":" in preset:
             text = preset.split(":", 1)[1]
             if not text.isdigit() or int(text) < 1:
-                raise SessionError(f"euler needs a positive integer n, got {text!r}", 0)
+                raise SessionError(f"euler needs a positive integer n, got {text!r}")
             n_proj = int(text)
         sigma, names = euler_preset(n_proj)
         print(map_to_text(sigma, "sigma", names))
@@ -222,7 +231,7 @@ def _cmd_sff(args) -> int:
         print(f"delta_first: {'0' if prime_ok else map_to_text(delta_prime, 'd1', names)}")
         print(f"VERDICT: {verdict if prime_ok else 'FAIL'}")
         return 0 if verdict != "FAIL" and prime_ok else 1
-    raise SessionError(f"unknown preset {preset!r}", 0)
+    raise SessionError(f"unknown preset {preset!r}")
 
 
 def _cmd_iclosure(args) -> int:

@@ -325,10 +325,10 @@ def cousin_coboundary_solve(
         for idx, coeff in target_num.terms.items():
             for e, c in coeff.terms.items():
                 rhs[(idx, e)] = c
+        fpows = [f ** m for f in target.seq]
         for (i, idx, e), vi in var_index.items():
             sign = -((-1) ** (i - 1))
-            fpow = target.seq[i - 1] ** m
-            for e2, c2 in fpow.terms.items():
+            for e2, c2 in fpows[i - 1].terms.items():
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
                 rows.setdefault(key, {})
                 rows[key][vi] = rows[key].get(vi, 0) + sign * c2

@@ -1,40 +1,50 @@
 """Exact sparse linear algebra over Q used by the graded solvers.
 
-A row is a dict from column index to Fraction; absent columns are zero.
-One elimination routine serves both entry points.  Its pivot columns are
-the leftmost linearly independent columns, whatever the row order, and
-free variables are set to zero, so the particular solution is unique.
+A row is a dict from column index to a rational (Fraction or int); absent
+columns are zero.  One fraction-free elimination serves both entry points:
+each incoming row has its denominators cleared once (by their lcm) and is
+reduced on integers against pivot rows stored primitive (content 1,
+positive pivot).  Rationals appear only in back-substitution.  The pivot
+columns are the leftmost linearly independent columns, whatever the row
+order, and free variables are zero, so the particular solution is unique.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Row = dict[int, Fraction]
 
 
-def _echelon(rows: Sequence[Row], rhs_col: int | None = None) -> dict[int, Row] | None:
-    """Pivot rows keyed by their lowest column, each scaled to pivot 1.
+def _echelon(rows: Sequence[Row], rhs_col: int | None = None) -> dict[int, dict[int, int]] | None:
+    """Primitive integer pivot rows keyed by their lowest column.
 
     Each incoming row is reduced against the pivot rows found so far.  A
     row carrying a right-hand side at column `rhs_col` that reduces to
     that entry alone is inconsistent, and the answer is None.
     """
-    pivots: dict[int, Row] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 if c == rhs_col:
                     return None
-                inv = 1 / row[c]
-                pivots[c] = {j: v * inv for j, v in row.items()}
+                g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
+                pivots[c] = {j: v // g for j, v in row.items()}
                 break
-            factor = row[c]
+            # row = (p/g)*row - (a/g)*prow clears column c on integers
+            a, p = row[c], prow[c]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
             for j, v in prow.items():
-                w = row.get(j, 0) - factor * v
+                w = row.get(j, 0) - a * v
                 if w:
                     row[j] = w
                 else:
@@ -56,6 +66,9 @@ def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> list[Frac
     x = [Fraction(0)] * ncols
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]
-        known = sum(v * x[j] for j, v in prow.items() if c < j < ncols)
-        x[c] = prow.get(ncols, Fraction(0)) - known
+        total = Fraction(prow.get(ncols, 0))
+        for j, v in prow.items():
+            if c < j < ncols and x[j]:
+                total -= v * x[j]
+        x[c] = total / prow[c]
     return x

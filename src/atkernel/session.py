@@ -22,8 +22,10 @@ from .semireg import NormalHom
 
 
 class SessionError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
+    """A bad session file (with its line number) or a bad command-line value."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
 
 
@@ -38,21 +40,6 @@ class SessionFile:
     @property
     def n(self) -> int:
         return len(self.var_names)
-
-    def sequence(self, name: str) -> RegularSequenceIdeal:
-        if name not in self.sequences:
-            raise SessionError(f"unknown sequence {name!r}", 0)
-        return self.sequences[name]
-
-    def hom(self, name: str) -> tuple[str, NormalHom]:
-        if name not in self.homs:
-            raise SessionError(f"unknown hom {name!r}", 0)
-        return self.homs[name]
-
-    def derivation(self, name: str) -> DerivationSpec:
-        if name not in self.derivations:
-            raise SessionError(f"unknown derivation {name!r}", 0)
-        return self.derivations[name]
 
 
 def _parse_ring(body: str, lineno: int) -> tuple[tuple[str, ...], tuple[int, ...]]:

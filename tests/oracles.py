@@ -145,3 +145,22 @@ def wedge_matmul_oracle(a, b, n, out_deg, shape=None):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def component_matrix_oracle(c, i, src, tgt):
+    """Matrix of d(i) on the component bases src -> tgt, accumulated naively.
+
+    Column j is d applied to src[j] = (basis index, exponent): each target
+    entry is the public product d[t][s] * x^exponent, and its coefficients
+    are added into the matrix one by one, dropping zeros at the end.
+    """
+    tgt_index = {key: pos for pos, key in enumerate(tgt)}
+    mat = [{} for _ in tgt]
+    dmat = c.d_matrix(i)
+    for col, (s_idx, expt) in enumerate(src):
+        for t_idx in range(c.rank(i + 1)):
+            image = dmat[t_idx][s_idx] * Poly.monomial(c.n, expt)
+            for e, coeff in image.terms.items():
+                row = mat[tgt_index[(t_idx, e)]]
+                row[col] = row.get(col, 0) + coeff
+    return [{col: v for col, v in row.items() if v} for row in mat]

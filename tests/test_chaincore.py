@@ -11,6 +11,8 @@ from atkernel.chaincore import (
     GradingError,
     ShapeError,
     complex_to_text,
+    component_basis,
+    component_matrix,
     compose,
     cone,
     differential_map,
@@ -28,11 +30,12 @@ from atkernel.chaincore import (
     _poly_matmul,
     _wedge_matmul,
 )
+from atkernel import linalg
 from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
 
-from oracles import poly_matmul_oracle, wedge_matmul_oracle
+from oracles import component_matrix_oracle, poly_matmul_oracle, wedge_matmul_oracle
 
 X = ("x",)
 XY = ("x", "y")
@@ -188,6 +191,33 @@ class TestFusedProducts:
         assert composed == at
         xi = DerivationSpec((Poly.one(3), Poly.zero(3), Poly.variable(3, 2)))
         assert contract_derivation(xi, composed) == contract_derivation(xi, at)
+
+
+def koszul_weighted():
+    """A sequence homogeneous for the weights (1, 2, 3) of x, y, z."""
+    names = ("x", "y", "z")
+    polys = tuple(parse_poly(t, names) for t in ("x^2 - y", "y^3 + z^2", "x*z"))
+    return build_koszul(RegularSequenceIdeal(3, polys, (1, 2, 3)))
+
+
+class TestComponentMatrix:
+    """The one-write component matrices against a naive accumulating
+    oracle, and homology_rank's shared basis against separate builds."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, "weighted"])
+    def test_matches_accumulating_oracle(self, q):
+        cx = (koszul_weighted() if q == "weighted" else koszul_squares(q)).complex
+        for i in cx.support():
+            for d in range(7):
+                src, tgt, mat = component_matrix(cx, i, d)
+                assert src == component_basis(cx, i, d)
+                assert tgt == component_basis(cx, i + 1, d)
+                assert mat == component_matrix_oracle(cx, i, src, tgt)
+                src_in = component_basis(cx, i - 1, d)
+                mat_in = component_matrix_oracle(cx, i - 1, src_in, src)
+                rank_out = linalg.rank(mat) if src and tgt else 0
+                rank_in = linalg.rank(mat_in) if src_in and src else 0
+                assert homology_rank(cx, i, d) == len(src) - rank_out - rank_in
 
 
 class TestShift:

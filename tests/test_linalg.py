@@ -1,6 +1,7 @@
 """The sparse exact solver against a dense Gauss-Jordan reference."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -97,3 +98,53 @@ def test_cancelled_entries_and_inputs_untouched():
 def test_rhs_length_mismatch():
     with pytest.raises(ValueError):
         linalg.solve([{0: Fraction(1)}], [], 1)
+
+
+def _hilbert(n):
+    return [{j: Fraction(1, i + j + 1) for j in range(n)} for i in range(n)]
+
+
+def test_hilbert_matrix_large_denominators():
+    rows = _hilbert(8)
+    assert linalg.rank(rows) == 8
+    # the solution of H x = (1, .., 1) has integer entries up to 216216
+    _assert_matches_reference(rows, [Fraction(1)] * 8, 8)
+    rhs = [Fraction(i + 1, 2**i) for i in range(8)]
+    _assert_matches_reference(rows, rhs, 8)
+    # a dependent ninth row and a right-hand side that breaks it
+    extra = {j: rows[1][j] - 3 * rows[5][j] for j in range(8)}
+    _assert_matches_reference(rows + [extra], rhs + [rhs[1] - 3 * rhs[5]], 8)
+    _assert_matches_reference(rows + [extra], rhs + [rhs[1]], 8)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_mixing_int_and_fraction_values(seed):
+    rng = random.Random(f"linalg:mixed:{seed}")
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        rows, rhs = _random_system(rng, nrows, ncols, 0.4)
+        rows = [{c: int(v) if v.denominator == 1 else v for c, v in row.items()} for row in rows]
+        rhs = [int(b) if rng.random() < 0.5 and b.denominator == 1 else b for b in rhs]
+        _assert_matches_reference(rows, rhs, ncols)
+
+
+def test_solution_entries_are_fractions():
+    rows = [{0: 2, 1: 1}, {1: 3}, {0: Fraction(1, 2), 2: 1}]
+    for rhs in ([1, 2, 3], [0, 0, 0], [Fraction(1, 3), 0, 5]):
+        solution = linalg.solve(rows, rhs, 4)
+        assert solution is not None
+        assert all(type(v) is Fraction for v in solution)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_rows_are_primitive_with_positive_pivot(seed):
+    rng = random.Random(f"linalg:primitive:{seed}")
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        rows, rhs = _random_system(rng, nrows, ncols, rng.choice((0.25, 0.5)))
+        with_rhs = [{**row, ncols: b} for row, b in zip(rows, rhs)]
+        for pivots in (linalg._echelon(rows), linalg._echelon(with_rhs)):
+            for c, prow in pivots.items():
+                assert min(prow) == c and prow[c] > 0
+                assert all(type(v) is int and v for v in prow.values())
+                assert gcd(*prow.values()) == 1

@@ -1,9 +1,11 @@
 """Session parsing and the command-line surface, including exit codes."""
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,58 @@ class TestExitCodes:
     def test_missing_required_flag_is_two(self):
         out = run_cli(["iclosure", "--ideal", "x^2"])
         assert out.returncode == 2
+
+
+class TestUsageMessages:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["ch", "--seq", "nope"], "--seq"),
+            (["blochcmp", "--hom", "nope"], "--hom"),
+            (["obstruct", "--seq", "Z", "--derivation", "nope"], "--derivation"),
+        ],
+    )
+    def test_unknown_name_names_the_flag(self, argv, flag, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        assert main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: unknown" in err and "'nope'" in err
+        assert "line" not in err
+
+    @pytest.mark.parametrize("ideal", ["x^2,,y", ",x^2", "x^2,", "x, ,y"])
+    @pytest.mark.parametrize("command", [["curvdim"], ["dimcheck"], ["iclosure", "--test", "x"]])
+    def test_empty_generator_is_two(self, ideal, command, capsys):
+        assert main([command[0], "--ideal", ideal, *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "empty generator" in err
+
+
+# the session the demo commands in perfbench/cli_expected.json were recorded on
+DEMO_SESSION = """\
+ring Q[x, y, z]
+seq Z = x^2 - y*z ; y^2 - x*z
+hom phi on Z = 1 ; 0
+hom rho on Z = y ; x
+der ddx = x: 1
+"""
+CLI_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "cli_expected.json"
+
+
+class TestDemoGolden:
+    """The 13 demo commands, in process, against their recorded stdout."""
+
+    def test_demo_commands_match_recorded_output(self, tmp_path, capsys):
+        recorded = json.loads(CLI_EXPECTED.read_text())
+        assert len(recorded) == 13
+        path = tmp_path / "demo.sr"
+        path.write_text(DEMO_SESSION)
+        for command, expected in sorted(recorded.items()):
+            argv = command.split()
+            if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
+                argv += ["--input", str(path)]
+            assert (main(argv), capsys.readouterr().out) == (0, expected), command
 
 
 class TestPowerBound:
