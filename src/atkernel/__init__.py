@@ -2,45 +2,4 @@
 on Koszul resolutions, with integral-dependence invariants for monomial
 ideals."""
 
-from .polyforms import Form, Poly, exterior_derivative, wedge
-from .chaincore import ChainMap, FreeComplex, cone, hom_bracket, compose, shift, solve_coboundary
-from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul
-from .atiyah import atiyah_cocycle, atiyah_power, contract_derivation, obstruction_cocycle
-from .cousin import CousinElement, local_trace, omega_class
-from .semireg import NormalHom, bloch_mu, chern_character, compare_semireg, tau_atiyah
-from .integraldep import MonomialIdeal, closure_member, curvilinear_dim, dim_bound_check
-
-__all__ = [
-    "Form",
-    "Poly",
-    "exterior_derivative",
-    "wedge",
-    "ChainMap",
-    "FreeComplex",
-    "cone",
-    "hom_bracket",
-    "compose",
-    "shift",
-    "solve_coboundary",
-    "KoszulComplex",
-    "RegularSequenceIdeal",
-    "build_koszul",
-    "atiyah_cocycle",
-    "atiyah_power",
-    "contract_derivation",
-    "obstruction_cocycle",
-    "CousinElement",
-    "local_trace",
-    "omega_class",
-    "NormalHom",
-    "bloch_mu",
-    "chern_character",
-    "compare_semireg",
-    "tau_atiyah",
-    "MonomialIdeal",
-    "closure_member",
-    "curvilinear_dim",
-    "dim_bound_check",
-]
-
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from .polyforms import (
     _poly_from_acc,
     _wedge_into,
     form_to_text,
-    parse_form,
     poly_to_text,
 )
 
@@ -664,7 +663,8 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                     for idx, coeff in cm[t][s].terms.items():
                         for expt, q in coeff.terms.items():
                             rhs_by_key[(idx, expt)] = q
-                    # d o h contribution
+                    # d o h contribution; its unknowns and those of h o d are disjoint,
+                    # and one unknown's terms give distinct keys: each entry is set once
                     for m in range(tgt.rank(i + r_h)):
                         dpoly = dt[t][m]
                         if dpoly.is_zero():
@@ -673,7 +673,7 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                             for e2, q2 in dpoly.terms.items():
                                 tot = tuple(a + b for a, b in zip(expt, e2))
                                 row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = row.get(vi, Fraction(0)) + q2
+                                row[vi] = q2
                     # h o d contribution with sign -(-1)^{r_h}
                     for m in range(src.rank(i + 1)):
                         spoly = ds[m][s]
@@ -683,7 +683,7 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                             for e2, q2 in spoly.terms.items():
                                 tot = tuple(a + b for a, b in zip(expt, e2))
                                 row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = row.get(vi, Fraction(0)) - sign * q2
+                                row[vi] = -sign * q2
                     for key in set(rows_by_key) | set(rhs_by_key):
                         rows_eq.append(rows_by_key.get(key, {}))
                         rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
@@ -854,43 +854,3 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
         diff[i] = mat
     cx = FreeComplex(n, degrees, diff, tuple(weights) if graded else None)
     return name, cx, tuple(names)
-
-
-def parse_chain_map(
-    text: str, source: FreeComplex, target: FreeComplex, names: Sequence[str]
-) -> tuple[str, ChainMap]:
-    name, items = _BlockScanner(text).parse_block("map")
-    degree = 0
-    form_degree = 0
-    mats_raw: dict[int, list[str]] = {}
-    for item in items:
-        if item.startswith("degree"):
-            degree = int(item[len("degree") :].strip())
-        elif item.startswith("formdeg"):
-            form_degree = int(item[len("formdeg") :].strip())
-        elif item.startswith("u("):
-            head, _, rest = item.partition("=")
-            i = int(head.strip()[2:-1])
-            mats_raw[i] = _parse_bracket_list(rest)
-        else:
-            raise ParseError(f"unknown item {item!r} in map block")
-    mats: dict[int, list[list[Form]]] = {}
-    for i, cols in mats_raw.items():
-        rows = target.rank(i + degree)
-        mat = [
-            [Form.zero(source.n, form_degree) for _ in range(source.rank(i))]
-            for _ in range(rows)
-        ]
-        for s, col_text in enumerate(cols):
-            entries = _parse_bracket_list(col_text)
-            if len(entries) != rows:
-                raise ParseError(f"u({i}) column {s} has wrong length")
-            for t, entry in enumerate(entries):
-                w = parse_form(entry, names)
-                if w.degree != form_degree and not w.is_zero():
-                    raise ParseError(f"entry form degree mismatch in u({i})")
-                if w.is_zero():
-                    w = Form.zero(source.n, form_degree)
-                mat[t][s] = w
-        mats[i] = mat
-    return name, ChainMap(source, target, degree, form_degree, mats)

@@ -1,40 +1,17 @@
 """Command-line front end: parse a session file, dispatch, print verdicts.
 
 Exit codes: 0 on success, 1 when a comparison reports FAIL or a selftest
-group misses, 2 on usage, parse, or semantic errors.  All numeric output
-is exact rational text.
+group misses, 2 on usage, parse, or semantic errors and unreadable input.
+All numeric output is exact rational text.
+
+Library modules are imported inside the handlers, so an `atk` process
+loads (and, without a bytecode cache, compiles) only what its command runs.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-
-from .atiyah import atiyah_cocycle, atiyah_power, contract_derivation, obstruction_cocycle
-from .chaincore import GradingError, ShapeError, map_to_text
-from .cousin import cousin_to_text
-from .integraldep import (
-    MonomialIdeal,
-    MonomialIdealError,
-    closure_member,
-    curvilinear_dim,
-    dim_bound_check,
-)
-from .koszul import build_koszul, verify_regular
-from .polyforms import ParseError, parse_poly
-from .semireg import (
-    chern_character,
-    compare_semireg,
-    connecting_delta,
-    delta_dprime_matches_minus_atiyah,
-    euler_generator_forms,
-    euler_preset,
-    ext1_representative,
-    hypersurface_ladder,
-    second_fundamental_form,
-    sigma_component,
-)
-from .session import SessionError, SessionFile, parse_session
 
 
 def degree_bound_override() -> int | None:
@@ -44,10 +21,14 @@ def degree_bound_override() -> int | None:
     try:
         return int(raw)
     except ValueError:
+        from .session import SessionError
+
         raise SessionError(f"bad ATK_DEGREE_BOUND {raw!r}") from None
 
 
-def _load_session(path: str | None) -> SessionFile:
+def _load_session(path: str | None):
+    from .session import SessionError, parse_session
+
     if path is None:
         raise SessionError("this command needs --input <session file>")
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,6 +42,9 @@ def _guarded_koszul(ideal):
     not regular, so the guard refuses; ungraded input skips the check.
     Commands pass the returned complex on instead of building it again.
     """
+    from .koszul import build_koszul, verify_regular
+    from .session import SessionError
+
     kz = build_koszul(ideal)
     if ideal.var_weights is not None and ideal.q >= 2:
         if not verify_regular(ideal, degree_bound_override(), kz):
@@ -70,12 +54,16 @@ def _guarded_koszul(ideal):
 
 def _named(table: dict, kind: str, flag: str, name: str):
     """The session entry that a command-line flag names."""
+    from .session import SessionError
+
     if name not in table:
         raise SessionError(f"argument {flag}: unknown {kind} {name!r}")
     return table[name]
 
 
-def _monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
+def _monomial_ideal_from_text(text: str):
+    from .integraldep import MonomialIdeal, MonomialIdealError
+
     chunks = [c.strip() for c in text.split(",")]
     if not any(chunks):
         raise MonomialIdealError("empty ideal")
@@ -91,6 +79,9 @@ def _monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]
 
 def _monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
     """Exponent vector of a monomial with coefficient 1."""
+    from .integraldep import MonomialIdealError
+    from .polyforms import parse_poly
+
     p = parse_poly(text, names)
     if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
         raise MonomialIdealError(f"not a monomial: {text!r}")
@@ -112,6 +103,9 @@ def _variable_tokens(text: str) -> list[str]:
 
 
 def _cmd_atk(args) -> int:
+    from .atiyah import atiyah_cocycle, atiyah_power, contract_derivation
+    from .chaincore import map_to_text
+
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
     kz = _guarded_koszul(ideal)
@@ -126,14 +120,16 @@ def _cmd_atk(args) -> int:
     return 0
 
 
-def _resolve_derivation(session: SessionFile, text: str):
+def _resolve_derivation(session, text: str):
     """A named derivation, or an inline `x: g1, y: g2` literal."""
+    from .atiyah import DerivationSpec
+    from .polyforms import Poly, parse_poly
+    from .session import SessionError
+
     if text in session.derivations:
         return session.derivations[text]
     if ":" not in text:
         raise SessionError(f"argument --derivation: unknown derivation {text!r}")
-    from .polyforms import Poly
-    from .atiyah import DerivationSpec
 
     values = {v: Poly.zero(session.n) for v in session.var_names}
     for chunk in text.split(","):
@@ -146,6 +142,9 @@ def _resolve_derivation(session: SessionFile, text: str):
 
 
 def _cmd_ch(args) -> int:
+    from .cousin import cousin_to_text
+    from .semireg import chern_character
+
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
     kz = _guarded_koszul(ideal)
@@ -156,6 +155,9 @@ def _cmd_ch(args) -> int:
 
 
 def _cmd_semireg(args) -> int:
+    from .cousin import cousin_to_text
+    from .semireg import ext1_representative, sigma_component
+
     session = _load_session(args.input)
     _, hom = _named(session.homs, "hom", "--hom", args.hom)
     kz = _guarded_koszul(hom.ideal)
@@ -167,6 +169,9 @@ def _cmd_semireg(args) -> int:
 
 
 def _cmd_blochcmp(args) -> int:
+    from .cousin import cousin_to_text
+    from .semireg import compare_semireg
+
     session = _load_session(args.input)
     _, hom = _named(session.homs, "hom", "--hom", args.hom)
     kz = _guarded_koszul(hom.ideal)
@@ -183,6 +188,9 @@ def _cmd_blochcmp(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
+    from .atiyah import atiyah_cocycle, contract_derivation, obstruction_cocycle
+    from .chaincore import map_to_text
+
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
     deriv = _named(session.derivations, "derivation", "--derivation", args.derivation)
@@ -196,6 +204,18 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_sff(args) -> int:
+    from .chaincore import map_to_text
+    from .ladder import (
+        connecting_delta,
+        delta_dprime_matches_minus_atiyah,
+        euler_generator_forms,
+        euler_preset,
+        hypersurface_ladder,
+        second_fundamental_form,
+    )
+    from .polyforms import parse_poly
+    from .session import SessionError
+
     preset = args.preset
     if preset.startswith("euler"):
         n_proj = 1
@@ -235,6 +255,8 @@ def _cmd_sff(args) -> int:
 
 
 def _cmd_iclosure(args) -> int:
+    from .integraldep import closure_member
+
     ideal, names = _monomial_ideal_from_text(args.ideal)
     cert = closure_member(ideal, _monomial_exponent(args.test, names))
     if cert.verdict:
@@ -248,12 +270,16 @@ def _cmd_iclosure(args) -> int:
 
 
 def _cmd_curvdim(args) -> int:
+    from .integraldep import curvilinear_dim
+
     ideal, _ = _monomial_ideal_from_text(args.ideal)
     print(curvilinear_dim(ideal))
     return 0
 
 
 def _cmd_dimcheck(args) -> int:
+    from .integraldep import dim_bound_check
+
     ideal, _ = _monomial_ideal_from_text(args.ideal)
     report = dim_bound_check(ideal)
     print(
@@ -344,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SessionError, MonomialIdealError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeError, GradingError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -319,7 +319,8 @@ def cousin_coboundary_solve(
             for idx in idx_tuples:
                 for e in monos:
                     var_index[(i, idx, e)] = len(var_index)
-        # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
+        # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
+        # give distinct keys, so each entry is set once
         rows: dict[tuple, linalg.Row] = {}
         rhs: dict[tuple, Fraction] = {}
         for idx, coeff in target_num.terms.items():
@@ -330,8 +331,7 @@ def cousin_coboundary_solve(
             sign = -((-1) ** (i - 1))
             for e2, c2 in fpows[i - 1].terms.items():
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
-                rows.setdefault(key, {})
-                rows[key][vi] = rows[key].get(vi, 0) + sign * c2
+                rows.setdefault(key, {})[vi] = sign * c2
         keys = list(set(rows) | set(rhs))
         solution = linalg.solve(
             [rows.get(key, {}) for key in keys],

@@ -1,0 +1,336 @@
+"""Extension ladders and the second fundamental form.
+
+A short exact sequence 0 -> F' -> F -> F'' -> 0 with a split resolution
+ladder, the form sigma = nabla o j, its connecting images delta' and
+delta'', and the comparison of delta'' with -At of the F'' resolution.
+The Euler-sequence and hypersurface presets behind `atk sff` live here.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .atiyah import atiyah_cocycle
+from .chaincore import BasisElement, ChainMap, FreeComplex, ShapeError
+from .koszul import RegularSequenceIdeal, build_koszul
+from .polyforms import Form, Poly, exterior_derivative, wedge
+
+
+def _free_module(n: int, labels: Sequence[str], var_weights=None, weights=None) -> FreeComplex:
+    basis = [
+        BasisElement(lab, 0 if weights is None else weights[i])
+        for i, lab in enumerate(labels)
+    ]
+    return FreeComplex(n, {0: basis}, {}, var_weights)
+
+
+def second_fundamental_form(
+    j_matrix: Sequence[Sequence[Poly]],
+    p_matrix: Sequence[Sequence[Poly]],
+    middle: FreeComplex,
+    nabla_values: Sequence[Sequence[Form]] | None = None,
+    relations: Sequence[Poly] = (),
+) -> ChainMap:
+    """sigma = nabla o j for the product-rule map determined on the middle.
+
+    By default nabla kills the middle basis, so the value on a generator
+    is p applied to the entrywise exterior derivative of j's column.
+    p o j = 0 (modulo the relations cutting out the right-hand module) is
+    required; it is what makes sigma linear.
+    """
+    n = middle.n
+    mid_rank = middle.rank(0)
+    if middle.support() != [0] or mid_rank == 0:
+        raise ShapeError("middle term must be a free module in degree 0")
+    cols_j = len(j_matrix[0]) if j_matrix else 0
+    rows_p = len(p_matrix)
+    if len(j_matrix) != mid_rank or any(len(r) != cols_j for r in j_matrix):
+        raise ShapeError("j matrix shape mismatch")
+    if any(len(r) != mid_rank for r in p_matrix):
+        raise ShapeError("p matrix shape mismatch")
+    for t in range(rows_p):
+        for s in range(cols_j):
+            acc = Poly.zero(n)
+            for m in range(mid_rank):
+                acc = acc + p_matrix[t][m] * j_matrix[m][s]
+            for rel in relations:
+                acc = acc.divmod_single(rel)[1]
+            if not acc.is_zero():
+                raise ShapeError("p o j != 0")
+    source = _free_module(n, [f"w{s}" for s in range(cols_j)])
+    target = _free_module(n, [f"v{t}" for t in range(rows_p)])
+    mat = []
+    for t in range(rows_p):
+        row = []
+        for s in range(cols_j):
+            acc = Form.zero(n, 1)
+            for m in range(mid_rank):
+                if nabla_values is not None:
+                    acc = acc + nabla_values[m][t].mul_poly(j_matrix[m][s])
+                acc = acc + exterior_derivative(j_matrix[m][s]).mul_poly(p_matrix[t][m])
+            row.append(acc)
+        mat.append(tuple(row))
+    return ChainMap(source, target, 0, 1, {0: tuple(mat)})
+
+
+@dataclass
+class ExtensionLadder:
+    """A short exact sequence of modules with a split resolution ladder.
+
+    The total resolution carries the module-part splitting P = P' + P''
+    (P'-part columns first in every degree); pi and pi_dprime are the
+    augmentations onto generator coordinates of F and F''; relations cut
+    F'' out of its free cover (empty means F'' is free).
+    """
+
+    n: int
+    j_matrix: tuple[tuple[Poly, ...], ...]
+    p_matrix: tuple[tuple[Poly, ...], ...]
+    middle: FreeComplex
+    p_prime: FreeComplex
+    p_dprime: FreeComplex
+    total: FreeComplex
+    split: dict[int, int]
+    pi: tuple[tuple[Poly, ...], ...]
+    pi_dprime: tuple[tuple[Poly, ...], ...]
+    relations: tuple[Poly, ...] = ()
+    nabla_values: tuple[tuple[Form, ...], ...] | None = None
+
+    def reduce_mod_relations(self, p: Poly) -> Poly:
+        out = p
+        for rel in self.relations:
+            out = out.divmod_single(rel)[1]
+        return out
+
+
+def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> ExtensionLadder:
+    """The sequence 0 -> R --(.f)--> R -> R/f -> 0 with its Koszul ladder."""
+    n = f.n
+    if f.is_zero() or f.constant_term() != 0:
+        raise ShapeError("hypersurface needs a nonunit, nonzero equation")
+    wdeg = f.homogeneous_degree(var_weights) if var_weights else None
+    middle = _free_module(n, ["e0"], var_weights)
+    p_prime = _free_module(
+        n, ["q0"], var_weights, [wdeg] if wdeg is not None else None
+    )
+    kz = build_koszul(RegularSequenceIdeal(n, (f,), tuple(var_weights) if var_weights else None))
+    p_dprime = kz.complex
+    one = Poly.one(n)
+    total = FreeComplex(
+        n,
+        {
+            0: [
+                BasisElement("a0", wdeg if wdeg is not None else 0),
+                BasisElement("b0", 0),
+            ],
+            -1: [BasisElement("g1", wdeg if wdeg is not None else 0)],
+        },
+        {-1: [[-one], [f]]},
+        tuple(var_weights) if var_weights else None,
+    )
+    return ExtensionLadder(
+        n=n,
+        j_matrix=((f,),),
+        p_matrix=((one,),),
+        middle=middle,
+        p_prime=p_prime,
+        p_dprime=p_dprime,
+        total=total,
+        split={0: 1, -1: 0},
+        pi=((f, one),),
+        pi_dprime=((one,),),
+        relations=(f,),
+    )
+
+
+def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:
+    """Trivial split sequence of free modules (everything is its own resolution)."""
+    labels_p = [f"q{i}" for i in range(rank_prime)]
+    labels_d = [f"r{i}" for i in range(rank_dprime)]
+    p_prime = _free_module(n, labels_p)
+    p_dprime = _free_module(n, labels_d)
+    middle = _free_module(n, [f"e{i}" for i in range(rank_prime + rank_dprime)])
+    total = _free_module(n, [f"t{i}" for i in range(rank_prime + rank_dprime)])
+    zero = Poly.zero(n)
+    one = Poly.one(n)
+    j_matrix = tuple(
+        tuple(one if i == s else zero for s in range(rank_prime))
+        for i in range(rank_prime + rank_dprime)
+    )
+    p_matrix = tuple(
+        tuple(one if m == rank_prime + t else zero for m in range(rank_prime + rank_dprime))
+        for t in range(rank_dprime)
+    )
+    ident_d = tuple(
+        tuple(one if a == b else zero for b in range(rank_dprime)) for a in range(rank_dprime)
+    )
+    pi = tuple(
+        tuple(one if a == b else zero for b in range(rank_prime + rank_dprime))
+        for a in range(rank_prime + rank_dprime)
+    )
+    return ExtensionLadder(
+        n=n,
+        j_matrix=j_matrix,
+        p_matrix=p_matrix,
+        middle=middle,
+        p_prime=p_prime,
+        p_dprime=p_dprime,
+        total=total,
+        split={0: rank_prime},
+        pi=pi,
+        pi_dprime=ident_d,
+        relations=(),
+    )
+
+
+def _sigma_tilde_on_basis(ladder: ExtensionLadder) -> list[list[Form]]:
+    """Values of the extension nabla o pi - (pi'' x 1) o nabla'' o ptilde on
+    the degree-0 basis of the total resolution, as rows over F'' generators.
+
+    The basis connection on P'' kills its basis, so only the first summand
+    survives on basis elements.
+    """
+    n = ladder.n
+    f_rank = len(ladder.pi)
+    fpp_rank = len(ladder.p_matrix)
+    cols = ladder.total.rank(0)
+    out = [[Form.zero(n, 1) for _ in range(cols)] for _ in range(fpp_rank)]
+    for b in range(cols):
+        for m in range(f_rank):
+            coeff = ladder.pi[m][b]
+            if coeff.is_zero():
+                continue
+            for t in range(fpp_rank):
+                if ladder.nabla_values is not None:
+                    out[t][b] = out[t][b] + ladder.nabla_values[m][t].mul_poly(coeff)
+                out[t][b] = out[t][b] + exterior_derivative(coeff).mul_poly(
+                    ladder.p_matrix[t][m]
+                )
+    return out
+
+
+def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> tuple[ChainMap, ChainMap]:
+    """Representatives of the two connecting images of sigma.
+
+    delta'' comes from extending sigma over the total resolution as
+    sigma~ = nabla o pi - (pi'' x 1) o nabla'' o ptilde and restricting
+    sigma~ o d to the P''-part (with a sign); delta' comes from lifting
+    sigma o pi' through p and bracketing, then dividing by j.
+    """
+    n = ladder.n
+    fpp_rank = len(ladder.p_matrix)
+    fp_rank = len(ladder.j_matrix[0]) if ladder.j_matrix else 0
+    target_dprime = _free_module(n, [f"v{t}" for t in range(fpp_rank)])
+    target_prime = _free_module(n, [f"u{t}" for t in range(fp_rank)])
+    if sigma.is_zero():
+        return (
+            ChainMap(ladder.p_prime, target_prime, 1, 1, {}),
+            ChainMap(ladder.p_dprime, target_dprime, 1, 1, {}),
+        )
+
+    # delta'' on P''^{-1}: -(sigma~ o d) restricted to the P''-columns
+    st = _sigma_tilde_on_basis(ladder)
+    split0 = ladder.split.get(0, 0)
+    split_m1 = ladder.split.get(-1, 0)
+    dprime_cols = ladder.p_dprime.rank(-1)
+    dmat = ladder.total.d_matrix(-1)
+    mats_dd = {}
+    if dprime_cols:
+        mat = []
+        for t in range(fpp_rank):
+            row = []
+            for s in range(dprime_cols):
+                col = split_m1 + s
+                acc = Form.zero(n, 1)
+                for m in range(ladder.total.rank(0)):
+                    acc = acc + st[t][m].mul_poly(dmat[m][col])
+                row.append(-acc)
+            mat.append(tuple(row))
+        mats_dd[-1] = tuple(mat)
+    delta_dd = ChainMap(ladder.p_dprime, target_dprime, 1, 1, mats_dd, check=False)
+
+    # delta' by lift-and-bracket; presets keep P' concentrated in degree 0
+    mats_dp: dict[int, tuple] = {}
+    if ladder.p_prime.diff:
+        # s = lift o sigma o pi'; [d,s] = -s o d, then divide by j
+        raise ShapeError("connecting_delta supports resolutions of free F' only")
+    delta_dp = ChainMap(ladder.p_prime, target_prime, 1, 1, mats_dp, check=False)
+    return delta_dp, delta_dd
+
+
+def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder, sigma: ChainMap) -> str:
+    """Compare delta''(sigma) with -At of the F'' resolution, entrywise
+    modulo the relations; returns exact | coboundary | FAIL."""
+    _, delta_dd = connecting_delta(ladder, sigma)
+    at = atiyah_cocycle(ladder.p_dprime).chain_map
+    # project At onto F'' generator coordinates via pi''
+    mats = {}
+    for i, mat in at.mats.items():
+        if i + 1 != 0:
+            continue
+        rows = len(ladder.pi_dprime)
+        cols = ladder.p_dprime.rank(i)
+        out = [[Form.zero(ladder.n, 1) for _ in range(cols)] for _ in range(rows)]
+        for t in range(rows):
+            for s in range(cols):
+                acc = Form.zero(ladder.n, 1)
+                for m in range(ladder.p_dprime.rank(0)):
+                    acc = acc + mat[m][s].mul_poly(ladder.pi_dprime[t][m])
+                out[t][s] = acc
+        mats[i] = tuple(tuple(row) for row in out)
+    projected = ChainMap(ladder.p_dprime, delta_dd.target, 1, 1, mats, check=False)
+    total = delta_dd + projected
+    if total.is_zero():
+        return "exact"
+    reduced_zero = True
+    for mat in total.mats.values():
+        for row in mat:
+            for entry in row:
+                for idx, coeff in entry.terms.items():
+                    if not ladder.reduce_mod_relations(coeff).is_zero():
+                        reduced_zero = False
+    return "coboundary" if reduced_zero else "FAIL"
+
+
+def euler_preset(n_proj: int = 1) -> tuple[ChainMap, list[str]]:
+    """Euler-sequence data over Q[x_0..x_n]: returns sigma and var names.
+
+    j sends x_i dx_j - x_j dx_i to e_j x_i - e_i x_j and p sends e_i to
+    x_i; with the basis connection sigma is minus the identity on the
+    generators.
+    """
+    n = n_proj + 1
+    names = [f"x{i}" for i in range(n)]
+    middle = _free_module(n, [f"e{i}" for i in range(n)])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    j_matrix = []
+    for m in range(n):
+        row = []
+        for (i, j) in pairs:
+            if m == j:
+                row.append(Poly.variable(n, i))
+            elif m == i:
+                row.append(-Poly.variable(n, j))
+            else:
+                row.append(Poly.zero(n))
+        j_matrix.append(tuple(row))
+    p_matrix = [tuple(Poly.variable(n, m) for m in range(n))]
+    sigma = second_fundamental_form(tuple(j_matrix), tuple(p_matrix), middle)
+    return sigma, names
+
+
+def euler_generator_forms(n_proj: int = 1) -> list[Form]:
+    """The generators x_i dx_j - x_j dx_i as forms, in pair order."""
+    n = n_proj + 1
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = wedge(Form.from_poly(Poly.variable(n, i)), _dx(n, j)) + wedge(
+                Form.from_poly(-Poly.variable(n, j)), _dx(n, i)
+            )
+            out.append(w)
+    return out
+
+
+def _dx(n: int, i: int) -> Form:
+    return Form(n, 1, {(i,): Poly.one(n)})

@@ -45,6 +45,14 @@ from .koszul import (
     dual_basis_map,
     dual_left_multiplication,
 )
+from .ladder import (
+    connecting_delta,
+    delta_dprime_matches_minus_atiyah,
+    euler_generator_forms,
+    euler_preset,
+    hypersurface_ladder,
+    second_fundamental_form,
+)
 from .polyforms import (
     Form,
     Poly,
@@ -56,16 +64,7 @@ from .polyforms import (
     poly_to_text,
     wedge,
 )
-from .semireg import (
-    chern_character,
-    compare_semireg,
-    connecting_delta,
-    delta_dprime_matches_minus_atiyah,
-    euler_generator_forms,
-    euler_preset,
-    hypersurface_ladder,
-    second_fundamental_form,
-)
+from .semireg import chern_character, compare_semireg
 
 Group = tuple[str, int, int]
 

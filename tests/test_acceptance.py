@@ -153,7 +153,7 @@ def test_criterion_06_centrality():
 
 
 def test_criterion_07_second_fundamental_form():
-    from atkernel.semireg import (
+    from atkernel.ladder import (
         connecting_delta,
         delta_dprime_matches_minus_atiyah,
         euler_generator_forms,

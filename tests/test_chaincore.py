@@ -20,8 +20,6 @@ from atkernel.chaincore import (
     homology_rank,
     identity_map,
     is_cocycle,
-    map_to_text,
-    parse_chain_map,
     parse_complex,
     shift,
     shift_map,
@@ -350,15 +348,6 @@ class TestSerialization:
             assert name == "K"
             assert parsed == kz.complex
             assert complex_to_text(parsed, "K", names) == text
-
-    def test_map_round_trip(self):
-        rng = random.Random(12)
-        kz = koszul_xy()
-        u = random_chain_map(rng, kz, 1, 1)
-        text = map_to_text(u, "u", XY)
-        name, parsed = parse_chain_map(text, kz.complex, kz.complex, XY)
-        assert name == "u" and parsed == u
-        assert map_to_text(parsed, "u", XY) == text
 
     def test_documented_block_format(self):
         text = """

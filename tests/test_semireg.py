@@ -14,6 +14,15 @@ from atkernel.cousin import (
     cousin_to_text,
 )
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
+from atkernel.ladder import (
+    connecting_delta,
+    delta_dprime_matches_minus_atiyah,
+    euler_generator_forms,
+    euler_preset,
+    hypersurface_ladder,
+    second_fundamental_form,
+    split_free_ladder,
+)
 from atkernel.polyforms import (
     Form,
     Poly,
@@ -27,15 +36,8 @@ from atkernel.semireg import (
     bloch_mu,
     chern_character,
     compare_semireg,
-    connecting_delta,
-    delta_dprime_matches_minus_atiyah,
-    euler_generator_forms,
-    euler_preset,
     ext1_representative,
-    hypersurface_ladder,
-    second_fundamental_form,
     sigma_component,
-    split_free_ladder,
 )
 
 X = ("x",)

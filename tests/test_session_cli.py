@@ -1,6 +1,7 @@
 """Session parsing and the command-line surface, including exit codes."""
 import importlib
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -146,6 +147,11 @@ class TestExitCodes:
     def test_missing_file_is_two(self):
         out = run_cli(["blochcmp", "--hom", "phi", "--input", "/nonexistent.sr"])
         assert out.returncode == 2
+
+    def test_directory_input_is_two(self, tmp_path):
+        out = run_cli(["ch", "--seq", "Z", "--input", str(tmp_path)])
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error:")
 
     def test_unknown_command_is_two(self):
         out = run_cli(["transmogrify"])
@@ -302,3 +308,48 @@ class TestOneKoszulBuild:
         assert main([*argv, "--input", str(path)]) == 0
         assert capsys.readouterr().out
         assert len(built) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LISTS_MODULES = (
+    "import sys\n{body}\n"
+    "print(' '.join(m for m in sorted(sys.modules) if m.split('.')[0] == 'atkernel'))"
+)
+
+
+def loaded_modules(body: str) -> set[str]:
+    """The atkernel modules a fresh interpreter holds after running body."""
+    out = subprocess.run(
+        [sys.executable, "-c", LISTS_MODULES.format(body=body)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.splitlines()[-1].split())
+
+
+class TestImportSurface:
+    """Each command imports only the modules it runs."""
+
+    def test_package_loads_no_submodule(self):
+        assert loaded_modules("import atkernel") == {"atkernel"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["iclosure", "--ideal", "x^3,y^3", "--test", "x^2*y"], ["curvdim", "--ideal", "x^2"],
+         ["dimcheck", "--ideal", "x^2,x*y,y^2"]],
+    )
+    def test_monomial_commands(self, argv):
+        loaded = loaded_modules(f"from atkernel.cli import main\nmain({argv!r})")
+        allowed = {"atkernel", "atkernel.cli", "atkernel.integraldep", "atkernel.linalg",
+                   "atkernel.polyforms"}
+        assert "atkernel.integraldep" in loaded and loaded <= allowed
+
+    @pytest.mark.parametrize("argv", [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"]])
+    def test_session_commands(self, argv, tmp_path):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        argv = [*argv, "--input", str(path)]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        assert "atkernel.semireg" in loaded
+        unused = {"atkernel.integraldep", "atkernel.ladder", "atkernel.corpus", "atkernel.selftest"}
+        assert not loaded & unused
