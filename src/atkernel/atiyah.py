@@ -62,10 +62,12 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
     conn = connection or ConnectionSpec(p)
     if conn.complex != p:
         raise ShapeError("connection is for a different complex")
+    zero = Form.zero(p.n, 1)
     mats = {}
     for i, dmat in p.diff.items():
         mats[i] = tuple(
-            tuple(-exterior_derivative(entry) for entry in row) for row in dmat
+            tuple(-exterior_derivative(entry) if entry.terms else zero for entry in row)
+            for row in dmat
         )
     base = ChainMap(p, p, 1, 1, mats)
     if conn.columns:

@@ -55,25 +55,27 @@ FormMatrix = tuple[tuple[Form, ...], ...]
 
 
 def _poly_matmul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> PolyMatrix:
+    """a . b, row by row; products with a zero factor are skipped, after
+    every entry of both factors has been checked for arity."""
     if not a or not b:
         return ()
     n = a[0][0].n
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    if any(len(r) != mid for r in a):
+    mid, cols = len(b), len(b[0])
+    if any(len(r) != mid for r in a) or any(len(r) != cols for r in b):
         raise ShapeError("matrix shape mismatch")
+    if any(p.n != n for mat in (a, b) for row in mat for p in row):
+        raise ArityError("matrix entry arity mismatch")
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            # every product of the entry goes into one raw accumulator
-            acc: dict = {}
-            for m in range(mid):
-                x, y = a[i][m], b[m][j]
-                if x.n != n or y.n != n:
-                    raise ArityError("matrix entry arity mismatch")
-                _mul_into(acc, x, y)
-            row.append(_poly_from_acc(n, acc))
-        out.append(tuple(row))
+    for arow in a:
+        # every product of an entry goes into one raw accumulator
+        acc: list[dict] = [{} for _ in range(cols)]
+        for x, brow in zip(arow, b):
+            if not x.terms:
+                continue
+            for acc_j, y in zip(acc, brow):
+                if y.terms:
+                    _mul_into(acc_j, x, y)
+        out.append(tuple(_poly_from_acc(n, acc_j) for acc_j in acc))
     return tuple(out)
 
 
@@ -393,7 +395,7 @@ def compose(u: ChainMap, v: ChainMap) -> ChainMap:
 def hom_bracket(h: ChainMap) -> ChainMap:
     """[d,h] = d h - (-1)^{|h|} h d in the Hom-complex."""
     r = h.degree
-    sign = (-1) ** r
+    sign = (-1) ** (r % 2)
     src, tgt = h.source, h.target
     mats = {}
     lo = min(src.support() + tgt.support(), default=0)
@@ -432,7 +434,7 @@ def shift(c: FreeComplex, i: int) -> FreeComplex:
     """Shifted complex with degrees translated and differential times (-1)^i."""
     if i == 0:
         return c
-    sign = (-1) ** i
+    sign = (-1) ** (i % 2)
     degrees = {n - i: c.degrees[n] for n in c.degrees}
     diff = {
         n - i: tuple(tuple(p.scale(sign) for p in row) for row in mat)
@@ -645,7 +647,7 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                         blocks[(i, t, s)] = block
         rows_eq: list[linalg.Row] = []
         rhs_eq: list[Fraction] = []
-        sign = (-1) ** r_h
+        sign = (-1) ** (r_h % 2)
         lo = min(src.support() + tgt.support()) - 1
         hi = max(src.support() + tgt.support()) + 1
         for i in range(lo, hi):

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from .atiyah import ConnectionSpec, DerivationSpec
 from .chaincore import ChainMap, FreeComplex, hom_bracket, is_cocycle
-from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul
+from .koszul import KoszulComplex, NormalHom, RegularSequenceIdeal, build_koszul
 from .polyforms import Form, Poly, parse_poly
-from .semireg import NormalHom
 
 
 @dataclass(frozen=True)

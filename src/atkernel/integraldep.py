@@ -100,8 +100,9 @@ def _phase1_lp(a_eq: list[list[Fraction]], b: list[Fraction]):
     """
     rows = len(a_eq)
     cols = len(a_eq[0]) if rows else 0
-    a_eq = [row[:] for row in a_eq]
-    b = b[:]
+    # Fraction entries keep every pivot and ratio division exact
+    a_eq = [[Fraction(v) for v in row] for row in a_eq]
+    b = [Fraction(v) for v in b]
     for i in range(rows):
         if b[i] < 0:
             a_eq[i] = [-v for v in a_eq[i]]

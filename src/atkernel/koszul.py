@@ -60,6 +60,25 @@ class RegularSequenceIdeal:
         return out
 
 
+@dataclass(frozen=True)
+class NormalHom:
+    """A normal-module section, given by its values on the sequence.
+
+    Values are representatives in the ambient ring; changing one by an
+    ideal element moves every output by an ideal-numerator term.
+    """
+
+    ideal: RegularSequenceIdeal
+    values: tuple[Poly, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.ideal.q:
+            raise ShapeError("need one value per sequence entry")
+        for v in self.values:
+            if v.n != self.ideal.n:
+                raise ShapeError("value arity mismatch")
+
+
 def gamma_label(alpha: Sequence[int]) -> str:
     return "e" if not alpha else "gf" + "_".join(str(i) for i in alpha)
 

@@ -1,10 +1,14 @@
 """Exact arithmetic for multivariate polynomials over Q and exterior forms.
 
 Polynomials are sparse maps from exponent vectors to nonzero rational
-coefficients.  Forms carry polynomial coefficients on strictly increasing
-wedge index tuples, so every value has one canonical representation and
-equality is literal dictionary equality.  Term order is graded
-lexicographic with the variable order fixed by the ring declaration.
+coefficients.  A coefficient is stored as an int when it is integral and
+as a Fraction with denominator > 1 otherwise, so the integer arithmetic
+that dominates Koszul complexes never builds a Fraction.  Floats are
+refused: a binary fraction is not the rational that was meant.  Forms
+carry polynomial coefficients on strictly increasing wedge index tuples,
+so every value has one canonical representation and equality is literal
+dictionary equality.  Term order is graded lexicographic with the
+variable order fixed by the ring declaration.
 """
 from __future__ import annotations
 
@@ -36,17 +40,32 @@ def _grlex_key(expt: tuple[int, ...]) -> tuple:
     return (sum(expt), expt)
 
 
+Coeff = int | Fraction
+
+
+def _canon(c) -> Coeff:
+    """The canonical coefficient for the rational c: an int when c is
+    integral, else a Fraction with denominator > 1.  Floats raise."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise ValueError(f"float coefficient {c!r}: use an int or a Fraction")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Coeff] | None = None):
         if not 0 < n <= MAX_ARITY:
             raise ArityError(f"ring arity must be in 1..{MAX_ARITY}, got {n}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Coeff] = {}
         for expt, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _canon(coeff)
             if coeff == 0:
                 continue
             expt = tuple(int(e) for e in expt)
@@ -57,10 +76,11 @@ class Poly:
         self.terms = clean
 
     @staticmethod
-    def _raw(n: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+    def _raw(n: int, terms: dict[tuple[int, ...], Coeff]) -> "Poly":
         """Trusted constructor for internal arithmetic: `terms` must already
-        be canonical (length-n exponent tuples, nonzero Fraction values) and
-        is kept, not copied."""
+        be canonical (length-n exponent tuples, nonzero values, each an int
+        when integral and a Fraction with denominator > 1 otherwise) and is
+        kept, not copied."""
         p = object.__new__(Poly)
         p.n = n
         p.terms = terms
@@ -74,8 +94,7 @@ class Poly:
 
     @staticmethod
     def const(n: int, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(n, {(0,) * n: c} if c else {})
+        return Poly(n, {(0,) * n: c})
 
     @staticmethod
     def one(n: int) -> "Poly":
@@ -86,11 +105,11 @@ class Poly:
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for arity {n}")
         expt = tuple(1 if j == i else 0 for j in range(n))
-        return Poly(n, {expt: Fraction(1)})
+        return Poly(n, {expt: 1})
 
     @staticmethod
     def monomial(n: int, expt: Sequence[int], coeff=1) -> "Poly":
-        return Poly(n, {tuple(expt): Fraction(coeff)})
+        return Poly(n, {tuple(expt): coeff})
 
     # -- ring operations ------------------------------------------------
 
@@ -108,7 +127,7 @@ class Poly:
                 continue
             total = prev + coeff
             if total:
-                terms[expt] = total
+                terms[expt] = _canon(total)
             else:
                 del terms[expt]
         return Poly._raw(self.n, terms)
@@ -121,7 +140,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Coeff] = {}
         _mul_into(acc, self, other)
         return _poly_from_acc(self.n, acc)
 
@@ -134,8 +153,8 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly._raw(self.n, {e: c * v for e, v in self.terms.items()} if c else {})
+        c = _canon(c)
+        return Poly._raw(self.n, {e: _canon(c * v) for e, v in self.terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
@@ -146,8 +165,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * self.n, 0)
 
     # -- degrees ----------------------------------------------------------
 
@@ -170,13 +189,13 @@ class Poly:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self, i: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coeff] = {}
         for expt, coeff in self.terms.items():
             if expt[i] == 0:
                 continue
             e = list(expt)
             e[i] -= 1
-            terms[tuple(e)] = coeff * expt[i]
+            terms[tuple(e)] = _canon(coeff * expt[i])
         return Poly._raw(self.n, terms)
 
     def apply_derivation(self, values: Sequence["Poly"]) -> "Poly":
@@ -207,7 +226,7 @@ class Poly:
 
     # -- division by a single polynomial ----------------------------------
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
         expt = max(self.terms, key=_grlex_key)
         return expt, self.terms[expt]
 
@@ -227,7 +246,8 @@ class Poly:
         while not work.is_zero():
             e, c = work.leading_term()
             if all(a >= b for a, b in zip(e, lt_e)):
-                q = Poly.monomial(self.n, tuple(a - b for a, b in zip(e, lt_e)), c / lt_c)
+                quot_e = tuple(a - b for a, b in zip(e, lt_e))
+                q = Poly.monomial(self.n, quot_e, Fraction(c, lt_c))
                 quot = quot + q
                 work = work - q * divisor
             else:
@@ -239,7 +259,7 @@ class Poly:
     def divides(self, other: "Poly") -> bool:
         return other.divmod_single(self)[1].is_zero() if not self.is_zero() else other.is_zero()
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __repr__(self):
@@ -273,7 +293,7 @@ class Form:
     def _raw(n: int, degree: int, terms: dict[tuple[int, ...], Poly]) -> "Form":
         """Trusted constructor for internal arithmetic: `terms` must map
         strictly increasing length-`degree` index tuples to nonzero arity-n
-        Polys, and is kept, not copied."""
+        canonical Polys (see Poly._raw), and is kept, not copied."""
         w = object.__new__(Form)
         w.n = n
         w.degree = degree
@@ -325,7 +345,7 @@ class Form:
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        c = Fraction(c)
+        c = _canon(c)
         if not c:
             return Form._raw(self.n, self.degree, {})
         return Form._raw(self.n, self.degree, {i: p.scale(c) for i, p in self.terms.items()})
@@ -364,10 +384,11 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
 
 # -- raw accumulators ------------------------------------------------------
 #
-# The fused kernels sum many products into plain dicts, {expt: Fraction} for
-# a polynomial and {idx: {expt: Fraction}} for a form, which may hold zero
-# coefficients until the result is built once by _poly_from_acc or
-# _form_from_acc.  Operands are canonical and share one arity.
+# The fused kernels sum many products into plain dicts, {expt: coeff} for a
+# polynomial and {idx: {expt: coeff}} for a form, which may hold zero or
+# integral Fraction coefficients until the result is built once, and made
+# canonical, by _poly_from_acc or _form_from_acc.  Operands are canonical
+# and share one arity.
 
 
 def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
@@ -383,7 +404,7 @@ def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
 
 
 def _poly_from_acc(n: int, acc: dict) -> Poly:
-    return Poly._raw(n, {e: c for e, c in acc.items() if c})
+    return Poly._raw(n, {e: _canon(c) for e, c in acc.items() if c})
 
 
 def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
@@ -428,9 +449,9 @@ def exterior_derivative(f: Poly) -> Form:
     terms = {}
     for i in range(f.n):
         df = f.derivative(i)
-        if not df.is_zero():
+        if df.terms:
             terms[(i,)] = df
-    return Form(f.n, 1, terms)
+    return Form._raw(f.n, 1, terms)
 
 
 def form_d(w: Form) -> Form:
@@ -451,22 +472,26 @@ def contract_form(values: Sequence[Poly], w: Form) -> Form:
     if w.degree == 0:
         raise ValueError("cannot contract a degree-0 form")
     n = w.n
-    out = Form.zero(n, w.degree - 1)
+    if any(v.n != n for v in values):
+        raise ArityError("derivation values must share the form's arity")
+    acc: dict = {}
     for idx, coeff in w.terms.items():
         for j, slot in enumerate(idx):
             val = values[slot]
-            if val.is_zero():
+            if not val.terms:
                 continue
             rest = idx[:j] + idx[j + 1 :]
-            contrib = Form(n, w.degree - 1, {rest: (coeff * val).scale((-1) ** j)})
-            out = out + contrib
-    return out
+            out = acc.get(rest)
+            if out is None:
+                out = acc[rest] = {}
+            _mul_into(out, coeff, val, negate=j % 2 == 1)
+    return _form_from_acc(n, w.degree - 1, acc)
 
 
 # -- canonical text ------------------------------------------------------
 
 
-def _coeff_text(c: Fraction) -> str:
+def _coeff_text(c: Coeff) -> str:
     return str(c)
 
 
@@ -618,7 +643,7 @@ class _FormParser:
         return total
 
     def _term(self) -> Form:
-        coeff = Fraction(1)
+        coeff: Coeff = 1
         expt = [0] * self.n
         didx: list[int] = []
         saw_atom = False
@@ -646,17 +671,19 @@ class _FormParser:
         p = Poly.monomial(self.n, tuple(expt), coeff)
         return Form(self.n, len(didx), {tuple(didx): p})
 
-    def _factor(self, coeff: Fraction, expt: list[int], didx: list[int]):
+    def _factor(self, coeff: Coeff, expt: list[int], didx: list[int]):
         tok = self._next()
         if tok.kind == "num":
-            value = Fraction(int(tok.text))
+            value = int(tok.text)
             nxt = self._peek()
             if nxt is not None and nxt.kind == "/":
                 self._next()
                 den = self._next()
                 if den.kind != "num":
                     self._fail("expected integer denominator", den)
-                value = value / int(den.text)
+                if int(den.text) == 0:
+                    self._fail("zero denominator", den)
+                value = Fraction(value, int(den.text))
             return coeff * value, True
         if tok.kind == "name":
             name = tok.text

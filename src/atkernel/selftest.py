@@ -196,7 +196,7 @@ def check_shift_bracket(count: int = 40) -> Group:
         i = rng.choice([-2, -1, 1, 2])
         h = random_chain_map(rng, kz, rng.choice([0, 1]), rng.choice([0, 1]))
         lhs = hom_bracket(shift_map(h, i))
-        rhs = shift_map(hom_bracket(h), i).scale((-1) ** i)
+        rhs = shift_map(hom_bracket(h), i).scale((-1) ** (i % 2))
         if lhs == rhs:
             ok += 1
     return ("bracket commutes with shift up to sign", ok, count)
@@ -252,7 +252,7 @@ def check_commutators(pairs_per_complex: int = 50) -> Group:
             kv = rng.randint(0, min(1, kz.n - ku)) if kz.n > ku else 0
             u = random_chain_map(rng, kz, d, ku)
             v = random_chain_map(rng, kz, -d, kv)
-            sign = (-1) ** (d * (-d) + ku * kv)
+            sign = (-1) ** ((d * (-d) + ku * kv) % 2)
             comm = compose(u, v) - compose(v, u).scale(sign)
             if local_trace(comm, kz).is_zero():
                 ok += 1
@@ -339,7 +339,7 @@ def check_shift_sign() -> Group:
             for k in range(1, kz.q + 1):
                 total += 1
                 lhs = atiyah_power(at_shifted, k).chain_map
-                rhs = shift_map(atiyah_power(at, k).chain_map, i).scale((-1) ** (k * i))
+                rhs = shift_map(atiyah_power(at, k).chain_map, i).scale((-1) ** (k * i % 2))
                 if lhs == rhs:
                     ok += 1
     return ("shift changes the cocycle by the predicted sign", ok, total)

@@ -28,30 +28,12 @@ from .cousin import (
 )
 from .koszul import (
     KoszulComplex,
+    NormalHom,
     RegularSequenceIdeal,
     _koszul_of,
     index_sets,
 )
-from .polyforms import Form, Poly, exterior_derivative, wedge
-
-
-@dataclass(frozen=True)
-class NormalHom:
-    """A normal-module section, given by its values on the sequence.
-
-    Values are representatives in the ambient ring; changing one by an
-    ideal element moves every output by an ideal-numerator term.
-    """
-
-    ideal: RegularSequenceIdeal
-    values: tuple[Poly, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.ideal.q:
-            raise ShapeError("need one value per sequence entry")
-        for v in self.values:
-            if v.n != self.ideal.n:
-                raise ShapeError("value arity mismatch")
+from .polyforms import Form, exterior_derivative, wedge
 
 
 @dataclass

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from .atiyah import DerivationSpec
 from .chaincore import GradingError
-from .koszul import RegularSequenceIdeal
+from .koszul import NormalHom, RegularSequenceIdeal
 from .polyforms import ParseError, Poly, parse_poly
-from .semireg import NormalHom
 
 
 class SessionError(ValueError):

@@ -147,6 +147,17 @@ def wedge_matmul_oracle(a, b, n, out_deg, shape=None):
     return tuple(out)
 
 
+def contract_form_oracle(values, w):
+    """Running sum of one public Form per contracted slot j, sign (-1)^j."""
+    out = Form.zero(w.n, w.degree - 1)
+    for idx, coeff in w.terms.items():
+        for j, slot in enumerate(idx):
+            rest = idx[:j] + idx[j + 1 :]
+            term = (coeff * values[slot]).scale(-1 if j % 2 else 1)
+            out = out + Form(w.n, w.degree - 1, {rest: term})
+    return out
+
+
 def component_matrix_oracle(c, i, src, tgt):
     """Matrix of d(i) on the component bases src -> tgt, accumulated naively.
 

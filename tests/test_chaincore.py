@@ -31,7 +31,7 @@ from atkernel.chaincore import (
 from atkernel import linalg
 from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
-from atkernel.polyforms import Form, Poly, parse_form, parse_poly
+from atkernel.polyforms import ArityError, Form, Poly, parse_form, parse_poly
 
 from oracles import component_matrix_oracle, poly_matmul_oracle, wedge_matmul_oracle
 
@@ -190,6 +190,20 @@ class TestFusedProducts:
         xi = DerivationSpec((Poly.one(3), Poly.zero(3), Poly.variable(3, 2)))
         assert contract_derivation(xi, composed) == contract_derivation(xi, at)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # the arity-3 entry of b meets only the zero entry of a
+            ([[Poly.zero(2), Poly.one(2)]], [[Poly.one(3)], [Poly.zero(2)]]),
+            # the arity-3 entry of a is zero, and so is the entry of b it meets
+            ([[Poly.one(2), Poly.zero(3)]], [[Poly.one(2)], [Poly.zero(2)]]),
+            ([[Poly.zero(2)]], [[Poly.zero(3)]]),
+        ],
+    )
+    def test_poly_matmul_checks_arity_of_entries_that_meet_zeros(self, a, b):
+        with pytest.raises(ArityError):
+            _poly_matmul(a, b)
+
 
 def koszul_weighted():
     """A sequence homogeneous for the weights (1, 2, 3) of x, y, z."""
@@ -238,7 +252,7 @@ class TestShift:
         for i in (-2, -1, 1, 2):
             h = random_chain_map(rng, kz, rng.choice([0, 1]), rng.choice([0, 1]))
             lhs = hom_bracket(shift_map(h, i))
-            rhs = shift_map(hom_bracket(h), i).scale((-1) ** i)
+            rhs = shift_map(hom_bracket(h), i).scale((-1) ** (i % 2))
             assert lhs == rhs
 
 
@@ -312,6 +326,21 @@ class TestSolveCoboundary:
             report = solve_coboundary(c)
             assert report.solvable
             assert hom_bracket(report.witness) == c
+
+    def test_degree_zero_cocycle_with_degree_minus_one_unknowns(self):
+        # the witness has degree -1, so the sign of its h o d terms is
+        # (-1)^(-1); it must reach the solver as the integer -1
+        cx = FreeComplex(
+            1,
+            {0: [BasisElement("a", 1)], 1: [BasisElement("b", 0)]},
+            {0: [[parse_poly("x", X)]]},
+            (1,),
+        )
+        h = ChainMap(cx, cx, -1, 0, {1: [[Form.from_poly(Poly.one(1))]]})
+        c = hom_bracket(h)
+        assert c.degree == 0 and not c.is_zero()
+        report = solve_coboundary(c)
+        assert report.solvable and hom_bracket(report.witness) == c
 
     def test_atiyah_cocycle_of_double_point_is_not_a_coboundary(self):
         from atkernel.atiyah import atiyah_cocycle

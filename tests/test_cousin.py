@@ -192,7 +192,7 @@ class TestLocalTrace:
                 kv = rng.randint(0, 1)
                 u = random_chain_map(rng, kz, d, ku)
                 v = random_chain_map(rng, kz, -d, kv)
-                sign = (-1) ** (d * (-d) + ku * kv)
+                sign = (-1) ** ((d * (-d) + ku * kv) % 2)
                 c = compose(u, v) - compose(v, u).scale(sign)
                 assert local_trace(c, kz).is_zero()
 

@@ -1,11 +1,13 @@
 """Integral closure membership and the dimension invariants."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from atkernel.integraldep import (
     MonomialIdeal,
     MonomialIdealError,
+    _phase1_lp,
     closure_member,
     curvilinear_dim,
     dim_bound_check,
@@ -60,6 +62,19 @@ class TestClosureMember:
         ideal = mono_ideal(2, [(3, 0)])
         with pytest.raises(MonomialIdealError):
             closure_member(ideal, (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "a_eq, b, want",
+        [
+            ([[3, 1]], [1], ("x", [Fraction(1, 3), 0])),
+            ([[2, 1], [1, 3]], [1, 1], ("x", [Fraction(2, 5), Fraction(1, 5)])),
+            ([[2, 3], [1, 1]], [1, 1], ("y", [Fraction(-1, 2), 1])),
+        ],
+    )
+    def test_lp_on_int_input_is_exact(self, a_eq, b, want):
+        kind, vec = _phase1_lp(a_eq, b)
+        assert (kind, vec) == want
+        assert all(type(v) is Fraction for v in vec)
 
     def test_certificates_always_verify(self):
         rng = random.Random(50)

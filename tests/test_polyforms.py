@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oracles import contract_form_oracle
+
 from atkernel.chaincore import _poly_matmul, _wedge_matmul
 from atkernel.polyforms import (
     ArityError,
     Form,
     ParseError,
     Poly,
+    contract_form,
     default_names,
     exterior_derivative,
     form_d,
@@ -75,6 +78,29 @@ class TestPolyArithmetic:
         assert r == P("y") and q == P("y")
         assert P("x^2").divides(P("x^2*y^3"))
         assert not P("x^2").divides(P("x*y"))
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ("x", "3*x"),
+            ("x^2*y + 5*y", "2*x"),
+            ("x^3 - y^2 + 1", "3*x^2 - 2*y"),
+            ("7*x*y^2 + 2/3*x - 1", "4*x*y + 6"),
+            ("x^4 + y^4", "-6*x^2 + 4*x*y - 9"),
+        ],
+    )
+    def test_divmod_by_non_monic_integer_divisor(self, num, den):
+        f, g = P(num), P(den)
+        quot, rem = f.divmod_single(g)
+        assert quot * g + rem == f
+        for coeff in [*quot.terms.values(), *rem.terms.values()]:
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+    def test_divmod_quotient_is_exact(self):
+        q, r = P("x").divmod_single(P("3*x"))
+        assert q == Poly.const(2, Fraction(1, 3)) and r.is_zero()
+        q, r = P("2*x^2 + y").divmod_single(P("4*x"))
+        assert q == P("1/2*x") and r == P("y")
 
 
 def _random(rng, n=2):
@@ -187,11 +213,18 @@ class TestCanonicalText:
         with pytest.raises(ParseError):
             parse_poly("q + 1", XY)
 
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly("x + 1/0*y", XY)
+
+    def test_parsed_coefficients_are_canonical(self):
+        f = P("4/2*x + 3/6*y - 5")
+        assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): -5}
+        assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
+
 
 class TestContract:
     def test_interior_product_on_generators(self):
-        from atkernel.polyforms import contract_form
-
         one = Poly.one(2)
         zero = Poly.zero(2)
         dx = parse_form("dx", XY)
@@ -200,8 +233,6 @@ class TestContract:
         assert contract_form([one, zero], dy).is_zero()
 
     def test_antisymmetry_of_slots(self):
-        from atkernel.polyforms import contract_form
-
         one = Poly.one(2)
         zero = Poly.zero(2)
         dxdy = parse_form("dx^dy", XY)
@@ -209,10 +240,12 @@ class TestContract:
         assert contract_form([zero, one], dxdy) == parse_form("-dx", XY)
 
     def test_degree_zero_refused(self):
-        from atkernel.polyforms import contract_form
-
         with pytest.raises(ValueError):
             contract_form([Poly.one(2), Poly.zero(2)], Form.from_poly(Poly.one(2)))
+
+    def test_value_arity_mismatch_refused(self):
+        with pytest.raises(ArityError):
+            contract_form([Poly.one(2), Poly.zero(3)], parse_form("dx", XY))
 
 
 def _rand_poly(rng, n, terms=3, max_exp=2):
@@ -235,7 +268,12 @@ def assert_canonical_poly(p, n):
     for expt, coeff in p.terms.items():
         assert type(expt) is tuple and len(expt) == n
         assert all(type(e) is int and e >= 0 for e in expt)
-        assert type(coeff) is Fraction and coeff != 0
+        # one type per value: int when integral, Fraction otherwise
+        assert coeff != 0
+        if coeff.denominator == 1:
+            assert type(coeff) is int
+        else:
+            assert type(coeff) is Fraction
 
 
 def assert_canonical_form(w, n, degree):
@@ -259,8 +297,13 @@ class TestTrustedResultsAreCanonical:
             # g - f shares f's support, so sums and products cancel terms
             h = g - f
             results = [f + g, f + h, f + (-f), f - g, -f, f * g, (f + g) * (f - g), f * h]
-            results += [f.scale(c) for c in (0, Fraction(1, 2), -3)]
+            results += [f.scale(c) for c in (0, Fraction(1, 2), -3, Fraction(2), Fraction(-4, 2))]
+            # halves summed, scaled or multiplied back to integral values
+            half = f.scale(Fraction(1, 2))
+            results += [half + half, half + f.scale(Fraction(3, 2))]
+            results += [half.scale(2), half * Poly.const(n, 2)]
             results += [f.derivative(i) for i in range(n)]
+            results += [half.derivative(i) for i in range(n)]
             for r in results:
                 assert_canonical_poly(r, n)
 
@@ -272,10 +315,18 @@ class TestTrustedResultsAreCanonical:
             a, a2 = _rand_form(rng, n, da), _rand_form(rng, n, da)
             b = _rand_form(rng, n, db)
             p = _rand_poly(rng, n)
-            for r in (a + a2, a + (a2 - a), a - a, -a, a.scale(0), a.scale(Fraction(-2, 3))):
+            half = a.scale(Fraction(1, 2))
+            for r in (a + a2, a + (a2 - a), a - a, -a, a.scale(0), a.scale(Fraction(-2, 3)),
+                      a.scale(Fraction(2)), half.scale(2), half + half):
                 assert_canonical_form(r, n, da)
             for r in (a.mul_poly(p), a.mul_poly(Poly.zero(n))):
                 assert_canonical_form(r, n, da)
+            if da:
+                # some values zero, so that slots drop out
+                values = [_rand_poly(rng, n) for _ in range(n)]
+                c = contract_form(values, a)
+                assert_canonical_form(c, n, da - 1)
+                assert c == contract_form_oracle(values, a)
             w = wedge(a, b)
             assert_canonical_form(w, n, min(da + db, n))
             if da + db <= n:
@@ -328,6 +379,30 @@ class TestPublicBoundary:
     def test_form_rejects_coefficient_arity_mismatch(self):
         with pytest.raises(ArityError):
             Form(2, 1, {(0,): Poly.one(3)})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Poly(2, {(1, 0): 0.5}),
+            lambda: Poly(2, {(1, 0): 2.0}),
+            lambda: Poly.const(2, 0.5),
+            lambda: Poly.monomial(2, (1, 0), 0.5),
+            lambda: P("x + y").scale(0.5),
+            # (-1) ** i is a float for negative i
+            lambda: P("x + y").scale((-1) ** -1),
+            lambda: parse_form("x*dx", XY).scale(0.5),
+        ],
+    )
+    def test_float_coefficients_refused(self, make):
+        with pytest.raises(ValueError, match="float"):
+            make()
+
+    def test_public_constructors_store_canonical_coefficients(self):
+        assert type(Poly.const(2, Fraction(6, 3)).terms[(0, 0)]) is int
+        assert type(Poly.monomial(2, (1, 1), Fraction(3)).terms[(1, 1)]) is int
+        assert type(Poly(2, {(0, 1): Fraction(1, 2)}).terms[(0, 1)]) is Fraction
+        assert Poly.variable(2, 1).terms == {(0, 1): 1}
+        assert type(Poly.zero(2).constant_term()) is int
 
     def test_operators_reject_mixed_arity(self):
         p2, p3 = P("x + y"), parse_poly("x + z", XYZ)

@@ -353,3 +353,15 @@ class TestImportSurface:
         assert "atkernel.semireg" in loaded
         unused = {"atkernel.integraldep", "atkernel.ladder", "atkernel.corpus", "atkernel.selftest"}
         assert not loaded & unused
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["atk", "--seq", "Z", "--power", "1"], ["obstruct", "--seq", "Z", "--derivation", "ddx"]],
+    )
+    def test_resolution_commands_skip_the_semiregularity_modules(self, argv, tmp_path):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        argv = [*argv, "--input", str(path)]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        assert "atkernel.atiyah" in loaded
+        assert not loaded & {"atkernel.semireg", "atkernel.cousin"}
