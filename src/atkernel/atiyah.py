@@ -8,7 +8,6 @@ form slot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .chaincore import (
@@ -21,10 +20,9 @@ from .chaincore import (
     zero_map,
 )
 from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul
-from .polyforms import Form, Poly, contract_form, exterior_derivative
+from .polyforms import Form, Poly, Record, contract_form, exterior_derivative
 
 
-@dataclass
 class ConnectionSpec:
     """Values of a connection on the basis; defaults to the basis connection.
 
@@ -32,26 +30,35 @@ class ConnectionSpec:
     source basis s of homological degree i, a degree-1 form.
     """
 
-    complex: FreeComplex
-    columns: dict[int, Sequence[Sequence[Form]]] = field(default_factory=dict)
+    __slots__ = ("complex", "columns")
+
+    def __init__(
+        self, complex: FreeComplex, columns: dict[int, Sequence[Sequence[Form]]] | None = None
+    ):
+        self.complex = complex
+        self.columns = {} if columns is None else columns
 
     def perturbation_map(self) -> ChainMap:
         return ChainMap(self.complex, self.complex, 0, 1, dict(self.columns))
 
 
-@dataclass
 class AtiyahCocycle:
-    chain_map: ChainMap
-    power: int
-    connection: ConnectionSpec
+    __slots__ = ("chain_map", "power", "connection")
+
+    def __init__(self, chain_map: ChainMap, power: int, connection: ConnectionSpec):
+        self.chain_map = chain_map
+        self.power = power
+        self.connection = connection
 
 
-@dataclass(frozen=True)
-class DerivationSpec:
+class DerivationSpec(Record):
     """A derivation given by its values on the ring variables."""
 
-    values: tuple[Poly, ...]
-    degree: int = 0
+    __slots__ = ("values", "degree")
+
+    def __init__(self, values: tuple[Poly, ...], degree: int = 0):
+        self.values = values
+        self.degree = degree
 
     def apply(self, p: Poly) -> Poly:
         return p.apply_derivation(self.values)

@@ -15,7 +15,6 @@ algebra over Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .polyforms import (
     Form,
     ParseError,
     Poly,
+    Record,
     _form_from_acc,
     _mul_into,
     _poly_from_acc,
@@ -44,10 +44,12 @@ class ShapeError(ValueError):
     """Raised on incompatible complexes, matrices, or map degrees."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    label: str
-    weight: int = 0
+class BasisElement(Record):
+    __slots__ = ("label", "weight")
+
+    def __init__(self, label: str, weight: int = 0):
+        self.label = label
+        self.weight = weight
 
 
 PolyMatrix = tuple[tuple[Poly, ...], ...]
@@ -282,11 +284,13 @@ class ChainMap:
         return f"ChainMap(degree={self.degree}, formdeg={self.form_degree}, at={sorted(self.mats)})"
 
 
-@dataclass
 class GradedSolveReport:
-    solvable: bool
-    witness: ChainMap | None
-    degree_bound: int
+    __slots__ = ("solvable", "witness", "degree_bound")
+
+    def __init__(self, solvable: bool, witness: ChainMap | None, degree_bound: int):
+        self.solvable = solvable
+        self.witness = witness
+        self.degree_bound = degree_bound
 
 
 # -- basic constructions ---------------------------------------------------

@@ -5,7 +5,9 @@ group misses, 2 on usage, parse, or semantic errors and unreadable input.
 All numeric output is exact rational text.
 
 Library modules are imported inside the handlers, so an `atk` process
-loads (and, without a bytecode cache, compiles) only what its command runs.
+loads (and, without a bytecode cache, compiles) only what its command runs;
+the value classes are plain slotted classes, so no command loads `inspect`.
+An ATK_DEGREE_BOUND below the lowest degree the guard checks is refused (exit 2).
 """
 from __future__ import annotations
 

@@ -7,20 +7,21 @@ All randomness is seeded, so every run sees the same cases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .atiyah import ConnectionSpec, DerivationSpec
 from .chaincore import ChainMap, FreeComplex, hom_bracket, is_cocycle
 from .koszul import KoszulComplex, NormalHom, RegularSequenceIdeal, build_koszul
-from .polyforms import Form, Poly, parse_poly
+from .polyforms import Form, Poly, Record, parse_poly
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    var_names: tuple[str, ...]
-    ideal: RegularSequenceIdeal
+class CorpusEntry(Record):
+    __slots__ = ("name", "var_names", "ideal")
+
+    def __init__(self, name: str, var_names: tuple[str, ...], ideal: RegularSequenceIdeal):
+        self.name = name
+        self.var_names = var_names
+        self.ideal = ideal
 
 
 def _mk(names, weights, texts) -> CorpusEntry:

@@ -12,7 +12,6 @@ beta contained in alpha.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -20,15 +19,17 @@ from typing import Sequence
 from . import linalg
 from .chaincore import ChainMap, ShapeError
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
-from .polyforms import Form, Poly, contract_form, form_to_text, poly_to_text
+from .polyforms import Form, Poly, Record, contract_form, form_to_text, poly_to_text
 
 
-@dataclass(frozen=True)
-class LocalizedForm:
+class LocalizedForm(Record):
     """numerator / f_alpha^m with the index set alpha implicit from context."""
 
-    num: Form
-    m: int
+    __slots__ = ("num", "m")
+
+    def __init__(self, num: Form, m: int):
+        self.num = num
+        self.m = m
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

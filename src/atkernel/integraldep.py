@@ -10,23 +10,26 @@ functional on NO.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
+from .polyforms import Record
 
 
 class MonomialIdealError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal by its minimal generating exponent vectors."""
 
-    n: int
-    gens: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "gens")
+
+    def __init__(self, n: int, gens: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.gens = gens
 
     @staticmethod
     def from_exponents(n: int, exponents: Iterable[Sequence[int]]) -> "MonomialIdeal":
@@ -55,16 +58,23 @@ class MonomialIdeal:
         return MonomialIdeal.from_exponents(self.n, bumped)
 
 
-@dataclass
+Vector = tuple[Fraction, ...]
+
+
 class ClosureCertificate:
     """Verdict plus an exactly checkable witness or separator."""
 
-    query: tuple[int, ...]
-    verdict: bool
-    lambdas: tuple[Fraction, ...] | None = None
-    slack: tuple[Fraction, ...] | None = None
-    separator: tuple[Fraction, ...] | None = None
-    threshold: Fraction | None = None
+    __slots__ = ("query", "verdict", "lambdas", "slack", "separator", "threshold")
+
+    def __init__(self, query: tuple[int, ...], verdict: bool, lambdas: Vector | None = None,
+                 slack: Vector | None = None, separator: Vector | None = None,
+                 threshold: Fraction | None = None):
+        self.query = query
+        self.verdict = verdict
+        self.lambdas = lambdas
+        self.slack = slack
+        self.separator = separator
+        self.threshold = threshold
 
     def verify(self, ideal: MonomialIdeal) -> bool:
         a = self.query
@@ -97,65 +107,78 @@ def _phase1_lp(a_eq: list[list[Fraction]], b: list[Fraction]):
 
     On infeasibility the dual vector y from the final basis satisfies
     y.A_j <= 0 for every column and y.b > 0 (a Farkas certificate).
+
+    The tableau is fraction-free: the simplex tableau is T / D for an int
+    matrix T and the previous pivot D > 0, and each row update
+    (pv*T[i] - f*T[r]) // D divides exactly (Edmonds, Bareiss).  Bland's
+    rule picks the first improving column and the minimum ratio, ties
+    broken by basis index.
     """
     rows = len(a_eq)
     cols = len(a_eq[0]) if rows else 0
-    # Fraction entries keep every pivot and ratio division exact
     a_eq = [[Fraction(v) for v in row] for row in a_eq]
     b = [Fraction(v) for v in b]
     for i in range(rows):
         if b[i] < 0:
             a_eq[i] = [-v for v in a_eq[i]]
             b[i] = -b[i]
-    # tableau [A | I | b]
-    tab = [a_eq[i] + [Fraction(1 if j == i else 0) for j in range(rows)] + [b[i]] for i in range(rows)]
+    # [s*A | I | s*b] for the lcm s of the denominators takes s times each
+    # artificial as a variable and s times the phase-1 objective, which keeps
+    # every reduced-cost sign and ratio order, so every pivot is the same
+    s = lcm(*(v.denominator for row in a_eq for v in row), *(v.denominator for v in b))
+    tab = [[v.numerator * (s // v.denominator) for v in a_eq[i] + [b[i]]] for i in range(rows)]
+    tab = [row[:-1] + [int(j == i) for j in range(rows)] + row[-1:] for i, row in enumerate(tab)]
     total = cols + rows
     basis = [cols + i for i in range(rows)]
-    cost = [Fraction(0)] * cols + [Fraction(1)] * rows
+    d = 1
 
     while True:
-        # reduced costs z_j - c_j for the min problem
+        # sign of the reduced cost z_j - c_j, times D
+        artificial = [row for row, bv in zip(tab, basis) if bv >= cols]
         entering = -1
         for j in range(total):
             if j in basis:
                 continue
-            z = sum(cost[basis[i]] * tab[i][j] for i in range(rows))
-            if z - cost[j] > 0:
+            if sum(row[j] for row in artificial) > (d if j >= cols else 0):
                 entering = j
                 break
         if entering < 0:
             break
-        best = None
+        pivot_row = -1
         for i in range(rows):
-            if tab[i][entering] > 0:
-                ratio = tab[i][total] / tab[i][entering]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+            t = tab[i][entering]
+            if t > 0:
+                if pivot_row < 0:
+                    pivot_row = i
+                    continue
+                # T[i][rhs] / t against the best ratio, cross-multiplied
+                here = tab[i][total] * tab[pivot_row][entering]
+                best = tab[pivot_row][total] * t
+                if here < best or (here == best and basis[i] < basis[pivot_row]):
+                    pivot_row = i
+        if pivot_row < 0:
             raise AssertionError("phase-1 objective unbounded")
-        _, pivot_row = best
-        pv = tab[pivot_row][entering]
-        tab[pivot_row] = [v / pv for v in tab[pivot_row]]
+        prow = tab[pivot_row]
+        pv = prow[entering]
         for i in range(rows):
-            if i != pivot_row and tab[i][entering] != 0:
-                factor = tab[i][entering]
-                tab[i] = [u - factor * v for u, v in zip(tab[i], tab[pivot_row])]
+            if i != pivot_row:
+                f = tab[i][entering]
+                tab[i] = [(pv * u - f * v) // d for u, v in zip(tab[i], prow)]
+        d = pv
         basis[pivot_row] = entering
 
-    objective = sum(cost[basis[i]] * tab[i][total] for i in range(rows))
-    if objective == 0:
+    if sum(row[total] for row, bv in zip(tab, basis) if bv >= cols) == 0:
         x = [Fraction(0)] * cols
         for i, bv in enumerate(basis):
             if bv < cols:
-                x[bv] = tab[i][total]
+                x[bv] = Fraction(tab[i][total], d)
         return "x", x
     # duals: solve B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
     bt = [
         {i: a_eq[i][j] for i in range(rows) if a_eq[i][j]} if j < cols else {j - cols: Fraction(1)}
         for j in basis
     ]
-    y = linalg.solve(bt, [cost[j] for j in basis], rows)
+    y = linalg.solve(bt, [Fraction(int(j >= cols)) for j in basis], rows)
     if y is None:
         raise AssertionError("singular basis in dual extraction")
     return "y", y
@@ -210,16 +233,6 @@ def curvilinear_dim(ideal: MonomialIdeal) -> int:
     return count
 
 
-def t1_dim(ideal: MonomialIdeal) -> int:
-    """Number of minimal monomial generators; needs I inside m^2."""
-    for g in ideal.gens:
-        if sum(g) < 2:
-            raise MonomialIdealError(
-                "ideal has a degree-1 generator; the Hom(I,k) description needs I in m^2"
-            )
-    return len(ideal.gens)
-
-
 def quotient_dimension(ideal: MonomialIdeal) -> int:
     """Krull dimension of R/I for monomial I: n minus the smallest vertex
     cover of the supports of the minimal generators."""
@@ -232,12 +245,14 @@ def quotient_dimension(ideal: MonomialIdeal) -> int:
     raise AssertionError("no vertex cover found")
 
 
-@dataclass
 class DimBoundReport:
-    dim_quotient: int
-    bound: int
-    curv_dim: int
-    holds: bool
+    __slots__ = ("dim_quotient", "bound", "curv_dim", "holds")
+
+    def __init__(self, dim_quotient: int, bound: int, curv_dim: int, holds: bool):
+        self.dim_quotient = dim_quotient
+        self.bound = bound
+        self.curv_dim = curv_dim
+        self.holds = holds
 
 
 def dim_bound_check(ideal: MonomialIdeal) -> DimBoundReport:

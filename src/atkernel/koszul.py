@@ -8,7 +8,6 @@ extends d(gf_j) = f_j as a degree-1 derivation, D(ab) = D(a)b +
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -20,33 +19,33 @@ from .chaincore import (
     ShapeError,
     homology_rank,
 )
-from .polyforms import Form, Poly
+from .polyforms import Form, Poly, Record
 
 
-@dataclass(frozen=True)
-class RegularSequenceIdeal:
+class RegularSequenceIdeal(Record):
     """A sequence f_1..f_q in Q[x_1..x_n], optionally with weights."""
 
-    n: int
-    polys: tuple[Poly, ...]
-    var_weights: tuple[int, ...] | None = None
+    __slots__ = ("n", "polys", "var_weights")
 
-    def __post_init__(self):
-        if not self.polys:
+    def __init__(self, n: int, polys: tuple[Poly, ...], var_weights: tuple[int, ...] | None = None):
+        if not polys:
             raise ValueError("sequence must be nonempty")
-        if len(self.polys) > self.n:
+        if len(polys) > n:
             raise ValueError("sequence longer than ring arity")
-        for f in self.polys:
-            if f.n != self.n:
+        for f in polys:
+            if f.n != n:
                 raise ValueError("sequence entry arity mismatch")
             if f.is_zero():
                 raise ValueError("zero entry in sequence")
             if f.constant_term() != 0:
                 raise ValueError("sequence entries must have zero constant term")
-        if self.var_weights is not None:
-            for f in self.polys:
-                if f.homogeneous_degree(self.var_weights) is None:
+        if var_weights is not None:
+            for f in polys:
+                if f.homogeneous_degree(var_weights) is None:
                     raise GradingError("sequence entry not homogeneous for given weights")
+        self.n = n
+        self.polys = polys
+        self.var_weights = var_weights
 
     @property
     def q(self) -> int:
@@ -60,23 +59,23 @@ class RegularSequenceIdeal:
         return out
 
 
-@dataclass(frozen=True)
-class NormalHom:
+class NormalHom(Record):
     """A normal-module section, given by its values on the sequence.
 
     Values are representatives in the ambient ring; changing one by an
     ideal element moves every output by an ideal-numerator term.
     """
 
-    ideal: RegularSequenceIdeal
-    values: tuple[Poly, ...]
+    __slots__ = ("ideal", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.ideal.q:
+    def __init__(self, ideal: RegularSequenceIdeal, values: tuple[Poly, ...]):
+        if len(values) != ideal.q:
             raise ShapeError("need one value per sequence entry")
-        for v in self.values:
-            if v.n != self.ideal.n:
+        for v in values:
+            if v.n != ideal.n:
                 raise ShapeError("value arity mismatch")
+        self.ideal = ideal
+        self.values = values
 
 
 def gamma_label(alpha: Sequence[int]) -> str:
@@ -241,7 +240,9 @@ def verify_regular(
     """Check H^{-1}(K) = 0 in internal degrees up to the bound.
 
     A True answer is a truncated certificate, not a proof; ungraded input
-    is refused.  kz, when given, is the ideal's Koszul complex.
+    is refused, and so is a bound below the smallest weight in degree -1,
+    which would leave no degree to check.  kz, when given, is the ideal's
+    Koszul complex.
     """
     if ideal.var_weights is None:
         raise GradingError("regularity check needs a graded sequence")
@@ -249,4 +250,6 @@ def verify_regular(
     cx = k.complex
     bound = degree_bound if degree_bound is not None else default_regularity_bound(ideal)
     min_w = min(b.weight for b in cx.basis(-1))
+    if bound < min_w:
+        raise ValueError(f"degree bound {bound} is below the lowest degree {min_w} to check")
     return all(homology_rank(cx, -1, d) == 0 for d in range(min_w, bound + 1))

@@ -7,11 +7,10 @@ The Euler-sequence and hypersurface presets behind `atk sff` live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .atiyah import atiyah_cocycle
-from .chaincore import BasisElement, ChainMap, FreeComplex, ShapeError
+from .chaincore import BasisElement, ChainMap, FreeComplex, PolyMatrix, ShapeError
 from .koszul import RegularSequenceIdeal, build_koszul
 from .polyforms import Form, Poly, exterior_derivative, wedge
 
@@ -73,7 +72,6 @@ def second_fundamental_form(
     return ChainMap(source, target, 0, 1, {0: tuple(mat)})
 
 
-@dataclass
 class ExtensionLadder:
     """A short exact sequence of modules with a split resolution ladder.
 
@@ -83,18 +81,26 @@ class ExtensionLadder:
     F'' out of its free cover (empty means F'' is free).
     """
 
-    n: int
-    j_matrix: tuple[tuple[Poly, ...], ...]
-    p_matrix: tuple[tuple[Poly, ...], ...]
-    middle: FreeComplex
-    p_prime: FreeComplex
-    p_dprime: FreeComplex
-    total: FreeComplex
-    split: dict[int, int]
-    pi: tuple[tuple[Poly, ...], ...]
-    pi_dprime: tuple[tuple[Poly, ...], ...]
-    relations: tuple[Poly, ...] = ()
-    nabla_values: tuple[tuple[Form, ...], ...] | None = None
+    __slots__ = (
+        "n", "j_matrix", "p_matrix", "middle", "p_prime", "p_dprime", "total", "split",
+        "pi", "pi_dprime", "relations",
+    )
+
+    def __init__(self, n: int, j_matrix: PolyMatrix, p_matrix: PolyMatrix, middle: FreeComplex,
+                 p_prime: FreeComplex, p_dprime: FreeComplex, total: FreeComplex,
+                 split: dict[int, int], pi: PolyMatrix, pi_dprime: PolyMatrix,
+                 relations: tuple[Poly, ...] = ()):
+        self.n = n
+        self.j_matrix = j_matrix
+        self.p_matrix = p_matrix
+        self.middle = middle
+        self.p_prime = p_prime
+        self.p_dprime = p_dprime
+        self.total = total
+        self.split = split
+        self.pi = pi
+        self.pi_dprime = pi_dprime
+        self.relations = relations
 
     def reduce_mod_relations(self, p: Poly) -> Poly:
         out = p
@@ -201,8 +207,6 @@ def _sigma_tilde_on_basis(ladder: ExtensionLadder) -> list[list[Form]]:
             if coeff.is_zero():
                 continue
             for t in range(fpp_rank):
-                if ladder.nabla_values is not None:
-                    out[t][b] = out[t][b] + ladder.nabla_values[m][t].mul_poly(coeff)
                 out[t][b] = out[t][b] + exterior_derivative(coeff).mul_poly(
                     ladder.p_matrix[t][m]
                 )

@@ -13,10 +13,33 @@ variable order fixed by the ring declaration.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Mapping, Sequence
 
 MAX_ARITY = 16
+
+
+class Record:
+    """Base of the library's small value classes: equality, hash and repr
+    over the fields that each subclass names in its __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class ArityError(ValueError):
@@ -372,8 +395,12 @@ class Form:
         return f"Form({form_to_text(self)!r})"
 
 
+@lru_cache(maxsize=4096)
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort the concatenation a+b; return (sign, sorted) or None on repeats."""
+    """Sort the concatenation a+b; return (sign, sorted) or None on repeats.
+
+    Memoised: the answer depends only on the pair, and a computation
+    multiplies few distinct index pairs many times."""
     if set(a) & set(b):
         return None
     merged = a + b

@@ -7,7 +7,6 @@ representative-first with a bounded Cousin-coboundary fallback.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -36,13 +35,17 @@ from .koszul import (
 from .polyforms import Form, exterior_derivative, wedge
 
 
-@dataclass
 class SemiregReport:
-    component: int
-    atiyah_route: CousinElement
-    mu_route: CousinElement
-    verdict: str  # representative-exact | coboundary | fail
-    witness: CousinElement | None = None
+    __slots__ = ("component", "atiyah_route", "mu_route", "verdict", "witness")
+
+    def __init__(self, component: int, atiyah_route: CousinElement, mu_route: CousinElement,
+                 verdict: str, witness: CousinElement | None = None):
+        # verdict: representative-exact | coboundary | fail
+        self.component = component
+        self.atiyah_route = atiyah_route
+        self.mu_route = mu_route
+        self.verdict = verdict
+        self.witness = witness
 
 
 def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> ChainMap:

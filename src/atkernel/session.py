@@ -12,8 +12,6 @@ weights is kept ungraded (graded-only operations will refuse it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .atiyah import DerivationSpec
 from .chaincore import GradingError
 from .koszul import NormalHom, RegularSequenceIdeal
@@ -28,13 +26,15 @@ class SessionError(ValueError):
         self.line = line
 
 
-@dataclass
 class SessionFile:
-    var_names: tuple[str, ...] = ()
-    var_weights: tuple[int, ...] = ()
-    sequences: dict[str, RegularSequenceIdeal] = field(default_factory=dict)
-    homs: dict[str, tuple[str, NormalHom]] = field(default_factory=dict)
-    derivations: dict[str, DerivationSpec] = field(default_factory=dict)
+    __slots__ = ("var_names", "var_weights", "sequences", "homs", "derivations")
+
+    def __init__(self):
+        self.var_names: tuple[str, ...] = ()
+        self.var_weights: tuple[int, ...] = ()
+        self.sequences: dict[str, RegularSequenceIdeal] = {}
+        self.homs: dict[str, tuple[str, NormalHom]] = {}
+        self.derivations: dict[str, DerivationSpec] = {}
 
     @property
     def n(self) -> int:

@@ -175,3 +175,63 @@ def component_matrix_oracle(c, i, src, tgt):
                 row = mat[tgt_index[(t_idx, e)]]
                 row[col] = row.get(col, 0) + coeff
     return [{col: v for col, v in row.items() if v} for row in mat]
+
+
+def phase1_lp_oracle(a_eq, b):
+    """Phase-1 simplex for {x >= 0 : A x = b} on a dense Fraction tableau.
+
+    The reference for the library's fraction-free tableau: the same Bland
+    rule (first improving column; minimum ratio, ties broken by basis
+    index), every pivot and ratio a Fraction division, and the Farkas dual
+    y of the final basis by dense Gauss-Jordan.  Returns ("x", x) or
+    ("y", y).
+    """
+    rows = len(a_eq)
+    cols = len(a_eq[0]) if rows else 0
+    a_eq = [[Fraction(v) for v in row] for row in a_eq]
+    b = [Fraction(v) for v in b]
+    for i in range(rows):
+        if b[i] < 0:
+            a_eq[i] = [-v for v in a_eq[i]]
+            b[i] = -b[i]
+    # tableau [A | I | b]
+    tab = [a_eq[i] + [Fraction(int(j == i)) for j in range(rows)] + [b[i]] for i in range(rows)]
+    total = cols + rows
+    basis = [cols + i for i in range(rows)]
+    cost = [Fraction(0)] * cols + [Fraction(1)] * rows
+    while True:
+        entering = -1
+        for j in range(total):
+            if j in basis:
+                continue
+            z = sum(cost[basis[i]] * tab[i][j] for i in range(rows))
+            if z - cost[j] > 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        best = None
+        for i in range(rows):
+            if tab[i][entering] > 0:
+                key = (tab[i][total] / tab[i][entering], basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            raise AssertionError("phase-1 objective unbounded")
+        r = best[1]
+        pv = tab[r][entering]
+        tab[r] = [v / pv for v in tab[r]]
+        for i in range(rows):
+            if i != r and tab[i][entering] != 0:
+                factor = tab[i][entering]
+                tab[i] = [u - factor * v for u, v in zip(tab[i], tab[r])]
+        basis[r] = entering
+    if sum(cost[basis[i]] * tab[i][total] for i in range(rows)) == 0:
+        x = [Fraction(0)] * cols
+        for i, bv in enumerate(basis):
+            if bv < cols:
+                x[bv] = tab[i][total]
+        return "x", x
+    # B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
+    bt = [[a_eq[i][j] if j < cols else Fraction(int(i == j - cols)) for i in range(rows)] for j in basis]
+    return "y", dense_gauss_jordan(bt, [cost[j] for j in basis], rows)[1]

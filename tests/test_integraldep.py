@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from atkernel import integraldep
 from atkernel.integraldep import (
     MonomialIdeal,
     MonomialIdealError,
@@ -12,9 +13,8 @@ from atkernel.integraldep import (
     curvilinear_dim,
     dim_bound_check,
     quotient_dimension,
-    t1_dim,
 )
-from oracles import newton_membership_oracle
+from oracles import newton_membership_oracle, phase1_lp_oracle
 
 
 def mono_ideal(n, exps):
@@ -76,6 +76,40 @@ class TestClosureMember:
         assert (kind, vec) == want
         assert all(type(v) is Fraction for v in vec)
 
+    def test_lp_matches_fraction_tableau_oracle(self, monkeypatch):
+        """Every closure LP gives the oracle's (kind, vector) and value types."""
+        kinds = []
+        lp = integraldep._phase1_lp
+
+        def checked(a_eq, b):
+            got, want = lp(a_eq, b), phase1_lp_oracle(a_eq, b)
+            assert got == want
+            assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+            kinds.append(got[0])
+            return got
+
+        monkeypatch.setattr(integraldep, "_phase1_lp", checked)
+        rng = random.Random(53)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            ideal = mono_ideal(n, [g for g in gens if sum(g) > 0] or [(1,) + (0,) * (n - 1)])
+            if rng.random() < 0.5:
+                ideal = ideal.multiply_by_maximal_ideal()
+            closure_member(ideal, tuple(rng.randint(0, 6) for _ in range(n)))
+        # 6-variable ideals of eight degree-6 generators, as curvdim/dimcheck pose them
+        for _ in range(2):
+            gens = set()
+            while len(gens) < 8:
+                support = rng.sample(range(6), 3)
+                cuts = sorted(rng.sample(range(1, 6), 2))
+                expt = [0] * 6
+                for v, e in zip(support, (cuts[0], cuts[1] - cuts[0], 6 - cuts[1])):
+                    expt[v] = e
+                gens.add(tuple(expt))
+            dim_bound_check(mono_ideal(6, gens))
+        assert len(kinds) == 316 and set(kinds) == {"x", "y"}
+
     def test_certificates_always_verify(self):
         rng = random.Random(50)
         for _ in range(60):
@@ -136,18 +170,6 @@ class TestCurvilinearDim:
 
     def test_principal_variable(self):
         assert curvilinear_dim(mono_ideal(2, [(1, 0)])) == 1
-
-
-class TestT1Dim:
-    def test_counts_minimal_generators(self):
-        assert t1_dim(mono_ideal(2, [(2, 0), (1, 1)])) == 2
-
-    def test_redundant_generator_dropped(self):
-        assert t1_dim(mono_ideal(2, [(2, 0), (2, 1)])) == 1
-
-    def test_degree_one_generator_refused(self):
-        with pytest.raises(MonomialIdealError):
-            t1_dim(mono_ideal(2, [(1, 0)]))
 
 
 class TestDimBound:

@@ -139,6 +139,17 @@ class TestVerifyRegular:
         )
         assert verify_regular(ideal, 8)
 
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_bound_below_lowest_degree_refused(self, bound):
+        # x*y ; x*z is not regular; its lowest degree in K^{-1} is 2
+        ideal = RegularSequenceIdeal(
+            3, (parse_poly("x*y", XYZ), parse_poly("x*z", XYZ)), (1, 1, 1)
+        )
+        with pytest.raises(ValueError, match="below the lowest degree 2"):
+            verify_regular(ideal, bound)
+        # degree 3 holds the syzygy z*gf1 - y*gf2
+        assert not verify_regular(ideal, 3)
+
     def test_ungraded_refused(self):
         ideal = RegularSequenceIdeal(2, (parse_poly("x + y^2", XY),), None)
         with pytest.raises(GradingError):

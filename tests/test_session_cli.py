@@ -71,13 +71,22 @@ class TestSessionParsing:
         assert err.value.line == 1
 
 
-def run_cli(args, session=None, tmp_path=None):
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, session=None, tmp_path=None, degree_bound=None):
+    """`atk args` in a fresh process on this checkout's sources, with
+    ATK_DEGREE_BOUND set to degree_bound, or unset when that is None."""
     cmd = [sys.executable, "-m", "atkernel.cli", *args]
     if session is not None:
         path = tmp_path / "session.sr"
         path.write_text(session)
         cmd += ["--input", str(path)]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "ATK_DEGREE_BOUND"}
+    env["PYTHONPATH"] = str(SRC)
+    if degree_bound is not None:
+        env["ATK_DEGREE_BOUND"] = degree_bound
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 class TestCLI:
@@ -179,6 +188,14 @@ class TestExitCodes:
         out = run_cli(["semireg", "--hom", "bad", "--k", "1"], NONREGULAR, tmp_path)
         assert out.returncode == 2 and out.stdout == ""
         assert "regularity" in out.stderr
+
+    @pytest.mark.parametrize("bound", ["0", "-3", "1", "3", None])
+    def test_degree_bound_cannot_switch_the_guard_off(self, bound, tmp_path):
+        # a bound below degree 2, the lowest weight in degree -1, leaves no degree to check
+        out = run_cli(["ch", "--seq", "B"], "ring Q[x:1, y:1, z:1]\nseq B = x*y ; x*z\n",
+                      tmp_path, degree_bound=bound)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error:")
 
     def test_iclosure_test_coefficient_is_two(self):
         out = run_cli(["iclosure", "--ideal", "x^3,y^3", "--test", "2*x"])
@@ -310,10 +327,12 @@ class TestOneKoszulBuild:
         assert len(built) == 1
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# dataclasses pulls in inspect, ast, dis and tokenize; the library uses neither
+HEAVY_STDLIB = {"dataclasses", "inspect"}
 LISTS_MODULES = (
     "import sys\n{body}\n"
-    "print(' '.join(m for m in sorted(sys.modules) if m.split('.')[0] == 'atkernel'))"
+    "print(' '.join(m for m in sorted(sys.modules)"
+    " if m.split('.')[0] in ('atkernel', 'dataclasses', 'inspect')))"
 )
 
 
@@ -343,6 +362,7 @@ class TestImportSurface:
         allowed = {"atkernel", "atkernel.cli", "atkernel.integraldep", "atkernel.linalg",
                    "atkernel.polyforms"}
         assert "atkernel.integraldep" in loaded and loaded <= allowed
+        assert not loaded & HEAVY_STDLIB
 
     @pytest.mark.parametrize("argv", [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"]])
     def test_session_commands(self, argv, tmp_path):
@@ -353,6 +373,7 @@ class TestImportSurface:
         assert "atkernel.semireg" in loaded
         unused = {"atkernel.integraldep", "atkernel.ladder", "atkernel.corpus", "atkernel.selftest"}
         assert not loaded & unused
+        assert not loaded & HEAVY_STDLIB
 
     @pytest.mark.parametrize(
         "argv",
@@ -364,4 +385,9 @@ class TestImportSurface:
         argv = [*argv, "--input", str(path)]
         loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
         assert "atkernel.atiyah" in loaded
-        assert not loaded & {"atkernel.semireg", "atkernel.cousin"}
+        assert not loaded & {"atkernel.semireg", "atkernel.cousin", *HEAVY_STDLIB}
+
+    def test_whole_library_loads_no_dataclasses(self):
+        loaded = loaded_modules("import atkernel.selftest")
+        assert "atkernel.semireg" in loaded and "atkernel.integraldep" in loaded
+        assert not loaded & HEAVY_STDLIB
