@@ -112,8 +112,11 @@ def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> Chai
         raise ShapeError("cannot contract a form-degree-0 map")
     if len(xi.values) != u.source.n:
         raise ShapeError("derivation arity mismatch")
+    zero = Form.zero(u.source.n, u.form_degree - 1)
     mats = {
-        i: tuple(tuple(contract_form(xi.values, f) for f in row) for row in mat)
+        i: tuple(
+            tuple(contract_form(xi.values, f) if f.terms else zero for f in row) for row in mat
+        )
         for i, mat in u.mats.items()
     }
     return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)

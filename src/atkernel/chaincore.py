@@ -159,10 +159,10 @@ class FreeComplex:
                 src, tgt = self.basis(i), self.basis(i + 1)
                 for t, row in enumerate(mat):
                     for s, p in enumerate(row):
+                        if not p.terms:
+                            continue
                         want = src[s].weight - tgt[t].weight
                         got = p.homogeneous_degree(self.var_weights)
-                        if got is not None and p.is_zero():
-                            continue
                         if got != want:
                             raise GradingError(
                                 f"entry d({i})[{t}][{s}] not homogeneous of degree {want}"
@@ -256,7 +256,7 @@ class ChainMap:
 
     def scale(self, c) -> "ChainMap":
         mats = {
-            i: tuple(tuple(f.scale(c) for f in row) for row in mat)
+            i: tuple(tuple(f.scale(c) if f.terms else f for f in row) for row in mat)
             for i, mat in self.mats.items()
         }
         return ChainMap(self.source, self.target, self.degree, self.form_degree, mats, check=False)
@@ -314,13 +314,15 @@ def zero_map(source: FreeComplex, target: FreeComplex, degree: int, form_degree:
     return ChainMap(source, target, degree, form_degree, {})
 
 
+def _as_forms(mat: PolyMatrix, zero: Form) -> FormMatrix:
+    """A polynomial matrix as degree-0 forms, with one shared zero entry."""
+    return tuple(tuple(Form.from_poly(p) if p.terms else zero for p in row) for row in mat)
+
+
 def differential_map(c: FreeComplex) -> ChainMap:
     """The differential itself as a degree-1, form-degree-0 chain map."""
-    mats = {
-        i: tuple(tuple(Form.from_poly(p) for p in row) for row in mat)
-        for i, mat in c.diff.items()
-    }
-    return ChainMap(c, c, 1, 0, mats)
+    zero = Form.zero(c.n, 0)
+    return ChainMap(c, c, 1, 0, {i: _as_forms(mat, zero) for i, mat in c.diff.items()})
 
 
 def _wedge_products(
@@ -402,6 +404,7 @@ def hom_bracket(h: ChainMap) -> ChainMap:
     sign = (-1) ** (r % 2)
     src, tgt = h.source, h.target
     mats = {}
+    zero = Form.zero(src.n, 0)
     lo = min(src.support() + tgt.support(), default=0)
     hi = max(src.support() + tgt.support(), default=0)
     for i in range(lo - 1, hi + 1):
@@ -412,16 +415,12 @@ def hom_bracket(h: ChainMap) -> ChainMap:
         # d h and -(-1)^r h d accumulate into one sum per entry
         acc = [[{} for _ in range(cols)] for _ in range(rows)]
         _wedge_products(
-            acc,
-            tuple(tuple(Form.from_poly(p) for p in row) for row in tgt.d_matrix(i + r)),
-            h.matrix(i),
-            src.n,
-            h.form_degree,
+            acc, _as_forms(tgt.d_matrix(i + r), zero), h.matrix(i), src.n, h.form_degree
         )
         _wedge_products(
             acc,
             h.matrix(i + 1),
-            tuple(tuple(Form.from_poly(p) for p in row) for row in src.d_matrix(i)),
+            _as_forms(src.d_matrix(i), zero),
             src.n,
             h.form_degree,
             negate=sign > 0,

@@ -7,25 +7,13 @@ All numeric output is exact rational text.
 Library modules are imported inside the handlers, so an `atk` process
 loads (and, without a bytecode cache, compiles) only what its command runs;
 the value classes are plain slotted classes, so no command loads `inspect`.
-An ATK_DEGREE_BOUND below the lowest degree the guard checks is refused (exit 2).
+Commands that build a Koszul resolution exit 2 with no output when the exact
+regularity guard, koszul.verify_regular, refuses or exceeds its work bound.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def degree_bound_override() -> int | None:
-    raw = os.environ.get("ATK_DEGREE_BOUND")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        from .session import SessionError
-
-        raise SessionError(f"bad ATK_DEGREE_BOUND {raw!r}") from None
 
 
 def _load_session(path: str | None):
@@ -38,20 +26,18 @@ def _load_session(path: str | None):
 
 
 def _guarded_koszul(ideal):
-    """Build the resolution once and run the truncated regularity guard on it.
+    """Run the regularity guard, then build the resolution once.
 
-    Nonzero first Koszul homology in low degrees proves the sequence is
-    not regular, so the guard refuses; ungraded input skips the check.
-    Commands pass the returned complex on instead of building it again.
+    The guard is exact and runs on every sequence of length at least two,
+    graded or not; a single nonzero entry is always regular.  Commands
+    pass the returned complex on instead of building it again.
     """
     from .koszul import build_koszul, verify_regular
     from .session import SessionError
 
-    kz = build_koszul(ideal)
-    if ideal.var_weights is not None and ideal.q >= 2:
-        if not verify_regular(ideal, degree_bound_override(), kz):
-            raise SessionError("sequence failed the regularity guard")
-    return kz
+    if ideal.q >= 2 and not verify_regular(ideal):
+        raise SessionError("sequence failed the regularity guard")
+    return build_koszul(ideal)
 
 
 def _named(table: dict, kind: str, flag: str, name: str):

@@ -9,7 +9,6 @@ functional on NO.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -234,15 +233,11 @@ def curvilinear_dim(ideal: MonomialIdeal) -> int:
 
 
 def quotient_dimension(ideal: MonomialIdeal) -> int:
-    """Krull dimension of R/I for monomial I: n minus the smallest vertex
+    """Krull dimension of R/I for monomial I, from the smallest vertex
     cover of the supports of the minimal generators."""
-    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in ideal.gens]
-    for size in range(ideal.n + 1):
-        for cover in itertools.combinations(range(ideal.n), size):
-            cset = set(cover)
-            if all(s & cset for s in supports):
-                return ideal.n - size
-    raise AssertionError("no vertex cover found")
+    from .groebner import monomial_quotient_dimension
+
+    return monomial_quotient_dimension(ideal.n, ideal.gens)
 
 
 class DimBoundReport:

@@ -113,7 +113,9 @@ class Poly:
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        return Poly(n, {})
+        if not 0 < n <= MAX_ARITY:
+            raise ArityError(f"ring arity must be in 1..{MAX_ARITY}, got {n}")
+        return Poly._raw(n, {})
 
     @staticmethod
     def const(n: int, c) -> "Poly":
@@ -196,11 +198,6 @@ class Poly:
     def total_degree(self) -> int:
         # zero polynomial reports -1
         return max((sum(e) for e in self.terms), default=-1)
-
-    def weighted_degree(self, weights: Sequence[int]) -> int:
-        return max(
-            (sum(w * k for w, k in zip(weights, e)) for e in self.terms), default=-1
-        )
 
     def homogeneous_degree(self, weights: Sequence[int]) -> int | None:
         """Weighted degree if homogeneous, else None.  Zero counts as any degree."""
@@ -325,11 +322,13 @@ class Form:
 
     @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
-        return Form(n, degree, {})
+        if not 0 <= degree <= n:
+            raise ValueError(f"form degree {degree} out of range for arity {n}")
+        return Form._raw(n, degree, {})
 
     @staticmethod
     def from_poly(p: Poly) -> "Form":
-        return Form(p.n, 0, {(): p})
+        return Form._raw(p.n, 0, {(): p} if p.terms else {})
 
     def to_poly(self) -> Poly:
         if self.degree != 0:

@@ -57,16 +57,17 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     kz = _koszul_of(phi.ideal, kz)
     n, q = kz.n, kz.q
     mats = {}
+    zero = Form.zero(n, 0)
     for p in range(1, q + 1):
         sources = index_sets(q, p)
         targets = index_sets(q, p - 1)
         tpos = {a: i for i, a in enumerate(targets)}
-        mat = [[Form.zero(n, 0) for _ in sources] for _ in targets]
+        mat = [[zero] * len(sources) for _ in targets]
         for s, alpha in enumerate(sources):
+            # dropping distinct entries of alpha leaves distinct index sets
             for pos, j in enumerate(alpha):
                 rest = alpha[:pos] + alpha[pos + 1 :]
-                value = phi.values[j - 1].scale((-1) ** pos)
-                mat[tpos[rest]][s] = mat[tpos[rest]][s] + Form.from_poly(value)
+                mat[tpos[rest]][s] = Form.from_poly(phi.values[j - 1].scale((-1) ** pos))
         mats[-p] = mat
     out = ChainMap(kz.complex, kz.complex, 1, 0, mats)
     if not is_cocycle(out):

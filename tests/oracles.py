@@ -3,13 +3,17 @@
 These deliberately avoid the library's own algorithms: the Koszul
 differential is expanded by a recursive Leibniz evaluator, Newton
 polyhedron membership is decided by brute-force enumeration of candidate
-LP bases, and matrix products are sums of the public binary operations.
+LP bases, matrix products are sums of the public binary operations,
+regularity is read off Koszul homology ranks, not off a Groebner basis, and
+division by a list of polynomials runs over Fractions on Poly.leading_term.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
+from atkernel.chaincore import homology_rank
+from atkernel.koszul import build_koszul
 from atkernel.polyforms import Form, Poly, wedge
 
 
@@ -235,3 +239,34 @@ def phase1_lp_oracle(a_eq, b):
     # B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
     bt = [[a_eq[i][j] if j < cols else Fraction(int(i == j - cols)) for i in range(rows)] for j in basis]
     return "y", dense_gauss_jordan(bt, [cost[j] for j in basis], rows)[1]
+
+
+def regularity_scan_oracle(ideal, bound):
+    """Whether H^{-1} of the Koszul complex vanishes in every internal
+    degree up to bound, ranked degree by degree.
+
+    The truncated certificate that the regularity guard used to give: a
+    False answer proves that the graded sequence is not regular, a True
+    one holds only up to the bound.
+    """
+    cx = build_koszul(ideal).complex
+    low = min(b.weight for b in cx.basis(-1))
+    return all(homology_rank(cx, -1, d) == 0 for d in range(low, bound + 1))
+
+
+def normal_form_oracle(f, basis):
+    """The remainder of f on full division by the basis in the order of
+    Poly.leading_term (Cox-Little-O'Shea, ch. 2 section 3), with rational
+    arithmetic and the public Poly operations only."""
+    rem, p = Poly.zero(f.n), f
+    while not p.is_zero():
+        e, c = p.leading_term()
+        for g in basis:
+            lt, lc = g.leading_term()
+            if all(a >= b for a, b in zip(e, lt)):
+                p = p - Poly.monomial(f.n, [a - b for a, b in zip(e, lt)], Fraction(c) / lc) * g
+                break
+        else:
+            rem = rem + Poly.monomial(f.n, e, c)
+            p = p - Poly.monomial(f.n, e, c)
+    return rem

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from atkernel.chaincore import GradingError, hom_bracket
+from atkernel import groebner
+from atkernel.chaincore import GradingError, hom_bracket, monomials_of_weighted_degree
 from atkernel.koszul import (
     RegularSequenceIdeal,
     build_koszul,
@@ -13,11 +14,12 @@ from atkernel.koszul import (
     verify_regular,
 )
 from atkernel.polyforms import Poly, parse_poly
-from oracles import koszul_differential_oracle
+from oracles import koszul_differential_oracle, regularity_scan_oracle
 
 X = ("x",)
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
 
 
 class TestBuild:
@@ -131,26 +133,93 @@ class TestVerifyRegular:
         )
         assert not verify_regular(ideal)
 
-    def test_quadric_pair_passes_bound_eight(self):
+    def test_quadric_pair_is_regular(self):
         ideal = RegularSequenceIdeal(
             3,
             (parse_poly("x^2 - y*z", XYZ), parse_poly("y^2 - x*z", XYZ)),
             (1, 1, 1),
         )
-        assert verify_regular(ideal, 8)
+        assert verify_regular(ideal)
+        cone_w3 = RegularSequenceIdeal(
+            4,
+            tuple(parse_poly(t, XYZW) for t in ("x^2 - y*z", "y^2 - x*z", "w^3")),
+            (1, 1, 1, 1),
+        )
+        assert verify_regular(cone_w3)
 
-    @pytest.mark.parametrize("bound", [1, 0, -3])
-    def test_bound_below_lowest_degree_refused(self, bound):
-        # x*y ; x*z is not regular; its lowest degree in K^{-1} is 2
+    def test_shared_linear_factor_refused(self):
+        # x*y ; x*z is not regular, with no degree bound to set; the scan
+        # finds the syzygy z*gf1 - y*gf2 in degree 3 and misses it at bound 2
         ideal = RegularSequenceIdeal(
             3, (parse_poly("x*y", XYZ), parse_poly("x*z", XYZ)), (1, 1, 1)
         )
-        with pytest.raises(ValueError, match="below the lowest degree 2"):
-            verify_regular(ideal, bound)
-        # degree 3 holds the syzygy z*gf1 - y*gf2
-        assert not verify_regular(ideal, 3)
+        assert not verify_regular(ideal)
+        assert not regularity_scan_oracle(ideal, 3)
+        assert regularity_scan_oracle(ideal, 2)
 
-    def test_ungraded_refused(self):
-        ideal = RegularSequenceIdeal(2, (parse_poly("x + y^2", XY),), None)
-        with pytest.raises(GradingError):
+    @pytest.mark.parametrize(
+        "texts", [["x + y^2"], ["x + y^2", "z"], ["x*y + x^3", "z"], ["x + 1/2*y^2", "y*z + z^3"]]
+    )
+    def test_ungraded_regular_passes(self, texts):
+        ideal = RegularSequenceIdeal(3, tuple(parse_poly(t, XYZ) for t in texts), None)
+        assert verify_regular(ideal)
+
+    @pytest.mark.parametrize(
+        "texts", [["x*y + x^3", "x*z"], ["x + y^2", "x*z + y^2*z"], ["x + y^2", "x^2 - y^4"]]
+    )
+    def test_ungraded_non_regular_refused(self, texts):
+        # each pair shares a factor: x, then x + y^2 twice
+        ideal = RegularSequenceIdeal(3, tuple(parse_poly(t, XYZ) for t in texts), None)
+        assert not verify_regular(ideal)
+
+    def test_work_bound(self, monkeypatch):
+        ideal = RegularSequenceIdeal(
+            3, (parse_poly("x*y", XYZ), parse_poly("x*z", XYZ)), (1, 1, 1)
+        )
+        monkeypatch.setattr(groebner, "MAX_TERM_OPS", 0)
+        with pytest.raises(ValueError, match="regularity guard exceeded its work bound"):
             verify_regular(ideal)
+        # coprime leading terms leave no S-pair to reduce
+        assert verify_regular(
+            RegularSequenceIdeal(2, (parse_poly("x", XY), parse_poly("y", XY)), (1, 1))
+        )
+
+    def test_work_bound_stops_dense_quadrics(self):
+        # three dense quadrics in six variables run past the real bound
+        # after about a second
+        rng = random.Random(6)
+        monos = monomials_of_weighted_degree(6, (1,) * 6, 2)
+        polys = tuple(
+            sum((Poly.monomial(6, e, rng.randint(-3, 3)) for e in monos), Poly.zero(6))
+            for _ in range(3)
+        )
+        with pytest.raises(ValueError, match="regularity guard exceeded its work bound"):
+            verify_regular(RegularSequenceIdeal(6, polys, (1,) * 6))
+
+    def test_agrees_with_scan_oracle(self):
+        # 300 graded sequences in 2-4 variables, about 30 % with a shared
+        # linear factor; the scan runs to its old default bound
+        rng = random.Random(8)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            polys = [_random_form(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(2, n))]
+            if rng.random() < 0.3:
+                factor = _random_form(rng, n, 1)
+                polys[0] = factor * _random_form(rng, n, rng.randint(0, 2))
+                polys[1] = factor * _random_form(rng, n, rng.randint(0, 2))
+            ideal = RegularSequenceIdeal(n, tuple(polys), (1,) * n)
+            bound = 2 * max(f.total_degree() for f in polys) + 4
+            verdict = verify_regular(ideal)
+            assert verdict == regularity_scan_oracle(ideal, bound), polys
+            verdicts.append(verdict)
+        assert 60 <= sum(verdicts) <= 240
+
+
+def _random_form(rng, n, d):
+    """One to three terms of degree d with coefficients in +-1..3."""
+    monos = monomials_of_weighted_degree(n, (1,) * n, d)
+    out = Poly.zero(n)
+    for e in rng.sample(monos, min(rng.randint(1, 3), len(monos))):
+        out = out + Poly.monomial(n, e, rng.choice((-3, -2, -1, 1, 2, 3)))
+    return out

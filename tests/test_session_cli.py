@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import atkernel
-from atkernel import koszul
+from atkernel import groebner, koszul
 from atkernel.cli import main
 from atkernel.polyforms import parse_poly
 from atkernel.session import SessionError, parse_session
@@ -30,6 +30,14 @@ NONREGULAR = """\
 ring Q[x, y, z]
 seq B = x*y ; x*z
 hom bad on B = 1 ; 0
+"""
+
+# not regular (common factor x) and not homogeneous, so parsed ungraded
+UNGRADED_NONREGULAR = """\
+ring Q[x, y, z]
+seq B = x*y + x^3 ; x*z
+hom bad on B = 1 ; 0
+der ddz = z: 1
 """
 
 
@@ -76,7 +84,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(args, session=None, tmp_path=None, degree_bound=None):
     """`atk args` in a fresh process on this checkout's sources, with
-    ATK_DEGREE_BOUND set to degree_bound, or unset when that is None."""
+    ATK_DEGREE_BOUND set to degree_bound, or unset when that is None.
+    The variable no longer exists; tests set it to show it is ignored."""
     cmd = [sys.executable, "-m", "atkernel.cli", *args]
     if session is not None:
         path = tmp_path / "session.sr"
@@ -189,13 +198,32 @@ class TestExitCodes:
         assert out.returncode == 2 and out.stdout == ""
         assert "regularity" in out.stderr
 
-    @pytest.mark.parametrize("bound", ["0", "-3", "1", "3", None])
+    @pytest.mark.parametrize("bound", ["0", "-3", "1", "2", "3", None])
     def test_degree_bound_cannot_switch_the_guard_off(self, bound, tmp_path):
-        # a bound below degree 2, the lowest weight in degree -1, leaves no degree to check
+        # the guard takes no bound; a scan to degree 2 missed the syzygy
+        # z*gf1 - y*gf2 of degree 3
         out = run_cli(["ch", "--seq", "B"], "ring Q[x:1, y:1, z:1]\nseq B = x*y ; x*z\n",
                       tmp_path, degree_bound=bound)
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["atk", "--seq", "B"], ["ch", "--seq", "B"], ["obstruct", "--seq", "B", "--derivation", "ddz"],
+         ["semireg", "--hom", "bad", "--k", "1"], ["blochcmp", "--hom", "bad"]],
+    )
+    def test_ungraded_non_regular_is_two(self, argv, tmp_path):
+        out = run_cli(argv, UNGRADED_NONREGULAR, tmp_path)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "regularity" in out.stderr
+
+    def test_guard_work_bound_is_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(groebner, "MAX_TERM_OPS", 0)
+        path = tmp_path / "session.sr"
+        path.write_text(NONREGULAR)
+        assert main(["ch", "--seq", "B", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "regularity guard exceeded its work bound" in err
 
     def test_iclosure_test_coefficient_is_two(self):
         out = run_cli(["iclosure", "--ideal", "x^3,y^3", "--test", "2*x"])
@@ -361,7 +389,10 @@ class TestImportSurface:
         loaded = loaded_modules(f"from atkernel.cli import main\nmain({argv!r})")
         allowed = {"atkernel", "atkernel.cli", "atkernel.integraldep", "atkernel.linalg",
                    "atkernel.polyforms"}
-        assert "atkernel.integraldep" in loaded and loaded <= allowed
+        # only dimcheck takes a dimension, and that lives in groebner
+        if argv[0] == "dimcheck":
+            allowed.add("atkernel.groebner")
+        assert "atkernel.integraldep" in loaded and loaded == allowed
         assert not loaded & HEAVY_STDLIB
 
     @pytest.mark.parametrize("argv", [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"]])
@@ -370,7 +401,7 @@ class TestImportSurface:
         path.write_text(SESSION)
         argv = [*argv, "--input", str(path)]
         loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
-        assert "atkernel.semireg" in loaded
+        assert {"atkernel.semireg", "atkernel.groebner"} <= loaded
         unused = {"atkernel.integraldep", "atkernel.ladder", "atkernel.corpus", "atkernel.selftest"}
         assert not loaded & unused
         assert not loaded & HEAVY_STDLIB
@@ -384,8 +415,9 @@ class TestImportSurface:
         path.write_text(SESSION)
         argv = [*argv, "--input", str(path)]
         loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
-        assert "atkernel.atiyah" in loaded
-        assert not loaded & {"atkernel.semireg", "atkernel.cousin", *HEAVY_STDLIB}
+        assert {"atkernel.atiyah", "atkernel.groebner"} <= loaded
+        assert not loaded & {"atkernel.semireg", "atkernel.cousin", "atkernel.integraldep",
+                             *HEAVY_STDLIB}
 
     def test_whole_library_loads_no_dataclasses(self):
         loaded = loaded_modules("import atkernel.selftest")
