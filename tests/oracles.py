@@ -247,10 +247,13 @@ def regularity_scan_oracle(ideal, bound):
 
     The truncated certificate that the regularity guard used to give: a
     False answer proves that the graded sequence is not regular, a True
-    one holds only up to the bound.
+    one holds only up to the bound.  A bound below the lowest degree in
+    K^{-1} would check no degree, so it is refused.
     """
     cx = build_koszul(ideal).complex
     low = min(b.weight for b in cx.basis(-1))
+    if bound < low:
+        raise ValueError(f"degree bound {bound} is below the lowest degree {low} to check")
     return all(homology_rank(cx, -1, d) == 0 for d in range(low, bound + 1))
 
 

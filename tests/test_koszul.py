@@ -157,6 +157,20 @@ class TestVerifyRegular:
         assert not regularity_scan_oracle(ideal, 3)
         assert regularity_scan_oracle(ideal, 2)
 
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_bound_below_lowest_degree_refused(self, bound):
+        # x*y ; x*z is not regular; its lowest degree in K^{-1} is 2.  The
+        # exact test takes no bound, and the scan refuses one that would
+        # leave no degree to check
+        ideal = RegularSequenceIdeal(
+            3, (parse_poly("x*y", XYZ), parse_poly("x*z", XYZ)), (1, 1, 1)
+        )
+        assert not verify_regular(ideal)
+        with pytest.raises(ValueError, match="below the lowest degree 2"):
+            regularity_scan_oracle(ideal, bound)
+        # degree 3 holds the syzygy z*gf1 - y*gf2
+        assert not regularity_scan_oracle(ideal, 3)
+
     @pytest.mark.parametrize(
         "texts", [["x + y^2"], ["x + y^2", "z"], ["x*y + x^3", "z"], ["x + 1/2*y^2", "y*z + z^3"]]
     )
