@@ -29,7 +29,10 @@ from .polyforms import (
     _mul_into,
     _poly_from_acc,
     _wedge_into,
+    default_names,
     form_to_text,
+    parse_poly,
+    parse_ring,
     poly_to_text,
 )
 
@@ -317,12 +320,6 @@ def zero_map(source: FreeComplex, target: FreeComplex, degree: int, form_degree:
 def _as_forms(mat: PolyMatrix, zero: Form) -> FormMatrix:
     """A polynomial matrix as degree-0 forms, with one shared zero entry."""
     return tuple(tuple(Form.from_poly(p) if p.terms else zero for p in row) for row in mat)
-
-
-def differential_map(c: FreeComplex) -> ChainMap:
-    """The differential itself as a degree-1, form-degree-0 chain map."""
-    zero = Form.zero(c.n, 0)
-    return ChainMap(c, c, 1, 0, {i: _as_forms(mat, zero) for i, mat in c.diff.items()})
 
 
 def _wedge_products(
@@ -719,8 +716,6 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
 
 
 def complex_to_text(c: FreeComplex, name: str, names: Sequence[str] | None = None) -> str:
-    from .polyforms import default_names
-
     names = list(names or default_names(c.n))
     items = []
     ring_vars = []
@@ -746,8 +741,6 @@ def complex_to_text(c: FreeComplex, name: str, names: Sequence[str] | None = Non
 
 
 def map_to_text(u: ChainMap, name: str, names: Sequence[str] | None = None) -> str:
-    from .polyforms import default_names
-
     names = list(names or default_names(u.source.n))
     items = [f"degree {u.degree};", f"formdeg {u.form_degree};"]
     for i in sorted(u.mats):
@@ -759,25 +752,6 @@ def map_to_text(u: ChainMap, name: str, names: Sequence[str] | None = None) -> s
         items.append(f"u({i}) = [{', '.join(cols)}];")
     body = "\n  ".join(items)
     return f"map {name} {{\n  {body}\n}}"
-
-
-class _BlockScanner:
-    """Shared splitter for the `kind name { item; item; }` text blocks."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def parse_block(self, expected_kind: str) -> tuple[str, list[str]]:
-        text = self.text.strip()
-        head, _, rest = text.partition("{")
-        parts = head.split()
-        if len(parts) != 2 or parts[0] != expected_kind:
-            raise ParseError(f"expected `{expected_kind} <name> {{...}}`")
-        if not rest.rstrip().endswith("}"):
-            raise ParseError("missing closing brace")
-        body = rest.rstrip()[:-1]
-        items = [chunk.strip() for chunk in body.split(";") if chunk.strip()]
-        return parts[1], items
 
 
 def _parse_bracket_list(text: str) -> list[str]:
@@ -801,29 +775,30 @@ def _parse_bracket_list(text: str) -> list[str]:
 
 
 def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
-    name, items = _BlockScanner(text).parse_block("complex")
-    names: list[str] = []
-    weights: list[int] = []
+    """Read a `complex <name> { item; ... }` block as complex_to_text writes
+    it; the `ring` item is a session ring declaration, tagged ` ungraded` or not."""
+    head, _, rest = text.strip().partition("{")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "complex":
+        raise ParseError("expected `complex <name> {...}`")
+    if not rest.rstrip().endswith("}"):
+        raise ParseError("missing closing brace")
+    name = parts[1]
+    items = [chunk.strip() for chunk in rest.rstrip()[:-1].split(";") if chunk.strip()]
+    names: tuple[str, ...] = ()
+    weights: tuple[int, ...] = ()
     graded = True
     degrees: dict[int, list[BasisElement]] = {}
     diff_raw: dict[int, list[str]] = {}
     for item in items:
         if item.startswith("ring"):
+            if names:
+                raise ParseError("ring declared twice in complex block")
             decl = item[len("ring") :].strip()
-            if decl.endswith("ungraded"):
+            if decl.endswith(" ungraded"):
                 graded = False
-                decl = decl[: -len("ungraded")].strip()
-            if not (decl.startswith("Q[") and decl.endswith("]")):
-                raise ParseError(f"bad ring declaration {item!r}")
-            for chunk in decl[2:-1].split(","):
-                chunk = chunk.strip()
-                if ":" in chunk:
-                    vname, w = chunk.split(":")
-                    names.append(vname.strip())
-                    weights.append(int(w))
-                else:
-                    names.append(chunk)
-                    weights.append(1)
+                decl = decl[: -len(" ungraded")]
+            names, weights = parse_ring(decl)
         elif item.startswith("deg"):
             head, _, rest = item.partition(":")
             i = int(head[len("deg") :].strip())
@@ -845,8 +820,6 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
         raise ParseError("complex block missing ring declaration")
     n = len(names)
     diff: dict[int, list[list[Poly]]] = {}
-    from .polyforms import parse_poly
-
     for i, cols in diff_raw.items():
         rows = len(degrees.get(i + 1, []))
         mat = [[Poly.zero(n) for _ in cols] for _ in range(rows)]
@@ -857,5 +830,5 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
             for t, entry in enumerate(entries):
                 mat[t][s] = parse_poly(entry, names)
         diff[i] = mat
-    cx = FreeComplex(n, degrees, diff, tuple(weights) if graded else None)
-    return name, cx, tuple(names)
+    cx = FreeComplex(n, degrees, diff, weights if graded else None)
+    return name, cx, names

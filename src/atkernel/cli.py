@@ -51,16 +51,16 @@ def _named(table: dict, kind: str, flag: str, name: str):
 
 def _monomial_ideal_from_text(text: str):
     from .integraldep import MonomialIdeal, MonomialIdealError
+    from .polyforms import variable_names
 
     chunks = [c.strip() for c in text.split(",")]
     if not any(chunks):
         raise MonomialIdealError("empty ideal")
     if not all(chunks):
         raise MonomialIdealError(f"empty generator in ideal {text!r}")
-    names = sorted({tok for c in chunks for tok in _variable_tokens(c)})
+    names = tuple(sorted({name for c in chunks for name in variable_names(c)}))
     if not names:
         raise MonomialIdealError("no variables found in ideal")
-    names = tuple(names)
     exps = [_monomial_exponent(c, names) for c in chunks]
     return MonomialIdeal.from_exponents(len(names), exps), names
 
@@ -74,20 +74,6 @@ def _monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
     if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
         raise MonomialIdealError(f"not a monomial: {text!r}")
     return next(iter(p.terms))
-
-
-def _variable_tokens(text: str) -> list[str]:
-    out, cur = [], ""
-    for ch in text:
-        if ch.isalnum() or ch == "_":
-            cur += ch
-        else:
-            if cur and not cur[0].isdigit():
-                out.append(cur)
-            cur = ""
-    if cur and not cur[0].isdigit():
-        out.append(cur)
-    return out
 
 
 def _cmd_atk(args) -> int:
@@ -109,24 +95,17 @@ def _cmd_atk(args) -> int:
 
 
 def _resolve_derivation(session, text: str):
-    """A named derivation, or an inline `x: g1, y: g2` literal."""
-    from .atiyah import DerivationSpec
-    from .polyforms import Poly, parse_poly
-    from .session import SessionError
+    """A named derivation, or an inline literal in the `der` grammar."""
+    from .session import SessionError, parse_derivation
 
     if text in session.derivations:
         return session.derivations[text]
     if ":" not in text:
         raise SessionError(f"argument --derivation: unknown derivation {text!r}")
-
-    values = {v: Poly.zero(session.n) for v in session.var_names}
-    for chunk in text.split(","):
-        var, _, expr = chunk.partition(":")
-        var = var.strip()
-        if var not in values:
-            raise SessionError(f"argument --derivation: unknown variable {var!r}")
-        values[var] = parse_poly(expr.strip(), session.var_names)
-    return DerivationSpec(tuple(values[v] for v in session.var_names))
+    try:
+        return parse_derivation(text, session.var_names)
+    except SessionError as exc:
+        raise SessionError(f"argument --derivation: {exc}") from None
 
 
 def _cmd_ch(args) -> int:
@@ -196,12 +175,12 @@ def _cmd_sff(args) -> int:
     from .ladder import (
         connecting_delta,
         delta_dprime_matches_minus_atiyah,
-        euler_generator_forms,
         euler_preset,
+        euler_sigma_is_minus_identity,
         hypersurface_ladder,
         second_fundamental_form,
     )
-    from .polyforms import parse_poly
+    from .polyforms import parse_poly, variable_names
     from .session import SessionError
 
     preset = args.preset
@@ -214,15 +193,13 @@ def _cmd_sff(args) -> int:
             n_proj = int(text)
         sigma, names = euler_preset(n_proj)
         print(map_to_text(sigma, "sigma", names))
-        gens = euler_generator_forms(n_proj)
-        mat = sigma.matrix(0)
-        good = all(mat[0][s] == -gens[s] for s in range(len(gens)))
+        good = all(euler_sigma_is_minus_identity(sigma, n_proj))
         print(f"sigma on generators: {'-id' if good else 'mismatch'}")
         print(f"VERDICT: {'exact' if good else 'FAIL'}")
         return 0 if good else 1
     if preset.startswith("hypersurface:"):
         text = preset.split(":", 1)[1]
-        names = tuple(sorted(set(_variable_tokens(text)))) or ("x",)
+        names = variable_names(text) or ("x",)
         f = parse_poly(text, names)
         weights = (1,) * f.n
         if f.homogeneous_degree(weights) is None:
@@ -232,13 +209,13 @@ def _cmd_sff(args) -> int:
             ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
         )
         print(map_to_text(sigma, "sigma", names))
-        delta_prime, delta_dd = connecting_delta(ladder, sigma)
-        print(map_to_text(delta_dd, "delta_second", names))
+        print(map_to_text(connecting_delta(ladder, sigma), "delta_second", names))
         verdict = delta_dprime_matches_minus_atiyah(ladder, sigma)
-        prime_ok = delta_prime.is_zero()
-        print(f"delta_first: {'0' if prime_ok else map_to_text(delta_prime, 'd1', names)}")
-        print(f"VERDICT: {verdict if prime_ok else 'FAIL'}")
-        return 0 if verdict != "FAIL" and prime_ok else 1
+        # not computed: delta' vanishes because F' is free, and connecting_delta
+        # refuses a ladder whose P' has a differential
+        print("delta_first: 0")
+        print(f"VERDICT: {verdict}")
+        return 0 if verdict != "FAIL" else 1
     raise SessionError(f"unknown preset {preset!r}")
 
 

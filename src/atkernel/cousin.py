@@ -19,7 +19,7 @@ from typing import Sequence
 from . import linalg
 from .chaincore import ChainMap, ShapeError
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
-from .polyforms import Form, Poly, Record, contract_form, form_to_text, poly_to_text
+from .polyforms import Form, Poly, Record, form_to_text, poly_to_text
 
 
 class LocalizedForm(Record):
@@ -261,19 +261,6 @@ def local_trace(u: ChainMap, k: KoszulComplex | None = None) -> CousinElement:
         if not num.is_zero()
     }
     return CousinElement(k.n, k.ideal.polys, d, entries)
-
-
-def contract_cousin(values: Sequence[Poly], c: CousinElement) -> CousinElement:
-    """Contract each numerator form against a derivation; degree-0
-    numerators are killed."""
-    entries = {}
-    for alpha, lf in c.entries.items():
-        if lf.num.degree == 0:
-            continue
-        num = contract_form(values, lf.num)
-        if not num.is_zero():
-            entries[alpha] = LocalizedForm(num, lf.m)
-    return CousinElement(c.n, c.seq, c.degree, entries)
 
 
 def cousin_coboundary_solve(

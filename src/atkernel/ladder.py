@@ -1,8 +1,8 @@
 """Extension ladders and the second fundamental form.
 
 A short exact sequence 0 -> F' -> F -> F'' -> 0 with a split resolution
-ladder, the form sigma = nabla o j, its connecting images delta' and
-delta'', and the comparison of delta'' with -At of the F'' resolution.
+ladder, the form sigma = nabla o j, its connecting image delta'', and the
+comparison of delta'' with -At of the F'' resolution.
 The Euler-sequence and hypersurface presets behind `atk sff` live here.
 """
 from __future__ import annotations
@@ -27,13 +27,12 @@ def second_fundamental_form(
     j_matrix: Sequence[Sequence[Poly]],
     p_matrix: Sequence[Sequence[Poly]],
     middle: FreeComplex,
-    nabla_values: Sequence[Sequence[Form]] | None = None,
     relations: Sequence[Poly] = (),
 ) -> ChainMap:
     """sigma = nabla o j for the product-rule map determined on the middle.
 
-    By default nabla kills the middle basis, so the value on a generator
-    is p applied to the entrywise exterior derivative of j's column.
+    nabla kills the middle basis, so the value on a generator is p
+    applied to the entrywise exterior derivative of j's column.
     p o j = 0 (modulo the relations cutting out the right-hand module) is
     required; it is what makes sigma linear.
     """
@@ -64,8 +63,6 @@ def second_fundamental_form(
         for s in range(cols_j):
             acc = Form.zero(n, 1)
             for m in range(mid_rank):
-                if nabla_values is not None:
-                    acc = acc + nabla_values[m][t].mul_poly(j_matrix[m][s])
                 acc = acc + exterior_derivative(j_matrix[m][s]).mul_poly(p_matrix[t][m])
             row.append(acc)
         mat.append(tuple(row))
@@ -149,46 +146,6 @@ def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> Ex
     )
 
 
-def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:
-    """Trivial split sequence of free modules (everything is its own resolution)."""
-    labels_p = [f"q{i}" for i in range(rank_prime)]
-    labels_d = [f"r{i}" for i in range(rank_dprime)]
-    p_prime = _free_module(n, labels_p)
-    p_dprime = _free_module(n, labels_d)
-    middle = _free_module(n, [f"e{i}" for i in range(rank_prime + rank_dprime)])
-    total = _free_module(n, [f"t{i}" for i in range(rank_prime + rank_dprime)])
-    zero = Poly.zero(n)
-    one = Poly.one(n)
-    j_matrix = tuple(
-        tuple(one if i == s else zero for s in range(rank_prime))
-        for i in range(rank_prime + rank_dprime)
-    )
-    p_matrix = tuple(
-        tuple(one if m == rank_prime + t else zero for m in range(rank_prime + rank_dprime))
-        for t in range(rank_dprime)
-    )
-    ident_d = tuple(
-        tuple(one if a == b else zero for b in range(rank_dprime)) for a in range(rank_dprime)
-    )
-    pi = tuple(
-        tuple(one if a == b else zero for b in range(rank_prime + rank_dprime))
-        for a in range(rank_prime + rank_dprime)
-    )
-    return ExtensionLadder(
-        n=n,
-        j_matrix=j_matrix,
-        p_matrix=p_matrix,
-        middle=middle,
-        p_prime=p_prime,
-        p_dprime=p_dprime,
-        total=total,
-        split={0: rank_prime},
-        pi=pi,
-        pi_dprime=ident_d,
-        relations=(),
-    )
-
-
 def _sigma_tilde_on_basis(ladder: ExtensionLadder) -> list[list[Form]]:
     """Values of the extension nabla o pi - (pi'' x 1) o nabla'' o ptilde on
     the degree-0 basis of the total resolution, as rows over F'' generators.
@@ -213,28 +170,25 @@ def _sigma_tilde_on_basis(ladder: ExtensionLadder) -> list[list[Form]]:
     return out
 
 
-def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> tuple[ChainMap, ChainMap]:
-    """Representatives of the two connecting images of sigma.
+def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> ChainMap:
+    """A representative of delta''(sigma), the connecting image on P''.
 
-    delta'' comes from extending sigma over the total resolution as
+    It comes from extending sigma over the total resolution as
     sigma~ = nabla o pi - (pi'' x 1) o nabla'' o ptilde and restricting
-    sigma~ o d to the P''-part (with a sign); delta' comes from lifting
-    sigma o pi' through p and bracketing, then dividing by j.
+    sigma~ o d to the P''-part (with a sign).  The other image delta' is
+    zero because F' is free; a ladder whose P' has a differential would
+    need the lift-and-bracket route, so it is refused.
     """
+    if ladder.p_prime.diff:
+        raise ShapeError("connecting_delta supports resolutions of free F' only")
     n = ladder.n
     fpp_rank = len(ladder.p_matrix)
-    fp_rank = len(ladder.j_matrix[0]) if ladder.j_matrix else 0
     target_dprime = _free_module(n, [f"v{t}" for t in range(fpp_rank)])
-    target_prime = _free_module(n, [f"u{t}" for t in range(fp_rank)])
     if sigma.is_zero():
-        return (
-            ChainMap(ladder.p_prime, target_prime, 1, 1, {}),
-            ChainMap(ladder.p_dprime, target_dprime, 1, 1, {}),
-        )
+        return ChainMap(ladder.p_dprime, target_dprime, 1, 1, {})
 
     # delta'' on P''^{-1}: -(sigma~ o d) restricted to the P''-columns
     st = _sigma_tilde_on_basis(ladder)
-    split0 = ladder.split.get(0, 0)
     split_m1 = ladder.split.get(-1, 0)
     dprime_cols = ladder.p_dprime.rank(-1)
     dmat = ladder.total.d_matrix(-1)
@@ -251,21 +205,13 @@ def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> tuple[ChainMap
                 row.append(-acc)
             mat.append(tuple(row))
         mats_dd[-1] = tuple(mat)
-    delta_dd = ChainMap(ladder.p_dprime, target_dprime, 1, 1, mats_dd, check=False)
-
-    # delta' by lift-and-bracket; presets keep P' concentrated in degree 0
-    mats_dp: dict[int, tuple] = {}
-    if ladder.p_prime.diff:
-        # s = lift o sigma o pi'; [d,s] = -s o d, then divide by j
-        raise ShapeError("connecting_delta supports resolutions of free F' only")
-    delta_dp = ChainMap(ladder.p_prime, target_prime, 1, 1, mats_dp, check=False)
-    return delta_dp, delta_dd
+    return ChainMap(ladder.p_dprime, target_dprime, 1, 1, mats_dd, check=False)
 
 
 def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder, sigma: ChainMap) -> str:
     """Compare delta''(sigma) with -At of the F'' resolution, entrywise
     modulo the relations; returns exact | coboundary | FAIL."""
-    _, delta_dd = connecting_delta(ladder, sigma)
+    delta_dd = connecting_delta(ladder, sigma)
     at = atiyah_cocycle(ladder.p_dprime).chain_map
     # project At onto F'' generator coordinates via pi''
     mats = {}
@@ -334,6 +280,14 @@ def euler_generator_forms(n_proj: int = 1) -> list[Form]:
             )
             out.append(w)
     return out
+
+
+def euler_sigma_is_minus_identity(sigma: ChainMap, n_proj: int = 1) -> list[bool]:
+    """Per Euler generator: does sigma, a map onto the single generator of
+    F'', send it to minus itself?"""
+    mat = sigma.matrix(0)
+    gens = euler_generator_forms(n_proj)
+    return [len(mat) == 1 and mat[0][s] == -gen for s, gen in enumerate(gens)]
 
 
 def _dx(n: int, i: int) -> Form:

@@ -782,3 +782,43 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     if w.degree != 0:
         raise ParseError("expected a polynomial, found differentials")
     return w.to_poly()
+
+
+def variable_names(text: str) -> tuple[str, ...]:
+    """The distinct names in an expression, sorted: the variables of a ring
+    read off the text itself."""
+    return tuple(sorted({tok.text for tok in _tokenize(text) if tok.kind == "name"}))
+
+
+def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Names and weights of a ring declaration `Q[x, y:2, z]`.
+
+    Weights default to 1 and must be positive integers; names must be
+    distinct identifiers.  Raises ValueError on anything else.
+    """
+    text = text.strip()
+    if not (text.startswith("Q[") and text.endswith("]")):
+        raise ValueError("ring declaration must look like `ring Q[x, y]`")
+    names, weights = [], []
+    for chunk in text[2:-1].split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError("empty variable name in ring declaration")
+        if ":" in chunk:
+            name, w = chunk.split(":", 1)
+            name = name.strip()
+            try:
+                weight = int(w)
+            except ValueError:
+                raise ValueError(f"bad weight {w!r}") from None
+        else:
+            name, weight = chunk, 1
+        if not name.isidentifier():
+            raise ValueError(f"bad variable name {name!r}")
+        if weight < 1:
+            raise ValueError("weights must be positive")
+        names.append(name)
+        weights.append(weight)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    return tuple(names), tuple(weights)

@@ -143,9 +143,7 @@ def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:
     return local_trace(compose(xi, power), kz)
 
 
-def compare_semireg(
-    phi: NormalHom, m_bound: int = 4, kz: KoszulComplex | None = None
-) -> SemiregReport:
+def compare_semireg(phi: NormalHom, kz: KoszulComplex | None = None) -> SemiregReport:
     """Both semiregularity routes plus an equality verdict.
 
     kz, when given, is the Koszul complex of phi's ideal.
@@ -155,7 +153,7 @@ def compare_semireg(
     k = phi.ideal.q - 1
     if tau == mu:
         return SemiregReport(k, tau, mu, "representative-exact")
-    witness = cousin_coboundary_solve(tau - mu, m_bound=m_bound)
+    witness = cousin_coboundary_solve(tau - mu)
     if witness is not None:
         return SemiregReport(k, tau, mu, "coboundary", witness)
     return SemiregReport(k, tau, mu, "fail")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .atiyah import DerivationSpec
 from .chaincore import GradingError
 from .koszul import NormalHom, RegularSequenceIdeal
-from .polyforms import ParseError, Poly, parse_poly
+from .polyforms import ParseError, Poly, parse_poly, parse_ring
 
 
 class SessionError(ValueError):
@@ -41,33 +41,40 @@ class SessionFile:
         return len(self.var_names)
 
 
-def _parse_ring(body: str, lineno: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    body = body.strip()
-    if not (body.startswith("Q[") and body.endswith("]")):
-        raise SessionError("ring declaration must look like `ring Q[x, y]`", lineno)
-    names, weights = [], []
-    for chunk in body[2:-1].split(","):
+def parse_derivation(body: str, names: tuple[str, ...]) -> DerivationSpec:
+    """The derivation `x: g1, y: g2` over the variables `names`.
+
+    Chunks are comma-separated `var: poly`; empty chunks are skipped and
+    unnamed variables map to zero.
+    """
+    values = {v: Poly.zero(len(names)) for v in names}
+    for chunk in body.split(","):
         chunk = chunk.strip()
         if not chunk:
-            raise SessionError("empty variable name in ring declaration", lineno)
-        if ":" in chunk:
-            name, w = chunk.split(":", 1)
-            name = name.strip()
-            try:
-                weight = int(w)
-            except ValueError:
-                raise SessionError(f"bad weight {w!r}", lineno) from None
-        else:
-            name, weight = chunk, 1
-        if not name.isidentifier():
-            raise SessionError(f"bad variable name {name!r}", lineno)
-        if weight < 1:
-            raise SessionError("weights must be positive", lineno)
-        names.append(name)
-        weights.append(weight)
-    if len(set(names)) != len(names):
-        raise SessionError("duplicate variable names", lineno)
-    return tuple(names), tuple(weights)
+            continue
+        var, _, expr = chunk.partition(":")
+        var = var.strip()
+        if var not in values:
+            raise SessionError(f"unknown variable {var!r} in derivation")
+        try:
+            values[var] = parse_poly(expr.strip(), names)
+        except ParseError as exc:
+            raise SessionError(f"bad polynomial in derivation: {exc}") from None
+    return DerivationSpec(tuple(values[v] for v in names))
+
+
+def _poly_list(body: str, names: tuple[str, ...], empty: str, lineno: int) -> tuple[Poly, ...]:
+    """The `;`-separated polynomials of a `seq` or `hom` line."""
+    polys = []
+    for chunk in body.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise SessionError(empty, lineno)
+        try:
+            polys.append(parse_poly(chunk, names))
+        except ParseError as exc:
+            raise SessionError(f"bad polynomial {chunk!r}: {exc}", lineno) from None
+    return tuple(polys)
 
 
 def parse_session(text: str) -> SessionFile:
@@ -80,7 +87,10 @@ def parse_session(text: str) -> SessionFile:
         if head == "ring":
             if session.var_names:
                 raise SessionError("ring already declared", lineno)
-            session.var_names, session.var_weights = _parse_ring(rest, lineno)
+            try:
+                session.var_names, session.var_weights = parse_ring(rest)
+            except ValueError as exc:
+                raise SessionError(str(exc), lineno) from None
             continue
         if not session.var_names:
             raise SessionError("ring must be declared before anything else", lineno)
@@ -91,21 +101,11 @@ def parse_session(text: str) -> SessionFile:
                 raise SessionError("expected `seq <name> = f1 ; f2`", lineno)
             if name in session.sequences:
                 raise SessionError(f"sequence {name!r} redeclared", lineno)
-            polys = []
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    raise SessionError("empty polynomial in sequence", lineno)
-                try:
-                    polys.append(parse_poly(chunk, session.var_names))
-                except ParseError as exc:
-                    raise SessionError(f"bad polynomial {chunk!r}: {exc}", lineno) from None
+            polys = _poly_list(body, session.var_names, "empty polynomial in sequence", lineno)
             try:
-                ideal = RegularSequenceIdeal(
-                    session.n, tuple(polys), session.var_weights
-                )
+                ideal = RegularSequenceIdeal(session.n, polys, session.var_weights)
             except GradingError:
-                ideal = RegularSequenceIdeal(session.n, tuple(polys), None)
+                ideal = RegularSequenceIdeal(session.n, polys, None)
             except ValueError as exc:
                 raise SessionError(str(exc), lineno) from None
             session.sequences[name] = ideal
@@ -119,41 +119,21 @@ def parse_session(text: str) -> SessionFile:
             if seq_name not in session.sequences:
                 raise SessionError(f"undeclared sequence {seq_name!r}", lineno)
             ideal = session.sequences[seq_name]
-            values = []
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    raise SessionError("empty value in hom", lineno)
-                try:
-                    values.append(parse_poly(chunk, session.var_names))
-                except ParseError as exc:
-                    raise SessionError(f"bad polynomial {chunk!r}: {exc}", lineno) from None
+            values = _poly_list(body, session.var_names, "empty value in hom", lineno)
             if len(values) != ideal.q:
                 raise SessionError(
                     f"hom needs {ideal.q} values for sequence {seq_name!r}", lineno
                 )
-            session.homs[name] = (seq_name, NormalHom(ideal, tuple(values)))
+            session.homs[name] = (seq_name, NormalHom(ideal, values))
         elif head == "der":
             name, _, body = rest.partition("=")
             name = name.strip()
             if not name.isidentifier() or not body.strip():
                 raise SessionError("expected `der <name> = x: g1, y: g2`", lineno)
-            values = {v: Poly.zero(session.n) for v in session.var_names}
-            for chunk in body.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                var, _, expr = chunk.partition(":")
-                var = var.strip()
-                if var not in session.var_names:
-                    raise SessionError(f"unknown variable {var!r} in derivation", lineno)
-                try:
-                    values[var] = parse_poly(expr.strip(), session.var_names)
-                except ParseError as exc:
-                    raise SessionError(f"bad polynomial in derivation: {exc}", lineno) from None
-            session.derivations[name] = DerivationSpec(
-                tuple(values[v] for v in session.var_names)
-            )
+            try:
+                session.derivations[name] = parse_derivation(body, session.var_names)
+            except SessionError as exc:
+                raise SessionError(str(exc), lineno) from None
         else:
             raise SessionError(f"unknown declaration {head!r}", lineno)
     return session

@@ -6,15 +6,21 @@ polyhedron membership is decided by brute-force enumeration of candidate
 LP bases, matrix products are sums of the public binary operations,
 regularity is read off Koszul homology ranks, not off a Groebner basis, and
 division by a list of polynomials runs over Fractions on Poly.leading_term.
+
+The last three functions are not oracles but constructions that only the
+tests use: the differential as a chain map, the split ladder of free
+modules, and the contraction of a Cousin element against a derivation.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from atkernel.chaincore import homology_rank
+from atkernel.chaincore import ChainMap, _as_forms, homology_rank
+from atkernel.cousin import CousinElement, LocalizedForm
 from atkernel.koszul import build_koszul
-from atkernel.polyforms import Form, Poly, wedge
+from atkernel.ladder import ExtensionLadder, _free_module
+from atkernel.polyforms import Form, Poly, contract_form, wedge
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -273,3 +279,62 @@ def normal_form_oracle(f, basis):
             rem = rem + Poly.monomial(f.n, e, c)
             p = p - Poly.monomial(f.n, e, c)
     return rem
+
+
+def differential_map(c):
+    """The differential itself as a degree-1, form-degree-0 chain map."""
+    zero = Form.zero(c.n, 0)
+    return ChainMap(c, c, 1, 0, {i: _as_forms(mat, zero) for i, mat in c.diff.items()})
+
+
+def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:
+    """Trivial split sequence of free modules (everything is its own resolution)."""
+    labels_p = [f"q{i}" for i in range(rank_prime)]
+    labels_d = [f"r{i}" for i in range(rank_dprime)]
+    p_prime = _free_module(n, labels_p)
+    p_dprime = _free_module(n, labels_d)
+    middle = _free_module(n, [f"e{i}" for i in range(rank_prime + rank_dprime)])
+    total = _free_module(n, [f"t{i}" for i in range(rank_prime + rank_dprime)])
+    zero = Poly.zero(n)
+    one = Poly.one(n)
+    j_matrix = tuple(
+        tuple(one if i == s else zero for s in range(rank_prime))
+        for i in range(rank_prime + rank_dprime)
+    )
+    p_matrix = tuple(
+        tuple(one if m == rank_prime + t else zero for m in range(rank_prime + rank_dprime))
+        for t in range(rank_dprime)
+    )
+    ident_d = tuple(
+        tuple(one if a == b else zero for b in range(rank_dprime)) for a in range(rank_dprime)
+    )
+    pi = tuple(
+        tuple(one if a == b else zero for b in range(rank_prime + rank_dprime))
+        for a in range(rank_prime + rank_dprime)
+    )
+    return ExtensionLadder(
+        n=n,
+        j_matrix=j_matrix,
+        p_matrix=p_matrix,
+        middle=middle,
+        p_prime=p_prime,
+        p_dprime=p_dprime,
+        total=total,
+        split={0: rank_prime},
+        pi=pi,
+        pi_dprime=ident_d,
+        relations=(),
+    )
+
+
+def contract_cousin(values, c):
+    """Contract each numerator form against a derivation; degree-0
+    numerators are killed."""
+    entries = {}
+    for alpha, lf in c.entries.items():
+        if lf.num.degree == 0:
+            continue
+        num = contract_form(values, lf.num)
+        if not num.is_zero():
+            entries[alpha] = LocalizedForm(num, lf.m)
+    return CousinElement(c.n, c.seq, c.degree, entries)

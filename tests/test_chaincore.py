@@ -15,7 +15,6 @@ from atkernel.chaincore import (
     component_matrix,
     compose,
     cone,
-    differential_map,
     hom_bracket,
     homology_rank,
     identity_map,
@@ -33,7 +32,12 @@ from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.polyforms import ArityError, Form, Poly, parse_form, parse_poly
 
-from oracles import component_matrix_oracle, poly_matmul_oracle, wedge_matmul_oracle
+from oracles import (
+    component_matrix_oracle,
+    differential_map,
+    poly_matmul_oracle,
+    wedge_matmul_oracle,
+)
 
 X = ("x",)
 XY = ("x", "y")

@@ -11,7 +11,6 @@ from atkernel.corpus import corpus_entries, random_chain_map
 from atkernel.cousin import (
     CousinElement,
     LocalizedForm,
-    contract_cousin,
     cousin_coboundary_solve,
     cousin_differential,
     cousin_to_text,
@@ -21,6 +20,7 @@ from atkernel.cousin import (
 )
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
+from oracles import contract_cousin
 
 X = ("x",)
 XY = ("x", "y")

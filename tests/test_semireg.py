@@ -7,12 +7,7 @@ import pytest
 from atkernel.atiyah import atiyah_cocycle
 from atkernel.chaincore import ShapeError, identity_map, is_cocycle
 from atkernel.corpus import corpus_entries, derivations_for, normal_homs_for
-from atkernel.cousin import (
-    CousinElement,
-    LocalizedForm,
-    contract_cousin,
-    cousin_to_text,
-)
+from atkernel.cousin import CousinElement, LocalizedForm, cousin_to_text
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.ladder import (
     connecting_delta,
@@ -21,7 +16,6 @@ from atkernel.ladder import (
     euler_preset,
     hypersurface_ladder,
     second_fundamental_form,
-    split_free_ladder,
 )
 from atkernel.polyforms import (
     Form,
@@ -39,6 +33,7 @@ from atkernel.semireg import (
     ext1_representative,
     sigma_component,
 )
+from oracles import contract_cousin, split_free_ladder
 
 X = ("x",)
 XY = ("x", "y")
@@ -304,14 +299,13 @@ def _euler_middle(n):
 
 
 class TestConnectingDelta:
-    def test_split_free_gives_zero_both_sides(self):
+    def test_split_free_gives_zero(self):
         ladder = split_free_ladder(1, 2, 2)
         sigma = second_fundamental_form(
             ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
         )
         assert sigma.is_zero()
-        dp, dd = connecting_delta(ladder, sigma)
-        assert dp.is_zero() and dd.is_zero()
+        assert connecting_delta(ladder, sigma).is_zero()
 
     def test_hypersurface_delta_second_cancels_cocycle(self):
         for text, names, weights in (("x^2", X, (1,)), ("x^2 - y*z", XYZ, (1, 1, 1))):
@@ -322,8 +316,8 @@ class TestConnectingDelta:
             )
             verdict = delta_dprime_matches_minus_atiyah(ladder, sigma)
             assert verdict in ("exact", "coboundary")
-            dp, dd = connecting_delta(ladder, sigma)
-            assert dp.is_zero()  # F' free, so its cocycle vanishes
+            assert not ladder.p_prime.diff  # F' free, so delta' vanishes
+            dd = connecting_delta(ladder, sigma)
             assert dd.matrix(-1)[0][0] == exterior_derivative(f)
 
     def test_zero_sigma_gives_zero(self):
@@ -331,5 +325,18 @@ class TestConnectingDelta:
         zero_sigma = second_fundamental_form(
             [[Poly.zero(1)]], [[Poly.one(1)]], ladder.middle
         )
-        dp, dd = connecting_delta(ladder, zero_sigma)
-        assert dp.is_zero() and dd.is_zero()
+        assert connecting_delta(ladder, zero_sigma).is_zero()
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_prime_with_differential_refused(self, zero):
+        # delta' = 0 only because F' is free; a resolved F' is refused
+        # whatever sigma is
+        ladder = hypersurface_ladder(parse_poly("x^2", X), (1,))
+        ladder.p_prime = ladder.p_dprime
+        sigma = second_fundamental_form(
+            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
+        )
+        if zero:
+            sigma = sigma.scale(0)
+        with pytest.raises(ShapeError, match="free F'"):
+            connecting_delta(ladder, sigma)

@@ -1,5 +1,6 @@
 """Session parsing and the command-line surface, including exit codes."""
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -12,7 +13,8 @@ import pytest
 
 import atkernel
 from atkernel import groebner, koszul
-from atkernel.cli import main
+from atkernel.chaincore import parse_complex
+from atkernel.cli import _resolve_derivation, main
 from atkernel.polyforms import parse_poly
 from atkernel.session import SessionError, parse_session
 
@@ -77,6 +79,29 @@ class TestSessionParsing:
         with pytest.raises(SessionError) as err:
             parse_session("seq Z = x\n")
         assert err.value.line == 1
+
+
+# sessions and complex blocks share one ring parser, so both refuse each
+BAD_RINGS = ["Q[x, x]", "Q[x, , y]", "Q[1x]", "Q[x:0]", "Q[x:a]", "x, y]"]
+
+
+class TestSharedParsers:
+    @pytest.mark.parametrize("decl", BAD_RINGS)
+    def test_session_refuses_bad_ring(self, decl):
+        with pytest.raises(SessionError) as err:
+            parse_session(f"# header\nring {decl}\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("decl", BAD_RINGS)
+    @pytest.mark.parametrize("tag", ["", " ungraded"])
+    def test_complex_block_refuses_bad_ring(self, decl, tag):
+        with pytest.raises(ValueError):
+            parse_complex(f"complex K {{ ring {decl}{tag}; deg 0: [e] }}")
+
+    @pytest.mark.parametrize("text", ["x: 1,", "x: 1, y: x*y", ", y: 2, ", "y: 1/2"])
+    def test_inline_derivation_matches_der_line(self, text):
+        session = parse_session(f"ring Q[x, y]\nder d = {text}\n")
+        assert _resolve_derivation(session, text) == session.derivations["d"]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -259,6 +284,7 @@ class TestUsageMessages:
             (["ch", "--seq", "nope"], "--seq"),
             (["blochcmp", "--hom", "nope"], "--hom"),
             (["obstruct", "--seq", "Z", "--derivation", "nope"], "--derivation"),
+            (["atk", "--seq", "Z", "--derivation", "nope: 1"], "--derivation"),
         ],
     )
     def test_unknown_name_names_the_flag(self, argv, flag, tmp_path, capsys):
@@ -278,25 +304,29 @@ class TestUsageMessages:
         assert out == "" and "empty generator" in err
 
 
-# the session the demo commands in perfbench/cli_expected.json were recorded on
-DEMO_SESSION = """\
-ring Q[x, y, z]
-seq Z = x^2 - y*z ; y^2 - x*z
-hom phi on Z = 1 ; 0
-hom rho on Z = y ; x
-der ddx = x: 1
-"""
-CLI_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "cli_expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+CLI_EXPECTED = ROOT / "perfbench" / "cli_expected.json"
+
+
+def load_demo():
+    """scripts/demo_session.py as a module: the demo SESSION and COMMANDS."""
+    path = ROOT / "scripts" / "demo_session.py"
+    spec = importlib.util.spec_from_file_location("demo_session", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDemoGolden:
     """The 13 demo commands, in process, against their recorded stdout."""
 
     def test_demo_commands_match_recorded_output(self, tmp_path, capsys):
+        demo = load_demo()
         recorded = json.loads(CLI_EXPECTED.read_text())
         assert len(recorded) == 13
+        assert {" ".join(command) for command in demo.COMMANDS} == set(recorded)
         path = tmp_path / "demo.sr"
-        path.write_text(DEMO_SESSION)
+        path.write_text(demo.SESSION)
         for command, expected in sorted(recorded.items()):
             argv = command.split()
             if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
