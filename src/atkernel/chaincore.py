@@ -774,6 +774,13 @@ def _parse_bracket_list(text: str) -> list[str]:
     return items
 
 
+def _item_int(text: str, item: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}") from None
+
+
 def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
     """Read a `complex <name> { item; ... }` block as complex_to_text writes
     it; the `ring` item is a session ring declaration, tagged ` ungraded` or not."""
@@ -801,18 +808,18 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
             names, weights = parse_ring(decl)
         elif item.startswith("deg"):
             head, _, rest = item.partition(":")
-            i = int(head[len("deg") :].strip())
-            basis = []
+            i = _item_int(head[len("deg") :], item)
+            if i in degrees:
+                raise ParseError(f"degree {i} declared twice in complex block")
+            degrees[i] = []
             for chunk in _parse_bracket_list(rest):
-                if ":" in chunk:
-                    label, w = chunk.split(":")
-                    basis.append(BasisElement(label.strip(), int(w)))
-                else:
-                    basis.append(BasisElement(chunk.strip(), 0))
-            degrees[i] = basis
+                label, colon, w = chunk.partition(":")
+                degrees[i].append(BasisElement(label.strip(), _item_int(w, item) if colon else 0))
         elif item.startswith("d("):
             head, _, rest = item.partition("=")
-            i = int(head.strip()[2:-1])
+            i = _item_int(head.strip()[2:-1], item)
+            if i in diff_raw:
+                raise ParseError(f"d({i}) given twice in complex block")
             diff_raw[i] = _parse_bracket_list(rest)
         else:
             raise ParseError(f"unknown item {item!r} in complex block")

@@ -209,8 +209,8 @@ def _cmd_sff(args) -> int:
             ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
         )
         print(map_to_text(sigma, "sigma", names))
-        print(map_to_text(connecting_delta(ladder, sigma), "delta_second", names))
-        verdict = delta_dprime_matches_minus_atiyah(ladder, sigma)
+        print(map_to_text(connecting_delta(ladder), "delta_second", names))
+        verdict = delta_dprime_matches_minus_atiyah(ladder)
         # not computed: delta' vanishes because F' is free, and connecting_delta
         # refuses a ladder whose P' has a differential
         print("delta_first: 0")

@@ -7,17 +7,18 @@ power of f_alpha = prod_{i in alpha} f_i.  The local trace expands a map
 in the dual-gamma basis, pairs against the canonical section of
 K (x) Cousin, and applies the supertrace; the resulting closed formula
 is a signed partial trace over entry pairs gf_alpha -> gf_beta with
-beta contained in alpha.
+beta contained in alpha.  Whether a top-degree element is a coboundary
+is decided exactly, by ideal membership of its numerator.
 """
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Sequence
 
 from . import linalg
-from .chaincore import ChainMap, ShapeError
+from .chaincore import ChainMap, ShapeError, monomials_of_weighted_degree
+from .groebner import membership_excess
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
 from .polyforms import Form, Poly, Record, form_to_text, poly_to_text
 
@@ -263,88 +264,62 @@ def local_trace(u: ChainMap, k: KoszulComplex | None = None) -> CousinElement:
     return CousinElement(k.n, k.ideal.polys, d, entries)
 
 
-def cousin_coboundary_solve(
-    target: CousinElement, m_bound: int = 4, extra_degree: int = 2
-) -> CousinElement | None:
-    """Search for b of degree q-1 with d(b) = target, bounded denominators.
+def cousin_coboundary_solve(target: CousinElement) -> CousinElement | None:
+    """Decide whether a top-degree element is a coboundary: b of degree q-1
+    with d(b) = target, or None, which proves that its class is not zero.
 
-    Unknown numerators run over monomials up to a degree bound derived
-    from the cleared target; returns the witness or None.
+    The sequence must be regular, as the regularity guard proves before
+    every command.  Then num / f_full^m is a coboundary exactly when every
+    coefficient of num lies in (f_1^m, ..., f_q^m), for the target's own m:
+    the transition maps of H^q_I = lim H^q(f^m) are injective (Bruns-Herzog
+    3.5).  A member's cofactors num_i, the numerators of b at full-minus-i,
+    come from one linear solve in the degrees that the Groebner basis bounds.
     """
-    q = target.q
+    q, n = target.q, target.n
     if target.degree != q or q == 0:
-        return None
-    n = target.n
+        raise ValueError("the Cousin decision needs a top-degree element of a nonempty sequence")
     full = tuple(range(1, q + 1))
-    fdeg = target.entries.get(full)
-    form_degree = fdeg.num.degree if fdeg else 0
-    for m in range(1, m_bound + 1):
-        lifted = target.entries.get(full)
-        t_m = lifted.m if lifted else 0
-        if lifted and t_m > m:
-            continue
-        target_num = (
-            lifted.num.mul_poly(target.f_alpha(full) ** (m - t_m))
-            if lifted
-            else Form.zero(n, form_degree)
-        )
-        target_deg = max(
-            (c.total_degree() for c in target_num.terms.values()), default=0
-        )
-        # unknowns: coefficients of num_i, i = missing index, over monomials
-        idx_tuples = list(itertools.combinations(range(n), form_degree))
-        var_index: dict[tuple, int] = {}
-        for i in range(1, q + 1):
-            fdeg_i = target.seq[i - 1].total_degree()
-            deg_bound = max(target_deg - m * fdeg_i + extra_degree, 0)
-            monos = []
-            for total in range(deg_bound + 1):
-                monos.extend(
-                    e
-                    for e in itertools.product(range(total + 1), repeat=n)
-                    if sum(e) == total
-                )
-            for idx in idx_tuples:
-                for e in monos:
+    lf = target.entries.get(full)
+    if lf is None:
+        return cousin_zero(n, target.seq, q - 1)
+    num, m = lf.num, lf.m
+    fpows = [f ** m for f in target.seq]
+    excess = membership_excess(fpows, num.terms.values())
+    if excess is None:
+        return None
+    top = max(c.total_degree() for c in num.terms.values()) + excess
+    units = (1,) * n
+    var_index: dict[tuple, int] = {}
+    for i, fpow in enumerate(fpows, 1):
+        for d in range(top - fpow.total_degree() + 1):
+            for e in monomials_of_weighted_degree(n, units, d):
+                for idx in num.terms:
                     var_index[(i, idx, e)] = len(var_index)
-        # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
-        # give distinct keys, so each entry is set once
-        rows: dict[tuple, linalg.Row] = {}
-        rhs: dict[tuple, Fraction] = {}
-        for idx, coeff in target_num.terms.items():
-            for e, c in coeff.terms.items():
-                rhs[(idx, e)] = c
-        fpows = [f ** m for f in target.seq]
-        for (i, idx, e), vi in var_index.items():
-            sign = -((-1) ** (i - 1))
-            for e2, c2 in fpows[i - 1].terms.items():
-                key = (idx, tuple(a + b for a, b in zip(e, e2)))
-                rows.setdefault(key, {})[vi] = sign * c2
-        keys = list(set(rows) | set(rhs))
-        solution = linalg.solve(
-            [rows.get(key, {}) for key in keys],
-            [rhs.get(key, Fraction(0)) for key in keys],
-            len(var_index),
-        )
-        if solution is None:
-            continue
-        entries: dict[tuple[int, ...], LocalizedForm] = {}
-        for (i, idx, e), vi in var_index.items():
-            value = solution[vi]
-            if value == 0:
-                continue
-            alpha = tuple(j for j in full if j != i)
-            add = Form(n, form_degree, {idx: Poly.monomial(n, e, value)})
-            lf = LocalizedForm(add, m)
-            if alpha in entries:
-                prev = entries[alpha]
-                entries[alpha] = LocalizedForm(prev.num + add, m)
-            else:
-                entries[alpha] = lf
-        witness = CousinElement(n, target.seq, q - 1, entries)
-        if cousin_differential(witness) == target:
-            return witness
-    return None
+    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
+    # give distinct keys, so each entry is set once
+    rows: dict[tuple, linalg.Row] = {}
+    rhs = {(idx, e): c for idx, coeff in num.terms.items() for e, c in coeff.terms.items()}
+    for (i, idx, e), vi in var_index.items():
+        sign = -((-1) ** (i - 1))
+        for e2, c2 in fpows[i - 1].terms.items():
+            rows.setdefault((idx, tuple(map(add, e, e2))), {})[vi] = sign * c2
+    keys = list(set(rows) | set(rhs))
+    solution = linalg.solve([rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys],
+                            len(var_index))
+    if solution is None:
+        raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
+    nums: dict[int, dict] = {}
+    for (i, idx, e), vi in var_index.items():
+        if solution[vi]:
+            nums.setdefault(i, {}).setdefault(idx, {})[e] = solution[vi]
+    witness = CousinElement(n, target.seq, q - 1, {
+        full[: i - 1] + full[i:]: LocalizedForm(
+            Form(n, num.degree, {idx: Poly(n, t) for idx, t in coeffs.items()}), m)
+        for i, coeffs in nums.items()
+    })
+    if cousin_differential(witness) != target:
+        raise AssertionError("Cousin witness fails d(b) = target")
+    return witness
 
 
 def cousin_to_text(c: CousinElement, names: Sequence[str] | None = None) -> str:

@@ -46,15 +46,15 @@ def _add_multiple(acc: dict, b: int, shift: tuple[int, ...], g: dict) -> None:
             del acc[x]
 
 
-def _spend(budget: list[int], ops: int) -> None:
+def _spend(budget: list, ops: int) -> None:
     budget[0] -= ops
     if budget[0] < 0:
-        raise ValueError("regularity guard exceeded its work bound")
+        raise ValueError(f"{budget[1]} exceeded its work bound")
 
 
-def _reduce(p: dict, basis: Sequence[dict], leads: Sequence[tuple], budget: list[int]) -> dict:
+def _reduce(p: dict, basis: Sequence[dict], leads: Sequence[tuple], budget: list) -> dict:
     """The full normal form of p, made primitive: no term of it is divisible
-    by a leading monomial.  budget[0] is the term operations left."""
+    by a leading monomial.  budget is [term operations left, task name]."""
     p = dict(p)
     rem: dict = {}
     while p:
@@ -75,12 +75,16 @@ def _reduce(p: dict, basis: Sequence[dict], leads: Sequence[tuple], budget: list
     return _primitive(rem) if rem else rem
 
 
-def _basis(polys: Iterable[dict]) -> list[dict]:
+def _basis(polys: Iterable[dict], budget: list) -> tuple[list[dict], int]:
+    """A basis and its excess E: each element h is sum c_i p_i over the
+    inputs with deg(c_i p_i) <= deg h + E.  An S-pair with lcm L and its
+    reduction stay in degree |L| (grlex is degree-compatible), so each new
+    h adds |L| - deg h; E stays 0 on homogeneous input."""
     basis = [_primitive(p) for p in polys]
     leads = [_lead(g) for g in basis]
     pairs: list = []
     pending: set[tuple[int, int]] = set()
-    budget = [MAX_TERM_OPS]
+    excess = 0
 
     def add_pairs(j: int) -> None:
         for i in range(j):
@@ -109,15 +113,30 @@ def _basis(polys: Iterable[dict]) -> list[dict]:
         if h:
             basis.append(h)
             leads.append(_lead(h))
+            excess += sum(m) - sum(leads[-1])
             add_pairs(len(basis) - 1)
-    return basis
+    return basis, excess
 
 
 def groebner_basis(polys: Sequence[Poly]) -> list[Poly]:
     """A Groebner basis of the ideal the nonzero polys generate: the inputs
     made primitive, then the S-polynomials whose full normal form did not
     vanish.  Raises ValueError after MAX_TERM_OPS term operations."""
-    return [Poly._raw(polys[0].n, g) for g in _basis(p.terms for p in polys if p.terms)]
+    basis, _ = _basis((p.terms for p in polys if p.terms), [MAX_TERM_OPS, "regularity guard"])
+    return [Poly._raw(polys[0].n, g) for g in basis]
+
+
+def membership_excess(gens: Sequence[Poly], polys: Iterable[Poly]) -> int | None:
+    """None when some poly lies outside the ideal of the nonzero gens, else
+    an E with every poly g = sum c_i gens_i, deg(c_i gens_i) <= deg g + E.
+    Reduction to 0 only subtracts multiples of degree <= deg g, so E is the
+    basis excess.  Raises ValueError after MAX_TERM_OPS term operations."""
+    budget = [MAX_TERM_OPS, "Cousin decision"]
+    basis, excess = _basis((g.terms for g in gens if g.terms), budget)
+    leads = [_lead(g) for g in basis]
+    if any(_reduce(_primitive(p.terms), basis, leads, budget) for p in polys if p.terms):
+        return None
+    return excess
 
 
 def monomial_quotient_dimension(n: int, gens: Iterable[Sequence[int]]) -> int:

@@ -170,12 +170,12 @@ def _sigma_tilde_on_basis(ladder: ExtensionLadder) -> list[list[Form]]:
     return out
 
 
-def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> ChainMap:
-    """A representative of delta''(sigma), the connecting image on P''.
-
-    It comes from extending sigma over the total resolution as
-    sigma~ = nabla o pi - (pi'' x 1) o nabla'' o ptilde and restricting
-    sigma~ o d to the P''-part (with a sign).  The other image delta' is
+def connecting_delta(ladder: ExtensionLadder) -> ChainMap:
+    """A representative of delta'', the connecting image on P'' of the
+    ladder's second fundamental form sigma, and so a function of the ladder
+    alone: sigma is extended over the total resolution as
+    sigma~ = nabla o pi - (pi'' x 1) o nabla'' o ptilde, and sigma~ o d is
+    restricted to the P''-part (with a sign).  The other image delta' is
     zero because F' is free; a ladder whose P' has a differential would
     need the lift-and-bracket route, so it is refused.
     """
@@ -184,8 +184,6 @@ def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> ChainMap:
     n = ladder.n
     fpp_rank = len(ladder.p_matrix)
     target_dprime = _free_module(n, [f"v{t}" for t in range(fpp_rank)])
-    if sigma.is_zero():
-        return ChainMap(ladder.p_dprime, target_dprime, 1, 1, {})
 
     # delta'' on P''^{-1}: -(sigma~ o d) restricted to the P''-columns
     st = _sigma_tilde_on_basis(ladder)
@@ -208,10 +206,10 @@ def connecting_delta(ladder: ExtensionLadder, sigma: ChainMap) -> ChainMap:
     return ChainMap(ladder.p_dprime, target_dprime, 1, 1, mats_dd, check=False)
 
 
-def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder, sigma: ChainMap) -> str:
-    """Compare delta''(sigma) with -At of the F'' resolution, entrywise
+def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
+    """Compare delta'' of the ladder with -At of the F'' resolution, entrywise
     modulo the relations; returns exact | coboundary | FAIL."""
-    delta_dd = connecting_delta(ladder, sigma)
+    delta_dd = connecting_delta(ladder)
     at = atiyah_cocycle(ladder.p_dprime).chain_map
     # project At onto F'' generator coordinates via pi''
     mats = {}

@@ -3,7 +3,8 @@
 Everything is computed at cocycle level on Koszul resolutions: the
 Atiyah route traces powers of the Atiyah cocycle, the direct route is
 the explicit top-localization formula, and equality is decided
-representative-first with a bounded Cousin-coboundary fallback.
+representative-first, then by the exact Cousin-class decision, so that
+a fail verdict proves the classes differ.
 """
 from __future__ import annotations
 

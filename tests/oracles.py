@@ -4,8 +4,10 @@ These deliberately avoid the library's own algorithms: the Koszul
 differential is expanded by a recursive Leibniz evaluator, Newton
 polyhedron membership is decided by brute-force enumeration of candidate
 LP bases, matrix products are sums of the public binary operations,
-regularity is read off Koszul homology ranks, not off a Groebner basis, and
-division by a list of polynomials runs over Fractions on Poly.leading_term.
+regularity is read off Koszul homology ranks, not off a Groebner basis,
+division by a list of polynomials runs over Fractions on Poly.leading_term,
+and Cousin coboundaries are searched for under bounded denominators and
+degrees, not decided by ideal membership.
 
 The last three functions are not oracles but constructions that only the
 tests use: the differential as a chain map, the split ladder of free
@@ -16,8 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from atkernel import linalg
 from atkernel.chaincore import ChainMap, _as_forms, homology_rank
-from atkernel.cousin import CousinElement, LocalizedForm
+from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
 from atkernel.ladder import ExtensionLadder, _free_module
 from atkernel.polyforms import Form, Poly, contract_form, wedge
@@ -279,6 +282,92 @@ def normal_form_oracle(f, basis):
             rem = rem + Poly.monomial(f.n, e, c)
             p = p - Poly.monomial(f.n, e, c)
     return rem
+
+
+def cousin_search_oracle(
+    target: CousinElement, m_bound: int = 4, extra_degree: int = 2
+) -> CousinElement | None:
+    """Search for b of degree q-1 with d(b) = target, bounded denominators.
+
+    Unknown numerators run over monomials up to a degree bound derived
+    from the cleared target; returns the witness or None.  The bounded
+    search the Cousin decision replaced: a witness proves a coboundary,
+    None holds only within the bounds.
+    """
+    q = target.q
+    if target.degree != q or q == 0:
+        return None
+    n = target.n
+    full = tuple(range(1, q + 1))
+    fdeg = target.entries.get(full)
+    form_degree = fdeg.num.degree if fdeg else 0
+    for m in range(1, m_bound + 1):
+        lifted = target.entries.get(full)
+        t_m = lifted.m if lifted else 0
+        if lifted and t_m > m:
+            continue
+        target_num = (
+            lifted.num.mul_poly(target.f_alpha(full) ** (m - t_m))
+            if lifted
+            else Form.zero(n, form_degree)
+        )
+        target_deg = max(
+            (c.total_degree() for c in target_num.terms.values()), default=0
+        )
+        # unknowns: coefficients of num_i, i = missing index, over monomials
+        idx_tuples = list(itertools.combinations(range(n), form_degree))
+        var_index: dict[tuple, int] = {}
+        for i in range(1, q + 1):
+            fdeg_i = target.seq[i - 1].total_degree()
+            deg_bound = max(target_deg - m * fdeg_i + extra_degree, 0)
+            monos = []
+            for total in range(deg_bound + 1):
+                monos.extend(
+                    e
+                    for e in itertools.product(range(total + 1), repeat=n)
+                    if sum(e) == total
+                )
+            for idx in idx_tuples:
+                for e in monos:
+                    var_index[(i, idx, e)] = len(var_index)
+        # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
+        # give distinct keys, so each entry is set once
+        rows: dict[tuple, linalg.Row] = {}
+        rhs: dict[tuple, Fraction] = {}
+        for idx, coeff in target_num.terms.items():
+            for e, c in coeff.terms.items():
+                rhs[(idx, e)] = c
+        fpows = [f ** m for f in target.seq]
+        for (i, idx, e), vi in var_index.items():
+            sign = -((-1) ** (i - 1))
+            for e2, c2 in fpows[i - 1].terms.items():
+                key = (idx, tuple(a + b for a, b in zip(e, e2)))
+                rows.setdefault(key, {})[vi] = sign * c2
+        keys = list(set(rows) | set(rhs))
+        solution = linalg.solve(
+            [rows.get(key, {}) for key in keys],
+            [rhs.get(key, Fraction(0)) for key in keys],
+            len(var_index),
+        )
+        if solution is None:
+            continue
+        entries: dict[tuple[int, ...], LocalizedForm] = {}
+        for (i, idx, e), vi in var_index.items():
+            value = solution[vi]
+            if value == 0:
+                continue
+            alpha = tuple(j for j in full if j != i)
+            add = Form(n, form_degree, {idx: Poly.monomial(n, e, value)})
+            lf = LocalizedForm(add, m)
+            if alpha in entries:
+                prev = entries[alpha]
+                entries[alpha] = LocalizedForm(prev.num + add, m)
+            else:
+                entries[alpha] = lf
+        witness = CousinElement(n, target.seq, q - 1, entries)
+        if cousin_differential(witness) == target:
+            return witness
+    return None
 
 
 def differential_map(c):

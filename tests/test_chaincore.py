@@ -1,5 +1,6 @@
 """Complexes, the Hom-complex bracket, cones, shifts, and the graded solver."""
 import random
+import re
 
 import pytest
 
@@ -30,7 +31,7 @@ from atkernel.chaincore import (
 from atkernel import linalg
 from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
-from atkernel.polyforms import ArityError, Form, Poly, parse_form, parse_poly
+from atkernel.polyforms import ArityError, Form, ParseError, Poly, parse_form, parse_poly
 
 from oracles import (
     component_matrix_oracle,
@@ -391,6 +392,20 @@ class TestSerialization:
         assert cx.rank(-1) == 2 and cx.rank(0) == 1
         assert cx.d_matrix(-1)[0][0] == parse_poly("x", XY)
         assert cx.d_matrix(-1)[0][1] == parse_poly("y", XY)
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ("deg 0: [e]; deg 0: [f]", "degree 0 declared twice"),
+            ("deg -1: [g:1]; deg 0: [e]; d(-1) = [[x]]; d(-1) = [[x^2]]", "d(-1) given twice"),
+            ("deg 0: [e:1:2]", "got '1:2' in item 'deg 0: [e:1:2]'"),
+            ("deg a: [e]", "got 'a' in item 'deg a: [e]'"),
+            ("deg 0: [e]; d(b) = [[x]]", "got 'b' in item 'd(b) = [[x]]'"),
+        ],
+    )
+    def test_bad_items_refused(self, items, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_complex(f"complex K {{ ring Q[x]; {items} }}")
 
 
 class TestLimits:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from atkernel import groebner
 from atkernel.chaincore import ShapeError, compose, hom_bracket, identity_map
 from atkernel.corpus import corpus_entries, random_chain_map
 from atkernel.cousin import (
@@ -20,10 +21,14 @@ from atkernel.cousin import (
 )
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
-from oracles import contract_cousin
+from atkernel.selftest import commutator_class_targets
+from atkernel.semireg import chern_character
+from oracles import contract_cousin, cousin_search_oracle
 
 X = ("x",)
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
+CONE = ["x^2 - y*z", "y^2 - x*z"]
 
 
 def ideal_of(texts, names, weights=None):
@@ -212,10 +217,59 @@ class TestCoboundarySolve:
         assert cousin_differential(witness) == target
 
     def test_reports_failure_for_omega(self):
-        ideal = ideal_of(["x", "y"], XY)
-        target = omega_class(ideal)
-        # omega generates nonzero local cohomology, so no witness exists
-        assert cousin_coboundary_solve(target, m_bound=2) is None
+        # omega and 1/(f1 f2)^5 generate nonzero local cohomology, and None
+        # is a proof: 1 lies in no (f1^m, f2^m)
+        assert cousin_coboundary_solve(omega_class(ideal_of(["x", "y"], XY))) is None
+        cone = ideal_of(CONE, XYZ)
+        one = Form.from_poly(Poly.one(3))
+        target = CousinElement(3, cone.polys, 2, {(1, 2): LocalizedForm(one, 5)})
+        assert cousin_coboundary_solve(target) is None
+
+    def test_planted_beyond_old_denominator_bound(self):
+        # m = 5 exceeds the search's m_bound = 4
+        cone = ideal_of(CONE, XYZ)
+        f1, f2 = cone.polys
+        cofactor = parse_poly("z + x*y*z", XYZ)
+        num = cofactor * f1 ** 5 + parse_poly("x", XYZ) * f2 ** 5
+        target = CousinElement(3, cone.polys, 2, {(1, 2): LocalizedForm(Form.from_poly(num), 5)})
+        assert target.entries[(1, 2)].m == 5
+        assert cousin_search_oracle(target) is None
+        witness = cousin_coboundary_solve(target)
+        assert witness is not None and cousin_differential(witness) == target
+
+    def test_planted_beyond_old_degree_bound(self):
+        # y^2 = y*(x^4 + y) - x^3*(x*y): the cofactor x^3 has degree 3, and
+        # the search's degree bound is 2
+        ideal = RegularSequenceIdeal(2, (parse_poly("x^4 + y", XY), parse_poly("x*y", XY)), None)
+        num = Form.from_poly(parse_poly("y^2", XY))
+        target = CousinElement(2, ideal.polys, 2, {(1, 2): LocalizedForm(num, 1)})
+        assert cousin_search_oracle(target) is None
+        witness = cousin_coboundary_solve(target)
+        assert witness is not None and cousin_differential(witness) == target
+
+    def test_agrees_with_search_oracle(self):
+        # the commutator-class targets of selftest and of the acceptance
+        # seeds, 50 each: every one is a coboundary, and both witnesses hold
+        for seed in ("commclass", "acc4"):
+            targets = list(commutator_class_targets(seed))
+            assert len(targets) == 50
+            for target in targets:
+                exact, searched = cousin_coboundary_solve(target), cousin_search_oracle(target)
+                assert (exact is None) == (searched is None), (seed, target)
+                for witness in (exact, searched):
+                    assert witness is None or cousin_differential(witness) == target
+        # the top Chern character is the fundamental class, never zero
+        for entry in corpus_entries():
+            assert cousin_coboundary_solve(chern_character(entry.ideal, entry.ideal.q)) is None
+
+    def test_work_bound_names_the_cousin_decision(self, monkeypatch):
+        monkeypatch.setattr(groebner, "MAX_TERM_OPS", 0)
+        cone = ideal_of(CONE, XYZ)
+        target = CousinElement(
+            3, cone.polys, 2, {(1, 2): LocalizedForm(Form.from_poly(Poly.one(3)), 1)}
+        )
+        with pytest.raises(ValueError, match="Cousin decision exceeded its work bound"):
+            cousin_coboundary_solve(target)
 
 
 class TestPrinting:
