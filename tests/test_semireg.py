@@ -318,9 +318,19 @@ class TestConnectingDelta:
             dd = connecting_delta(ladder)
             assert dd.matrix(-1)[0][0] == exterior_derivative(f)
 
-    def test_prime_with_differential_refused(self):
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_prime_with_differential_refused(self, zero):
         # delta' = 0 only because F' is free; a resolved F' is refused
-        ladder = hypersurface_ladder(parse_poly("x^2", X), (1,))
-        ladder.p_prime = ladder.p_dprime
+        # whether the ladder's sigma is zero (split) or not
+        resolved = hypersurface_ladder(parse_poly("x^2", X), (1,)).p_dprime
+        assert resolved.diff
+        ladder = split_free_ladder(1, 1, 1) if zero else hypersurface_ladder(
+            parse_poly("x^2", X), (1,)
+        )
+        sigma = second_fundamental_form(
+            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
+        )
+        assert sigma.is_zero() == zero
+        ladder.p_prime = resolved
         with pytest.raises(ShapeError, match="free F'"):
             connecting_delta(ladder)
