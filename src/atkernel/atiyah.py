@@ -5,6 +5,12 @@ degree-1 Atiyah cocycle the negated entrywise exterior derivative of the
 differential matrices.  Higher powers are compositions with wedged
 coefficients; contraction against a derivation replaces the leftmost
 form slot.
+
+Both are computed once and shared: a complex keeps its basis-connection
+cocycle, and a cocycle keeps the powers At^2, At^3, ... composed so far,
+each as compose(At, At^{k-1}).  The Chern character and every component
+of the semiregularity map read the same powers.  Nothing shared is ever
+mutated; only new powers are added.
 """
 from __future__ import annotations
 
@@ -43,12 +49,16 @@ class ConnectionSpec:
 
 
 class AtiyahCocycle:
-    __slots__ = ("chain_map", "power", "connection")
+    """A cocycle and its powers: `_powers[k]` is the k-fold composition of
+    chain_map for 2 <= k <= the largest power asked for so far."""
+
+    __slots__ = ("chain_map", "power", "connection", "_powers")
 
     def __init__(self, chain_map: ChainMap, power: int, connection: ConnectionSpec):
         self.chain_map = chain_map
         self.power = power
         self.connection = connection
+        self._powers: dict[int, ChainMap] = {}
 
 
 class DerivationSpec(Record):
@@ -65,10 +75,21 @@ class DerivationSpec(Record):
 
 
 def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> AtiyahCocycle:
-    """[d, nabla] for the given connection (basis connection by default)."""
-    conn = connection or ConnectionSpec(p)
-    if conn.complex != p:
+    """[d, nabla] for the given connection.
+
+    Without one, the basis connection's cocycle is built on the first
+    call and the same object, with its powers, is returned afterwards.
+    """
+    if connection is None:
+        if p._basis_atiyah is None:
+            p._basis_atiyah = _build_cocycle(p, ConnectionSpec(p))
+        return p._basis_atiyah
+    if connection.complex != p:
         raise ShapeError("connection is for a different complex")
+    return _build_cocycle(p, connection)
+
+
+def _build_cocycle(p: FreeComplex, conn: ConnectionSpec) -> AtiyahCocycle:
     zero = Form.zero(p.n, 1)
     mats = {}
     for i, dmat in p.diff.items():
@@ -88,7 +109,9 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
     The power is zero without composing once k exceeds the length of the
     complex (no degree i with i + k in it) or the number of variables (a
     wedge of k one-forms); its form degree is then capped at n, as in
-    `compose`.
+    `compose`.  Other powers come from at's own powers, each composed
+    once as compose(at, previous power); the identity and the zero powers
+    are not kept.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
@@ -100,8 +123,10 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
     if k > min(length, cx.n):
         return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)), k, at.connection)
     acc = at.chain_map
-    for _ in range(k - 1):
-        acc = compose(at.chain_map, acc)
+    for j in range(2, k + 1):
+        if j not in at._powers:
+            at._powers[j] = compose(at.chain_map, acc)
+        acc = at._powers[j]
     return AtiyahCocycle(acc, k, at.connection)
 
 

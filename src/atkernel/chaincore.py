@@ -106,6 +106,8 @@ class FreeComplex:
         if self.var_weights is not None:
             if len(self.var_weights) != n or any(w < 1 for w in self.var_weights):
                 raise GradingError("variable weights must be positive, one per variable")
+        # the basis-connection Atiyah cocycle, built once by atiyah.atiyah_cocycle
+        self._basis_atiyah = None
         if check:
             self._validate()
 

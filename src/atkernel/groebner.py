@@ -90,12 +90,13 @@ def _basis(polys: Iterable[dict], budget: list) -> tuple[list[dict], int]:
         for i in range(j):
             if any(map(min, leads[i], leads[j])):  # coprime pairs reduce to 0
                 pending.add((i, j))
-                heapq.heappush(pairs, (_grlex_key(tuple(map(max, leads[i], leads[j]))), i, j))
+                m = tuple(map(max, leads[i], leads[j]))
+                heapq.heappush(pairs, (_grlex_key(m), m, i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
     while pairs:
-        (_, m), i, j = heapq.heappop(pairs)
+        _, m, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
         # chain criterion: S(i, j) reduces to 0 when a third leading monomial
         # divides m and its pairs with i and with j are done

@@ -17,9 +17,13 @@ from .polyforms import Form, Poly, Record
 
 
 class RegularSequenceIdeal(Record):
-    """A sequence f_1..f_q in Q[x_1..x_n], optionally with weights."""
+    """A sequence f_1..f_q in Q[x_1..x_n], optionally with weights.
 
-    __slots__ = ("n", "polys", "var_weights")
+    `_koszul` holds the sequence's Koszul complex once build_koszul has
+    built it; equality, hash and repr ignore it.
+    """
+
+    __slots__ = ("n", "polys", "var_weights", "_koszul")
 
     def __init__(self, n: int, polys: tuple[Poly, ...], var_weights: tuple[int, ...] | None = None):
         if not polys:
@@ -40,6 +44,7 @@ class RegularSequenceIdeal(Record):
         self.n = n
         self.polys = polys
         self.var_weights = var_weights
+        self._koszul = None
 
     @property
     def q(self) -> int:
@@ -129,6 +134,14 @@ def _derivation_image(
 
 
 def build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
+    """The ideal's own Koszul complex: built and validated (d o d = 0 and
+    homogeneity) on the first call, the same object on every later one."""
+    if ideal._koszul is None:
+        ideal._koszul = _build_koszul(ideal)
+    return ideal._koszul
+
+
+def _build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
     q, n = ideal.q, ideal.n
     weights = ideal.var_weights
     fdegs = None

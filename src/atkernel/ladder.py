@@ -23,6 +23,18 @@ def _free_module(n: int, labels: Sequence[str], var_weights=None, weights=None) 
     return FreeComplex(n, {0: basis}, {}, var_weights)
 
 
+def _one_relation(relations: Sequence[Poly]) -> Poly | None:
+    """The only relation, or None without one.
+
+    One polynomial is its own Groebner basis, so division by it gives a
+    normal form; successive division by two or more does not, and they
+    are refused with ShapeError.
+    """
+    if len(relations) > 1:
+        raise ShapeError("reduction supports at most one relation")
+    return relations[0] if relations else None
+
+
 def second_fundamental_form(
     j_matrix: Sequence[Sequence[Poly]],
     p_matrix: Sequence[Sequence[Poly]],
@@ -33,9 +45,11 @@ def second_fundamental_form(
 
     nabla kills the middle basis, so the value on a generator is p
     applied to the entrywise exterior derivative of j's column.
-    p o j = 0 (modulo the relations cutting out the right-hand module) is
-    required; it is what makes sigma linear.
+    p o j = 0 (modulo the relation cutting out the right-hand module) is
+    required; it is what makes sigma linear.  At most one relation is
+    accepted; two or more raise ShapeError.
     """
+    rel = _one_relation(relations)
     n = middle.n
     mid_rank = middle.rank(0)
     if middle.support() != [0] or mid_rank == 0:
@@ -51,7 +65,7 @@ def second_fundamental_form(
             acc = Poly.zero(n)
             for m in range(mid_rank):
                 acc = acc + p_matrix[t][m] * j_matrix[m][s]
-            for rel in relations:
+            if rel is not None:
                 acc = acc.divmod_single(rel)[1]
             if not acc.is_zero():
                 raise ShapeError("p o j != 0")
@@ -75,7 +89,8 @@ class ExtensionLadder:
     The total resolution carries the module-part splitting P = P' + P''
     (P'-part columns first in every degree); pi and pi_dprime are the
     augmentations onto generator coordinates of F and F''; relations cut
-    F'' out of its free cover (empty means F'' is free).
+    F'' out of its free cover (empty means F'' is free; at most one is
+    supported).
     """
 
     __slots__ = (
@@ -100,10 +115,9 @@ class ExtensionLadder:
         self.relations = relations
 
     def reduce_mod_relations(self, p: Poly) -> Poly:
-        out = p
-        for rel in self.relations:
-            out = out.divmod_single(rel)[1]
-        return out
+        """p's remainder modulo the ladder's relation; ShapeError for two or more."""
+        rel = _one_relation(self.relations)
+        return p if rel is None else p.divmod_single(rel)[1]
 
 
 def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> ExtensionLadder:

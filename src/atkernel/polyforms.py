@@ -22,12 +22,18 @@ MAX_ARITY = 16
 
 class Record:
     """Base of the library's small value classes: equality, hash and repr
-    over the fields that each subclass names in its __slots__."""
+    over the fields that each subclass names in its __slots__.  A slot
+    whose name starts with an underscore holds a value derived from the
+    fields, computed once, and is left out of all three."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -38,7 +44,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__name__}({fields})"
 
 
@@ -275,9 +281,6 @@ class Poly:
                 rem = rem + t
                 work = work - t
         return quot, rem
-
-    def divides(self, other: "Poly") -> bool:
-        return other.divmod_single(self)[1].is_zero() if not self.is_zero() else other.is_zero()
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)

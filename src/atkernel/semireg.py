@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .atiyah import AtiyahCocycle, atiyah_cocycle, atiyah_power
+from .atiyah import atiyah_cocycle, atiyah_power
 from .chaincore import (
     ChainMap,
     FreeComplex,
@@ -77,15 +77,17 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
 
 
 def minus_at_power(kz: KoszulComplex, k: int) -> ChainMap:
-    """(-At)^k on the Koszul complex with the basis connection."""
-    at = atiyah_cocycle(kz.complex)
-    negated = AtiyahCocycle(at.chain_map.scale(-1), 1, at.connection)
-    return atiyah_power(negated, k).chain_map
+    """(-At)^k = (-1)^k At^k on the Koszul complex with the basis
+    connection, At^k read from the complex's shared cocycle."""
+    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
+    return at_k.scale(-1) if k % 2 else at_k
 
 
-def _over_factorial(u: ChainMap, k: int, sign: int = 1) -> ChainMap:
-    """sign * u / k!; a zero u (k beyond the length) is returned before k! is formed."""
-    return u if u.is_zero() else u.scale(Fraction(sign, factorial(k)))
+def _minus_at_over_factorial(kz: KoszulComplex, k: int) -> ChainMap:
+    """(-At)^k / k!, scaled once; a zero power (k beyond the length) is
+    returned before k! is formed."""
+    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
+    return at_k if at_k.is_zero() else at_k.scale(Fraction((-1) ** k, factorial(k)))
 
 
 def chern_character(
@@ -102,8 +104,7 @@ def chern_character(
             return local_trace(identity_map(ideal_or_free))
         return CousinElement(ideal_or_free.n, (), 0, {})
     kz = _koszul_of(ideal_or_free, kz)
-    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
-    return local_trace(_over_factorial(at_k, k, (-1) ** k), kz)
+    return local_trace(_minus_at_over_factorial(kz, k), kz)
 
 
 def tau_atiyah(
@@ -115,7 +116,7 @@ def tau_atiyah(
     """
     kz = _koszul_of(phi.ideal, kz)
     k = phi.ideal.q - 1 if component is None else component
-    power = _over_factorial(minus_at_power(kz, k), k)
+    power = _minus_at_over_factorial(kz, k)
     rep = ext1_representative(phi, kz)
     return local_trace(compose(rep, power), kz)
 
@@ -140,7 +141,7 @@ def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:
     """k-th component of the semiregularity map on a cocycle xi."""
     if not is_cocycle(xi):
         raise ShapeError("sigma needs a cocycle input")
-    power = _over_factorial(minus_at_power(kz, k), k)
+    power = _minus_at_over_factorial(kz, k)
     return local_trace(compose(xi, power), kz)
 
 

@@ -6,8 +6,9 @@ polyhedron membership is decided by brute-force enumeration of candidate
 LP bases, matrix products are sums of the public binary operations,
 regularity is read off Koszul homology ranks, not off a Groebner basis,
 division by a list of polynomials runs over Fractions on Poly.leading_term,
-and Cousin coboundaries are searched for under bounded denominators and
-degrees, not decided by ideal membership.
+Cousin coboundaries are searched for under bounded denominators and
+degrees, not decided by ideal membership, and powers of an Atiyah cocycle
+are composed from scratch, not read from the powers the cocycle keeps.
 
 The last three functions are not oracles but constructions that only the
 tests use: the differential as a chain map, the split ladder of free
@@ -19,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from atkernel import linalg
-from atkernel.chaincore import ChainMap, _as_forms, homology_rank
+from atkernel.chaincore import ChainMap, _as_forms, compose, homology_rank, identity_map
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
 from atkernel.ladder import ExtensionLadder, _free_module
@@ -368,6 +369,17 @@ def cousin_search_oracle(
         if cousin_differential(witness) == target:
             return witness
     return None
+
+
+def atiyah_power_oracle(at, k):
+    """At^k as k - 1 fresh compositions compose(At, acc), with no zero
+    short cut; k = 0 is the identity."""
+    if k == 0:
+        return identity_map(at.chain_map.source)
+    acc = at.chain_map
+    for _ in range(k - 1):
+        acc = compose(at.chain_map, acc)
+    return acc
 
 
 def differential_map(c):

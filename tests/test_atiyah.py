@@ -4,7 +4,9 @@ from math import comb, factorial
 
 import pytest
 
+from atkernel import atiyah
 from atkernel.atiyah import (
+    AtiyahCocycle,
     ConnectionSpec,
     DerivationSpec,
     atiyah_cocycle,
@@ -24,6 +26,8 @@ from atkernel.chaincore import (
 from atkernel.corpus import corpus_entries, graded_random_connection
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import Form, Poly, exterior_derivative, parse_form, parse_poly, wedge
+from atkernel.semireg import minus_at_power
+from oracles import atiyah_power_oracle
 
 X = ("x",)
 XY = ("x", "y")
@@ -146,6 +150,73 @@ class TestPowers:
                     if j != i:
                         expected = wedge(expected, dfs[j - 1])
                 assert mat[row][0] == expected
+
+
+def _top_power(cx):
+    """min(length, n): the largest k for which At^k is composed."""
+    support = cx.support()
+    return min(support[-1] - support[0], cx.n)
+
+
+def _fresh_complex(ideal):
+    """The Koszul complex of an equal ideal that has none built yet."""
+    return build_koszul(RegularSequenceIdeal(ideal.n, ideal.polys, ideal.var_weights)).complex
+
+
+class TestPowerLadder:
+    """Powers read from the cocycle's kept powers equal fresh compositions."""
+
+    @pytest.mark.parametrize("order", ["ascending", "largest_first"])
+    @pytest.mark.parametrize("connection", ["basis", "random"])
+    def test_matches_oracle_on_corpus(self, order, connection):
+        rng = random.Random(11)
+        for entry in corpus_entries():
+            cx = _fresh_complex(entry.ideal)
+            top = _top_power(cx)
+            conn = None if connection == "basis" else graded_random_connection(rng, cx, 1)
+            at = atiyah_cocycle(cx, conn)
+            ks = list(range(top + 2))
+            for k in ks if order == "ascending" else ks[::-1]:
+                power = atiyah_power(at, k)
+                expected = atiyah_power_oracle(at, k)
+                assert power.chain_map == expected and power.power == k
+                assert power.chain_map.form_degree == expected.form_degree
+            assert sorted(at._powers) == list(range(2, top + 1))
+
+    @pytest.mark.parametrize("order", ["ascending", "largest_first"])
+    def test_minus_at_power_is_power_of_negated_cocycle(self, order):
+        for entry in corpus_entries():
+            kz = build_koszul(entry.ideal)
+            at = atiyah_cocycle(kz.complex)
+            negated = AtiyahCocycle(at.chain_map.scale(-1), 1, at.connection)
+            ks = list(range(_top_power(kz.complex) + 2))
+            for k in ks if order == "ascending" else ks[::-1]:
+                assert minus_at_power(kz, k) == atiyah_power_oracle(negated, k)
+
+    def test_one_basis_cocycle_per_complex(self):
+        cx = kos(["x", "y"], XY, (1, 1)).complex
+        assert atiyah_cocycle(cx) is atiyah_cocycle(cx)
+        other = _fresh_complex(kos(["x", "y"], XY, (1, 1)).ideal)
+        assert other == cx and atiyah_cocycle(other) is not atiyah_cocycle(cx)
+        explicit = ConnectionSpec(cx)
+        assert atiyah_cocycle(cx, explicit) is not atiyah_cocycle(cx, explicit)
+        assert atiyah_cocycle(cx, explicit).chain_map == atiyah_cocycle(cx).chain_map
+
+    def test_power_composed_once(self, monkeypatch):
+        at = atiyah_cocycle(kos(["x", "y", "z"], ("x", "y", "z"), (1, 1, 1)).complex)
+        first = atiyah_power(at, 3).chain_map
+        monkeypatch.setattr(atiyah, "compose", None)
+        assert atiyah_power(at, 3).chain_map is first
+        assert atiyah_power(at, 2).chain_map is at._powers[2]
+
+    def test_huge_power_keeps_the_ladder(self, monkeypatch):
+        at = atiyah_cocycle(kos(["x", "y"], XY, (1, 1)).complex)
+        atiyah_power(at, 2)
+        kept = dict(at._powers)
+        monkeypatch.setattr(atiyah, "compose", None)
+        power = atiyah_power(at, 10**8)
+        assert power.chain_map.is_zero() and power.chain_map.form_degree == 2
+        assert at._powers == kept
 
 
 class TestConnections:

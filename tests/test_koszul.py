@@ -4,7 +4,7 @@ import random
 import pytest
 
 from atkernel import groebner
-from atkernel.chaincore import GradingError, hom_bracket, monomials_of_weighted_degree
+from atkernel.chaincore import FreeComplex, GradingError, hom_bracket, monomials_of_weighted_degree
 from atkernel.koszul import (
     RegularSequenceIdeal,
     build_koszul,
@@ -76,6 +76,37 @@ class TestBuild:
             RegularSequenceIdeal(1, (parse_poly("x + 1", X),), (1,))
         with pytest.raises(GradingError):
             RegularSequenceIdeal(2, (parse_poly("x + y^2", XY),), (1, 1))
+
+
+class TestOneBuildPerIdeal:
+    def test_chern_then_compare_validates_once(self, monkeypatch):
+        from atkernel.corpus import corpus_entries, normal_homs_for
+        from atkernel.semireg import chern_character, compare_semireg
+
+        # the cone x^2 - y*z ; y^2 - x*z, with a seeded non-coordinate hom
+        entry = next(e for e in corpus_entries() if e.name == "x^2-y*z_y^2-x*z")
+        hom = normal_homs_for(entry)[-1]
+        validated = []
+        real = FreeComplex._validate
+
+        def counting(cx):
+            validated.append(cx)
+            return real(cx)
+
+        monkeypatch.setattr(FreeComplex, "_validate", counting)
+        for k in range(1, entry.ideal.q + 1):
+            chern_character(entry.ideal, k)
+        assert compare_semireg(hom).verdict == "representative-exact"
+        assert validated == [build_koszul(entry.ideal).complex]
+
+    def test_built_complex_is_not_a_field(self):
+        polys = (parse_poly("x^2", XY), parse_poly("x*y + y^2", XY))
+        built = RegularSequenceIdeal(2, polys, (1, 1))
+        assert build_koszul(built) is build_koszul(built)
+        bare = RegularSequenceIdeal(2, polys, (1, 1))
+        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+        assert "Koszul" not in repr(built)
+        assert build_koszul(bare) is not build_koszul(built)
 
 
 class TestDualBasis:

@@ -248,6 +248,19 @@ class TestSecondFundamentalForm:
         )
         assert sigma.matrix(0)[0][0] == exterior_derivative(f)
 
+    def test_two_relations_refused(self):
+        # one relation divides to a normal form; successive division by
+        # two does not, so both reductions refuse them
+        f = parse_poly("x^2", XY)
+        ladder = hypersurface_ladder(f, (1, 1))
+        two = (f, parse_poly("y^2", XY))
+        with pytest.raises(ShapeError):
+            second_fundamental_form(ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=two)
+        assert ladder.reduce_mod_relations(parse_poly("x^2*y + y", XY)) == parse_poly("y", XY)
+        ladder.relations = two
+        with pytest.raises(ShapeError):
+            ladder.reduce_mod_relations(parse_poly("x^2*y", XY))
+
     def test_p_j_nonzero_refused(self):
         from atkernel.chaincore import BasisElement, FreeComplex
 
