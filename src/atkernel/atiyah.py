@@ -25,7 +25,7 @@ from .chaincore import (
     identity_map,
     zero_map,
 )
-from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul
+from .koszul import KoszulComplex
 from .polyforms import Form, Poly, Record, contract_form, exterior_derivative
 
 
@@ -64,11 +64,10 @@ class AtiyahCocycle:
 class DerivationSpec(Record):
     """A derivation given by its values on the ring variables."""
 
-    __slots__ = ("values", "degree")
+    __slots__ = ("values",)
 
-    def __init__(self, values: tuple[Poly, ...], degree: int = 0):
+    def __init__(self, values: tuple[Poly, ...]):
         self.values = values
-        self.degree = degree
 
     def apply(self, p: Poly) -> Poly:
         return p.apply_derivation(self.values)
@@ -115,6 +114,8 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
+    if at.power != 1:
+        raise ShapeError("powers are taken of the degree-1 cocycle")
     cx = at.chain_map.source
     if k == 0:
         return AtiyahCocycle(identity_map(cx), 0, at.connection)
@@ -147,19 +148,12 @@ def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> Chai
     return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)
 
 
-def obstruction_cocycle(
-    ideal_or_koszul: RegularSequenceIdeal | KoszulComplex, delta: DerivationSpec
-) -> ChainMap:
+def obstruction_cocycle(k: KoszulComplex, delta: DerivationSpec) -> ChainMap:
     """[d, delta~] for the extension of delta killing every gamma generator.
 
     The extension acts on coefficients only, so the bracket applies delta
     entrywise to the differential and negates.
     """
-    k = (
-        ideal_or_koszul
-        if isinstance(ideal_or_koszul, KoszulComplex)
-        else build_koszul(ideal_or_koszul)
-    )
     cx = k.complex
     if len(delta.values) != cx.n:
         raise ShapeError("derivation arity mismatch")

@@ -370,13 +370,8 @@ def _wedge_matmul(
     b: Sequence[Sequence[Form]],
     n: int,
     out_deg: int,
-    shape: tuple[int, int, int] | None = None,
 ) -> FormMatrix:
-    # shape=(rows, mid, cols) is needed whenever a factor can be empty
-    if shape is not None:
-        rows, _, cols = shape
-    else:
-        rows, cols = len(a), len(b[0]) if b else 0
+    rows, cols = len(a), len(b[0]) if b else 0
     acc = [[{} for _ in range(cols)] for _ in range(rows)]
     _wedge_products(acc, a, b, n, out_deg)
     return _forms_from_acc(acc, n, out_deg)
@@ -520,52 +515,6 @@ def monomials_of_weighted_degree(n: int, weights: Sequence[int], d: int) -> list
 
     rec(0, d, ())
     return out
-
-
-def component_basis(c: FreeComplex, i: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Q-basis of the degree-i part in internal degree d: (basis idx, monomial)."""
-    if not c.graded:
-        raise GradingError("component basis needs a graded complex")
-    out = []
-    for idx, b in enumerate(c.basis(i)):
-        for expt in monomials_of_weighted_degree(c.n, c.var_weights, d - b.weight):
-            out.append((idx, expt))
-    return out
-
-
-def component_matrix(
-    c: FreeComplex, i: int, d: int, src: list | None = None, tgt: list | None = None
-) -> tuple[list, list, list[linalg.Row]]:
-    """Sparse matrix of d(i) on the internal-degree-d component over Q.
-
-    src and tgt, when given, are the component bases in degrees i and i+1.
-    """
-    src = component_basis(c, i, d) if src is None else src
-    tgt = component_basis(c, i + 1, d) if tgt is None else tgt
-    tgt_index = {key: pos for pos, key in enumerate(tgt)}
-    mat: list[linalg.Row] = [{} for _ in tgt]
-    dmat = c.d_matrix(i)
-    for col, (s_idx, expt) in enumerate(src):
-        for t_idx in range(c.rank(i + 1)):
-            entry = dmat[t_idx][s_idx]
-            for e2, coeff in entry.terms.items():
-                key = (t_idx, tuple(a + b for a, b in zip(expt, e2)))
-                row = tgt_index.get(key)
-                if row is None:
-                    raise GradingError("inhomogeneous differential entry")
-                # distinct (t_idx, e2) give distinct keys: one write per entry
-                mat[row][col] = coeff
-    return src, tgt, mat
-
-
-def homology_rank(c: FreeComplex, i: int, d: int) -> int:
-    """dim_Q H^i(C)_d for a graded complex."""
-    basis = component_basis(c, i, d)
-    src, tgt, mat_out = component_matrix(c, i, d, src=basis)
-    rank_out = linalg.rank(mat_out) if src and tgt else 0
-    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d, tgt=basis)
-    rank_in = linalg.rank(mat_in) if src_in and tgt_in else 0
-    return len(src) - rank_out - rank_in
 
 
 def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:

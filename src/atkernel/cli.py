@@ -29,8 +29,8 @@ def _guarded_koszul(ideal):
     """Run the regularity guard, then build the resolution once.
 
     The guard is exact and runs on every sequence of length at least two,
-    graded or not; a single nonzero entry is always regular.  Commands
-    pass the returned complex on instead of building it again.
+    graded or not; a single nonzero entry is always regular.  Later
+    build_koszul calls on the same ideal return the same complex.
     """
     from .koszul import build_koszul, verify_regular
     from .session import SessionError
@@ -114,9 +114,9 @@ def _cmd_ch(args) -> int:
 
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
-    kz = _guarded_koszul(ideal)
+    _guarded_koszul(ideal)
     k = args.k if args.k is not None else ideal.q
-    out = chern_character(ideal, k, kz)
+    out = chern_character(ideal, k)
     print(cousin_to_text(out, session.var_names))
     return 0
 
@@ -141,8 +141,8 @@ def _cmd_blochcmp(args) -> int:
 
     session = _load_session(args.input)
     _, hom = _named(session.homs, "hom", "--hom", args.hom)
-    kz = _guarded_koszul(hom.ideal)
-    report = compare_semireg(hom, kz=kz)
+    _guarded_koszul(hom.ideal)
+    report = compare_semireg(hom)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
     print(f"tau: {cousin_to_text(report.atiyah_route, session.var_names)}")
     verdict = {

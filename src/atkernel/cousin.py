@@ -207,7 +207,7 @@ def _shuffle_sign(beta: tuple[int, ...], alpha_prime: tuple[int, ...]) -> int:
     return (-1) ** inversions
 
 
-def local_trace(u: ChainMap, k: KoszulComplex | None = None) -> CousinElement:
+def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     """Trace a Koszul endomorphism into a Cousin representative.
 
     Expands u in the dual-gamma basis, pairs against the canonical
@@ -215,17 +215,6 @@ def local_trace(u: ChainMap, k: KoszulComplex | None = None) -> CousinElement:
     gf_alpha to gf_beta contributes only when beta is contained in alpha,
     landing on delta f_{alpha minus beta}.
     """
-    if k is None:
-        if u.source != u.target or u.source.support() not in ([0], []):
-            raise ShapeError("local_trace without a Koszul complex needs a degree-0 module")
-        n = u.source.n
-        acc = Form.zero(n, u.form_degree)
-        mat = u.matrix(0)
-        for t in range(len(mat)):
-            acc = acc + mat[t][t]
-        return CousinElement(
-            n, (), 0, {(): LocalizedForm(acc, 0)} if not acc.is_zero() else {}
-        )
     if u.source != k.complex or u.target != k.complex:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree

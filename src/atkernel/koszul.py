@@ -50,13 +50,6 @@ class RegularSequenceIdeal(Record):
     def q(self) -> int:
         return len(self.polys)
 
-    def f_alpha(self, alpha: Sequence[int]) -> Poly:
-        """Product of the f_i over a 1-based index set."""
-        out = Poly.one(self.n)
-        for i in alpha:
-            out = out * self.polys[i - 1]
-        return out
-
 
 class NormalHom(Record):
     """A normal-module section, given by its values on the sequence.
@@ -101,21 +94,11 @@ class KoszulComplex:
     def n(self) -> int:
         return self.ideal.n
 
-    def subsets(self, p: int) -> list[tuple[int, ...]]:
-        return index_sets(self.q, p)
-
     def basis_position(self, alpha: Sequence[int]) -> tuple[int, int]:
         """(homological degree, column index) of gf_alpha."""
         alpha = tuple(alpha)
         p = len(alpha)
         return -p, index_sets(self.q, p).index(alpha)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KoszulComplex)
-            and self.ideal == other.ideal
-            and self.complex == other.complex
-        )
 
 
 def _derivation_image(

@@ -234,22 +234,6 @@ class Poly:
                 out = out + self.derivative(i) * val
         return out
 
-    def substitute(self, values: Sequence["Poly"]) -> "Poly":
-        """Ring homomorphism sending x_i to values[i] (common target arity)."""
-        if len(values) != self.n:
-            raise ArityError("substitute needs one value per variable")
-        m = values[0].n
-        if any(v.n != m for v in values):
-            raise ArityError("substitution values must share one arity")
-        out = Poly.zero(m)
-        for expt, coeff in self.terms.items():
-            term = Poly.const(m, coeff)
-            for i, k in enumerate(expt):
-                if k:
-                    term = term * values[i] ** k
-            out = out + term
-        return out
-
     # -- division by a single polynomial ----------------------------------
 
     def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
@@ -691,11 +675,14 @@ class _FormParser:
         if not saw_atom:
             self._fail("empty term")
         if didx != sorted(set(didx)):
-            # canonicalize an out-of-order or repeated wedge
-            sign, idx = _wedge_sort(didx)
-            if sign == 0:
-                return Form.zero(self.n, len(set(didx)))
-            coeff *= sign
+            # canonicalize an out-of-order or repeated wedge, one factor at a time
+            idx: tuple[int, ...] = ()
+            for i in didx:
+                merged = _merge_indices(idx, (i,))
+                if merged is None:
+                    return Form.zero(self.n, len(set(didx)))
+                sign, idx = merged
+                coeff *= sign
             didx = list(idx)
         p = Poly.monomial(self.n, tuple(expt), coeff)
         return Form(self.n, len(didx), {tuple(didx): p})
@@ -751,19 +738,6 @@ class _FormParser:
                 return coeff, True
             self._fail(f"unknown name {name!r}", tok)
         self._fail(f"unexpected token {tok.text!r}", tok)
-
-
-def _wedge_sort(idx: list[int]) -> tuple[int, tuple[int, ...]]:
-    if len(set(idx)) != len(idx):
-        return 0, ()
-    sign = 1
-    arr = list(idx)
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    return sign, tuple(arr)
 
 
 def _form_add_any(a: Form, b: Form) -> Form:

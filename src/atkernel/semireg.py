@@ -12,14 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .atiyah import atiyah_cocycle, atiyah_power
-from .chaincore import (
-    ChainMap,
-    FreeComplex,
-    ShapeError,
-    compose,
-    identity_map,
-    is_cocycle,
-)
+from .chaincore import ChainMap, ShapeError, compose, is_cocycle
 from .cousin import (
     CousinElement,
     LocalizedForm,
@@ -31,6 +24,7 @@ from .koszul import (
     NormalHom,
     RegularSequenceIdeal,
     _koszul_of,
+    build_koszul,
     index_sets,
 )
 from .polyforms import Form, exterior_derivative, wedge
@@ -76,49 +70,27 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     return out
 
 
-def minus_at_power(kz: KoszulComplex, k: int) -> ChainMap:
-    """(-At)^k = (-1)^k At^k on the Koszul complex with the basis
-    connection, At^k read from the complex's shared cocycle."""
-    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
-    return at_k.scale(-1) if k % 2 else at_k
+def _traced_power(kz: KoszulComplex, k: int, xi: ChainMap | None = None) -> CousinElement:
+    """Trace of xi o (-At)^k / k!, or of (-At)^k / k! without xi.
 
-
-def _minus_at_over_factorial(kz: KoszulComplex, k: int) -> ChainMap:
-    """(-At)^k / k!, scaled once; a zero power (k beyond the length) is
-    returned before k! is formed."""
-    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
-    return at_k if at_k.is_zero() else at_k.scale(Fraction((-1) ** k, factorial(k)))
-
-
-def chern_character(
-    ideal_or_free: RegularSequenceIdeal | FreeComplex,
-    k: int,
-    kz: KoszulComplex | None = None,
-) -> CousinElement:
-    """Trace of (-1)^k At^k / k! as a Cousin representative.
-
-    kz, when given, is the ideal's Koszul complex and is not built again.
+    At^k is the complex's shared power; the scalar is applied to the
+    traced element, and only when it is nonzero, so k! is never formed for
+    a power beyond the length.
     """
-    if isinstance(ideal_or_free, FreeComplex):
-        if k == 0:
-            return local_trace(identity_map(ideal_or_free))
-        return CousinElement(ideal_or_free.n, (), 0, {})
-    kz = _koszul_of(ideal_or_free, kz)
-    return local_trace(_minus_at_over_factorial(kz, k), kz)
+    at_k = atiyah_power(atiyah_cocycle(kz.complex), k).chain_map
+    traced = local_trace(at_k if xi is None else compose(xi, at_k), kz)
+    return traced if traced.is_zero() else traced.scale(Fraction((-1) ** k, factorial(k)))
 
 
-def tau_atiyah(
-    phi: NormalHom, component: int | None = None, kz: KoszulComplex | None = None
-) -> CousinElement:
-    """Trace of the phi-derivation against (-At)^k / k!; k defaults to q-1.
+def chern_character(ideal: RegularSequenceIdeal, k: int) -> CousinElement:
+    """Trace of (-1)^k At^k / k! as a Cousin representative."""
+    return _traced_power(build_koszul(ideal), k)
 
-    kz, when given, is the Koszul complex of phi's ideal.
-    """
-    kz = _koszul_of(phi.ideal, kz)
-    k = phi.ideal.q - 1 if component is None else component
-    power = _minus_at_over_factorial(kz, k)
-    rep = ext1_representative(phi, kz)
-    return local_trace(compose(rep, power), kz)
+
+def tau_atiyah(phi: NormalHom) -> CousinElement:
+    """Trace of the phi-derivation against (-At)^k / k! for k = q-1."""
+    kz = build_koszul(phi.ideal)
+    return _traced_power(kz, phi.ideal.q - 1, ext1_representative(phi, kz))
 
 
 def bloch_mu(phi: NormalHom) -> CousinElement:
@@ -141,16 +113,12 @@ def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:
     """k-th component of the semiregularity map on a cocycle xi."""
     if not is_cocycle(xi):
         raise ShapeError("sigma needs a cocycle input")
-    power = _minus_at_over_factorial(kz, k)
-    return local_trace(compose(xi, power), kz)
+    return _traced_power(kz, k, xi)
 
 
-def compare_semireg(phi: NormalHom, kz: KoszulComplex | None = None) -> SemiregReport:
-    """Both semiregularity routes plus an equality verdict.
-
-    kz, when given, is the Koszul complex of phi's ideal.
-    """
-    tau = tau_atiyah(phi, kz=kz)
+def compare_semireg(phi: NormalHom) -> SemiregReport:
+    """Both semiregularity routes plus an equality verdict."""
+    tau = tau_atiyah(phi)
     mu = bloch_mu(phi)
     k = phi.ideal.q - 1
     if tau == mu:

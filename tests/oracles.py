@@ -10,9 +10,11 @@ Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, and powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps.
 
-The last three functions are not oracles but constructions that only the
-tests use: the differential as a chain map, the split ladder of free
-modules, and the contraction of a Cousin element against a derivation.
+Some functions are not oracles but constructions that only the tests use:
+the graded component matrices and homology ranks of a complex (the
+regularity scan and the cone checks rank them), and, at the end, the
+differential as a chain map, the split ladder of free modules, and the
+contraction of a Cousin element against a derivation.
 """
 from __future__ import annotations
 
@@ -20,7 +22,14 @@ import itertools
 from fractions import Fraction
 
 from atkernel import linalg
-from atkernel.chaincore import ChainMap, _as_forms, compose, homology_rank, identity_map
+from atkernel.chaincore import (
+    ChainMap,
+    GradingError,
+    _as_forms,
+    compose,
+    identity_map,
+    monomials_of_weighted_degree,
+)
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
 from atkernel.ladder import ExtensionLadder, _free_module
@@ -146,9 +155,9 @@ def poly_matmul_oracle(a, b):
     return tuple(out)
 
 
-def wedge_matmul_oracle(a, b, n, out_deg, shape=None):
+def wedge_matmul_oracle(a, b, n, out_deg):
     """Entry (i, j) is the running sum of wedge(a[i][m], b[m][j])."""
-    rows, mid, cols = shape or (len(a), len(b), len(b[0]) if b else 0)
+    rows, mid, cols = len(a), len(b), len(b[0])
     out = []
     for i in range(rows):
         row = []
@@ -170,6 +179,50 @@ def contract_form_oracle(values, w):
             term = (coeff * values[slot]).scale(-1 if j % 2 else 1)
             out = out + Form(w.n, w.degree - 1, {rest: term})
     return out
+
+
+def component_basis(c, i, d):
+    """Q-basis of the degree-i part in internal degree d: (basis idx, monomial)."""
+    if not c.graded:
+        raise GradingError("component basis needs a graded complex")
+    out = []
+    for idx, b in enumerate(c.basis(i)):
+        for expt in monomials_of_weighted_degree(c.n, c.var_weights, d - b.weight):
+            out.append((idx, expt))
+    return out
+
+
+def component_matrix(c, i, d, src=None, tgt=None):
+    """Sparse matrix of d(i) on the internal-degree-d component over Q.
+
+    src and tgt, when given, are the component bases in degrees i and i+1.
+    """
+    src = component_basis(c, i, d) if src is None else src
+    tgt = component_basis(c, i + 1, d) if tgt is None else tgt
+    tgt_index = {key: pos for pos, key in enumerate(tgt)}
+    mat = [{} for _ in tgt]
+    dmat = c.d_matrix(i)
+    for col, (s_idx, expt) in enumerate(src):
+        for t_idx in range(c.rank(i + 1)):
+            entry = dmat[t_idx][s_idx]
+            for e2, coeff in entry.terms.items():
+                key = (t_idx, tuple(a + b for a, b in zip(expt, e2)))
+                row = tgt_index.get(key)
+                if row is None:
+                    raise GradingError("inhomogeneous differential entry")
+                # distinct (t_idx, e2) give distinct keys: one write per entry
+                mat[row][col] = coeff
+    return src, tgt, mat
+
+
+def homology_rank(c, i, d):
+    """dim_Q H^i(C)_d for a graded complex."""
+    basis = component_basis(c, i, d)
+    src, tgt, mat_out = component_matrix(c, i, d, src=basis)
+    rank_out = linalg.rank(mat_out) if src and tgt else 0
+    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d, tgt=basis)
+    rank_in = linalg.rank(mat_in) if src_in and tgt_in else 0
+    return len(src) - rank_out - rank_in
 
 
 def component_matrix_oracle(c, i, src, tgt):

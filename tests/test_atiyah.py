@@ -1,5 +1,6 @@
 """Atiyah cocycles, powers, contractions, and the obstruction bracket."""
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -24,9 +25,10 @@ from atkernel.chaincore import (
     solve_coboundary,
 )
 from atkernel.corpus import corpus_entries, graded_random_connection
+from atkernel.cousin import local_trace
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import Form, Poly, exterior_derivative, parse_form, parse_poly, wedge
-from atkernel.semireg import minus_at_power
+from atkernel.semireg import chern_character
 from oracles import atiyah_power_oracle
 
 X = ("x",)
@@ -184,14 +186,16 @@ class TestPowerLadder:
             assert sorted(at._powers) == list(range(2, top + 1))
 
     @pytest.mark.parametrize("order", ["ascending", "largest_first"])
-    def test_minus_at_power_is_power_of_negated_cocycle(self, order):
+    def test_chern_character_traces_power_of_negated_cocycle(self, order):
         for entry in corpus_entries():
-            kz = build_koszul(entry.ideal)
+            ideal = RegularSequenceIdeal(entry.ideal.n, entry.ideal.polys, entry.ideal.var_weights)
+            kz = build_koszul(ideal)
             at = atiyah_cocycle(kz.complex)
             negated = AtiyahCocycle(at.chain_map.scale(-1), 1, at.connection)
             ks = list(range(_top_power(kz.complex) + 2))
             for k in ks if order == "ascending" else ks[::-1]:
-                assert minus_at_power(kz, k) == atiyah_power_oracle(negated, k)
+                power = atiyah_power_oracle(negated, k).scale(Fraction(1, factorial(k)))
+                assert chern_character(ideal, k) == local_trace(power, kz)
 
     def test_one_basis_cocycle_per_complex(self):
         cx = kos(["x", "y"], XY, (1, 1)).complex
@@ -208,6 +212,12 @@ class TestPowerLadder:
         monkeypatch.setattr(atiyah, "compose", None)
         assert atiyah_power(at, 3).chain_map is first
         assert atiyah_power(at, 2).chain_map is at._powers[2]
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_power_of_a_power_refused(self, k):
+        at = atiyah_cocycle(kos(["x", "y", "z"], ("x", "y", "z"), (1, 1, 1)).complex)
+        with pytest.raises(ShapeError, match="degree-1 cocycle"):
+            atiyah_power(atiyah_power(at, 2), k)
 
     def test_huge_power_keeps_the_ladder(self, monkeypatch):
         at = atiyah_cocycle(kos(["x", "y"], XY, (1, 1)).complex)

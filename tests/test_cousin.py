@@ -151,13 +151,6 @@ class TestLocalTrace:
             kz = build_koszul(ideal_of(texts, names))
             assert local_trace(identity_map(kz.complex), kz).is_zero()
 
-    def test_free_module_rank(self):
-        from atkernel.chaincore import BasisElement, FreeComplex
-
-        free = FreeComplex(2, {0: [BasisElement(f"e{i}") for i in range(3)]}, {}, (1, 1))
-        traced = local_trace(identity_map(free))
-        assert traced.entries[()].num == Form.from_poly(Poly.const(2, 3))
-
     def test_non_koszul_source_refused(self):
         kz = build_koszul(ideal_of(["x", "y"], XY))
         other = build_koszul(ideal_of(["x^2"], X))

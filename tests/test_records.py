@@ -21,7 +21,7 @@ RECORDS = [
     (LocalizedForm, (Form.from_poly(X), 1), (Form.from_poly(X), 2)),
     (RegularSequenceIdeal, (2, (X, Y), (1, 1)), (2, (X, Y), None)),
     (NormalHom, (Z, (ONE, ZERO)), (Z, (ZERO, ONE))),
-    (DerivationSpec, ((ONE, ZERO),), ((ONE, ZERO), 1)),
+    (DerivationSpec, ((ONE, ZERO),), ((ZERO, ONE),)),
     (MonomialIdeal, (2, ((2, 0),)), (2, ((0, 2),))),
     (CorpusEntry, ("x;y", XY, Z), ("x;y", ("u", "v"), Z)),
 ]

@@ -80,14 +80,6 @@ class TestChernCharacter:
     def test_component_zero_vanishes_for_positive_codim(self):
         assert chern_character(ideal_of(["x", "y"], XY), 0).is_zero()
 
-    def test_component_zero_counts_rank_of_free(self):
-        from atkernel.chaincore import BasisElement, FreeComplex
-
-        free = FreeComplex(2, {0: [BasisElement(f"e{i}") for i in range(4)]}, {}, (1, 1))
-        assert chern_character(free, 0).entries[()].num == Form.from_poly(
-            Poly.const(2, 4)
-        )
-
     def test_top_component_is_fundamental_class_with_one_sign(self):
         # the global sign is +1, fixed by the principal-ideal hand chain
         for entry in corpus_entries():
@@ -107,14 +99,11 @@ class TestChernCharacter:
     def test_given_complex_is_used_and_must_match(self):
         ideal = ideal_of(["x", "y^2"], XY)
         kz = build_koszul(ideal)
-        assert chern_character(ideal, 2, kz) == chern_character(ideal, 2)
         phi = NormalHom(ideal, (Poly.one(2), Poly.variable(2, 0)))
-        assert compare_semireg(phi, kz=kz).atiyah_route == compare_semireg(phi).atiyah_route
+        assert ext1_representative(phi, kz) == ext1_representative(phi)
         other = build_koszul(ideal_of(["x", "y"], XY))
-        with pytest.raises(ShapeError):
-            chern_character(ideal, 2, other)
-        with pytest.raises(ShapeError):
-            compare_semireg(phi, kz=other)
+        with pytest.raises(ShapeError, match="different sequence"):
+            ext1_representative(phi, other)
 
     def test_principal_hand_chain(self):
         # At(K(x^2)) = [-d(x^2)]; tracing -At gives (d(x^2))/x^2

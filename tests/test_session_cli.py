@@ -1,9 +1,8 @@
 """Session parsing and the command-line surface, including exit codes."""
-import importlib
 import importlib.util
 import json
 import os
-import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import atkernel
 from atkernel import groebner, koszul
 from atkernel.chaincore import parse_complex
 from atkernel.cli import _resolve_derivation, main
@@ -162,6 +160,20 @@ class TestCLI:
         assert out.returncode == 0
         assert "VERDICT: exact" in out.stdout
 
+    def test_sff_euler_with_n(self):
+        # P^2 has three Euler generators x_j*dx_i - x_i*dx_j
+        out = run_cli(["sff", "--preset", "euler:2"])
+        assert out.returncode == 0
+        assert "u(0) = [[x1*dx0 - x0*dx1], [x2*dx0 - x0*dx2], [x2*dx1 - x1*dx2]];" in out.stdout
+        assert out.stdout.endswith("sigma on generators: -id\nVERDICT: exact\n")
+
+    def test_sff_ungraded_hypersurface(self):
+        # x^2 + y^3 is not homogeneous for weights (1, 1); sigma is df
+        out = run_cli(["sff", "--preset", "hypersurface:x^2+y^3"])
+        assert out.returncode == 0
+        assert "u(0) = [[2*x*dx + 3*y^2*dy]];" in out.stdout
+        assert out.stdout.endswith("VERDICT: exact\n")
+
     def test_iclosure_yes_and_no(self):
         out = run_cli(["iclosure", "--ideal", "x^3,y^3", "--test", "x^2*y"])
         assert out.returncode == 0 and out.stdout.startswith("YES")
@@ -306,6 +318,7 @@ class TestUsageMessages:
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_EXPECTED = ROOT / "perfbench" / "cli_expected.json"
+CORPUS_GOLDEN = ROOT / "tests" / "golden" / "corpus.txt"
 
 
 def load_demo():
@@ -332,6 +345,19 @@ class TestDemoGolden:
             if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
                 argv += ["--input", str(path)]
             assert (main(argv), capsys.readouterr().out) == (0, expected), command
+
+
+class TestCorpusGolden:
+    def test_corpus_matches_recorded_output(self):
+        """scripts/run_corpus.py against its recorded stdout, timings stripped."""
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_corpus.py")],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        stripped = re.sub(r" \(\d+\.\d+s\)$", "", out.stdout, flags=re.M)
+        assert stripped == CORPUS_GOLDEN.read_text()
 
 
 class TestPowerBound:
@@ -366,18 +392,16 @@ class TestOneKoszulBuild:
         [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"], ["semireg", "--hom", "phi", "--k", "1"]],
     )
     def test_command_builds_the_complex_once(self, argv, tmp_path, monkeypatch, capsys):
-        # Z = x ; y is graded with q = 2, so the regularity guard runs too
+        # Z = x ; y is graded with q = 2, so the regularity guard runs too;
+        # every build_koszul call on the session's ideal shares one build
         built = []
-        real = koszul.build_koszul
+        real = koszul._build_koszul
 
         def counting(ideal):
             built.append(ideal)
             return real(ideal)
 
-        for info in pkgutil.iter_modules(atkernel.__path__):
-            module = importlib.import_module(f"atkernel.{info.name}")
-            if getattr(module, "build_koszul", None) is real:
-                monkeypatch.setattr(module, "build_koszul", counting)
+        monkeypatch.setattr(koszul, "_build_koszul", counting)
         path = tmp_path / "session.sr"
         path.write_text(SESSION)
         assert main([*argv, "--input", str(path)]) == 0
