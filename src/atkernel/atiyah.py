@@ -14,8 +14,6 @@ mutated; only new powers are added.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 from .chaincore import (
     ChainMap,
     FreeComplex,
@@ -32,20 +30,17 @@ from .polyforms import Form, Poly, Record, contract_form, exterior_derivative
 class ConnectionSpec:
     """Values of a connection on the basis; defaults to the basis connection.
 
-    columns[i][t][s] is the coefficient of target basis t in the image of
-    source basis s of homological degree i, a degree-1 form.
+    columns[i] is a matrix, given as ChainMap takes one: its entry (t, s)
+    is the coefficient of target basis t in the image of source basis s
+    of homological degree i, a degree-1 form.  The connection minus the
+    basis connection is kept as the degree-0 map `perturbation`.
     """
 
-    __slots__ = ("complex", "columns")
+    __slots__ = ("complex", "perturbation")
 
-    def __init__(
-        self, complex: FreeComplex, columns: dict[int, Sequence[Sequence[Form]]] | None = None
-    ):
+    def __init__(self, complex: FreeComplex, columns: dict | None = None):
         self.complex = complex
-        self.columns = {} if columns is None else columns
-
-    def perturbation_map(self) -> ChainMap:
-        return ChainMap(self.complex, self.complex, 0, 1, dict(self.columns))
+        self.perturbation = ChainMap(complex, complex, 0, 1, columns or {})
 
 
 class AtiyahCocycle:
@@ -89,16 +84,9 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
 
 
 def _build_cocycle(p: FreeComplex, conn: ConnectionSpec) -> AtiyahCocycle:
-    zero = Form.zero(p.n, 1)
-    mats = {}
-    for i, dmat in p.diff.items():
-        mats[i] = tuple(
-            tuple(-exterior_derivative(entry) if entry.terms else zero for entry in row)
-            for row in dmat
-        )
-    base = ChainMap(p, p, 1, 1, mats)
-    if conn.columns:
-        base = base + hom_bracket(conn.perturbation_map())
+    base = ChainMap(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))
+    if not conn.perturbation.is_zero():
+        base = base + hom_bracket(conn.perturbation)
     return AtiyahCocycle(base, 1, conn)
 
 
@@ -138,13 +126,7 @@ def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> Chai
         raise ShapeError("cannot contract a form-degree-0 map")
     if len(xi.values) != u.source.n:
         raise ShapeError("derivation arity mismatch")
-    zero = Form.zero(u.source.n, u.form_degree - 1)
-    mats = {
-        i: tuple(
-            tuple(contract_form(xi.values, f) if f.terms else zero for f in row) for row in mat
-        )
-        for i, mat in u.mats.items()
-    }
+    mats = u.entrywise(lambda f: contract_form(xi.values, f))
     return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)
 
 
@@ -157,9 +139,4 @@ def obstruction_cocycle(k: KoszulComplex, delta: DerivationSpec) -> ChainMap:
     cx = k.complex
     if len(delta.values) != cx.n:
         raise ShapeError("derivation arity mismatch")
-    mats = {}
-    for i, dmat in cx.diff.items():
-        mats[i] = tuple(
-            tuple(Form.from_poly(-delta.apply(entry)) for entry in row) for row in dmat
-        )
-    return ChainMap(cx, cx, 1, 0, mats)
+    return ChainMap(cx, cx, 1, 0, cx.entrywise(lambda entry: Form.from_poly(-delta.apply(entry))))

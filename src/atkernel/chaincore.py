@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import linalg
@@ -25,6 +26,7 @@ from .polyforms import (
     ParseError,
     Poly,
     Record,
+    _canon,
     _form_from_acc,
     _mul_into,
     _poly_from_acc,
@@ -55,61 +57,150 @@ class BasisElement(Record):
         self.weight = weight
 
 
-PolyMatrix = tuple[tuple[Poly, ...], ...]
-FormMatrix = tuple[tuple[Form, ...], ...]
+def _stored(mat, rows: int, cols: int, n: int, form_degree: int | None, what: str) -> dict:
+    """A matrix given as a sequence of rows, or as {row: {col: entry}}, in
+    the stored form: {row: {col: entry}} with nonzero entries only and no
+    empty row.  Every given entry, zero or not, must have arity n and sit
+    inside rows x cols; a form entry that is nonzero must have form_degree."""
+    if isinstance(mat, dict):
+        if any(not 0 <= t < rows for t in mat):
+            raise ShapeError(f"{what} has wrong shape")
+        given = mat.items()
+    elif len(mat) != rows:
+        raise ShapeError(f"{what} has wrong shape")
+    else:
+        given = enumerate(mat)
+    out = {}
+    for t, row in given:
+        if isinstance(row, dict):
+            if any(not 0 <= s < cols for s in row):
+                raise ShapeError(f"{what} has wrong shape")
+            pairs = row.items()
+        elif len(row) != cols:
+            raise ShapeError(f"{what} has wrong shape")
+        else:
+            pairs = enumerate(row)
+        kept = {}
+        for s, x in pairs:
+            if x.n != n:
+                raise ArityError(f"{what} entry arity mismatch")
+            if x.terms:
+                if form_degree is not None and x.degree != form_degree:
+                    raise ShapeError("nonuniform form degree in chain map")
+                kept[s] = x
+        if kept:
+            out[t] = kept
+    return out
 
 
-def _poly_matmul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> PolyMatrix:
-    """a . b, row by row; products with a zero factor are skipped, after
-    every entry of both factors has been checked for arity."""
-    if not a or not b:
-        return ()
-    n = a[0][0].n
-    mid, cols = len(b), len(b[0])
-    if any(len(r) != mid for r in a) or any(len(r) != cols for r in b):
-        raise ShapeError("matrix shape mismatch")
-    if any(p.n != n for mat in (a, b) for row in mat for p in row):
-        raise ArityError("matrix entry arity mismatch")
-    out = []
-    for arow in a:
-        # every product of an entry goes into one raw accumulator
-        acc: list[dict] = [{} for _ in range(cols)]
-        for x, brow in zip(arow, b):
-            if not x.terms:
-                continue
-            for acc_j, y in zip(acc, brow):
-                if y.terms:
-                    _mul_into(acc_j, x, y)
-        out.append(tuple(_poly_from_acc(n, acc_j) for acc_j in acc))
-    return tuple(out)
+def _nonzeros(mats: dict):
+    for i, mat in mats.items():
+        for t, row in mat.items():
+            for s, x in row.items():
+                yield i, t, s, x
+
+
+def _entrywise(mats: dict, fn) -> dict:
+    """fn applied to every stored entry; stored as it is when fn keeps
+    nonzero entries nonzero."""
+    return {
+        i: {t: {s: fn(x) for s, x in row.items()} for t, row in mat.items()}
+        for i, mat in mats.items()
+    }
+
+
+def _pruned(mats: dict) -> dict:
+    """mats without its empty rows and empty matrices."""
+    out = {}
+    for i, mat in mats.items():
+        mat = {t: row for t, row in mat.items() if row}
+        if mat:
+            out[i] = mat
+    return out
+
+
+def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
+    """Add the product a . b of two stored matrices, or its negative, into
+    acc[t][s] and return acc.  Each acc[t][s] is a raw accumulator, and
+    into(entry, x, y, negate) adds x * y to it: polyforms._mul_into for
+    polynomials, _wedge_into for forms.  Only nonzero entries meet."""
+    for t, arow in a.items():
+        out = acc.setdefault(t, {})
+        for m, x in arow.items():
+            for s, y in b.get(m, {}).items():
+                entry = out.get(s)
+                if entry is None:
+                    entry = out[s] = {}
+                into(entry, x, y, negate)
+    return acc
+
+
+def _settle(acc: dict, build) -> dict:
+    """The stored matrix of a filled accumulator; build makes one entry."""
+    out = {}
+    for t, row in acc.items():
+        kept = {}
+        for s, raw in row.items():
+            x = build(raw)
+            if x.terms:
+                kept[s] = x
+        if kept:
+            out[t] = kept
+    return out
 
 
 class FreeComplex:
-    """Bounded complex of free modules with labeled, weighted bases."""
+    """Bounded complex of free modules with labeled, weighted bases.
+
+    diff[i], the differential from degree i to i + 1, is stored as
+    {row: {col: Poly}} with nonzero entries only; entry(i, t, s) reads it.
+    """
 
     def __init__(
         self,
         n: int,
         degrees: dict[int, Sequence[BasisElement]],
-        diff: dict[int, Sequence[Sequence[Poly]]],
+        diff: dict,
         var_weights: Sequence[int] | None = None,
-        check: bool = True,
     ):
         self.n = n
         self.degrees = {i: tuple(b) for i, b in degrees.items() if b}
-        self.diff = {}
-        for i, mat in diff.items():
-            mat = tuple(tuple(p for p in row) for row in mat)
-            if mat and any(any(not p.is_zero() for p in row) for row in mat):
-                self.diff[i] = mat
         self.var_weights = tuple(var_weights) if var_weights is not None else None
         if self.var_weights is not None:
             if len(self.var_weights) != n or any(w < 1 for w in self.var_weights):
                 raise GradingError("variable weights must be positive, one per variable")
         # the basis-connection Atiyah cocycle, built once by atiyah.atiyah_cocycle
         self._basis_atiyah = None
-        if check:
-            self._validate()
+        if self.total_rank() > MAX_TOTAL_RANK:
+            raise ShapeError(f"complex exceeds {MAX_TOTAL_RANK} total basis elements")
+        labels = [b.label for bs in self.degrees.values() for b in bs]
+        if len(labels) != len(set(labels)):
+            raise ShapeError("basis labels must be globally unique")
+        self.diff = {}
+        for i, mat in diff.items():
+            mat = _stored(mat, self.rank(i + 1), self.rank(i), n, None, f"differential d({i})")
+            if mat:
+                self.diff[i] = mat
+        for i, mat in self.diff.items():
+            square = _product({}, self.diff.get(i + 1, {}), mat, _mul_into)
+            if _settle(square, partial(_poly_from_acc, n)):
+                raise ShapeError(f"d o d != 0 between degrees {i} and {i + 2}")
+        if self.graded:
+            # a graded differential preserves internal degree, so each
+            # entry is homogeneous of degree weight(source) - weight(target)
+            for i, t, s, p in self.nonzeros():
+                want = self.basis(i)[s].weight - self.basis(i + 1)[t].weight
+                if p.homogeneous_degree(self.var_weights) != want:
+                    raise GradingError(f"entry d({i})[{t}][{s}] not homogeneous of degree {want}")
+
+    @staticmethod
+    def _raw(n: int, degrees: dict, diff: dict, var_weights) -> "FreeComplex":
+        """Trusted constructor for internal arithmetic: degrees maps to
+        nonempty tuples and diff is already stored and valid."""
+        c = object.__new__(FreeComplex)
+        c.n, c.degrees, c.diff, c.var_weights = n, degrees, diff, var_weights
+        c._basis_atiyah = None
+        return c
 
     # -- queries ----------------------------------------------------------
 
@@ -129,49 +220,19 @@ class FreeComplex:
     def total_rank(self) -> int:
         return sum(len(b) for b in self.degrees.values())
 
-    def d_matrix(self, i: int) -> PolyMatrix:
-        mat = self.diff.get(i)
-        if mat is not None:
-            return mat
-        rows, cols = self.rank(i + 1), self.rank(i)
-        zero = Poly.zero(self.n)
-        return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
+    def entry(self, i: int, t: int, s: int) -> Poly:
+        """The entry of d(i) from basis element s of degree i to t of i + 1."""
+        p = self.diff.get(i, {}).get(t, {}).get(s)
+        return Poly.zero(self.n) if p is None else p
 
-    # -- validation ---------------------------------------------------------
+    def nonzeros(self):
+        """(i, t, s, entry) for every nonzero entry of the differential."""
+        return _nonzeros(self.diff)
 
-    def _validate(self) -> None:
-        if self.total_rank() > MAX_TOTAL_RANK:
-            raise ShapeError(f"complex exceeds {MAX_TOTAL_RANK} total basis elements")
-        labels = [b.label for bs in self.degrees.values() for b in bs]
-        if len(labels) != len(set(labels)):
-            raise ShapeError("basis labels must be globally unique")
-        for i, mat in self.diff.items():
-            if len(mat) != self.rank(i + 1) or any(len(row) != self.rank(i) for row in mat):
-                raise ShapeError(f"differential d({i}) has wrong shape")
-            for row in mat:
-                for p in row:
-                    if p.n != self.n:
-                        raise ArityError("differential entry arity mismatch")
-        for i in self.diff:
-            if self.rank(i + 2) and self.rank(i):
-                square = _poly_matmul(self.d_matrix(i + 1), self.d_matrix(i))
-                if any(not p.is_zero() for row in square for p in row):
-                    raise ShapeError(f"d o d != 0 between degrees {i} and {i + 2}")
-        if self.graded:
-            # a graded differential preserves internal degree, so each
-            # entry is homogeneous of degree weight(source) - weight(target)
-            for i, mat in self.diff.items():
-                src, tgt = self.basis(i), self.basis(i + 1)
-                for t, row in enumerate(mat):
-                    for s, p in enumerate(row):
-                        if not p.terms:
-                            continue
-                        want = src[s].weight - tgt[t].weight
-                        got = p.homogeneous_degree(self.var_weights)
-                        if got != want:
-                            raise GradingError(
-                                f"entry d({i})[{t}][{s}] not homogeneous of degree {want}"
-                            )
+    def entrywise(self, fn) -> dict:
+        """fn of every nonzero entry, as matrices {i: {row: {col: value}}}
+        that the constructors take; they drop the zero values."""
+        return _entrywise(self.diff, fn)
 
     def __eq__(self, other) -> bool:
         return (
@@ -190,8 +251,9 @@ class FreeComplex:
 class ChainMap:
     """Degree-r map of complexes with Form-valued matrices.
 
-    mats[i] has shape rank_target(i + degree) x rank_source(i); the
-    form-degree is uniform across every entry.
+    mats[i], from degree i of the source to degree i + r of the target, is
+    stored as {row: {col: Form}} with nonzero entries only, each of form
+    degree form_degree; entry(i, t, s) reads it.
     """
 
     def __init__(
@@ -200,8 +262,7 @@ class ChainMap:
         target: FreeComplex,
         degree: int,
         form_degree: int,
-        mats: dict[int, Sequence[Sequence[Form]]],
-        check: bool = True,
+        mats: dict,
     ):
         if source.n != target.n:
             raise ArityError("source and target live over different rings")
@@ -211,60 +272,60 @@ class ChainMap:
         self.form_degree = form_degree
         self.mats = {}
         for i, mat in mats.items():
-            mat = tuple(tuple(f for f in row) for row in mat)
-            if mat and any(any(not f.is_zero() for f in row) for row in mat):
+            mat = _stored(mat, target.rank(i + degree), source.rank(i), source.n, form_degree,
+                          f"map matrix at degree {i}")
+            if mat:
                 self.mats[i] = mat
-        if check:
-            self._validate()
 
-    def _validate(self) -> None:
-        for i, mat in self.mats.items():
-            rows, cols = self.target.rank(i + self.degree), self.source.rank(i)
-            if len(mat) != rows or any(len(row) != cols for row in mat):
-                raise ShapeError(f"map matrix at degree {i} has wrong shape")
-            for row in mat:
-                for f in row:
-                    if f.n != self.source.n:
-                        raise ArityError("entry arity mismatch")
-                    if not f.is_zero() and f.degree != self.form_degree:
-                        raise ShapeError("nonuniform form degree in chain map")
+    @staticmethod
+    def _raw(source: FreeComplex, target: FreeComplex, degree: int, form_degree: int,
+             mats: dict) -> "ChainMap":
+        """Trusted constructor for internal arithmetic: mats is already
+        stored, with no zero entry, empty row or empty matrix."""
+        u = object.__new__(ChainMap)
+        u.source, u.target, u.degree, u.form_degree, u.mats = (
+            source, target, degree, form_degree, mats)
+        return u
 
-    def matrix(self, i: int) -> FormMatrix:
-        mat = self.mats.get(i)
-        if mat is not None:
-            return mat
-        rows, cols = self.target.rank(i + self.degree), self.source.rank(i)
-        zero = Form.zero(self.source.n, self.form_degree)
-        return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
+    def entry(self, i: int, t: int, s: int) -> Form:
+        """The entry from basis element s of source degree i to t of target
+        degree i + degree."""
+        f = self.mats.get(i, {}).get(t, {}).get(s)
+        return Form.zero(self.source.n, self.form_degree) if f is None else f
+
+    def nonzeros(self):
+        """(i, t, s, entry) for every nonzero entry."""
+        return _nonzeros(self.mats)
+
+    def entrywise(self, fn) -> dict:
+        """fn of every nonzero entry, as FreeComplex.entrywise."""
+        return _entrywise(self.mats, fn)
 
     def is_zero(self) -> bool:
         return not self.mats
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._compat(other)
-        mats = {}
-        for i in set(self.mats) | set(other.mats):
-            a, b = self.matrix(i), other.matrix(i)
-            mats[i] = tuple(
-                tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-        return ChainMap(self.source, self.target, self.degree, self.form_degree, mats)
+        mats = {i: {t: dict(row) for t, row in mat.items()} for i, mat in self.mats.items()}
+        for i, t, s, y in other.nonzeros():
+            row = mats.setdefault(i, {}).setdefault(t, {})
+            x = row.pop(s, None)
+            z = y if x is None else x + y
+            if z.terms:
+                row[s] = z
+        form_degree = self.form_degree if self.mats else other.form_degree
+        return ChainMap._raw(self.source, self.target, self.degree, form_degree, _pruned(mats))
 
     def __neg__(self) -> "ChainMap":
-        mats = {
-            i: tuple(tuple(-f for f in row) for row in mat) for i, mat in self.mats.items()
-        }
-        return ChainMap(self.source, self.target, self.degree, self.form_degree, mats, check=False)
+        return ChainMap._raw(self.source, self.target, self.degree, self.form_degree,
+                             _entrywise(self.mats, Form.__neg__))
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         return self + (-other)
 
     def scale(self, c) -> "ChainMap":
-        mats = {
-            i: tuple(tuple(f.scale(c) if f.terms else f for f in row) for row in mat)
-            for i, mat in self.mats.items()
-        }
-        return ChainMap(self.source, self.target, self.degree, self.form_degree, mats, check=False)
+        mats = _entrywise(self.mats, lambda f: f.scale(c)) if c else {}
+        return ChainMap._raw(self.source, self.target, self.degree, self.form_degree, mats)
 
     def _compat(self, other: "ChainMap") -> None:
         if (
@@ -290,137 +351,62 @@ class ChainMap:
 
 
 class GradedSolveReport:
-    __slots__ = ("solvable", "witness", "degree_bound")
+    __slots__ = ("solvable", "witness")
 
-    def __init__(self, solvable: bool, witness: ChainMap | None, degree_bound: int):
+    def __init__(self, solvable: bool, witness: ChainMap | None):
         self.solvable = solvable
         self.witness = witness
-        self.degree_bound = degree_bound
 
 
 # -- basic constructions ---------------------------------------------------
 
 
 def identity_map(c: FreeComplex) -> ChainMap:
-    mats = {}
-    for i in c.support():
-        r = c.rank(i)
-        mats[i] = tuple(
-            tuple(
-                Form.from_poly(Poly.one(c.n)) if a == b else Form.zero(c.n, 0)
-                for b in range(r)
-            )
-            for a in range(r)
-        )
-    return ChainMap(c, c, 0, 0, mats)
+    one = Form.from_poly(Poly.one(c.n))
+    mats = {i: {a: {a: one} for a in range(len(b))} for i, b in c.degrees.items()}
+    return ChainMap._raw(c, c, 0, 0, mats)
 
 
 def zero_map(source: FreeComplex, target: FreeComplex, degree: int, form_degree: int = 0) -> ChainMap:
     return ChainMap(source, target, degree, form_degree, {})
 
 
-def _as_forms(mat: PolyMatrix, zero: Form) -> FormMatrix:
-    """A polynomial matrix as degree-0 forms, with one shared zero entry."""
-    return tuple(tuple(Form.from_poly(p) if p.terms else zero for p in row) for row in mat)
-
-
-def _wedge_products(
-    acc: list[list[dict]],
-    a: Sequence[Sequence[Form]],
-    b: Sequence[Sequence[Form]],
-    n: int,
-    out_deg: int,
-    negate: bool = False,
-) -> None:
-    """Add the wedge product a . b, or its negative, into acc[i][j].
-
-    Each acc[i][j] is a raw form accumulator (see polyforms._wedge_into);
-    zero entries are skipped, and a product of form degree out_deg is the
-    only kind that may contribute.
-    """
-    for arow, acc_row in zip(a, acc):
-        for x, brow in zip(arow, b):
-            if not x.terms:
-                continue
-            if x.n != n:
-                raise ArityError("matrix entry arity mismatch")
-            for j, y in enumerate(brow):
-                if not y.terms:
-                    continue
-                if y.n != n:
-                    raise ArityError("matrix entry arity mismatch")
-                degree = x.degree + y.degree
-                if degree > n:
-                    continue
-                if degree != out_deg:
-                    raise ShapeError("nonuniform form degree in chain map")
-                _wedge_into(acc_row[j], x, y, negate)
-
-
-def _forms_from_acc(acc: list[list[dict]], n: int, out_deg: int) -> FormMatrix:
-    zero = Form.zero(n, out_deg)
-    return tuple(
-        tuple(_form_from_acc(n, out_deg, entry) if entry else zero for entry in row)
-        for row in acc
-    )
-
-
-def _wedge_matmul(
-    a: Sequence[Sequence[Form]],
-    b: Sequence[Sequence[Form]],
-    n: int,
-    out_deg: int,
-) -> FormMatrix:
-    rows, cols = len(a), len(b[0]) if b else 0
-    acc = [[{} for _ in range(cols)] for _ in range(rows)]
-    _wedge_products(acc, a, b, n, out_deg)
-    return _forms_from_acc(acc, n, out_deg)
-
-
 def compose(u: ChainMap, v: ChainMap) -> ChainMap:
     """u o v; map degrees add and form coefficients wedge (u's on the left)."""
     if v.target != u.source:
         raise ShapeError("compose: target of v is not source of u")
-    degree = u.degree + v.degree
-    form_degree = min(u.form_degree + v.form_degree, u.source.n)
+    n = u.source.n
+    form_degree = u.form_degree + v.form_degree
     mats = {}
-    for i in v.mats:
-        umat = u.mats.get(i + v.degree)
-        if umat is None:
-            continue
-        mats[i] = _wedge_matmul(umat, v.matrix(i), u.source.n, form_degree)
-    return ChainMap(v.source, u.target, degree, form_degree, mats)
+    # a wedge of more than n one-forms is zero
+    if form_degree <= n:
+        build = partial(_form_from_acc, n, form_degree)
+        for i, vmat in v.mats.items():
+            umat = u.mats.get(i + v.degree)
+            if umat is not None:
+                mat = _settle(_product({}, umat, vmat, _wedge_into), build)
+                if mat:
+                    mats[i] = mat
+    return ChainMap._raw(v.source, u.target, u.degree + v.degree, min(form_degree, n), mats)
 
 
 def hom_bracket(h: ChainMap) -> ChainMap:
     """[d,h] = d h - (-1)^{|h|} h d in the Hom-complex."""
     r = h.degree
-    sign = (-1) ** (r % 2)
     src, tgt = h.source, h.target
+    build = partial(_form_from_acc, src.n, h.form_degree)
+    # both differentials as degree-0 forms
+    dt = tgt.entrywise(Form.from_poly)
+    ds = dt if src is tgt else src.entrywise(Form.from_poly)
     mats = {}
-    zero = Form.zero(src.n, 0)
-    lo = min(src.support() + tgt.support(), default=0)
-    hi = max(src.support() + tgt.support(), default=0)
-    for i in range(lo - 1, hi + 1):
-        rows = tgt.rank(i + r + 1)
-        cols = src.rank(i)
-        if rows == 0 or cols == 0:
-            continue
+    for i in sorted(set(h.mats) | {j - 1 for j in h.mats}):
         # d h and -(-1)^r h d accumulate into one sum per entry
-        acc = [[{} for _ in range(cols)] for _ in range(rows)]
-        _wedge_products(
-            acc, _as_forms(tgt.d_matrix(i + r), zero), h.matrix(i), src.n, h.form_degree
-        )
-        _wedge_products(
-            acc,
-            h.matrix(i + 1),
-            _as_forms(src.d_matrix(i), zero),
-            src.n,
-            h.form_degree,
-            negate=sign > 0,
-        )
-        mats[i] = _forms_from_acc(acc, src.n, h.form_degree)
-    return ChainMap(src, tgt, r + 1, h.form_degree, mats)
+        acc = _product({}, dt.get(i + r, {}), h.mats.get(i, {}), _wedge_into)
+        _product(acc, h.mats.get(i + 1, {}), ds.get(i, {}), _wedge_into, negate=r % 2 == 0)
+        mat = _settle(acc, build)
+        if mat:
+            mats[i] = mat
+    return ChainMap._raw(src, tgt, r + 1, h.form_degree, mats)
 
 
 def is_cocycle(h: ChainMap) -> bool:
@@ -432,23 +418,19 @@ def shift(c: FreeComplex, i: int) -> FreeComplex:
     if i == 0:
         return c
     sign = (-1) ** (i % 2)
-    degrees = {n - i: c.degrees[n] for n in c.degrees}
-    diff = {
-        n - i: tuple(tuple(p.scale(sign) for p in row) for row in mat)
-        for n, mat in c.diff.items()
-    }
-    return FreeComplex(c.n, degrees, diff, c.var_weights, check=False)
+    degrees = {n - i: b for n, b in c.degrees.items()}
+    diff = {n - i: mat for n, mat in _entrywise(c.diff, lambda p: p.scale(sign)).items()}
+    return FreeComplex._raw(c.n, degrees, diff, c.var_weights)
 
 
 def shift_map(u: ChainMap, i: int) -> ChainMap:
     """The same matrices viewed between shifted complexes."""
-    return ChainMap(
+    return ChainMap._raw(
         shift(u.source, i),
         shift(u.target, i),
         u.degree,
         u.form_degree,
         {n - i: mat for n, mat in u.mats.items()},
-        check=False,
     )
 
 
@@ -463,7 +445,6 @@ def cone(f: ChainMap) -> FreeComplex:
     if not is_cocycle(f):
         raise ShapeError("cone needs a chain map ([d,f] = 0)")
     nprime, ncx = f.source, f.target
-    n = ncx.n
     degrees: dict[int, list[BasisElement]] = {}
     for i in set(ncx.support()) | {j - 1 for j in nprime.support()}:
         combined = list(ncx.basis(i)) + [
@@ -471,30 +452,15 @@ def cone(f: ChainMap) -> FreeComplex:
         ]
         if combined:
             degrees[i] = combined
-    diff: dict[int, list[list[Poly]]] = {}
-    zero = Poly.zero(n)
-    for i in degrees:
-        rows = len(degrees.get(i + 1, ()))
-        cols = len(degrees[i])
-        if rows == 0 or cols == 0:
-            continue
-        rn, rnp = ncx.rank(i + 1), nprime.rank(i + 2)
-        cn, cnp = ncx.rank(i), nprime.rank(i + 1)
-        dn = ncx.d_matrix(i)
-        dnp = nprime.d_matrix(i + 1)
-        fmat = f.matrix(i + 1)
-        mat = [[zero for _ in range(cols)] for _ in range(rows)]
-        for t in range(rn):
-            for s in range(cn):
-                mat[t][s] = dn[t][s]
-            for s in range(cnp):
-                mat[t][cn + s] = -fmat[t][s].to_poly()
-        for t in range(rnp):
-            for s in range(cnp):
-                mat[rn + t][cn + s] = -dnp[t][s]
-        diff[i] = mat
+    diff: dict[int, dict] = {}
+    for i, t, s, p in ncx.nonzeros():
+        diff.setdefault(i, {}).setdefault(t, {})[s] = p
+    for i, t, s, w in f.nonzeros():
+        diff.setdefault(i - 1, {}).setdefault(t, {})[ncx.rank(i - 1) + s] = -w.to_poly()
+    for i, t, s, p in nprime.nonzeros():
+        diff.setdefault(i - 1, {}).setdefault(ncx.rank(i) + t, {})[ncx.rank(i - 1) + s] = -p
     var_weights = ncx.var_weights if ncx.var_weights == nprime.var_weights else None
-    return FreeComplex(n, degrees, diff, var_weights)
+    return FreeComplex(ncx.n, degrees, diff, var_weights)
 
 
 # -- graded components -----------------------------------------------------
@@ -517,38 +483,33 @@ def monomials_of_weighted_degree(n: int, weights: Sequence[int], d: int) -> list
     return out
 
 
+def _form_of_terms(n: int, k: int, terms: dict) -> Form:
+    """The form {idx: {expt: coefficient}}, every coefficient canonical and nonzero."""
+    return Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in terms.items()})
+
+
 def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
     """Split a graded chain map into homogeneous internal-degree layers."""
     src, tgt = h.source, h.target
     if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
         raise GradingError("internal degrees need matching gradings")
     weights = src.var_weights
-    layers: dict[int, dict[int, list[list[Form]]]] = {}
-    for i, mat in h.mats.items():
-        sbasis, tbasis = src.basis(i), tgt.basis(i + h.degree)
-        for t, row in enumerate(mat):
-            for s, f in enumerate(row):
-                for idx, coeff in f.terms.items():
-                    widx = sum(weights[k] for k in idx)
-                    for expt, q in coeff.terms.items():
-                        # shift of internal degree: output minus input
-                        d_internal = (
-                            sum(w * e for w, e in zip(weights, expt))
-                            + widx
-                            + tbasis[t].weight
-                            - sbasis[s].weight
-                        )
-                        layer = layers.setdefault(d_internal, {})
-                        if i not in layer:
-                            layer[i] = [
-                                [Form.zero(src.n, h.form_degree) for _ in range(len(sbasis))]
-                                for _ in range(len(tbasis))
-                            ]
-                        layer[i][t][s] = layer[i][t][s] + Form(
-                            src.n, h.form_degree, {idx: Poly.monomial(src.n, expt, q)}
-                        )
+    n, k = src.n, h.form_degree
+    # layers[d][i][t][s][idx] holds the terms {expt: q} of one layer's entry
+    layers: dict[int, dict] = {}
+    for i, t, s, f in h.nonzeros():
+        # shift of internal degree: output minus input
+        base = tgt.basis(i + h.degree)[t].weight - src.basis(i)[s].weight
+        for idx, coeff in f.terms.items():
+            widx = sum(weights[j] for j in idx)
+            for expt, q in coeff.terms.items():
+                d_internal = sum(w * e for w, e in zip(weights, expt)) + widx + base
+                layer = layers.setdefault(d_internal, {}).setdefault(i, {}).setdefault(t, {})
+                layer.setdefault(s, {}).setdefault(idx, {})[expt] = q
+    build = partial(_form_of_terms, n, k)
     return {
-        d: ChainMap(src, tgt, h.degree, h.form_degree, mats) for d, mats in layers.items()
+        d: ChainMap._raw(src, tgt, h.degree, k, _entrywise(mats, build))
+        for d, mats in layers.items()
     }
 
 
@@ -573,10 +534,9 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
     n = src.n
     weights = src.var_weights
     if c.is_zero():
-        return GradedSolveReport(True, zero_map(src, tgt, r_h, k), 0)
+        return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
     layers = internal_degree_layers(c)
     total_witness = zero_map(src, tgt, r_h, k)
-    bound = 0
     for d_internal, layer in sorted(layers.items()):
         # unknown entries h_i[t][s]; blocks[(i, t, s)] lists (idx, expt, var)
         blocks: dict[tuple[int, int, int], list[tuple]] = {}
@@ -593,7 +553,6 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                         for expt in monomials_of_weighted_degree(n, weights, mono_deg):
                             block.append((idx, expt, num_vars))
                             num_vars += 1
-                            bound = max(bound, sum(expt))
                     if block:
                         blocks[(i, t, s)] = block
         rows_eq: list[linalg.Row] = []
@@ -606,22 +565,18 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
             cols = src.rank(i)
             if rows == 0 or cols == 0:
                 continue
-            dt = tgt.d_matrix(i + r_h)
-            ds = src.d_matrix(i)
-            cm = layer.matrix(i)
+            dt = tgt.diff.get(i + r_h, {})
+            ds = src.diff.get(i, {})
             for t in range(rows):
                 for s in range(cols):
                     rows_by_key: dict[tuple, dict[int, Fraction]] = {}
                     rhs_by_key: dict[tuple, Fraction] = {}
-                    for idx, coeff in cm[t][s].terms.items():
+                    for idx, coeff in layer.entry(i, t, s).terms.items():
                         for expt, q in coeff.terms.items():
                             rhs_by_key[(idx, expt)] = q
                     # d o h contribution; its unknowns and those of h o d are disjoint,
                     # and one unknown's terms give distinct keys: each entry is set once
-                    for m in range(tgt.rank(i + r_h)):
-                        dpoly = dt[t][m]
-                        if dpoly.is_zero():
-                            continue
+                    for m, dpoly in dt.get(t, {}).items():
                         for idx, expt, vi in blocks.get((i, m, s), ()):
                             for e2, q2 in dpoly.terms.items():
                                 tot = tuple(a + b for a, b in zip(expt, e2))
@@ -629,8 +584,8 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                                 row[vi] = q2
                     # h o d contribution with sign -(-1)^{r_h}
                     for m in range(src.rank(i + 1)):
-                        spoly = ds[m][s]
-                        if spoly.is_zero():
+                        spoly = ds.get(m, {}).get(s)
+                        if spoly is None:
                             continue
                         for idx, expt, vi in blocks.get((i + 1, t, m), ()):
                             for e2, q2 in spoly.terms.items():
@@ -642,25 +597,19 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
                         rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
         solution = linalg.solve(rows_eq, rhs_eq, num_vars)
         if solution is None:
-            return GradedSolveReport(False, None, bound)
-        mats: dict[int, list[list[Form]]] = {}
+            return GradedSolveReport(False, None)
+        # mats[i][t][s][idx] holds the terms {expt: value} of one witness entry
+        mats: dict[int, dict] = {}
         for (i, t, s), block in blocks.items():
             for idx, expt, vi in block:
-                value = solution[vi]
-                if value == 0:
-                    continue
-                if i not in mats:
-                    mats[i] = [
-                        [Form.zero(n, k) for _ in range(src.rank(i))]
-                        for _ in range(tgt.rank(i + r_h))
-                    ]
-                mats[i][t][s] = mats[i][t][s] + Form(
-                    n, k, {idx: Poly.monomial(n, expt, value)}
-                )
-        total_witness = total_witness + ChainMap(src, tgt, r_h, k, mats)
+                if solution[vi]:
+                    entry = mats.setdefault(i, {}).setdefault(t, {}).setdefault(s, {})
+                    entry.setdefault(idx, {})[expt] = _canon(solution[vi])
+        witness = _entrywise(mats, partial(_form_of_terms, n, k))
+        total_witness = total_witness + ChainMap._raw(src, tgt, r_h, k, witness)
     if hom_bracket(total_witness) != c:
         raise AssertionError("solver produced an unsound witness")
-    return GradedSolveReport(True, total_witness, bound)
+    return GradedSolveReport(True, total_witness)
 
 
 # -- serialization ---------------------------------------------------------
@@ -681,10 +630,9 @@ def complex_to_text(c: FreeComplex, name: str, names: Sequence[str] | None = Non
             labels.append(b.label if b.weight == 0 else f"{b.label}:{b.weight}")
         items.append(f"deg {i}: [{', '.join(labels)}];")
     for i in sorted(c.diff):
-        mat = c.diff[i]
         cols = []
         for s in range(c.rank(i)):
-            col = [poly_to_text(mat[t][s], names) for t in range(c.rank(i + 1))]
+            col = [poly_to_text(c.entry(i, t, s), names) for t in range(c.rank(i + 1))]
             cols.append("[" + ", ".join(col) + "]")
         items.append(f"d({i}) = [{', '.join(cols)}];")
     body = "\n  ".join(items)
@@ -695,10 +643,10 @@ def map_to_text(u: ChainMap, name: str, names: Sequence[str] | None = None) -> s
     names = list(names or default_names(u.source.n))
     items = [f"degree {u.degree};", f"formdeg {u.form_degree};"]
     for i in sorted(u.mats):
-        mat = u.mats[i]
         cols = []
         for s in range(u.source.rank(i)):
-            col = [form_to_text(mat[t][s], names) for t in range(len(mat))]
+            rows = range(u.target.rank(i + u.degree))
+            col = [form_to_text(u.entry(i, t, s), names) for t in rows]
             cols.append("[" + ", ".join(col) + "]")
         items.append(f"u({i}) = [{', '.join(cols)}];")
     body = "\n  ".join(items)
@@ -777,16 +725,15 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
     if not names:
         raise ParseError("complex block missing ring declaration")
     n = len(names)
-    diff: dict[int, list[list[Poly]]] = {}
+    diff: dict[int, dict] = {}
     for i, cols in diff_raw.items():
         rows = len(degrees.get(i + 1, []))
-        mat = [[Poly.zero(n) for _ in cols] for _ in range(rows)]
+        diff[i] = {t: {} for t in range(rows)}
         for s, col_text in enumerate(cols):
             entries = _parse_bracket_list(col_text)
             if len(entries) != rows:
                 raise ParseError(f"d({i}) column {s} has wrong length")
             for t, entry in enumerate(entries):
-                mat[t][s] = parse_poly(entry, names)
-        diff[i] = mat
+                diff[i][t][s] = parse_poly(entry, names)
     cx = FreeComplex(n, degrees, diff, weights if graded else None)
     return name, cx, names

@@ -119,17 +119,8 @@ def random_cocycle(rng: random.Random, kz: KoszulComplex, degree: int) -> ChainM
         values = tuple(random_poly(rng, cx.n, 1, 1) for _ in range(kz.q))
         out = out + ext1_representative(NormalHom(kz.ideal, values), kz)
     if degree == 0:
-        g = random_poly(rng, cx.n, 1, 1)
-        mats = {}
-        for i in cx.support():
-            r = cx.rank(i)
-            mats[i] = [
-                [
-                    Form.from_poly(g if a == b else Poly.zero(cx.n))
-                    for b in range(r)
-                ]
-                for a in range(r)
-            ]
+        g = Form.from_poly(random_poly(rng, cx.n, 1, 1))
+        mats = {i: {a: {a: g} for a in range(cx.rank(i))} for i in cx.support()}
         out = out + ChainMap(cx, cx, 0, 0, mats)
     return out
 
@@ -142,12 +133,10 @@ def graded_random_connection(
 
     n = cx.n
     weights = cx.var_weights
-    columns = {}
+    columns: dict[int, dict] = {}
     for i in cx.support():
         r = cx.rank(i)
         basis = cx.basis(i)
-        mat = [[Form.zero(n, 1) for _ in range(r)] for _ in range(r)]
-        nonzero = False
         for t in range(r):
             for s in range(r):
                 entry_deg = basis[s].weight - basis[t].weight + internal_degree
@@ -162,10 +151,8 @@ def graded_random_connection(
                 v, expt = rng.choice(choices)
                 coeff = Fraction(rng.randint(-2, 2))
                 if coeff:
-                    mat[t][s] = Form(n, 1, {(v,): Poly.monomial(n, expt, coeff)})
-                    nonzero = True
-        if nonzero:
-            columns[i] = mat
+                    entry = Form(n, 1, {(v,): Poly.monomial(n, expt, coeff)})
+                    columns.setdefault(i, {}).setdefault(t, {})[s] = entry
     return ConnectionSpec(cx, columns)
 
 
@@ -190,19 +177,14 @@ def functoriality_pairs() -> list[tuple[ChainMap, KoszulComplex, KoszulComplex]]
         q = src.q
         n = len(names)
         fpolys = [parse_poly(t, names) for t in factors]
-        mats = {}
+        mats: dict[int, dict] = {}
         for p in range(q + 1):
-            subsets = index_sets(q, p)
-            mat = [
-                [Form.zero(n, 0) for _ in range(len(subsets))]
-                for _ in range(len(subsets))
-            ]
-            for s, alpha in enumerate(subsets):
+            mat = mats[-p] = {}
+            for s, alpha in enumerate(index_sets(q, p)):
                 coeff = Poly.one(n)
                 for i in alpha:
                     coeff = coeff * fpolys[i - 1]
-                mat[s][s] = Form.from_poly(coeff)
-            mats[-p] = mat
+                mat[s] = {s: Form.from_poly(coeff)}
         return ChainMap(src.complex, tgt.complex, 0, 0, mats), src, tgt
 
     out.append(lift_map(["x^2"], ["x"], ("x",), (1,), ["x"]))

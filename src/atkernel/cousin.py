@@ -222,29 +222,22 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
         return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
     psi = psi_section(k.ideal)
     acc: dict[tuple[int, ...], Form] = {}
-    for i, mat in u.mats.items():
-        p_alpha = -i
-        p_beta = p_alpha - d
-        if p_beta < 0 or p_beta > k.q:
+    for i, t, s, entry in u.nonzeros():
+        p_beta = -i - d
+        if p_beta < 0:
             continue
-        sources = index_sets(k.q, p_alpha)
-        targets = index_sets(k.q, p_beta)
-        for s, alpha in enumerate(sources):
-            aset = set(alpha)
-            for t, beta in enumerate(targets):
-                if not set(beta) <= aset:
-                    continue
-                entry = mat[t][s]
-                if entry.is_zero():
-                    continue
-                alpha_prime = tuple(sorted(aset - set(beta)))
-                sign = (
-                    psi[alpha_prime]
-                    * _shuffle_sign(beta, alpha_prime)
-                    * (-1) ** (p_beta * (1 + len(alpha_prime)))
-                )
-                add = entry.scale(sign)
-                acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
+        alpha, beta = index_sets(k.q, -i)[s], index_sets(k.q, p_beta)[t]
+        aset = set(alpha)
+        if not aset.issuperset(beta):
+            continue
+        alpha_prime = tuple(sorted(aset - set(beta)))
+        sign = (
+            psi[alpha_prime]
+            * _shuffle_sign(beta, alpha_prime)
+            * (-1) ** (p_beta * (1 + len(alpha_prime)))
+        )
+        add = entry.scale(sign)
+        acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
     entries = {
         alpha: LocalizedForm(num, 1 if alpha else 0)
         for alpha, num in acc.items()

@@ -9,6 +9,7 @@ verify_regular decides that exactly, from a Groebner basis.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -74,9 +75,12 @@ def gamma_label(alpha: Sequence[int]) -> str:
     return "e" if not alpha else "gf" + "_".join(str(i) for i in alpha)
 
 
-def index_sets(q: int, p: int) -> list[tuple[int, ...]]:
-    """All 1-based increasing index sets of size p, lexicographic order."""
-    return list(itertools.combinations(range(1, q + 1), p))
+@lru_cache(maxsize=None)
+def index_sets(q: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """All 1-based increasing index sets of size p, lexicographic order.
+
+    Memoised: the local trace looks up one set per stored entry."""
+    return tuple(itertools.combinations(range(1, q + 1), p))
 
 
 class KoszulComplex:
@@ -101,19 +105,26 @@ class KoszulComplex:
         return -p, index_sets(self.q, p).index(alpha)
 
 
-def _derivation_image(
-    ideal: RegularSequenceIdeal, alpha: tuple[int, ...]
-) -> dict[tuple[int, ...], Poly]:
-    """d(gf_alpha) as a map {smaller index set: coefficient}.
+def _derivation_matrices(values: Sequence[Poly]) -> dict[int, dict]:
+    """The degree-1 derivation gf_j -> values[j-1] of the wedge algebra on
+    gf_1..gf_q, as {-p: {row: {col: coefficient}}} with nonzero entries
+    only, in the Koszul bases.
 
-    Extends d(gf_j) = f_j as a degree-1 derivation over the wedge, so the
-    j-th factor contributes sign (-1)^{j-1}.  Dropping distinct entries
-    of alpha leaves distinct index sets, so each key is written once.
+    The factor at position pos of gf_alpha contributes sign (-1)^pos.
+    Dropping distinct entries of alpha leaves distinct index sets, so each
+    entry is written once.
     """
-    return {
-        alpha[:pos] + alpha[pos + 1 :]: ideal.polys[j - 1].scale((-1) ** pos)
-        for pos, j in enumerate(alpha)
-    }
+    q = len(values)
+    out: dict[int, dict] = {}
+    for p in range(1, q + 1):
+        tpos = {a: i for i, a in enumerate(index_sets(q, p - 1))}
+        mat = out[-p] = {}
+        for s, alpha in enumerate(index_sets(q, p)):
+            for pos, j in enumerate(alpha):
+                if values[j - 1].terms:
+                    row = mat.setdefault(tpos[alpha[:pos] + alpha[pos + 1 :]], {})
+                    row[s] = values[j - 1].scale((-1) ** pos)
+    return out
 
 
 def build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
@@ -137,18 +148,8 @@ def _build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
             w = sum(fdegs[i - 1] for i in alpha) if fdegs is not None else 0
             basis.append(BasisElement(gamma_label(alpha), w))
         degrees[-p] = basis
-    diff: dict[int, list[list[Poly]]] = {}
-    zero = Poly.zero(n)
-    for p in range(1, q + 1):
-        sources = index_sets(q, p)
-        targets = index_sets(q, p - 1)
-        tpos = {a: i for i, a in enumerate(targets)}
-        mat = [[zero] * len(sources) for _ in targets]
-        for s, alpha in enumerate(sources):
-            for rest, coeff in _derivation_image(ideal, alpha).items():
-                mat[tpos[rest]][s] = coeff
-        diff[-p] = mat
-    cx = FreeComplex(n, degrees, diff, weights)
+    # d extends d(gf_j) = f_j as a derivation
+    cx = FreeComplex(n, degrees, _derivation_matrices(ideal.polys), weights)
     for p in range(q + 1):
         if cx.rank(-p) != comb(q, p):
             raise ShapeError("koszul rank mismatch")
@@ -174,14 +175,9 @@ def dual_basis_map(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
     if any(not 1 <= i <= k.q for i in alpha) or len(set(alpha)) != len(alpha):
         raise ValueError(f"bad index set {alpha}")
     p = len(alpha)
-    n = k.n
     deg, col = k.basis_position(alpha)
-    rows = k.complex.rank(0)
-    cols = k.complex.rank(deg)
-    sign = (-1) ** comb(p, 2)
-    mat = [[Form.zero(n, 0) for _ in range(cols)] for _ in range(rows)]
-    mat[0][col] = Form.from_poly(Poly.const(n, sign))
-    return ChainMap(k.complex, k.complex, p, 0, {deg: mat})
+    sign = Form.from_poly(Poly.const(k.n, (-1) ** comb(p, 2)))
+    return ChainMap(k.complex, k.complex, p, 0, {deg: {0: {col: sign}}})
 
 
 def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
@@ -207,11 +203,8 @@ def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap
 
 
 def _scale_by_poly(u: ChainMap, p: Poly) -> ChainMap:
-    mats = {
-        i: tuple(tuple(f.mul_poly(p) for f in row) for row in mat)
-        for i, mat in u.mats.items()
-    }
-    return ChainMap(u.source, u.target, u.degree, u.form_degree, mats, check=False)
+    mats = u.entrywise(lambda f: f.mul_poly(p))
+    return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
 
 
 def verify_regular(ideal: RegularSequenceIdeal) -> bool:

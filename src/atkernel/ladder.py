@@ -10,9 +10,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .atiyah import atiyah_cocycle
-from .chaincore import BasisElement, ChainMap, FreeComplex, PolyMatrix, ShapeError
+from .chaincore import BasisElement, ChainMap, FreeComplex, ShapeError
 from .koszul import RegularSequenceIdeal, build_koszul
 from .polyforms import Form, Poly, exterior_derivative, wedge
+
+# a matrix of polynomials between free modules, as a sequence of rows
+PolyRows = Sequence[Sequence[Poly]]
 
 
 def _free_module(n: int, labels: Sequence[str], var_weights=None, weights=None) -> FreeComplex:
@@ -98,9 +101,9 @@ class ExtensionLadder:
         "pi", "pi_dprime", "relations",
     )
 
-    def __init__(self, n: int, j_matrix: PolyMatrix, p_matrix: PolyMatrix, middle: FreeComplex,
+    def __init__(self, n: int, j_matrix: PolyRows, p_matrix: PolyRows, middle: FreeComplex,
                  p_prime: FreeComplex, p_dprime: FreeComplex, total: FreeComplex,
-                 split: dict[int, int], pi: PolyMatrix, pi_dprime: PolyMatrix,
+                 split: dict[int, int], pi: PolyRows, pi_dprime: PolyRows,
                  relations: tuple[Poly, ...] = ()):
         self.n = n
         self.j_matrix = j_matrix
@@ -202,22 +205,16 @@ def connecting_delta(ladder: ExtensionLadder) -> ChainMap:
     # delta'' on P''^{-1}: -(sigma~ o d) restricted to the P''-columns
     st = _sigma_tilde_on_basis(ladder)
     split_m1 = ladder.split.get(-1, 0)
-    dprime_cols = ladder.p_dprime.rank(-1)
-    dmat = ladder.total.d_matrix(-1)
-    mats_dd = {}
-    if dprime_cols:
-        mat = []
-        for t in range(fpp_rank):
-            row = []
-            for s in range(dprime_cols):
-                col = split_m1 + s
-                acc = Form.zero(n, 1)
-                for m in range(ladder.total.rank(0)):
-                    acc = acc + st[t][m].mul_poly(dmat[m][col])
-                row.append(-acc)
-            mat.append(tuple(row))
-        mats_dd[-1] = tuple(mat)
-    return ChainMap(ladder.p_dprime, target_dprime, 1, 1, mats_dd, check=False)
+    mat = []
+    for t in range(fpp_rank):
+        row = []
+        for s in range(ladder.p_dprime.rank(-1)):
+            acc = Form.zero(n, 1)
+            for m in range(ladder.total.rank(0)):
+                acc = acc + st[t][m].mul_poly(ladder.total.entry(-1, m, split_m1 + s))
+            row.append(-acc)
+        mat.append(row)
+    return ChainMap(ladder.p_dprime, target_dprime, 1, 1, {-1: mat})
 
 
 def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
@@ -225,32 +222,25 @@ def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
     modulo the relations; returns exact | coboundary | FAIL."""
     delta_dd = connecting_delta(ladder)
     at = atiyah_cocycle(ladder.p_dprime).chain_map
-    # project At onto F'' generator coordinates via pi''
-    mats = {}
-    for i, mat in at.mats.items():
-        if i + 1 != 0:
-            continue
-        rows = len(ladder.pi_dprime)
-        cols = ladder.p_dprime.rank(i)
-        out = [[Form.zero(ladder.n, 1) for _ in range(cols)] for _ in range(rows)]
-        for t in range(rows):
-            for s in range(cols):
-                acc = Form.zero(ladder.n, 1)
-                for m in range(ladder.p_dprime.rank(0)):
-                    acc = acc + mat[m][s].mul_poly(ladder.pi_dprime[t][m])
-                out[t][s] = acc
-        mats[i] = tuple(tuple(row) for row in out)
-    projected = ChainMap(ladder.p_dprime, delta_dd.target, 1, 1, mats, check=False)
+    # project At from degree -1 onto F'' generator coordinates via pi''
+    mat = []
+    for pi_row in ladder.pi_dprime:
+        row = []
+        for s in range(ladder.p_dprime.rank(-1)):
+            acc = Form.zero(ladder.n, 1)
+            for m, coeff in enumerate(pi_row):
+                acc = acc + at.entry(-1, m, s).mul_poly(coeff)
+            row.append(acc)
+        mat.append(row)
+    projected = ChainMap(ladder.p_dprime, delta_dd.target, 1, 1, {-1: mat})
     total = delta_dd + projected
     if total.is_zero():
         return "exact"
-    reduced_zero = True
-    for mat in total.mats.values():
-        for row in mat:
-            for entry in row:
-                for idx, coeff in entry.terms.items():
-                    if not ladder.reduce_mod_relations(coeff).is_zero():
-                        reduced_zero = False
+    reduced_zero = all(
+        ladder.reduce_mod_relations(coeff).is_zero()
+        for *_, entry in total.nonzeros()
+        for coeff in entry.terms.values()
+    )
     return "coboundary" if reduced_zero else "FAIL"
 
 
@@ -297,9 +287,9 @@ def euler_generator_forms(n_proj: int = 1) -> list[Form]:
 def euler_sigma_is_minus_identity(sigma: ChainMap, n_proj: int = 1) -> list[bool]:
     """Per Euler generator: does sigma, a map onto the single generator of
     F'', send it to minus itself?"""
-    mat = sigma.matrix(0)
     gens = euler_generator_forms(n_proj)
-    return [len(mat) == 1 and mat[0][s] == -gen for s, gen in enumerate(gens)]
+    return [sigma.target.rank(0) == 1 and sigma.entry(0, 0, s) == -gen
+            for s, gen in enumerate(gens)]
 
 
 def _dx(n: int, i: int) -> Form:

@@ -153,15 +153,11 @@ def cone_homotopy(f: ChainMap) -> ChainMap:
     """
     c = cone(f)
     minus_one = Form.from_poly(Poly.const(c.n, -1))
-    zero = Form.zero(c.n, 0)
-    mats = {}
-    for i in c.support():
-        # degree i - 1 of the cone is N_{i-1} followed by T N_i
-        top = f.target.rank(i - 1)
-        mat = [[zero] * c.rank(i) for _ in range(c.rank(i - 1))]
-        for s in range(f.target.rank(i)):
-            mat[top + s][s] = minus_one
-        mats[i] = mat
+    # degree i - 1 of the cone is N_{i-1} followed by T N_i
+    mats = {
+        i: {f.target.rank(i - 1) + s: {s: minus_one} for s in range(f.target.rank(i))}
+        for i in c.support()
+    }
     return ChainMap(c, c, -1, 0, mats)
 
 
@@ -457,12 +453,7 @@ def check_appendix_invariants() -> Group:
             if sum(e) == 0:
                 e = tuple(1 if i == 0 else 0 for i in range(n))
             gens.append(e)
-        try:
-            ideal = MonomialIdeal.from_exponents(n, gens)
-        except Exception:
-            ok += 1  # degenerate draw, skip
-            continue
-        if dim_bound_check(ideal).holds:
+        if dim_bound_check(MonomialIdeal.from_exponents(n, gens)).holds:
             ok += 1
     # probe grid: monotonicity and certificate verification
     base = MonomialIdeal.from_exponents(2, [(3, 0), (0, 3)])

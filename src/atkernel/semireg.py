@@ -25,7 +25,7 @@ from .koszul import (
     RegularSequenceIdeal,
     _koszul_of,
     build_koszul,
-    index_sets,
+    _derivation_matrices,
 )
 from .polyforms import Form, exterior_derivative, wedge
 
@@ -50,20 +50,10 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     ring, which the constructor asserts.
     """
     kz = _koszul_of(phi.ideal, kz)
-    n, q = kz.n, kz.q
-    mats = {}
-    zero = Form.zero(n, 0)
-    for p in range(1, q + 1):
-        sources = index_sets(q, p)
-        targets = index_sets(q, p - 1)
-        tpos = {a: i for i, a in enumerate(targets)}
-        mat = [[zero] * len(sources) for _ in targets]
-        for s, alpha in enumerate(sources):
-            # dropping distinct entries of alpha leaves distinct index sets
-            for pos, j in enumerate(alpha):
-                rest = alpha[:pos] + alpha[pos + 1 :]
-                mat[tpos[rest]][s] = Form.from_poly(phi.values[j - 1].scale((-1) ** pos))
-        mats[-p] = mat
+    mats = {
+        i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}
+        for i, mat in _derivation_matrices(phi.values).items()
+    }
     out = ChainMap(kz.complex, kz.complex, 1, 0, mats)
     if not is_cocycle(out):
         raise AssertionError("derivation extension failed to be a cocycle")

@@ -13,7 +13,8 @@ are composed from scratch, not read from the powers the cocycle keeps.
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
 regularity scan and the cone checks rank them), and, at the end, the
-differential as a chain map, the split ladder of free modules, and the
+differential as a chain map, a matrix as dense rows and dense rows in
+the stored sparse form, the split ladder of free modules, and the
 contraction of a Cousin element against a derivation.
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ from atkernel import linalg
 from atkernel.chaincore import (
     ChainMap,
     GradingError,
-    _as_forms,
     compose,
     identity_map,
     monomials_of_weighted_degree,
@@ -201,10 +201,9 @@ def component_matrix(c, i, d, src=None, tgt=None):
     tgt = component_basis(c, i + 1, d) if tgt is None else tgt
     tgt_index = {key: pos for pos, key in enumerate(tgt)}
     mat = [{} for _ in tgt]
-    dmat = c.d_matrix(i)
     for col, (s_idx, expt) in enumerate(src):
         for t_idx in range(c.rank(i + 1)):
-            entry = dmat[t_idx][s_idx]
+            entry = c.entry(i, t_idx, s_idx)
             for e2, coeff in entry.terms.items():
                 key = (t_idx, tuple(a + b for a, b in zip(expt, e2)))
                 row = tgt_index.get(key)
@@ -234,10 +233,9 @@ def component_matrix_oracle(c, i, src, tgt):
     """
     tgt_index = {key: pos for pos, key in enumerate(tgt)}
     mat = [{} for _ in tgt]
-    dmat = c.d_matrix(i)
     for col, (s_idx, expt) in enumerate(src):
         for t_idx in range(c.rank(i + 1)):
-            image = dmat[t_idx][s_idx] * Poly.monomial(c.n, expt)
+            image = c.entry(i, t_idx, s_idx) * Poly.monomial(c.n, expt)
             for e, coeff in image.terms.items():
                 row = mat[tgt_index[(t_idx, e)]]
                 row[col] = row.get(col, 0) + coeff
@@ -437,8 +435,24 @@ def atiyah_power_oracle(at, k):
 
 def differential_map(c):
     """The differential itself as a degree-1, form-degree-0 chain map."""
-    zero = Form.zero(c.n, 0)
-    return ChainMap(c, c, 1, 0, {i: _as_forms(mat, zero) for i, mat in c.diff.items()})
+    return ChainMap(c, c, 1, 0, c.entrywise(Form.from_poly))
+
+
+def dense(m, i):
+    """Matrix i of a complex's differential or of a chain map as a list of
+    rows, zero entries included."""
+    if isinstance(m, ChainMap):
+        rows, cols = m.target.rank(i + m.degree), m.source.rank(i)
+    else:
+        rows, cols = m.rank(i + 1), m.rank(i)
+    return [[m.entry(i, t, s) for s in range(cols)] for t in range(rows)]
+
+
+def sparse(rows):
+    """Dense rows in the stored form {row: {col: entry}}: nonzero entries
+    only, no empty row."""
+    out = {t: {s: x for s, x in enumerate(row) if x.terms} for t, row in enumerate(rows)}
+    return {t: row for t, row in out.items() if row}
 
 
 def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:

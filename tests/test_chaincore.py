@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from atkernel.atiyah import DerivationSpec, atiyah_cocycle, contract_derivation
+from atkernel.atiyah import DerivationSpec, atiyah_cocycle, atiyah_power, contract_derivation
 from atkernel.chaincore import (
     BasisElement,
     ChainMap,
@@ -22,22 +22,36 @@ from atkernel.chaincore import (
     shift_map,
     solve_coboundary,
     zero_map,
-    _poly_matmul,
-    _wedge_matmul,
+    _product,
+    _settle,
 )
 from atkernel import linalg
 from atkernel.corpus import corpus_entries, random_chain_map, random_poly
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
-from atkernel.polyforms import ArityError, Form, ParseError, Poly, parse_form, parse_poly
+from atkernel.atiyah import ConnectionSpec
+from atkernel.polyforms import (
+    ArityError,
+    Form,
+    ParseError,
+    Poly,
+    _form_from_acc,
+    _mul_into,
+    _poly_from_acc,
+    _wedge_into,
+    parse_form,
+    parse_poly,
+)
 from atkernel.selftest import check_cone_identity, cone_homotopy
 
 from oracles import (
     component_basis,
     component_matrix,
     component_matrix_oracle,
+    dense,
     differential_map,
     homology_rank,
     poly_matmul_oracle,
+    sparse,
     wedge_matmul_oracle,
 )
 
@@ -71,8 +85,8 @@ class TestHomBracket:
         )
         br = hom_bracket(h)
         x2 = parse_poly("x^2", X)
-        assert br.matrix(0)[0][0].to_poly() == x2
-        assert br.matrix(-1)[0][0].to_poly() == x2
+        assert br.entry(0, 0, 0).to_poly() == x2
+        assert br.entry(-1, 0, 0).to_poly() == x2
 
     def test_bracket_squared_random(self):
         rng = random.Random(4)
@@ -115,9 +129,9 @@ class TestCompose:
         u = ChainMap(c, c, 0, 1, {0: [[parse_form("x*dx", XY)]]})
         v = ChainMap(c, c, 0, 1, {0: [[parse_form("y*dy", XY)]]})
         uv = compose(u, v)
-        assert uv.matrix(0)[0][0] == parse_form("x*y*dx^dy", XY)
+        assert uv.entry(0, 0, 0) == parse_form("x*y*dx^dy", XY)
         vu = compose(v, u)
-        assert vu.matrix(0)[0][0] == parse_form("-x*y*dx^dy", XY)
+        assert vu.entry(0, 0, 0) == parse_form("-x*y*dx^dy", XY)
 
 
 def koszul_squares(q):
@@ -128,19 +142,25 @@ def koszul_squares(q):
 
 
 def _zero_padded(rng, u):
-    """u with about a third of its entries replaced by degree-0 zero forms,
-    which a map of any form degree may carry."""
+    """u given densely, with about a third of its entries replaced by
+    degree-0 zero forms, which a map of any form degree may carry."""
     n = u.source.n
     mats = {
-        i: [[Form.zero(n, 0) if rng.random() < 0.35 else f for f in row] for row in mat]
-        for i, mat in u.mats.items()
+        i: [[Form.zero(n, 0) if rng.random() < 0.35 else f for f in row] for row in dense(u, i)]
+        for i in u.mats
     }
     return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
 
 
+def _stored_invariant(mats):
+    """No zero entry, empty row or empty matrix is stored."""
+    return all(mat and all(row and all(x.terms for x in row.values()) for row in mat.values())
+               for mat in mats.values())
+
+
 class TestFusedProducts:
-    """The accumulate-once matrix products against the naive sums of the
-    public binary operations, entry by entry."""
+    """The sparse accumulate-once matrix product against the naive sums of
+    the public binary operations on densified inputs, entry by entry."""
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_wedge_matmul_matches_sum_of_wedges(self, q):
@@ -153,15 +173,16 @@ class TestFusedProducts:
         for u in maps:
             for v in maps:
                 out_deg = min(u.form_degree + v.form_degree, n)
-                # every degree of the support where both factors have rows, so
-                # all-zero padding matrices from ChainMap.matrix take part
+                # every degree of the support where both factors have rows,
+                # so factors with no stored matrix take part as well
                 for i in cx.support():
-                    a, b = u.matrix(i + v.degree), v.matrix(i)
+                    a, b = dense(u, i + v.degree), dense(v, i)
                     if not (a and b):
                         continue
-                    got = _wedge_matmul(a, b, n, out_deg)
-                    assert got == wedge_matmul_oracle(a, b, n, out_deg)
-                    assert all(w.degree == out_deg for row in got for w in row)
+                    acc = _product({}, u.mats.get(i + v.degree, {}), v.mats.get(i, {}), _wedge_into)
+                    got = _settle(acc, lambda raw: _form_from_acc(n, out_deg, raw))
+                    assert got == sparse(wedge_matmul_oracle(a, b, n, out_deg))
+                    assert all(w.degree == out_deg for row in got.values() for w in row.values())
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_poly_matmul_matches_sum_of_products(self, q):
@@ -169,47 +190,140 @@ class TestFusedProducts:
         cx, n = kz.complex, kz.n
         rng = random.Random(50 + q)
         for i in sorted(cx.diff):
-            d = cx.d_matrix(i)
+            d = dense(cx, i)
             rand = [
                 [random_poly(rng, n) if rng.random() < 0.6 else Poly.zero(n) for _ in range(3)]
                 for _ in range(cx.rank(i))
             ]
-            for a, b in ((d, rand), (cx.d_matrix(i + 1), d)):
+            for a, b in ((d, rand), (dense(cx, i + 1), d)):
                 if a and b:
-                    assert _poly_matmul(a, b) == poly_matmul_oracle(a, b)
+                    acc = _product({}, sparse(a), sparse(b), _mul_into)
+                    got = _settle(acc, lambda raw: _poly_from_acc(n, raw))
+                    assert got == sparse(poly_matmul_oracle(a, b))
 
     def test_contraction_of_composed_map_with_zero_entries(self):
-        # compose's zero entries carry the form degree of the composite, so
-        # contracting a form-degree-1 composite needs no special case
+        # a map given with zero entries of any form degree stores none of
+        # them, so contracting a form-degree-1 composite needs no special case
         ideal = RegularSequenceIdeal(
             3, tuple(parse_poly(t, ("x", "y", "z")) for t in ("x", "y", "z")), (1, 1, 1)
         )
         cx = build_koszul(ideal).complex
         at = atiyah_cocycle(cx).chain_map
-        assert any(w.is_zero() for mat in at.mats.values() for row in mat for w in row)
+        assert any(w.is_zero() for i in at.mats for row in dense(at, i) for w in row)
         # the same map with every zero entry of form degree 0
         padded = ChainMap(cx, cx, 1, 1, {
-            i: [[w if w.terms else Form.zero(3, 0) for w in row] for row in mat]
-            for i, mat in at.mats.items()
+            i: [[w if w.terms else Form.zero(3, 0) for w in row] for row in dense(at, i)]
+            for i in at.mats
         })
+        assert padded == at and _stored_invariant(padded.mats)
         composed = compose(padded, identity_map(cx))
         assert composed == at
         xi = DerivationSpec((Poly.one(3), Poly.zero(3), Poly.variable(3, 2)))
         assert contract_derivation(xi, composed) == contract_derivation(xi, at)
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            # the arity-3 entry of b meets only the zero entry of a
-            ([[Poly.zero(2), Poly.one(2)]], [[Poly.one(3)], [Poly.zero(2)]]),
-            # the arity-3 entry of a is zero, and so is the entry of b it meets
-            ([[Poly.one(2), Poly.zero(3)]], [[Poly.one(2)], [Poly.zero(2)]]),
-            ([[Poly.zero(2)]], [[Poly.zero(3)]]),
-        ],
-    )
-    def test_poly_matmul_checks_arity_of_entries_that_meet_zeros(self, a, b):
+
+def _one_by_one(n=2):
+    """The complex e --x--> f over n variables, graded."""
+    return FreeComplex(n, {-1: [BasisElement("e", 1)], 0: [BasisElement("f")]},
+                       {-1: [[Poly.variable(n, 0)]]}, (1,) * n)
+
+
+class TestConstructorBoundaries:
+    """Every given entry is checked, zero or not, whatever form the matrix
+    is given in; only nonzero entries are stored."""
+
+    @pytest.mark.parametrize("build", [
+        # a second, zero entry of arity 3 in a row of arity-2 entries
+        lambda cx: FreeComplex(2, {-1: [BasisElement("e", 1), BasisElement("g", 1)],
+                                   0: [BasisElement("f")]},
+                               {-1: [[Poly.variable(2, 0), Poly.zero(3)]]}, (1, 1)),
+        lambda cx: ChainMap(cx, cx, 0, 0, {-1: [[Form.zero(3, 0)]]}),
+        lambda cx: ConnectionSpec(cx, {0: [[Form.zero(3, 1)]]}),
+    ], ids=["FreeComplex", "ChainMap", "ConnectionSpec"])
+    def test_zero_entry_of_wrong_arity_is_refused(self, build):
         with pytest.raises(ArityError):
-            _poly_matmul(a, b)
+            build(_one_by_one())
+
+    @pytest.mark.parametrize("mat", [
+        [[]],  # a short row
+        [[Form.zero(2, 0)], [Form.zero(2, 0)]],  # one row too many
+        {1: {0: Form.from_poly(Poly.one(2))}},  # a row index out of range
+        {1: [Form.zero(2, 0)]},  # the same, with the row given densely
+        {0: {1: Form.zero(2, 0)}},  # a column index out of range, zero entry
+    ], ids=["short_row", "row_count", "row_index", "row_index_dense_row", "col_index"])
+    def test_matrix_of_wrong_shape_is_refused(self, mat):
+        cx = _one_by_one()
+        with pytest.raises(ShapeError):
+            ChainMap(cx, cx, 0, 0, {0: mat})
+        with pytest.raises(ShapeError):
+            FreeComplex(2, cx.degrees, {-1: _entries_as_polys(mat)}, (1, 1))
+
+    def test_rows_and_row_dicts_store_the_same(self):
+        cx = _one_by_one()
+        x = Form.from_poly(Poly.variable(2, 0))
+        rows = ChainMap(cx, cx, 0, 0, {-1: [[x]], 0: [[Form.zero(2, 0)]]})
+        dicts = ChainMap(cx, cx, 0, 0, {-1: {0: {0: x}}, 0: {0: {}}})
+        assert rows == dicts and rows.mats == {-1: {0: {0: x}}}
+        assert rows.entry(0, 0, 0) == Form.zero(2, 0) and rows.entry(-1, 0, 0) == x
+
+
+def _entrywise_equal(u, v):
+    cx = u.source
+    return all(
+        u.entry(i, t, s) == v.entry(i, t, s)
+        for i in cx.support()
+        for t in range(u.target.rank(i + u.degree))
+        for s in range(cx.rank(i))
+    )
+
+
+class TestStoredForm:
+    """Results hold nonzero entries only, so literal equality of the stored
+    matrices is equality of maps."""
+
+    def test_no_zero_entry_empty_row_or_empty_matrix_is_stored(self):
+        rng = random.Random(12)
+        for entry in corpus_entries():
+            kz = build_koszul(entry.ideal)
+            cx, n = kz.complex, kz.n
+            at = atiyah_cocycle(cx)
+            u = random_chain_map(rng, kz, 1, 1)
+            v = random_chain_map(rng, kz, 1, 1)
+            w = random_chain_map(rng, kz, -1, 0)
+            xi = DerivationSpec(tuple(random_poly(rng, n) for _ in range(n)))
+            witness = solve_coboundary(hom_bracket(w)).witness
+            results = [
+                compose(u, w), compose(w, u), hom_bracket(u), hom_bracket(w), u + v, u - v,
+                u - u, (u + v) - v, u.scale(0), u.scale(-2), contract_derivation(xi, u),
+                contract_derivation(xi, at), shift_map(u, 1), witness,
+            ] + [atiyah_power(at, k).chain_map for k in range(kz.q + 2)]
+            assert (u - u).mats == {} and u.scale(0).mats == {}
+            assert (u + v) - v == u and _entrywise_equal((u + v) - v, u)
+            for result in results:
+                assert _stored_invariant(result.mats)
+            for c in (cone(identity_map(cx)), parse_complex(complex_to_text(cx, "K"))[1]):
+                assert _stored_invariant(c.diff)
+
+    def test_equality_agrees_with_entrywise_equality(self):
+        rng = random.Random(13)
+        for entry in corpus_entries():
+            kz = build_koszul(entry.ideal)
+            for _ in range(10):
+                d, fd = rng.choice([-1, 0, 1]), rng.choice([0, 1])
+                u, v = random_chain_map(rng, kz, d, fd), random_chain_map(rng, kz, d, fd)
+                for a, b in ((u, v), (u, (u + v) - v), (u, _zero_padded(rng, u)),
+                             (u - u, zero_map(kz.complex, kz.complex, d, fd))):
+                    assert (a == b) == _entrywise_equal(a, b)
+                assert u != v and u == (u + v) - v
+
+
+def _entries_as_polys(mat):
+    """The same matrix, or row, with each form entry replaced by its polynomial."""
+    if isinstance(mat, dict):
+        return {k: _entries_as_polys(v) for k, v in mat.items()}
+    if isinstance(mat, list):
+        return [_entries_as_polys(v) for v in mat]
+    return mat.to_poly()
 
 
 def koszul_weighted():
@@ -251,7 +365,7 @@ class TestShift:
     def test_shift_negates_differential(self):
         cx = koszul_x2().complex
         shifted = shift(cx, 1)
-        assert shifted.d_matrix(-2)[0][0] == parse_poly("-x^2", X)
+        assert shifted.entry(-2, 0, 0) == parse_poly("-x^2", X)
 
     def test_bracket_commutes_with_shift_up_to_sign(self):
         rng = random.Random(8)
@@ -294,10 +408,10 @@ class TestCone:
         cx = koszul_x2().complex
         c = cone(zero_map(cx, cx, 0, 0))
         # N block survives untouched, N'[1] block is negated and shifted
-        assert c.d_matrix(-1)[0][0] == parse_poly("x^2", X)
-        assert c.d_matrix(-1)[0][1].is_zero()
-        assert c.d_matrix(-2)[1][0] == parse_poly("-x^2", X)
-        assert c.d_matrix(-2)[0][0].is_zero()
+        assert c.entry(-1, 0, 0) == parse_poly("x^2", X)
+        assert c.entry(-1, 0, 1).is_zero()
+        assert c.entry(-2, 1, 0) == parse_poly("-x^2", X)
+        assert c.entry(-2, 0, 0).is_zero()
 
     def test_cone_of_multiplication_matches_koszul_up_to_signed_relabeling(self):
         n = 1
@@ -309,8 +423,8 @@ class TestCone:
         c = cone(f)
         kz = koszul_x2().complex
         assert [c.rank(i) for i in (-1, 0)] == [kz.rank(-1), kz.rank(0)]
-        entry = c.d_matrix(-1)[0][0]
-        target = kz.d_matrix(-1)[0][0]
+        entry = c.entry(-1, 0, 0)
+        target = kz.entry(-1, 0, 0)
         assert entry == target or entry == -target
 
     def test_cone_rejects_non_chain_map(self):
@@ -410,8 +524,8 @@ class TestSerialization:
         """
         name, cx, names = parse_complex(text.strip().rstrip())
         assert cx.rank(-1) == 2 and cx.rank(0) == 1
-        assert cx.d_matrix(-1)[0][0] == parse_poly("x", XY)
-        assert cx.d_matrix(-1)[0][1] == parse_poly("y", XY)
+        assert cx.entry(-1, 0, 0) == parse_poly("x", XY)
+        assert cx.entry(-1, 0, 1) == parse_poly("y", XY)
 
     @pytest.mark.parametrize(
         "items, message",

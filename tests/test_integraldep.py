@@ -197,3 +197,26 @@ class TestDimBound:
             if not gens:
                 gens = [(2,) + (0,) * (n - 1)]
             assert dim_bound_check(mono_ideal(n, gens)).holds
+
+
+class TestSelftestGroup:
+    def test_refused_draw_is_not_a_pass(self, monkeypatch):
+        """A constructor that refuses every random draw of the appendix group
+        must not leave it reporting a full pass."""
+        from atkernel import selftest
+
+        fixed = ([(2, 0)], [(3, 0), (0, 3)], [(3, 0), (0, 3), (1, 1)])
+
+        class Refusing:
+            """The group's own constructor calls: the fixed examples pass,
+            every random draw is refused."""
+
+            @staticmethod
+            def from_exponents(n, exponents):
+                if list(exponents) in fixed:
+                    return MonomialIdeal.from_exponents(n, exponents)
+                raise MonomialIdealError("refused draw")
+
+        monkeypatch.setattr(selftest, "MonomialIdeal", Refusing)
+        with pytest.raises(MonomialIdealError, match="refused draw"):
+            selftest.check_appendix_invariants()

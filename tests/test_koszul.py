@@ -26,19 +26,19 @@ class TestBuild:
     def test_principal(self):
         kz = build_koszul(RegularSequenceIdeal(1, (parse_poly("x^2", X),), (1,)))
         assert [kz.complex.rank(i) for i in (-1, 0)] == [1, 1]
-        assert kz.complex.d_matrix(-1)[0][0] == parse_poly("x^2", X)
+        assert kz.complex.entry(-1, 0, 0) == parse_poly("x^2", X)
 
     def test_two_variables(self):
         kz = build_koszul(
             RegularSequenceIdeal(2, (parse_poly("x", XY), parse_poly("y", XY)), (1, 1))
         )
         assert [kz.complex.rank(-p) for p in (0, 1, 2)] == [1, 2, 1]
-        d1 = kz.complex.d_matrix(-1)
-        assert d1[0][0] == parse_poly("x", XY) and d1[0][1] == parse_poly("y", XY)
-        d2 = kz.complex.d_matrix(-2)
+        cx = kz.complex
+        assert cx.entry(-1, 0, 0) == parse_poly("x", XY)
+        assert cx.entry(-1, 0, 1) == parse_poly("y", XY)
         # d(gx ^ gy) = x gy - y gx
-        assert d2[0][0] == parse_poly("-y", XY)
-        assert d2[1][0] == parse_poly("x", XY)
+        assert cx.entry(-2, 0, 0) == parse_poly("-y", XY)
+        assert cx.entry(-2, 1, 0) == parse_poly("x", XY)
 
     def test_three_variables_ranks(self):
         kz = build_koszul(
@@ -61,11 +61,10 @@ class TestBuild:
             for p in range(1, q + 1):
                 sources = index_sets(q, p)
                 targets = index_sets(q, p - 1)
-                mat = kz.complex.d_matrix(-p)
                 for s, alpha in enumerate(sources):
                     expected = koszul_differential_oracle(list(polys), alpha)
                     for t, beta in enumerate(targets):
-                        assert mat[t][s] == expected.get(beta, Poly.zero(4))
+                        assert kz.complex.entry(-p, t, s) == expected.get(beta, Poly.zero(4))
 
     def test_rejects_bad_sequences(self):
         with pytest.raises(ValueError):
@@ -86,14 +85,15 @@ class TestOneBuildPerIdeal:
         # the cone x^2 - y*z ; y^2 - x*z, with a seeded non-coordinate hom
         entry = next(e for e in corpus_entries() if e.name == "x^2-y*z_y^2-x*z")
         hom = normal_homs_for(entry)[-1]
+        # the public constructor validates; arithmetic results bypass it
         validated = []
-        real = FreeComplex._validate
+        real = FreeComplex.__init__
 
-        def counting(cx):
+        def counting(cx, *args):
+            real(cx, *args)
             validated.append(cx)
-            return real(cx)
 
-        monkeypatch.setattr(FreeComplex, "_validate", counting)
+        monkeypatch.setattr(FreeComplex, "__init__", counting)
         for k in range(1, entry.ideal.q + 1):
             chern_character(entry.ideal, k)
         assert compare_semireg(hom).verdict == "representative-exact"
@@ -113,21 +113,21 @@ class TestDualBasis:
     def test_principal_pairing(self):
         kz = build_koszul(RegularSequenceIdeal(1, (parse_poly("x^2", X),), (1,)))
         d = dual_basis_map(kz, (1,))
-        assert d.matrix(-1)[0][0].to_poly() == Poly.one(1)
+        assert d.entry(-1, 0, 0).to_poly() == Poly.one(1)
 
     def test_top_pairing_sign_q2(self):
         kz = build_koszul(
             RegularSequenceIdeal(2, (parse_poly("x", XY), parse_poly("y", XY)), (1, 1))
         )
         d = dual_basis_map(kz, (1, 2))
-        assert d.matrix(-2)[0][0].to_poly() == Poly.const(2, -1)
+        assert d.entry(-2, 0, 0).to_poly() == Poly.const(2, -1)
 
     def test_off_component_vanishes(self):
         kz = build_koszul(
             RegularSequenceIdeal(2, (parse_poly("x", XY), parse_poly("y", XY)), (1, 1))
         )
         d = dual_basis_map(kz, (1,))
-        assert d.matrix(-1)[0][1].is_zero()  # gf2 coordinate
+        assert d.entry(-1, 0, 1).is_zero()  # gf2 coordinate
 
     def test_bracket_is_left_multiplication(self):
         for texts, names, weights in (

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import contract_form_oracle
+from oracles import contract_form_oracle, sparse
 
-from atkernel.chaincore import _poly_matmul, _wedge_matmul
+from atkernel.chaincore import _product, _settle
 from atkernel.polyforms import (
     ArityError,
     Form,
     ParseError,
     Poly,
+    _form_from_acc,
+    _mul_into,
+    _poly_from_acc,
+    _wedge_into,
     contract_form,
     default_names,
     exterior_derivative,
@@ -338,15 +342,17 @@ class TestTrustedResultsAreCanonical:
             rows, mid, cols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
             a = [[_rand_poly(rng, n) for _ in range(mid)] for _ in range(rows)]
             b = [[_rand_poly(rng, n) for _ in range(cols)] for _ in range(mid)]
-            for row in _poly_matmul(a, b):
-                for r in row:
+            product = _product({}, sparse(a), sparse(b), _mul_into)
+            for row in _settle(product, lambda raw: _poly_from_acc(n, raw)).values():
+                for r in row.values():
                     assert_canonical_poly(r, n)
             da, db = rng.randint(0, n), rng.randint(0, n)
             fa = [[_rand_form(rng, n, da) for _ in range(mid)] for _ in range(rows)]
             fb = [[_rand_form(rng, n, db) for _ in range(cols)] for _ in range(mid)]
             out_deg = min(da + db, n)
-            for row in _wedge_matmul(fa, fb, n, out_deg):
-                for w in row:
+            product = _product({}, sparse(fa), sparse(fb), _wedge_into)
+            for row in _settle(product, lambda raw: _form_from_acc(n, out_deg, raw)).values():
+                for w in row.values():
                     assert_canonical_form(w, n, out_deg)
 
 

@@ -57,18 +57,17 @@ class TestExt1Representative:
         ideal = ideal_of(["x^2"], X)
         phi = NormalHom(ideal, (Poly.one(1),))
         rep = ext1_representative(phi)
-        assert rep.matrix(-1)[0][0].to_poly() == Poly.one(1)
+        assert rep.entry(-1, 0, 0).to_poly() == Poly.one(1)
 
     def test_derivation_extension_to_top(self):
         ideal = ideal_of(["x", "y"], XY)
         phi = NormalHom(ideal, (Poly.one(2), Poly.zero(2)))
         rep = ext1_representative(phi)
-        assert rep.matrix(-1)[0][0].to_poly() == Poly.one(2)
-        assert rep.matrix(-1)[0][1].is_zero()
+        assert rep.entry(-1, 0, 0).to_poly() == Poly.one(2)
+        assert rep.entry(-1, 0, 1).is_zero()
         # phi(gx ^ gy) = phi1 gy - phi2 gx = gy
-        top = rep.matrix(-2)
-        assert top[0][0].is_zero()  # gx coordinate
-        assert top[1][0].to_poly() == Poly.one(2)  # gy coordinate
+        assert rep.entry(-2, 0, 0).is_zero()  # gx coordinate
+        assert rep.entry(-2, 1, 0).to_poly() == Poly.one(2)  # gy coordinate
 
     def test_is_cocycle_on_the_nose(self):
         for entry in corpus_entries():
@@ -216,9 +215,8 @@ class TestSecondFundamentalForm:
         for n_proj in (1, 2):
             sigma, _ = euler_preset(n_proj)
             gens = euler_generator_forms(n_proj)
-            mat = sigma.matrix(0)
             for s, gen in enumerate(gens):
-                assert mat[0][s] == -gen
+                assert sigma.entry(0, 0, s) == -gen
 
     def test_zero_inclusion_gives_zero(self):
         from atkernel.chaincore import BasisElement, FreeComplex
@@ -235,7 +233,7 @@ class TestSecondFundamentalForm:
         sigma = second_fundamental_form(
             ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
         )
-        assert sigma.matrix(0)[0][0] == exterior_derivative(f)
+        assert sigma.entry(0, 0, 0) == exterior_derivative(f)
 
     def test_two_relations_refused(self):
         # one relation divides to a normal form; successive division by
@@ -269,8 +267,8 @@ class TestSecondFundamentalForm:
         g = Poly.monomial(n, (1, 1), 2)
         j_scaled = [[entry * g for entry in row] for row in _euler_j(n)]
         sigma_scaled = second_fundamental_form(j_scaled, _euler_p(n), _euler_middle(n))
-        base = sigma.matrix(0)[0][0]
-        scaled = sigma_scaled.matrix(0)[0][0]
+        base = sigma.entry(0, 0, 0)
+        scaled = sigma_scaled.entry(0, 0, 0)
         assert scaled == base.mul_poly(g)
 
 
@@ -318,7 +316,7 @@ class TestConnectingDelta:
             assert verdict in ("exact", "coboundary")
             assert not ladder.p_prime.diff  # F' free, so delta' vanishes
             dd = connecting_delta(ladder)
-            assert dd.matrix(-1)[0][0] == exterior_derivative(f)
+            assert dd.entry(-1, 0, 0) == exterior_derivative(f)
 
     @pytest.mark.parametrize("zero", [False, True])
     def test_prime_with_differential_refused(self, zero):

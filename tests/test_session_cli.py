@@ -319,6 +319,7 @@ class TestUsageMessages:
 ROOT = Path(__file__).resolve().parents[1]
 CLI_EXPECTED = ROOT / "perfbench" / "cli_expected.json"
 CORPUS_GOLDEN = ROOT / "tests" / "golden" / "corpus.txt"
+SELFTEST_GOLDEN = ROOT / "tests" / "golden" / "selftest.txt"
 
 
 def load_demo():
@@ -345,6 +346,13 @@ class TestDemoGolden:
             if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
                 argv += ["--input", str(path)]
             assert (main(argv), capsys.readouterr().out) == (0, expected), command
+
+
+class TestSelftestGolden:
+    def test_selftest_matches_recorded_output(self, capsys):
+        """`atk selftest`, in process, against its recorded stdout."""
+        assert main(["selftest"]) == 0
+        assert capsys.readouterr().out == SELFTEST_GOLDEN.read_text()
 
 
 class TestCorpusGolden:
