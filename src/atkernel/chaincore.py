@@ -15,8 +15,8 @@ algebra over Q.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
+from operator import add
 from typing import Sequence
 
 from . import linalg
@@ -513,8 +513,46 @@ def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
     }
 
 
-def _index_tuples(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), k))
+def _solve_products(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
+    """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
+    every slot, summed over the products (slot, key, poly, sign); each
+    (slot, key) pair occurs at most once.  supports maps a key to the
+    (idx, expt) terms its form may have, which number the unknowns in
+    order; rhs maps slots to forms.  Returns {key: form} for the nonzero
+    unknowns of the one particular solution, or None when there is none.
+    """
+    first = {}
+    num_vars = 0
+    for key, terms in supports.items():
+        first[key] = num_vars
+        num_vars += len(terms)
+    # one Q-linear equation per (slot, idx, expt); one product's terms give
+    # distinct equations, so each entry is set once
+    rows: dict[tuple, linalg.Row] = {}
+    for slot, key, poly, sign in products:
+        for vi, (idx, expt) in enumerate(supports[key], first[key]):
+            for e2, q in poly.terms.items():
+                rows.setdefault((slot, idx, tuple(map(add, expt, e2))), {})[vi] = sign * q
+    values = {
+        (slot, idx, expt): q
+        for slot, form in rhs.items()
+        for idx, coeff in form.terms.items()
+        for expt, q in coeff.terms.items()
+    }
+    keys = list(rows.keys() | values.keys())
+    solution = linalg.solve([rows.get(e, {}) for e in keys], [values.get(e, 0) for e in keys],
+                            num_vars)
+    if solution is None:
+        return None
+    out = {}
+    for key, terms in supports.items():
+        acc: dict = {}
+        for vi, (idx, expt) in enumerate(terms, first[key]):
+            if solution[vi]:
+                acc.setdefault(idx, {})[expt] = _canon(solution[vi])
+        if acc:
+            out[key] = _form_of_terms(n, k, acc)
+    return out
 
 
 def solve_coboundary(c: ChainMap) -> GradedSolveReport:
@@ -535,81 +573,44 @@ def solve_coboundary(c: ChainMap) -> GradedSolveReport:
     weights = src.var_weights
     if c.is_zero():
         return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
-    layers = internal_degree_layers(c)
-    total_witness = zero_map(src, tgt, r_h, k)
-    for d_internal, layer in sorted(layers.items()):
-        # unknown entries h_i[t][s]; blocks[(i, t, s)] lists (idx, expt, var)
-        blocks: dict[tuple[int, int, int], list[tuple]] = {}
-        num_vars = 0
+    # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
+    # column m of the target differential and row s of the source one
+    columns: dict[tuple, list] = {}
+    for j, t, m, p in tgt.nonzeros():
+        columns.setdefault((j - r_h, m), []).append((t, p))
+    sign = -((-1) ** (r_h % 2))
+    idx_weights = [(idx, sum(weights[j] for j in idx))
+                   for idx in itertools.combinations(range(n), k)]
+    mats: dict[int, dict] = {}
+    for d_internal, layer in sorted(internal_degree_layers(c).items()):
+        supports = {}
         for i in src.support():
-            tb = tgt.basis(i + r_h)
-            sb = src.basis(i)
-            for t, tbe in enumerate(tb):
-                for s, sbe in enumerate(sb):
+            for t, tbe in enumerate(tgt.basis(i + r_h)):
+                for s, sbe in enumerate(src.basis(i)):
                     entry_deg = sbe.weight - tbe.weight + d_internal
-                    block = []
-                    for idx in _index_tuples(n, k):
-                        mono_deg = entry_deg - sum(weights[j] for j in idx)
-                        for expt in monomials_of_weighted_degree(n, weights, mono_deg):
-                            block.append((idx, expt, num_vars))
-                            num_vars += 1
-                    if block:
-                        blocks[(i, t, s)] = block
-        rows_eq: list[linalg.Row] = []
-        rhs_eq: list[Fraction] = []
-        sign = (-1) ** (r_h % 2)
-        lo = min(src.support() + tgt.support()) - 1
-        hi = max(src.support() + tgt.support()) + 1
-        for i in range(lo, hi):
-            rows = tgt.rank(i + r_h + 1)
-            cols = src.rank(i)
-            if rows == 0 or cols == 0:
-                continue
-            dt = tgt.diff.get(i + r_h, {})
-            ds = src.diff.get(i, {})
-            for t in range(rows):
-                for s in range(cols):
-                    rows_by_key: dict[tuple, dict[int, Fraction]] = {}
-                    rhs_by_key: dict[tuple, Fraction] = {}
-                    for idx, coeff in layer.entry(i, t, s).terms.items():
-                        for expt, q in coeff.terms.items():
-                            rhs_by_key[(idx, expt)] = q
-                    # d o h contribution; its unknowns and those of h o d are disjoint,
-                    # and one unknown's terms give distinct keys: each entry is set once
-                    for m, dpoly in dt.get(t, {}).items():
-                        for idx, expt, vi in blocks.get((i, m, s), ()):
-                            for e2, q2 in dpoly.terms.items():
-                                tot = tuple(a + b for a, b in zip(expt, e2))
-                                row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = q2
-                    # h o d contribution with sign -(-1)^{r_h}
-                    for m in range(src.rank(i + 1)):
-                        spoly = ds.get(m, {}).get(s)
-                        if spoly is None:
-                            continue
-                        for idx, expt, vi in blocks.get((i + 1, t, m), ()):
-                            for e2, q2 in spoly.terms.items():
-                                tot = tuple(a + b for a, b in zip(expt, e2))
-                                row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = -sign * q2
-                    for key in set(rows_by_key) | set(rhs_by_key):
-                        rows_eq.append(rows_by_key.get(key, {}))
-                        rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
-        solution = linalg.solve(rows_eq, rhs_eq, num_vars)
-        if solution is None:
+                    terms = [(idx, expt) for idx, w in idx_weights
+                             for expt in monomials_of_weighted_degree(n, weights, entry_deg - w)]
+                    if terms:
+                        supports[(i, t, s)] = terms
+        products = []
+        for key in supports:
+            i, t, s = key
+            for row, p in columns.get((i, t), ()):
+                products.append(((i, row, s), key, p, 1))
+            for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
+                products.append(((i - 1, t, col), key, p, sign))
+        rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
+        solved = _solve_products(supports, products, rhs, n, k)
+        if solved is None:
             return GradedSolveReport(False, None)
-        # mats[i][t][s][idx] holds the terms {expt: value} of one witness entry
-        mats: dict[int, dict] = {}
-        for (i, t, s), block in blocks.items():
-            for idx, expt, vi in block:
-                if solution[vi]:
-                    entry = mats.setdefault(i, {}).setdefault(t, {}).setdefault(s, {})
-                    entry.setdefault(idx, {})[expt] = _canon(solution[vi])
-        witness = _entrywise(mats, partial(_form_of_terms, n, k))
-        total_witness = total_witness + ChainMap._raw(src, tgt, r_h, k, witness)
-    if hom_bracket(total_witness) != c:
+        # layers have distinct internal degrees, so their terms never cancel
+        for (i, t, s), form in solved.items():
+            row = mats.setdefault(i, {}).setdefault(t, {})
+            row[s] = row[s] + form if s in row else form
+    witness = ChainMap._raw(src, tgt, r_h, k, mats)
+    if hom_bracket(witness) != c:
         raise AssertionError("solver produced an unsound witness")
-    return GradedSolveReport(True, total_witness)
+    return GradedSolveReport(True, witness)
 
 
 # -- serialization ---------------------------------------------------------

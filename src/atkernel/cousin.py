@@ -13,14 +13,12 @@ is decided exactly, by ideal membership of its numerator.
 from __future__ import annotations
 
 from math import comb
-from operator import add
 from typing import Sequence
 
-from . import linalg
-from .chaincore import ChainMap, ShapeError, monomials_of_weighted_degree
+from .chaincore import ChainMap, ShapeError, _solve_products, monomials_of_weighted_degree
 from .groebner import membership_excess
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
-from .polyforms import Form, Poly, Record, form_to_text, poly_to_text
+from .polyforms import Form, Poly, Record, _merge_indices, form_to_text, poly_to_text
 
 
 class LocalizedForm(Record):
@@ -169,13 +167,12 @@ def cousin_differential(c: CousinElement) -> CousinElement:
     out: dict[tuple[int, ...], LocalizedForm] = {}
     for alpha, lf in c.entries.items():
         for i in range(1, c.q + 1):
-            if i in alpha:
+            merged = _merge_indices((i,), alpha)
+            if merged is None:
                 continue
-            inversions = sum(1 for a in alpha if a < i)
-            sign = -((-1) ** inversions)
-            bigger = tuple(sorted(alpha + (i,)))
+            sign, bigger = merged
             lifted = LocalizedForm(
-                lf.num.mul_poly(c.seq[i - 1] ** lf.m).scale(sign), lf.m
+                lf.num.mul_poly(c.seq[i - 1] ** lf.m).scale(-sign), lf.m
             )
             if bigger in out:
                 out[bigger] = _lf_add(out[bigger], lifted, c.f_alpha(bigger))
@@ -202,11 +199,6 @@ def psi_section(ideal: RegularSequenceIdeal) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _shuffle_sign(beta: tuple[int, ...], alpha_prime: tuple[int, ...]) -> int:
-    inversions = sum(1 for b in beta for a in alpha_prime if b > a)
-    return (-1) ** inversions
-
-
 def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     """Trace a Koszul endomorphism into a Cousin representative.
 
@@ -231,11 +223,8 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
         if not aset.issuperset(beta):
             continue
         alpha_prime = tuple(sorted(aset - set(beta)))
-        sign = (
-            psi[alpha_prime]
-            * _shuffle_sign(beta, alpha_prime)
-            * (-1) ** (p_beta * (1 + len(alpha_prime)))
-        )
+        shuffle, _ = _merge_indices(beta, alpha_prime)
+        sign = psi[alpha_prime] * shuffle * (-1) ** (p_beta * (1 + len(alpha_prime)))
         add = entry.scale(sign)
         acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
     entries = {
@@ -271,33 +260,20 @@ def cousin_coboundary_solve(target: CousinElement) -> CousinElement | None:
         return None
     top = max(c.total_degree() for c in num.terms.values()) + excess
     units = (1,) * n
-    var_index: dict[tuple, int] = {}
-    for i, fpow in enumerate(fpows, 1):
-        for d in range(top - fpow.total_degree() + 1):
-            for e in monomials_of_weighted_degree(n, units, d):
-                for idx in num.terms:
-                    var_index[(i, idx, e)] = len(var_index)
-    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
-    # give distinct keys, so each entry is set once
-    rows: dict[tuple, linalg.Row] = {}
-    rhs = {(idx, e): c for idx, coeff in num.terms.items() for e, c in coeff.terms.items()}
-    for (i, idx, e), vi in var_index.items():
-        sign = -((-1) ** (i - 1))
-        for e2, c2 in fpows[i - 1].terms.items():
-            rows.setdefault((idx, tuple(map(add, e, e2))), {})[vi] = sign * c2
-    keys = list(set(rows) | set(rhs))
-    solution = linalg.solve([rows.get(k, {}) for k in keys], [rhs.get(k, 0) for k in keys],
-                            len(var_index))
-    if solution is None:
+    supports = {
+        i: [(idx, e)
+            for d in range(top - fpow.total_degree() + 1)
+            for e in monomials_of_weighted_degree(n, units, d)
+            for idx in num.terms]
+        for i, fpow in enumerate(fpows, 1)
+    }
+    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
+    products = [(full, i, fpow, -((-1) ** (i - 1))) for i, fpow in enumerate(fpows, 1)]
+    nums = _solve_products(supports, products, {full: num}, n, num.degree)
+    if nums is None:
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
-    nums: dict[int, dict] = {}
-    for (i, idx, e), vi in var_index.items():
-        if solution[vi]:
-            nums.setdefault(i, {}).setdefault(idx, {})[e] = solution[vi]
     witness = CousinElement(n, target.seq, q - 1, {
-        full[: i - 1] + full[i:]: LocalizedForm(
-            Form(n, num.degree, {idx: Poly(n, t) for idx, t in coeffs.items()}), m)
-        for i, coeffs in nums.items()
+        full[: i - 1] + full[i:]: LocalizedForm(form, m) for i, form in nums.items()
     })
     if cousin_differential(witness) != target:
         raise AssertionError("Cousin witness fails d(b) = target")

@@ -14,7 +14,7 @@ from math import comb
 from typing import Sequence
 
 from .chaincore import BasisElement, ChainMap, FreeComplex, GradingError, ShapeError
-from .polyforms import Form, Poly, Record
+from .polyforms import Form, Poly, Record, _merge_indices
 
 
 class RegularSequenceIdeal(Record):
@@ -190,11 +190,11 @@ def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap
     alpha = tuple(sorted(alpha))
     total = None
     for i in range(1, k.q + 1):
-        if i in alpha:
+        merged = _merge_indices((i,), alpha)
+        if merged is None:
             continue
-        inversions = sum(1 for a in alpha if a < i)
-        merged = tuple(sorted((i,) + alpha))
-        term = dual_basis_map(k, merged).scale(-((-1) ** inversions))
+        sign, bigger = merged
+        term = dual_basis_map(k, bigger).scale(-sign)
         term = _scale_by_poly(term, k.ideal.polys[i - 1])
         total = term if total is None else total + term
     if total is None:

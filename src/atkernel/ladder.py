@@ -117,11 +117,6 @@ class ExtensionLadder:
         self.pi_dprime = pi_dprime
         self.relations = relations
 
-    def reduce_mod_relations(self, p: Poly) -> Poly:
-        """p's remainder modulo the ladder's relation; ShapeError for two or more."""
-        rel = _one_relation(self.relations)
-        return p if rel is None else p.divmod_single(rel)[1]
-
 
 def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> ExtensionLadder:
     """The sequence 0 -> R --(.f)--> R -> R/f -> 0 with its Koszul ladder."""
@@ -218,8 +213,8 @@ def connecting_delta(ladder: ExtensionLadder) -> ChainMap:
 
 
 def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
-    """Compare delta'' of the ladder with -At of the F'' resolution, entrywise
-    modulo the relations; returns exact | coboundary | FAIL."""
+    """Compare delta'' of the ladder with -At of the F'' resolution projected
+    onto the F'' generators: exact when their sum is zero, else FAIL."""
     delta_dd = connecting_delta(ladder)
     at = atiyah_cocycle(ladder.p_dprime).chain_map
     # project At from degree -1 onto F'' generator coordinates via pi''
@@ -233,15 +228,7 @@ def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
             row.append(acc)
         mat.append(row)
     projected = ChainMap(ladder.p_dprime, delta_dd.target, 1, 1, {-1: mat})
-    total = delta_dd + projected
-    if total.is_zero():
-        return "exact"
-    reduced_zero = all(
-        ladder.reduce_mod_relations(coeff).is_zero()
-        for *_, entry in total.nonzeros()
-        for coeff in entry.terms.values()
-    )
-    return "coboundary" if reduced_zero else "FAIL"
+    return "exact" if (delta_dd + projected).is_zero() else "FAIL"
 
 
 def euler_preset(n_proj: int = 1) -> tuple[ChainMap, list[str]]:

@@ -7,8 +7,10 @@ LP bases, matrix products are sums of the public binary operations,
 regularity is read off Koszul homology ranks, not off a Groebner basis,
 division by a list of polynomials runs over Fractions on Poly.leading_term,
 Cousin coboundaries are searched for under bounded denominators and
-degrees, not decided by ideal membership, and powers of an Atiyah cocycle
-are composed from scratch, not read from the powers the cocycle keeps.
+degrees, not decided by ideal membership, powers of an Atiyah cocycle
+are composed from scratch, not read from the powers the cocycle keeps,
+and Hom-complex coboundaries are solved from equations assembled one
+target entry at a time, not from the differentials' stored nonzeros.
 
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
@@ -21,19 +23,28 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from atkernel import linalg
 from atkernel.chaincore import (
     ChainMap,
+    GradedSolveReport,
     GradingError,
+    ShapeError,
+    _entrywise,
+    _form_of_terms,
     compose,
+    hom_bracket,
     identity_map,
+    internal_degree_layers,
+    is_cocycle,
     monomials_of_weighted_degree,
+    zero_map,
 )
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
 from atkernel.ladder import ExtensionLadder, _free_module
-from atkernel.polyforms import Form, Poly, contract_form, wedge
+from atkernel.polyforms import Form, Poly, _canon, contract_form, wedge
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -431,6 +442,105 @@ def atiyah_power_oracle(at, k):
     for _ in range(k - 1):
         acc = compose(at.chain_map, acc)
     return acc
+
+
+def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
+    """Hom-complex coboundaries with the equations assembled one target
+    entry at a time, over every (t, s) pair and every row of the source
+    differential; chaincore.solve_coboundary must give the same witness.
+
+    Decide exactly whether c = [d,h] for some graded h; witness on success.
+
+    Both complexes must be graded over matching weights; c must be a
+    cocycle.  The solve runs once per internal degree appearing in c,
+    where the space of candidate entries is finite-dimensional.
+    """
+    src, tgt = c.source, c.target
+    if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
+        raise GradingError("solve_coboundary requires graded complexes")
+    if not is_cocycle(c):
+        raise ShapeError("solve_coboundary requires a cocycle input")
+    r_h = c.degree - 1
+    k = c.form_degree
+    n = src.n
+    weights = src.var_weights
+    if c.is_zero():
+        return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
+    layers = internal_degree_layers(c)
+    total_witness = zero_map(src, tgt, r_h, k)
+    for d_internal, layer in sorted(layers.items()):
+        # unknown entries h_i[t][s]; blocks[(i, t, s)] lists (idx, expt, var)
+        blocks: dict[tuple[int, int, int], list[tuple]] = {}
+        num_vars = 0
+        for i in src.support():
+            tb = tgt.basis(i + r_h)
+            sb = src.basis(i)
+            for t, tbe in enumerate(tb):
+                for s, sbe in enumerate(sb):
+                    entry_deg = sbe.weight - tbe.weight + d_internal
+                    block = []
+                    for idx in itertools.combinations(range(n), k):
+                        mono_deg = entry_deg - sum(weights[j] for j in idx)
+                        for expt in monomials_of_weighted_degree(n, weights, mono_deg):
+                            block.append((idx, expt, num_vars))
+                            num_vars += 1
+                    if block:
+                        blocks[(i, t, s)] = block
+        rows_eq: list[linalg.Row] = []
+        rhs_eq: list[Fraction] = []
+        sign = (-1) ** (r_h % 2)
+        lo = min(src.support() + tgt.support()) - 1
+        hi = max(src.support() + tgt.support()) + 1
+        for i in range(lo, hi):
+            rows = tgt.rank(i + r_h + 1)
+            cols = src.rank(i)
+            if rows == 0 or cols == 0:
+                continue
+            dt = tgt.diff.get(i + r_h, {})
+            ds = src.diff.get(i, {})
+            for t in range(rows):
+                for s in range(cols):
+                    rows_by_key: dict[tuple, dict[int, Fraction]] = {}
+                    rhs_by_key: dict[tuple, Fraction] = {}
+                    for idx, coeff in layer.entry(i, t, s).terms.items():
+                        for expt, q in coeff.terms.items():
+                            rhs_by_key[(idx, expt)] = q
+                    # d o h contribution; its unknowns and those of h o d are disjoint,
+                    # and one unknown's terms give distinct keys: each entry is set once
+                    for m, dpoly in dt.get(t, {}).items():
+                        for idx, expt, vi in blocks.get((i, m, s), ()):
+                            for e2, q2 in dpoly.terms.items():
+                                tot = tuple(a + b for a, b in zip(expt, e2))
+                                row = rows_by_key.setdefault((idx, tot), {})
+                                row[vi] = q2
+                    # h o d contribution with sign -(-1)^{r_h}
+                    for m in range(src.rank(i + 1)):
+                        spoly = ds.get(m, {}).get(s)
+                        if spoly is None:
+                            continue
+                        for idx, expt, vi in blocks.get((i + 1, t, m), ()):
+                            for e2, q2 in spoly.terms.items():
+                                tot = tuple(a + b for a, b in zip(expt, e2))
+                                row = rows_by_key.setdefault((idx, tot), {})
+                                row[vi] = -sign * q2
+                    for key in set(rows_by_key) | set(rhs_by_key):
+                        rows_eq.append(rows_by_key.get(key, {}))
+                        rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
+        solution = linalg.solve(rows_eq, rhs_eq, num_vars)
+        if solution is None:
+            return GradedSolveReport(False, None)
+        # mats[i][t][s][idx] holds the terms {expt: value} of one witness entry
+        mats: dict[int, dict] = {}
+        for (i, t, s), block in blocks.items():
+            for idx, expt, vi in block:
+                if solution[vi]:
+                    entry = mats.setdefault(i, {}).setdefault(t, {}).setdefault(s, {})
+                    entry.setdefault(idx, {})[expt] = _canon(solution[vi])
+        witness = _entrywise(mats, partial(_form_of_terms, n, k))
+        total_witness = total_witness + ChainMap._raw(src, tgt, r_h, k, witness)
+    if hom_bracket(total_witness) != c:
+        raise AssertionError("solver produced an unsound witness")
+    return GradedSolveReport(True, total_witness)
 
 
 def differential_map(c):

@@ -17,6 +17,7 @@ from atkernel.chaincore import (
     hom_bracket,
     identity_map,
     is_cocycle,
+    map_to_text,
     parse_complex,
     shift,
     shift_map,
@@ -51,6 +52,7 @@ from oracles import (
     differential_map,
     homology_rank,
     poly_matmul_oracle,
+    solve_coboundary_oracle,
     sparse,
     wedge_matmul_oracle,
 )
@@ -505,6 +507,54 @@ class TestSolveCoboundary:
         assert not is_cocycle(c)
         with pytest.raises(ShapeError):
             solve_coboundary(c)
+
+
+class TestWitnessOracle:
+    """solve_coboundary against the per-entry assembly it replaced: the same
+    answer and the same witness, by == and by text."""
+
+    @staticmethod
+    def solve_both(c):
+        got, want = solve_coboundary(c), solve_coboundary_oracle(c)
+        assert got.solvable == want.solvable
+        if want.solvable:
+            assert got.witness == want.witness
+            assert map_to_text(got.witness, "h") == map_to_text(want.witness, "h")
+        return got
+
+    @pytest.mark.parametrize("group", ["check_centrality", "check_connection_independence"])
+    def test_selftest_draws(self, group, monkeypatch):
+        from atkernel import selftest
+
+        seen = []
+
+        def compared(c):
+            seen.append(c)
+            return self.solve_both(c)
+
+        monkeypatch.setattr(selftest, "solve_coboundary", compared)
+        _, passed, total = getattr(selftest, group)()
+        assert passed == total == len(seen) == 120
+
+    def test_bracket_draws(self):
+        # the draws of TestSolveCoboundary.test_brackets_are_recognized
+        rng = random.Random(10)
+        for entry in corpus_entries():
+            kz = build_koszul(entry.ideal)
+            assert self.solve_both(hom_bracket(random_chain_map(rng, kz, 0, 1))).solvable
+
+    def test_witness_entry_spanning_two_internal_degrees(self):
+        # d h determines h, so the witness is h, whose one entry 1 + x has
+        # internal degrees 1 and 2: two layers meet in one entry
+        cx = FreeComplex(
+            1,
+            {0: [BasisElement("a", 1)], 1: [BasisElement("b", 0)]},
+            {0: [[parse_poly("x", X)]]},
+            (1,),
+        )
+        h = ChainMap(cx, cx, -1, 0, {1: [[Form.from_poly(parse_poly("1 + x", X))]]})
+        report = self.solve_both(hom_bracket(h))
+        assert report.witness == h
 
 
 class TestSerialization:

@@ -355,6 +355,25 @@ class TestSelftestGolden:
         assert capsys.readouterr().out == SELFTEST_GOLDEN.read_text()
 
 
+    def test_raising_group_is_one_miss(self, capsys, monkeypatch):
+        """A group that raises is reported as a miss naming the group function
+        and the exception; every other group still reports."""
+        from atkernel import selftest
+
+        def check_appendix_invariants():
+            raise ValueError("refused draw")
+
+        monkeypatch.setattr(selftest, "ALL_GROUPS", [*selftest.ALL_GROUPS[:-1],
+                                                     check_appendix_invariants])
+        assert main(["selftest"]) == 1
+        golden = SELFTEST_GOLDEN.read_text().splitlines()
+        assert golden[-2:] == ["integral closure invariants: 57/57 ok", "selftest: PASS"]
+        assert capsys.readouterr().out.splitlines() == golden[:-2] + [
+            "check_appendix_invariants raised ValueError: refused draw: 0/1 FAIL",
+            "selftest: FAIL",
+        ]
+
+
 class TestCorpusGolden:
     def test_corpus_matches_recorded_output(self):
         """scripts/run_corpus.py against its recorded stdout, timings stripped."""
