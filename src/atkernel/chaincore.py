@@ -15,9 +15,9 @@ algebra over Q.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import partial
 from operator import add
-from typing import Sequence
 
 from . import linalg
 from .polyforms import (

@@ -205,9 +205,7 @@ def _cmd_sff(args) -> int:
         if f.homogeneous_degree(weights) is None:
             weights = None
         ladder = hypersurface_ladder(f, weights)
-        sigma = second_fundamental_form(
-            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
-        )
+        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
         print(map_to_text(sigma, "sigma", names))
         print(map_to_text(connecting_delta(ladder), "delta_second", names))
         verdict = delta_dprime_matches_minus_atiyah(ladder)

@@ -12,8 +12,8 @@ is decided exactly, by ideal membership of its numerator.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from .chaincore import ChainMap, ShapeError, _solve_products, monomials_of_weighted_degree
 from .groebner import membership_excess
@@ -53,13 +53,6 @@ def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
         num = Form(num.n, num.degree, quotients)
         m -= 1
     return LocalizedForm(num, m)
-
-
-def _lf_equal(a: LocalizedForm, b: LocalizedForm, f_alpha: Poly) -> bool:
-    """Cross-multiplied equality in the localization (f_alpha nonzero)."""
-    left = a.num.mul_poly(f_alpha ** b.m)
-    right = b.num.mul_poly(f_alpha ** a.m)
-    return left == right
 
 
 def _lf_add(a: LocalizedForm, b: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
@@ -140,16 +133,12 @@ class CousinElement:
         )
 
     def __eq__(self, other) -> bool:
+        # every entry is in lowest terms, and lowest terms are unique in the
+        # domain Q[x], so equal elements have equal entries
         if not isinstance(other, CousinElement):
             return NotImplemented
-        if self.n != other.n or self.seq != other.seq or self.degree != other.degree:
-            return False
-        for alpha in set(self.entries) | set(other.entries):
-            a = self.entries.get(alpha, LocalizedForm(Form.zero(self.n, 0), 0))
-            b = other.entries.get(alpha, LocalizedForm(Form.zero(self.n, 0), 0))
-            if not _lf_equal(a, b, self.f_alpha(alpha)):
-                return False
-        return True
+        return (self.n, self.seq, self.degree, self.entries) == (
+            other.n, other.seq, other.degree, other.entries)
 
     def __repr__(self):
         return f"CousinElement({cousin_to_text(self)!r})"

@@ -9,9 +9,9 @@ functional on NO.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from . import linalg
 from .polyforms import Record

@@ -9,9 +9,9 @@ verify_regular decides that exactly, from a Groebner basis.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb
-from typing import Sequence
 
 from .chaincore import BasisElement, ChainMap, FreeComplex, GradingError, ShapeError
 from .polyforms import Form, Poly, Record, _merge_indices

@@ -10,9 +10,9 @@ order, and free variables are zero, so the particular solution is unique.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 Row = dict[int, Fraction]
 

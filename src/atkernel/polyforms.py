@@ -12,10 +12,10 @@ variable order fixed by the ring declaration.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Mapping, Sequence
 
 MAX_ARITY = 16
 
@@ -648,8 +648,12 @@ class _FormParser:
                 sign = -1 if tok.kind == "-" else 1
             elif not first:
                 self._fail("expected '+' or '-' between terms", tok)
+            start = self._peek()
             term = self._term()
-            total = _form_add_any(total, term.scale(sign))
+            try:
+                total = total + term.scale(sign)
+            except ValueError:
+                self._fail("mixed form degrees in one expression", start)
             first = False
         if first:
             self._fail("empty expression")
@@ -738,16 +742,6 @@ class _FormParser:
                 return coeff, True
             self._fail(f"unknown name {name!r}", tok)
         self._fail(f"unexpected token {tok.text!r}", tok)
-
-
-def _form_add_any(a: Form, b: Form) -> Form:
-    if a.is_zero() and a.degree != b.degree:
-        return b
-    if b.is_zero() and a.degree != b.degree:
-        return a
-    if a.degree != b.degree:
-        raise ParseError("mixed form degrees in one expression")
-    return a + b
 
 
 def parse_form(text: str, names: Sequence[str]) -> Form:

@@ -9,14 +9,16 @@ division by a list of polynomials runs over Fractions on Poly.leading_term,
 Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps,
-and Hom-complex coboundaries are solved from equations assembled one
-target entry at a time, not from the differentials' stored nonzeros.
+Hom-complex coboundaries are solved from equations assembled one
+target entry at a time, not from the differentials' stored nonzeros,
+and the extension ladder's sigma, delta'' and verdict are summed entry
+by entry over dense rows, not composed as chain maps.
 
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
 regularity scan and the cone checks rank them), and, at the end, the
-differential as a chain map, a matrix as dense rows and dense rows in
-the stored sparse form, the split ladder of free modules, and the
+differential as a chain map, a matrix as dense rows (of polynomials for
+a polynomial map) and dense rows in the stored sparse form, the split ladder of free modules, and the
 contraction of a Cousin element against a derivation.
 """
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import partial
 
 from atkernel import linalg
+from atkernel.atiyah import atiyah_cocycle
 from atkernel.chaincore import (
     ChainMap,
     GradedSolveReport,
@@ -43,8 +46,8 @@ from atkernel.chaincore import (
 )
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
-from atkernel.ladder import ExtensionLadder, _free_module
-from atkernel.polyforms import Form, Poly, _canon, contract_form, wedge
+from atkernel.ladder import ExtensionLadder, _free_module, _one_relation, _poly_map
+from atkernel.polyforms import Form, Poly, _canon, contract_form, exterior_derivative, wedge
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -567,42 +570,123 @@ def sparse(rows):
 
 def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:
     """Trivial split sequence of free modules (everything is its own resolution)."""
-    labels_p = [f"q{i}" for i in range(rank_prime)]
-    labels_d = [f"r{i}" for i in range(rank_dprime)]
-    p_prime = _free_module(n, labels_p)
-    p_dprime = _free_module(n, labels_d)
-    middle = _free_module(n, [f"e{i}" for i in range(rank_prime + rank_dprime)])
-    total = _free_module(n, [f"t{i}" for i in range(rank_prime + rank_dprime)])
-    zero = Poly.zero(n)
+    rank = rank_prime + rank_dprime
+    p_prime = _free_module(n, [f"q{i}" for i in range(rank_prime)])
+    p_dprime = _free_module(n, [f"r{i}" for i in range(rank_dprime)])
+    f_prime = _free_module(n, [f"w{s}" for s in range(rank_prime)])
+    middle = _free_module(n, [f"e{i}" for i in range(rank)])
+    f_dprime = _free_module(n, [f"v{t}" for t in range(rank_dprime)])
+    total = _free_module(n, [f"t{i}" for i in range(rank)])
     one = Poly.one(n)
-    j_matrix = tuple(
-        tuple(one if i == s else zero for s in range(rank_prime))
-        for i in range(rank_prime + rank_dprime)
-    )
-    p_matrix = tuple(
-        tuple(one if m == rank_prime + t else zero for m in range(rank_prime + rank_dprime))
-        for t in range(rank_dprime)
-    )
-    ident_d = tuple(
-        tuple(one if a == b else zero for b in range(rank_dprime)) for a in range(rank_dprime)
-    )
-    pi = tuple(
-        tuple(one if a == b else zero for b in range(rank_prime + rank_dprime))
-        for a in range(rank_prime + rank_dprime)
-    )
+
+    def unit_rows(rows, cols, offset):
+        # row t has its one in column t - offset
+        return [[one if t == s + offset else Poly.zero(n) for s in range(cols)]
+                for t in range(rows)]
+
     return ExtensionLadder(
         n=n,
-        j_matrix=j_matrix,
-        p_matrix=p_matrix,
-        middle=middle,
+        j=_poly_map(f_prime, middle, unit_rows(rank, rank_prime, 0)),
+        p=_poly_map(middle, f_dprime, unit_rows(rank_dprime, rank, -rank_prime)),
         p_prime=p_prime,
         p_dprime=p_dprime,
         total=total,
-        split={0: rank_prime},
-        pi=pi,
-        pi_dprime=ident_d,
+        iota=_poly_map(p_dprime, total, unit_rows(rank, rank_dprime, rank_prime)),
+        pi=_poly_map(total, middle, unit_rows(rank, rank, 0)),
+        pi_dprime=_poly_map(p_dprime, f_dprime, unit_rows(rank_dprime, rank_dprime, 0)),
         relations=(),
     )
+
+
+# -- the extension ladder by dense loops ------------------------------------
+
+
+def poly_rows(u, i):
+    """Matrix i of a polynomial (form-degree-0) map as dense Poly rows."""
+    return [[x.to_poly() for x in row] for row in dense(u, i)]
+
+
+def second_fundamental_form_oracle(j_matrix, p_matrix, middle, relations=()):
+    """sigma = p . d(j) from dense rows, one entry product at a time, after
+    refusing a nonzero entry of p . j that the one relation does not divide."""
+    rel = _one_relation(relations)
+    n = middle.n
+    mid_rank = middle.rank(0)
+    if middle.support() != [0] or mid_rank == 0:
+        raise ShapeError("middle term must be a free module in degree 0")
+    cols_j = len(j_matrix[0]) if j_matrix else 0
+    rows_p = len(p_matrix)
+    if len(j_matrix) != mid_rank or any(len(r) != cols_j for r in j_matrix):
+        raise ShapeError("j matrix shape mismatch")
+    if any(len(r) != mid_rank for r in p_matrix):
+        raise ShapeError("p matrix shape mismatch")
+    for t in range(rows_p):
+        for s in range(cols_j):
+            acc = Poly.zero(n)
+            for m in range(mid_rank):
+                acc = acc + p_matrix[t][m] * j_matrix[m][s]
+            if rel is not None:
+                acc = acc.divmod_single(rel)[1]
+            if not acc.is_zero():
+                raise ShapeError("p o j != 0")
+    source = _free_module(n, [f"w{s}" for s in range(cols_j)])
+    target = _free_module(n, [f"v{t}" for t in range(rows_p)])
+    mat = []
+    for t in range(rows_p):
+        row = []
+        for s in range(cols_j):
+            acc = Form.zero(n, 1)
+            for m in range(mid_rank):
+                acc = acc + exterior_derivative(j_matrix[m][s]).mul_poly(p_matrix[t][m])
+            row.append(acc)
+        mat.append(tuple(row))
+    return ChainMap(source, target, 0, 1, {0: tuple(mat)})
+
+
+def connecting_delta_oracle(p_matrix, pi, total, split, p_dprime):
+    """delta'' = -(sigma~ o d) on the P''-columns of the total resolution,
+    where sigma~ = p . d(pi) on its degree-0 basis; pi and p are dense
+    rows and split[i] counts the P'-columns of total in degree i."""
+    n = total.n
+    fpp_rank = len(p_matrix)
+    cols = total.rank(0)
+    st = [[Form.zero(n, 1) for _ in range(cols)] for _ in range(fpp_rank)]
+    for b in range(cols):
+        for m in range(len(pi)):
+            coeff = pi[m][b]
+            if coeff.is_zero():
+                continue
+            for t in range(fpp_rank):
+                st[t][b] = st[t][b] + exterior_derivative(coeff).mul_poly(p_matrix[t][m])
+    split_m1 = split.get(-1, 0)
+    mat = []
+    for t in range(fpp_rank):
+        row = []
+        for s in range(p_dprime.rank(-1)):
+            acc = Form.zero(n, 1)
+            for m in range(cols):
+                acc = acc + st[t][m].mul_poly(total.entry(-1, m, split_m1 + s))
+            row.append(-acc)
+        mat.append(row)
+    target = _free_module(n, [f"v{t}" for t in range(fpp_rank)])
+    return ChainMap(p_dprime, target, 1, 1, {-1: mat})
+
+
+def ladder_verdict_oracle(delta, pi_dprime, p_dprime):
+    """exact when delta'' + pi'' . At of p_dprime, projected entry by
+    entry from degree -1 onto the F'' generators, is zero, else FAIL."""
+    at = atiyah_cocycle(p_dprime).chain_map
+    mat = []
+    for pi_row in pi_dprime:
+        row = []
+        for s in range(p_dprime.rank(-1)):
+            acc = Form.zero(p_dprime.n, 1)
+            for m, coeff in enumerate(pi_row):
+                acc = acc + at.entry(-1, m, s).mul_poly(coeff)
+            row.append(acc)
+        mat.append(row)
+    projected = ChainMap(p_dprime, delta.target, 1, 1, {-1: mat})
+    return "exact" if (delta + projected).is_zero() else "FAIL"
 
 
 def contract_cousin(values, c):

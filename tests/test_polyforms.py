@@ -215,6 +215,14 @@ class TestCanonicalText:
         with pytest.raises(ParseError):
             parse_poly("q + 1", XY)
 
+    @pytest.mark.parametrize("text, col", [("x + dx", 5), ("dx^dy - 0*dx + y*dx", 16)])
+    def test_mixed_degrees_name_the_offending_term(self, text, col):
+        with pytest.raises(ParseError) as exc:
+            parse_form(text, XY)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        # a zero term of another degree is absorbed, not refused
+        assert parse_form("0*dx + x", XY) == parse_form("x", XY)
+
     def test_zero_denominator_is_a_parse_error(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly("x + 1/0*y", XY)

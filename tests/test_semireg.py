@@ -1,15 +1,24 @@
 """Chern characters, both semiregularity routes, and the second
 fundamental form."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from atkernel.atiyah import atiyah_cocycle
-from atkernel.chaincore import ShapeError, identity_map, is_cocycle
+from atkernel.chaincore import (
+    ShapeError,
+    identity_map,
+    is_cocycle,
+    map_to_text,
+    monomials_of_weighted_degree,
+)
 from atkernel.corpus import corpus_entries, derivations_for, normal_homs_for
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_to_text
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.ladder import (
+    _free_module,
+    _poly_map,
     connecting_delta,
     delta_dprime_matches_minus_atiyah,
     euler_generator_forms,
@@ -20,6 +29,7 @@ from atkernel.ladder import (
 from atkernel.polyforms import (
     Form,
     Poly,
+    default_names,
     exterior_derivative,
     parse_form,
     parse_poly,
@@ -33,7 +43,14 @@ from atkernel.semireg import (
     ext1_representative,
     sigma_component,
 )
-from oracles import contract_cousin, split_free_ladder
+from oracles import (
+    connecting_delta_oracle,
+    contract_cousin,
+    ladder_verdict_oracle,
+    poly_rows,
+    second_fundamental_form_oracle,
+    split_free_ladder,
+)
 
 X = ("x",)
 XY = ("x", "y")
@@ -219,20 +236,15 @@ class TestSecondFundamentalForm:
                 assert sigma.entry(0, 0, s) == -gen
 
     def test_zero_inclusion_gives_zero(self):
-        from atkernel.chaincore import BasisElement, FreeComplex
-
-        middle = FreeComplex(2, {0: [BasisElement("e")]}, {}, (1, 1))
-        sigma = second_fundamental_form(
-            [[Poly.zero(2)]], [[Poly.one(2)]], middle
-        )
-        assert sigma.is_zero()
+        middle = _free_module(2, ["e"], (1, 1))
+        j = _poly_map(_free_module(2, ["w"]), middle, [[Poly.zero(2)]])
+        p = _poly_map(middle, _free_module(2, ["v"]), [[Poly.one(2)]])
+        assert second_fundamental_form(j, p).is_zero()
 
     def test_hypersurface_sigma_is_df(self):
         f = parse_poly("x^2", X)
         ladder = hypersurface_ladder(f, (1,))
-        sigma = second_fundamental_form(
-            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
-        )
+        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
         assert sigma.entry(0, 0, 0) == exterior_derivative(f)
 
     def test_two_relations_refused(self):
@@ -242,27 +254,24 @@ class TestSecondFundamentalForm:
         ladder = hypersurface_ladder(f, (1, 1))
         two = (f, parse_poly("y^2", XY))
         with pytest.raises(ShapeError):
-            second_fundamental_form(ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=two)
+            second_fundamental_form(ladder.j, ladder.p, relations=two)
 
     def test_p_j_nonzero_refused(self):
-        from atkernel.chaincore import BasisElement, FreeComplex
-
-        middle = FreeComplex(1, {0: [BasisElement("e")]}, {}, (1,))
+        middle = _free_module(1, ["e"], (1,))
+        j = _poly_map(_free_module(1, ["w"]), middle, [[parse_poly("x", X)]])
+        p = _poly_map(middle, _free_module(1, ["v"]), [[Poly.one(1)]])
         with pytest.raises(ShapeError):
-            second_fundamental_form(
-                [[parse_poly("x", X)]], [[Poly.one(1)]], middle
-            )
+            second_fundamental_form(j, p)
 
     def test_linearity_over_ring(self):
         # sigma(w . g) = sigma(w) . g given p o j = 0: scaling a generator
         # column by g scales the output column by g plus a term killed by
         # the vanishing of p o j
-        rng = random.Random(42)
         sigma, _ = euler_preset(1)
         n = 2
         g = Poly.monomial(n, (1, 1), 2)
         j_scaled = [[entry * g for entry in row] for row in _euler_j(n)]
-        sigma_scaled = second_fundamental_form(j_scaled, _euler_p(n), _euler_middle(n))
+        sigma_scaled = second_fundamental_form(*_euler_maps(n, j_scaled))
         base = sigma.entry(0, 0, 0)
         scaled = sigma_scaled.entry(0, 0, 0)
         assert scaled == base.mul_poly(g)
@@ -289,17 +298,86 @@ def _euler_p(n):
 
 
 def _euler_middle(n):
-    from atkernel.chaincore import BasisElement, FreeComplex
+    return _free_module(n, [f"e{i}" for i in range(n)], (1,) * n)
 
-    return FreeComplex(n, {0: [BasisElement(f"e{i}") for i in range(n)]}, {}, (1,) * n)
+
+def _euler_maps(n, j_rows):
+    """j and p of the Euler sequence over n variables, with j's rows given."""
+    middle = _euler_middle(n)
+    f_prime = _free_module(n, [f"w{s}" for s in range(len(j_rows[0]))])
+    return (_poly_map(f_prime, middle, j_rows),
+            _poly_map(middle, _free_module(n, ["v0"]), _euler_p(n)))
+
+
+def _random_hypersurface(rng, n, graded):
+    """A nonzero equation with no constant term: homogeneous of degree 2 or 3
+    when graded, else with terms of degrees 1 to 3."""
+    deg = rng.choice((2, 3))
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            d = deg if graded else rng.randint(1, 3)
+            expt = rng.choice(monomials_of_weighted_degree(n, (1,) * n, d))
+            terms[expt] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+        f = Poly(n, terms)
+        if not f.is_zero():
+            return f
+
+
+class TestLadderOracle:
+    """sigma, delta'' and the verdict, composed as chain maps, against the
+    dense loops they replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def assert_same(new, old, names):
+        assert new == old
+        assert map_to_text(new, "m", names) == map_to_text(old, "m", names)
+
+    @pytest.mark.parametrize("n_proj", [1, 2, 3])
+    def test_euler_sigma(self, n_proj):
+        n = n_proj + 1
+        sigma, names = euler_preset(n_proj)
+        old = second_fundamental_form_oracle(_euler_j(n), _euler_p(n), _euler_middle(n))
+        self.assert_same(sigma, old, names)
+
+    @pytest.mark.parametrize("ranks", [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3)])
+    def test_split_free_ladder(self, ranks):
+        self.check_ladder(split_free_ladder(*ranks))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graded", [True, False])
+    def test_random_hypersurfaces(self, n, graded):
+        rng = random.Random(f"ladder-{n}-{graded}")
+        for _ in range(3):
+            f = _random_hypersurface(rng, n, graded)
+            ladder = hypersurface_ladder(f, (1,) * n if graded else None)
+            assert self.check_ladder(ladder) == "exact"
+
+    def check_ladder(self, ladder):
+        """Assert both routes agree on the ladder; return the verdict."""
+        names = default_names(ladder.n)
+        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        old_sigma = second_fundamental_form_oracle(
+            poly_rows(ladder.j, 0), poly_rows(ladder.p, 0), ladder.j.target, ladder.relations
+        )
+        self.assert_same(sigma, old_sigma, names)
+        delta = connecting_delta(ladder)
+        split = {i: min(mat) for i, mat in ladder.iota.mats.items()}
+        old_delta = connecting_delta_oracle(
+            poly_rows(ladder.p, 0), poly_rows(ladder.pi, 0), ladder.total, split, ladder.p_dprime
+        )
+        self.assert_same(delta, old_delta, names)
+        verdict = delta_dprime_matches_minus_atiyah(ladder)
+        assert verdict == ladder_verdict_oracle(
+            old_delta, poly_rows(ladder.pi_dprime, 0), ladder.p_dprime
+        )
+        return verdict
 
 
 class TestConnectingDelta:
     def test_split_free_gives_zero(self):
         ladder = split_free_ladder(1, 2, 2)
-        sigma = second_fundamental_form(
-            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
-        )
+        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
         assert sigma.is_zero()
         # computed, not short-cut: delta'' depends on the ladder alone
         assert connecting_delta(ladder).is_zero()
@@ -322,9 +400,7 @@ class TestConnectingDelta:
         ladder = split_free_ladder(1, 1, 1) if zero else hypersurface_ladder(
             parse_poly("x^2", X), (1,)
         )
-        sigma = second_fundamental_form(
-            ladder.j_matrix, ladder.p_matrix, ladder.middle, relations=ladder.relations
-        )
+        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
         assert sigma.is_zero() == zero
         ladder.p_prime = resolved
         with pytest.raises(ShapeError, match="free F'"):

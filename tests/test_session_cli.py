@@ -320,6 +320,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CLI_EXPECTED = ROOT / "perfbench" / "cli_expected.json"
 CORPUS_GOLDEN = ROOT / "tests" / "golden" / "corpus.txt"
 SELFTEST_GOLDEN = ROOT / "tests" / "golden" / "selftest.txt"
+SFF_GOLDEN = ROOT / "tests" / "golden" / "sff.txt"
 
 
 def load_demo():
@@ -346,6 +347,20 @@ class TestDemoGolden:
             if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
                 argv += ["--input", str(path)]
             assert (main(argv), capsys.readouterr().out) == (0, expected), command
+
+
+class TestSffGolden:
+    def test_sff_presets_match_recorded_output(self, capsys):
+        """`atk sff` on the recorded presets, in process: each block is the
+        command line, its stdout and its exit code."""
+        golden = SFF_GOLDEN.read_text()
+        commands = re.findall(r"^\$ atk (sff --preset .*)$", golden, flags=re.M)
+        assert len(commands) == 9
+        out = []
+        for command in commands:
+            code = main(command.split(" ", 2))
+            out.append(f"$ atk {command}\n{capsys.readouterr().out}exit {code}\n")
+        assert "".join(out) == golden
 
 
 class TestSelftestGolden:
