@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from functools import partial
+from functools import lru_cache, partial
 from operator import add
 
 from . import linalg
@@ -466,9 +466,13 @@ def cone(f: ChainMap) -> FreeComplex:
 # -- graded components -----------------------------------------------------
 
 
-def monomials_of_weighted_degree(n: int, weights: Sequence[int], d: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def monomials_of_weighted_degree(n: int, weights: tuple[int, ...], d: int) -> tuple[tuple, ...]:
+    """The exponent vectors of weighted degree d.  The last 256 distinct
+    (n, weights, d) are kept, so each basis is enumerated once and shared;
+    hence a tuple, and `weights` must be hashable."""
     if d < 0:
-        return []
+        return ()
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
@@ -480,7 +484,7 @@ def monomials_of_weighted_degree(n: int, weights: Sequence[int], d: int) -> list
             rec(i + 1, remaining - k * weights[i], prefix + (k,))
 
     rec(0, d, ())
-    return out
+    return tuple(out)
 
 
 def _form_of_terms(n: int, k: int, terms: dict) -> Form:

@@ -207,8 +207,9 @@ def _cmd_sff(args) -> int:
         ladder = hypersurface_ladder(f, weights)
         sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
         print(map_to_text(sigma, "sigma", names))
-        print(map_to_text(connecting_delta(ladder), "delta_second", names))
-        verdict = delta_dprime_matches_minus_atiyah(ladder)
+        delta = connecting_delta(ladder)
+        print(map_to_text(delta, "delta_second", names))
+        verdict = delta_dprime_matches_minus_atiyah(ladder, delta)
         # not computed: delta' vanishes because F' is free, and connecting_delta
         # refuses a ladder whose P' has a differential
         print("delta_first: 0")

@@ -41,16 +41,12 @@ def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
         return LocalizedForm(num, 0)
     while m > 0:
         quotients = {}
-        ok = True
         for idx, coeff in num.terms.items():
-            quot, rem = coeff.divmod_single(f_alpha)
-            if not rem.is_zero():
-                ok = False
-                break
+            quot = coeff.exact_quotient(f_alpha)
+            if quot is None:
+                return LocalizedForm(num, m)
             quotients[idx] = quot
-        if not ok:
-            break
-        num = Form(num.n, num.degree, quotients)
+        num = Form._raw(num.n, num.degree, quotients)
         m -= 1
     return LocalizedForm(num, m)
 

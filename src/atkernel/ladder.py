@@ -39,9 +39,9 @@ def _d(u: ChainMap) -> ChainMap:
 def _one_relation(relations: Sequence[Poly]) -> Poly | None:
     """The only relation, or None without one.
 
-    One polynomial is its own Groebner basis, so division by it gives a
-    normal form; successive division by two or more does not, and they
-    are refused with ShapeError.
+    One polynomial is its own Groebner basis, so one division decides
+    membership in its ideal; successive division by two or more does not,
+    and they are refused with ShapeError.
     """
     if len(relations) > 1:
         raise ShapeError("reduction supports at most one relation")
@@ -62,10 +62,7 @@ def second_fundamental_form(j: ChainMap, p: ChainMap, relations: Sequence[Poly] 
     if middle.support() != [0] or middle.rank(0) == 0:
         raise ShapeError("middle term must be a free module in degree 0")
     for _, _, _, x in compose(p, j).nonzeros():
-        r = x.to_poly()
-        if rel is not None:
-            r = r.divmod_single(rel)[1]
-        if not r.is_zero():
+        if rel is None or x.to_poly().exact_quotient(rel) is None:
             raise ShapeError("p o j != 0")
     return compose(p, _d(j))
 
@@ -160,12 +157,13 @@ def connecting_delta(ladder: ExtensionLadder) -> ChainMap:
     return -compose(compose(sigma_tilde, d_total), ladder.iota)
 
 
-def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder) -> str:
-    """Compare delta'' of the ladder with -At of the F'' resolution projected
-    onto the F'' generators by pi'': exact when their sum is zero, else FAIL."""
+def delta_dprime_matches_minus_atiyah(ladder: ExtensionLadder, delta: ChainMap) -> str:
+    """Compare delta'' = connecting_delta(ladder) with -At of the F''
+    resolution projected onto the F'' generators by pi'': exact when their
+    sum is zero, else FAIL."""
     at = atiyah_cocycle(ladder.p_dprime).chain_map
     projected = compose(ladder.pi_dprime, at)
-    return "exact" if (connecting_delta(ladder) + projected).is_zero() else "FAIL"
+    return "exact" if (delta + projected).is_zero() else "FAIL"
 
 
 def euler_preset(n_proj: int = 1) -> tuple[ChainMap, list[str]]:

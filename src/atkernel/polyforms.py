@@ -240,31 +240,36 @@ class Poly:
         expt = max(self.terms, key=_grlex_key)
         return expt, self.terms[expt]
 
-    def divmod_single(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Graded-lex division by one polynomial; remainder is canonical.
+    def exact_quotient(self, divisor: "Poly") -> "Poly | None":
+        """self / divisor when divisor divides self, else None.
 
-        A single divisor generates its ideal as its own Groebner basis, so
-        the remainder vanishes exactly when divisor | self.
+        Graded-lex division by one polynomial, which is its own Groebner
+        basis.  It stops at the first leading term that lt(divisor) does
+        not divide: that term belongs to the remainder, and every later
+        step only changes terms below it, so nothing can cancel it.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         lt_e, lt_c = divisor.leading_term()
-        quot = Poly.zero(self.n)
-        rem = Poly.zero(self.n)
-        work = self
-        while not work.is_zero():
-            e, c = work.leading_term()
-            if all(a >= b for a, b in zip(e, lt_e)):
-                quot_e = tuple(a - b for a, b in zip(e, lt_e))
-                q = Poly.monomial(self.n, quot_e, Fraction(c, lt_c))
-                quot = quot + q
-                work = work - q * divisor
-            else:
-                t = Poly.monomial(self.n, e, c)
-                rem = rem + t
-                work = work - t
-        return quot, rem
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
+        work = dict(self.terms)
+        quot: dict[tuple[int, ...], Coeff] = {}
+        while work:
+            e = max(work, key=_grlex_key)
+            q_e = tuple(a - b for a, b in zip(e, lt_e))
+            if min(q_e) < 0:
+                return None
+            q_c = _canon(Fraction(work.pop(e), lt_c))
+            quot[q_e] = q_c
+            for d_e, d_c in tail:
+                m = tuple(a + b for a, b in zip(q_e, d_e))
+                v = work.get(m, 0) - q_c * d_c
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
+        return Poly._raw(self.n, quot)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)

@@ -57,6 +57,7 @@ from .koszul import (
     index_sets,
 )
 from .ladder import (
+    connecting_delta,
     delta_dprime_matches_minus_atiyah,
     euler_preset,
     euler_sigma_is_minus_identity,
@@ -426,7 +427,7 @@ def check_second_fundamental_form() -> Group:
     for text, names, weights in SFF_HYPERSURFACES:
         total += 1
         ladder = hypersurface_ladder(parse_poly(text, names), weights)
-        if delta_dprime_matches_minus_atiyah(ladder) == "exact":
+        if delta_dprime_matches_minus_atiyah(ladder, connecting_delta(ladder)) == "exact":
             ok += 1
     return ("second fundamental form connects to the cocycles", ok, total)
 

@@ -5,7 +5,8 @@ differential is expanded by a recursive Leibniz evaluator, Newton
 polyhedron membership is decided by brute-force enumeration of candidate
 LP bases, matrix products are sums of the public binary operations,
 regularity is read off Koszul homology ranks, not off a Groebner basis,
-division by a list of polynomials runs over Fractions on Poly.leading_term,
+division by a list of polynomials, and by one polynomial to its
+remainder, runs over Fractions on Poly.leading_term,
 Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps,
@@ -47,7 +48,15 @@ from atkernel.chaincore import (
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
 from atkernel.ladder import ExtensionLadder, _free_module, _one_relation, _poly_map
-from atkernel.polyforms import Form, Poly, _canon, contract_form, exterior_derivative, wedge
+from atkernel.polyforms import (
+    ArityError,
+    Form,
+    Poly,
+    _canon,
+    contract_form,
+    exterior_derivative,
+    wedge,
+)
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -350,6 +359,33 @@ def normal_form_oracle(f, basis):
     return rem
 
 
+def divmod_single_oracle(f, divisor):
+    """(quotient, remainder) of graded-lex division of f by one polynomial,
+    the remainder canonical, rebuilt with the public Poly operations at
+    every step and run to the end.  A single divisor generates its ideal
+    as its own Groebner basis, so the remainder vanishes exactly when
+    divisor | f."""
+    if f.n != divisor.n:
+        raise ArityError(f"arity mismatch: {f.n} vs {divisor.n}")
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    lt_e, lt_c = divisor.leading_term()
+    quot = Poly.zero(f.n)
+    rem = Poly.zero(f.n)
+    work = f
+    while not work.is_zero():
+        e, c = work.leading_term()
+        if all(a >= b for a, b in zip(e, lt_e)):
+            q = Poly.monomial(f.n, tuple(a - b for a, b in zip(e, lt_e)), Fraction(c, lt_c))
+            quot = quot + q
+            work = work - q * divisor
+        else:
+            t = Poly.monomial(f.n, e, c)
+            rem = rem + t
+            work = work - t
+    return quot, rem
+
+
 def cousin_search_oracle(
     target: CousinElement, m_bound: int = 4, extra_degree: int = 2
 ) -> CousinElement | None:
@@ -626,7 +662,7 @@ def second_fundamental_form_oracle(j_matrix, p_matrix, middle, relations=()):
             for m in range(mid_rank):
                 acc = acc + p_matrix[t][m] * j_matrix[m][s]
             if rel is not None:
-                acc = acc.divmod_single(rel)[1]
+                acc = divmod_single_oracle(acc, rel)[1]
             if not acc.is_zero():
                 raise ShapeError("p o j != 0")
     source = _free_module(n, [f"w{s}" for s in range(cols_j)])

@@ -1,4 +1,5 @@
 """Cousin complex, localized fractions, and the local trace."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 
 from atkernel import groebner
 from atkernel.chaincore import ShapeError, compose, hom_bracket, identity_map
-from atkernel.corpus import corpus_entries, random_chain_map
+from atkernel.corpus import corpus_entries, normal_homs_for, random_chain_map
 from atkernel.cousin import (
     CousinElement,
     LocalizedForm,
@@ -22,7 +23,7 @@ from atkernel.cousin import (
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
 from atkernel.selftest import commutator_class_targets
-from atkernel.semireg import chern_character
+from atkernel.semireg import chern_character, compare_semireg
 from oracles import contract_cousin, cousin_search_oracle
 
 X = ("x",)
@@ -263,6 +264,32 @@ class TestCoboundarySolve:
         )
         with pytest.raises(ValueError, match="Cousin decision exceeded its work bound"):
             cousin_coboundary_solve(target)
+
+
+class TestPinnedOutputs:
+    # sha256 of the text below as computed with full grlex division in
+    # place of Poly.exact_quotient; lowest terms are unique, so both agree
+    PINNED = "04ea21873c569e426621838d8be63392d347409be2bb5d2c54ababe2a0a7cac4"
+
+    def test_corpus_witnesses_and_traces_are_unchanged(self):
+        """The Cousin witnesses of the selftest commutator classes, the
+        Chern characters of every corpus complex and every corpus
+        comparison (both routes, verdict, witness), as text."""
+        lines = []
+        for target in commutator_class_targets("commclass"):
+            witness = None if target.is_zero() else cousin_coboundary_solve(target)
+            lines.append(cousin_to_text(target))
+            lines.append("none" if witness is None else cousin_to_text(witness))
+        for entry in corpus_entries():
+            for k in range(entry.ideal.q + 1):
+                lines.append(cousin_to_text(chern_character(entry.ideal, k), entry.var_names))
+            for phi in normal_homs_for(entry):
+                rep = compare_semireg(phi)
+                lines.append(rep.verdict)
+                for c in (rep.atiyah_route, rep.mu_route, rep.witness):
+                    lines.append("none" if c is None else cousin_to_text(c, entry.var_names))
+        assert len(lines) == 214
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.PINNED
 
 
 class TestPrinting:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import contract_form_oracle, sparse
+from oracles import contract_form_oracle, divmod_single_oracle, sparse
 
 from atkernel.chaincore import _product, _settle
 from atkernel.polyforms import (
@@ -50,6 +50,27 @@ def polys(draw, max_arity=4, max_deg=6, max_terms=5):
     return Poly(n, terms)
 
 
+NON_MONIC_PAIRS = [
+    ("x", "3*x"),
+    ("x^2*y + 5*y", "2*x"),
+    ("x^3 - y^2 + 1", "3*x^2 - 2*y"),
+    ("7*x*y^2 + 2/3*x - 1", "4*x*y + 6"),
+    ("x^4 + y^4", "-6*x^2 + 4*x*y - 9"),
+]
+
+
+def _is_canonical(coeff):
+    return type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+def _random_fraction_poly(rng, n, max_terms=4, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        expt = tuple(rng.randint(0, max_exp) for _ in range(n))
+        terms[expt] = terms.get(expt, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Poly(n, terms)
+
+
 class TestPolyArithmetic:
     def test_product_of_sum_and_difference(self):
         assert P("x + y") * P("x - y") == P("x^2 - y^2")
@@ -62,35 +83,95 @@ class TestPolyArithmetic:
             P("x") + parse_poly("x", ("x",))
 
     def test_divmod_exact_and_remainder(self):
-        q, r = P("x^3*y + x^2").divmod_single(P("x^2"))
+        q, r = divmod_single_oracle(P("x^3*y + x^2"), P("x^2"))
         assert q == P("x*y + 1") and r.is_zero()
-        q, r = P("x^2*y + y").divmod_single(P("x^2"))
+        q, r = divmod_single_oracle(P("x^2*y + y"), P("x^2"))
         assert r == P("y") and q == P("y")
-        assert P("x^2*y^3").divmod_single(P("x^2"))[1].is_zero()
-        assert not P("x*y").divmod_single(P("x^2"))[1].is_zero()
+        assert divmod_single_oracle(P("x^2*y^3"), P("x^2"))[1].is_zero()
+        assert not divmod_single_oracle(P("x*y"), P("x^2"))[1].is_zero()
 
-    @pytest.mark.parametrize(
-        "num, den",
-        [
-            ("x", "3*x"),
-            ("x^2*y + 5*y", "2*x"),
-            ("x^3 - y^2 + 1", "3*x^2 - 2*y"),
-            ("7*x*y^2 + 2/3*x - 1", "4*x*y + 6"),
-            ("x^4 + y^4", "-6*x^2 + 4*x*y - 9"),
-        ],
-    )
+    @pytest.mark.parametrize("num, den", NON_MONIC_PAIRS)
     def test_divmod_by_non_monic_integer_divisor(self, num, den):
         f, g = P(num), P(den)
-        quot, rem = f.divmod_single(g)
+        quot, rem = divmod_single_oracle(f, g)
         assert quot * g + rem == f
         for coeff in [*quot.terms.values(), *rem.terms.values()]:
-            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+            assert _is_canonical(coeff)
 
     def test_divmod_quotient_is_exact(self):
-        q, r = P("x").divmod_single(P("3*x"))
+        q, r = divmod_single_oracle(P("x"), P("3*x"))
         assert q == Poly.const(2, Fraction(1, 3)) and r.is_zero()
-        q, r = P("2*x^2 + y").divmod_single(P("4*x"))
+        q, r = divmod_single_oracle(P("2*x^2 + y"), P("4*x"))
         assert q == P("1/2*x") and r == P("y")
+
+
+class TestExactQuotient:
+    def test_exact_and_remainder(self):
+        assert P("x^3*y + x^2").exact_quotient(P("x^2")) == P("x*y + 1")
+        assert P("x^2*y + y").exact_quotient(P("x^2")) is None
+        assert P("x^2*y^3").exact_quotient(P("x^2")) == P("y^3")
+        assert P("x*y").exact_quotient(P("x^2")) is None
+
+    @pytest.mark.parametrize("num, den", NON_MONIC_PAIRS)
+    def test_by_non_monic_integer_divisor(self, num, den):
+        f, g = P(num), P(den)
+        quot, rem = divmod_single_oracle(f, g)
+        assert f.exact_quotient(g) == (quot if rem.is_zero() else None)
+        # the product is divisible, and its quotient comes back canonical
+        q = (f * g).exact_quotient(g)
+        assert q == f and q * g == f * g
+        assert all(_is_canonical(c) for c in q.terms.values())
+
+    def test_quotient_is_exact(self):
+        q = P("x").exact_quotient(P("3*x"))
+        assert q == Poly.const(2, Fraction(1, 3))
+        assert type(q.constant_term()) is Fraction
+        assert P("2*x^2 + y").exact_quotient(P("4*x")) is None
+        assert P("2*x^2").exact_quotient(P("4*x")) == P("1/2*x")
+        assert P("6*x^2").exact_quotient(P("3*x")).terms == {(1, 0): 2}
+
+    def test_agrees_with_division_oracle(self):
+        # 300 seeded pairs g*f and g*f + r over Q in 1-3 variables, with
+        # non-monic and multi-term divisors, constant divisors and zero
+        # dividends; the quotient is the oracle's exactly when its
+        # remainder is zero, else None
+        rng = random.Random(16)
+        exact = refused = 0
+        for trial in range(300):
+            n = rng.randint(1, 3)
+            if trial % 25 == 0:
+                divisor = Poly.const(n, Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4)))
+            else:
+                divisor = _random_fraction_poly(rng, n, max_exp=2)
+                if divisor.is_zero():
+                    divisor = Poly.const(n, 7)
+            factor = Poly.zero(n) if trial % 30 == 0 else _random_fraction_poly(rng, n)
+            dividend = factor * divisor
+            if rng.random() < 0.5:
+                dividend = dividend + _random_fraction_poly(rng, n, max_terms=2)
+            quot, rem = divmod_single_oracle(dividend, divisor)
+            got = dividend.exact_quotient(divisor)
+            if rem.is_zero():
+                exact += 1
+                assert got == quot and got * divisor == dividend, (dividend, divisor)
+                assert all(_is_canonical(c) for c in got.terms.values())
+            else:
+                refused += 1
+                assert got is None, (dividend, divisor)
+        assert exact >= 100 and refused >= 100
+
+    def test_zero_dividend_gives_zero(self):
+        assert Poly.zero(2).exact_quotient(P("3*x - y")) == Poly.zero(2)
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            P("x").exact_quotient(Poly.zero(2))
+        with pytest.raises(ZeroDivisionError):
+            divmod_single_oracle(P("x"), Poly.zero(2))
+
+    def test_arity_mismatch_raises(self):
+        with pytest.raises(ArityError):
+            P("x").exact_quotient(parse_poly("x", ("x",)))
 
 
 def _random(rng, n=2):

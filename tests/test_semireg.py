@@ -367,7 +367,7 @@ class TestLadderOracle:
             poly_rows(ladder.p, 0), poly_rows(ladder.pi, 0), ladder.total, split, ladder.p_dprime
         )
         self.assert_same(delta, old_delta, names)
-        verdict = delta_dprime_matches_minus_atiyah(ladder)
+        verdict = delta_dprime_matches_minus_atiyah(ladder, delta)
         assert verdict == ladder_verdict_oracle(
             old_delta, poly_rows(ladder.pi_dprime, 0), ladder.p_dprime
         )
@@ -386,9 +386,9 @@ class TestConnectingDelta:
         for text, names, weights in (("x^2", X, (1,)), ("x^2 - y*z", XYZ, (1, 1, 1))):
             f = parse_poly(text, names)
             ladder = hypersurface_ladder(f, weights)
-            assert delta_dprime_matches_minus_atiyah(ladder) == "exact"
-            assert not ladder.p_prime.diff  # F' free, so delta' vanishes
             dd = connecting_delta(ladder)
+            assert delta_dprime_matches_minus_atiyah(ladder, dd) == "exact"
+            assert not ladder.p_prime.diff  # F' free, so delta' vanishes
             assert dd.entry(-1, 0, 0) == exterior_derivative(f)
 
     @pytest.mark.parametrize("zero", [False, True])

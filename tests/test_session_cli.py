@@ -362,6 +362,22 @@ class TestSffGolden:
             out.append(f"$ atk {command}\n{capsys.readouterr().out}exit {code}\n")
         assert "".join(out) == golden
 
+    def test_hypersurface_builds_delta_once(self, capsys, monkeypatch):
+        """The printed delta'' is the one compared with -pi''∘At."""
+        from atkernel import ladder
+
+        calls = []
+        original = ladder.connecting_delta
+
+        def counting(lad):
+            calls.append(lad)
+            return original(lad)
+
+        monkeypatch.setattr(ladder, "connecting_delta", counting)
+        assert main(["sff", "--preset", "hypersurface:x^2 - y*z"]) == 0
+        assert "VERDICT: exact" in capsys.readouterr().out
+        assert len(calls) == 1
+
 
 class TestSelftestGolden:
     def test_selftest_matches_recorded_output(self, capsys):
