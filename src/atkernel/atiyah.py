@@ -47,12 +47,11 @@ class AtiyahCocycle:
     """A cocycle and its powers: `_powers[k]` is the k-fold composition of
     chain_map for 2 <= k <= the largest power asked for so far."""
 
-    __slots__ = ("chain_map", "power", "connection", "_powers")
+    __slots__ = ("chain_map", "power", "_powers")
 
-    def __init__(self, chain_map: ChainMap, power: int, connection: ConnectionSpec):
+    def __init__(self, chain_map: ChainMap, power: int):
         self.chain_map = chain_map
         self.power = power
-        self.connection = connection
         self._powers: dict[int, ChainMap] = {}
 
 
@@ -87,7 +86,7 @@ def _build_cocycle(p: FreeComplex, conn: ConnectionSpec) -> AtiyahCocycle:
     base = ChainMap(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))
     if not conn.perturbation.is_zero():
         base = base + hom_bracket(conn.perturbation)
-    return AtiyahCocycle(base, 1, conn)
+    return AtiyahCocycle(base, 1)
 
 
 def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
@@ -106,17 +105,17 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
         raise ShapeError("powers are taken of the degree-1 cocycle")
     cx = at.chain_map.source
     if k == 0:
-        return AtiyahCocycle(identity_map(cx), 0, at.connection)
+        return AtiyahCocycle(identity_map(cx), 0)
     support = cx.support()
     length = support[-1] - support[0] if support else 0
     if k > min(length, cx.n):
-        return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)), k, at.connection)
+        return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)), k)
     acc = at.chain_map
     for j in range(2, k + 1):
         if j not in at._powers:
             at._powers[j] = compose(at.chain_map, acc)
         acc = at._powers[j]
-    return AtiyahCocycle(acc, k, at.connection)
+    return AtiyahCocycle(acc, k)
 
 
 def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> ChainMap:

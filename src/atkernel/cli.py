@@ -145,13 +145,9 @@ def _cmd_blochcmp(args) -> int:
     report = compare_semireg(hom)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
     print(f"tau: {cousin_to_text(report.atiyah_route, session.var_names)}")
-    verdict = {
-        "representative-exact": "exact",
-        "coboundary": "coboundary",
-        "fail": "FAIL",
-    }[report.verdict]
-    print(f"VERDICT: {verdict}")
-    return 0 if verdict != "FAIL" else 1
+    exact = report.verdict == "representative-exact"
+    print(f"VERDICT: {'exact' if exact else 'FAIL'}")
+    return 0 if exact else 1
 
 
 def _cmd_obstruct(args) -> int:

@@ -97,29 +97,6 @@ class CousinElement:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __add__(self, other: "CousinElement") -> "CousinElement":
-        if self.n != other.n or self.seq != other.seq:
-            raise ShapeError("cousin elements over different data")
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ShapeError("cousin degree mismatch")
-        entries = dict(self.entries)
-        for alpha, lf in other.entries.items():
-            if alpha in entries:
-                entries[alpha] = _lf_add(entries[alpha], lf, self.f_alpha(alpha))
-            else:
-                entries[alpha] = lf
-        return CousinElement(self.n, self.seq, self.degree, entries)
-
-    def __neg__(self) -> "CousinElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "CousinElement") -> "CousinElement":
-        return self + (-other)
-
     def scale(self, c) -> "CousinElement":
         return CousinElement(
             self.n,
@@ -175,41 +152,30 @@ def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
     )
 
 
-def psi_section(ideal: RegularSequenceIdeal) -> dict[tuple[int, ...], int]:
-    """Table alpha -> sign (-1)^{binom(|alpha|,2)} of the canonical section."""
-    out = {}
-    for p in range(ideal.q + 1):
-        for alpha in index_sets(ideal.q, p):
-            out[alpha] = (-1) ** comb(p, 2)
-    return out
-
-
 def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     """Trace a Koszul endomorphism into a Cousin representative.
 
     Expands u in the dual-gamma basis, pairs against the canonical
-    section (the psi table), and applies the supertrace.  The entry from
-    gf_alpha to gf_beta contributes only when beta is contained in alpha,
-    landing on delta f_{alpha minus beta}.
+    section, whose sign at alpha is (-1)^{binom(|alpha|,2)}, and applies
+    the supertrace.  The entry from gf_alpha to gf_beta contributes only
+    when beta is contained in alpha, landing on delta f_{alpha minus beta}.
     """
     if u.source != k.complex or u.target != k.complex:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree
     if d < 0 or d > k.q:
         return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
-    psi = psi_section(k.ideal)
     acc: dict[tuple[int, ...], Form] = {}
     for i, t, s, entry in u.nonzeros():
         p_beta = -i - d
-        if p_beta < 0:
-            continue
         alpha, beta = index_sets(k.q, -i)[s], index_sets(k.q, p_beta)[t]
         aset = set(alpha)
         if not aset.issuperset(beta):
             continue
         alpha_prime = tuple(sorted(aset - set(beta)))
         shuffle, _ = _merge_indices(beta, alpha_prime)
-        sign = psi[alpha_prime] * shuffle * (-1) ** (p_beta * (1 + len(alpha_prime)))
+        p_prime = len(alpha_prime)
+        sign = (-1) ** comb(p_prime, 2) * shuffle * (-1) ** (p_beta * (1 + p_prime))
         add = entry.scale(sign)
         acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
     entries = {

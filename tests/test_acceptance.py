@@ -48,7 +48,7 @@ def test_criterion_01_bloch_comparison():
             case_start = time.monotonic()
             verdict = compare_semireg(phi).verdict
             elapsed = time.monotonic() - case_start
-            ok = ok and verdict in ("representative-exact", "coboundary")
+            ok = ok and verdict == "representative-exact"
             ok = ok and elapsed < 10.0
     ok = ok and (time.monotonic() - total_start) < 180.0
     report(1, "both semiregularity routes agree on the corpus", ok)

@@ -188,7 +188,7 @@ class TestPowerLadder:
             ideal = RegularSequenceIdeal(entry.ideal.n, entry.ideal.polys, entry.ideal.var_weights)
             kz = build_koszul(ideal)
             at = atiyah_cocycle(kz.complex)
-            negated = AtiyahCocycle(at.chain_map.scale(-1), 1, at.connection)
+            negated = AtiyahCocycle(at.chain_map.scale(-1), 1)
             ks = list(range(_top_power(kz.complex) + 2))
             for k in ks if order == "ascending" else ks[::-1]:
                 power = atiyah_power_oracle(negated, k).scale(Fraction(1, factorial(k)))

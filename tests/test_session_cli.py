@@ -332,6 +332,25 @@ def load_demo():
     return module
 
 
+class TestBlochFail:
+    def test_flipped_mu_sign_is_a_fail(self, tmp_path, capsys, monkeypatch):
+        """blochcmp's FAIL branch: with one term of mu negated, the routes
+        differ, and the command prints FAIL and exits 1."""
+        from atkernel import semireg
+        from atkernel.koszul import NormalHom
+
+        original = semireg.bloch_mu
+
+        def flipped(phi):
+            return original(NormalHom(phi.ideal, (-phi.values[0], *phi.values[1:])))
+
+        monkeypatch.setattr(semireg, "bloch_mu", flipped)
+        path = tmp_path / "s.sr"
+        path.write_text(SESSION)
+        assert main(["blochcmp", "--hom", "phi", "--input", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: FAIL"
+
+
 class TestDemoGolden:
     """The 13 demo commands, in process, against their recorded stdout."""
 
