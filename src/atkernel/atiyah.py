@@ -70,23 +70,20 @@ class DerivationSpec(Record):
 def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> AtiyahCocycle:
     """[d, nabla] for the given connection.
 
-    Without one, the basis connection's cocycle is built on the first
-    call and the same object, with its powers, is returned afterwards.
+    The basis connection's cocycle -dF is built on the first call and the
+    same object, with its powers, is returned afterwards.  An explicit
+    connection gets a new cocycle: that shared one plus the bracket of its
+    perturbation.
     """
+    if p._basis_atiyah is None:
+        p._basis_atiyah = AtiyahCocycle(
+            ChainMap(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry))), 1
+        )
     if connection is None:
-        if p._basis_atiyah is None:
-            p._basis_atiyah = _build_cocycle(p, ConnectionSpec(p))
         return p._basis_atiyah
     if connection.complex != p:
         raise ShapeError("connection is for a different complex")
-    return _build_cocycle(p, connection)
-
-
-def _build_cocycle(p: FreeComplex, conn: ConnectionSpec) -> AtiyahCocycle:
-    base = ChainMap(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))
-    if not conn.perturbation.is_zero():
-        base = base + hom_bracket(conn.perturbation)
-    return AtiyahCocycle(base, 1)
+    return AtiyahCocycle(p._basis_atiyah.chain_map + hom_bracket(connection.perturbation), 1)
 
 
 def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:

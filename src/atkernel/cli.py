@@ -126,7 +126,7 @@ def _cmd_semireg(args) -> int:
     from .semireg import ext1_representative, sigma_component
 
     session = _load_session(args.input)
-    _, hom = _named(session.homs, "hom", "--hom", args.hom)
+    hom = _named(session.homs, "hom", "--hom", args.hom)
     kz = _guarded_koszul(hom.ideal)
     k = args.k if args.k is not None else hom.ideal.q - 1
     rep = ext1_representative(hom, kz)
@@ -140,7 +140,7 @@ def _cmd_blochcmp(args) -> int:
     from .semireg import compare_semireg
 
     session = _load_session(args.input)
-    _, hom = _named(session.homs, "hom", "--hom", args.hom)
+    hom = _named(session.homs, "hom", "--hom", args.hom)
     _guarded_koszul(hom.ideal)
     report = compare_semireg(hom)
     print(f"mu:  {cousin_to_text(report.mu_route, session.var_names)}")
@@ -201,7 +201,7 @@ def _cmd_sff(args) -> int:
         if f.homogeneous_degree(weights) is None:
             weights = None
         ladder = hypersurface_ladder(f, weights)
-        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
         print(map_to_text(sigma, "sigma", names))
         delta = connecting_delta(ladder)
         print(map_to_text(delta, "delta_second", names))

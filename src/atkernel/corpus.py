@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from .atiyah import ConnectionSpec, DerivationSpec
-from .chaincore import ChainMap, FreeComplex, hom_bracket, is_cocycle
-from .koszul import KoszulComplex, NormalHom, RegularSequenceIdeal, build_koszul
+from .chaincore import ChainMap, FreeComplex, hom_bracket, is_cocycle, monomials_of_weighted_degree
+from .koszul import KoszulComplex, NormalHom, RegularSequenceIdeal, build_koszul, index_sets
 from .polyforms import Form, Poly, Record, parse_poly
 
 
@@ -129,8 +129,6 @@ def graded_random_connection(
     rng: random.Random, cx: FreeComplex, internal_degree: int = 1
 ) -> ConnectionSpec:
     """A perturbed connection whose columns are homogeneous forms."""
-    from .chaincore import monomials_of_weighted_degree
-
     n = cx.n
     weights = cx.var_weights
     columns: dict[int, dict] = {}
@@ -161,19 +159,9 @@ def functoriality_pairs() -> list[tuple[ChainMap, KoszulComplex, KoszulComplex]]
     out = []
 
     def lift_map(src_texts, tgt_texts, names, weights, factors):
-        src = build_koszul(
-            RegularSequenceIdeal(
-                len(names), tuple(parse_poly(t, names) for t in src_texts), weights
-            )
-        )
-        tgt = build_koszul(
-            RegularSequenceIdeal(
-                len(names), tuple(parse_poly(t, names) for t in tgt_texts), weights
-            )
-        )
+        src = build_koszul(_mk(names, weights, src_texts).ideal)
+        tgt = build_koszul(_mk(names, weights, tgt_texts).ideal)
         # gamma_i -> factor_i * gamma_i extended multiplicatively over wedges
-        from .koszul import index_sets
-
         q = src.q
         n = len(names)
         fpolys = [parse_poly(t, names) for t in factors]

@@ -1,8 +1,11 @@
-"""Groebner bases over Q in the grlex order of Poly.leading_term, on raw
-{exponent: coefficient} dicts kept primitive over Z with a positive leading
-coefficient.  Buchberger's algorithm takes S-pairs smallest lcm first and
-skips those the coprime or the chain criterion shows reduce to 0
-(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sections 6-10).
+"""Groebner bases over Q in this module's own monomial order (`_grlex_key`,
+grlex today), on raw {exponent: coefficient} dicts kept primitive over Z
+with a positive leading coefficient.  Buchberger's algorithm takes S-pairs
+smallest lcm first and skips those the coprime or the chain criterion
+shows reduce to 0 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 sections 6-10).  Callers read a basis element's lead through
+leading_monomial, not Poly.leading_term, so that it is taken in the order
+the basis was computed in.
 """
 from __future__ import annotations
 
@@ -138,6 +141,11 @@ def membership_excess(gens: Sequence[Poly], polys: Iterable[Poly]) -> int | None
     if any(_reduce(_primitive(p.terms), basis, leads, budget) for p in polys if p.terms):
         return None
     return excess
+
+
+def leading_monomial(g: Poly) -> tuple[int, ...]:
+    """The leading monomial of g in the order the bases are computed in."""
+    return _lead(g.terms)
 
 
 def monomial_quotient_dimension(n: int, gens: Iterable[Sequence[int]]) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .polyforms import Record
@@ -101,32 +100,22 @@ class ClosureCertificate:
         return all(sum(ci * gi for ci, gi in zip(c, g)) >= mu for g in ideal.gens)
 
 
-def _phase1_lp(a_eq: list[list[Fraction]], b: list[Fraction]):
-    """Phase-1 simplex for {x >= 0 : A x = b}; returns ("x", x) or ("y", y).
+def _phase1_lp(a_eq: list[list[int]], b: list[int]):
+    """Phase-1 simplex for {x >= 0 : A x = b} with A and b nonnegative
+    integers; returns ("x", x) or ("y", y).
 
     On infeasibility the dual vector y from the final basis satisfies
     y.A_j <= 0 for every column and y.b > 0 (a Farkas certificate).
 
-    The tableau is fraction-free: the simplex tableau is T / D for an int
-    matrix T and the previous pivot D > 0, and each row update
+    The tableau [A | I | b] is fraction-free: the simplex tableau is T / D
+    for an int matrix T and the previous pivot D > 0, and each row update
     (pv*T[i] - f*T[r]) // D divides exactly (Edmonds, Bareiss).  Bland's
     rule picks the first improving column and the minimum ratio, ties
     broken by basis index.
     """
     rows = len(a_eq)
     cols = len(a_eq[0]) if rows else 0
-    a_eq = [[Fraction(v) for v in row] for row in a_eq]
-    b = [Fraction(v) for v in b]
-    for i in range(rows):
-        if b[i] < 0:
-            a_eq[i] = [-v for v in a_eq[i]]
-            b[i] = -b[i]
-    # [s*A | I | s*b] for the lcm s of the denominators takes s times each
-    # artificial as a variable and s times the phase-1 objective, which keeps
-    # every reduced-cost sign and ratio order, so every pivot is the same
-    s = lcm(*(v.denominator for row in a_eq for v in row), *(v.denominator for v in b))
-    tab = [[v.numerator * (s // v.denominator) for v in a_eq[i] + [b[i]]] for i in range(rows)]
-    tab = [row[:-1] + [int(j == i) for j in range(rows)] + row[-1:] for i, row in enumerate(tab)]
+    tab = [a_eq[i] + [int(j == i) for j in range(rows)] + [b[i]] for i in range(rows)]
     total = cols + rows
     basis = [cols + i for i in range(rows)]
     d = 1
@@ -174,10 +163,10 @@ def _phase1_lp(a_eq: list[list[Fraction]], b: list[Fraction]):
         return "x", x
     # duals: solve B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
     bt = [
-        {i: a_eq[i][j] for i in range(rows) if a_eq[i][j]} if j < cols else {j - cols: Fraction(1)}
+        {i: a_eq[i][j] for i in range(rows) if a_eq[i][j]} if j < cols else {j - cols: 1}
         for j in basis
     ]
-    y = linalg.solve(bt, [Fraction(int(j >= cols)) for j in basis], rows)
+    y = linalg.solve(bt, [int(j >= cols) for j in basis], rows)
     if y is None:
         raise AssertionError("singular basis in dual extraction")
     return "y", y
@@ -193,16 +182,9 @@ def closure_member(ideal: MonomialIdeal, query: Sequence[int]) -> ClosureCertifi
     m = len(ideal.gens)
     n = ideal.n
     # columns: lambda_1..lambda_m, s_1..s_n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        row = [Fraction(g[i]) for g in ideal.gens] + [
-            Fraction(1 if j == i else 0) for j in range(n)
-        ]
-        rows.append(row)
-        rhs.append(Fraction(a[i]))
-    rows.append([Fraction(1)] * m + [Fraction(0)] * n)
-    rhs.append(Fraction(1))
+    rows = [[g[i] for g in ideal.gens] + [int(j == i) for j in range(n)] for i in range(n)]
+    rows.append([1] * m + [0] * n)
+    rhs = [*a, 1]
     kind, vec = _phase1_lp(rows, rhs)
     if kind == "x":
         lam = tuple(vec[:m])
@@ -232,14 +214,6 @@ def curvilinear_dim(ideal: MonomialIdeal) -> int:
     return count
 
 
-def quotient_dimension(ideal: MonomialIdeal) -> int:
-    """Krull dimension of R/I for monomial I, from the smallest vertex
-    cover of the supports of the minimal generators."""
-    from .groebner import monomial_quotient_dimension
-
-    return monomial_quotient_dimension(ideal.n, ideal.gens)
-
-
 class DimBoundReport:
     __slots__ = ("dim_quotient", "bound", "curv_dim", "holds")
 
@@ -251,8 +225,11 @@ class DimBoundReport:
 
 
 def dim_bound_check(ideal: MonomialIdeal) -> DimBoundReport:
-    """dim R/I against the curvilinear bound dim R - dim I/(J + mI)."""
-    dim_a = quotient_dimension(ideal)
+    """dim R/I against the curvilinear bound dim R - dim I/(J + mI); dim R/I
+    comes from the smallest vertex cover of the generators' supports."""
+    from .groebner import monomial_quotient_dimension
+
+    dim_a = monomial_quotient_dimension(ideal.n, ideal.gens)
     curv = curvilinear_dim(ideal)
     bound = ideal.n - curv
     return DimBoundReport(dim_a, bound, curv, bound <= dim_a)

@@ -150,19 +150,7 @@ def _build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
         degrees[-p] = basis
     # d extends d(gf_j) = f_j as a derivation
     cx = FreeComplex(n, degrees, _derivation_matrices(ideal.polys), weights)
-    for p in range(q + 1):
-        if cx.rank(-p) != comb(q, p):
-            raise ShapeError("koszul rank mismatch")
     return KoszulComplex(ideal, cx)
-
-
-def _koszul_of(ideal: RegularSequenceIdeal, kz: KoszulComplex | None) -> KoszulComplex:
-    """kz, which must resolve `ideal`, or a fresh build when it is None."""
-    if kz is None:
-        return build_koszul(ideal)
-    if kz.ideal != ideal:
-        raise ShapeError("Koszul complex resolves a different sequence")
-    return kz
 
 
 def dual_basis_map(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
@@ -213,7 +201,7 @@ def verify_regular(ideal: RegularSequenceIdeal) -> bool:
     when dim Q[x]/LT(I) = n - q (Cox-Little-O'Shea, ch. 9 section 3).
     Raises ValueError after groebner.MAX_TERM_OPS term operations.
     """
-    from .groebner import groebner_basis, monomial_quotient_dimension
+    from .groebner import groebner_basis, leading_monomial, monomial_quotient_dimension
 
-    leads = [g.leading_term()[0] for g in groebner_basis(ideal.polys)]
+    leads = [leading_monomial(g) for g in groebner_basis(ideal.polys)]
     return monomial_quotient_dimension(ideal.n, leads) == ideal.n - ideal.q

@@ -36,33 +36,20 @@ def _d(u: ChainMap) -> ChainMap:
                     u.entrywise(lambda f: exterior_derivative(f.to_poly())))
 
 
-def _one_relation(relations: Sequence[Poly]) -> Poly | None:
-    """The only relation, or None without one.
-
-    One polynomial is its own Groebner basis, so one division decides
-    membership in its ideal; successive division by two or more does not,
-    and they are refused with ShapeError.
-    """
-    if len(relations) > 1:
-        raise ShapeError("reduction supports at most one relation")
-    return relations[0] if relations else None
-
-
-def second_fundamental_form(j: ChainMap, p: ChainMap, relations: Sequence[Poly] = ()) -> ChainMap:
+def second_fundamental_form(j: ChainMap, p: ChainMap, relation: Poly | None = None) -> ChainMap:
     """sigma = nabla o j for the product-rule map determined on the middle.
 
     nabla kills the middle basis, so sigma = p o d(j), with d(j) the
-    entrywise exterior derivative of j.  p o j = 0 (modulo the relation
-    cutting out the right-hand module) is required; it is what makes
-    sigma linear.  At most one relation is accepted; two or more raise
-    ShapeError.
+    entrywise exterior derivative of j.  p o j = 0 modulo the relation
+    cutting out the right-hand module, if any, is required; it is what
+    makes sigma linear.  One polynomial is its own Groebner basis, so one
+    division decides membership in its ideal.
     """
-    rel = _one_relation(relations)
     middle = j.target
     if middle.support() != [0] or middle.rank(0) == 0:
         raise ShapeError("middle term must be a free module in degree 0")
     for _, _, _, x in compose(p, j).nonzeros():
-        if rel is None or x.to_poly().exact_quotient(rel) is None:
+        if relation is None or x.to_poly().exact_quotient(relation) is None:
             raise ShapeError("p o j != 0")
     return compose(p, _d(j))
 
@@ -75,16 +62,16 @@ class ExtensionLadder:
     splitting P = P' + P'' (P'-part columns first in every degree), and
     iota: P'' -> total includes the P''-part; pi: total -> F and
     pi_dprime: P'' -> F'' are the augmentations onto generator
-    coordinates; relations cut F'' out of its free cover (empty means F''
-    is free; at most one is supported).
+    coordinates; relation cuts F'' out of its free cover (None means F''
+    is free).
     """
 
     __slots__ = ("n", "j", "p", "p_prime", "p_dprime", "total", "iota", "pi", "pi_dprime",
-                 "relations")
+                 "relation")
 
     def __init__(self, n: int, j: ChainMap, p: ChainMap, p_prime: FreeComplex,
                  p_dprime: FreeComplex, total: FreeComplex, iota: ChainMap, pi: ChainMap,
-                 pi_dprime: ChainMap, relations: tuple[Poly, ...] = ()):
+                 pi_dprime: ChainMap, relation: Poly | None = None):
         self.n = n
         self.j = j
         self.p = p
@@ -94,7 +81,7 @@ class ExtensionLadder:
         self.iota = iota
         self.pi = pi
         self.pi_dprime = pi_dprime
-        self.relations = relations
+        self.relation = relation
 
 
 def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> ExtensionLadder:
@@ -135,7 +122,7 @@ def hypersurface_ladder(f: Poly, var_weights: Sequence[int] | None = None) -> Ex
         iota=ChainMap(p_dprime, total, 0, 0, {0: {1: {0: unit}}, -1: {0: {0: unit}}}),
         pi=_poly_map(total, middle, [[f, one]]),
         pi_dprime=_poly_map(p_dprime, f_dprime, [[one]]),
-        relations=(f,),
+        relation=f,
     )
 
 

@@ -593,9 +593,9 @@ def _tokenize(text: str) -> list[_Tok]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("num", text[i:j], line, col))
             col += j - i
@@ -677,10 +677,8 @@ class _FormParser:
                 if tok.kind != "*":
                     self._fail("expected '*' between factors", tok)
                 self._next()
-            coeff, saw = self._factor(coeff, expt, didx)
+            coeff = self._factor(coeff, expt, didx)
             saw_atom = True
-            if not saw:
-                break
         if not saw_atom:
             self._fail("empty term")
         if didx != sorted(set(didx)):
@@ -709,7 +707,7 @@ class _FormParser:
                 if int(den.text) == 0:
                     self._fail("zero denominator", den)
                 value = Fraction(value, int(den.text))
-            return coeff * value, True
+            return coeff * value
         if tok.kind == "name":
             name = tok.text
             if name in self.names:
@@ -723,7 +721,7 @@ class _FormParser:
                         self._fail("expected integer exponent", ptok)
                     power = int(ptok.text)
                 expt[i] += power
-                return coeff, True
+                return coeff
             if name.startswith("d") and name[1:] in self.names:
                 didx.append(self.names.index(name[1:]))
                 while True:
@@ -744,7 +742,7 @@ class _FormParser:
                     else:
                         self.pos = save
                         break
-                return coeff, True
+                return coeff
             self._fail(f"unknown name {name!r}", tok)
         self._fail(f"unexpected token {tok.text!r}", tok)
 

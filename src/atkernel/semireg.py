@@ -18,7 +18,6 @@ from .koszul import (
     KoszulComplex,
     NormalHom,
     RegularSequenceIdeal,
-    _koszul_of,
     build_koszul,
     _derivation_matrices,
 )
@@ -41,7 +40,10 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     The bracket of this extension vanishes identically over the ambient
     ring, which the constructor asserts.
     """
-    kz = _koszul_of(phi.ideal, kz)
+    if kz is None:
+        kz = build_koszul(phi.ideal)
+    elif kz.ideal != phi.ideal:
+        raise ShapeError("Koszul complex resolves a different sequence")
     mats = {
         i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}
         for i, mat in _derivation_matrices(phi.values).items()

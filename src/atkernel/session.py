@@ -33,7 +33,7 @@ class SessionFile:
         self.var_names: tuple[str, ...] = ()
         self.var_weights: tuple[int, ...] = ()
         self.sequences: dict[str, RegularSequenceIdeal] = {}
-        self.homs: dict[str, tuple[str, NormalHom]] = {}
+        self.homs: dict[str, NormalHom] = {}
         self.derivations: dict[str, DerivationSpec] = {}
 
     @property
@@ -116,6 +116,8 @@ def parse_session(text: str) -> SessionFile:
             seq_name = seq_name.strip()
             if not name.isidentifier() or not seq_name:
                 raise SessionError("expected `hom <name> on <seq> = g1 ; g2`", lineno)
+            if name in session.homs:
+                raise SessionError(f"hom {name!r} redeclared", lineno)
             if seq_name not in session.sequences:
                 raise SessionError(f"undeclared sequence {seq_name!r}", lineno)
             ideal = session.sequences[seq_name]
@@ -124,12 +126,14 @@ def parse_session(text: str) -> SessionFile:
                 raise SessionError(
                     f"hom needs {ideal.q} values for sequence {seq_name!r}", lineno
                 )
-            session.homs[name] = (seq_name, NormalHom(ideal, values))
+            session.homs[name] = NormalHom(ideal, values)
         elif head == "der":
             name, _, body = rest.partition("=")
             name = name.strip()
             if not name.isidentifier() or not body.strip():
                 raise SessionError("expected `der <name> = x: g1, y: g2`", lineno)
+            if name in session.derivations:
+                raise SessionError(f"derivation {name!r} redeclared", lineno)
             try:
                 session.derivations[name] = parse_derivation(body, session.var_names)
             except SessionError as exc:

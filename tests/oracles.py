@@ -47,7 +47,7 @@ from atkernel.chaincore import (
 )
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import build_koszul
-from atkernel.ladder import ExtensionLadder, _free_module, _one_relation, _poly_map
+from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
     ArityError,
     Form,
@@ -630,7 +630,6 @@ def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLad
         iota=_poly_map(p_dprime, total, unit_rows(rank, rank_dprime, rank_prime)),
         pi=_poly_map(total, middle, unit_rows(rank, rank, 0)),
         pi_dprime=_poly_map(p_dprime, f_dprime, unit_rows(rank_dprime, rank_dprime, 0)),
-        relations=(),
     )
 
 
@@ -642,10 +641,10 @@ def poly_rows(u, i):
     return [[x.to_poly() for x in row] for row in dense(u, i)]
 
 
-def second_fundamental_form_oracle(j_matrix, p_matrix, middle, relations=()):
+def second_fundamental_form_oracle(j_matrix, p_matrix, middle, relation=None):
     """sigma = p . d(j) from dense rows, one entry product at a time, after
-    refusing a nonzero entry of p . j that the one relation does not divide."""
-    rel = _one_relation(relations)
+    refusing a nonzero entry of p . j that the relation, if any, does not
+    divide."""
     n = middle.n
     mid_rank = middle.rank(0)
     if middle.support() != [0] or mid_rank == 0:
@@ -661,8 +660,8 @@ def second_fundamental_form_oracle(j_matrix, p_matrix, middle, relations=()):
             acc = Poly.zero(n)
             for m in range(mid_rank):
                 acc = acc + p_matrix[t][m] * j_matrix[m][s]
-            if rel is not None:
-                acc = divmod_single_oracle(acc, rel)[1]
+            if relation is not None:
+                acc = divmod_single_oracle(acc, relation)[1]
             if not acc.is_zero():
                 raise ShapeError("p o j != 0")
     source = _free_module(n, [f"w{s}" for s in range(cols_j)])

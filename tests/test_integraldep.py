@@ -12,7 +12,6 @@ from atkernel.integraldep import (
     closure_member,
     curvilinear_dim,
     dim_bound_check,
-    quotient_dimension,
 )
 from oracles import newton_membership_oracle, phase1_lp_oracle
 
@@ -182,8 +181,8 @@ class TestDimBound:
         assert (r.dim_quotient, r.bound, r.holds) == (1, 1, True)
 
     def test_quotient_dimension_via_covers(self):
-        assert quotient_dimension(mono_ideal(3, [(1, 1, 0), (0, 0, 2)])) == 1
-        assert quotient_dimension(mono_ideal(3, [(2, 0, 0)])) == 2
+        assert dim_bound_check(mono_ideal(3, [(1, 1, 0), (0, 0, 2)])).dim_quotient == 1
+        assert dim_bound_check(mono_ideal(3, [(2, 0, 0)])).dim_quotient == 2
 
     def test_holds_on_random_corpus(self):
         rng = random.Random(52)

@@ -217,6 +217,22 @@ class TestVerifyRegular:
         ideal = RegularSequenceIdeal(3, tuple(parse_poly(t, XYZ) for t in texts), None)
         assert not verify_regular(ideal)
 
+    @pytest.mark.parametrize(
+        "texts, regular",
+        [
+            (["x^2 - y*z", "y^2 - x*z"], True),
+            (["x*z - y^2", "x^2 - y*z"], True),
+            (["y^2 - x*z", "z^2 - x*y"], True),
+            (["x*z - y^2", "y*z - x^2", "x*y - z^2"], False),
+        ],
+    )
+    def test_leads_come_from_the_basis_order(self, texts, regular, monkeypatch):
+        # under grevlex these bases have leads that grlex reads differently,
+        # so leads taken in another order than the basis' give wrong refusals
+        monkeypatch.setattr(groebner, "_grlex_key", _grevlex_key)
+        ideal = RegularSequenceIdeal(3, tuple(parse_poly(t, XYZ) for t in texts), (1, 1, 1))
+        assert verify_regular(ideal) is regular
+
     def test_work_bound(self, monkeypatch):
         ideal = RegularSequenceIdeal(
             3, (parse_poly("x*y", XYZ), parse_poly("x*z", XYZ)), (1, 1, 1)
@@ -259,6 +275,12 @@ class TestVerifyRegular:
             assert verdict == regularity_scan_oracle(ideal, bound), polys
             verdicts.append(verdict)
         assert 60 <= sum(verdicts) <= 240
+
+
+def _grevlex_key(expt):
+    """Graded reverse lexicographic order: higher degree, then the smaller
+    last nonzero entry of the difference, is larger."""
+    return sum(expt), tuple(-e for e in reversed(expt))
 
 
 def _random_form(rng, n, d):

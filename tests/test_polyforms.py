@@ -304,6 +304,15 @@ class TestCanonicalText:
         # a zero term of another degree is absorbed, not refused
         assert parse_form("0*dx + x", XY) == parse_form("x", XY)
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+    @pytest.mark.parametrize("text, col", [("x^{}", 3), ("{}*x", 1), ("1{}", 2)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit, text, col):
+        # str.isdigit accepts both: int() refused the superscript two with no
+        # position and read the Arabic-Indic two as 2
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_poly(text.format(digit), XY)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
     def test_zero_denominator_is_a_parse_error(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly("x + 1/0*y", XY)

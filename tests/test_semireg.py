@@ -260,17 +260,8 @@ class TestSecondFundamentalForm:
     def test_hypersurface_sigma_is_df(self):
         f = parse_poly("x^2", X)
         ladder = hypersurface_ladder(f, (1,))
-        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
         assert sigma.entry(0, 0, 0) == exterior_derivative(f)
-
-    def test_two_relations_refused(self):
-        # one relation divides to a normal form; successive division by
-        # two does not, so they are refused
-        f = parse_poly("x^2", XY)
-        ladder = hypersurface_ladder(f, (1, 1))
-        two = (f, parse_poly("y^2", XY))
-        with pytest.raises(ShapeError):
-            second_fundamental_form(ladder.j, ladder.p, relations=two)
 
     def test_p_j_nonzero_refused(self):
         middle = _free_module(1, ["e"], (1,))
@@ -372,9 +363,9 @@ class TestLadderOracle:
     def check_ladder(self, ladder):
         """Assert both routes agree on the ladder; return the verdict."""
         names = default_names(ladder.n)
-        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
         old_sigma = second_fundamental_form_oracle(
-            poly_rows(ladder.j, 0), poly_rows(ladder.p, 0), ladder.j.target, ladder.relations
+            poly_rows(ladder.j, 0), poly_rows(ladder.p, 0), ladder.j.target, ladder.relation
         )
         self.assert_same(sigma, old_sigma, names)
         delta = connecting_delta(ladder)
@@ -393,7 +384,7 @@ class TestLadderOracle:
 class TestConnectingDelta:
     def test_split_free_gives_zero(self):
         ladder = split_free_ladder(1, 2, 2)
-        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
         assert sigma.is_zero()
         # computed, not short-cut: delta'' depends on the ladder alone
         assert connecting_delta(ladder).is_zero()
@@ -416,7 +407,7 @@ class TestConnectingDelta:
         ladder = split_free_ladder(1, 1, 1) if zero else hypersurface_ladder(
             parse_poly("x^2", X), (1,)
         )
-        sigma = second_fundamental_form(ladder.j, ladder.p, relations=ladder.relations)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
         assert sigma.is_zero() == zero
         ladder.p_prime = resolved
         with pytest.raises(ShapeError, match="free F'"):

@@ -47,8 +47,8 @@ class TestSessionParsing:
         assert s.var_names == ("x", "y")
         assert s.sequences["Z"].q == 2
         assert s.sequences["W"].polys[0] == parse_poly("x^2", ("x", "y"))
-        seq_name, phi = s.homs["phi"]
-        assert seq_name == "Z" and phi.values[0] == parse_poly("1", ("x", "y"))
+        phi = s.homs["phi"]
+        assert phi.ideal is s.sequences["Z"] and phi.values[0] == parse_poly("1", ("x", "y"))
         assert s.derivations["ddx"].values[0] == parse_poly("1", ("x", "y"))
 
     def test_weighted_ring(self):
@@ -72,6 +72,25 @@ class TestSessionParsing:
     def test_wrong_value_count(self):
         with pytest.raises(SessionError):
             parse_session("ring Q[x, y]\nseq Z = x ; y\nhom phi on Z = 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seq W = x^2\nhom phi on W = 1\nhom phi on W = x\n", "hom 'phi' redeclared (line 4)"),
+            ("der d = x: 1\nseq W = x^2\nder d = y: 1\n", "derivation 'd' redeclared (line 4)"),
+        ],
+    )
+    def test_hom_and_derivation_redeclaration_refused(self, text, message):
+        with pytest.raises(SessionError) as err:
+            parse_session("ring Q[x, y]\n" + text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+    def test_non_ascii_digit_names_the_line(self, digit):
+        with pytest.raises(SessionError) as err:
+            parse_session(f"ring Q[x, y]\nseq Z = x^{digit} ; y\n")
+        assert err.value.line == 2
+        assert f"unexpected character {digit!r} (line 1, col 3)" in str(err.value)
 
     def test_malformed_first_line(self):
         with pytest.raises(SessionError) as err:
@@ -307,6 +326,32 @@ class TestUsageMessages:
         assert out == ""
         assert f"argument {flag}: unknown" in err and "'nope'" in err
         assert "line" not in err
+
+    @pytest.mark.parametrize(
+        "extra, argv, message",
+        [
+            ("hom phi on Z = 0 ; 1", ["blochcmp", "--hom", "phi"], "hom 'phi' redeclared (line 8)"),
+            ("der ddx = y: 1", ["obstruct", "--seq", "Z", "--derivation", "ddx"],
+             "derivation 'ddx' redeclared (line 8)"),
+        ],
+    )
+    def test_redeclared_hom_or_derivation_is_two(self, extra, argv, message, tmp_path, capsys):
+        # the later declaration used to replace the first silently
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION + extra + "\n")
+        assert main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+    def test_non_ascii_digit_is_two_with_its_line(self, digit, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(f"ring Q[x, y]\nseq Z = x^{digit} ; y\n", encoding="utf-8")
+        assert main(["ch", "--seq", "Z", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: bad polynomial 'x^{digit}': unexpected character "
+                       f"{digit!r} (line 1, col 3) (line 2)\n")
 
     @pytest.mark.parametrize("ideal", ["x^2,,y", ",x^2", "x^2,", "x, ,y"])
     @pytest.mark.parametrize("command", [["curvdim"], ["dimcheck"], ["iclosure", "--test", "x"]])
