@@ -24,7 +24,7 @@ from .chaincore import (
     zero_map,
 )
 from .koszul import KoszulComplex
-from .polyforms import Form, Poly, Record, contract_form, exterior_derivative
+from .polyforms import ArityError, Form, Poly, Record, contract_form, exterior_derivative
 
 
 class ConnectionSpec:
@@ -116,14 +116,18 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
 
 
 def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> ChainMap:
-    """Interior product of every matrix entry against the derivation."""
+    """Interior product of every matrix entry against the derivation; the
+    input is checked here, once, for the trusted kernel contract_form."""
     u = a.chain_map if isinstance(a, AtiyahCocycle) else a
     if u.form_degree < 1:
         raise ShapeError("cannot contract a form-degree-0 map")
-    if len(xi.values) != u.source.n:
+    n = u.source.n
+    if len(xi.values) != n:
         raise ShapeError("derivation arity mismatch")
+    if any(v.n != n for v in xi.values):
+        raise ArityError("derivation values must share the form's arity")
     mats = u.entrywise(lambda f: contract_form(xi.values, f))
-    return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)
+    return ChainMap._raw(u.source, u.target, u.degree, u.form_degree - 1, mats)
 
 
 def obstruction_cocycle(k: KoszulComplex, delta: DerivationSpec) -> ChainMap:

@@ -136,7 +136,8 @@ def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
 
 
 def _settle(acc: dict, build) -> dict:
-    """The stored matrix of a filled accumulator; build makes one entry."""
+    """The stored matrix of build of every entry of acc, a filled
+    accumulator or a stored matrix."""
     out = {}
     for t, row in acc.items():
         kept = {}
@@ -298,8 +299,10 @@ class ChainMap:
         return _nonzeros(self.mats)
 
     def entrywise(self, fn) -> dict:
-        """fn of every nonzero entry, as FreeComplex.entrywise."""
-        return _entrywise(self.mats, fn)
+        """fn of every nonzero entry, as stored matrices with the zero values
+        dropped, which ChainMap._raw takes as they are."""
+        mats = {i: _settle(mat, fn) for i, mat in self.mats.items()}
+        return {i: mat for i, mat in mats.items() if mat}
 
     def is_zero(self) -> bool:
         return not self.mats

@@ -184,7 +184,7 @@ def _cmd_sff(args) -> int:
         n_proj = 1
         if ":" in preset:
             text = preset.split(":", 1)[1]
-            if not text.isdigit() or int(text) < 1:
+            if not (text.isascii() and text.isdigit()) or int(text) < 1:
                 raise SessionError(f"euler needs a positive integer n, got {text!r}")
             n_proj = int(text)
         sigma, names = euler_preset(n_proj)

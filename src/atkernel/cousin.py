@@ -13,12 +13,23 @@ is decided exactly, by ideal membership of its numerator.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .chaincore import ChainMap, ShapeError, _solve_products, monomials_of_weighted_degree
 from .groebner import membership_excess
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
-from .polyforms import Form, Poly, Record, _merge_indices, form_to_text, poly_to_text
+from .polyforms import (
+    Form,
+    Poly,
+    Record,
+    _add_into,
+    _form_from_acc,
+    _merge_indices,
+    form_to_text,
+    poly_to_text,
+)
 
 
 class LocalizedForm(Record):
@@ -80,9 +91,8 @@ class CousinElement:
                 raise ValueError(f"bad index set {alpha} for degree {degree}")
             if any(not 1 <= i <= q for i in alpha):
                 raise ValueError(f"index out of range in {alpha}")
-            lf = _lf_canonical(lf, self.f_alpha(alpha))
             if not lf.is_zero():
-                self.entries[alpha] = lf
+                self.entries[alpha] = _lf_canonical(lf, self.f_alpha(alpha))
 
     @property
     def q(self) -> int:
@@ -98,12 +108,12 @@ class CousinElement:
         return not self.entries
 
     def scale(self, c) -> "CousinElement":
-        return CousinElement(
-            self.n,
-            self.seq,
-            self.degree,
-            {a: LocalizedForm(lf.num.scale(c), lf.m) for a, lf in self.entries.items()},
-        )
+        # a nonzero rational keeps every entry nonzero and in lowest terms
+        out = CousinElement(self.n, self.seq, self.degree)
+        if c:
+            out.entries = {alpha: LocalizedForm(lf.num.scale(c), lf.m)
+                           for alpha, lf in self.entries.items()}
+        return out
 
     def __eq__(self, other) -> bool:
         # every entry is in lowest terms, and lowest terms are unique in the
@@ -152,6 +162,24 @@ def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
     )
 
 
+@lru_cache(maxsize=None)
+def _trace_plan(q: int, p_alpha: int, d: int) -> dict:
+    """The entries that the local trace reads of a degree-d map out of degree
+    -p_alpha: (t, s) -> (alpha minus beta, negate), for alpha the s-th index
+    set of size p_alpha and beta the t-th of size p_alpha - d, beta in alpha.
+    The sign is the canonical section's times the shuffle's times the supertrace's."""
+    p_beta = p_alpha - d
+    position = {beta: t for t, beta in enumerate(index_sets(q, p_beta))}
+    plan = {}
+    for s, alpha in enumerate(index_sets(q, p_alpha)):
+        for beta in combinations(alpha, p_beta):
+            alpha_prime = tuple(i for i in alpha if i not in beta)
+            shuffle, _ = _merge_indices(beta, alpha_prime)
+            sign = (-1) ** comb(d, 2) * shuffle * (-1) ** (p_beta * (1 + d))
+            plan[position[beta], s] = (alpha_prime, sign < 0)
+    return plan
+
+
 def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     """Trace a Koszul endomorphism into a Cousin representative.
 
@@ -159,30 +187,21 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     section, whose sign at alpha is (-1)^{binom(|alpha|,2)}, and applies
     the supertrace.  The entry from gf_alpha to gf_beta contributes only
     when beta is contained in alpha, landing on delta f_{alpha minus beta}.
+    One pass adds the stored entries that the plan reads into raw accumulators.
     """
     if u.source != k.complex or u.target != k.complex:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree
     if d < 0 or d > k.q:
         return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
-    acc: dict[tuple[int, ...], Form] = {}
+    acc: dict[tuple[int, ...], dict] = {}
     for i, t, s, entry in u.nonzeros():
-        p_beta = -i - d
-        alpha, beta = index_sets(k.q, -i)[s], index_sets(k.q, p_beta)[t]
-        aset = set(alpha)
-        if not aset.issuperset(beta):
-            continue
-        alpha_prime = tuple(sorted(aset - set(beta)))
-        shuffle, _ = _merge_indices(beta, alpha_prime)
-        p_prime = len(alpha_prime)
-        sign = (-1) ** comb(p_prime, 2) * shuffle * (-1) ** (p_beta * (1 + p_prime))
-        add = entry.scale(sign)
-        acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
-    entries = {
-        alpha: LocalizedForm(num, 1 if alpha else 0)
-        for alpha, num in acc.items()
-        if not num.is_zero()
-    }
+        read = _trace_plan(k.q, -i, d).get((t, s))
+        if read is not None:
+            alpha_prime, negate = read
+            _add_into(acc.setdefault(alpha_prime, {}), entry, negate)
+    entries = {alpha: LocalizedForm(_form_from_acc(k.n, u.form_degree, raw), 1 if alpha else 0)
+               for alpha, raw in acc.items()}
     return CousinElement(k.n, k.ideal.polys, d, entries)
 
 

@@ -79,7 +79,7 @@ def gamma_label(alpha: Sequence[int]) -> str:
 def index_sets(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All 1-based increasing index sets of size p, lexicographic order.
 
-    Memoised: the local trace looks up one set per stored entry."""
+    Memoised: Koszul bases and the local trace's plans read the same sets."""
     return tuple(itertools.combinations(range(1, q + 1), p))
 
 

@@ -421,6 +421,14 @@ def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
 
+def _add_into(acc: dict, w: Form, negate: bool = False) -> None:
+    """Add w, or -w when negate is set, into a raw form accumulator."""
+    for idx, coeff in w.terms.items():
+        out = acc.setdefault(idx, {})
+        for e, c in coeff.terms.items():
+            out[e] = out.get(e, 0) + (-c if negate else c)
+
+
 def _poly_from_acc(n: int, acc: dict) -> Poly:
     return Poly._raw(n, {e: _canon(c) for e, c in acc.items() if c})
 
@@ -485,13 +493,10 @@ def contract_form(values: Sequence[Poly], w: Form) -> Form:
     """Interior product against the derivation x_i -> values[i].
 
     Contracts the leftmost matching slot of each wedge monomial with the
-    standard alternating sign.
+    standard alternating sign.  A trusted kernel: w has degree at least 1
+    and every value has w's arity, as atiyah.contract_derivation checks.
     """
-    if w.degree == 0:
-        raise ValueError("cannot contract a degree-0 form")
     n = w.n
-    if any(v.n != n for v in values):
-        raise ArityError("derivation values must share the form's arity")
     acc: dict = {}
     for idx, coeff in w.terms.items():
         for j, slot in enumerate(idx):
@@ -767,7 +772,7 @@ def variable_names(text: str) -> tuple[str, ...]:
 def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Names and weights of a ring declaration `Q[x, y:2, z]`.
 
-    Weights default to 1 and must be positive integers; names must be
+    Weights default to 1 and must be positive ASCII integers; names must be
     distinct identifiers.  Raises ValueError on anything else.
     """
     text = text.strip()
@@ -780,11 +785,11 @@ def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
             raise ValueError("empty variable name in ring declaration")
         if ":" in chunk:
             name, w = chunk.split(":", 1)
-            name = name.strip()
-            try:
-                weight = int(w)
-            except ValueError:
-                raise ValueError(f"bad weight {w!r}") from None
+            name, w = name.strip(), w.strip()
+            # ASCII digits only, as the tokenizer reads them: int() takes '1_0'
+            if not (w.isascii() and w.isdigit()):
+                raise ValueError(f"bad weight {w!r}")
+            weight = int(w)
         else:
             name, weight = chunk, 1
         if not name.isidentifier():

@@ -10,6 +10,9 @@ remainder, runs over Fractions on Poly.leading_term,
 Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps,
+the local trace tests the index sets of every stored entry and sums
+one signed public Form per entry, with no cached plan and no raw
+accumulator,
 Hom-complex coboundaries are solved from equations assembled one
 target entry at a time, not from the differentials' stored nonzeros,
 and the extension ladder's sigma, delta'' and verdict are summed entry
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from atkernel import linalg
 from atkernel.atiyah import atiyah_cocycle
@@ -45,14 +49,15 @@ from atkernel.chaincore import (
     monomials_of_weighted_degree,
     zero_map,
 )
-from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
-from atkernel.koszul import build_koszul
+from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
+from atkernel.koszul import KoszulComplex, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
     ArityError,
     Form,
     Poly,
     _canon,
+    _merge_indices,
     contract_form,
     exterior_derivative,
     wedge,
@@ -481,6 +486,41 @@ def atiyah_power_oracle(at, k):
     for _ in range(k - 1):
         acc = compose(at.chain_map, acc)
     return acc
+
+
+def local_trace_oracle(u: ChainMap, k: KoszulComplex) -> CousinElement:
+    """Trace a Koszul endomorphism into a Cousin representative, entry by
+    entry: index-set algebra and a signed public Form sum per entry.
+
+    Expands u in the dual-gamma basis, pairs against the canonical
+    section, whose sign at alpha is (-1)^{binom(|alpha|,2)}, and applies
+    the supertrace.  The entry from gf_alpha to gf_beta contributes only
+    when beta is contained in alpha, landing on delta f_{alpha minus beta}.
+    """
+    if u.source != k.complex or u.target != k.complex:
+        raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
+    d = u.degree
+    if d < 0 or d > k.q:
+        return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
+    acc: dict[tuple[int, ...], Form] = {}
+    for i, t, s, entry in u.nonzeros():
+        p_beta = -i - d
+        alpha, beta = index_sets(k.q, -i)[s], index_sets(k.q, p_beta)[t]
+        aset = set(alpha)
+        if not aset.issuperset(beta):
+            continue
+        alpha_prime = tuple(sorted(aset - set(beta)))
+        shuffle, _ = _merge_indices(beta, alpha_prime)
+        p_prime = len(alpha_prime)
+        sign = (-1) ** comb(p_prime, 2) * shuffle * (-1) ** (p_beta * (1 + p_prime))
+        add = entry.scale(sign)
+        acc[alpha_prime] = acc.get(alpha_prime, Form.zero(k.n, u.form_degree)) + add
+    entries = {
+        alpha: LocalizedForm(num, 1 if alpha else 0)
+        for alpha, num in acc.items()
+        if not num.is_zero()
+    }
+    return CousinElement(k.n, k.ideal.polys, d, entries)
 
 
 def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:

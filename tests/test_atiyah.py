@@ -21,13 +21,22 @@ from atkernel.chaincore import (
     ShapeError,
     compose,
     hom_bracket,
+    identity_map,
     is_cocycle,
     solve_coboundary,
 )
 from atkernel.corpus import corpus_entries, graded_random_connection
 from atkernel.cousin import local_trace
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
-from atkernel.polyforms import Form, Poly, exterior_derivative, parse_form, parse_poly, wedge
+from atkernel.polyforms import (
+    ArityError,
+    Form,
+    Poly,
+    exterior_derivative,
+    parse_form,
+    parse_poly,
+    wedge,
+)
 from atkernel.semireg import chern_character
 from oracles import atiyah_power_oracle
 
@@ -264,6 +273,19 @@ class TestContraction:
         xi = DerivationSpec((Poly.one(1),))
         with pytest.raises(ShapeError):
             contract_derivation(xi, contract_derivation(xi, atiyah_cocycle(kz.complex)))
+
+    # contract_form is a trusted kernel: contract_derivation checks its input
+    def test_degree_zero_refused(self):
+        kz = kos(["x", "y"], XY, (1, 1))
+        xi = DerivationSpec((Poly.one(2), Poly.zero(2)))
+        with pytest.raises(ShapeError):
+            contract_derivation(xi, identity_map(kz.complex))
+
+    def test_value_arity_mismatch_refused(self):
+        kz = kos(["x", "y"], XY, (1, 1))
+        xi = DerivationSpec((Poly.one(2), Poly.zero(3)))
+        with pytest.raises(ArityError):
+            contract_derivation(xi, atiyah_cocycle(kz.complex))
 
     def test_leibniz_on_wedges(self):
         # <xi, a^b> = <xi,a>^b + (-1)^{deg a} a^<xi,b> on coefficients

@@ -1,5 +1,6 @@
 """Cousin complex, localized fractions, and the local trace."""
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from atkernel import groebner
+from atkernel.atiyah import DerivationSpec, atiyah_cocycle, atiyah_power, contract_derivation
 from atkernel.chaincore import ChainMap, ShapeError, compose, hom_bracket, identity_map
 from atkernel.corpus import corpus_entries, normal_homs_for, random_chain_map
 from atkernel.cousin import (
@@ -20,11 +22,11 @@ from atkernel.cousin import (
     omega_class,
     _lf_add,
 )
-from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map
+from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map, index_sets
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
 from atkernel.selftest import commutator_class_targets
 from atkernel.semireg import chern_character, compare_semireg
-from oracles import contract_cousin, cousin_search_oracle
+from oracles import contract_cousin, contract_form_oracle, cousin_search_oracle, local_trace_oracle
 
 X = ("x",)
 XY = ("x", "y")
@@ -132,6 +134,112 @@ class TestOmegaPsi:
             traced = local_trace(unit, kz)
             assert set(traced.entries) == {alpha}
             assert traced.entries[alpha] == LocalizedForm(one.scale(sign), 1 if alpha else 0)
+
+
+def square_ladder(q):
+    """The sequence x_1^2, ..., x_q^2 in q variables."""
+    polys = tuple(Poly.monomial(q, tuple(2 * (j == i) for j in range(q))) for i in range(q))
+    return RegularSequenceIdeal(q, polys, (1,) * q)
+
+
+CORPUS_IDEALS = [entry.ideal for entry in corpus_entries()]
+ORACLE_IDEALS = CORPUS_IDEALS + [square_ladder(q) for q in range(1, 7)]
+
+
+def fraction_poly(rng, ideal):
+    """A poly with non-integral Fraction coefficients, sometimes a multiple
+    of a sequence element, so that lowest terms divide something out."""
+    n = ideal.n
+    terms = {
+        tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.choice([-5, -3, -1, 1, 2, 7]),
+                                                             rng.randint(1, 4))
+        for _ in range(rng.randint(1, 2))
+    }
+    p = Poly(n, terms)
+    return p * rng.choice(ideal.polys) if rng.random() < 0.3 else p
+
+
+def fraction_form(rng, ideal, k):
+    idxs = list(itertools.combinations(range(ideal.n), k))
+    chosen = rng.sample(idxs, min(2, len(idxs)))
+    return Form(ideal.n, k, {idx: fraction_poly(rng, ideal) for idx in chosen})
+
+
+def fraction_map(rng, kz, d, k, per_matrix=24):
+    """A map of degree d and form degree k with up to per_matrix entries in
+    each matrix, drawn from all its positions, whether or not the local
+    trace reads them."""
+    cx = kz.complex
+    mats = {}
+    for i in cx.support():
+        pairs = list(itertools.product(range(cx.rank(i + d)), range(cx.rank(i))))
+        mat = mats[i] = {}
+        for t, s in rng.sample(pairs, min(per_matrix, len(pairs))):
+            mat.setdefault(t, {})[s] = fraction_form(rng, kz.ideal, k)
+    return ChainMap(cx, cx, d, k, mats)
+
+
+class TestFusedPassesMatchOracles:
+    @pytest.mark.parametrize("ideal", ORACLE_IDEALS, ids=lambda ideal: f"q{ideal.q}n{ideal.n}")
+    def test_trace_and_contraction_match_per_entry_oracles(self, ideal):
+        rng = random.Random(f"35:{ideal.polys}")
+        kz = build_koszul(ideal)
+        q, n = kz.q, kz.n
+        at = atiyah_cocycle(kz.complex)
+        maps = [identity_map(kz.complex).scale(Fraction(-3, 4))]
+        maps += [atiyah_power(at, k).chain_map for k in range(1, q + 1)]
+        maps += [fraction_map(rng, kz, d, k)
+                 for d in range(-1, q + 2) for k in range(min(n, 2) + 1)]
+        unread = 0
+        for u in maps:
+            assert local_trace(u, kz) == local_trace_oracle(u, kz)
+            if 0 <= u.degree <= q:
+                for i, t, s, _ in u.nonzeros():
+                    alpha, beta = index_sets(q, -i)[s], index_sets(q, -i - u.degree)[t]
+                    unread += not set(beta) <= set(alpha)
+        # with one generator every beta lies in every alpha
+        assert unread > 0 or q == 1
+
+        # the unit derivations, the zero one, which contracts every matrix to
+        # nothing stored, and one with Fraction values
+        values = [tuple(Poly.const(n, int(i == j)) for j in range(n)) for i in range(n)]
+        values += [(Poly.zero(n),) * n, tuple(fraction_poly(rng, ideal) for _ in range(n))]
+        for delta in map(DerivationSpec, values):
+            for k in range(1, q + 1):
+                at_k = atiyah_power(at, k).chain_map
+                c = contract_derivation(delta, at_k)
+                assert (c.degree, c.form_degree) == (at_k.degree, at_k.form_degree - 1)
+                expected = {}
+                for i, t, s, entry in at_k.nonzeros():
+                    x = contract_form_oracle(delta.values, entry)
+                    if not x.is_zero():
+                        expected[i, t, s] = x
+                assert {(i, t, s): x for i, t, s, x in c.nonzeros()} == expected
+                assert all(mat and all(mat.values()) for mat in c.mats.values())
+
+
+class TestScale:
+    def test_scale_matches_the_checked_constructor(self):
+        rng = random.Random(37)
+        nonzero = 0
+        for ideal in CORPUS_IDEALS:
+            n, q = ideal.n, ideal.q
+            for degree in range(q + 1):
+                for k in range(min(n, 2) + 1):
+                    alphas = index_sets(q, degree)
+                    c = CousinElement(n, ideal.polys, degree, {
+                        alpha: LocalizedForm(fraction_form(rng, ideal, k), rng.randint(0, 2))
+                        for alpha in rng.sample(alphas, rng.randint(1, len(alphas)))
+                    })
+                    nonzero += not c.is_zero()
+                    for r in (3, -1, Fraction(-2, 7)):
+                        assert c.scale(r) == CousinElement(n, ideal.polys, degree, {
+                            alpha: LocalizedForm(lf.num.scale(r), lf.m)
+                            for alpha, lf in c.entries.items()
+                        })
+                    for zero in (0, Fraction(0)):
+                        assert c.scale(zero).is_zero() and c.scale(zero).degree == degree
+        assert nonzero > 30
 
 
 class TestLocalTrace:

@@ -13,7 +13,7 @@ import pytest
 from atkernel import groebner, koszul
 from atkernel.chaincore import parse_complex
 from atkernel.cli import _resolve_derivation, main
-from atkernel.polyforms import parse_poly
+from atkernel.polyforms import parse_poly, parse_ring
 from atkernel.session import SessionError, parse_session
 
 SESSION = """\
@@ -114,6 +114,14 @@ class TestSharedParsers:
     def test_complex_block_refuses_bad_ring(self, decl, tag):
         with pytest.raises(ValueError):
             parse_complex(f"complex K {{ ring {decl}{tag}; deg 0: [e] }}")
+
+    # int() alone reads Q[x:\u0662, y:1_0] as the weights (2, 10)
+    @pytest.mark.parametrize("weight", ["\u0662", "\u00b2", "1_0", "+2"])
+    def test_weight_is_ascii_digits_only(self, weight):
+        with pytest.raises(ValueError) as err:
+            parse_ring(f"Q[x:{weight}, y: 3]")
+        assert str(err.value) == f"bad weight {weight!r}"
+        assert parse_ring("Q[x: 2, y:10]") == (("x", "y"), (2, 10))
 
     @pytest.mark.parametrize("text", ["x: 1,", "x: 1, y: x*y", ", y: 2, ", "y: 1/2"])
     def test_inline_derivation_matches_der_line(self, text):
@@ -352,6 +360,18 @@ class TestUsageMessages:
         assert out == ""
         assert err == (f"error: bad polynomial 'x^{digit}': unexpected character "
                        f"{digit!r} (line 1, col 3) (line 2)\n")
+
+    def test_non_ascii_weight_is_two(self, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text("ring Q[x:\u0662, y:1_0]\nseq Z = x ; y\n", encoding="utf-8")
+        assert main(["ch", "--seq", "Z", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad weight '\u0662' (line 1)\n"
+
+    def test_non_ascii_euler_n_is_two(self, capsys):
+        assert main(["sff", "--preset", "euler:\u00b2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: euler needs a positive integer n, got '\u00b2'\n"
 
     @pytest.mark.parametrize("ideal", ["x^2,,y", ",x^2", "x^2,", "x, ,y"])
     @pytest.mark.parametrize("command", [["curvdim"], ["dimcheck"], ["iclosure", "--test", "x"]])
