@@ -15,6 +15,7 @@ algebra over Q.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Sequence
 from functools import lru_cache, partial
 from operator import add
@@ -26,10 +27,10 @@ from .polyforms import (
     ParseError,
     Poly,
     Record,
-    _canon,
     _form_from_acc,
     _mul_into,
     _poly_from_acc,
+    _scale_into,
     _wedge_into,
     default_names,
     form_to_text,
@@ -123,7 +124,8 @@ def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
     """Add the product a . b of two stored matrices, or its negative, into
     acc[t][s] and return acc.  Each acc[t][s] is a raw accumulator, and
     into(entry, x, y, negate) adds x * y to it: polyforms._mul_into for
-    polynomials, _wedge_into for forms.  Only nonzero entries meet."""
+    polynomials, _wedge_into for forms and _scale_into for a polynomial and
+    a form.  Only nonzero entries meet."""
     for t, arow in a.items():
         out = acc.setdefault(t, {})
         for m, x in arow.items():
@@ -398,14 +400,11 @@ def hom_bracket(h: ChainMap) -> ChainMap:
     r = h.degree
     src, tgt = h.source, h.target
     build = partial(_form_from_acc, src.n, h.form_degree)
-    # both differentials as degree-0 forms
-    dt = tgt.entrywise(Form.from_poly)
-    ds = dt if src is tgt else src.entrywise(Form.from_poly)
     mats = {}
     for i in sorted(set(h.mats) | {j - 1 for j in h.mats}):
         # d h and -(-1)^r h d accumulate into one sum per entry
-        acc = _product({}, dt.get(i + r, {}), h.mats.get(i, {}), _wedge_into)
-        _product(acc, h.mats.get(i + 1, {}), ds.get(i, {}), _wedge_into, negate=r % 2 == 0)
+        acc = _product({}, tgt.diff.get(i + r, {}), h.mats.get(i, {}), _scale_into)
+        _product(acc, h.mats.get(i + 1, {}), src.diff.get(i, {}), _scale_into, negate=r % 2 == 0)
         mat = _settle(acc, build)
         if mat:
             mats[i] = mat
@@ -556,7 +555,7 @@ def _solve_products(supports: dict, products, rhs: dict, n: int, k: int) -> dict
         acc: dict = {}
         for vi, (idx, expt) in enumerate(terms, first[key]):
             if solution[vi]:
-                acc.setdefault(idx, {})[expt] = _canon(solution[vi])
+                acc.setdefault(idx, {})[expt] = solution[vi]
         if acc:
             out[key] = _form_of_terms(n, k, acc)
     return out
@@ -682,10 +681,9 @@ def _parse_bracket_list(text: str) -> list[str]:
 
 
 def _item_int(text: str, item: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}") from None
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):  # int() also takes '١' and '1_0'
+        raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}")
+    return int(text)
 
 
 def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:

@@ -13,6 +13,7 @@ regularity guard, koszul.verify_regular, refuses or exceeds its work bound.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 
@@ -260,6 +261,12 @@ def _cmd_selftest(args) -> int:
     return 0 if all_pass else 1
 
 
+def _ascii_int(text: str) -> int:
+    if not re.fullmatch("-?[0-9]+", text):  # int() also takes '٢', '1_0' and spaces
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atk",
@@ -276,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         if derivation:
             p.add_argument("--derivation", help="derivation name")
         if k:
-            p.add_argument("--k", type=int, default=None, help="component index")
+            p.add_argument("--k", type=_ascii_int, default=None, help="component index")
         if power:
-            p.add_argument("--power", type=int, default=1, help="cocycle power")
+            p.add_argument("--power", type=_ascii_int, default=1, help="cocycle power")
 
     p = sub.add_parser("atk", help="print cocycle power matrices")
     add_common(p, seq=True, derivation=True, power=True)

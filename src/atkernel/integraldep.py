@@ -169,7 +169,7 @@ def _phase1_lp(a_eq: list[list[int]], b: list[int]):
     y = linalg.solve(bt, [int(j >= cols) for j in basis], rows)
     if y is None:
         raise AssertionError("singular basis in dual extraction")
-    return "y", y
+    return "y", [Fraction(v) for v in y]
 
 
 def closure_member(ideal: MonomialIdeal, query: Sequence[int]) -> ClosureCertificate:

@@ -4,9 +4,9 @@ A row is a dict from column index to a rational (Fraction or int); absent
 columns are zero.  One fraction-free elimination serves both entry points:
 each incoming row has its denominators cleared once (by their lcm) and is
 reduced on integers against pivot rows stored primitive (content 1,
-positive pivot).  Rationals appear only in back-substitution.  The pivot
-columns are the leftmost linearly independent columns, whatever the row
-order, and free variables are zero, so the particular solution is unique.
+positive pivot).  Back-substitution builds a Fraction only where a pivot
+does not divide.  Pivot columns are the leftmost linearly independent
+columns, in any row order, and free variables are zero: one solution.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ def _echelon(rows: Sequence[Row], rhs_col: int | None = None) -> dict[int, dict[
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        row = ({c: v.numerator for c, v in row.items() if v} if den == 1 else
+               {c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
         while row:
             c = min(row)
             prow = pivots.get(c)
@@ -56,19 +57,20 @@ def rank(rows: Sequence[Row]) -> int:
     return len(_echelon(rows))
 
 
-def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> list[Fraction] | None:
-    """One particular solution of rows*x = rhs, or None if inconsistent."""
+def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> list[int | Fraction] | None:
+    """One particular solution of rows*x = rhs, or None if inconsistent; each
+    value is canonical (polyforms._canon): an int when integral, else a Fraction."""
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
-    pivots = _echelon([{**row, ncols: b} for row, b in zip(rows, rhs)], ncols)
+    pivots = _echelon([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)], ncols)
     if pivots is None:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]
-        total = Fraction(prow.get(ncols, 0))
+        total = prow.get(ncols, 0)
         for j, v in prow.items():
             if c < j < ncols and x[j]:
                 total -= v * x[j]
-        x[c] = total / prow[c]
+        x[c] = total // prow[c] if total % prow[c] == 0 else Fraction(total, prow[c])
     return x

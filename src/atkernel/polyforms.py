@@ -450,6 +450,14 @@ def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
             _mul_into(out, ca, cb, negate ^ (sign < 0))
 
 
+def _scale_into(acc: dict, a, b, negate: bool = False) -> None:
+    """Add a*b, or -(a*b) when negate is set, into a raw form accumulator;
+    one factor is a Poly, which commutes with the other, a Form."""
+    p, w = (a, b) if type(a) is Poly else (b, a)
+    for idx, coeff in w.terms.items():
+        _mul_into(acc.setdefault(idx, {}), p, coeff, negate)
+
+
 def _form_from_acc(n: int, degree: int, acc: dict) -> Form:
     terms = {}
     for idx, coeffs in acc.items():

@@ -13,8 +13,10 @@ are composed from scratch, not read from the powers the cocycle keeps,
 the local trace tests the index sets of every stored entry and sums
 one signed public Form per entry, with no cached plan and no raw
 accumulator,
-Hom-complex coboundaries are solved from equations assembled one
-target entry at a time, not from the differentials' stored nonzeros,
+the Hom-complex bracket wedges the differentials wrapped as degree-0
+forms, not multiplied by their Poly entries, Hom-complex coboundaries
+are solved from equations assembled one target entry at a time, not
+from the differentials' stored nonzeros,
 and the extension ladder's sigma, delta'' and verdict are summed entry
 by entry over dense rows, not composed as chain maps.
 
@@ -22,8 +24,9 @@ Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
 regularity scan and the cone checks rank them), and, at the end, the
 differential as a chain map, a matrix as dense rows (of polynomials for
-a polynomial map) and dense rows in the stored sparse form, the split ladder of free modules, and the
-contraction of a Cousin element against a derivation.
+a polynomial map) and dense rows in the stored sparse form, the split ladder of free modules, the
+contraction of a Cousin element against a derivation, the x_i^2 ladder
+and seeded maps with non-integral Fraction coefficients.
 """
 from __future__ import annotations
 
@@ -41,6 +44,8 @@ from atkernel.chaincore import (
     ShapeError,
     _entrywise,
     _form_of_terms,
+    _product,
+    _settle,
     compose,
     hom_bracket,
     identity_map,
@@ -50,14 +55,16 @@ from atkernel.chaincore import (
     zero_map,
 )
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
-from atkernel.koszul import KoszulComplex, build_koszul, index_sets
+from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
     ArityError,
     Form,
     Poly,
     _canon,
+    _form_from_acc,
     _merge_indices,
+    _wedge_into,
     contract_form,
     exterior_derivative,
     wedge,
@@ -523,6 +530,24 @@ def local_trace_oracle(u: ChainMap, k: KoszulComplex) -> CousinElement:
     return CousinElement(k.n, k.ideal.polys, d, entries)
 
 
+def hom_bracket_oracle(h: ChainMap) -> ChainMap:
+    """[d,h] = d h - (-1)^{|h|} h d with both differentials wrapped as
+    degree-0 Forms and every product a wedge, not a polynomial times a form."""
+    r = h.degree
+    src, tgt = h.source, h.target
+    build = partial(_form_from_acc, src.n, h.form_degree)
+    dt = tgt.entrywise(Form.from_poly)
+    ds = dt if src is tgt else src.entrywise(Form.from_poly)
+    mats = {}
+    for i in sorted(set(h.mats) | {j - 1 for j in h.mats}):
+        acc = _product({}, dt.get(i + r, {}), h.mats.get(i, {}), _wedge_into)
+        _product(acc, h.mats.get(i + 1, {}), ds.get(i, {}), _wedge_into, negate=r % 2 == 0)
+        mat = _settle(acc, build)
+        if mat:
+            mats[i] = mat
+    return ChainMap._raw(src, tgt, r + 1, h.form_degree, mats)
+
+
 def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
     """Hom-complex coboundaries with the equations assembled one target
     entry at a time, over every (t, s) pair and every row of the source
@@ -775,3 +800,43 @@ def contract_cousin(values, c):
         if not num.is_zero():
             entries[alpha] = LocalizedForm(num, lf.m)
     return CousinElement(c.n, c.seq, c.degree, entries)
+
+
+def square_ladder(q):
+    """The sequence x_1^2, ..., x_q^2 in q variables."""
+    polys = tuple(Poly.monomial(q, tuple(2 * (j == i) for j in range(q))) for i in range(q))
+    return RegularSequenceIdeal(q, polys, (1,) * q)
+
+
+def fraction_poly(rng, ideal):
+    """A poly with non-integral Fraction coefficients, sometimes a multiple
+    of a sequence element, so that lowest terms divide something out."""
+    n = ideal.n
+    terms = {
+        tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.choice([-5, -3, -1, 1, 2, 7]),
+                                                             rng.randint(1, 4))
+        for _ in range(rng.randint(1, 2))
+    }
+    p = Poly(n, terms)
+    return p * rng.choice(ideal.polys) if rng.random() < 0.3 else p
+
+
+def fraction_form(rng, ideal, k):
+    idxs = list(itertools.combinations(range(ideal.n), k))
+    chosen = rng.sample(idxs, min(2, len(idxs)))
+    return Form(ideal.n, k, {idx: fraction_poly(rng, ideal) for idx in chosen})
+
+
+def fraction_map(rng, kz, d, k, per_matrix=24, target=None):
+    """A map from kz's complex to target's (kz's when None) of degree d and
+    form degree k with up to per_matrix entries in each matrix, drawn from
+    all its positions, whether or not the local trace reads them."""
+    cx = kz.complex
+    tgt = cx if target is None else target.complex
+    mats = {}
+    for i in cx.support():
+        pairs = list(itertools.product(range(tgt.rank(i + d)), range(cx.rank(i))))
+        mat = mats[i] = {}
+        for t, s in rng.sample(pairs, min(per_matrix, len(pairs))):
+            mat.setdefault(t, {})[s] = fraction_form(rng, kz.ideal, k)
+    return ChainMap(cx, tgt, d, k, mats)

@@ -1,6 +1,8 @@
 """Complexes, the Hom-complex bracket, cones, shifts, and the graded solver."""
+import hashlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +29,12 @@ from atkernel.chaincore import (
     _settle,
 )
 from atkernel import linalg
-from atkernel.corpus import corpus_entries, random_chain_map, random_poly
+from atkernel.corpus import (
+    corpus_entries,
+    functoriality_pairs,
+    random_chain_map,
+    random_poly,
+)
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.atiyah import ConnectionSpec
 from atkernel.polyforms import (
@@ -50,15 +57,19 @@ from oracles import (
     component_matrix_oracle,
     dense,
     differential_map,
+    fraction_map,
+    hom_bracket_oracle,
     homology_rank,
     poly_matmul_oracle,
     solve_coboundary_oracle,
     sparse,
+    square_ladder,
     wedge_matmul_oracle,
 )
 
 X = ("x",)
 XY = ("x", "y")
+BRACKET_IDEALS = [entry.ideal for entry in corpus_entries()] + [square_ladder(q) for q in range(1, 5)]
 
 
 def koszul_x2():
@@ -108,6 +119,40 @@ class TestHomBracket:
             1 for _ in range(20) if is_cocycle(random_chain_map(rng, kz, 1, 0))
         )
         assert hits == 0
+
+
+class TestBracketOracle:
+    """hom_bracket, which multiplies by the differentials' Poly entries,
+    against the Form-wrapped wedge products it replaced."""
+
+    @pytest.mark.parametrize("ideal", BRACKET_IDEALS, ids=lambda ideal: f"q{ideal.q}n{ideal.n}")
+    def test_matches_form_wrapped_oracle(self, ideal):
+        rng = random.Random(f"bracket:{ideal.polys}")
+        kz = build_koszul(ideal)
+        maps = [identity_map(kz.complex).scale(Fraction(-3, 4)), differential_map(kz.complex)]
+        maps += [atiyah_power(atiyah_cocycle(kz.complex), k).chain_map for k in range(1, kz.q + 1)]
+        maps += [fraction_map(rng, kz, d, k) for d in range(-1, 3) for k in range(min(kz.n, 2) + 1)]
+        nonzero = 0
+        for h in maps:
+            br = hom_bracket(h)
+            assert br == hom_bracket_oracle(h)
+            assert (br.degree, br.form_degree) == (h.degree + 1, h.form_degree)
+            nonzero += not br.is_zero()
+        assert nonzero >= 2 * (min(kz.n, 2) + 1)
+
+    def test_maps_between_two_complexes(self):
+        rng = random.Random("bracket:pairs")
+        nonzero = 0
+        for f, src, tgt in functoriality_pairs():
+            maps = [f, f.scale(Fraction(5, 3))]
+            maps += [fraction_map(rng, src, d, k, target=tgt)
+                     for d in range(-1, 3) for k in range(min(src.n, 2) + 1)]
+            for h in maps:
+                br = hom_bracket(h)
+                assert br == hom_bracket_oracle(h)
+                assert br.source is src.complex and br.target is tgt.complex
+                nonzero += not br.is_zero()
+        assert nonzero > 0
 
 
 class TestCompose:
@@ -557,6 +602,46 @@ class TestWitnessOracle:
         assert report.witness == h
 
 
+class TestPinnedWitnesses:
+    # sha256 of the text below; back-substitution in Fraction gave the same
+    # bytes, since an integral Fraction prints as the int it equals
+    PINNED = "f9db8bb184f5536f63f57375ef45c36525bf703f26d9d658eecac6aec97de4c4"
+
+    @staticmethod
+    def canonical(witness):
+        return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for _, _, _, form in witness.nonzeros()
+                   for coeff in form.terms.values() for c in coeff.terms.values())
+
+    def test_selftest_witnesses_and_verdicts_are_unchanged(self, monkeypatch):
+        """The witnesses of the selftest centrality, connection-independence
+        and functoriality draws, and the unsolvable verdicts of At^k for
+        every corpus complex and k = 1..q, as text."""
+        from atkernel import selftest
+
+        lines = []
+
+        def recorded(c):
+            report = solve_coboundary(c)
+            if report.solvable:
+                assert self.canonical(report.witness)
+                lines.append(map_to_text(report.witness, "h"))
+            else:
+                lines.append("unsolvable")
+            return report
+
+        monkeypatch.setattr(selftest, "solve_coboundary", recorded)
+        for group in ("check_centrality", "check_connection_independence", "check_functoriality"):
+            _, passed, total = getattr(selftest, group)()
+            assert passed == total
+        for entry in corpus_entries():
+            at = atiyah_cocycle(build_koszul(entry.ideal).complex)
+            for k in range(1, entry.ideal.q + 1):
+                assert not recorded(atiyah_power(at, k).chain_map).solvable
+        assert len(lines) == 257
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.PINNED
+
+
 class TestSerialization:
     def test_complex_round_trip(self):
         for entry in corpus_entries():
@@ -585,6 +670,10 @@ class TestSerialization:
             ("deg 0: [e:1:2]", "got '1:2' in item 'deg 0: [e:1:2]'"),
             ("deg a: [e]", "got 'a' in item 'deg a: [e]'"),
             ("deg 0: [e]; d(b) = [[x]]", "got 'b' in item 'd(b) = [[x]]'"),
+            # ASCII digits only, as in ring weights: int() reads all three
+            ("deg \u0661: [e]; deg 0: [f]", "got '\u0661' in item 'deg \u0661: [e]'"),
+            ("deg 0: [e:\u0662]", "got '\u0662' in item 'deg 0: [e:\u0662]'"),
+            ("deg 0: [e]; d(1_0) = [[x]]", "got '1_0' in item 'd(1_0) = [[x]]'"),
         ],
     )
     def test_bad_items_refused(self, items, message):

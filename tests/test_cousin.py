@@ -1,6 +1,5 @@
 """Cousin complex, localized fractions, and the local trace."""
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
@@ -26,7 +25,16 @@ from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map, 
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
 from atkernel.selftest import commutator_class_targets
 from atkernel.semireg import chern_character, compare_semireg
-from oracles import contract_cousin, contract_form_oracle, cousin_search_oracle, local_trace_oracle
+from oracles import (
+    contract_cousin,
+    contract_form_oracle,
+    cousin_search_oracle,
+    fraction_form,
+    fraction_map,
+    fraction_poly,
+    local_trace_oracle,
+    square_ladder,
+)
 
 X = ("x",)
 XY = ("x", "y")
@@ -136,47 +144,8 @@ class TestOmegaPsi:
             assert traced.entries[alpha] == LocalizedForm(one.scale(sign), 1 if alpha else 0)
 
 
-def square_ladder(q):
-    """The sequence x_1^2, ..., x_q^2 in q variables."""
-    polys = tuple(Poly.monomial(q, tuple(2 * (j == i) for j in range(q))) for i in range(q))
-    return RegularSequenceIdeal(q, polys, (1,) * q)
-
-
 CORPUS_IDEALS = [entry.ideal for entry in corpus_entries()]
 ORACLE_IDEALS = CORPUS_IDEALS + [square_ladder(q) for q in range(1, 7)]
-
-
-def fraction_poly(rng, ideal):
-    """A poly with non-integral Fraction coefficients, sometimes a multiple
-    of a sequence element, so that lowest terms divide something out."""
-    n = ideal.n
-    terms = {
-        tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.choice([-5, -3, -1, 1, 2, 7]),
-                                                             rng.randint(1, 4))
-        for _ in range(rng.randint(1, 2))
-    }
-    p = Poly(n, terms)
-    return p * rng.choice(ideal.polys) if rng.random() < 0.3 else p
-
-
-def fraction_form(rng, ideal, k):
-    idxs = list(itertools.combinations(range(ideal.n), k))
-    chosen = rng.sample(idxs, min(2, len(idxs)))
-    return Form(ideal.n, k, {idx: fraction_poly(rng, ideal) for idx in chosen})
-
-
-def fraction_map(rng, kz, d, k, per_matrix=24):
-    """A map of degree d and form degree k with up to per_matrix entries in
-    each matrix, drawn from all its positions, whether or not the local
-    trace reads them."""
-    cx = kz.complex
-    mats = {}
-    for i in cx.support():
-        pairs = list(itertools.product(range(cx.rank(i + d)), range(cx.rank(i))))
-        mat = mats[i] = {}
-        for t, s in rng.sample(pairs, min(per_matrix, len(pairs))):
-            mat.setdefault(t, {})[s] = fraction_form(rng, kz.ideal, k)
-    return ChainMap(cx, cx, d, k, mats)
 
 
 class TestFusedPassesMatchOracles:

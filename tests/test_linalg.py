@@ -128,12 +128,34 @@ def test_rows_mixing_int_and_fraction_values(seed):
         _assert_matches_reference(rows, rhs, ncols)
 
 
-def test_solution_entries_are_fractions():
+def _assert_canonical(solution):
+    for v in solution:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+
+
+def test_solution_entries_are_canonical():
+    """An int when integral, else a Fraction with denominator > 1, and
+    equal to the dense reference's solution."""
     rows = [{0: 2, 1: 1}, {1: 3}, {0: Fraction(1, 2), 2: 1}]
     for rhs in ([1, 2, 3], [0, 0, 0], [Fraction(1, 3), 0, 5]):
         solution = linalg.solve(rows, rhs, 4)
         assert solution is not None
-        assert all(type(v) is Fraction for v in solution)
+        _assert_canonical(solution)
+        _assert_matches_reference(rows, rhs, 4)
+    # seeded Fraction rows, with integral and non-integral solutions
+    rng = random.Random("linalg:canonical")
+    fractional = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 10)
+        rows, _ = _random_system(rng, rng.randint(1, 10), ncols, 0.4)
+        x = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
+        rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+        solution = linalg.solve(rows, rhs, ncols)
+        assert solution is not None
+        _assert_canonical(solution)
+        _assert_matches_reference(rows, rhs, ncols)
+        fractional += any(type(v) is Fraction for v in solution)
+    assert fractional > 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -368,6 +368,34 @@ class TestUsageMessages:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: bad weight '\u0662' (line 1)\n"
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["atk", "--seq", "Z", "--power", "\u0662"], "\u0662"),
+            (["ch", "--seq", "Z", "--k", "\u0661"], "\u0661"),
+            (["semireg", "--hom", "phi", "--k", "1_0"], "1_0"),
+            (["atk", "--seq", "Z", "--power", " 2"], " 2"),
+        ],
+    )
+    def test_non_ascii_flag_integer_is_two(self, argv, value, tmp_path, capsys):
+        # int() reads all four; the flags take ASCII digits and a leading '-'
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", str(path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        flag = argv[-2]
+        assert out == "" and err.startswith("usage: atk ")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_negative_power_keeps_its_refusal(self, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        assert main(["atk", "--seq", "Z", "--power", "-1", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: power must be nonnegative\n"
+
     def test_non_ascii_euler_n_is_two(self, capsys):
         assert main(["sff", "--preset", "euler:\u00b2"]) == 2
         out, err = capsys.readouterr()
