@@ -109,14 +109,25 @@ def _resolve_derivation(session, text: str):
         raise SessionError(f"argument --derivation: {exc}") from None
 
 
+def _component_index(args, default: int) -> int:
+    """The component that --k names, or the command's default."""
+    from .session import SessionError
+
+    if args.k is None:
+        return default
+    if args.k < 0:
+        raise SessionError(f"argument --k: component index must be nonnegative, got {args.k}")
+    return args.k
+
+
 def _cmd_ch(args) -> int:
     from .cousin import cousin_to_text
     from .semireg import chern_character
 
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
+    k = _component_index(args, ideal.q)
     _guarded_koszul(ideal)
-    k = args.k if args.k is not None else ideal.q
     out = chern_character(ideal, k)
     print(cousin_to_text(out, session.var_names))
     return 0
@@ -128,8 +139,8 @@ def _cmd_semireg(args) -> int:
 
     session = _load_session(args.input)
     hom = _named(session.homs, "hom", "--hom", args.hom)
+    k = _component_index(args, hom.ideal.q - 1)
     kz = _guarded_koszul(hom.ideal)
-    k = args.k if args.k is not None else hom.ideal.q - 1
     rep = ext1_representative(hom, kz)
     out = sigma_component(rep, k, kz)
     print(cousin_to_text(out, session.var_names))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from . import linalg
 from .polyforms import Record
 
 
@@ -104,8 +103,11 @@ def _phase1_lp(a_eq: list[list[int]], b: list[int]):
     """Phase-1 simplex for {x >= 0 : A x = b} with A and b nonnegative
     integers; returns ("x", x) or ("y", y).
 
-    On infeasibility the dual vector y from the final basis satisfies
-    y.A_j <= 0 for every column and y.b > 0 (a Farkas certificate).
+    On infeasibility the dual vector y = c_B B^-1 of the final basis
+    satisfies y.A_j <= 0 for every column and y.b > 0 (a Farkas
+    certificate).  The artificial columns of T hold D B^-1 and c_B is 1
+    exactly on the rows whose basic variable is artificial, so y_j is the
+    sum of those rows' entries in artificial column j, over D.
 
     The tableau [A | I | b] is fraction-free: the simplex tableau is T / D
     for an int matrix T and the previous pivot D > 0, and each row update
@@ -155,21 +157,14 @@ def _phase1_lp(a_eq: list[list[int]], b: list[int]):
         d = pv
         basis[pivot_row] = entering
 
-    if sum(row[total] for row, bv in zip(tab, basis) if bv >= cols) == 0:
+    # `artificial` holds the final basis' artificial rows: no pivot follows the break
+    if sum(row[total] for row in artificial) == 0:
         x = [Fraction(0)] * cols
         for i, bv in enumerate(basis):
             if bv < cols:
                 x[bv] = Fraction(tab[i][total], d)
         return "x", x
-    # duals: solve B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
-    bt = [
-        {i: a_eq[i][j] for i in range(rows) if a_eq[i][j]} if j < cols else {j - cols: 1}
-        for j in basis
-    ]
-    y = linalg.solve(bt, [int(j >= cols) for j in basis], rows)
-    if y is None:
-        raise AssertionError("singular basis in dual extraction")
-    return "y", [Fraction(v) for v in y]
+    return "y", [Fraction(sum(row[cols + j] for row in artificial), d) for j in range(rows)]
 
 
 def closure_member(ideal: MonomialIdeal, query: Sequence[int]) -> ClosureCertificate:

@@ -522,10 +522,6 @@ def contract_form(values: Sequence[Poly], w: Form) -> Form:
 # -- canonical text ------------------------------------------------------
 
 
-def _coeff_text(c: Coeff) -> str:
-    return str(c)
-
-
 def _monomial_text(expt: tuple[int, ...], names: Sequence[str]) -> str:
     parts = []
     for name, k in zip(names, expt):
@@ -539,46 +535,34 @@ def _dform_text(idx: tuple[int, ...], names: Sequence[str]) -> str:
     return "^".join(f"d{names[i]}" for i in idx)
 
 
-def poly_to_text(p: Poly, names: Sequence[str] | None = None) -> str:
-    names = names or default_names(p.n)
-    if p.is_zero():
-        return "0"
+def _terms_text(terms, names: Sequence[str]) -> str:
+    """Signed sum of (wedge index, exponent, coefficient) terms in the given
+    order, "0" when there are none; a magnitude 1 is written only when
+    there is no monomial and no wedge."""
     chunks: list[str] = []
-    for expt, coeff in p.sorted_terms():
-        mono = _monomial_text(expt, names)
+    for idx, expt, coeff in terms:
         mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{_coeff_text(mag)}*{mono}"
-        else:
-            body = _coeff_text(mag)
+        pieces = [piece for piece in (_monomial_text(expt, names), _dform_text(idx, names))
+                  if piece]
+        if mag != 1 or not pieces:
+            pieces.insert(0, str(mag))
+        body = "*".join(pieces)
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) or "0"
+
+
+def poly_to_text(p: Poly, names: Sequence[str] | None = None) -> str:
+    names = names or default_names(p.n)
+    return _terms_text((((), expt, coeff) for expt, coeff in p.sorted_terms()), names)
 
 
 def form_to_text(w: Form, names: Sequence[str] | None = None) -> str:
     names = names or default_names(w.n)
-    if w.degree == 0:
-        return poly_to_text(w.to_poly(), names)
-    if w.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for idx in sorted(w.terms):
-        dpart = _dform_text(idx, names)
-        for expt, coeff in w.terms[idx].sorted_terms():
-            mono = _monomial_text(expt, names)
-            mag = abs(coeff)
-            pieces = [piece for piece in (_coeff_text(mag) if mag != 1 else "", mono) if piece]
-            body = "*".join(pieces + [dpart]) if pieces else dpart
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return _terms_text(((idx, expt, coeff) for idx in sorted(w.terms)
+                        for expt, coeff in w.terms[idx].sorted_terms()), names)
 
 
 class _Tok:

@@ -396,6 +396,15 @@ class TestUsageMessages:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: power must be nonnegative\n"
 
+    @pytest.mark.parametrize("argv", [["ch", "--seq", "Z"], ["semireg", "--hom", "phi"]])
+    def test_negative_k_names_the_flag(self, argv, tmp_path, capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        assert main([*argv, "--k", "-1", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: argument --k: component index must be nonnegative, got -1\n"
+
     def test_non_ascii_euler_n_is_two(self, capsys):
         assert main(["sff", "--preset", "euler:\u00b2"]) == 2
         out, err = capsys.readouterr()
@@ -497,6 +506,29 @@ class TestSelftestGolden:
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == SELFTEST_GOLDEN.read_text()
 
+    def test_counted_miss_fails_its_group(self, capsys, monkeypatch):
+        """One False verdict is counted in its group's line, which reads
+        FAIL, and fails the selftest; every other line is unchanged."""
+        from atkernel import selftest
+
+        original = selftest.compare_semireg
+        calls = []
+
+        def first_fails(hom):
+            report = original(hom)
+            if not calls:
+                report.verdict = "fail"
+            calls.append(hom)
+            return report
+
+        monkeypatch.setattr(selftest, "compare_semireg", first_fails)
+        assert main(["selftest"]) == 1
+        golden = SELFTEST_GOLDEN.read_text().splitlines()
+        row = golden.index("both semiregularity routes agree: 24/24 ok")
+        expected = [*golden[:-1], "selftest: FAIL"]
+        expected[row] = "both semiregularity routes agree: 23/24 FAIL"
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(calls) == 24
 
     def test_raising_group_is_one_miss(self, capsys, monkeypatch):
         """A group that raises is reported as a miss naming the group function
@@ -611,8 +643,7 @@ class TestImportSurface:
     )
     def test_monomial_commands(self, argv):
         loaded = loaded_modules(f"from atkernel.cli import main\nmain({argv!r})")
-        allowed = {"atkernel", "atkernel.cli", "atkernel.integraldep", "atkernel.linalg",
-                   "atkernel.polyforms"}
+        allowed = {"atkernel", "atkernel.cli", "atkernel.integraldep", "atkernel.polyforms"}
         # only dimcheck takes a dimension, and that lives in groebner
         if argv[0] == "dimcheck":
             allowed.add("atkernel.groebner")
