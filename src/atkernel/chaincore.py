@@ -523,39 +523,54 @@ def _solve_products(supports: dict, products, rhs: dict, n: int, k: int) -> dict
     """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
     every slot, summed over the products (slot, key, poly, sign); each
     (slot, key) pair occurs at most once.  supports maps a key to the
-    (idx, expt) terms its form may have, which number the unknowns in
-    order; rhs maps slots to forms.  Returns {key: form} for the nonzero
-    unknowns of the one particular solution, or None when there is none.
+    (idx, expt) terms its form may have; rhs maps slots to forms.  Returns
+    {key: form} for the nonzero unknowns of the one particular solution,
+    or None when there is none.
+
+    A product multiplies a form by a polynomial, so the system is
+    block-diagonal by wedge index.  Wedge indices whose unknowns run over
+    the same (key, expt) sequence share one matrix, eliminated once with a
+    right-hand side per index.  The pivots of a block-diagonal matrix are
+    its blocks' pivots, so the solution is that of the whole system.
     """
-    first = {}
-    num_vars = 0
+    unknowns: dict[tuple, list] = {}  # wedge index -> its (key, expt), in supports order
     for key, terms in supports.items():
-        first[key] = num_vars
-        num_vars += len(terms)
-    # one Q-linear equation per (slot, idx, expt); one product's terms give
-    # distinct equations, so each entry is set once
-    rows: dict[tuple, linalg.Row] = {}
+        for idx, expt in terms:
+            unknowns.setdefault(idx, []).append((key, expt))
+    values: dict[tuple, dict] = {}  # wedge index -> {(slot, expt): q}
+    for slot, form in rhs.items():
+        for idx, coeff in form.terms.items():
+            if idx not in unknowns:
+                return None
+            values.setdefault(idx, {}).update(((slot, e), q) for e, q in coeff.terms.items())
+    blocks: dict[tuple, list] = {}
+    for idx in values:
+        blocks.setdefault(tuple(unknowns[idx]), []).append(idx)
+    factors: dict = {}  # key -> [(slot, signed terms of poly)]
     for slot, key, poly, sign in products:
-        for vi, (idx, expt) in enumerate(supports[key], first[key]):
-            for e2, q in poly.terms.items():
-                rows.setdefault((slot, idx, tuple(map(add, expt, e2))), {})[vi] = sign * q
-    values = {
-        (slot, idx, expt): q
-        for slot, form in rhs.items()
-        for idx, coeff in form.terms.items()
-        for expt, q in coeff.terms.items()
-    }
-    keys = list(rows.keys() | values.keys())
-    solution = linalg.solve([rows.get(e, {}) for e in keys], [values.get(e, 0) for e in keys],
-                            num_vars)
-    if solution is None:
-        return None
+        factors.setdefault(key, []).append((slot, [(e, sign * q) for e, q in poly.terms.items()]))
+    solved = {}
+    for block, idxs in blocks.items():
+        # one Q-linear equation per (slot, expt); one product's terms give
+        # distinct equations, so each entry is set once
+        rows: dict[tuple, linalg.Row] = {}
+        for vi, (key, expt) in enumerate(block):
+            for slot, terms in factors.get(key, ()):
+                for e2, q in terms:
+                    rows.setdefault((slot, tuple(map(add, expt, e2))), {})[vi] = q
+        if any(e not in rows for idx in idxs for e in values[idx]):
+            return None  # an equation that no unknown reaches: 0 = q
+        solution = linalg.solve(list(rows.values()),
+                                [[values[idx].get(e, 0) for e in rows] for idx in idxs], len(block))
+        if solution is None:
+            return None
+        solved.update(zip(idxs, map(iter, solution)))
     out = {}
     for key, terms in supports.items():
         acc: dict = {}
-        for vi, (idx, expt) in enumerate(terms, first[key]):
-            if solution[vi]:
-                acc.setdefault(idx, {})[expt] = solution[vi]
+        for idx, expt in terms:
+            if idx in solved and (v := next(solved[idx])):
+                acc.setdefault(idx, {})[expt] = v
         if acc:
             out[key] = _form_of_terms(n, k, acc)
     return out

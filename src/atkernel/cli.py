@@ -265,8 +265,10 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     results, all_pass = run_selftest()
-    for name, passed, total in results:
+    for name, passed, total, misses in results:
         status = "ok" if passed == total else "FAIL"
+        if misses:  # the first five case indices, in yield order
+            status += f" (misses: {', '.join(map(str, misses[:5]))}{', ...' * (len(misses) > 5)})"
         print(f"{name}: {passed}/{total} {status}")
     print(f"selftest: {'PASS' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1

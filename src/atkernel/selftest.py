@@ -4,11 +4,11 @@ the acceptance suite.
 Each group is a generator that yields one verdict, a bool, per case.
 `_group` registers it in ALL_GROUPS in definition order, which is the
 run order, and turns it into a function that returns (group name,
-verdicts that are True, verdicts).  Counts follow the stated verification
-matrix; everything is seeded and deterministic.  The acceptance criteria
-call these same groups; the commutator, connection and centrality groups
-take a seed prefix, so the criteria draw their own cases with the same
-counts.
+verdicts that are True, verdicts, indices of the others).  Counts follow
+the stated verification matrix; everything is seeded and deterministic.
+The acceptance criteria call these same groups; the commutator,
+connection and centrality groups take a seed prefix, so the criteria draw
+their own cases with the same counts.
 """
 from __future__ import annotations
 
@@ -81,7 +81,7 @@ from .polyforms import (
 )
 from .semireg import chern_character, compare_semireg
 
-Group = tuple[str, int, int]
+Group = tuple[str, int, int, list[int]]
 
 ALL_GROUPS = []
 
@@ -89,13 +89,14 @@ ALL_GROUPS = []
 def _group(name: str):
     """Register a verdict generator as the next selftest group.  Called
     with the generator's arguments, the group returns (name, number of
-    verdicts that are True, number of verdicts)."""
+    verdicts that are True, number of verdicts, indices of the misses)."""
 
     def register(verdicts):
         @functools.wraps(verdicts)
         def group(*args, **kwargs) -> Group:
             results = list(verdicts(*args, **kwargs))
-            return (name, results.count(True), len(results))
+            misses = [i for i, ok in enumerate(results) if ok is not True]
+            return (name, len(results) - len(misses), len(results), misses)
 
         ALL_GROUPS.append(group)
         return group
@@ -430,16 +431,16 @@ def check_appendix_invariants():
 
 
 def _run_group(group) -> Group:
-    """The group's report; a group that raises is one miss that names the
-    group function and the exception."""
+    """The group's report; a group that raises is one miss, with no index,
+    that names the group function and the exception."""
     try:
         return group()
     except Exception as exc:
-        return (f"{group.__name__} raised {type(exc).__name__}: {exc}", 0, 1)
+        return (f"{group.__name__} raised {type(exc).__name__}: {exc}", 0, 1, [])
 
 
 def run_selftest() -> tuple[list[Group], bool]:
     """Run every group in order; one group's exception does not stop the rest."""
     results = [_run_group(g) for g in ALL_GROUPS]
-    all_pass = all(passed == total for _, passed, total in results)
+    all_pass = all(passed == total for _, passed, total, _ in results)
     return results, all_pass

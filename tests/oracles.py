@@ -16,7 +16,9 @@ accumulator,
 the Hom-complex bracket wedges the differentials wrapped as degree-0
 forms, not multiplied by their Poly entries, Hom-complex coboundaries
 are solved from equations assembled one target entry at a time, not
-from the differentials' stored nonzeros,
+from the differentials' stored nonzeros, the products behind both
+coboundary decisions are solved as one system over all wedge indices, not
+one elimination per distinct wedge-index block,
 and the extension ladder's sigma, delta'' and verdict are summed entry
 by entry over dense rows, not composed as chain maps.
 
@@ -31,6 +33,7 @@ and seeded maps with non-integral Fraction coefficients.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -458,13 +461,14 @@ def cousin_search_oracle(
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
                 rows.setdefault(key, {})[vi] = sign * c2
         keys = list(set(rows) | set(rhs))
-        solution = linalg.solve(
+        solved = linalg.solve(
             [rows.get(key, {}) for key in keys],
-            [rhs.get(key, Fraction(0)) for key in keys],
+            [[rhs.get(key, Fraction(0)) for key in keys]],
             len(var_index),
         )
-        if solution is None:
+        if solved is None:
             continue
+        solution = solved[0]
         entries: dict[tuple[int, ...], LocalizedForm] = {}
         for (i, idx, e), vi in var_index.items():
             value = solution[vi]
@@ -630,9 +634,10 @@ def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
                     for key in set(rows_by_key) | set(rhs_by_key):
                         rows_eq.append(rows_by_key.get(key, {}))
                         rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
-        solution = linalg.solve(rows_eq, rhs_eq, num_vars)
-        if solution is None:
+        solved = linalg.solve(rows_eq, [rhs_eq], num_vars)
+        if solved is None:
             return GradedSolveReport(False, None)
+        solution = solved[0]
         # mats[i][t][s][idx] holds the terms {expt: value} of one witness entry
         mats: dict[int, dict] = {}
         for (i, t, s), block in blocks.items():
@@ -645,6 +650,53 @@ def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
     if hom_bracket(total_witness) != c:
         raise AssertionError("solver produced an unsound witness")
     return GradedSolveReport(True, total_witness)
+
+
+def solve_products_oracle(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
+    """chaincore._solve_products as one system over every wedge index and
+    one right-hand side, not one elimination per distinct wedge-index block;
+    both must return the same forms.
+
+    Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
+    every slot, summed over the products (slot, key, poly, sign); each
+    (slot, key) pair occurs at most once.  supports maps a key to the
+    (idx, expt) terms its form may have, which number the unknowns in
+    order; rhs maps slots to forms.  Returns {key: form} for the nonzero
+    unknowns of the one particular solution, or None when there is none.
+    """
+    first = {}
+    num_vars = 0
+    for key, terms in supports.items():
+        first[key] = num_vars
+        num_vars += len(terms)
+    # one Q-linear equation per (slot, idx, expt); one product's terms give
+    # distinct equations, so each entry is set once
+    rows: dict[tuple, linalg.Row] = {}
+    for slot, key, poly, sign in products:
+        for vi, (idx, expt) in enumerate(supports[key], first[key]):
+            for e2, q in poly.terms.items():
+                rows.setdefault((slot, idx, tuple(map(operator.add, expt, e2))), {})[vi] = sign * q
+    values = {
+        (slot, idx, expt): q
+        for slot, form in rhs.items()
+        for idx, coeff in form.terms.items()
+        for expt, q in coeff.terms.items()
+    }
+    keys = list(rows.keys() | values.keys())
+    solved = linalg.solve([rows.get(e, {}) for e in keys], [[values.get(e, 0) for e in keys]],
+                          num_vars)
+    if solved is None:
+        return None
+    solution = solved[0]
+    out = {}
+    for key, terms in supports.items():
+        acc: dict = {}
+        for vi, (idx, expt) in enumerate(terms, first[key]):
+            if solution[vi]:
+                acc.setdefault(idx, {})[expt] = solution[vi]
+        if acc:
+            out[key] = _form_of_terms(n, k, acc)
+    return out
 
 
 def differential_map(c):

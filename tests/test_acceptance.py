@@ -90,7 +90,7 @@ def test_criterion_03_fundamental_class():
         {(1,): LocalizedForm(exterior_derivative(hand.polys[0]), 1)},
     )
     ok = ok and chern_character(hand, 1) == hand_expected
-    _, passed, total = check_fundamental_class()
+    _, passed, total, _ = check_fundamental_class()
     ok = ok and passed == total == 6
     report(3, "top chern character is the fundamental class, one sign", ok)
 
@@ -98,26 +98,26 @@ def test_criterion_03_fundamental_class():
 def test_criterion_04_commutator_vanishing():
     # exact representative-level vanishing holds for pairs of opposite
     # degree, where the trace is the honest supertrace
-    _, passed, total = check_commutators(seed="acc4")
+    _, passed, total, _ = check_commutators(seed="acc4")
     report(4, "trace kills graded commutators exactly", passed == total == 300)
 
 
 def test_criterion_05_connection_independence_and_functoriality():
-    _, conn_passed, conn_total = check_connection_independence(seed="acc5")
-    _, func_passed, func_total = check_functoriality()
+    _, conn_passed, conn_total, _ = check_connection_independence(seed="acc5")
+    _, func_passed, func_total, _ = check_functoriality()
     ok = conn_passed == conn_total == 120 and func_passed == func_total == 5
     report(5, "connection independence and functoriality certified", ok)
 
 
 def test_criterion_06_centrality():
-    _, passed, total = check_centrality(seed="acc6")
+    _, passed, total, _ = check_centrality(seed="acc6")
     report(6, "powers are central up to certified coboundary", passed == total == 120)
 
 
 def test_criterion_07_second_fundamental_form():
     from atkernel.ladder import hypersurface_ladder
 
-    _, passed, total = check_second_fundamental_form()
+    _, passed, total, _ = check_second_fundamental_form()
     ok = passed == total == 6
     # `sff` prints delta_first: 0 without computing it: delta' vanishes
     # because F' is free, which holds when P' has no differential
@@ -128,12 +128,12 @@ def test_criterion_07_second_fundamental_form():
 
 def test_criterion_08_obstruction_contraction():
     # bit-exact: obstruction_cocycle == contract_derivation(delta, At)
-    _, passed, total = check_obstruction()
+    _, passed, total, _ = check_obstruction()
     report(8, "obstruction bracket equals the contraction, bit-exact", passed == total == 20)
 
 
 def test_criterion_09_shift_sign():
-    _, passed, total = check_shift_sign()
+    _, passed, total, _ = check_shift_sign()
     report(9, "shift twists the cocycle by exactly the predicted sign", passed == total == 60)
 
 
@@ -185,6 +185,6 @@ def test_criterion_11_foundations_and_selftest_budget():
         (check_cone_identity, 6),
         (check_roundtrip, 200),
     ):
-        _, passed, total = by_group[group]
+        _, passed, total, _ = by_group[group]
         ok = ok and passed == total and total >= minimum
     report(11, "foundations randomized suites and selftest budget", ok)

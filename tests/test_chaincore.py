@@ -62,6 +62,7 @@ from oracles import (
     homology_rank,
     poly_matmul_oracle,
     solve_coboundary_oracle,
+    solve_products_oracle,
     sparse,
     square_ladder,
     wedge_matmul_oracle,
@@ -434,7 +435,7 @@ class TestCone:
                 assert homology_rank(c, i, d) == 0
 
     def test_exact_check_passes_on_every_corpus_cone(self):
-        _, ok, total = check_cone_identity()
+        _, ok, total, _ = check_cone_identity()
         assert ok == total == len(corpus_entries())
 
     def test_sign_flipped_homotopy_fails(self):
@@ -578,7 +579,7 @@ class TestWitnessOracle:
             return self.solve_both(c)
 
         monkeypatch.setattr(selftest, "solve_coboundary", compared)
-        _, passed, total = getattr(selftest, group)()
+        _, passed, total, _ = getattr(selftest, group)()
         assert passed == total == len(seen) == 120
 
     def test_bracket_draws(self):
@@ -600,6 +601,121 @@ class TestWitnessOracle:
         h = ChainMap(cx, cx, -1, 0, {1: [[Form.from_poly(parse_poly("1 + x", X))]]})
         report = self.solve_both(hom_bracket(h))
         assert report.witness == h
+
+
+class TestSolveProductsOracle:
+    """_solve_products, one elimination per distinct wedge-index block,
+    against the single system over every wedge index that it replaced: the
+    same forms, in the same order, or None from both."""
+
+    @staticmethod
+    def compare_into(module, monkeypatch):
+        """Patch module's _solve_products to run both and record each
+        answer; returns the list of answers."""
+        from atkernel.chaincore import _solve_products
+
+        answers = []
+
+        def compared(supports, products, rhs, n, k):
+            got = _solve_products(supports, products, rhs, n, k)
+            want = solve_products_oracle(supports, products, rhs, n, k)
+            assert got == want
+            assert got is None or list(got) == list(want)
+            answers.append(got)
+            return got
+
+        monkeypatch.setattr(module, "_solve_products", compared)
+        return answers
+
+    def test_corpus_coboundary_layers_at_every_form_degree(self, monkeypatch):
+        from atkernel import chaincore
+
+        answers = self.compare_into(chaincore, monkeypatch)
+        rng = random.Random("solve-products")
+        unsolvable = 0
+        for entry in corpus_entries():
+            kz = build_koszul(entry.ideal)
+            at = atiyah_cocycle(kz.complex)
+            for fd in range(kz.n + 1):
+                for degree in (-1, 0, 1):
+                    c = hom_bracket(random_chain_map(rng, kz, degree, fd))
+                    assert solve_coboundary(c).solvable
+                if 1 <= fd <= kz.q:
+                    unsolvable += not solve_coboundary(atiyah_power(at, fd).chain_map).solvable
+        assert unsolvable == sum(entry.ideal.q for entry in corpus_entries())
+        assert len(answers) > 100 and answers.count(None) == unsolvable
+
+    def test_cousin_systems_of_the_commutator_targets(self, monkeypatch):
+        from atkernel import cousin
+        from atkernel.selftest import commutator_class_targets
+
+        answers = self.compare_into(cousin, monkeypatch)
+        targets = [t for t in commutator_class_targets("commclass") if not t.is_zero()]
+        for target in targets:
+            assert cousin.cousin_coboundary_solve(target) is not None
+        assert len(answers) == len(targets) > 0
+
+    def test_weighted_ring_eliminates_its_blocks_separately(self, monkeypatch):
+        """Over Q[x:1, y:2] the 1-forms dx and dy have weights 1 and 2, so
+        their unknowns run over different monomials: two eliminations."""
+        from atkernel import chaincore
+
+        names = ("x", "y")
+        kz = build_koszul(RegularSequenceIdeal(
+            2, (parse_poly("x^2", names), parse_poly("y", names)), (1, 2)))
+        answers = self.compare_into(chaincore, monkeypatch)
+        solves = []
+        original = linalg.solve
+        monkeypatch.setattr(linalg, "solve",
+                            lambda rows, rhs, ncols: solves.append(len(answers)) or
+                            original(rows, rhs, ncols))
+        rng = random.Random(3)
+        for _ in range(5):
+            assert solve_coboundary(hom_bracket(random_chain_map(rng, kz, 0, 1))).solvable
+        # solves[j] == a counts a solve made during the (a + 1)-th call
+        assert any(solves.count(a) == 2 for a in range(len(answers)))
+
+    def test_right_hand_side_in_a_wedge_index_with_no_unknown(self, monkeypatch):
+        """0 = b in the dy slot: unsolvable, and no elimination runs."""
+        from atkernel.chaincore import _solve_products
+
+        solves = []
+        monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args))
+        x = parse_poly("x", XY)
+        supports = {"u": [((0,), (0, 0)), ((0,), (1, 0))]}
+        products = [("slot", "u", x, 1)]
+        rhs = {"slot": parse_form("x*dx + y*dy", XY)}
+        assert _solve_products(supports, products, rhs, 2, 1) is None
+        assert solves == []
+        monkeypatch.undo()
+        assert solve_products_oracle(supports, products, rhs, 2, 1) is None
+        # without the dy term the system is solvable, with u = dx
+        rhs = {"slot": parse_form("x*dx", XY)}
+        want = {"u": parse_form("dx", XY)}
+        assert _solve_products(supports, products, rhs, 2, 1) == want
+        assert solve_products_oracle(supports, products, rhs, 2, 1) == want
+
+    def test_rows_per_elimination_are_one_wedge_index(self, monkeypatch):
+        """A form-degree-1 bracket on x ; y ; z: its three wedge indices
+        share one matrix, so each layer hands a third of the rows that the
+        single system (828 rows over 3 layers) did."""
+        from atkernel import chaincore
+
+        parent_rows = 828
+        names = ("x", "y", "z")
+        kz = build_koszul(RegularSequenceIdeal(
+            3, tuple(parse_poly(v, names) for v in names), (1, 1, 1)))
+        c = hom_bracket(random_chain_map(random.Random(7), kz, 0, 1))
+        rows = []
+        original = linalg.solve
+        monkeypatch.setattr(linalg, "solve",
+                            lambda r, rhs, ncols: rows.append(len(r)) or original(r, rhs, ncols))
+        assert solve_coboundary(c).solvable
+        assert len(rows) == 3 and 3 * sum(rows) == parent_rows
+        rows.clear()
+        monkeypatch.setattr(chaincore, "_solve_products", solve_products_oracle)
+        assert solve_coboundary(c).solvable
+        assert len(rows) == 3 and sum(rows) == parent_rows
 
 
 class TestPinnedWitnesses:
@@ -632,7 +748,7 @@ class TestPinnedWitnesses:
 
         monkeypatch.setattr(selftest, "solve_coboundary", recorded)
         for group in ("check_centrality", "check_connection_independence", "check_functoriality"):
-            _, passed, total = getattr(selftest, group)()
+            _, passed, total, _ = getattr(selftest, group)()
             assert passed == total
         for entry in corpus_entries():
             at = atiyah_cocycle(build_koszul(entry.ideal).complex)

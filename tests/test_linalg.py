@@ -33,8 +33,9 @@ def _random_system(rng, nrows, ncols, density):
 def _assert_matches_reference(rows, rhs, ncols):
     ref_rank, ref_solution = dense_gauss_jordan(_dense(rows, ncols), rhs, ncols)
     assert linalg.rank(rows) == ref_rank
-    solution = linalg.solve(rows, rhs, ncols)
-    assert (solution is None) == (ref_solution is None)
+    solved = linalg.solve(rows, [rhs], ncols)
+    assert (solved is None) == (ref_solution is None)
+    solution = solved and solved[0]
     assert solution == ref_solution
     if solution is not None:
         for row, b in zip(rows, rhs):
@@ -52,14 +53,14 @@ def test_random_sparse_systems_match_dense_reference(seed):
 
 def test_zero_rows():
     assert linalg.rank([]) == 0
-    assert linalg.solve([], [], 3) == [0, 0, 0]
+    assert linalg.solve([], [[]], 3) == [[0, 0, 0]]
     _assert_matches_reference([], [], 3)
 
 
 def test_zero_columns():
     assert linalg.rank([{}, {}]) == 0
-    assert linalg.solve([{}, {}], [Fraction(0), Fraction(0)], 0) == []
-    assert linalg.solve([{}, {}], [Fraction(0), Fraction(1)], 0) is None
+    assert linalg.solve([{}, {}], [[Fraction(0), Fraction(0)]], 0) == [[]]
+    assert linalg.solve([{}, {}], [[Fraction(0), Fraction(1)]], 0) is None
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(0)], 0)
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(1)], 0)
 
@@ -67,7 +68,7 @@ def test_zero_columns():
 def test_all_zero_rhs_gives_zero_solution():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
     rhs = [Fraction(0)] * 3
-    assert linalg.solve(rows, rhs, 3) == [0, 0, 0]
+    assert linalg.solve(rows, [rhs], 3) == [[0, 0, 0]]
     _assert_matches_reference(rows, rhs, 3)
 
 
@@ -76,14 +77,14 @@ def test_duplicate_rows():
     rows = [row, dict(row), {1: Fraction(1)}, dict(row)]
     rhs = [Fraction(5)] * 4
     assert linalg.rank(rows) == 2
-    assert linalg.solve(rows, rhs, 4) == [10, 5, 0, 0]
+    assert linalg.solve(rows, [rhs], 4) == [[10, 5, 0, 0]]
     _assert_matches_reference(rows, rhs, 4)
 
 
 def test_inconsistent_only_in_last_row():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    assert linalg.solve(rows, [Fraction(1), Fraction(2), Fraction(3)], 2) == [1, 2]
-    assert linalg.solve(rows, [Fraction(1), Fraction(2), Fraction(4)], 2) is None
+    assert linalg.solve(rows, [[Fraction(1), Fraction(2), Fraction(3)]], 2) == [[1, 2]]
+    assert linalg.solve(rows, [[Fraction(1), Fraction(2), Fraction(4)]], 2) is None
     _assert_matches_reference(rows, [Fraction(1), Fraction(2), Fraction(4)], 2)
 
 
@@ -91,13 +92,13 @@ def test_cancelled_entries_and_inputs_untouched():
     rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(4), 2: Fraction(0)}]
     snapshot = [dict(row) for row in rows]
     assert linalg.rank(rows) == 1
-    assert linalg.solve(rows, [Fraction(1), Fraction(2)], 3) == [0, Fraction(1, 2), 0]
+    assert linalg.solve(rows, [[Fraction(1), Fraction(2)]], 3) == [[0, Fraction(1, 2), 0]]
     assert rows == snapshot
 
 
 def test_rhs_length_mismatch():
     with pytest.raises(ValueError):
-        linalg.solve([{0: Fraction(1)}], [], 1)
+        linalg.solve([{0: Fraction(1)}], [[]], 1)
 
 
 def _hilbert(n):
@@ -138,8 +139,7 @@ def test_solution_entries_are_canonical():
     equal to the dense reference's solution."""
     rows = [{0: 2, 1: 1}, {1: 3}, {0: Fraction(1, 2), 2: 1}]
     for rhs in ([1, 2, 3], [0, 0, 0], [Fraction(1, 3), 0, 5]):
-        solution = linalg.solve(rows, rhs, 4)
-        assert solution is not None
+        [solution] = linalg.solve(rows, [rhs], 4)
         _assert_canonical(solution)
         _assert_matches_reference(rows, rhs, 4)
     # seeded Fraction rows, with integral and non-integral solutions
@@ -150,8 +150,7 @@ def test_solution_entries_are_canonical():
         rows, _ = _random_system(rng, rng.randint(1, 10), ncols, 0.4)
         x = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
         rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
-        solution = linalg.solve(rows, rhs, ncols)
-        assert solution is not None
+        [solution] = linalg.solve(rows, [rhs], ncols)
         _assert_canonical(solution)
         _assert_matches_reference(rows, rhs, ncols)
         fractional += any(type(v) is Fraction for v in solution)
@@ -170,3 +169,62 @@ def test_pivot_rows_are_primitive_with_positive_pivot(seed):
                 assert min(prow) == c and prow[c] > 0
                 assert all(type(v) is int and v for v in prow.values())
                 assert gcd(*prow.values()) == 1
+
+
+def _assert_columns_match_reference(rows, columns, ncols):
+    """Several right-hand sides in one call: None exactly when some column
+    is inconsistent, else each column's solution is the dense reference's."""
+    dense_rows = _dense(rows, ncols)
+    refs = [dense_gauss_jordan(dense_rows, b, ncols)[1] for b in columns]
+    solved = linalg.solve(rows, columns, ncols)
+    if any(ref is None for ref in refs):
+        assert solved is None
+    else:
+        assert solved == refs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_several_right_hand_sides_match_dense_reference_column_by_column(seed):
+    rng = random.Random(f"linalg:columns:{seed}")
+    inconsistent = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
+        columns = []
+        for _ in range(rng.randint(1, 4)):
+            x = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(ncols)]
+            columns.append([sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows])
+        # consistent columns, then one of them replaced by a random one
+        _assert_columns_match_reference(rows, columns, ncols)
+        broken = list(columns)
+        broken[rng.randrange(len(broken))] = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        _assert_columns_match_reference(rows, broken, ncols)
+        inconsistent += linalg.solve(rows, broken, ncols) is None
+    assert inconsistent > 0
+
+
+def test_one_inconsistent_column_makes_the_result_none():
+    rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    good, bad = [Fraction(1), Fraction(2), Fraction(3)], [Fraction(1), Fraction(2), Fraction(4)]
+    assert linalg.solve(rows, [good, good], 2) == [[1, 2], [1, 2]]
+    assert linalg.solve(rows, [good, bad], 2) is None
+    assert linalg.solve(rows, [bad, good], 2) is None
+    _assert_columns_match_reference(rows, [good, bad], 2)
+
+
+def test_all_zero_columns_give_zero_solutions():
+    rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
+    zero = [Fraction(0)] * 3
+    assert linalg.solve(rows, [zero, zero], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert linalg.solve(rows, [zero, [1, 0, 3], zero], 3) == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    assert linalg.solve(rows, [], 3) == []
+    assert linalg.solve([{}, {}], [[0, 0], [0, 0]], 0) == [[], []]
+    assert linalg.solve([{}, {}], [[0, 0], [0, 1]], 0) is None
+
+
+def test_column_length_mismatch_raises():
+    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
+    with pytest.raises(ValueError):
+        linalg.solve(rows, [[1, 2], [1]], 2)
+    with pytest.raises(ValueError):
+        linalg.solve(rows, [[1, 2, 3]], 2)

@@ -506,29 +506,57 @@ class TestSelftestGolden:
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == SELFTEST_GOLDEN.read_text()
 
-    def test_counted_miss_fails_its_group(self, capsys, monkeypatch):
-        """One False verdict is counted in its group's line, which reads
-        FAIL, and fails the selftest; every other line is unchanged."""
+    @staticmethod
+    def semireg_misses_at(indices, monkeypatch):
+        """Make the comparison of the listed draws of the semiregularity
+        group fail; returns the list of calls."""
         from atkernel import selftest
 
         original = selftest.compare_semireg
         calls = []
 
-        def first_fails(hom):
+        def fails_at(hom):
             report = original(hom)
-            if not calls:
+            if len(calls) in indices:
                 report.verdict = "fail"
             calls.append(hom)
             return report
 
-        monkeypatch.setattr(selftest, "compare_semireg", first_fails)
-        assert main(["selftest"]) == 1
+        monkeypatch.setattr(selftest, "compare_semireg", fails_at)
+        return calls
+
+    @staticmethod
+    def expect_row(line):
+        """The golden selftest stdout with the semiregularity row replaced."""
         golden = SELFTEST_GOLDEN.read_text().splitlines()
         row = golden.index("both semiregularity routes agree: 24/24 ok")
         expected = [*golden[:-1], "selftest: FAIL"]
-        expected[row] = "both semiregularity routes agree: 23/24 FAIL"
+        expected[row] = line
+        return expected
+
+    def test_counted_miss_fails_its_group(self, capsys, monkeypatch):
+        """One False verdict is counted in its group's line, which reads
+        FAIL with the miss's index, and fails the selftest; every other
+        line is unchanged."""
+        calls = self.semireg_misses_at({0}, monkeypatch)
+        assert main(["selftest"]) == 1
+        expected = self.expect_row("both semiregularity routes agree: 23/24 FAIL (misses: 0)")
         assert capsys.readouterr().out.splitlines() == expected
         assert len(calls) == 24
+
+    def test_miss_is_named_by_its_case_index(self, capsys, monkeypatch):
+        calls = self.semireg_misses_at({3}, monkeypatch)
+        assert main(["selftest"]) == 1
+        expected = self.expect_row("both semiregularity routes agree: 23/24 FAIL (misses: 3)")
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(calls) == 24
+
+    def test_only_the_first_five_misses_are_named(self, capsys, monkeypatch):
+        self.semireg_misses_at({1, 3, 5, 7, 9, 11, 20}, monkeypatch)
+        assert main(["selftest"]) == 1
+        expected = self.expect_row(
+            "both semiregularity routes agree: 17/24 FAIL (misses: 1, 3, 5, 7, 9, ...)")
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_raising_group_is_one_miss(self, capsys, monkeypatch):
         """A group that raises is reported as a miss naming the group function
