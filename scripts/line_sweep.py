@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the library lines that no command reaches.
+"""List the library lines that no command reaches, and the library that
+each demo command loads.
 
 In one process under sys.settrace, runs `atk selftest`, the demo commands
 of scripts/demo_session.py on its demo session, the `sff` presets of
@@ -7,14 +8,19 @@ tests/golden/sff.txt and the loop of scripts/run_corpus.py, all in
 process and with their stdout discarded.  Then prints, per module of
 src/atkernel, how many executable lines none of them reached, followed by
 those lines.  Executable lines are those of the module's compiled code
-objects.  Standard library only.
+objects.  Last, it runs each demo command in a fresh `atk` process and
+prints the source lines (as `wc -l` counts them) of the atkernel modules
+that the process loaded, which is what it compiles without a bytecode
+cache.  Standard library only.
 
 Usage: python scripts/line_sweep.py
 """
 import contextlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -67,6 +73,41 @@ def run_commands() -> None:
         _script("run_corpus").main()
 
 
+# runs `atk <argv>` with its stdout discarded, then names the loaded modules
+LOADED = (
+    "import contextlib, io, sys\n"
+    "from atkernel.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'atkernel')))"
+)
+
+
+def loaded_per_command() -> list[tuple[str, list[str]]]:
+    """(command line, atkernel modules loaded) per demo command, each run
+    in a fresh interpreter on this checkout's sources."""
+    demo = _script("demo_session")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "demo.sr"
+        path.write_text(demo.SESSION)
+        for command in demo.COMMANDS:
+            argv = list(command)
+            if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
+                argv += ["--input", str(path)]
+            proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            out.append((" ".join(command), proc.stdout.split()))
+    return out
+
+
+def source_lines(module: str) -> int:
+    """The lines of an atkernel module's source file."""
+    parts = module.split(".")[1:] or ["__init__"]
+    return len((LIB / f"{parts[0]}.py").read_text().splitlines())
+
+
 def executable_lines(path: Path) -> set[int]:
     lines: set[int] = set()
     todo = [compile(path.read_text(), str(path), "exec")]
@@ -92,6 +133,11 @@ def main() -> int:
         for line in missed:
             print(f"  {line}: {source[line - 1].strip()}")
     print(f"total: {total} unreached")
+    print("library loaded by a fresh `atk` process:")
+    for command, modules in loaded_per_command():
+        lines = sum(source_lines(m) for m in modules)
+        names = ", ".join(m.split(".", 1)[-1] for m in modules)
+        print(f"  {command}: {lines} lines in {len(modules)} modules ({names})")
     return 0
 
 

@@ -10,21 +10,18 @@ other signs flow from these two conventions.
 
 Coboundary questions are decided exactly by splitting a graded map into
 its internal degrees, where each layer is finite-dimensional linear
-algebra over Q.
+algebra over Q; that solver lives in coboundary, which solve_coboundary
+loads on its first call.  Shifts, cones and the text format for
+complexes serve only the selftest groups, which hold them.
 """
 from __future__ import annotations
 
-import itertools
-import re
 from collections.abc import Sequence
 from functools import lru_cache, partial
-from operator import add
 
-from . import linalg
 from .polyforms import (
     ArityError,
     Form,
-    ParseError,
     Poly,
     Record,
     _form_from_acc,
@@ -34,9 +31,6 @@ from .polyforms import (
     _wedge_into,
     default_names,
     form_to_text,
-    parse_poly,
-    parse_ring,
-    poly_to_text,
 )
 
 MAX_TOTAL_RANK = 64
@@ -196,15 +190,6 @@ class FreeComplex:
                 if p.homogeneous_degree(self.var_weights) != want:
                     raise GradingError(f"entry d({i})[{t}][{s}] not homogeneous of degree {want}")
 
-    @staticmethod
-    def _raw(n: int, degrees: dict, diff: dict, var_weights) -> "FreeComplex":
-        """Trusted constructor for internal arithmetic: degrees maps to
-        nonempty tuples and diff is already stored and valid."""
-        c = object.__new__(FreeComplex)
-        c.n, c.degrees, c.diff, c.var_weights = n, degrees, diff, var_weights
-        c._basis_atiyah = None
-        return c
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -355,14 +340,6 @@ class ChainMap:
         return f"ChainMap(degree={self.degree}, formdeg={self.form_degree}, at={sorted(self.mats)})"
 
 
-class GradedSolveReport:
-    __slots__ = ("solvable", "witness")
-
-    def __init__(self, solvable: bool, witness: ChainMap | None):
-        self.solvable = solvable
-        self.witness = witness
-
-
 # -- basic constructions ---------------------------------------------------
 
 
@@ -415,56 +392,6 @@ def is_cocycle(h: ChainMap) -> bool:
     return hom_bracket(h).is_zero()
 
 
-def shift(c: FreeComplex, i: int) -> FreeComplex:
-    """Shifted complex with degrees translated and differential times (-1)^i."""
-    if i == 0:
-        return c
-    sign = (-1) ** (i % 2)
-    degrees = {n - i: b for n, b in c.degrees.items()}
-    diff = {n - i: mat for n, mat in _entrywise(c.diff, lambda p: p.scale(sign)).items()}
-    return FreeComplex._raw(c.n, degrees, diff, c.var_weights)
-
-
-def shift_map(u: ChainMap, i: int) -> ChainMap:
-    """The same matrices viewed between shifted complexes."""
-    return ChainMap._raw(
-        shift(u.source, i),
-        shift(u.target, i),
-        u.degree,
-        u.form_degree,
-        {n - i: mat for n, mat in u.mats.items()},
-    )
-
-
-def cone(f: ChainMap) -> FreeComplex:
-    """Mapping cone of a degree-0 chain map f: N' -> N.
-
-    The module is N + N'[1]; the differential sends (n, Tn') to
-    (dn - f(n'), -Td'n').
-    """
-    if f.degree != 0 or f.form_degree != 0:
-        raise ShapeError("cone needs a degree-0 map with polynomial entries")
-    if not is_cocycle(f):
-        raise ShapeError("cone needs a chain map ([d,f] = 0)")
-    nprime, ncx = f.source, f.target
-    degrees: dict[int, list[BasisElement]] = {}
-    for i in set(ncx.support()) | {j - 1 for j in nprime.support()}:
-        combined = list(ncx.basis(i)) + [
-            BasisElement("T_" + b.label, b.weight) for b in nprime.basis(i + 1)
-        ]
-        if combined:
-            degrees[i] = combined
-    diff: dict[int, dict] = {}
-    for i, t, s, p in ncx.nonzeros():
-        diff.setdefault(i, {}).setdefault(t, {})[s] = p
-    for i, t, s, w in f.nonzeros():
-        diff.setdefault(i - 1, {}).setdefault(t, {})[ncx.rank(i - 1) + s] = -w.to_poly()
-    for i, t, s, p in nprime.nonzeros():
-        diff.setdefault(i - 1, {}).setdefault(ncx.rank(i) + t, {})[ncx.rank(i - 1) + s] = -p
-    var_weights = ncx.var_weights if ncx.var_weights == nprime.var_weights else None
-    return FreeComplex(ncx.n, degrees, diff, var_weights)
-
-
 # -- graded components -----------------------------------------------------
 
 
@@ -489,176 +416,25 @@ def monomials_of_weighted_degree(n: int, weights: tuple[int, ...], d: int) -> tu
     return tuple(out)
 
 
-def _form_of_terms(n: int, k: int, terms: dict) -> Form:
-    """The form {idx: {expt: coefficient}}, every coefficient canonical and nonzero."""
-    return Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in terms.items()})
-
-
-def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
-    """Split a graded chain map into homogeneous internal-degree layers."""
-    src, tgt = h.source, h.target
-    if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
-        raise GradingError("internal degrees need matching gradings")
-    weights = src.var_weights
-    n, k = src.n, h.form_degree
-    # layers[d][i][t][s][idx] holds the terms {expt: q} of one layer's entry
-    layers: dict[int, dict] = {}
-    for i, t, s, f in h.nonzeros():
-        # shift of internal degree: output minus input
-        base = tgt.basis(i + h.degree)[t].weight - src.basis(i)[s].weight
-        for idx, coeff in f.terms.items():
-            widx = sum(weights[j] for j in idx)
-            for expt, q in coeff.terms.items():
-                d_internal = sum(w * e for w, e in zip(weights, expt)) + widx + base
-                layer = layers.setdefault(d_internal, {}).setdefault(i, {}).setdefault(t, {})
-                layer.setdefault(s, {}).setdefault(idx, {})[expt] = q
-    build = partial(_form_of_terms, n, k)
-    return {
-        d: ChainMap._raw(src, tgt, h.degree, k, _entrywise(mats, build))
-        for d, mats in layers.items()
-    }
-
-
-def _solve_products(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
-    """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
-    every slot, summed over the products (slot, key, poly, sign); each
-    (slot, key) pair occurs at most once.  supports maps a key to the
-    (idx, expt) terms its form may have; rhs maps slots to forms.  Returns
-    {key: form} for the nonzero unknowns of the one particular solution,
-    or None when there is none.
-
-    A product multiplies a form by a polynomial, so the system is
-    block-diagonal by wedge index.  Wedge indices whose unknowns run over
-    the same (key, expt) sequence share one matrix, eliminated once with a
-    right-hand side per index.  The pivots of a block-diagonal matrix are
-    its blocks' pivots, so the solution is that of the whole system.
-    """
-    unknowns: dict[tuple, list] = {}  # wedge index -> its (key, expt), in supports order
-    for key, terms in supports.items():
-        for idx, expt in terms:
-            unknowns.setdefault(idx, []).append((key, expt))
-    values: dict[tuple, dict] = {}  # wedge index -> {(slot, expt): q}
-    for slot, form in rhs.items():
-        for idx, coeff in form.terms.items():
-            if idx not in unknowns:
-                return None
-            values.setdefault(idx, {}).update(((slot, e), q) for e, q in coeff.terms.items())
-    blocks: dict[tuple, list] = {}
-    for idx in values:
-        blocks.setdefault(tuple(unknowns[idx]), []).append(idx)
-    factors: dict = {}  # key -> [(slot, signed terms of poly)]
-    for slot, key, poly, sign in products:
-        factors.setdefault(key, []).append((slot, [(e, sign * q) for e, q in poly.terms.items()]))
-    solved = {}
-    for block, idxs in blocks.items():
-        # one Q-linear equation per (slot, expt); one product's terms give
-        # distinct equations, so each entry is set once
-        rows: dict[tuple, linalg.Row] = {}
-        for vi, (key, expt) in enumerate(block):
-            for slot, terms in factors.get(key, ()):
-                for e2, q in terms:
-                    rows.setdefault((slot, tuple(map(add, expt, e2))), {})[vi] = q
-        if any(e not in rows for idx in idxs for e in values[idx]):
-            return None  # an equation that no unknown reaches: 0 = q
-        solution = linalg.solve(list(rows.values()),
-                                [[values[idx].get(e, 0) for e in rows] for idx in idxs], len(block))
-        if solution is None:
-            return None
-        solved.update(zip(idxs, map(iter, solution)))
-    out = {}
-    for key, terms in supports.items():
-        acc: dict = {}
-        for idx, expt in terms:
-            if idx in solved and (v := next(solved[idx])):
-                acc.setdefault(idx, {})[expt] = v
-        if acc:
-            out[key] = _form_of_terms(n, k, acc)
-    return out
-
-
-def solve_coboundary(c: ChainMap) -> GradedSolveReport:
+def solve_coboundary(c: ChainMap) -> "GradedSolveReport":
     """Decide exactly whether c = [d,h] for some graded h; witness on success.
 
     Both complexes must be graded over matching weights; c must be a
-    cocycle.  The solve runs once per internal degree appearing in c,
-    where the space of candidate entries is finite-dimensional.
+    cocycle.  The solve, in coboundary, runs once per internal degree
+    appearing in c, where the space of candidate entries is finite-dimensional.
     """
-    src, tgt = c.source, c.target
-    if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
-        raise GradingError("solve_coboundary requires graded complexes")
-    if not is_cocycle(c):
-        raise ShapeError("solve_coboundary requires a cocycle input")
-    r_h = c.degree - 1
-    k = c.form_degree
-    n = src.n
-    weights = src.var_weights
-    if c.is_zero():
-        return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
-    # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
-    # column m of the target differential and row s of the source one
-    columns: dict[tuple, list] = {}
-    for j, t, m, p in tgt.nonzeros():
-        columns.setdefault((j - r_h, m), []).append((t, p))
-    sign = -((-1) ** (r_h % 2))
-    idx_weights = [(idx, sum(weights[j] for j in idx))
-                   for idx in itertools.combinations(range(n), k)]
-    mats: dict[int, dict] = {}
-    for d_internal, layer in sorted(internal_degree_layers(c).items()):
-        supports = {}
-        for i in src.support():
-            for t, tbe in enumerate(tgt.basis(i + r_h)):
-                for s, sbe in enumerate(src.basis(i)):
-                    entry_deg = sbe.weight - tbe.weight + d_internal
-                    terms = [(idx, expt) for idx, w in idx_weights
-                             for expt in monomials_of_weighted_degree(n, weights, entry_deg - w)]
-                    if terms:
-                        supports[(i, t, s)] = terms
-        products = []
-        for key in supports:
-            i, t, s = key
-            for row, p in columns.get((i, t), ()):
-                products.append(((i, row, s), key, p, 1))
-            for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
-                products.append(((i - 1, t, col), key, p, sign))
-        rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
-        solved = _solve_products(supports, products, rhs, n, k)
-        if solved is None:
-            return GradedSolveReport(False, None)
-        # layers have distinct internal degrees, so their terms never cancel
-        for (i, t, s), form in solved.items():
-            row = mats.setdefault(i, {}).setdefault(t, {})
-            row[s] = row[s] + form if s in row else form
-    witness = ChainMap._raw(src, tgt, r_h, k, mats)
-    if hom_bracket(witness) != c:
-        raise AssertionError("solver produced an unsound witness")
-    return GradedSolveReport(True, witness)
+    return _coboundary()._solve_coboundary(c)
+
+
+@lru_cache(maxsize=None)
+def _coboundary():
+    """The solver module: imported once, then one cache lookup per decision."""
+    from . import coboundary
+
+    return coboundary
 
 
 # -- serialization ---------------------------------------------------------
-
-
-def complex_to_text(c: FreeComplex, name: str, names: Sequence[str] | None = None) -> str:
-    names = list(names or default_names(c.n))
-    items = []
-    ring_vars = []
-    for i, vname in enumerate(names):
-        w = c.var_weights[i] if c.graded else 1
-        ring_vars.append(vname if w == 1 else f"{vname}:{w}")
-    graded_tag = "" if c.graded else " ungraded"
-    items.append(f"ring Q[{', '.join(ring_vars)}]{graded_tag};")
-    for i in c.support():
-        labels = []
-        for b in c.basis(i):
-            labels.append(b.label if b.weight == 0 else f"{b.label}:{b.weight}")
-        items.append(f"deg {i}: [{', '.join(labels)}];")
-    for i in sorted(c.diff):
-        cols = []
-        for s in range(c.rank(i)):
-            col = [poly_to_text(c.entry(i, t, s), names) for t in range(c.rank(i + 1))]
-            cols.append("[" + ", ".join(col) + "]")
-        items.append(f"d({i}) = [{', '.join(cols)}];")
-    body = "\n  ".join(items)
-    return f"complex {name} {{\n  {body}\n}}"
 
 
 def map_to_text(u: ChainMap, name: str, names: Sequence[str] | None = None) -> str:
@@ -673,88 +449,3 @@ def map_to_text(u: ChainMap, name: str, names: Sequence[str] | None = None) -> s
         items.append(f"u({i}) = [{', '.join(cols)}];")
     body = "\n  ".join(items)
     return f"map {name} {{\n  {body}\n}}"
-
-
-def _parse_bracket_list(text: str) -> list[str]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected a bracketed list, got {text!r}")
-    inner = text[1:-1]
-    items, depth, start = [], 0, 0
-    for pos, ch in enumerate(inner):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            items.append(inner[start:pos].strip())
-            start = pos + 1
-    tail = inner[start:].strip()
-    if tail:
-        items.append(tail)
-    return items
-
-
-def _item_int(text: str, item: str) -> int:
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):  # int() also takes '١' and '1_0'
-        raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}")
-    return int(text)
-
-
-def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
-    """Read a `complex <name> { item; ... }` block as complex_to_text writes
-    it; the `ring` item is a session ring declaration, tagged ` ungraded` or not."""
-    head, _, rest = text.strip().partition("{")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "complex":
-        raise ParseError("expected `complex <name> {...}`")
-    if not rest.rstrip().endswith("}"):
-        raise ParseError("missing closing brace")
-    name = parts[1]
-    items = [chunk.strip() for chunk in rest.rstrip()[:-1].split(";") if chunk.strip()]
-    names: tuple[str, ...] = ()
-    weights: tuple[int, ...] = ()
-    graded = True
-    degrees: dict[int, list[BasisElement]] = {}
-    diff_raw: dict[int, list[str]] = {}
-    for item in items:
-        if item.startswith("ring"):
-            if names:
-                raise ParseError("ring declared twice in complex block")
-            decl = item[len("ring") :].strip()
-            if decl.endswith(" ungraded"):
-                graded = False
-                decl = decl[: -len(" ungraded")]
-            names, weights = parse_ring(decl)
-        elif item.startswith("deg"):
-            head, _, rest = item.partition(":")
-            i = _item_int(head[len("deg") :], item)
-            if i in degrees:
-                raise ParseError(f"degree {i} declared twice in complex block")
-            degrees[i] = []
-            for chunk in _parse_bracket_list(rest):
-                label, colon, w = chunk.partition(":")
-                degrees[i].append(BasisElement(label.strip(), _item_int(w, item) if colon else 0))
-        elif item.startswith("d("):
-            head, _, rest = item.partition("=")
-            i = _item_int(head.strip()[2:-1], item)
-            if i in diff_raw:
-                raise ParseError(f"d({i}) given twice in complex block")
-            diff_raw[i] = _parse_bracket_list(rest)
-        else:
-            raise ParseError(f"unknown item {item!r} in complex block")
-    if not names:
-        raise ParseError("complex block missing ring declaration")
-    n = len(names)
-    diff: dict[int, dict] = {}
-    for i, cols in diff_raw.items():
-        rows = len(degrees.get(i + 1, []))
-        diff[i] = {t: {} for t in range(rows)}
-        for s, col_text in enumerate(cols):
-            entries = _parse_bracket_list(col_text)
-            if len(entries) != rows:
-                raise ParseError(f"d({i}) column {s} has wrong length")
-            for t, entry in enumerate(entries):
-                diff[i][t][s] = parse_poly(entry, names)
-    cx = FreeComplex(n, degrees, diff, weights if graded else None)
-    return name, cx, names

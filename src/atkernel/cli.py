@@ -6,7 +6,9 @@ All numeric output is exact rational text.
 
 Library modules are imported inside the handlers, so an `atk` process
 loads (and, without a bytecode cache, compiles) only what its command runs;
-the value classes are plain slotted classes, so no command loads `inspect`.
+this module holds only dispatch and printing (the `sff` presets live in
+ladder, the monomial-ideal parser in integraldep).  The value classes are
+plain slotted classes, so no command loads `inspect`.
 Commands that build a Koszul resolution exit 2 with no output when the exact
 regularity guard, koszul.verify_regular, refuses or exceeds its work bound.
 """
@@ -48,33 +50,6 @@ def _named(table: dict, kind: str, flag: str, name: str):
     if name not in table:
         raise SessionError(f"argument {flag}: unknown {kind} {name!r}")
     return table[name]
-
-
-def _monomial_ideal_from_text(text: str):
-    from .integraldep import MonomialIdeal, MonomialIdealError
-    from .polyforms import variable_names
-
-    chunks = [c.strip() for c in text.split(",")]
-    if not any(chunks):
-        raise MonomialIdealError("empty ideal")
-    if not all(chunks):
-        raise MonomialIdealError(f"empty generator in ideal {text!r}")
-    names = tuple(sorted({name for c in chunks for name in variable_names(c)}))
-    if not names:
-        raise MonomialIdealError("no variables found in ideal")
-    exps = [_monomial_exponent(c, names) for c in chunks]
-    return MonomialIdeal.from_exponents(len(names), exps), names
-
-
-def _monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
-    """Exponent vector of a monomial with coefficient 1."""
-    from .integraldep import MonomialIdealError
-    from .polyforms import parse_poly
-
-    p = parse_poly(text, names)
-    if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
-        raise MonomialIdealError(f"not a monomial: {text!r}")
-    return next(iter(p.terms))
 
 
 def _cmd_atk(args) -> int:
@@ -168,7 +143,7 @@ def _cmd_obstruct(args) -> int:
 
     session = _load_session(args.input)
     ideal = _named(session.sequences, "sequence", "--seq", args.seq)
-    deriv = _named(session.derivations, "derivation", "--derivation", args.derivation)
+    deriv = _resolve_derivation(session, args.derivation)
     kz = _guarded_koszul(ideal)
     ob = obstruction_cocycle(kz, deriv)
     print(map_to_text(ob, "obstruction", session.var_names))
@@ -179,58 +154,18 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_sff(args) -> int:
-    from .chaincore import map_to_text
-    from .ladder import (
-        connecting_delta,
-        delta_dprime_matches_minus_atiyah,
-        euler_preset,
-        euler_sigma_is_minus_identity,
-        hypersurface_ladder,
-        second_fundamental_form,
-    )
-    from .polyforms import parse_poly, variable_names
-    from .session import SessionError
+    from .ladder import sff_preset
 
-    preset = args.preset
-    if preset.startswith("euler"):
-        n_proj = 1
-        if ":" in preset:
-            text = preset.split(":", 1)[1]
-            if not (text.isascii() and text.isdigit()) or int(text) < 1:
-                raise SessionError(f"euler needs a positive integer n, got {text!r}")
-            n_proj = int(text)
-        sigma, names = euler_preset(n_proj)
-        print(map_to_text(sigma, "sigma", names))
-        good = all(euler_sigma_is_minus_identity(sigma, n_proj))
-        print(f"sigma on generators: {'-id' if good else 'mismatch'}")
-        print(f"VERDICT: {'exact' if good else 'FAIL'}")
-        return 0 if good else 1
-    if preset.startswith("hypersurface:"):
-        text = preset.split(":", 1)[1]
-        names = variable_names(text) or ("x",)
-        f = parse_poly(text, names)
-        weights = (1,) * f.n
-        if f.homogeneous_degree(weights) is None:
-            weights = None
-        ladder = hypersurface_ladder(f, weights)
-        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
-        print(map_to_text(sigma, "sigma", names))
-        delta = connecting_delta(ladder)
-        print(map_to_text(delta, "delta_second", names))
-        verdict = delta_dprime_matches_minus_atiyah(ladder, delta)
-        # not computed: delta' vanishes because F' is free, and connecting_delta
-        # refuses a ladder whose P' has a differential
-        print("delta_first: 0")
-        print(f"VERDICT: {verdict}")
-        return 0 if verdict != "FAIL" else 1
-    raise SessionError(f"unknown preset {preset!r}")
+    lines, good = sff_preset(args.preset)
+    print("\n".join(lines))
+    return 0 if good else 1
 
 
 def _cmd_iclosure(args) -> int:
-    from .integraldep import closure_member
+    from .integraldep import closure_member, monomial_exponent, monomial_ideal_from_text
 
-    ideal, names = _monomial_ideal_from_text(args.ideal)
-    cert = closure_member(ideal, _monomial_exponent(args.test, names))
+    ideal, names = monomial_ideal_from_text(args.ideal)
+    cert = closure_member(ideal, monomial_exponent(args.test, names))
     if cert.verdict:
         lam = ", ".join(str(v) for v in cert.lambdas)
         slack = ", ".join(str(v) for v in cert.slack)
@@ -242,17 +177,17 @@ def _cmd_iclosure(args) -> int:
 
 
 def _cmd_curvdim(args) -> int:
-    from .integraldep import curvilinear_dim
+    from .integraldep import curvilinear_dim, monomial_ideal_from_text
 
-    ideal, _ = _monomial_ideal_from_text(args.ideal)
+    ideal, _ = monomial_ideal_from_text(args.ideal)
     print(curvilinear_dim(ideal))
     return 0
 
 
 def _cmd_dimcheck(args) -> int:
-    from .integraldep import dim_bound_check
+    from .integraldep import dim_bound_check, monomial_ideal_from_text
 
-    ideal, _ = _monomial_ideal_from_text(args.ideal)
+    ideal, _ = monomial_ideal_from_text(args.ideal)
     report = dim_bound_check(ideal)
     print(
         f"dim = {report.dim_quotient}; bound = {report.bound}; "

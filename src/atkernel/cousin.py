@@ -8,7 +8,7 @@ in the dual-gamma basis, pairs against the canonical section of
 K (x) Cousin, and applies the supertrace; the resulting closed formula
 is a signed partial trace over entry pairs gf_alpha -> gf_beta with
 beta contained in alpha.  Whether a top-degree element is a coboundary
-is decided exactly, by ideal membership of its numerator.
+is decided exactly, by ideal membership of its numerator, in coboundary.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .chaincore import ChainMap, ShapeError, _solve_products, monomials_of_weighted_degree
-from .groebner import membership_excess
+from .chaincore import ChainMap, ShapeError, _coboundary
 from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
 from .polyforms import (
     Form,
@@ -208,46 +207,8 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
 def cousin_coboundary_solve(target: CousinElement) -> CousinElement | None:
     """Decide whether a top-degree element is a coboundary: b of degree q-1
     with d(b) = target, or None, which proves that its class is not zero.
-
-    The sequence must be regular, as the regularity guard proves before
-    every command.  Then num / f_full^m is a coboundary exactly when every
-    coefficient of num lies in (f_1^m, ..., f_q^m), for the target's own m:
-    the transition maps of H^q_I = lim H^q(f^m) are injective (Bruns-Herzog
-    3.5).  A member's cofactors num_i, the numerators of b at full-minus-i,
-    come from one linear solve in the degrees that the Groebner basis bounds.
-    """
-    q, n = target.q, target.n
-    if target.degree != q or q == 0:
-        raise ValueError("the Cousin decision needs a top-degree element of a nonempty sequence")
-    full = tuple(range(1, q + 1))
-    lf = target.entries.get(full)
-    if lf is None:
-        return cousin_zero(n, target.seq, q - 1)
-    num, m = lf.num, lf.m
-    fpows = [f ** m for f in target.seq]
-    excess = membership_excess(fpows, num.terms.values())
-    if excess is None:
-        return None
-    top = max(c.total_degree() for c in num.terms.values()) + excess
-    units = (1,) * n
-    supports = {
-        i: [(idx, e)
-            for d in range(top - fpow.total_degree() + 1)
-            for e in monomials_of_weighted_degree(n, units, d)
-            for idx in num.terms]
-        for i, fpow in enumerate(fpows, 1)
-    }
-    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
-    products = [(full, i, fpow, -((-1) ** (i - 1))) for i, fpow in enumerate(fpows, 1)]
-    nums = _solve_products(supports, products, {full: num}, n, num.degree)
-    if nums is None:
-        raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
-    witness = CousinElement(n, target.seq, q - 1, {
-        full[: i - 1] + full[i:]: LocalizedForm(form, m) for i, form in nums.items()
-    })
-    if cousin_differential(witness) != target:
-        raise AssertionError("Cousin witness fails d(b) = target")
-    return witness
+    The decision lives in coboundary, imported on the first call."""
+    return _coboundary()._solve_cousin_coboundary(target)
 
 
 def cousin_to_text(c: CousinElement, names: Sequence[str] | None = None) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .polyforms import Record
+from .polyforms import Record, parse_poly, variable_names
 
 
 class MonomialIdealError(ValueError):
@@ -53,6 +53,28 @@ class MonomialIdeal(Record):
                 e[i] += 1
                 bumped.append(tuple(e))
         return MonomialIdeal.from_exponents(self.n, bumped)
+
+
+def monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
+    """The ideal of comma-separated monomials, over the variables they name, sorted."""
+    chunks = [c.strip() for c in text.split(",")]
+    if not any(chunks):
+        raise MonomialIdealError("empty ideal")
+    if not all(chunks):
+        raise MonomialIdealError(f"empty generator in ideal {text!r}")
+    names = tuple(sorted({name for c in chunks for name in variable_names(c)}))
+    if not names:
+        raise MonomialIdealError("no variables found in ideal")
+    exps = [monomial_exponent(c, names) for c in chunks]
+    return MonomialIdeal.from_exponents(len(names), exps), names
+
+
+def monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Exponent vector of a monomial with coefficient 1."""
+    p = parse_poly(text, names)
+    if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
+        raise MonomialIdealError(f"not a monomial: {text!r}")
+    return next(iter(p.terms))
 
 
 Vector = tuple[Fraction, ...]

@@ -1,4 +1,4 @@
-"""Koszul complexes of regular sequences with explicit gamma/dual bases.
+"""Koszul complexes of regular sequences with explicit gamma bases.
 
 The complex K(f_1..f_q) sits in degrees -q..0 with basis gf_{a_1.._a_p}
 in degree -p, ordered lexicographically on index sets.  The differential
@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from functools import lru_cache
-from math import comb
 
-from .chaincore import BasisElement, ChainMap, FreeComplex, GradingError, ShapeError
-from .polyforms import Form, Poly, Record, _merge_indices
+from .chaincore import BasisElement, FreeComplex, GradingError, ShapeError
+from .polyforms import Poly, Record
 
 
 class RegularSequenceIdeal(Record):
@@ -151,48 +150,6 @@ def _build_koszul(ideal: RegularSequenceIdeal) -> KoszulComplex:
     # d extends d(gf_j) = f_j as a derivation
     cx = FreeComplex(n, degrees, _derivation_matrices(ideal.polys), weights)
     return KoszulComplex(ideal, cx)
-
-
-def dual_basis_map(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
-    """The wedge of dual functionals for alpha as a map K^{-p} -> K^0.
-
-    Normalized so that the value on gf_alpha is (-1)^{binom(p,2)}, making
-    (-1)^{binom(p,2)} times this map the honest dual basis element.
-    """
-    alpha = tuple(sorted(alpha))
-    if any(not 1 <= i <= k.q for i in alpha) or len(set(alpha)) != len(alpha):
-        raise ValueError(f"bad index set {alpha}")
-    p = len(alpha)
-    deg, col = k.basis_position(alpha)
-    sign = Form.from_poly(Poly.const(k.n, (-1) ** comb(p, 2)))
-    return ChainMap(k.complex, k.complex, p, 0, {deg: {0: {col: sign}}})
-
-
-def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
-    """The functional -sum_i f_i . (dual wedge of {i} u alpha).
-
-    This is what the bracket of dual_basis_map(alpha) must reproduce; the
-    wedge gf^_i ^ gf^_alpha sorts with the usual alternating sign and dies
-    on repeated indices.
-    """
-    alpha = tuple(sorted(alpha))
-    total = None
-    for i in range(1, k.q + 1):
-        merged = _merge_indices((i,), alpha)
-        if merged is None:
-            continue
-        sign, bigger = merged
-        term = dual_basis_map(k, bigger).scale(-sign)
-        term = _scale_by_poly(term, k.ideal.polys[i - 1])
-        total = term if total is None else total + term
-    if total is None:
-        return ChainMap(k.complex, k.complex, len(alpha) + 1, 0, {})
-    return total
-
-
-def _scale_by_poly(u: ChainMap, p: Poly) -> ChainMap:
-    mats = u.entrywise(lambda f: f.mul_poly(p))
-    return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
 
 
 def verify_regular(ideal: RegularSequenceIdeal) -> bool:

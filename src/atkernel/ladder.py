@@ -5,16 +5,19 @@ ladder, the form sigma = nabla o j, its connecting image delta'', and the
 comparison of delta'' with -At of the F'' resolution.  Every matrix of
 the ladder is a degree-0 ChainMap between free modules, and every
 product of them is a chaincore.compose.
-The Euler-sequence and hypersurface presets behind `atk sff` live here.
+The Euler-sequence and hypersurface presets behind `atk sff` live here,
+with sff_preset, which reads a preset name and gives the command's output.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 from .atiyah import atiyah_cocycle
-from .chaincore import BasisElement, ChainMap, FreeComplex, ShapeError, compose
+from .chaincore import (MAX_TOTAL_RANK, BasisElement, ChainMap, FreeComplex, ShapeError, compose,
+                        map_to_text)
 from .koszul import RegularSequenceIdeal, build_koszul
-from .polyforms import Form, Poly, exterior_derivative, wedge
+from .polyforms import (MAX_ARITY, ArityError, Form, Poly, exterior_derivative, parse_poly,
+                        variable_names, wedge)
 
 
 def _free_module(n: int, labels: Sequence[str], var_weights=None, weights=None) -> FreeComplex:
@@ -161,6 +164,11 @@ def euler_preset(n_proj: int = 1) -> tuple[ChainMap, list[str]]:
     generators.
     """
     n = n_proj + 1
+    # refuse as FreeComplex and Poly would, before the C(n, 2) pairs exist
+    if n * (n - 1) // 2 > MAX_TOTAL_RANK:
+        raise ShapeError(f"complex exceeds {MAX_TOTAL_RANK} total basis elements")
+    if n > MAX_ARITY:
+        raise ArityError(f"ring arity must be in 1..{MAX_ARITY}, got {n}")
     names = [f"x{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     f_prime = _free_module(n, [f"w{s}" for s in range(len(pairs))])
@@ -207,3 +215,36 @@ def euler_sigma_is_minus_identity(sigma: ChainMap, n_proj: int = 1) -> list[bool
 
 def _dx(n: int, i: int) -> Form:
     return Form(n, 1, {(i,): Poly.one(n)})
+
+
+def sff_preset(preset: str) -> tuple[list[str], bool]:
+    """The lines that `atk sff --preset <preset>` prints, for euler[:n] or
+    hypersurface:<f>, and whether its verdict holds."""
+    if preset.startswith("euler"):
+        n_proj = 1
+        if ":" in preset:
+            text = preset.split(":", 1)[1]
+            if not (text.isascii() and text.isdigit()) or int(text) < 1:
+                raise ValueError(f"euler needs a positive integer n, got {text!r}")
+            n_proj = int(text)
+        sigma, names = euler_preset(n_proj)
+        good = all(euler_sigma_is_minus_identity(sigma, n_proj))
+        return [map_to_text(sigma, "sigma", names),
+                f"sigma on generators: {'-id' if good else 'mismatch'}",
+                f"VERDICT: {'exact' if good else 'FAIL'}"], good
+    if preset.startswith("hypersurface:"):
+        text = preset.split(":", 1)[1]
+        names = variable_names(text) or ("x",)
+        f = parse_poly(text, names)
+        weights = (1,) * f.n
+        if f.homogeneous_degree(weights) is None:
+            weights = None
+        ladder = hypersurface_ladder(f, weights)
+        sigma = second_fundamental_form(ladder.j, ladder.p, ladder.relation)
+        delta = connecting_delta(ladder)
+        verdict = delta_dprime_matches_minus_atiyah(ladder, delta)
+        # not computed: delta' vanishes because F' is free, and connecting_delta
+        # refuses a ladder whose P' has a differential
+        return [map_to_text(sigma, "sigma", names), map_to_text(delta, "delta_second", names),
+                "delta_first: 0", f"VERDICT: {verdict}"], verdict != "FAIL"
+    raise ValueError(f"unknown preset {preset!r}")

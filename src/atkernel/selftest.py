@@ -1,5 +1,6 @@
 """Randomized and corpus-wide invariant checks behind `atk selftest` and
-the acceptance suite.
+the acceptance suite, and what only they use: shifts, mapping cones, the
+text format for complexes and the Koszul dual basis maps.
 
 Each group is a generator that yields one verdict, a bool, per case.
 `_group` registers it in ALL_GROUPS in definition order, which is the
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import functools
 import random
+import re
+from collections.abc import Sequence
+from math import comb
 
 from .atiyah import (
     atiyah_cocycle,
@@ -22,15 +26,15 @@ from .atiyah import (
     obstruction_cocycle,
 )
 from .chaincore import (
+    BasisElement,
     ChainMap,
-    complex_to_text,
+    FreeComplex,
+    ShapeError,
+    _entrywise,
     compose,
-    cone,
     hom_bracket,
     identity_map,
-    parse_complex,
-    shift,
-    shift_map,
+    is_cocycle,
     solve_coboundary,
 )
 from .corpus import (
@@ -53,13 +57,7 @@ from .cousin import (
     omega_class,
 )
 from .integraldep import MonomialIdeal, closure_member, curvilinear_dim, dim_bound_check
-from .koszul import (
-    RegularSequenceIdeal,
-    build_koszul,
-    dual_basis_map,
-    dual_left_multiplication,
-    index_sets,
-)
+from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from .ladder import (
     connecting_delta,
     delta_dprime_matches_minus_atiyah,
@@ -69,13 +67,16 @@ from .ladder import (
 )
 from .polyforms import (
     Form,
+    ParseError,
     Poly,
+    _merge_indices,
     default_names,
     exterior_derivative,
     form_d,
     form_to_text,
     parse_form,
     parse_poly,
+    parse_ring,
     poly_to_text,
     wedge,
 )
@@ -157,6 +158,56 @@ def check_bracket_squared():
         yield hom_bracket(hom_bracket(h)).is_zero()
 
 
+def shift(c: FreeComplex, i: int) -> FreeComplex:
+    """Shifted complex with degrees translated and differential times (-1)^i."""
+    if i == 0:
+        return c
+    sign = (-1) ** (i % 2)
+    degrees = {n - i: b for n, b in c.degrees.items()}
+    diff = {n - i: mat for n, mat in _entrywise(c.diff, lambda p: p.scale(sign)).items()}
+    return FreeComplex(c.n, degrees, diff, c.var_weights)
+
+
+def shift_map(u: ChainMap, i: int) -> ChainMap:
+    """The same matrices viewed between shifted complexes."""
+    return ChainMap._raw(
+        shift(u.source, i),
+        shift(u.target, i),
+        u.degree,
+        u.form_degree,
+        {n - i: mat for n, mat in u.mats.items()},
+    )
+
+
+def cone(f: ChainMap) -> FreeComplex:
+    """Mapping cone of a degree-0 chain map f: N' -> N.
+
+    The module is N + N'[1]; the differential sends (n, Tn') to
+    (dn - f(n'), -Td'n').
+    """
+    if f.degree != 0 or f.form_degree != 0:
+        raise ShapeError("cone needs a degree-0 map with polynomial entries")
+    if not is_cocycle(f):
+        raise ShapeError("cone needs a chain map ([d,f] = 0)")
+    nprime, ncx = f.source, f.target
+    degrees: dict[int, list[BasisElement]] = {}
+    for i in set(ncx.support()) | {j - 1 for j in nprime.support()}:
+        combined = list(ncx.basis(i)) + [
+            BasisElement("T_" + b.label, b.weight) for b in nprime.basis(i + 1)
+        ]
+        if combined:
+            degrees[i] = combined
+    diff: dict[int, dict] = {}
+    for i, t, s, p in ncx.nonzeros():
+        diff.setdefault(i, {}).setdefault(t, {})[s] = p
+    for i, t, s, w in f.nonzeros():
+        diff.setdefault(i - 1, {}).setdefault(t, {})[ncx.rank(i - 1) + s] = -w.to_poly()
+    for i, t, s, p in nprime.nonzeros():
+        diff.setdefault(i - 1, {}).setdefault(ncx.rank(i) + t, {})[ncx.rank(i - 1) + s] = -p
+    var_weights = ncx.var_weights if ncx.var_weights == nprime.var_weights else None
+    return FreeComplex(ncx.n, degrees, diff, var_weights)
+
+
 def cone_homotopy(f: ChainMap) -> ChainMap:
     """h(n, Tn') = (0, -Tn) on cone(f), for a chain endomorphism f of N.
 
@@ -178,6 +229,111 @@ def check_cone_identity():
     for entry in corpus_entries():
         h = cone_homotopy(identity_map(build_koszul(entry.ideal).complex))
         yield hom_bracket(h) == identity_map(h.source)
+
+
+# -- the text format for complexes, read back by the round-trip group -------
+
+
+def complex_to_text(c: FreeComplex, name: str, names: Sequence[str] | None = None) -> str:
+    names = list(names or default_names(c.n))
+    ring_vars = [v if w == 1 else f"{v}:{w}" for v, w in zip(names, c.var_weights or (1,) * c.n)]
+    items = [f"ring Q[{', '.join(ring_vars)}]{'' if c.graded else ' ungraded'};"]
+    for i in c.support():
+        labels = [b.label if b.weight == 0 else f"{b.label}:{b.weight}" for b in c.basis(i)]
+        items.append(f"deg {i}: [{', '.join(labels)}];")
+    for i in sorted(c.diff):
+        cols = []
+        for s in range(c.rank(i)):
+            col = [poly_to_text(c.entry(i, t, s), names) for t in range(c.rank(i + 1))]
+            cols.append("[" + ", ".join(col) + "]")
+        items.append(f"d({i}) = [{', '.join(cols)}];")
+    body = "\n  ".join(items)
+    return f"complex {name} {{\n  {body}\n}}"
+
+
+def _parse_bracket_list(text: str) -> list[str]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"expected a bracketed list, got {text!r}")
+    inner = text[1:-1]
+    items, depth, start = [], 0, 0
+    for pos, ch in enumerate(inner):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append(inner[start:pos].strip())
+            start = pos + 1
+    tail = inner[start:].strip()
+    if tail:
+        items.append(tail)
+    return items
+
+
+def _item_int(text: str, item: str) -> int:
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):  # int() also takes '١' and '1_0'
+        raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}")
+    return int(text)
+
+
+def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
+    """Read a `complex <name> { item; ... }` block as complex_to_text writes
+    it; the `ring` item is a session ring declaration, tagged ` ungraded` or not."""
+    head, _, rest = text.strip().partition("{")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "complex":
+        raise ParseError("expected `complex <name> {...}`")
+    if not rest.rstrip().endswith("}"):
+        raise ParseError("missing closing brace")
+    name = parts[1]
+    items = [chunk.strip() for chunk in rest.rstrip()[:-1].split(";") if chunk.strip()]
+    names: tuple[str, ...] = ()
+    weights: tuple[int, ...] = ()
+    graded = True
+    degrees: dict[int, list[BasisElement]] = {}
+    diff_raw: dict[int, list[str]] = {}
+    for item in items:
+        if item.startswith("ring"):
+            if names:
+                raise ParseError("ring declared twice in complex block")
+            decl = item[len("ring") :].strip()
+            if decl.endswith(" ungraded"):
+                graded = False
+                decl = decl[: -len(" ungraded")]
+            names, weights = parse_ring(decl)
+        elif item.startswith("deg"):
+            head, _, rest = item.partition(":")
+            i = _item_int(head[len("deg") :], item)
+            if i in degrees:
+                raise ParseError(f"degree {i} declared twice in complex block")
+            degrees[i] = []
+            for chunk in _parse_bracket_list(rest):
+                label, colon, w = chunk.partition(":")
+                degrees[i].append(BasisElement(label.strip(), _item_int(w, item) if colon else 0))
+        elif item.startswith("d("):
+            head, _, rest = item.partition("=")
+            i = _item_int(head.strip()[2:-1], item)
+            if i in diff_raw:
+                raise ParseError(f"d({i}) given twice in complex block")
+            diff_raw[i] = _parse_bracket_list(rest)
+        else:
+            raise ParseError(f"unknown item {item!r} in complex block")
+    if not names:
+        raise ParseError("complex block missing ring declaration")
+    n = len(names)
+    diff: dict[int, dict] = {}
+    for i, cols in diff_raw.items():
+        rows = len(degrees.get(i + 1, []))
+        diff[i] = {t: {} for t in range(rows)}
+        for s, col_text in enumerate(cols):
+            entries = _parse_bracket_list(col_text)
+            if len(entries) != rows:
+                raise ParseError(f"d({i}) column {s} has wrong length")
+            for t, entry in enumerate(entries):
+                diff[i][t][s] = parse_poly(entry, names)
+    cx = FreeComplex(n, degrees, diff, weights if graded else None)
+    return name, cx, names
 
 
 @_group("serializer round-trips")
@@ -213,6 +369,48 @@ def check_shift_bracket():
         i = rng.choice([-2, -1, 1, 2])
         h = random_chain_map(rng, kz, rng.choice([0, 1]), rng.choice([0, 1]))
         yield hom_bracket(shift_map(h, i)) == shift_map(hom_bracket(h), i).scale((-1) ** (i % 2))
+
+
+def dual_basis_map(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
+    """The wedge of dual functionals for alpha as a map K^{-p} -> K^0.
+
+    Normalized so that the value on gf_alpha is (-1)^{binom(p,2)}, making
+    (-1)^{binom(p,2)} times this map the honest dual basis element.
+    """
+    alpha = tuple(sorted(alpha))
+    if any(not 1 <= i <= k.q for i in alpha) or len(set(alpha)) != len(alpha):
+        raise ValueError(f"bad index set {alpha}")
+    p = len(alpha)
+    deg, col = k.basis_position(alpha)
+    sign = Form.from_poly(Poly.const(k.n, (-1) ** comb(p, 2)))
+    return ChainMap(k.complex, k.complex, p, 0, {deg: {0: {col: sign}}})
+
+
+def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap:
+    """The functional -sum_i f_i . (dual wedge of {i} u alpha).
+
+    This is what the bracket of dual_basis_map(alpha) must reproduce; the
+    wedge gf^_i ^ gf^_alpha sorts with the usual alternating sign and dies
+    on repeated indices.
+    """
+    alpha = tuple(sorted(alpha))
+    total = None
+    for i in range(1, k.q + 1):
+        merged = _merge_indices((i,), alpha)
+        if merged is None:
+            continue
+        sign, bigger = merged
+        term = dual_basis_map(k, bigger).scale(-sign)
+        term = _scale_by_poly(term, k.ideal.polys[i - 1])
+        total = term if total is None else total + term
+    if total is None:
+        return ChainMap(k.complex, k.complex, len(alpha) + 1, 0, {})
+    return total
+
+
+def _scale_by_poly(u: ChainMap, p: Poly) -> ChainMap:
+    mats = u.entrywise(lambda f: f.mul_poly(p))
+    return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
 
 
 @_group("dual basis bracket is left multiplication")

@@ -42,21 +42,19 @@ from atkernel import linalg
 from atkernel.atiyah import atiyah_cocycle
 from atkernel.chaincore import (
     ChainMap,
-    GradedSolveReport,
     GradingError,
     ShapeError,
     _entrywise,
-    _form_of_terms,
     _product,
     _settle,
     compose,
     hom_bracket,
     identity_map,
-    internal_degree_layers,
     is_cocycle,
     monomials_of_weighted_degree,
     zero_map,
 )
+from atkernel.coboundary import GradedSolveReport, _form_of_terms, internal_degree_layers
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
@@ -653,7 +651,7 @@ def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
 
 
 def solve_products_oracle(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
-    """chaincore._solve_products as one system over every wedge index and
+    """coboundary._solve_products as one system over every wedge index and
     one right-hand side, not one elimination per distinct wedge-index block;
     both must return the same forms.
 

@@ -9,7 +9,7 @@ import time
 from atkernel.corpus import corpus_entries, normal_homs_for
 from atkernel.cousin import CousinElement, LocalizedForm, local_trace, omega_class
 from atkernel.integraldep import MonomialIdeal, closure_member, curvilinear_dim, dim_bound_check
-from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map
+from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.polyforms import Form, Poly, exterior_derivative, parse_poly
 from atkernel.selftest import (
     ALL_GROUPS,
@@ -28,6 +28,7 @@ from atkernel.selftest import (
     check_roundtrip,
     check_second_fundamental_form,
     check_shift_sign,
+    dual_basis_map,
     run_selftest,
 )
 from atkernel.semireg import chern_character, compare_semireg

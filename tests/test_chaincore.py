@@ -13,16 +13,11 @@ from atkernel.chaincore import (
     FreeComplex,
     GradingError,
     ShapeError,
-    complex_to_text,
     compose,
-    cone,
     hom_bracket,
     identity_map,
     is_cocycle,
     map_to_text,
-    parse_complex,
-    shift,
-    shift_map,
     solve_coboundary,
     zero_map,
     _product,
@@ -49,7 +44,15 @@ from atkernel.polyforms import (
     parse_form,
     parse_poly,
 )
-from atkernel.selftest import check_cone_identity, cone_homotopy
+from atkernel.selftest import (
+    check_cone_identity,
+    complex_to_text,
+    cone,
+    cone_homotopy,
+    parse_complex,
+    shift,
+    shift_map,
+)
 
 from oracles import (
     component_basis,
@@ -612,7 +615,7 @@ class TestSolveProductsOracle:
     def compare_into(module, monkeypatch):
         """Patch module's _solve_products to run both and record each
         answer; returns the list of answers."""
-        from atkernel.chaincore import _solve_products
+        from atkernel.coboundary import _solve_products
 
         answers = []
 
@@ -628,9 +631,9 @@ class TestSolveProductsOracle:
         return answers
 
     def test_corpus_coboundary_layers_at_every_form_degree(self, monkeypatch):
-        from atkernel import chaincore
+        from atkernel import coboundary
 
-        answers = self.compare_into(chaincore, monkeypatch)
+        answers = self.compare_into(coboundary, monkeypatch)
         rng = random.Random("solve-products")
         unsolvable = 0
         for entry in corpus_entries():
@@ -646,10 +649,10 @@ class TestSolveProductsOracle:
         assert len(answers) > 100 and answers.count(None) == unsolvable
 
     def test_cousin_systems_of_the_commutator_targets(self, monkeypatch):
-        from atkernel import cousin
+        from atkernel import coboundary, cousin
         from atkernel.selftest import commutator_class_targets
 
-        answers = self.compare_into(cousin, monkeypatch)
+        answers = self.compare_into(coboundary, monkeypatch)
         targets = [t for t in commutator_class_targets("commclass") if not t.is_zero()]
         for target in targets:
             assert cousin.cousin_coboundary_solve(target) is not None
@@ -658,12 +661,12 @@ class TestSolveProductsOracle:
     def test_weighted_ring_eliminates_its_blocks_separately(self, monkeypatch):
         """Over Q[x:1, y:2] the 1-forms dx and dy have weights 1 and 2, so
         their unknowns run over different monomials: two eliminations."""
-        from atkernel import chaincore
+        from atkernel import coboundary
 
         names = ("x", "y")
         kz = build_koszul(RegularSequenceIdeal(
             2, (parse_poly("x^2", names), parse_poly("y", names)), (1, 2)))
-        answers = self.compare_into(chaincore, monkeypatch)
+        answers = self.compare_into(coboundary, monkeypatch)
         solves = []
         original = linalg.solve
         monkeypatch.setattr(linalg, "solve",
@@ -677,7 +680,7 @@ class TestSolveProductsOracle:
 
     def test_right_hand_side_in_a_wedge_index_with_no_unknown(self, monkeypatch):
         """0 = b in the dy slot: unsolvable, and no elimination runs."""
-        from atkernel.chaincore import _solve_products
+        from atkernel.coboundary import _solve_products
 
         solves = []
         monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args))
@@ -699,7 +702,7 @@ class TestSolveProductsOracle:
         """A form-degree-1 bracket on x ; y ; z: its three wedge indices
         share one matrix, so each layer hands a third of the rows that the
         single system (828 rows over 3 layers) did."""
-        from atkernel import chaincore
+        from atkernel import coboundary
 
         parent_rows = 828
         names = ("x", "y", "z")
@@ -713,7 +716,7 @@ class TestSolveProductsOracle:
         assert solve_coboundary(c).solvable
         assert len(rows) == 3 and 3 * sum(rows) == parent_rows
         rows.clear()
-        monkeypatch.setattr(chaincore, "_solve_products", solve_products_oracle)
+        monkeypatch.setattr(coboundary, "_solve_products", solve_products_oracle)
         assert solve_coboundary(c).solvable
         assert len(rows) == 3 and sum(rows) == parent_rows
 

@@ -21,9 +21,9 @@ from atkernel.cousin import (
     omega_class,
     _lf_add,
 )
-from atkernel.koszul import RegularSequenceIdeal, build_koszul, dual_basis_map, index_sets
+from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
-from atkernel.selftest import commutator_class_targets
+from atkernel.selftest import commutator_class_targets, dual_basis_map
 from atkernel.semireg import chern_character, compare_semireg
 from oracles import (
     contract_cousin,

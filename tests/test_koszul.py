@@ -8,12 +8,11 @@ from atkernel.chaincore import FreeComplex, GradingError, hom_bracket, monomials
 from atkernel.koszul import (
     RegularSequenceIdeal,
     build_koszul,
-    dual_basis_map,
-    dual_left_multiplication,
     index_sets,
     verify_regular,
 )
 from atkernel.polyforms import Poly, parse_poly
+from atkernel.selftest import dual_basis_map, dual_left_multiplication
 from oracles import koszul_differential_oracle, regularity_scan_oracle
 
 X = ("x",)

@@ -1,8 +1,11 @@
 """Session parsing and the command-line surface, including exit codes."""
+import ast
+import hashlib
 import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -11,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from atkernel import groebner, koszul
-from atkernel.chaincore import parse_complex
 from atkernel.cli import _resolve_derivation, main
 from atkernel.polyforms import parse_poly, parse_ring
+from atkernel.selftest import parse_complex
 from atkernel.session import SessionError, parse_session
 
 SESSION = """\
@@ -194,6 +197,20 @@ class TestCLI:
         assert "u(0) = [[x1*dx0 - x0*dx1], [x2*dx0 - x0*dx2], [x2*dx1 - x1*dx2]];" in out.stdout
         assert out.stdout.endswith("sigma on generators: -id\nVERDICT: exact\n")
 
+    def test_sff_largest_euler_keeps_its_output(self):
+        # euler:10 has C(11, 2) = 55 generators, the most under the 64 cap
+        out = run_cli(["sff", "--preset", "euler:10"])
+        assert out.returncode == 0 and out.stdout.endswith("VERDICT: exact\n")
+        digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+        assert digest == "6e16b607fee7e1d34660a59ab79835c257c79a428112aad05a5ee20d53027803"
+
+    def test_obstruct_inline_derivation_matches_named(self, tmp_path):
+        session = SESSION.replace("der ddx = x: 1, y: 0", "der ddx = x: 1")
+        named = run_cli(["obstruct", "--seq", "Z", "--derivation", "ddx"], session, tmp_path)
+        inline = run_cli(["obstruct", "--seq", "Z", "--derivation", "x: 1"], session, tmp_path)
+        assert named.returncode == inline.returncode == 0
+        assert "VERDICT: exact" in named.stdout and inline.stdout == named.stdout
+
     def test_sff_ungraded_hypersurface(self):
         # x^2 + y^3 is not homogeneous for weights (1, 1); sigma is df
         out = run_cli(["sff", "--preset", "hypersurface:x^2+y^3"])
@@ -297,6 +314,22 @@ class TestExitCodes:
     def test_sff_euler_needs_positive_integer(self, n):
         out = run_cli(["sff", "--preset", f"euler:{n}"])
         assert out.returncode == 2 and out.stdout == ""
+
+    def test_huge_euler_is_refused_before_any_pair_is_built(self):
+        """euler:N builds C(N + 1, 2) generators, so the refusal comes first:
+        under a 10 s deadline and a 512 MB address-space limit."""
+        limit = 512 << 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "atkernel.cli", "sff", "--preset", "euler:99999999"],
+            capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: complex exceeds 64 total basis elements\n"
 
     def test_inline_derivation_literal(self, tmp_path):
         out = run_cli(
@@ -702,7 +735,95 @@ class TestImportSurface:
         assert not loaded & {"atkernel.semireg", "atkernel.cousin", "atkernel.integraldep",
                              *HEAVY_STDLIB}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"], ["semireg", "--hom", "phi"],
+         ["atk", "--seq", "Z", "--power", "1"], ["obstruct", "--seq", "Z", "--derivation", "ddx"]],
+    )
+    def test_session_commands_skip_the_solver(self, argv, tmp_path):
+        """No session command decides a coboundary, so none loads the solver."""
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        argv = [*argv, "--input", str(path)]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        assert "atkernel.chaincore" in loaded
+        assert not loaded & {"atkernel.coboundary", "atkernel.linalg"}
+
+    @pytest.mark.parametrize("preset", ["euler", "hypersurface:x^2"])
+    def test_sff_skips_the_solver_and_selftest(self, preset):
+        argv = ["sff", "--preset", preset]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        assert "atkernel.ladder" in loaded
+        assert not loaded & {"atkernel.coboundary", "atkernel.linalg", "atkernel.selftest"}
+
+    # the source lines of the library modules that a fresh `ch` process
+    # loads, and so compiles when it finds no bytecode cache; they were
+    # 3,041 while both coboundary decisions, shifts, cones, the complex
+    # text format and the dual basis maps sat in the modules `ch` imports
+    CH_LINES_BEFORE = 3041
+    CH_LINES = 2497
+
+    def test_ch_loads_at_most_its_line_budget(self, tmp_path):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        argv = ["ch", "--seq", "Z", "--input", str(path)]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        files = [SRC / "atkernel" / f"{(m.split('.')[1:] or ['__init__'])[0]}.py"
+                 for m in loaded if m.split(".")[0] == "atkernel"]
+        lines = sum(len(f.read_text().splitlines()) for f in files)
+        assert lines <= self.CH_LINES < self.CH_LINES_BEFORE
+
     def test_whole_library_loads_no_dataclasses(self):
         loaded = loaded_modules("import atkernel.selftest")
         assert "atkernel.semireg" in loaded and "atkernel.integraldep" in loaded
         assert not loaded & HEAVY_STDLIB
+
+
+# the library modules whose names the benchmark imports
+BENCHMARK_MODULES = ("atkernel.chaincore", "atkernel.cousin", "atkernel.atiyah", "atkernel.semireg")
+
+# decides, through the benchmark's names, a coboundary, a cocycle that is
+# not one (At on K(x, y)) and a Cousin class that is not zero (ch_2)
+DECIDE = """
+from atkernel.koszul import RegularSequenceIdeal, build_koszul
+from atkernel.polyforms import Form, Poly
+ideal = RegularSequenceIdeal(2, (Poly.variable(2, 0), Poly.variable(2, 1)), (1, 1))
+cx = build_koszul(ideal).complex
+h = ChainMap(cx, cx, 0, 1, {-1: {0: {0: Form(2, 1, {(1,): Poly.variable(2, 0)})}}})
+c = hom_bracket(h)
+report = solve_coboundary(c)
+assert not c.is_zero() and hom_bracket(report.witness) == c
+at = atiyah_power(atiyah_cocycle(cx), 1).chain_map
+print(report.solvable, solve_coboundary(at).solvable,
+      cousin_coboundary_solve(chern_character(ideal, ideal.q)))
+"""
+
+
+def benchmark_imports() -> dict[str, set[str]]:
+    """The names that perfbench/cases.py and perfbench/oracles.py import
+    from each of BENCHMARK_MODULES, wherever the import statement sits."""
+    names = {module: set() for module in BENCHMARK_MODULES}
+    for path in (ROOT / "perfbench" / "cases.py", ROOT / "perfbench" / "oracles.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in names:
+                names[node.module].update(alias.name for alias in node.names)
+    return names
+
+
+class TestBenchmarkImports:
+    """The benchmark imports library names from where they were when it was
+    written; they must stay there, each working."""
+
+    def test_names_import_and_decide_in_a_fresh_process(self):
+        names = benchmark_imports()
+        assert {"ChainMap", "compose", "hom_bracket", "monomials_of_weighted_degree",
+                "solve_coboundary"} <= names["atkernel.chaincore"]
+        assert {"cousin_coboundary_solve", "local_trace"} <= names["atkernel.cousin"]
+        assert {"atiyah_cocycle", "atiyah_power"} <= names["atkernel.atiyah"]
+        assert "chern_character" in names["atkernel.semireg"]
+        imports = "".join(f"from {module} import {', '.join(sorted(ns))}\n"
+                          for module, ns in names.items())
+        out = subprocess.run([sys.executable, "-c", imports + DECIDE], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "True False None\n"
