@@ -166,8 +166,8 @@ class FreeComplex:
         if self.var_weights is not None:
             if len(self.var_weights) != n or any(w < 1 for w in self.var_weights):
                 raise GradingError("variable weights must be positive, one per variable")
-        # the basis-connection Atiyah cocycle, built once by atiyah.atiyah_cocycle
-        self._basis_atiyah = None
+        # built once: atiyah.atiyah_cocycle's, coboundary._graded_block's
+        self._basis_atiyah, self._coboundary_blocks = None, {}
         if self.total_rank() > MAX_TOTAL_RANK:
             raise ShapeError(f"complex exceeds {MAX_TOTAL_RANK} total basis elements")
         labels = [b.label for bs in self.degrees.values() for b in bs]

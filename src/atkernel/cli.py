@@ -210,8 +210,12 @@ def _cmd_selftest(args) -> int:
 
 
 def _ascii_int(text: str) -> int:
+    from .polyforms import digit_excess
+
     if not re.fullmatch("-?[0-9]+", text):  # int() also takes '٢', '1_0' and spaces
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if excess := digit_excess(text):
+        raise argparse.ArgumentTypeError(f"invalid int value of {excess}")
     return int(text)
 
 

@@ -3,16 +3,34 @@ and cousin.cousin_coboundary_solve, and the only module that imports
 linalg.  Both load it on their first call, so a command that decides no
 coboundary does not.  Each internal degree of a graded map is one
 exact solve over Q, and so is a Cousin class's ideal-membership cofactors.
+
+Both solves are sums of products sign * poly * u_key, block-diagonal by
+wedge index.  A block's matrix depends only on the complexes, or the
+sequence, and a few degrees; the cocycle is only its right-hand side.  So
+each block is assembled and factored (linalg.Factorization) once, kept,
+and replayed on the right-hand sides of every later decision:
+
+- graded blocks on the source FreeComplex, in _coboundary_blocks, keyed
+  by the target complex by identity (equal but distinct complexes share
+  nothing), then by r_h and the degree e of the coefficients, for as long
+  as the complex lives;
+- Cousin blocks in a bounded lru_cache keyed by (sequence, m, top).
+
+A block keeps only what a solve reads: its unknowns, the row of each
+equation and the factorization, not the supports, product tables or
+assembled rows.  Pivot columns are the leftmost independent columns and
+free variables are zero, in any row order, so every solution and witness
+is the one that assembling and eliminating afresh gives.
 """
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from operator import add
 
 from . import linalg
-from .chaincore import (ChainMap, GradingError, ShapeError, _entrywise, hom_bracket, is_cocycle,
-                        monomials_of_weighted_degree, zero_map)
+from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, _entrywise, hom_bracket,
+                        is_cocycle, monomials_of_weighted_degree, zero_map)
 from .cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
 from .groebner import membership_excess
 from .polyforms import Form, Poly
@@ -56,65 +74,115 @@ def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
     }
 
 
-def _solve_products(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
-    """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
-    every slot, summed over the products (slot, key, poly, sign); each
-    (slot, key) pair occurs at most once.  supports maps a key to the
-    (idx, expt) terms its form may have; rhs maps slots to forms.  Returns
-    {key: form} for the nonzero unknowns of the one particular solution,
-    or None when there is none.
+class _Block:
+    """One factored block of a products system: its unknowns, as runs
+    (key, expts) of the exponents that key's unknowns run over, the row of
+    each equation (slot, expt), and its factored matrix."""
 
-    A product multiplies a form by a polynomial, so the system is
-    block-diagonal by wedge index.  Wedge indices whose unknowns run over
-    the same (key, expt) sequence share one matrix, eliminated once with a
-    right-hand side per index.  The pivots of a block-diagonal matrix are
-    its blocks' pivots, so the solution is that of the whole system.
-    """
-    unknowns: dict[tuple, list] = {}  # wedge index -> its (key, expt), in supports order
-    for key, terms in supports.items():
-        for idx, expt in terms:
-            unknowns.setdefault(idx, []).append((key, expt))
-    values: dict[tuple, dict] = {}  # wedge index -> {(slot, expt): q}
-    for slot, form in rhs.items():
-        for idx, coeff in form.terms.items():
-            if idx not in unknowns:
-                return None
-            values.setdefault(idx, {}).update(((slot, e), q) for e, q in coeff.terms.items())
-    blocks: dict[tuple, list] = {}
-    for idx in values:
-        blocks.setdefault(tuple(unknowns[idx]), []).append(idx)
-    factors: dict = {}  # key -> [(slot, signed terms of poly)]
-    for slot, key, poly, sign in products:
-        factors.setdefault(key, []).append((slot, [(e, sign * q) for e, q in poly.terms.items()]))
-    solved = {}
-    for block, idxs in blocks.items():
+    __slots__ = ("unknowns", "rows", "factored")
+
+    def __init__(self, unknowns: tuple, products: dict):
+        """unknowns lists the runs of one wedge index's unknowns; products
+        maps a key to its (slot, poly, sign)."""
         # one Q-linear equation per (slot, expt); one product's terms give
         # distinct equations, so each entry is set once
         rows: dict[tuple, linalg.Row] = {}
-        for vi, (key, expt) in enumerate(block):
-            for slot, terms in factors.get(key, ()):
-                for e2, q in terms:
-                    rows.setdefault((slot, tuple(map(add, expt, e2))), {})[vi] = q
-        if any(e not in rows for idx in idxs for e in values[idx]):
-            return None  # an equation that no unknown reaches: 0 = q
-        solution = linalg.solve(list(rows.values()),
-                                [[values[idx].get(e, 0) for e in rows] for idx in idxs], len(block))
-        if solution is None:
+        vi = 0
+        for key, expts in unknowns:
+            factors = products.get(key, ())
+            for expt in expts:
+                for slot, poly, sign in factors:
+                    for e2, q in poly.terms.items():
+                        rows.setdefault((slot, tuple(map(add, expt, e2))), {})[vi] = sign * q
+                vi += 1
+        self.unknowns = unknowns
+        self.rows = dict(zip(rows, itertools.count()))
+        self.factored = linalg.Factorization(list(rows.values()), vi)
+
+
+def _solve_products(block_of, rhs: dict, n: int, k: int) -> dict | None:
+    """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
+    every slot, summed over products (slot, key, poly, sign), rhs mapping
+    slots to forms.  Returns {key: form} for the nonzero unknowns of the
+    one particular solution, keys in sorted order, or None when there is
+    none.
+
+    A product multiplies a form by a polynomial, so the system is
+    block-diagonal by wedge index, and block_of(idx) is the factored block
+    of wedge index idx.  Each block that rhs meets replays its
+    factorization on one right-hand side per wedge index; wedge indices
+    that rhs does not meet have the zero solution.  The pivots of a
+    block-diagonal matrix are its blocks' pivots, so the solution is that
+    of the whole system.  A right-hand side in an equation that no unknown
+    reaches is 0 = q, and the answer is None with nothing replayed.
+    """
+    vectors: dict[tuple, tuple] = {}  # wedge index -> (its block, right-hand side)
+    for slot, form in rhs.items():
+        for idx, coeff in form.terms.items():
+            entry = vectors.get(idx)
+            if entry is None:
+                block = block_of(idx)
+                entry = vectors[idx] = (block, [0] * len(block.rows))
+            block, b = entry
+            for e, q in coeff.terms.items():
+                r = block.rows.get((slot, e))
+                if r is None:
+                    return None
+                b[r] = q
+    columns: dict[_Block, list] = {}  # block -> the wedge indices it solves
+    for idx, (block, _) in vectors.items():
+        columns.setdefault(block, []).append(idx)
+    solved = {}
+    for block, idxs in columns.items():
+        solutions = block.factored.solve([vectors[idx][1] for idx in idxs])
+        if solutions is None:
             return None
-        solved.update(zip(idxs, map(iter, solution)))
-    out = {}
-    for key, terms in supports.items():
-        acc: dict = {}
-        for idx, expt in terms:
-            if idx in solved and (v := next(solved[idx])):
-                acc.setdefault(idx, {})[expt] = v
-        if acc:
-            out[key] = _form_of_terms(n, k, acc)
-    return out
+        solved.update(zip(idxs, solutions))
+    acc: dict = {}  # key -> {idx: {expt: value}}
+    for idx in sorted(solved):
+        x = iter(solved[idx])
+        for key, expts in vectors[idx][0].unknowns:
+            for expt, v in zip(expts, x):
+                if v:
+                    acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
+    return {key: _form_of_terms(n, k, acc[key]) for key in sorted(acc)}
+
+
+def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e: int) -> _Block:
+    """The factored block of the degree-r_h maps h from src to tgt whose
+    entries from basis element s to t have coefficients of weighted degree
+    weight(s) - weight(t) + e, and whose bracket [d,h] is the right-hand
+    side.  A k-form entry of internal degree d in wedge index idx has
+    e = d - weight(idx), so every form degree and internal degree with the
+    same e shares it.  blocks is src's cache for tgt, keyed (r_h, e)."""
+    block = blocks.get((r_h, e))
+    if block is not None:
+        return block
+    n, weights = src.n, src.var_weights
+    unknowns = tuple(((i, t, s), expts)
+                     for i in src.support()
+                     for t, tbe in enumerate(tgt.basis(i + r_h))
+                     for s, sbe in enumerate(src.basis(i))
+                     if (expts := monomials_of_weighted_degree(n, weights,
+                                                               sbe.weight - tbe.weight + e)))
+    # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
+    # column m of the target differential and row s of the source one
+    columns: dict[tuple, list] = {}
+    for j, t, m, p in tgt.nonzeros():
+        columns.setdefault((j - r_h, m), []).append((t, p))
+    sign = -((-1) ** (r_h % 2))
+    products = {}
+    for (i, t, s), _ in unknowns:
+        products[i, t, s] = [((i, row, s), p, 1) for row, p in columns.get((i, t), ())]
+        for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
+            products[i, t, s].append(((i - 1, t, col), p, sign))
+    block = blocks[r_h, e] = _Block(unknowns, products)
+    return block
 
 
 def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
-    """chaincore.solve_coboundary: one _solve_products per internal degree of c."""
+    """chaincore.solve_coboundary: one _solve_products per internal degree
+    of c, on the blocks that src keeps for tgt."""
     src, tgt = c.source, c.target
     if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
         raise GradingError("solve_coboundary requires graded complexes")
@@ -122,38 +190,19 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
         raise ShapeError("solve_coboundary requires a cocycle input")
     r_h = c.degree - 1
     k = c.form_degree
-    n = src.n
-    weights = src.var_weights
     if c.is_zero():
         return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
-    # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
-    # column m of the target differential and row s of the source one
-    columns: dict[tuple, list] = {}
-    for j, t, m, p in tgt.nonzeros():
-        columns.setdefault((j - r_h, m), []).append((t, p))
-    sign = -((-1) ** (r_h % 2))
-    idx_weights = [(idx, sum(weights[j] for j in idx))
-                   for idx in itertools.combinations(range(n), k)]
+    weights = src.var_weights
+    # holding tgt keeps its id from being reused while src lives
+    blocks = src._coboundary_blocks.setdefault(id(tgt), (tgt, {}))[1]
     mats: dict[int, dict] = {}
     for d_internal, layer in sorted(internal_degree_layers(c).items()):
-        supports = {}
-        for i in src.support():
-            for t, tbe in enumerate(tgt.basis(i + r_h)):
-                for s, sbe in enumerate(src.basis(i)):
-                    entry_deg = sbe.weight - tbe.weight + d_internal
-                    terms = [(idx, expt) for idx, w in idx_weights
-                             for expt in monomials_of_weighted_degree(n, weights, entry_deg - w)]
-                    if terms:
-                        supports[(i, t, s)] = terms
-        products = []
-        for key in supports:
-            i, t, s = key
-            for row, p in columns.get((i, t), ()):
-                products.append(((i, row, s), key, p, 1))
-            for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
-                products.append(((i - 1, t, col), key, p, sign))
         rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
-        solved = _solve_products(supports, products, rhs, n, k)
+
+        def block_of(idx, d=d_internal):
+            return _graded_block(blocks, src, tgt, r_h, d - sum(weights[j] for j in idx))
+
+        solved = _solve_products(block_of, rhs, src.n, k)
         if solved is None:
             return GradedSolveReport(False, None)
         # layers have distinct internal degrees, so their terms never cancel
@@ -166,6 +215,24 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
     return GradedSolveReport(True, witness)
 
 
+@lru_cache(maxsize=64)
+def _cousin_block(seq: tuple[Poly, ...], m: int, top: int) -> _Block:
+    """The factored block of the cofactors num_i of degree at most top with
+    sum_i -(-1)^{i-1} num_i * f_i^m = num, for f = seq.  Every wedge index
+    of every form degree has these unknowns, so the one block serves every
+    num.  The last 64 distinct (seq, m, top) are kept."""
+    n = seq[0].n
+    fpows = [f ** m for f in seq]
+    units = (1,) * n
+    unknowns = tuple((i, monomials_of_weighted_degree(n, units, d))
+                     for i, fpow in enumerate(fpows, 1)
+                     for d in range(top - fpow.total_degree() + 1))
+    full = tuple(range(1, len(seq) + 1))
+    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
+    return _Block(unknowns, {i: [(full, fpow, -((-1) ** (i - 1)))]
+                             for i, fpow in enumerate(fpows, 1)})
+
+
 def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     """cousin.cousin_coboundary_solve.  The sequence must be regular, as the
     regularity guard proves before every command.  Then num / f_full^m is a
@@ -173,7 +240,8 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     (f_1^m, ..., f_q^m), for the target's own m: the transition maps of
     H^q_I = lim H^q(f^m) are injective (Bruns-Herzog 3.5).  A member's
     cofactors num_i, the numerators of b at full-minus-i, come from one
-    linear solve in the degrees that the Groebner basis bounds.
+    linear solve in the degrees that the Groebner basis bounds, on the
+    block that _cousin_block keeps.
     """
     q, n = target.q, target.n
     if target.degree != q or q == 0:
@@ -183,22 +251,12 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     if lf is None:
         return cousin_zero(n, target.seq, q - 1)
     num, m = lf.num, lf.m
-    fpows = [f ** m for f in target.seq]
-    excess = membership_excess(fpows, num.terms.values())
+    excess = membership_excess([f ** m for f in target.seq], num.terms.values())
     if excess is None:
         return None
     top = max(c.total_degree() for c in num.terms.values()) + excess
-    units = (1,) * n
-    supports = {
-        i: [(idx, e)
-            for d in range(top - fpow.total_degree() + 1)
-            for e in monomials_of_weighted_degree(n, units, d)
-            for idx in num.terms]
-        for i, fpow in enumerate(fpows, 1)
-    }
-    # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
-    products = [(full, i, fpow, -((-1) ** (i - 1))) for i, fpow in enumerate(fpows, 1)]
-    nums = _solve_products(supports, products, {full: num}, n, num.degree)
+    block = _cousin_block(target.seq, m, top)
+    nums = _solve_products(lambda idx: block, {full: num}, n, num.degree)
     if nums is None:
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
     witness = CousinElement(n, target.seq, q - 1, {

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .chaincore import ChainMap, ShapeError, _coboundary
-from .koszul import KoszulComplex, RegularSequenceIdeal, index_sets
+from .koszul import KoszulComplex, index_sets
 from .polyforms import (
     Form,
     Poly,
@@ -150,15 +150,6 @@ def cousin_differential(c: CousinElement) -> CousinElement:
             else:
                 out[bigger] = lifted
     return CousinElement(c.n, c.seq, c.degree + 1, out)
-
-
-def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
-    """The top-degree class delta f_1/f_1 ^ ... ^ delta f_q/f_q."""
-    full = tuple(range(1, ideal.q + 1))
-    one = Form.from_poly(Poly.one(ideal.n))
-    return CousinElement(
-        ideal.n, ideal.polys, ideal.q, {full: LocalizedForm(one, 1)}
-    )
 
 
 @lru_cache(maxsize=None)

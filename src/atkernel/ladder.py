@@ -16,8 +16,8 @@ from .atiyah import atiyah_cocycle
 from .chaincore import (MAX_TOTAL_RANK, BasisElement, ChainMap, FreeComplex, ShapeError, compose,
                         map_to_text)
 from .koszul import RegularSequenceIdeal, build_koszul
-from .polyforms import (MAX_ARITY, ArityError, Form, Poly, exterior_derivative, parse_poly,
-                        variable_names, wedge)
+from .polyforms import (MAX_ARITY, ArityError, Form, Poly, digit_excess, exterior_derivative,
+                        parse_poly, variable_names, wedge)
 
 
 def _free_module(n: int, labels: Sequence[str], var_weights=None, weights=None) -> FreeComplex:
@@ -224,6 +224,8 @@ def sff_preset(preset: str) -> tuple[list[str], bool]:
         n_proj = 1
         if ":" in preset:
             text = preset.split(":", 1)[1]
+            if excess := digit_excess(text):
+                raise ValueError(f"euler needs a positive integer n, got one of {excess}")
             if not (text.isascii() and text.isdigit()) or int(text) < 1:
                 raise ValueError(f"euler needs a positive integer n, got {text!r}")
             n_proj = int(text)

@@ -12,6 +12,8 @@ variable order fixed by the ring declaration.
 """
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -488,15 +490,6 @@ def exterior_derivative(f: Poly) -> Form:
     return Form._raw(f.n, 1, terms)
 
 
-def form_d(w: Form) -> Form:
-    """Wedge-extended exterior derivative on forms."""
-    out = Form.zero(w.n, min(w.degree + 1, w.n))
-    for idx, coeff in w.terms.items():
-        dcoeff = exterior_derivative(coeff)
-        out = out + wedge(dcoeff, Form(w.n, w.degree, {idx: Poly.one(w.n)}))
-    return out
-
-
 def contract_form(values: Sequence[Poly], w: Form) -> Form:
     """Interior product against the derivation x_i -> values[i].
 
@@ -575,6 +568,13 @@ class _Tok:
         self.col = col
 
 
+def digit_excess(text: str) -> str:
+    """Why int() refuses text's longest run of ASCII digits, or '' if it does not."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    longest = max(map(len, re.findall("[0-9]+", text)), default=0)
+    return f"{longest} digits, more than {limit}" if 0 < limit < longest else ""
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
     line, col = 1, 1
@@ -594,6 +594,8 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if excess := digit_excess(text[i:j]):
+                raise ParseError(f"integer of {excess}", line, col)
             toks.append(_Tok("num", text[i:j], line, col))
             col += j - i
             i = j

@@ -1,6 +1,7 @@
 """Randomized and corpus-wide invariant checks behind `atk selftest` and
 the acceptance suite, and what only they use: shifts, mapping cones, the
-text format for complexes and the Koszul dual basis maps.
+text format for complexes, the Koszul dual basis maps, the exterior
+derivative of forms and the canonical class omega.
 
 Each group is a generator that yields one verdict, a bool, per case.
 `_group` registers it in ALL_GROUPS in definition order, which is the
@@ -54,7 +55,6 @@ from .cousin import (
     cousin_coboundary_solve,
     cousin_differential,
     local_trace,
-    omega_class,
 )
 from .integraldep import MonomialIdeal, closure_member, curvilinear_dim, dim_bound_check
 from .koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
@@ -71,8 +71,8 @@ from .polyforms import (
     Poly,
     _merge_indices,
     default_names,
+    digit_excess,
     exterior_derivative,
-    form_d,
     form_to_text,
     parse_form,
     parse_poly,
@@ -103,6 +103,15 @@ def _group(name: str):
         return group
 
     return register
+
+
+def form_d(w: Form) -> Form:
+    """Wedge-extended exterior derivative on forms."""
+    out = Form.zero(w.n, min(w.degree + 1, w.n))
+    for idx, coeff in w.terms.items():
+        dcoeff = exterior_derivative(coeff)
+        out = out + wedge(dcoeff, Form(w.n, w.degree, {idx: Poly.one(w.n)}))
+    return out
 
 
 @_group("d squared is zero")
@@ -272,6 +281,8 @@ def _parse_bracket_list(text: str) -> list[str]:
 
 
 def _item_int(text: str, item: str) -> int:
+    if excess := digit_excess(text):
+        raise ParseError(f"expected an integer, got one of {excess}")
     if not re.fullmatch(r"\s*-?[0-9]+\s*", text):  # int() also takes '١' and '1_0'
         raise ParseError(f"expected an integer, got {text.strip()!r} in item {item!r}")
     return int(text)
@@ -422,6 +433,15 @@ def check_dual_basis_bracket():
         for p in range(0, kz.q):
             for alpha in index_sets(kz.q, p):
                 yield hom_bracket(dual_basis_map(kz, alpha)) == dual_left_multiplication(kz, alpha)
+
+
+def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
+    """The top-degree class delta f_1/f_1 ^ ... ^ delta f_q/f_q."""
+    full = tuple(range(1, ideal.q + 1))
+    one = Form.from_poly(Poly.one(ideal.n))
+    return CousinElement(
+        ideal.n, ideal.polys, ideal.q, {full: LocalizedForm(one, 1)}
+    )
 
 
 @_group("top dual map traces to the canonical class")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .atiyah import DerivationSpec
 from .chaincore import GradingError
 from .koszul import NormalHom, RegularSequenceIdeal
-from .polyforms import ParseError, Poly, parse_poly, parse_ring
+from .polyforms import ParseError, Poly, digit_excess, parse_poly, parse_ring
 
 
 class SessionError(ValueError):
@@ -83,6 +83,8 @@ def parse_session(text: str) -> SessionFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if excess := digit_excess(line):
+            raise SessionError(f"integer of {excess}", lineno)
         head, _, rest = line.partition(" ")
         if head == "ring":
             if session.var_names:

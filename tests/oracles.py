@@ -17,8 +17,9 @@ the Hom-complex bracket wedges the differentials wrapped as degree-0
 forms, not multiplied by their Poly entries, Hom-complex coboundaries
 are solved from equations assembled one target entry at a time, not
 from the differentials' stored nonzeros, the products behind both
-coboundary decisions are solved as one system over all wedge indices, not
-one elimination per distinct wedge-index block,
+coboundary decisions are assembled afresh for each call and solved as one
+system over all wedge indices, not replayed on a factored block per
+distinct wedge-index block that the complex or the sequence keeps,
 and the extension ladder's sigma, delta'' and verdict are summed entry
 by entry over dense rows, not composed as chain maps.
 
@@ -56,6 +57,7 @@ from atkernel.chaincore import (
 )
 from atkernel.coboundary import GradedSolveReport, _form_of_terms, internal_degree_layers
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
+from atkernel.groebner import membership_excess
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
@@ -652,7 +654,7 @@ def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
 
 def solve_products_oracle(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
     """coboundary._solve_products as one system over every wedge index and
-    one right-hand side, not one elimination per distinct wedge-index block;
+    one right-hand side, not a factored block replayed per wedge index;
     both must return the same forms.
 
     Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
@@ -695,6 +697,70 @@ def solve_products_oracle(supports: dict, products, rhs: dict, n: int, k: int) -
         if acc:
             out[key] = _form_of_terms(n, k, acc)
     return out
+
+
+def graded_products_oracle(c: ChainMap) -> list:
+    """coboundary._solve_coboundary's per-layer answers, from the systems
+    that the solver assembled afresh on every call before it kept factored
+    blocks: the supports of every (i, t, s) over every wedge index of form
+    degree k, and the products of both differentials, solved by
+    solve_products_oracle.  One answer per internal degree, in increasing
+    order, up to the first None."""
+    src, tgt = c.source, c.target
+    r_h, k, n, weights = c.degree - 1, c.form_degree, src.n, src.var_weights
+    columns: dict[tuple, list] = {}
+    for j, t, m, p in tgt.nonzeros():
+        columns.setdefault((j - r_h, m), []).append((t, p))
+    sign = -((-1) ** (r_h % 2))
+    idx_weights = [(idx, sum(weights[j] for j in idx))
+                   for idx in itertools.combinations(range(n), k)]
+    answers = []
+    for d_internal, layer in sorted(internal_degree_layers(c).items()):
+        supports = {}
+        for i in src.support():
+            for t, tbe in enumerate(tgt.basis(i + r_h)):
+                for s, sbe in enumerate(src.basis(i)):
+                    entry_deg = sbe.weight - tbe.weight + d_internal
+                    terms = [(idx, expt) for idx, w in idx_weights
+                             for expt in monomials_of_weighted_degree(n, weights, entry_deg - w)]
+                    if terms:
+                        supports[(i, t, s)] = terms
+        products = []
+        for key in supports:
+            i, t, s = key
+            for row, p in columns.get((i, t), ()):
+                products.append(((i, row, s), key, p, 1))
+            for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
+                products.append(((i - 1, t, col), key, p, sign))
+        rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
+        answers.append(solve_products_oracle(supports, products, rhs, n, k))
+        if answers[-1] is None:
+            break
+    return answers
+
+
+def cousin_products_oracle(target: CousinElement) -> dict | None:
+    """coboundary._solve_cousin_coboundary's cofactors {i: num_i} of a
+    member target, from the system that the decision assembled afresh on
+    every call before it kept factored blocks: supports over the wedge
+    indices of the target's numerator only, solved by
+    solve_products_oracle."""
+    q, n = target.q, target.n
+    full = tuple(range(1, q + 1))
+    num, m = target.entries[full].num, target.entries[full].m
+    fpows = [f ** m for f in target.seq]
+    top = (max(c.total_degree() for c in num.terms.values())
+           + membership_excess(fpows, num.terms.values()))
+    units = (1,) * n
+    supports = {
+        i: [(idx, e)
+            for d in range(top - fpow.total_degree() + 1)
+            for e in monomials_of_weighted_degree(n, units, d)
+            for idx in num.terms]
+        for i, fpow in enumerate(fpows, 1)
+    }
+    products = [(full, i, fpow, -((-1) ** (i - 1))) for i, fpow in enumerate(fpows, 1)]
+    return solve_products_oracle(supports, products, {full: num}, n, num.degree)
 
 
 def differential_map(c):

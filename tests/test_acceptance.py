@@ -7,7 +7,7 @@ import random
 import time
 
 from atkernel.corpus import corpus_entries, normal_homs_for
-from atkernel.cousin import CousinElement, LocalizedForm, local_trace, omega_class
+from atkernel.cousin import CousinElement, LocalizedForm, local_trace
 from atkernel.integraldep import MonomialIdeal, closure_member, curvilinear_dim, dim_bound_check
 from atkernel.koszul import RegularSequenceIdeal, build_koszul
 from atkernel.polyforms import Form, Poly, exterior_derivative, parse_poly
@@ -29,6 +29,7 @@ from atkernel.selftest import (
     check_second_fundamental_form,
     check_shift_sign,
     dual_basis_map,
+    omega_class,
     run_selftest,
 )
 from atkernel.semireg import chern_character, compare_semireg

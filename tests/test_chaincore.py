@@ -58,9 +58,11 @@ from oracles import (
     component_basis,
     component_matrix,
     component_matrix_oracle,
+    cousin_products_oracle,
     dense,
     differential_map,
     fraction_map,
+    graded_products_oracle,
     hom_bracket_oracle,
     homology_rank,
     poly_matmul_oracle,
@@ -607,118 +609,251 @@ class TestWitnessOracle:
 
 
 class TestSolveProductsOracle:
-    """_solve_products, one elimination per distinct wedge-index block,
-    against the single system over every wedge index that it replaced: the
-    same forms, in the same order, or None from both."""
+    """_solve_products, on factored blocks that are kept and replayed per
+    wedge index, against the system assembled afresh over every wedge
+    index that it replaced: the same forms, in the same order, or None
+    from both."""
 
     @staticmethod
-    def compare_into(module, monkeypatch):
-        """Patch module's _solve_products to run both and record each
-        answer; returns the list of answers."""
-        from atkernel.coboundary import _solve_products
-
-        answers = []
-
-        def compared(supports, products, rhs, n, k):
-            got = _solve_products(supports, products, rhs, n, k)
-            want = solve_products_oracle(supports, products, rhs, n, k)
-            assert got == want
-            assert got is None or list(got) == list(want)
-            answers.append(got)
-            return got
-
-        monkeypatch.setattr(module, "_solve_products", compared)
-        return answers
-
-    def test_corpus_coboundary_layers_at_every_form_degree(self, monkeypatch):
+    def record(monkeypatch):
+        """Record every answer of coboundary._solve_products, in order."""
         from atkernel import coboundary
 
-        answers = self.compare_into(coboundary, monkeypatch)
+        solve = coboundary._solve_products
+        answers = []
+
+        def recorded(*args):
+            answers.append(solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(coboundary, "_solve_products", recorded)
+        return answers
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want
+        assert [a is None or list(a) for a in got] == [a is None or list(a) for a in want]
+
+    def test_corpus_coboundary_layers_at_every_form_degree(self, monkeypatch):
+        answers = self.record(monkeypatch)
         rng = random.Random("solve-products")
-        unsolvable = 0
+        unsolvable = total = nones = 0
+
+        def solve(c):
+            nonlocal total, nones
+            answers.clear()
+            report = solve_coboundary(c)
+            self.assert_same(answers, graded_products_oracle(c))
+            total += len(answers)
+            nones += answers.count(None)
+            return report.solvable
+
         for entry in corpus_entries():
             kz = build_koszul(entry.ideal)
             at = atiyah_cocycle(kz.complex)
             for fd in range(kz.n + 1):
                 for degree in (-1, 0, 1):
-                    c = hom_bracket(random_chain_map(rng, kz, degree, fd))
-                    assert solve_coboundary(c).solvable
+                    assert solve(hom_bracket(random_chain_map(rng, kz, degree, fd)))
                 if 1 <= fd <= kz.q:
-                    unsolvable += not solve_coboundary(atiyah_power(at, fd).chain_map).solvable
+                    unsolvable += not solve(atiyah_power(at, fd).chain_map)
         assert unsolvable == sum(entry.ideal.q for entry in corpus_entries())
-        assert len(answers) > 100 and answers.count(None) == unsolvable
+        assert total > 100 and nones == unsolvable
 
     def test_cousin_systems_of_the_commutator_targets(self, monkeypatch):
-        from atkernel import coboundary, cousin
+        from atkernel import cousin
         from atkernel.selftest import commutator_class_targets
 
-        answers = self.compare_into(coboundary, monkeypatch)
+        answers = self.record(monkeypatch)
         targets = [t for t in commutator_class_targets("commclass") if not t.is_zero()]
         for target in targets:
             assert cousin.cousin_coboundary_solve(target) is not None
-        assert len(answers) == len(targets) > 0
+        self.assert_same(answers, [cousin_products_oracle(t) for t in targets])
+        assert len(targets) > 0
 
     def test_weighted_ring_eliminates_its_blocks_separately(self, monkeypatch):
         """Over Q[x:1, y:2] the 1-forms dx and dy have weights 1 and 2, so
-        their unknowns run over different monomials: two eliminations."""
-        from atkernel import coboundary
+        in one internal degree d their unknowns run over monomials of
+        degrees d - 1 and d - 2: two blocks.  On a fresh complex each
+        distinct degree is eliminated once, and some layer meets both."""
+        from atkernel.coboundary import internal_degree_layers
 
-        names = ("x", "y")
-        kz = build_koszul(RegularSequenceIdeal(
-            2, (parse_poly("x^2", names), parse_poly("y", names)), (1, 2)))
-        answers = self.compare_into(coboundary, monkeypatch)
-        solves = []
-        original = linalg.solve
-        monkeypatch.setattr(linalg, "solve",
-                            lambda rows, rhs, ncols: solves.append(len(answers)) or
-                            original(rows, rhs, ncols))
+        names, weights = ("x", "y"), (1, 2)
+        answers = self.record(monkeypatch)
+        eliminations = []
+        original = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon",
+                            lambda rows: eliminations.append(len(rows)) or original(rows))
         rng = random.Random(3)
+        two_blocks = 0
         for _ in range(5):
-            assert solve_coboundary(hom_bracket(random_chain_map(rng, kz, 0, 1))).solvable
-        # solves[j] == a counts a solve made during the (a + 1)-th call
-        assert any(solves.count(a) == 2 for a in range(len(answers)))
+            kz = build_koszul(RegularSequenceIdeal(
+                2, (parse_poly("x^2", names), parse_poly("y", names)), weights))
+            c = hom_bracket(random_chain_map(rng, kz, 0, 1))
+            answers.clear()
+            eliminations.clear()
+            assert solve_coboundary(c).solvable
+            degrees = [{d - weights[j] for _, _, _, f in layer.nonzeros() for (j,) in f.terms}
+                       for d, layer in internal_degree_layers(c).items()]
+            assert len(eliminations) == len(set().union(*degrees))
+            two_blocks += any(len(ds) == 2 for ds in degrees)
+            self.assert_same(answers, graded_products_oracle(c))
+        assert two_blocks > 0
 
     def test_right_hand_side_in_a_wedge_index_with_no_unknown(self, monkeypatch):
-        """0 = b in the dy slot: unsolvable, and no elimination runs."""
-        from atkernel.coboundary import _solve_products
+        """0 = b in the dy slot: unsolvable, and no right-hand side is replayed."""
+        from atkernel.coboundary import _Block, _solve_products
 
-        solves = []
-        monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args))
         x = parse_poly("x", XY)
+        block = _Block((("u", ((0, 0), (1, 0))),), {"u": [("slot", x, 1)]})
+        empty = _Block((), {"u": [("slot", x, 1)]})
+        blocks = {(0,): block, (1,): empty}.__getitem__
+        replays = []
+        monkeypatch.setattr(linalg.Factorization, "solve", lambda *args: replays.append(args))
+        rhs = {"slot": parse_form("x*dx + y*dy", XY)}
+        assert _solve_products(blocks, rhs, 2, 1) is None
+        assert replays == []
+        monkeypatch.undo()
         supports = {"u": [((0,), (0, 0)), ((0,), (1, 0))]}
         products = [("slot", "u", x, 1)]
-        rhs = {"slot": parse_form("x*dx + y*dy", XY)}
-        assert _solve_products(supports, products, rhs, 2, 1) is None
-        assert solves == []
-        monkeypatch.undo()
         assert solve_products_oracle(supports, products, rhs, 2, 1) is None
         # without the dy term the system is solvable, with u = dx
         rhs = {"slot": parse_form("x*dx", XY)}
         want = {"u": parse_form("dx", XY)}
-        assert _solve_products(supports, products, rhs, 2, 1) == want
+        assert _solve_products(blocks, rhs, 2, 1) == want
         assert solve_products_oracle(supports, products, rhs, 2, 1) == want
 
     def test_rows_per_elimination_are_one_wedge_index(self, monkeypatch):
         """A form-degree-1 bracket on x ; y ; z: its three wedge indices
-        share one matrix, so each layer hands a third of the rows that the
-        single system (828 rows over 3 layers) did."""
-        from atkernel import coboundary
-
+        share one matrix, so each layer factors a third of the rows that the
+        single system (828 rows over 3 layers) did.  The bracket is on a
+        fresh complex, so no block is factored before it."""
         parent_rows = 828
         names = ("x", "y", "z")
-        kz = build_koszul(RegularSequenceIdeal(
-            3, tuple(parse_poly(v, names) for v in names), (1, 1, 1)))
-        c = hom_bracket(random_chain_map(random.Random(7), kz, 0, 1))
+        ideal = RegularSequenceIdeal(3, tuple(parse_poly(v, names) for v in names), (1, 1, 1))
+        c = hom_bracket(random_chain_map(random.Random(7), build_koszul(ideal), 0, 1))
         rows = []
-        original = linalg.solve
-        monkeypatch.setattr(linalg, "solve",
-                            lambda r, rhs, ncols: rows.append(len(r)) or original(r, rhs, ncols))
+        original = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda r: rows.append(len(r)) or original(r))
         assert solve_coboundary(c).solvable
         assert len(rows) == 3 and 3 * sum(rows) == parent_rows
         rows.clear()
-        monkeypatch.setattr(coboundary, "_solve_products", solve_products_oracle)
-        assert solve_coboundary(c).solvable
+        assert all(graded_products_oracle(c))
         assert len(rows) == 3 and sum(rows) == parent_rows
+
+
+class TestKeptBlocks:
+    """A complex keeps the factored blocks of the maps out of it, keyed by
+    the target (by identity), r_h and the coefficients' degree; the
+    Cousin decision keeps its blocks by (sequence, m, top)."""
+
+    @staticmethod
+    def count_eliminations(monkeypatch) -> list:
+        rows = []
+        original = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda r: rows.append(len(r)) or original(r))
+        return rows
+
+    def test_second_cocycle_in_the_same_degrees_factors_nothing_new(self, monkeypatch):
+        from atkernel.coboundary import internal_degree_layers
+
+        eliminations = self.count_eliminations(monkeypatch)
+        kz = build_koszul(corpus_entries()[3].ideal)  # the cone x^2 - y*z ; y^2 - x*z
+        first = hom_bracket(random_chain_map(random.Random(11), kz, 0, 1))
+        assert solve_coboundary(first).solvable and eliminations
+        # each internal degree scaled by its own factor: another coboundary
+        # with the same layers, and not a multiple of the first
+        layers = sorted(internal_degree_layers(first).items())
+        assert len(layers) >= 2
+        second = layers[0][1].scale(2)
+        for d, layer in layers[1:]:
+            second = second + layer.scale(d + 3)
+        assert second != first.scale(2)
+        eliminations.clear()
+        report = solve_coboundary(second)
+        assert report.solvable and eliminations == []
+        want = solve_coboundary_oracle(second)
+        assert report.witness == want.witness
+        assert map_to_text(report.witness, "h") == map_to_text(want.witness, "h")
+
+    def test_one_source_with_two_targets_keeps_two_entries(self):
+        f, src, tgt = functoriality_pairs()[2]  # x*y ; z^2 -> x*y ; z
+        at_src, at_tgt = atiyah_cocycle(src.complex), atiyah_cocycle(tgt.complex)
+        across = compose(f, at_src.chain_map) - compose(at_tgt.chain_map, f)
+        assert solve_coboundary(across).solvable
+        within = hom_bracket(random_chain_map(random.Random(5), src, 0, 1))
+        assert solve_coboundary(within).solvable
+        kept = src.complex._coboundary_blocks
+        assert sorted(kept) == sorted([id(src.complex), id(tgt.complex)])
+        assert kept[id(tgt.complex)][0] is tgt.complex and kept[id(src.complex)][0] is src.complex
+        assert tgt.complex._coboundary_blocks == {}
+
+    def test_equal_complexes_do_not_share_blocks(self, monkeypatch):
+        eliminations = self.count_eliminations(monkeypatch)
+        # corpus_entries() builds new ideals on every call, so two complexes
+        a, b = (build_koszul(corpus_entries()[4].ideal).complex for _ in range(2))
+        assert a is not b and a == b
+        h = random_chain_map(random.Random(9), build_koszul(corpus_entries()[4].ideal), 0, 1)
+        reports = []
+        for cx in (a, b):
+            eliminations.clear()
+            c = hom_bracket(ChainMap(cx, cx, h.degree, h.form_degree, h.mats))
+            reports.append(solve_coboundary(c))
+            assert eliminations and list(cx._coboundary_blocks) == [id(cx)]
+        assert a == b and b == a
+        assert map_to_text(reports[0].witness, "h") == map_to_text(reports[1].witness, "h")
+        blocks_a, blocks_b = a._coboundary_blocks[id(a)][1], b._coboundary_blocks[id(b)][1]
+        assert blocks_a.keys() == blocks_b.keys()
+        assert all(blocks_a[key] is not blocks_b[key] for key in blocks_a)
+
+    def test_cousin_target_solved_twice_factors_once(self, monkeypatch):
+        from atkernel import coboundary, cousin
+        from atkernel.cousin import cousin_to_text
+        from atkernel.selftest import commutator_class_targets
+
+        coboundary._cousin_block.cache_clear()
+        eliminations = self.count_eliminations(monkeypatch)
+        target = next(t for t in commutator_class_targets("commclass") if not t.is_zero())
+        first = cousin.cousin_coboundary_solve(target)
+        assert len(eliminations) == 1
+        second = cousin.cousin_coboundary_solve(target)
+        assert len(eliminations) == 1
+        assert first == second and cousin_to_text(first) == cousin_to_text(second)
+        assert first is not second
+        assert coboundary._cousin_block.cache_info().hits == 1
+
+    def test_selftest_factors_each_kept_block_once(self, monkeypatch):
+        """One selftest run: 404 eliminations over 45 distinct matrices
+        before blocks were kept.  Now every block is factored once for the
+        complex, target, r_h and degree it belongs to, or for its Cousin
+        (sequence, m, top).  Each group builds its own complexes, and some
+        blocks over different monomials have equal matrices, so that is
+        more blocks than distinct matrices."""
+        from atkernel import coboundary, selftest
+
+        coboundary._cousin_block.cache_clear()
+        matrices = []
+        original = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon",
+                            lambda rows: matrices.append(
+                                tuple(tuple(sorted(r.items())) for r in rows)) or original(rows))
+        blocks, alive = set(), []
+        graded, cousin_block = coboundary._graded_block, coboundary._cousin_block
+
+        def graded_recorded(kept, src, tgt, r_h, e):
+            alive.append((src, tgt))  # no id is reused while the run lasts
+            blocks.add((id(src), id(tgt), r_h, e))
+            return graded(kept, src, tgt, r_h, e)
+
+        def cousin_recorded(*key):
+            blocks.add(key)
+            return cousin_block(*key)
+
+        monkeypatch.setattr(coboundary, "_graded_block", graded_recorded)
+        monkeypatch.setattr(coboundary, "_cousin_block", cousin_recorded)
+        _, all_pass = selftest.run_selftest()
+        assert all_pass
+        assert len(matrices) == len(blocks) == 72
+        assert len(set(matrices)) == 45
 
 
 class TestPinnedWitnesses:

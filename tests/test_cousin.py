@@ -18,12 +18,11 @@ from atkernel.cousin import (
     cousin_differential,
     cousin_to_text,
     local_trace,
-    omega_class,
     _lf_add,
 )
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
-from atkernel.selftest import commutator_class_targets, dual_basis_map
+from atkernel.selftest import commutator_class_targets, dual_basis_map, omega_class
 from atkernel.semireg import chern_character, compare_semireg
 from oracles import (
     contract_cousin,

@@ -164,8 +164,10 @@ def test_pivot_rows_are_primitive_with_positive_pivot(seed):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         rows, rhs = _random_system(rng, nrows, ncols, rng.choice((0.25, 0.5)))
         with_rhs = [{**row, ncols: b} for row, b in zip(rows, rhs)]
-        for pivots in (linalg._echelon(rows), linalg._echelon(with_rhs)):
-            for c, prow in pivots.items():
+        for system in (linalg.Factorization(rows, ncols),
+                       linalg.Factorization(with_rhs, ncols + 1)):
+            assert list(system.pivots) == sorted(system.pivots, reverse=True)
+            for c, prow in system.pivots.items():
                 assert min(prow) == c and prow[c] > 0
                 assert all(type(v) is int and v for v in prow.values())
                 assert gcd(*prow.values()) == 1
@@ -228,3 +230,70 @@ def test_column_length_mismatch_raises():
         linalg.solve(rows, [[1, 2], [1]], 2)
     with pytest.raises(ValueError):
         linalg.solve(rows, [[1, 2, 3]], 2)
+
+
+def _consistent_column(rng, rows, ncols):
+    x = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))) for _ in range(ncols)]
+    return [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_factorization_replays_many_right_hand_sides(seed):
+    """Each system is factored once, then solved against 1-4 consistent
+    columns, an inconsistent one, and consistent columns again; every
+    answer is the dense reference's.  The systems have all-zero rows,
+    0 = b rows and fractional right-hand sides."""
+    rng = random.Random(f"linalg:replay:{seed}")
+    seen = {"fractional": 0, "random inconsistent": 0}
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
+        zero_row = rng.randrange(len(rows) + 1)
+        rows.insert(zero_row, {})
+        dense_rows = _dense(rows, ncols)
+        system = linalg.Factorization(rows, ncols)
+        assert len(system.pivots) == linalg.rank(rows)
+
+        def check(columns):
+            refs = [dense_gauss_jordan(dense_rows, b, ncols)[1] for b in columns]
+            got = system.solve(columns)
+            if any(ref is None for ref in refs):
+                assert got is None
+            else:
+                assert got == refs
+                for x in got:
+                    _assert_canonical(x)
+            return got
+
+        def consistent():
+            columns = [_consistent_column(rng, rows, ncols) for _ in range(rng.randint(1, 4))]
+            seen["fractional"] += any(v.denominator > 1 for b in columns for v in b)
+            return columns
+
+        assert check(consistent()) is not None
+        # a nonzero value on the all-zero row is the equation 0 = b
+        b = _consistent_column(rng, rows, ncols)
+        b[zero_row] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3)))
+        assert check([b]) is None
+        # a random column, inconsistent whenever the rows are dependent
+        seen["random inconsistent"] += check(
+            [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]]) is None
+        assert check(consistent()) is not None
+    assert all(seen.values())
+
+
+def test_factorization_is_reused_without_change():
+    """Replaying leaves the factorization as it was, so an inconsistent
+    column between two consistent ones changes neither answer."""
+    rows = [{0: Fraction(1, 2), 1: 3}, {0: 1, 1: 6}, {}, {1: Fraction(2, 3), 2: 1}]
+    system = linalg.Factorization(rows, 3)
+    snapshot = (dict(system.pivots), list(system.log))
+    good = [Fraction(1, 3), Fraction(2, 3), 0, 2]
+    # pivots in columns 0 and 1, x2 free: x1 = 3, x0 = 2 * (1/3 - 9)
+    assert system.solve([good]) == [[Fraction(-52, 3), 3, 0]]
+    assert system.solve([[1, 2, 1, 0]]) is None
+    assert system.solve([good, [1, 3, 0, 0]]) is None
+    assert system.solve([good, good]) == [[Fraction(-52, 3), 3, 0]] * 2
+    assert (system.pivots, system.log) == snapshot
+    with pytest.raises(ValueError):
+        system.solve([good, [1, 2, 0]])

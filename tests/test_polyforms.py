@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from oracles import contract_form_oracle, divmod_single_oracle, sparse
 
 from atkernel.chaincore import _product, _settle
+from atkernel.selftest import form_d
 from atkernel.polyforms import (
     ArityError,
     Form,
@@ -22,7 +23,6 @@ from atkernel.polyforms import (
     contract_form,
     default_names,
     exterior_derivative,
-    form_d,
     form_to_text,
     parse_form,
     parse_poly,

@@ -15,7 +15,7 @@ import pytest
 
 from atkernel import groebner, koszul
 from atkernel.cli import _resolve_derivation, main
-from atkernel.polyforms import parse_poly, parse_ring
+from atkernel.polyforms import ParseError, digit_excess, parse_poly, parse_ring
 from atkernel.selftest import parse_complex
 from atkernel.session import SessionError, parse_session
 
@@ -347,6 +347,73 @@ class TestExitCodes:
     def test_missing_required_flag_is_two(self):
         out = run_cli(["iclosure", "--ideal", "x^2"])
         assert out.returncode == 2
+
+
+HUGE = "9" * 5000  # more digits than int() reads by default (4,300)
+
+
+class TestHugeIntegers:
+    """An integer literal longer than int() reads is refused by its own
+    grammar through polyforms.digit_excess, with exit 2 and no output,
+    and the refusal neither names Python's limit nor echoes the literal."""
+
+    @staticmethod
+    def assert_refused(out, message):
+        assert out.returncode == 2 and out.stdout == ""
+        assert "set_int_max_str_digits" not in out.stderr and "_ascii_int" not in out.stderr
+        assert HUGE[:100] not in out.stderr
+        assert out.stderr.splitlines()[-1] == message
+
+    def test_euler_preset(self):
+        out = run_cli(["sff", "--preset", f"euler:{HUGE}"])
+        self.assert_refused(
+            out, "error: euler needs a positive integer n, got one of 5000 digits, more than 4300")
+
+    @pytest.mark.parametrize("line, lineno", [
+        (f"seq Z = {HUGE}*x ; y", 2),
+        (f"seq Z = x^{HUGE} ; y", 2),
+        (f"der big = x: {HUGE}/7, y: 0", 3),
+    ])
+    def test_session_coefficients_exponents_and_derivations(self, line, lineno, tmp_path):
+        lines = ["ring Q[x, y]", "seq Y = x ; y"]
+        lines.insert(lineno - 1, line)
+        out = run_cli(["ch", "--seq", "Y"], "\n".join(lines) + "\n", tmp_path)
+        self.assert_refused(out, f"error: integer of 5000 digits, more than 4300 (line {lineno})")
+
+    def test_session_ring_weight(self, tmp_path):
+        out = run_cli(["ch", "--seq", "Z"], f"ring Q[x:{HUGE}, y]\nseq Z = x ; y\n", tmp_path)
+        self.assert_refused(out, "error: integer of 5000 digits, more than 4300 (line 1)")
+
+    @pytest.mark.parametrize("argv", [
+        ["iclosure", "--ideal", f"x^{HUGE},y", "--test", "x"],
+        ["iclosure", "--ideal", "x,y", "--test", f"x^{HUGE}"],
+        ["curvdim", "--ideal", f"x^{HUGE},y"],
+    ])
+    def test_monomial_ideals(self, argv):
+        out = run_cli(argv)
+        self.assert_refused(out, "error: integer of 5000 digits, more than 4300 (line 1, col 3)")
+
+    @pytest.mark.parametrize("flag, value", [("--power", HUGE), ("--k", HUGE), ("--k", f"-{HUGE}")])
+    def test_integer_flags(self, flag, value, tmp_path):
+        command = ["atk", "--seq", "Z"] if flag == "--power" else ["ch", "--seq", "Z"]
+        out = run_cli([*command, f"{flag}={value}"], SESSION, tmp_path)
+        self.assert_refused(
+            out, f"atk {command[0]}: error: argument {flag}: invalid int value of 5000 digits, "
+                 "more than 4300")
+
+    @pytest.mark.parametrize("items", [f"deg 0: [e:{HUGE}]", f"deg {HUGE}: [e]",
+                                       f"deg -1: [g]; deg 0: [e]; d({HUGE}) = [[x]]"])
+    def test_complex_block_integers(self, items):
+        with pytest.raises(ParseError, match="expected an integer, got one of 5000 digits, more"):
+            parse_complex(f"complex K {{ ring Q[x]; {items} }}")
+
+    def test_limit_is_the_interpreters(self):
+        limit = sys.get_int_max_str_digits()
+        assert digit_excess("1" * limit) == ""
+        assert digit_excess("1" * (limit + 1)) == f"{limit + 1} digits, more than {limit}"
+        assert digit_excess(f"x^{'2' * limit} + {'3' * (limit + 2)}*y") == (
+            f"{limit + 2} digits, more than {limit}")
+        assert parse_poly("7" * limit + "*x", ("x",)).terms == {(1,): int("7" * limit)}
 
 
 class TestUsageMessages:
