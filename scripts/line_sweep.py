@@ -4,14 +4,17 @@ each demo command loads.
 
 In one process under sys.settrace, runs `atk selftest`, the demo commands
 of scripts/demo_session.py on its demo session, the `sff` presets of
-tests/golden/sff.txt and the loop of scripts/run_corpus.py, all in
-process and with their stdout discarded.  Then prints, per module of
+tests/golden/sff.txt, the help and usage-error command lines of
+tests/golden/usage.txt and the loop of scripts/run_corpus.py, all in
+process and with their stdout and stderr discarded.  Then prints, per module of
 src/atkernel, how many executable lines none of them reached, followed by
 those lines.  Executable lines are those of the module's compiled code
 objects.  Last, it runs each demo command in a fresh `atk` process and
 prints the source lines (as `wc -l` counts them) of the atkernel modules
 that the process loaded, which is what it compiles without a bytecode
-cache.  Standard library only.
+cache, and the standard-library modules it loaded beyond those of
+`python -c pass`, so that a start-up import such as argparse or
+dataclasses shows.  Standard library only.
 
 Usage: python scripts/line_sweep.py
 """
@@ -59,7 +62,9 @@ def run_commands() -> None:
     demo = _script("demo_session")
     golden = (ROOT / "tests" / "golden" / "sff.txt").read_text()
     presets = re.findall(r"^\$ atk (sff --preset .*)$", golden, flags=re.M)
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    usage = (ROOT / "tests" / "golden" / "usage.txt").read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         path = Path(tmp) / "demo.sr"
         path.write_text(demo.SESSION)
         main(["selftest"])
@@ -70,24 +75,37 @@ def run_commands() -> None:
             main(argv)
         for command in presets:
             main(command.split(" ", 2))
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the usage lines name the session as demo.sr
+        try:
+            for command in re.findall(r"^\$ atk\b(.*)$", usage, flags=re.M):
+                with contextlib.suppress(SystemExit):
+                    main(command.split())
+        finally:
+            os.chdir(cwd)
         _script("run_corpus").main()
 
 
-# runs `atk <argv>` with its stdout discarded, then names the loaded modules
+# names the modules loaded; after `atk <argv>`, run with its stdout
+# discarded, in LOADED, and with nothing run in PASS
+PASS = "import sys\nprint(' '.join(sorted(sys.modules)))"
 LOADED = (
-    "import contextlib, io, sys\n"
+    "import io, sys\n"
     "from atkernel.cli import main\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'atkernel')))"
-)
+    "sys.stdout = io.StringIO()\n"
+    "main(sys.argv[1:])\n"
+    "sys.stdout = sys.__stdout__\n"
+) + PASS
 
 
-def loaded_per_command() -> list[tuple[str, list[str]]]:
-    """(command line, atkernel modules loaded) per demo command, each run
-    in a fresh interpreter on this checkout's sources."""
+def loaded_per_command() -> list[tuple[str, list[str], list[str]]]:
+    """(command line, atkernel modules loaded, other modules loaded beyond
+    those of `python -c pass`) per demo command, each run in a fresh
+    interpreter on this checkout's sources."""
     demo = _script("demo_session")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    base = set(subprocess.run([sys.executable, "-c", PASS], env=env, capture_output=True,
+                              text=True, check=True).stdout.split())
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "demo.sr"
@@ -98,7 +116,9 @@ def loaded_per_command() -> list[tuple[str, list[str]]]:
                 argv += ["--input", str(path)]
             proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
                                   capture_output=True, text=True, check=True)
-            out.append((" ".join(command), proc.stdout.split()))
+            loaded = proc.stdout.split()
+            out.append((" ".join(command), [m for m in loaded if m.split(".")[0] == "atkernel"],
+                        [m for m in loaded if m.split(".")[0] != "atkernel" and m not in base]))
     return out
 
 
@@ -134,10 +154,11 @@ def main() -> int:
             print(f"  {line}: {source[line - 1].strip()}")
     print(f"total: {total} unreached")
     print("library loaded by a fresh `atk` process:")
-    for command, modules in loaded_per_command():
+    for command, modules, stdlib in loaded_per_command():
         lines = sum(source_lines(m) for m in modules)
         names = ", ".join(m.split(".", 1)[-1] for m in modules)
         print(f"  {command}: {lines} lines in {len(modules)} modules ({names})")
+        print(f"    standard library beyond `python -c pass`: {', '.join(stdlib) or 'none'}")
     return 0
 
 

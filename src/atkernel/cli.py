@@ -1,22 +1,22 @@
 """Command-line front end: parse a session file, dispatch, print verdicts.
 
 Exit codes: 0 on success, 1 when a comparison reports FAIL or a selftest
-group misses, 2 on usage, parse, or semantic errors and unreadable input.
-All numeric output is exact rational text.
+group misses, 2 on usage, parse, or semantic errors and unreadable input,
+where a refused flag value names its flag.  Numbers print as exact rationals.
 
-Library modules are imported inside the handlers, so an `atk` process
-loads (and, without a bytecode cache, compiles) only what its command runs;
-this module holds only dispatch and printing (the `sff` presets live in
-ladder, the monomial-ideal parser in integraldep).  The value classes are
-plain slotted classes, so no command loads `inspect`.
-Commands that build a Koszul resolution exit 2 with no output when the exact
-regularity guard, koszul.verify_regular, refuses or exceeds its work bound.
+COMMANDS holds every command and flag.  _plain_args reads a well-formed
+command line from it without loading argparse; build_parser builds from it
+the parser that reads any other line and prints help and usage errors.
+Handlers import the library modules they run, so a process loads (and,
+without a bytecode cache, compiles) only what its command runs.  Commands
+that build a Koszul resolution exit 2 with no output when the regularity
+guard, koszul.verify_regular, refuses or exceeds its work bound.
 """
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 
 
 def _load_session(path: str | None):
@@ -45,10 +45,8 @@ def _guarded_koszul(ideal):
 
 def _named(table: dict, kind: str, flag: str, name: str):
     """The session entry that a command-line flag names."""
-    from .session import SessionError
-
     if name not in table:
-        raise SessionError(f"argument {flag}: unknown {kind} {name!r}")
+        raise ValueError(f"argument {flag}: unknown {kind} {name!r}")
     return table[name]
 
 
@@ -72,27 +70,28 @@ def _cmd_atk(args) -> int:
 
 def _resolve_derivation(session, text: str):
     """A named derivation, or an inline literal in the `der` grammar."""
-    from .session import SessionError, parse_derivation
+    from .session import parse_derivation
 
     if text in session.derivations:
         return session.derivations[text]
     if ":" not in text:
-        raise SessionError(f"argument --derivation: unknown derivation {text!r}")
+        raise ValueError(f"argument --derivation: unknown derivation {text!r}")
+    return _flag_value("--derivation", parse_derivation, text, session.var_names)
+
+
+def _flag_value(flag: str, parse, *args):
+    """parse(*args), with a refusal prefixed by the flag whose value it reads."""
     try:
-        return parse_derivation(text, session.var_names)
-    except SessionError as exc:
-        raise SessionError(f"argument --derivation: {exc}") from None
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
 
 
 def _component_index(args, default: int) -> int:
     """The component that --k names, or the command's default."""
-    from .session import SessionError
-
-    if args.k is None:
-        return default
-    if args.k < 0:
-        raise SessionError(f"argument --k: component index must be nonnegative, got {args.k}")
-    return args.k
+    if args.k is not None and args.k < 0:
+        raise ValueError(f"argument --k: component index must be nonnegative, got {args.k}")
+    return default if args.k is None else args.k
 
 
 def _cmd_ch(args) -> int:
@@ -164,8 +163,8 @@ def _cmd_sff(args) -> int:
 def _cmd_iclosure(args) -> int:
     from .integraldep import closure_member, monomial_exponent, monomial_ideal_from_text
 
-    ideal, names = monomial_ideal_from_text(args.ideal)
-    cert = closure_member(ideal, monomial_exponent(args.test, names))
+    ideal, names = _flag_value("--ideal", monomial_ideal_from_text, args.ideal)
+    cert = closure_member(ideal, _flag_value("--test", monomial_exponent, args.test, names))
     if cert.verdict:
         lam = ", ".join(str(v) for v in cert.lambdas)
         slack = ", ".join(str(v) for v in cert.slack)
@@ -179,7 +178,7 @@ def _cmd_iclosure(args) -> int:
 def _cmd_curvdim(args) -> int:
     from .integraldep import curvilinear_dim, monomial_ideal_from_text
 
-    ideal, _ = monomial_ideal_from_text(args.ideal)
+    ideal, _ = _flag_value("--ideal", monomial_ideal_from_text, args.ideal)
     print(curvilinear_dim(ideal))
     return 0
 
@@ -187,7 +186,7 @@ def _cmd_curvdim(args) -> int:
 def _cmd_dimcheck(args) -> int:
     from .integraldep import dim_bound_check, monomial_ideal_from_text
 
-    ideal, _ = monomial_ideal_from_text(args.ideal)
+    ideal, _ = _flag_value("--ideal", monomial_ideal_from_text, args.ideal)
     report = dim_bound_check(ideal)
     print(
         f"dim = {report.dim_quotient}; bound = {report.bound}; "
@@ -213,80 +212,81 @@ def _ascii_int(text: str) -> int:
     from .polyforms import digit_excess
 
     if not re.fullmatch("-?[0-9]+", text):  # int() also takes '٢', '1_0' and spaces
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if excess := digit_excess(text):
-        raise argparse.ArgumentTypeError(f"invalid int value of {excess}")
-    return int(text)
+        message = f"invalid int value: {text!r}"
+    elif excess := digit_excess(text):
+        message = f"invalid int value of {excess}"
+    else:
+        return int(text)
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The one command table, read by build_parser and _plain_args: per command its
+# handler, help and flags (option, required, help or None).  INT_FLAGS holds the
+# integer flags, read by _ascii_int, and their defaults; others default to None.
+INT_FLAGS = {"--k": None, "--power": 1}
+_INPUT, _K = ("--input", False, "session file"), ("--k", False, "component index")
+_SEQ, _HOM = ("--seq", True, "sequence name"), ("--hom", True, "normal hom name")
+COMMANDS = {
+    "atk": (_cmd_atk, "print cocycle power matrices",
+            (_INPUT, _SEQ, ("--derivation", False, "derivation name"),
+             ("--power", False, "cocycle power"))),
+    "ch": (_cmd_ch, "chern character component", (_INPUT, _SEQ, _K)),
+    "semireg": (_cmd_semireg, "semiregularity component of a hom", (_INPUT, _HOM, _K)),
+    "blochcmp": (_cmd_blochcmp, "compare both semiregularity routes", (_INPUT, _HOM)),
+    "obstruct": (_cmd_obstruct, "obstruction cocycle of a derivation",
+                 (("--input", False, None), ("--seq", True, None), ("--derivation", True, None))),
+    "sff": (_cmd_sff, "second fundamental form presets",
+            (("--preset", True, "euler[:n] or hypersurface:<f>"),)),
+    "iclosure": (_cmd_iclosure, "integral closure membership",
+                 (("--ideal", True, "comma-separated monomials"), ("--test", True, "monomial to test"))),
+    "curvdim": (_cmd_curvdim, "curvilinear extension dimension", (("--ideal", True, None),)),
+    "dimcheck": (_cmd_dimcheck, "dimension bound report", (("--ideal", True, None),)),
+    "selftest": (_cmd_selftest, "run the invariant corpus", ()),
+}
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="atk",
-        description="exact kernel for cocycle-level characteristic class identities",
-    )
+        prog="atk", description="exact kernel for cocycle-level characteristic class identities")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, seq=False, hom=False, derivation=False, k=False, power=False):
-        p.add_argument("--input", help="session file")
-        if seq:
-            p.add_argument("--seq", required=True, help="sequence name")
-        if hom:
-            p.add_argument("--hom", required=True, help="normal hom name")
-        if derivation:
-            p.add_argument("--derivation", help="derivation name")
-        if k:
-            p.add_argument("--k", type=_ascii_int, default=None, help="component index")
-        if power:
-            p.add_argument("--power", type=_ascii_int, default=1, help="cocycle power")
-
-    p = sub.add_parser("atk", help="print cocycle power matrices")
-    add_common(p, seq=True, derivation=True, power=True)
-    p.set_defaults(func=_cmd_atk)
-
-    p = sub.add_parser("ch", help="chern character component")
-    add_common(p, seq=True, k=True)
-    p.set_defaults(func=_cmd_ch)
-
-    p = sub.add_parser("semireg", help="semiregularity component of a hom")
-    add_common(p, hom=True, k=True)
-    p.set_defaults(func=_cmd_semireg)
-
-    p = sub.add_parser("blochcmp", help="compare both semiregularity routes")
-    add_common(p, hom=True)
-    p.set_defaults(func=_cmd_blochcmp)
-
-    p = sub.add_parser("obstruct", help="obstruction cocycle of a derivation")
-    p.add_argument("--input")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--derivation", required=True)
-    p.set_defaults(func=_cmd_obstruct)
-
-    p = sub.add_parser("sff", help="second fundamental form presets")
-    p.add_argument("--preset", required=True, help="euler[:n] or hypersurface:<f>")
-    p.set_defaults(func=_cmd_sff)
-
-    p = sub.add_parser("iclosure", help="integral closure membership")
-    p.add_argument("--ideal", required=True, help="comma-separated monomials")
-    p.add_argument("--test", required=True, help="monomial to test")
-    p.set_defaults(func=_cmd_iclosure)
-
-    p = sub.add_parser("curvdim", help="curvilinear extension dimension")
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_curvdim)
-
-    p = sub.add_parser("dimcheck", help="dimension bound report")
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=_cmd_dimcheck)
-
-    p = sub.add_parser("selftest", help="run the invariant corpus")
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option, required, help_text in flags:
+            typed = {"type": _ascii_int, "default": INT_FLAGS[option]} if option in INT_FLAGS else {}
+            p.add_argument(option, required=required, help=help_text, **typed)
+        p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv):
+    """argparse's namespace for a plain command line: an exact command name,
+    then `--flag value` pairs of its own flags, spelled out and given once,
+    with no value starting with '-', every required flag and valid integers.
+    None for any other command line, which argparse then reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    required = {option: needed for option, needed, _ in flags}
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (len(argv) != 2 * len(given) + 1 or not given.keys() <= required.keys()
+            or any(value.startswith("-") for value in given.values())
+            or any(needed and option not in given for option, needed in required.items())):
+        return None
+    args = {option[2:]: INT_FLAGS.get(option) for option in required}
+    for option, value in given.items():
+        try:
+            args[option[2:]] = _ascii_int(value) if option in INT_FLAGS else value
+        except Exception:  # argparse's ArgumentTypeError, which argparse reports
+            return None
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every library error is a ValueError

@@ -3,14 +3,16 @@ the acceptance suite, and what only they use: shifts, mapping cones, the
 text format for complexes, the Koszul dual basis maps, the exterior
 derivative of forms and the canonical class omega.
 
-Each group is a generator that yields one verdict, a bool, per case.
-`_group` registers it in ALL_GROUPS in definition order, which is the
-run order, and turns it into a function that returns (group name,
-verdicts that are True, verdicts, indices of the others).  Counts follow
-the stated verification matrix; everything is seeded and deterministic.
-The acceptance criteria call these same groups; the commutator,
-connection and centrality groups take a seed prefix, so the criteria draw
-their own cases with the same counts.
+Each group is a generator that takes the run's Corpus and yields one
+verdict, a bool, per case; `run_selftest` builds the corpus once and
+passes it to every group.  `_group` registers the group in ALL_GROUPS in
+definition order, which is the run order, and turns it into a function
+that returns (group name, verdicts that are True, verdicts, indices of
+the others).  Counts follow the stated verification matrix; everything
+is seeded and deterministic.  The acceptance criteria call these same
+groups, each on a new corpus; the commutator, connection and centrality
+groups take a seed prefix, so the criteria draw their own cases with the
+same counts.
 """
 from __future__ import annotations
 
@@ -87,15 +89,30 @@ Group = tuple[str, int, int, list[int]]
 ALL_GROUPS = []
 
 
+class Corpus:
+    """The corpus entries and functoriality pairs of one run, each built on
+    first use; the groups of a run share them, and so share each ideal's
+    Koszul complex and the coboundary blocks kept on it."""
+
+    @functools.cached_property
+    def entries(self):
+        return corpus_entries()
+
+    @functools.cached_property
+    def pairs(self):
+        return functoriality_pairs()
+
+
 def _group(name: str):
     """Register a verdict generator as the next selftest group.  Called
-    with the generator's arguments, the group returns (name, number of
+    with the generator's arguments after the first, a Corpus (a new one
+    unless given as `corpus=`), the group returns (name, number of
     verdicts that are True, number of verdicts, indices of the misses)."""
 
     def register(verdicts):
         @functools.wraps(verdicts)
-        def group(*args, **kwargs) -> Group:
-            results = list(verdicts(*args, **kwargs))
+        def group(*args, corpus: Corpus | None = None, **kwargs) -> Group:
+            results = list(verdicts(corpus or Corpus(), *args, **kwargs))
             misses = [i for i, ok in enumerate(results) if ok is not True]
             return (name, len(results) - len(misses), len(results), misses)
 
@@ -115,7 +132,7 @@ def form_d(w: Form) -> Form:
 
 
 @_group("d squared is zero")
-def check_d_squared():
+def check_d_squared(corpus: Corpus):
     rng = random.Random("d2")
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -124,7 +141,7 @@ def check_d_squared():
 
 
 @_group("exterior derivative Leibniz rule")
-def check_leibniz():
+def check_leibniz(corpus: Corpus):
     rng = random.Random("leibniz")
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -135,7 +152,7 @@ def check_leibniz():
 
 
 @_group("koszul differential squares to zero")
-def check_koszul_squares():
+def check_koszul_squares(corpus: Corpus):
     rng = random.Random("koszul-d2")
     for q in range(1, 6):
         for _ in range(4):
@@ -156,9 +173,9 @@ def check_koszul_squares():
 
 
 @_group("bracket of bracket vanishes")
-def check_bracket_squared():
+def check_bracket_squared(corpus: Corpus):
     rng = random.Random("bracket2")
-    entries = corpus_entries()
+    entries = corpus.entries
     for case in range(100):
         kz = build_koszul(entries[case % len(entries)].ideal)
         degree = rng.choice([-1, 0, 1, 2])
@@ -234,8 +251,8 @@ def cone_homotopy(f: ChainMap) -> ChainMap:
 
 
 @_group("cone of identity is acyclic")
-def check_cone_identity():
-    for entry in corpus_entries():
+def check_cone_identity(corpus: Corpus):
+    for entry in corpus.entries:
         h = cone_homotopy(identity_map(build_koszul(entry.ideal).complex))
         yield hom_bracket(h) == identity_map(h.source)
 
@@ -348,7 +365,7 @@ def parse_complex(text: str) -> tuple[str, FreeComplex, tuple[str, ...]]:
 
 
 @_group("serializer round-trips")
-def check_roundtrip():
+def check_roundtrip(corpus: Corpus):
     rng = random.Random("roundtrip")
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -364,7 +381,7 @@ def check_roundtrip():
             back = parse_form(text, default_names(n))
             again = form_to_text(back)
         yield back == value and again == text
-    for entry in corpus_entries():
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         text = complex_to_text(kz.complex, "K", entry.var_names)
         _, parsed, _ = parse_complex(text)
@@ -372,9 +389,9 @@ def check_roundtrip():
 
 
 @_group("bracket commutes with shift up to sign")
-def check_shift_bracket():
+def check_shift_bracket(corpus: Corpus):
     rng = random.Random("shiftbracket")
-    entries = corpus_entries()
+    entries = corpus.entries
     for case in range(40):
         kz = build_koszul(entries[case % len(entries)].ideal)
         i = rng.choice([-2, -1, 1, 2])
@@ -425,8 +442,8 @@ def _scale_by_poly(u: ChainMap, p: Poly) -> ChainMap:
 
 
 @_group("dual basis bracket is left multiplication")
-def check_dual_basis_bracket():
-    for entry in corpus_entries():
+def check_dual_basis_bracket(corpus: Corpus):
+    for entry in corpus.entries:
         if entry.ideal.q > 3:
             continue
         kz = build_koszul(entry.ideal)
@@ -445,8 +462,8 @@ def omega_class(ideal: RegularSequenceIdeal) -> CousinElement:
 
 
 @_group("top dual map traces to the canonical class")
-def check_trace_formula():
-    for entry in corpus_entries():
+def check_trace_formula(corpus: Corpus):
+    for entry in corpus.entries:
         if entry.ideal.q < 1:
             continue
         kz = build_koszul(entry.ideal)
@@ -455,7 +472,7 @@ def check_trace_formula():
 
 
 @_group("trace kills graded commutators")
-def check_commutators(seed: str = "commutator"):
+def check_commutators(corpus: Corpus, seed: str = "commutator"):
     """Supertrace identity at representative level, 50 pairs per complex.
 
     The trace of a commutator is a literal zero exactly when the factors
@@ -463,7 +480,7 @@ def check_commutators(seed: str = "commutator"):
     pairs are drawn with total degree zero and arbitrary form degrees.
     Each complex draws from its own generator, seeded `<seed>:<name>`.
     """
-    for entry in corpus_entries():
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         rng = random.Random(f"{seed}:{entry.name}")
         for _ in range(50):
@@ -476,10 +493,10 @@ def check_commutators(seed: str = "commutator"):
             yield local_trace(compose(u, v) - compose(v, u).scale(sign), kz).is_zero()
 
 
-def commutator_class_targets(seed: str):
+def commutator_class_targets(seed: str, corpus: Corpus | None = None):
     """Traces of cocycle commutators [u, v] with deg u = 1 and deg v = q - 1,
     10 per complex with q >= 2, each complex seeded `<seed>:<name>`."""
-    for entry in corpus_entries():
+    for entry in (corpus or Corpus()).entries:
         kz = build_koszul(entry.ideal)
         if kz.q < 2:
             continue
@@ -491,16 +508,16 @@ def commutator_class_targets(seed: str):
 
 
 @_group("cocycle commutator traces are coboundaries")
-def check_commutator_classes():
+def check_commutator_classes(corpus: Corpus):
     """Cocycle commutators in top degree trace to Cousin coboundaries."""
-    for t in commutator_class_targets("commclass"):
+    for t in commutator_class_targets("commclass", corpus):
         yield t.is_zero() or cousin_coboundary_solve(t) is not None
 
 
 @_group("cousin differential squares to zero")
-def check_cousin_squares():
+def check_cousin_squares(corpus: Corpus):
     rng = random.Random("cousin-d2")
-    for entry in corpus_entries():
+    for entry in corpus.entries:
         ideal = entry.ideal
         if ideal.q < 2:
             continue
@@ -518,15 +535,15 @@ def check_cousin_squares():
 
 
 @_group("both semiregularity routes agree")
-def check_bloch_comparison():
-    for entry in corpus_entries():
+def check_bloch_comparison(corpus: Corpus):
+    for entry in corpus.entries:
         for hom in normal_homs_for(entry):
             yield compare_semireg(hom).verdict == "representative-exact"
 
 
 @_group("top chern character is the fundamental class")
-def check_fundamental_class():
-    for entry in corpus_entries():
+def check_fundamental_class(corpus: Corpus):
+    for entry in corpus.entries:
         ideal = entry.ideal
         num = Form.from_poly(Poly.one(ideal.n))
         for f in ideal.polys:
@@ -540,8 +557,8 @@ def check_fundamental_class():
 
 
 @_group("obstruction bracket equals contraction")
-def check_obstruction():
-    for entry in corpus_entries():
+def check_obstruction(corpus: Corpus):
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         at = atiyah_cocycle(kz.complex)
         for delta in derivations_for(entry):
@@ -549,8 +566,8 @@ def check_obstruction():
 
 
 @_group("shift changes the cocycle by the predicted sign")
-def check_shift_sign():
-    for entry in corpus_entries():
+def check_shift_sign(corpus: Corpus):
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         at = atiyah_cocycle(kz.complex)
         for i in range(-2, 3):
@@ -562,9 +579,9 @@ def check_shift_sign():
 
 
 @_group("cocycle class ignores the connection")
-def check_connection_independence(seed: str = "conn"):
+def check_connection_independence(corpus: Corpus, seed: str = "conn"):
     """20 random connections per complex, seeded as in check_commutators."""
-    for entry in corpus_entries():
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         rng = random.Random(f"{seed}:{entry.name}")
         base = atiyah_cocycle(kz.complex).chain_map
@@ -575,8 +592,8 @@ def check_connection_independence(seed: str = "conn"):
 
 
 @_group("cocycle is functorial up to coboundary")
-def check_functoriality():
-    for f, src, tgt in functoriality_pairs():
+def check_functoriality(corpus: Corpus):
+    for f, src, tgt in corpus.pairs:
         at_src = atiyah_cocycle(src.complex)
         at_tgt = atiyah_cocycle(tgt.complex)
         for k in range(1, min(src.q, tgt.q) + 1):
@@ -586,9 +603,9 @@ def check_functoriality():
 
 
 @_group("powers are central up to coboundary")
-def check_centrality(seed: str = "central"):
+def check_centrality(corpus: Corpus, seed: str = "central"):
     """10 random cocycles per complex, seeded as in check_commutators."""
-    for entry in corpus_entries():
+    for entry in corpus.entries:
         kz = build_koszul(entry.ideal)
         rng = random.Random(f"{seed}:{entry.name}")
         at = atiyah_cocycle(kz.complex)
@@ -609,7 +626,7 @@ SFF_HYPERSURFACES = (
 
 
 @_group("second fundamental form connects to the cocycles")
-def check_second_fundamental_form():
+def check_second_fundamental_form(corpus: Corpus):
     # Euler data: sigma must be minus the identity on every generator
     for n_proj in (1, 2):
         sigma, _ = euler_preset(n_proj)
@@ -621,7 +638,7 @@ def check_second_fundamental_form():
 
 
 @_group("integral closure invariants")
-def check_appendix_invariants():
+def check_appendix_invariants(corpus: Corpus):
     rng = random.Random("appendix")
     # fixed examples
     ideal = MonomialIdeal.from_exponents(2, [(2, 0)])
@@ -648,17 +665,19 @@ def check_appendix_invariants():
         yield small.verify(base) and large.verify(bigger) and monotone
 
 
-def _run_group(group) -> Group:
-    """The group's report; a group that raises is one miss, with no index,
-    that names the group function and the exception."""
+def _run_group(group, corpus: Corpus) -> Group:
+    """The group's report on the run's corpus; a group that raises is one
+    miss, with no index, that names the group function and the exception."""
     try:
-        return group()
+        return group(corpus=corpus)
     except Exception as exc:
         return (f"{group.__name__} raised {type(exc).__name__}: {exc}", 0, 1, [])
 
 
 def run_selftest() -> tuple[list[Group], bool]:
-    """Run every group in order; one group's exception does not stop the rest."""
-    results = [_run_group(g) for g in ALL_GROUPS]
+    """Run every group in order on one corpus, built once; one group's
+    exception does not stop the rest."""
+    corpus = Corpus()
+    results = [_run_group(g, corpus) for g in ALL_GROUPS]
     all_pass = all(passed == total for _, passed, total, _ in results)
     return results, all_pass

@@ -821,11 +821,13 @@ class TestKeptBlocks:
         assert first is not second
         assert coboundary._cousin_block.cache_info().hits == 1
 
-    def test_selftest_factors_each_kept_block_once(self, monkeypatch):
+    def test_selftest_factors_each_block_once_per_run(self, monkeypatch):
         """One selftest run: 404 eliminations over 45 distinct matrices
-        before blocks were kept.  Now every block is factored once for the
-        complex, target, r_h and degree it belongs to, or for its Cousin
-        (sequence, m, top).  Each group builds its own complexes, and some
+        before blocks were kept, and 72 while each group built its own
+        corpus.  Now the groups share one corpus, so every block is factored
+        once per run for the complex, target, r_h and degree it belongs to,
+        or for its Cousin (sequence, m, top), and no block is factored twice
+        for equal complexes with the same target, r_h and degree.  Some
         blocks over different monomials have equal matrices, so that is
         more blocks than distinct matrices."""
         from atkernel import coboundary, selftest
@@ -852,7 +854,7 @@ class TestKeptBlocks:
         monkeypatch.setattr(coboundary, "_cousin_block", cousin_recorded)
         _, all_pass = selftest.run_selftest()
         assert all_pass
-        assert len(matrices) == len(blocks) == 72
+        assert len(matrices) == len(blocks) == 66
         assert len(set(matrices)) == 45
 
 

@@ -4,8 +4,10 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from atkernel import groebner, koszul
-from atkernel.cli import _resolve_derivation, main
+from atkernel.cli import _plain_args, _resolve_derivation, build_parser, main
 from atkernel.polyforms import ParseError, digit_excess, parse_poly, parse_ring
 from atkernel.selftest import parse_complex
 from atkernel.session import SessionError, parse_session
@@ -391,7 +393,9 @@ class TestHugeIntegers:
     ])
     def test_monomial_ideals(self, argv):
         out = run_cli(argv)
-        self.assert_refused(out, "error: integer of 5000 digits, more than 4300 (line 1, col 3)")
+        flag = next(flag for flag, value in zip(argv, argv[1:]) if HUGE in value)
+        self.assert_refused(
+            out, f"error: argument {flag}: integer of 5000 digits, more than 4300 (line 1, col 3)")
 
     @pytest.mark.parametrize("flag, value", [("--power", HUGE), ("--k", HUGE), ("--k", f"-{HUGE}")])
     def test_integer_flags(self, flag, value, tmp_path):
@@ -510,6 +514,24 @@ class TestUsageMessages:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: euler needs a positive integer n, got '\u00b2'\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["iclosure", "--ideal", "x^2", "--test", "y"],
+             "argument --test: unknown name 'y' (line 1, col 1)"),
+            (["iclosure", "--ideal", "x^2", "--test", "x^"],
+             "argument --test: unexpected end of input (line 1, col 2)"),
+            (["iclosure", "--ideal", "x^3,y^3", "--test", "2*x"], "argument --test: not a monomial: '2*x'"),
+            (["iclosure", "--ideal", "x+y", "--test", "x"], "argument --ideal: not a monomial: 'x+y'"),
+            (["curvdim", "--ideal", "1"], "argument --ideal: no variables found in ideal"),
+            (["dimcheck", "--ideal", "x^"], "argument --ideal: unexpected end of input (line 1, col 2)"),
+        ],
+    )
+    def test_monomial_flag_errors_name_the_flag(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("ideal", ["x^2,,y", ",x^2", "x^2,", "x, ,y"])
     @pytest.mark.parametrize("command", [["curvdim"], ["dimcheck"], ["iclosure", "--test", "x"]])
     def test_empty_generator_is_two(self, ideal, command, capsys):
@@ -523,6 +545,7 @@ CLI_EXPECTED = ROOT / "perfbench" / "cli_expected.json"
 CORPUS_GOLDEN = ROOT / "tests" / "golden" / "corpus.txt"
 SELFTEST_GOLDEN = ROOT / "tests" / "golden" / "selftest.txt"
 SFF_GOLDEN = ROOT / "tests" / "golden" / "sff.txt"
+USAGE_GOLDEN = ROOT / "tests" / "golden" / "usage.txt"
 
 
 def load_demo():
@@ -600,6 +623,135 @@ class TestSffGolden:
         assert len(calls) == 1
 
 
+COMMAND_NAMES = ("atk", "ch", "semireg", "blochcmp", "obstruct", "sff", "iclosure", "curvdim",
+                 "dimcheck", "selftest")
+
+# command lines that argparse answers: help, usage errors, and the accepted
+# forms that are not plain (an abbreviation, a repeated flag, `=`)
+ARGPARSE_ARGVS = [
+    ["--help"],
+    *([name, "--help"] for name in COMMAND_NAMES),
+    ["transmogrify"],
+    ["iclosure", "--ideal", "x^2"],
+    ["blochcmp", "--ho", "phi", "--input", "demo.sr"],
+    ["ch", "--seq", "W", "--seq", "Z", "--input", "demo.sr"],
+    ["blochcmp", "--hom=phi", "--input", "demo.sr"],
+    ["ch", "--seq", "Z", "--k", "\u0662", "--input", "demo.sr"],
+    [],
+]
+
+
+def usage_block(argv, capsys) -> str:
+    """`atk argv` in process: the command line, stdout, stderr and exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return f"$ {' '.join(['atk', *argv])}\n{out}" + (f"stderr:\n{err}" if err else "") + f"exit {code}\n"
+
+
+class TestUsageGolden:
+    def test_help_and_usage_errors_match_recorded_output(self, tmp_path, capsys, monkeypatch):
+        """Help, usage errors and the forms only argparse reads, at 80
+        columns, against their recorded bytes."""
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo.sr").write_text(load_demo().SESSION)
+        out = "".join(usage_block(argv, capsys) for argv in ARGPARSE_ARGVS)
+        assert out == USAGE_GOLDEN.read_text(encoding="utf-8")
+
+
+def readme_argvs() -> list[list[str]]:
+    """README's `atk` synopses as command lines: each placeholder filled in,
+    each optional `[--flag v]` both given and left out, each `a | b` both."""
+    fill = {"f.sr": "readme.sr", "k": "1", "d": "ddx", "euler[:n]": "euler:2",
+            "hypersurface:<f>": "hypersurface:x^2"}
+    argvs = []
+    for line in re.findall(r"^    atk (.+?)(?:\s+#.*)?$", (ROOT / "README.md").read_text(), flags=re.M):
+        variants = {re.sub(r"\[(--[^]]+)\]", r"\1", line), re.sub(r" \[--[^]]+\]", "", line)}
+        variants = {re.sub(r"(\S+) \| (\S+)", rf"\{i}", v) for v in variants for i in (1, 2)}
+        argvs += [[fill.get(token, token) for token in shlex.split(v)] for v in sorted(variants)]
+    return argvs
+
+
+def demo_argvs() -> list[list[str]]:
+    return [[*argv, "--input", "demo.sr"] if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck")
+            else list(argv) for argv in load_demo().COMMANDS]
+
+
+def file_argvs() -> list[list[str]]:
+    """Every list of string literals in this file that starts like a command line."""
+    argvs = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.List) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            argv = [e.value for e in node.elts]
+            if argv[0] in COMMAND_NAMES or argv[0].startswith("-"):
+                argvs.append(argv)
+    return argvs
+
+
+# values that argparse reads otherwise than as a plain value, or refuses
+ODD_VALUES = ["-1", "\u0662", "9" * 5000, "-" + "9" * 5000, "1_0", " 2", "", "-h", "--seq", "x=1"]
+
+
+def mutations(argv: list[str], rng: random.Random) -> list[list[str]]:
+    """Seeded edits of a command line: a dropped, repeated or abbreviated
+    flag, reordered pairs, the `=` form, `-h`, odd values and token counts."""
+    pairs = [argv[i:i + 2] for i in range(1, len(argv) - 1, 2)]
+    out = [argv[:-1], [*argv, rng.choice(argv)], [*argv[:1], "-h", *argv[1:]], [*argv, "--help"]]
+    if pairs:
+        i = rng.randrange(len(pairs))
+        flag, value = pairs[i]
+        shuffled = rng.sample(pairs, len(pairs))
+        out += [
+            [*argv[:1], *(t for j, p in enumerate(pairs) if j != i for t in p)],
+            [*argv, flag, value],
+            [*argv[:1], *(t for p in shuffled for t in p)],
+            [*argv[:1], *(t for p in pairs[:i] for t in p), flag[:rng.randint(2, len(flag) - 1)],
+             value, *(t for p in pairs[i + 1:] for t in p)],
+            [*argv[:1], *(t for p in pairs[:i] for t in p), f"{flag}={value}",
+             *(t for p in pairs[i + 1:] for t in p)],
+        ]
+        for odd in rng.sample(ODD_VALUES, 3):
+            out.append([*argv[:1], *(t for j, p in enumerate(pairs) for t in (
+                [p[0], odd] if j == i else p))])
+        for int_flag in ("--k", "--power"):
+            out.append([*argv, int_flag, rng.choice(["0", "3", *ODD_VALUES])])
+    return out
+
+
+class TestPlainArgs:
+    """_plain_args against argparse: on every command line it returns None,
+    which hands the line to argparse, or argparse's own namespace."""
+
+    def test_demo_and_readme_lines_take_the_plain_path(self):
+        argvs = demo_argvs() + readme_argvs()
+        assert len(argvs) == 13 + 13  # README's ten synopses give 13 lines
+        parser = build_parser()
+        for argv in argvs:
+            plain = _plain_args(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(parser.parse_args(argv)), argv
+
+    def test_argparse_lines_do_not(self):
+        assert all(_plain_args(argv) is None for argv in ARGPARSE_ARGVS)
+
+    def test_agrees_with_argparse_on_seeded_mutations(self):
+        parser = build_parser()
+        bases = demo_argvs() + readme_argvs() + file_argvs()
+        argvs = [*bases, *(m for i, argv in enumerate(bases)
+                           for m in mutations(argv, random.Random(f"plain-args:{i}")))]
+        taken = 0
+        for argv in argvs:
+            plain = _plain_args(argv)
+            if plain is not None:
+                taken += 1
+                assert vars(plain) == vars(parser.parse_args(argv)), argv
+        assert len(bases) > 100 and 0.1 < taken / len(argvs) < 0.9
+
+
 class TestSelftestGolden:
     def test_selftest_matches_recorded_output(self, capsys):
         """`atk selftest`, in process, against its recorded stdout."""
@@ -663,7 +815,7 @@ class TestSelftestGolden:
         and the exception; every other group still reports."""
         from atkernel import selftest
 
-        def check_appendix_invariants():
+        def check_appendix_invariants(corpus):
             raise ValueError("refused draw")
 
         monkeypatch.setattr(selftest, "ALL_GROUPS", [*selftest.ALL_GROUPS[:-1],
@@ -741,10 +893,12 @@ class TestOneKoszulBuild:
 
 # dataclasses pulls in inspect, ast, dis and tokenize; the library uses neither
 HEAVY_STDLIB = {"dataclasses", "inspect"}
+# argparse and what it imports; a well-formed command line loads none of them
+ARGPARSE_STDLIB = {"argparse", "gettext", "locale"}
 LISTS_MODULES = (
     "import sys\n{body}\n"
     "print(' '.join(m for m in sorted(sys.modules)"
-    " if m.split('.')[0] in ('atkernel', 'dataclasses', 'inspect')))"
+    " if m.split('.')[0] in ('atkernel', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale')))"
 )
 
 
@@ -839,6 +993,26 @@ class TestImportSurface:
                  for m in loaded if m.split(".")[0] == "atkernel"]
         lines = sum(len(f.read_text().splitlines()) for f in files)
         assert lines <= self.CH_LINES < self.CH_LINES_BEFORE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ch", "--seq", "Z"], ["blochcmp", "--hom", "phi"], ["semireg", "--hom", "phi", "--k", "1"],
+         ["atk", "--seq", "Z", "--power", "2"], ["obstruct", "--seq", "Z", "--derivation", "ddx"],
+         ["sff", "--preset", "euler"], ["iclosure", "--ideal", "x^3,y^3", "--test", "x^2*y"],
+         ["curvdim", "--ideal", "x^2"], ["dimcheck", "--ideal", "x*y"], ["selftest"]],
+    )
+    def test_well_formed_command_loads_no_argparse(self, argv, tmp_path):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION)
+        if argv[0] in ("ch", "blochcmp", "semireg", "atk", "obstruct"):
+            argv = [*argv, "--input", str(path)]
+        loaded = loaded_modules(f"from atkernel.cli import main\nassert main({argv!r}) == 0")
+        assert "atkernel.cli" in loaded and not loaded & ARGPARSE_STDLIB
+
+    @pytest.mark.parametrize("argv", [["ch", "--help"], ["ch", "--seq", "Z", "--k", "\u0662"]])
+    def test_help_and_usage_errors_load_argparse(self, argv):
+        body = f"from atkernel.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+        assert ARGPARSE_STDLIB <= loaded_modules(body)
 
     def test_whole_library_loads_no_dataclasses(self):
         loaded = loaded_modules("import atkernel.selftest")
