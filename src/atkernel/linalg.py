@@ -86,7 +86,8 @@ class Factorization:
     def solve(self, rhs: Sequence[Sequence]) -> list[list[int | Fraction]] | None:
         """One particular solution of rows*x = b per column b of rhs (a
         value per row), or None if any column is inconsistent: a row that
-        reduced to zero replays to a nonzero value."""
+        reduced to zero replays to a nonzero value.  Each value is
+        canonical (polyforms._canon): an int when integral, else a Fraction."""
         if any(len(b) != len(self.log) for b in rhs):
             raise ValueError("rhs length mismatch")
         solutions = []
@@ -117,12 +118,3 @@ class Factorization:
 
 def rank(rows: Sequence[Row]) -> int:
     return len(_echelon(rows)[0])
-
-
-def solve(rows: Sequence[Row], rhs: Sequence[Sequence[Fraction]],
-          ncols: int) -> list[list[int | Fraction]] | None:
-    """One particular solution of rows*x = b per column b of rhs (a value per
-    row), or None if any column is inconsistent; each value is canonical
-    (polyforms._canon): an int when integral, else a Fraction.  The matrix
-    is factored once for all the columns."""
-    return Factorization(rows, ncols).solve(rhs)

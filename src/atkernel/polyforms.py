@@ -774,18 +774,15 @@ def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
         raise ValueError("ring declaration must look like `ring Q[x, y]`")
     names, weights = [], []
     for chunk in text[2:-1].split(","):
-        chunk = chunk.strip()
-        if not chunk:
+        name, colon, w = (part.strip() for part in chunk.partition(":"))
+        if not (name or colon):
             raise ValueError("empty variable name in ring declaration")
-        if ":" in chunk:
-            name, w = chunk.split(":", 1)
-            name, w = name.strip(), w.strip()
-            # ASCII digits only, as the tokenizer reads them: int() takes '1_0'
-            if not (w.isascii() and w.isdigit()):
-                raise ValueError(f"bad weight {w!r}")
-            weight = int(w)
-        else:
-            name, weight = chunk, 1
+        # ASCII digits only, as the tokenizer reads them: int() takes '1_0'
+        if colon and not (w.isascii() and w.isdigit()):
+            raise ValueError(f"bad weight {w!r}")
+        if excess := digit_excess(w):
+            raise ValueError(f"bad weight of {excess}")
+        weight = int(w) if colon else 1
         if not name.isidentifier():
             raise ValueError(f"bad variable name {name!r}")
         if weight < 1:

@@ -14,22 +14,32 @@ the local trace tests the index sets of every stored entry and sums
 one signed public Form per entry, with no cached plan and no raw
 accumulator,
 the Hom-complex bracket wedges the differentials wrapped as degree-0
-forms, not multiplied by their Poly entries, Hom-complex coboundaries
-are solved from equations assembled one target entry at a time, not
-from the differentials' stored nonzeros, the products behind both
-coboundary decisions are assembled afresh for each call and solved as one
-system over all wedge indices, not replayed on a factored block per
-distinct wedge-index block that the complex or the sequence keeps,
+forms, not multiplied by their Poly entries,
 and the extension ladder's sigma, delta'' and verdict are summed entry
 by entry over dense rows, not composed as chain maps.
 
+Each coboundary decision has one reference, which assembles its whole
+system afresh on every call and solves it once with gauss_jordan, a
+Gauss-Jordan elimination over Q that shares no code with linalg's
+fraction-free factorization and its replay, as every exact solve here:
+
+- coboundary_reference, for [d,h] = c, reads both differentials entry by
+  entry at every position, with none of coboundary's internal-degree
+  layers, _form_of_terms, kept blocks or _solve_products;
+- cousin_reference, for d(b) = target in top degree, multiplies the
+  public powers f_i^m, with no block kept by (sequence, m, top).  It
+  takes the decision's Groebner bound top as given, so it checks the
+  solve, not the bound.
+
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
-regularity scan and the cone checks rank them), and, at the end, the
-differential as a chain map, a matrix as dense rows (of polynomials for
-a polynomial map) and dense rows in the stored sparse form, the split ladder of free modules, the
-contraction of a Cousin element against a derivation, the x_i^2 ladder
-and seeded maps with non-integral Fraction coefficients.
+regularity scan and the cone checks rank them with linalg.rank, so the
+scan is independent of the Groebner guard, not of elimination), and, at
+the end, the differential as a chain map, a matrix as dense rows (of
+polynomials for a polynomial map) and dense rows in the stored sparse
+form, the split ladder of free modules, the contraction of a Cousin
+element against a derivation, the x_i^2 ladder and seeded maps with
+non-integral Fraction coefficients.
 """
 from __future__ import annotations
 
@@ -45,26 +55,19 @@ from atkernel.chaincore import (
     ChainMap,
     GradingError,
     ShapeError,
-    _entrywise,
     _product,
     _settle,
     compose,
-    hom_bracket,
     identity_map,
-    is_cocycle,
     monomials_of_weighted_degree,
-    zero_map,
 )
-from atkernel.coboundary import GradedSolveReport, _form_of_terms, internal_degree_layers
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
-from atkernel.groebner import membership_excess
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
     ArityError,
     Form,
     Poly,
-    _canon,
     _form_from_acc,
     _merge_indices,
     _wedge_into,
@@ -109,12 +112,12 @@ def newton_membership_oracle(gens, query):
             # unknowns: lambda_j (j in support); constraints: sum lambda = 1,
             # and for tight coordinates sum lambda g[i] = a[i]
             for tight in _subsets(range(n), size - 1):
-                rows = [[Fraction(1)] * size]
-                rhs = [Fraction(1)]
+                rows = [dict.fromkeys(range(size), 1)]
+                rhs = [1]
                 for i in tight:
-                    rows.append([Fraction(gens[j][i]) for j in support])
-                    rhs.append(Fraction(a[i]))
-                sol = _solve_exact(rows, rhs)
+                    rows.append({col: gens[j][i] for col, j in enumerate(support)})
+                    rhs.append(a[i])
+                sol = gauss_jordan(rows, rhs, size)[1]
                 if sol is None:
                     continue
                 if any(v < 0 for v in sol):
@@ -136,45 +139,61 @@ def _subsets(items, max_size):
         yield from itertools.combinations(items, size)
 
 
-def _solve_exact(rows, rhs):
-    """Solve a small linear system exactly; None when inconsistent or
-    underdetermined in a way that leaves no pivot solution."""
-    if not rows:
-        return None
-    return dense_gauss_jordan(rows, rhs, len(rows[0]))[1]
+def gauss_jordan(rows, rhs, ncols):
+    """Gauss-Jordan over Q (ints and Fractions) on sparse rows {col:
+    value}: (rank, solution or None).
 
-
-def dense_gauss_jordan(rows, rhs, cols):
-    """Dense Gauss-Jordan over Fraction: (rank, solution or None).
-
-    The reference for the sparse solver: pivots are taken column by
-    column and free variables are set to zero.
+    The reference for the library's fraction-free elimination: pivots are
+    taken column by column, leftmost first, each pivot row is scaled to a
+    leading 1 and its column is cleared from every other row, and free
+    variables are zero.  The right-hand side rides along as column ncols.
     """
-    m = len(rows)
-    work = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot is None:
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    holders: dict[int, set] = {}  # column -> the rows with an entry there
+    for r, (row, b) in enumerate(zip(work, rhs)):
+        if b:
+            row[ncols] = b
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    pivots = {}  # column -> its pivot row
+    taken = set()  # the pivot rows
+    for c in range(ncols):
+        free = holders.get(c, set()) - taken
+        if not free:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    if any(work[i][cols] != 0 for i in range(r, m)):
-        return r, None
-    sol = [Fraction(0)] * cols
-    for prow, pcol in pivots:
-        sol[pcol] = work[prow][cols]
-    return r, sol
+        p = pivots[c] = min(free)
+        taken.add(p)
+        prow, pc = work[p], work[p][c]
+        if pc != 1:
+            for j, v in prow.items():
+                prow[j] = Fraction(v, pc)
+        for r in holders[c] - {p}:
+            row, factor = work[r], work[r][c]
+            for j, v in prow.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(r)
+                    row[j] = w
+                else:
+                    del row[j]
+                    holders[j].discard(r)
+    # a row with no pivot has no entry left but its right-hand side: 0 = b
+    if holders.get(ncols, set()) - taken:
+        return len(pivots), None
+    solution = [Fraction(0)] * ncols
+    for c, p in pivots.items():
+        solution[c] = work[p].get(ncols, Fraction(0))
+    return len(pivots), solution
+
+
+def solve_keyed(rows, rhs, ncols):
+    """gauss_jordan's solution, or None, for equations keyed alike in rows
+    {key: {col: value}} and rhs {key: value}; a key missing from either
+    side is an empty row or a zero right-hand side."""
+    keys = list(rows.keys() | rhs.keys())
+    return gauss_jordan([rows.get(key, {}) for key in keys],
+                        [rhs.get(key, 0) for key in keys], ncols)[1]
 
 
 def poly_matmul_oracle(a, b):
@@ -230,36 +249,12 @@ def component_basis(c, i, d):
     return out
 
 
-def component_matrix(c, i, d, src=None, tgt=None):
-    """Sparse matrix of d(i) on the internal-degree-d component over Q.
-
-    src and tgt, when given, are the component bases in degrees i and i+1.
-    """
-    src = component_basis(c, i, d) if src is None else src
-    tgt = component_basis(c, i + 1, d) if tgt is None else tgt
-    tgt_index = {key: pos for pos, key in enumerate(tgt)}
-    mat = [{} for _ in tgt]
-    for col, (s_idx, expt) in enumerate(src):
-        for t_idx in range(c.rank(i + 1)):
-            entry = c.entry(i, t_idx, s_idx)
-            for e2, coeff in entry.terms.items():
-                key = (t_idx, tuple(a + b for a, b in zip(expt, e2)))
-                row = tgt_index.get(key)
-                if row is None:
-                    raise GradingError("inhomogeneous differential entry")
-                # distinct (t_idx, e2) give distinct keys: one write per entry
-                mat[row][col] = coeff
-    return src, tgt, mat
-
-
 def homology_rank(c, i, d):
     """dim_Q H^i(C)_d for a graded complex."""
     basis = component_basis(c, i, d)
-    src, tgt, mat_out = component_matrix(c, i, d, src=basis)
-    rank_out = linalg.rank(mat_out) if src and tgt else 0
-    src_in, tgt_in, mat_in = component_matrix(c, i - 1, d, tgt=basis)
-    rank_in = linalg.rank(mat_in) if src_in and tgt_in else 0
-    return len(src) - rank_out - rank_in
+    out = component_matrix_oracle(c, i, basis, component_basis(c, i + 1, d))
+    into = component_matrix_oracle(c, i - 1, component_basis(c, i - 1, d), basis)
+    return len(basis) - linalg.rank(out) - linalg.rank(into)
 
 
 def component_matrix_oracle(c, i, src, tgt):
@@ -272,9 +267,12 @@ def component_matrix_oracle(c, i, src, tgt):
     tgt_index = {key: pos for pos, key in enumerate(tgt)}
     mat = [{} for _ in tgt]
     for col, (s_idx, expt) in enumerate(src):
+        mono = Poly.monomial(c.n, expt)
         for t_idx in range(c.rank(i + 1)):
-            image = c.entry(i, t_idx, s_idx) * Poly.monomial(c.n, expt)
-            for e, coeff in image.terms.items():
+            entry = c.entry(i, t_idx, s_idx)
+            if entry.is_zero():
+                continue
+            for e, coeff in (entry * mono).terms.items():
                 row = mat[tgt_index[(t_idx, e)]]
                 row[col] = row.get(col, 0) + coeff
     return [{col: v for col, v in row.items() if v} for row in mat]
@@ -286,7 +284,7 @@ def phase1_lp_oracle(a_eq, b):
     The reference for the library's fraction-free tableau: the same Bland
     rule (first improving column; minimum ratio, ties broken by basis
     index), every pivot and ratio a Fraction division, and the Farkas dual
-    y of the final basis by dense Gauss-Jordan.  Returns ("x", x) or
+    y of the final basis by Gauss-Jordan.  Returns ("x", x) or
     ("y", y).
     """
     rows = len(a_eq)
@@ -336,8 +334,8 @@ def phase1_lp_oracle(a_eq, b):
                 x[bv] = tab[i][total]
         return "x", x
     # B^T y = c_B; row k of B^T is basic column basis[k] of [A | I]
-    bt = [[a_eq[i][j] if j < cols else Fraction(int(i == j - cols)) for i in range(rows)] for j in basis]
-    return "y", dense_gauss_jordan(bt, [cost[j] for j in basis], rows)[1]
+    bt = [{i: a_eq[i][j] for i in range(rows)} if j < cols else {j - cols: 1} for j in basis]
+    return "y", gauss_jordan(bt, [cost[j] for j in basis], rows)[1]
 
 
 def regularity_scan_oracle(ideal, bound):
@@ -449,7 +447,7 @@ def cousin_search_oracle(
                     var_index[(i, idx, e)] = len(var_index)
         # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m; the terms of f_i^m
         # give distinct keys, so each entry is set once
-        rows: dict[tuple, linalg.Row] = {}
+        rows: dict[tuple, dict] = {}
         rhs: dict[tuple, Fraction] = {}
         for idx, coeff in target_num.terms.items():
             for e, c in coeff.terms.items():
@@ -460,15 +458,9 @@ def cousin_search_oracle(
             for e2, c2 in fpows[i - 1].terms.items():
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
                 rows.setdefault(key, {})[vi] = sign * c2
-        keys = list(set(rows) | set(rhs))
-        solved = linalg.solve(
-            [rows.get(key, {}) for key in keys],
-            [[rhs.get(key, Fraction(0)) for key in keys]],
-            len(var_index),
-        )
-        if solved is None:
+        solution = solve_keyed(rows, rhs, len(var_index))
+        if solution is None:
             continue
-        solution = solved[0]
         entries: dict[tuple[int, ...], LocalizedForm] = {}
         for (i, idx, e), vi in var_index.items():
             value = solution[vi]
@@ -552,215 +544,102 @@ def hom_bracket_oracle(h: ChainMap) -> ChainMap:
     return ChainMap._raw(src, tgt, r + 1, h.form_degree, mats)
 
 
-def solve_coboundary_oracle(c: ChainMap) -> GradedSolveReport:
-    """Hom-complex coboundaries with the equations assembled one target
-    entry at a time, over every (t, s) pair and every row of the source
-    differential; chaincore.solve_coboundary must give the same witness.
+def coboundary_reference(c: ChainMap) -> ChainMap | None:
+    """The witness h with [d,h] = c that the graded decision must give, or
+    None when c is no coboundary.
 
-    Decide exactly whether c = [d,h] for some graded h; witness on success.
-
-    Both complexes must be graded over matching weights; c must be a
-    cocycle.  The solve runs once per internal degree appearing in c,
-    where the space of candidate entries is finite-dimensional.
+    One system over every internal degree and wedge index of c: an unknown
+    per coefficient of h_i[t][s] in wedge index idx and exponent e, ordered
+    by (i, t, s), then idx, then e in monomials_of_weighted_degree order,
+    and an equation per coefficient of [d,h], read off both differentials
+    entry by entry.  Its one leftmost-pivot solution, by gauss_jordan, is
+    the witness.  The unknowns of one internal degree and wedge index meet
+    no others, so this is the solution of every block the library keeps.
     """
-    src, tgt = c.source, c.target
-    if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
-        raise GradingError("solve_coboundary requires graded complexes")
-    if not is_cocycle(c):
-        raise ShapeError("solve_coboundary requires a cocycle input")
-    r_h = c.degree - 1
-    k = c.form_degree
-    n = src.n
-    weights = src.var_weights
-    if c.is_zero():
-        return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
-    layers = internal_degree_layers(c)
-    total_witness = zero_map(src, tgt, r_h, k)
-    for d_internal, layer in sorted(layers.items()):
-        # unknown entries h_i[t][s]; blocks[(i, t, s)] lists (idx, expt, var)
-        blocks: dict[tuple[int, int, int], list[tuple]] = {}
-        num_vars = 0
-        for i in src.support():
-            tb = tgt.basis(i + r_h)
-            sb = src.basis(i)
-            for t, tbe in enumerate(tb):
-                for s, sbe in enumerate(sb):
-                    entry_deg = sbe.weight - tbe.weight + d_internal
-                    block = []
-                    for idx in itertools.combinations(range(n), k):
-                        mono_deg = entry_deg - sum(weights[j] for j in idx)
-                        for expt in monomials_of_weighted_degree(n, weights, mono_deg):
-                            block.append((idx, expt, num_vars))
-                            num_vars += 1
-                    if block:
-                        blocks[(i, t, s)] = block
-        rows_eq: list[linalg.Row] = []
-        rhs_eq: list[Fraction] = []
-        sign = (-1) ** (r_h % 2)
-        lo = min(src.support() + tgt.support()) - 1
-        hi = max(src.support() + tgt.support()) + 1
-        for i in range(lo, hi):
-            rows = tgt.rank(i + r_h + 1)
-            cols = src.rank(i)
-            if rows == 0 or cols == 0:
-                continue
-            dt = tgt.diff.get(i + r_h, {})
-            ds = src.diff.get(i, {})
-            for t in range(rows):
-                for s in range(cols):
-                    rows_by_key: dict[tuple, dict[int, Fraction]] = {}
-                    rhs_by_key: dict[tuple, Fraction] = {}
-                    for idx, coeff in layer.entry(i, t, s).terms.items():
-                        for expt, q in coeff.terms.items():
-                            rhs_by_key[(idx, expt)] = q
-                    # d o h contribution; its unknowns and those of h o d are disjoint,
-                    # and one unknown's terms give distinct keys: each entry is set once
-                    for m, dpoly in dt.get(t, {}).items():
-                        for idx, expt, vi in blocks.get((i, m, s), ()):
-                            for e2, q2 in dpoly.terms.items():
-                                tot = tuple(a + b for a, b in zip(expt, e2))
-                                row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = q2
-                    # h o d contribution with sign -(-1)^{r_h}
-                    for m in range(src.rank(i + 1)):
-                        spoly = ds.get(m, {}).get(s)
-                        if spoly is None:
-                            continue
-                        for idx, expt, vi in blocks.get((i + 1, t, m), ()):
-                            for e2, q2 in spoly.terms.items():
-                                tot = tuple(a + b for a, b in zip(expt, e2))
-                                row = rows_by_key.setdefault((idx, tot), {})
-                                row[vi] = -sign * q2
-                    for key in set(rows_by_key) | set(rhs_by_key):
-                        rows_eq.append(rows_by_key.get(key, {}))
-                        rhs_eq.append(rhs_by_key.get(key, Fraction(0)))
-        solved = linalg.solve(rows_eq, [rhs_eq], num_vars)
-        if solved is None:
-            return GradedSolveReport(False, None)
-        solution = solved[0]
-        # mats[i][t][s][idx] holds the terms {expt: value} of one witness entry
-        mats: dict[int, dict] = {}
-        for (i, t, s), block in blocks.items():
-            for idx, expt, vi in block:
-                if solution[vi]:
-                    entry = mats.setdefault(i, {}).setdefault(t, {}).setdefault(s, {})
-                    entry.setdefault(idx, {})[expt] = _canon(solution[vi])
-        witness = _entrywise(mats, partial(_form_of_terms, n, k))
-        total_witness = total_witness + ChainMap._raw(src, tgt, r_h, k, witness)
-    if hom_bracket(total_witness) != c:
-        raise AssertionError("solver produced an unsound witness")
-    return GradedSolveReport(True, total_witness)
-
-
-def solve_products_oracle(supports: dict, products, rhs: dict, n: int, k: int) -> dict | None:
-    """coboundary._solve_products as one system over every wedge index and
-    one right-hand side, not a factored block replayed per wedge index;
-    both must return the same forms.
-
-    Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
-    every slot, summed over the products (slot, key, poly, sign); each
-    (slot, key) pair occurs at most once.  supports maps a key to the
-    (idx, expt) terms its form may have, which number the unknowns in
-    order; rhs maps slots to forms.  Returns {key: form} for the nonzero
-    unknowns of the one particular solution, or None when there is none.
-    """
-    first = {}
-    num_vars = 0
-    for key, terms in supports.items():
-        first[key] = num_vars
-        num_vars += len(terms)
-    # one Q-linear equation per (slot, idx, expt); one product's terms give
-    # distinct equations, so each entry is set once
-    rows: dict[tuple, linalg.Row] = {}
-    for slot, key, poly, sign in products:
-        for vi, (idx, expt) in enumerate(supports[key], first[key]):
-            for e2, q in poly.terms.items():
-                rows.setdefault((slot, idx, tuple(map(operator.add, expt, e2))), {})[vi] = sign * q
-    values = {
-        (slot, idx, expt): q
-        for slot, form in rhs.items()
-        for idx, coeff in form.terms.items()
-        for expt, q in coeff.terms.items()
-    }
-    keys = list(rows.keys() | values.keys())
-    solved = linalg.solve([rows.get(e, {}) for e in keys], [[values.get(e, 0) for e in keys]],
-                          num_vars)
-    if solved is None:
-        return None
-    solution = solved[0]
-    out = {}
-    for key, terms in supports.items():
-        acc: dict = {}
-        for vi, (idx, expt) in enumerate(terms, first[key]):
-            if solution[vi]:
-                acc.setdefault(idx, {})[expt] = solution[vi]
-        if acc:
-            out[key] = _form_of_terms(n, k, acc)
-    return out
-
-
-def graded_products_oracle(c: ChainMap) -> list:
-    """coboundary._solve_coboundary's per-layer answers, from the systems
-    that the solver assembled afresh on every call before it kept factored
-    blocks: the supports of every (i, t, s) over every wedge index of form
-    degree k, and the products of both differentials, solved by
-    solve_products_oracle.  One answer per internal degree, in increasing
-    order, up to the first None."""
     src, tgt = c.source, c.target
     r_h, k, n, weights = c.degree - 1, c.form_degree, src.n, src.var_weights
-    columns: dict[tuple, list] = {}
-    for j, t, m, p in tgt.nonzeros():
-        columns.setdefault((j - r_h, m), []).append((t, p))
+    rhs = {(i, t, s, idx, e): q
+           for i, t, s, f in c.nonzeros()
+           for idx, coeff in f.terms.items()
+           for e, q in coeff.terms.items()}
+    # internal degree: the weight of x^e dx_idx, plus weight(t) - weight(s)
+    degrees = {sum(map(operator.mul, weights, e)) + sum(weights[j] for j in idx)
+               + tgt.basis(i + c.degree)[t].weight - src.basis(i)[s].weight
+               for i, t, s, idx, e in rhs}
+    unknowns = [(i, t, s, idx, e)
+                for i in src.support()
+                for t, tb in enumerate(tgt.basis(i + r_h))
+                for s, sb in enumerate(src.basis(i))
+                for idx in itertools.combinations(range(n), k)
+                for d in sorted(degrees)
+                for e in monomials_of_weighted_degree(
+                    n, weights, sb.weight - tb.weight + d - sum(weights[j] for j in idx))]
+    # [d,h]_j = d h_j - (-1)^{r_h} h_{j+1} d_j: h_i[t][s] meets column t of
+    # the target's d(i + r_h) in degree i, and row s of the source's d(i - 1)
+    # in degree i - 1, so each entry of a row is set once
     sign = -((-1) ** (r_h % 2))
-    idx_weights = [(idx, sum(weights[j] for j in idx))
-                   for idx in itertools.combinations(range(n), k)]
-    answers = []
-    for d_internal, layer in sorted(internal_degree_layers(c).items()):
-        supports = {}
-        for i in src.support():
-            for t, tbe in enumerate(tgt.basis(i + r_h)):
-                for s, sbe in enumerate(src.basis(i)):
-                    entry_deg = sbe.weight - tbe.weight + d_internal
-                    terms = [(idx, expt) for idx, w in idx_weights
-                             for expt in monomials_of_weighted_degree(n, weights, entry_deg - w)]
-                    if terms:
-                        supports[(i, t, s)] = terms
-        products = []
-        for key in supports:
-            i, t, s = key
-            for row, p in columns.get((i, t), ()):
-                products.append(((i, row, s), key, p, 1))
-            for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
-                products.append(((i - 1, t, col), key, p, sign))
-        rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
-        answers.append(solve_products_oracle(supports, products, rhs, n, k))
-        if answers[-1] is None:
-            break
-    return answers
+    rows: dict[tuple, dict] = {}
+    for col, (i, t, s, idx, e) in enumerate(unknowns):
+        for row in range(tgt.rank(i + r_h + 1)):
+            for e2, q in tgt.entry(i + r_h, row, t).terms.items():
+                rows.setdefault((i, row, s, idx, tuple(map(operator.add, e, e2))), {})[col] = q
+        for m in range(src.rank(i - 1)):
+            for e2, q in src.entry(i - 1, s, m).terms.items():
+                rows.setdefault((i - 1, t, m, idx, tuple(map(operator.add, e, e2))), {})[col] = (
+                    sign * q)
+    solution = solve_keyed(rows, rhs, len(unknowns))
+    if solution is None:
+        return None
+    mats: dict = {}  # mats[i][t][s][idx] holds the terms {e: value} of one entry
+    for (i, t, s, idx, e), v in zip(unknowns, solution):
+        if v:
+            mats.setdefault(i, {}).setdefault(t, {}).setdefault(s, {}).setdefault(idx, {})[e] = v
+    return ChainMap(src, tgt, r_h, k, {
+        i: {t: {s: Form(n, k, {idx: Poly(n, terms) for idx, terms in entry.items()})
+                for s, entry in row.items()}
+            for t, row in mat.items()}
+        for i, mat in mats.items()})
 
 
-def cousin_products_oracle(target: CousinElement) -> dict | None:
-    """coboundary._solve_cousin_coboundary's cofactors {i: num_i} of a
-    member target, from the system that the decision assembled afresh on
-    every call before it kept factored blocks: supports over the wedge
-    indices of the target's numerator only, solved by
-    solve_products_oracle."""
+def cousin_reference(target: CousinElement, top: int) -> CousinElement | None:
+    """The witness b with d(b) = target that the Cousin decision must give
+    for a top-degree target num / f_full^m, or None when num has no
+    cofactors of degree at most top.
+
+    top is the decision's Groebner bound: the degree of num plus
+    groebner.membership_excess of num over the f_i^m.  One system over
+    every wedge index of num, sum_i -(-1)^(i-1) num_i * f_i^m = num: an
+    unknown per coefficient of num_i in wedge index idx and exponent e, of
+    degree at most top - deg(f_i^m), ordered by i, then idx, then degree,
+    then e in monomials_of_weighted_degree order, solved by gauss_jordan.
+    b has num_i / f^m at full minus i.
+    """
     q, n = target.q, target.n
     full = tuple(range(1, q + 1))
     num, m = target.entries[full].num, target.entries[full].m
     fpows = [f ** m for f in target.seq]
-    top = (max(c.total_degree() for c in num.terms.values())
-           + membership_excess(fpows, num.terms.values()))
-    units = (1,) * n
-    supports = {
-        i: [(idx, e)
-            for d in range(top - fpow.total_degree() + 1)
-            for e in monomials_of_weighted_degree(n, units, d)
-            for idx in num.terms]
-        for i, fpow in enumerate(fpows, 1)
-    }
-    products = [(full, i, fpow, -((-1) ** (i - 1))) for i, fpow in enumerate(fpows, 1)]
-    return solve_products_oracle(supports, products, {full: num}, n, num.degree)
+    unknowns = [(i, idx, e)
+                for i, fpow in enumerate(fpows, 1)
+                for idx in num.terms
+                for d in range(top - fpow.total_degree() + 1)
+                for e in monomials_of_weighted_degree(n, (1,) * n, d)]
+    rows: dict[tuple, dict] = {}
+    for col, (i, idx, e) in enumerate(unknowns):
+        sign = -((-1) ** (i - 1))
+        for e2, c in fpows[i - 1].terms.items():
+            rows.setdefault((idx, tuple(map(operator.add, e, e2))), {})[col] = sign * c
+    rhs = {(idx, e): c for idx, coeff in num.terms.items() for e, c in coeff.terms.items()}
+    solution = solve_keyed(rows, rhs, len(unknowns))
+    if solution is None:
+        return None
+    nums: dict = {}  # nums[i][idx] holds the terms {e: value} of num_i
+    for (i, idx, e), v in zip(unknowns, solution):
+        if v:
+            nums.setdefault(i, {}).setdefault(idx, {})[e] = v
+    return CousinElement(n, target.seq, q - 1, {
+        full[: i - 1] + full[i:]: LocalizedForm(
+            Form(n, num.degree, {idx: Poly(n, terms) for idx, terms in form.items()}), m)
+        for i, form in nums.items()})
 
 
 def differential_map(c):

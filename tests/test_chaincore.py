@@ -55,19 +55,14 @@ from atkernel.selftest import (
 )
 
 from oracles import (
-    component_basis,
-    component_matrix,
-    component_matrix_oracle,
-    cousin_products_oracle,
+    coboundary_reference,
+    cousin_reference,
     dense,
     differential_map,
     fraction_map,
-    graded_products_oracle,
     hom_bracket_oracle,
     homology_rank,
     poly_matmul_oracle,
-    solve_coboundary_oracle,
-    solve_products_oracle,
     sparse,
     square_ladder,
     wedge_matmul_oracle,
@@ -386,24 +381,31 @@ def koszul_weighted():
     return build_koszul(RegularSequenceIdeal(3, polys, (1, 2, 3)))
 
 
-class TestComponentMatrix:
-    """The one-write component matrices against a naive accumulating
-    oracle, and homology_rank's shared basis against separate builds."""
+def hilbert_function(degrees, weights, top):
+    """The coefficients of t^0 .. t^top in prod(1 - t^a) / prod(1 - t^w),
+    over the degrees a of a regular sequence and the weights w of the ring:
+    dim (R/I)_d for every d up to top."""
+    series = [1] + [0] * top
+    for a in degrees:
+        series = [v - (series[d - a] if d >= a else 0) for d, v in enumerate(series)]
+    for w in weights:
+        for d in range(w, top + 1):
+            series[d] += series[d - w]
+    return series
+
+
+class TestHomologyRank:
+    """homology_rank on Koszul complexes of regular sequences: no homology
+    below degree 0, and H^0 = R/I, whose dimension in each internal degree
+    the Hilbert series gives."""
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, "weighted"])
-    def test_matches_accumulating_oracle(self, q):
+    def test_koszul_homology_is_the_quotient(self, q):
         cx = (koszul_weighted() if q == "weighted" else koszul_squares(q)).complex
-        for i in cx.support():
-            for d in range(7):
-                src, tgt, mat = component_matrix(cx, i, d)
-                assert src == component_basis(cx, i, d)
-                assert tgt == component_basis(cx, i + 1, d)
-                assert mat == component_matrix_oracle(cx, i, src, tgt)
-                src_in = component_basis(cx, i - 1, d)
-                mat_in = component_matrix_oracle(cx, i - 1, src_in, src)
-                rank_out = linalg.rank(mat) if src and tgt else 0
-                rank_in = linalg.rank(mat_in) if src_in and src else 0
-                assert homology_rank(cx, i, d) == len(src) - rank_out - rank_in
+        quotient = hilbert_function([b.weight for b in cx.basis(-1)], cx.var_weights, 6)
+        for d in range(7):
+            assert [homology_rank(cx, i, d) for i in cx.support()] == (
+                [0] * (len(cx.support()) - 1) + [quotient[d]])
 
 
 class TestShift:
@@ -560,17 +562,24 @@ class TestSolveCoboundary:
             solve_coboundary(c)
 
 
+def assert_same_decision(report, want):
+    """A solve_coboundary report against coboundary_reference's answer:
+    both unsolvable, or the same witness by == and by text."""
+    assert report.solvable == (want is not None)
+    if want is not None:
+        assert report.witness == want
+        assert map_to_text(report.witness, "h") == map_to_text(want, "h")
+
+
 class TestWitnessOracle:
-    """solve_coboundary against the per-entry assembly it replaced: the same
-    answer and the same witness, by == and by text."""
+    """solve_coboundary against the reference system over every internal
+    degree and wedge index: the same answer and the same witness, by ==
+    and by text."""
 
     @staticmethod
     def solve_both(c):
-        got, want = solve_coboundary(c), solve_coboundary_oracle(c)
-        assert got.solvable == want.solvable
-        if want.solvable:
-            assert got.witness == want.witness
-            assert map_to_text(got.witness, "h") == map_to_text(want.witness, "h")
+        got = solve_coboundary(c)
+        assert_same_decision(got, coboundary_reference(c))
         return got
 
     @pytest.mark.parametrize("group", ["check_centrality", "check_connection_independence"])
@@ -609,43 +618,19 @@ class TestWitnessOracle:
 
 
 class TestSolveProductsOracle:
-    """_solve_products, on factored blocks that are kept and replayed per
-    wedge index, against the system assembled afresh over every wedge
-    index that it replaced: the same forms, in the same order, or None
-    from both."""
+    """Decisions made by _solve_products, on factored blocks that are kept
+    and replayed per wedge index, against the reference system assembled
+    afresh over every wedge index: the same witness, or None from both."""
 
-    @staticmethod
-    def record(monkeypatch):
-        """Record every answer of coboundary._solve_products, in order."""
-        from atkernel import coboundary
-
-        solve = coboundary._solve_products
-        answers = []
-
-        def recorded(*args):
-            answers.append(solve(*args))
-            return answers[-1]
-
-        monkeypatch.setattr(coboundary, "_solve_products", recorded)
-        return answers
-
-    @staticmethod
-    def assert_same(got, want):
-        assert got == want
-        assert [a is None or list(a) for a in got] == [a is None or list(a) for a in want]
-
-    def test_corpus_coboundary_layers_at_every_form_degree(self, monkeypatch):
-        answers = self.record(monkeypatch)
+    def test_corpus_coboundary_layers_at_every_form_degree(self):
         rng = random.Random("solve-products")
-        unsolvable = total = nones = 0
+        unsolvable = total = 0
 
         def solve(c):
-            nonlocal total, nones
-            answers.clear()
+            nonlocal total
             report = solve_coboundary(c)
-            self.assert_same(answers, graded_products_oracle(c))
-            total += len(answers)
-            nones += answers.count(None)
+            assert_same_decision(report, coboundary_reference(c))
+            total += 1
             return report.solvable
 
         for entry in corpus_entries():
@@ -656,18 +641,25 @@ class TestSolveProductsOracle:
                     assert solve(hom_bracket(random_chain_map(rng, kz, degree, fd)))
                 if 1 <= fd <= kz.q:
                     unsolvable += not solve(atiyah_power(at, fd).chain_map)
-        assert unsolvable == sum(entry.ideal.q for entry in corpus_entries())
-        assert total > 100 and nones == unsolvable
+        ideals = [entry.ideal for entry in corpus_entries()]
+        assert unsolvable == sum(ideal.q for ideal in ideals)
+        assert total == sum(3 * (ideal.n + 1) + ideal.q for ideal in ideals)
 
-    def test_cousin_systems_of_the_commutator_targets(self, monkeypatch):
+    def test_cousin_systems_of_the_commutator_targets(self):
         from atkernel import cousin
+        from atkernel.groebner import membership_excess
         from atkernel.selftest import commutator_class_targets
 
-        answers = self.record(monkeypatch)
         targets = [t for t in commutator_class_targets("commclass") if not t.is_zero()]
         for target in targets:
-            assert cousin.cousin_coboundary_solve(target) is not None
-        self.assert_same(answers, [cousin_products_oracle(t) for t in targets])
+            # the decision's Groebner bound on the cofactors' degree
+            lf = target.entries[tuple(range(1, target.q + 1))]
+            coeffs = lf.num.terms.values()
+            top = (max(c.total_degree() for c in coeffs)
+                   + membership_excess([f ** lf.m for f in target.seq], coeffs))
+            got, want = cousin.cousin_coboundary_solve(target), cousin_reference(target, top)
+            assert got is not None and got == want
+            assert cousin.cousin_to_text(got) == cousin.cousin_to_text(want)
         assert len(targets) > 0
 
     def test_weighted_ring_eliminates_its_blocks_separately(self, monkeypatch):
@@ -678,7 +670,6 @@ class TestSolveProductsOracle:
         from atkernel.coboundary import internal_degree_layers
 
         names, weights = ("x", "y"), (1, 2)
-        answers = self.record(monkeypatch)
         eliminations = []
         original = linalg._echelon
         monkeypatch.setattr(linalg, "_echelon",
@@ -689,14 +680,14 @@ class TestSolveProductsOracle:
             kz = build_koszul(RegularSequenceIdeal(
                 2, (parse_poly("x^2", names), parse_poly("y", names)), weights))
             c = hom_bracket(random_chain_map(rng, kz, 0, 1))
-            answers.clear()
             eliminations.clear()
-            assert solve_coboundary(c).solvable
+            report = solve_coboundary(c)
+            assert report.solvable
             degrees = [{d - weights[j] for _, _, _, f in layer.nonzeros() for (j,) in f.terms}
                        for d, layer in internal_degree_layers(c).items()]
             assert len(eliminations) == len(set().union(*degrees))
             two_blocks += any(len(ds) == 2 for ds in degrees)
-            self.assert_same(answers, graded_products_oracle(c))
+            assert_same_decision(report, coboundary_reference(c))
         assert two_blocks > 0
 
     def test_right_hand_side_in_a_wedge_index_with_no_unknown(self, monkeypatch):
@@ -713,14 +704,9 @@ class TestSolveProductsOracle:
         assert _solve_products(blocks, rhs, 2, 1) is None
         assert replays == []
         monkeypatch.undo()
-        supports = {"u": [((0,), (0, 0)), ((0,), (1, 0))]}
-        products = [("slot", "u", x, 1)]
-        assert solve_products_oracle(supports, products, rhs, 2, 1) is None
         # without the dy term the system is solvable, with u = dx
         rhs = {"slot": parse_form("x*dx", XY)}
-        want = {"u": parse_form("dx", XY)}
-        assert _solve_products(blocks, rhs, 2, 1) == want
-        assert solve_products_oracle(supports, products, rhs, 2, 1) == want
+        assert _solve_products(blocks, rhs, 2, 1) == {"u": parse_form("dx", XY)}
 
     def test_rows_per_elimination_are_one_wedge_index(self, monkeypatch):
         """A form-degree-1 bracket on x ; y ; z: its three wedge indices
@@ -736,9 +722,6 @@ class TestSolveProductsOracle:
         monkeypatch.setattr(linalg, "_echelon", lambda r: rows.append(len(r)) or original(r))
         assert solve_coboundary(c).solvable
         assert len(rows) == 3 and 3 * sum(rows) == parent_rows
-        rows.clear()
-        assert all(graded_products_oracle(c))
-        assert len(rows) == 3 and sum(rows) == parent_rows
 
 
 class TestKeptBlocks:
@@ -771,9 +754,7 @@ class TestKeptBlocks:
         eliminations.clear()
         report = solve_coboundary(second)
         assert report.solvable and eliminations == []
-        want = solve_coboundary_oracle(second)
-        assert report.witness == want.witness
-        assert map_to_text(report.witness, "h") == map_to_text(want.witness, "h")
+        assert_same_decision(report, coboundary_reference(second))
 
     def test_one_source_with_two_targets_keeps_two_entries(self):
         f, src, tgt = functoriality_pairs()[2]  # x*y ; z^2 -> x*y ; z

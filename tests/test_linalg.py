@@ -1,4 +1,4 @@
-"""The sparse exact solver against a dense Gauss-Jordan reference."""
+"""The sparse exact solver against a Gauss-Jordan reference over Fraction."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,11 +6,7 @@ from math import gcd
 import pytest
 
 from atkernel import linalg
-from oracles import dense_gauss_jordan
-
-
-def _dense(rows, ncols):
-    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+from oracles import gauss_jordan
 
 
 def _random_system(rng, nrows, ncols, density):
@@ -31,9 +27,9 @@ def _random_system(rng, nrows, ncols, density):
 
 
 def _assert_matches_reference(rows, rhs, ncols):
-    ref_rank, ref_solution = dense_gauss_jordan(_dense(rows, ncols), rhs, ncols)
+    ref_rank, ref_solution = gauss_jordan(rows, rhs, ncols)
     assert linalg.rank(rows) == ref_rank
-    solved = linalg.solve(rows, [rhs], ncols)
+    solved = linalg.Factorization(rows, ncols).solve([rhs])
     assert (solved is None) == (ref_solution is None)
     solution = solved and solved[0]
     assert solution == ref_solution
@@ -53,14 +49,14 @@ def test_random_sparse_systems_match_dense_reference(seed):
 
 def test_zero_rows():
     assert linalg.rank([]) == 0
-    assert linalg.solve([], [[]], 3) == [[0, 0, 0]]
+    assert linalg.Factorization([], 3).solve([[]]) == [[0, 0, 0]]
     _assert_matches_reference([], [], 3)
 
 
 def test_zero_columns():
     assert linalg.rank([{}, {}]) == 0
-    assert linalg.solve([{}, {}], [[Fraction(0), Fraction(0)]], 0) == [[]]
-    assert linalg.solve([{}, {}], [[Fraction(0), Fraction(1)]], 0) is None
+    assert linalg.Factorization([{}, {}], 0).solve([[Fraction(0), Fraction(0)]]) == [[]]
+    assert linalg.Factorization([{}, {}], 0).solve([[Fraction(0), Fraction(1)]]) is None
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(0)], 0)
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(1)], 0)
 
@@ -68,7 +64,7 @@ def test_zero_columns():
 def test_all_zero_rhs_gives_zero_solution():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
     rhs = [Fraction(0)] * 3
-    assert linalg.solve(rows, [rhs], 3) == [[0, 0, 0]]
+    assert linalg.Factorization(rows, 3).solve([rhs]) == [[0, 0, 0]]
     _assert_matches_reference(rows, rhs, 3)
 
 
@@ -77,14 +73,15 @@ def test_duplicate_rows():
     rows = [row, dict(row), {1: Fraction(1)}, dict(row)]
     rhs = [Fraction(5)] * 4
     assert linalg.rank(rows) == 2
-    assert linalg.solve(rows, [rhs], 4) == [[10, 5, 0, 0]]
+    assert linalg.Factorization(rows, 4).solve([rhs]) == [[10, 5, 0, 0]]
     _assert_matches_reference(rows, rhs, 4)
 
 
 def test_inconsistent_only_in_last_row():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    assert linalg.solve(rows, [[Fraction(1), Fraction(2), Fraction(3)]], 2) == [[1, 2]]
-    assert linalg.solve(rows, [[Fraction(1), Fraction(2), Fraction(4)]], 2) is None
+    system = linalg.Factorization(rows, 2)
+    assert system.solve([[Fraction(1), Fraction(2), Fraction(3)]]) == [[1, 2]]
+    assert system.solve([[Fraction(1), Fraction(2), Fraction(4)]]) is None
     _assert_matches_reference(rows, [Fraction(1), Fraction(2), Fraction(4)], 2)
 
 
@@ -92,13 +89,14 @@ def test_cancelled_entries_and_inputs_untouched():
     rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(4), 2: Fraction(0)}]
     snapshot = [dict(row) for row in rows]
     assert linalg.rank(rows) == 1
-    assert linalg.solve(rows, [[Fraction(1), Fraction(2)]], 3) == [[0, Fraction(1, 2), 0]]
+    solved = linalg.Factorization(rows, 3).solve([[Fraction(1), Fraction(2)]])
+    assert solved == [[0, Fraction(1, 2), 0]]
     assert rows == snapshot
 
 
 def test_rhs_length_mismatch():
     with pytest.raises(ValueError):
-        linalg.solve([{0: Fraction(1)}], [[]], 1)
+        linalg.Factorization([{0: Fraction(1)}], 1).solve([[]])
 
 
 def _hilbert(n):
@@ -136,10 +134,10 @@ def _assert_canonical(solution):
 
 def test_solution_entries_are_canonical():
     """An int when integral, else a Fraction with denominator > 1, and
-    equal to the dense reference's solution."""
+    equal to the reference's solution."""
     rows = [{0: 2, 1: 1}, {1: 3}, {0: Fraction(1, 2), 2: 1}]
     for rhs in ([1, 2, 3], [0, 0, 0], [Fraction(1, 3), 0, 5]):
-        [solution] = linalg.solve(rows, [rhs], 4)
+        [solution] = linalg.Factorization(rows, 4).solve([rhs])
         _assert_canonical(solution)
         _assert_matches_reference(rows, rhs, 4)
     # seeded Fraction rows, with integral and non-integral solutions
@@ -150,7 +148,7 @@ def test_solution_entries_are_canonical():
         rows, _ = _random_system(rng, rng.randint(1, 10), ncols, 0.4)
         x = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
         rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
-        [solution] = linalg.solve(rows, [rhs], ncols)
+        [solution] = linalg.Factorization(rows, ncols).solve([rhs])
         _assert_canonical(solution)
         _assert_matches_reference(rows, rhs, ncols)
         fractional += any(type(v) is Fraction for v in solution)
@@ -175,10 +173,9 @@ def test_pivot_rows_are_primitive_with_positive_pivot(seed):
 
 def _assert_columns_match_reference(rows, columns, ncols):
     """Several right-hand sides in one call: None exactly when some column
-    is inconsistent, else each column's solution is the dense reference's."""
-    dense_rows = _dense(rows, ncols)
-    refs = [dense_gauss_jordan(dense_rows, b, ncols)[1] for b in columns]
-    solved = linalg.solve(rows, columns, ncols)
+    is inconsistent, else each column's solution is the reference's."""
+    refs = [gauss_jordan(rows, b, ncols)[1] for b in columns]
+    solved = linalg.Factorization(rows, ncols).solve(columns)
     if any(ref is None for ref in refs):
         assert solved is None
     else:
@@ -201,35 +198,39 @@ def test_several_right_hand_sides_match_dense_reference_column_by_column(seed):
         broken = list(columns)
         broken[rng.randrange(len(broken))] = [Fraction(rng.randint(-2, 2)) for _ in rows]
         _assert_columns_match_reference(rows, broken, ncols)
-        inconsistent += linalg.solve(rows, broken, ncols) is None
+        inconsistent += linalg.Factorization(rows, ncols).solve(broken) is None
     assert inconsistent > 0
 
 
 def test_one_inconsistent_column_makes_the_result_none():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
     good, bad = [Fraction(1), Fraction(2), Fraction(3)], [Fraction(1), Fraction(2), Fraction(4)]
-    assert linalg.solve(rows, [good, good], 2) == [[1, 2], [1, 2]]
-    assert linalg.solve(rows, [good, bad], 2) is None
-    assert linalg.solve(rows, [bad, good], 2) is None
+    system = linalg.Factorization(rows, 2)
+    assert system.solve([good, good]) == [[1, 2], [1, 2]]
+    assert system.solve([good, bad]) is None
+    assert system.solve([bad, good]) is None
     _assert_columns_match_reference(rows, [good, bad], 2)
 
 
 def test_all_zero_columns_give_zero_solutions():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
     zero = [Fraction(0)] * 3
-    assert linalg.solve(rows, [zero, zero], 3) == [[0, 0, 0], [0, 0, 0]]
-    assert linalg.solve(rows, [zero, [1, 0, 3], zero], 3) == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-    assert linalg.solve(rows, [], 3) == []
-    assert linalg.solve([{}, {}], [[0, 0], [0, 0]], 0) == [[], []]
-    assert linalg.solve([{}, {}], [[0, 0], [0, 1]], 0) is None
+    system = linalg.Factorization(rows, 3)
+    assert system.solve([zero, zero]) == [[0, 0, 0], [0, 0, 0]]
+    assert system.solve([zero, [1, 0, 3], zero]) == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    assert system.solve([]) == []
+    empty = linalg.Factorization([{}, {}], 0)
+    assert empty.solve([[0, 0], [0, 0]]) == [[], []]
+    assert empty.solve([[0, 0], [0, 1]]) is None
 
 
 def test_column_length_mismatch_raises():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}]
+    system = linalg.Factorization(rows, 2)
     with pytest.raises(ValueError):
-        linalg.solve(rows, [[1, 2], [1]], 2)
+        system.solve([[1, 2], [1]])
     with pytest.raises(ValueError):
-        linalg.solve(rows, [[1, 2, 3]], 2)
+        system.solve([[1, 2, 3]])
 
 
 def _consistent_column(rng, rows, ncols):
@@ -241,7 +242,7 @@ def _consistent_column(rng, rows, ncols):
 def test_one_factorization_replays_many_right_hand_sides(seed):
     """Each system is factored once, then solved against 1-4 consistent
     columns, an inconsistent one, and consistent columns again; every
-    answer is the dense reference's.  The systems have all-zero rows,
+    answer is the reference's.  The systems have all-zero rows,
     0 = b rows and fractional right-hand sides."""
     rng = random.Random(f"linalg:replay:{seed}")
     seen = {"fractional": 0, "random inconsistent": 0}
@@ -250,12 +251,11 @@ def test_one_factorization_replays_many_right_hand_sides(seed):
         rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
         zero_row = rng.randrange(len(rows) + 1)
         rows.insert(zero_row, {})
-        dense_rows = _dense(rows, ncols)
         system = linalg.Factorization(rows, ncols)
         assert len(system.pivots) == linalg.rank(rows)
 
         def check(columns):
-            refs = [dense_gauss_jordan(dense_rows, b, ncols)[1] for b in columns]
+            refs = [gauss_jordan(rows, b, ncols)[1] for b in columns]
             got = system.solve(columns)
             if any(ref is None for ref in refs):
                 assert got is None

@@ -406,10 +406,17 @@ class TestHugeIntegers:
                  "more than 4300")
 
     @pytest.mark.parametrize("items", [f"deg 0: [e:{HUGE}]", f"deg {HUGE}: [e]",
-                                       f"deg -1: [g]; deg 0: [e]; d({HUGE}) = [[x]]"])
+                                       f"deg -1: [g]; deg 0: [e]; d({HUGE}) = [[x]]",
+                                       f"ring Q[x:{HUGE}]; deg 0: [e]"])
     def test_complex_block_integers(self, items):
-        with pytest.raises(ParseError, match="expected an integer, got one of 5000 digits, more"):
-            parse_complex(f"complex K {{ ring Q[x]; {items} }}")
+        if items.startswith("ring"):  # a weight, refused by parse_ring
+            with pytest.raises(ValueError) as err:
+                parse_complex(f"complex K {{ {items} }}")
+            assert str(err.value) == "bad weight of 5000 digits, more than 4300"
+        else:
+            with pytest.raises(ParseError,
+                               match="expected an integer, got one of 5000 digits, more"):
+                parse_complex(f"complex K {{ ring Q[x]; {items} }}")
 
     def test_limit_is_the_interpreters(self):
         limit = sys.get_int_max_str_digits()
@@ -421,6 +428,11 @@ class TestHugeIntegers:
 
 
 class TestUsageMessages:
+    def test_session_command_without_input_is_two(self):
+        out = run_cli(["ch", "--seq", "Z"])
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: this command needs --input <session file>\n"
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
