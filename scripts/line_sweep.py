@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""List the library lines that no command reaches, and the library that
-each demo command loads.
+"""Count the library's source lines, list the lines that no command
+reaches, and the library that each demo command loads.
 
-In one process under sys.settrace, runs `atk selftest`, the demo commands
-of scripts/demo_session.py on its demo session, the `sff` presets of
-tests/golden/sff.txt, the help and usage-error command lines of
-tests/golden/usage.txt and the loop of scripts/run_corpus.py, all in
-process and with their stdout and stderr discarded.  Then prints, per module of
-src/atkernel, how many executable lines none of them reached, followed by
-those lines.  Executable lines are those of the module's compiled code
-objects.  Last, it runs each demo command in a fresh `atk` process and
-prints the source lines (as `wc -l` counts them) of the atkernel modules
+First prints the source lines of src/atkernel, in total and per module, as
+`wc -l` counts them.  Then, in one process under sys.settrace, runs `atk
+selftest`, the demo commands of scripts/demo_session.py on its demo
+session, the `sff` presets of tests/golden/sff.txt, the help and
+usage-error command lines of tests/golden/usage.txt and the loop of
+scripts/run_corpus.py, all in process and with their stdout and stderr
+discarded, and prints, per module, how many executable lines none of
+them reached, followed by those lines.  Executable lines are those of the
+module's compiled code objects.  Last, it runs each demo command in a
+fresh `atk` process and prints the source lines of the atkernel modules
 that the process loaded, which is what it compiles without a bytecode
 cache, and the standard-library modules it loaded beyond those of
 `python -c pass`, so that a start-up import such as argparse or
@@ -122,10 +123,15 @@ def loaded_per_command() -> list[tuple[str, list[str], list[str]]]:
     return out
 
 
-def source_lines(module: str) -> int:
-    """The lines of an atkernel module's source file."""
+def source_lines(path: Path) -> int:
+    """The lines of a source file, as `wc -l` counts them."""
+    return path.read_text().count("\n")
+
+
+def module_path(module: str) -> Path:
+    """The source file of an atkernel module."""
     parts = module.split(".")[1:] or ["__init__"]
-    return len((LIB / f"{parts[0]}.py").read_text().splitlines())
+    return LIB / f"{parts[0]}.py"
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -139,13 +145,18 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def main() -> int:
+    paths = sorted(LIB.glob("*.py"))
+    sizes = [(path.name, source_lines(path)) for path in paths]
+    print(f"library: {sum(lines for _, lines in sizes)} lines in {len(sizes)} modules")
+    for name, lines in sizes:
+        print(f"  {name}: {lines}")
     sys.settrace(_global)
     try:
         run_commands()
     finally:
         sys.settrace(None)
     total = 0
-    for path in sorted(LIB.glob("*.py")):
+    for path in paths:
         missed = sorted(executable_lines(path) - reached.get(str(path), set()))
         total += len(missed)
         print(f"{path.name}: {len(missed)} unreached")
@@ -155,7 +166,7 @@ def main() -> int:
     print(f"total: {total} unreached")
     print("library loaded by a fresh `atk` process:")
     for command, modules, stdlib in loaded_per_command():
-        lines = sum(source_lines(m) for m in modules)
+        lines = sum(source_lines(module_path(m)) for m in modules)
         names = ", ".join(m.split(".", 1)[-1] for m in modules)
         print(f"  {command}: {lines} lines in {len(modules)} modules ({names})")
         print(f"    standard library beyond `python -c pass`: {', '.join(stdlib) or 'none'}")

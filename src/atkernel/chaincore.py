@@ -8,10 +8,9 @@ Hom-complex.  Coefficients always sit to the right of basis symbols, and
 composition wedges the left factor's form coefficient onto the left; all
 other signs flow from these two conventions.
 
-Coboundary questions are decided exactly by splitting a graded map into
-its internal degrees, where each layer is finite-dimensional linear
-algebra over Q; that solver lives in coboundary, which solve_coboundary
-loads on its first call.  Shifts, cones and the text format for
+Coboundary questions are decided exactly by finite-dimensional linear
+algebra over Q, one block per degree of the coefficients; that solver
+lives in coboundary, which solve_coboundary loads on its first call.  Shifts, cones and the text format for
 complexes serve only the selftest groups, which hold them.
 """
 from __future__ import annotations
@@ -420,8 +419,8 @@ def solve_coboundary(c: ChainMap) -> "GradedSolveReport":
     """Decide exactly whether c = [d,h] for some graded h; witness on success.
 
     Both complexes must be graded over matching weights; c must be a
-    cocycle.  The solve, in coboundary, runs once per internal degree
-    appearing in c, where the space of candidate entries is finite-dimensional.
+    cocycle.  The solve, in coboundary, is one pass over c's terms; each
+    term's degree picks a finite-dimensional block of candidate entries.
     """
     return _coboundary()._solve_coboundary(c)
 

@@ -1,14 +1,16 @@
 """The two exact coboundary decisions, behind chaincore.solve_coboundary
 and cousin.cousin_coboundary_solve, and the only module that imports
 linalg.  Both load it on their first call, so a command that decides no
-coboundary does not.  Each internal degree of a graded map is one
-exact solve over Q, and so is a Cousin class's ideal-membership cofactors.
+coboundary does not.  Each decision is one exact solve over Q, fed in
+one pass over the terms of the graded map, or of the Cousin class's
+numerator whose ideal-membership cofactors it finds.
 
 Both solves are sums of products sign * poly * u_key, block-diagonal by
-wedge index.  A block's matrix depends only on the complexes, or the
-sequence, and a few degrees; the cocycle is only its right-hand side.  So
-each block is assembled and factored (linalg.Factorization) once, kept,
-and replayed on the right-hand sides of every later decision:
+wedge index and by the degree e that picks a block.  A block's matrix
+depends only on the complexes, or the sequence, and a few degrees; the
+cocycle is only its right-hand side.  So each block is assembled and
+factored (linalg.Factorization) once, kept, and replayed on the
+right-hand sides of every later decision:
 
 - graded blocks on the source FreeComplex, in _coboundary_blocks, keyed
   by the target complex by identity (equal but distinct complexes share
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from operator import add
+from operator import add, mul
 
 from . import linalg
-from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, _entrywise, hom_bracket,
-                        is_cocycle, monomials_of_weighted_degree, zero_map)
+from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, hom_bracket, is_cocycle,
+                        monomials_of_weighted_degree, zero_map)
 from .cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
 from .groebner import membership_excess
 from .polyforms import Form, Poly
@@ -42,36 +44,6 @@ class GradedSolveReport:
     def __init__(self, solvable: bool, witness: ChainMap | None):
         self.solvable = solvable
         self.witness = witness
-
-
-def _form_of_terms(n: int, k: int, terms: dict) -> Form:
-    """The form {idx: {expt: coefficient}}, every coefficient canonical and nonzero."""
-    return Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in terms.items()})
-
-
-def internal_degree_layers(h: ChainMap) -> dict[int, ChainMap]:
-    """Split a graded chain map into homogeneous internal-degree layers."""
-    src, tgt = h.source, h.target
-    if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
-        raise GradingError("internal degrees need matching gradings")
-    weights = src.var_weights
-    n, k = src.n, h.form_degree
-    # layers[d][i][t][s][idx] holds the terms {expt: q} of one layer's entry
-    layers: dict[int, dict] = {}
-    for i, t, s, f in h.nonzeros():
-        # shift of internal degree: output minus input
-        base = tgt.basis(i + h.degree)[t].weight - src.basis(i)[s].weight
-        for idx, coeff in f.terms.items():
-            widx = sum(weights[j] for j in idx)
-            for expt, q in coeff.terms.items():
-                d_internal = sum(w * e for w, e in zip(weights, expt)) + widx + base
-                layer = layers.setdefault(d_internal, {}).setdefault(i, {}).setdefault(t, {})
-                layer.setdefault(s, {}).setdefault(idx, {})[expt] = q
-    build = partial(_form_of_terms, n, k)
-    return {
-        d: ChainMap._raw(src, tgt, h.degree, k, _entrywise(mats, build))
-        for d, mats in layers.items()
-    }
 
 
 class _Block:
@@ -100,52 +72,50 @@ class _Block:
         self.factored = linalg.Factorization(list(rows.values()), vi)
 
 
-def _solve_products(block_of, rhs: dict, n: int, k: int) -> dict | None:
+def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
     """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
-    every slot, summed over products (slot, key, poly, sign), rhs mapping
-    slots to forms.  Returns {key: form} for the nonzero unknowns of the
-    one particular solution, keys in sorted order, or None when there is
-    none.
+    every slot, summed over products (slot, key, poly, sign).  The
+    right-hand side comes as terms (e, slot, idx, expt, q): q times the
+    monomial expt in wedge index idx of rhs[slot], whose equation lies in
+    the factored block block_of(e).  Returns {key: form} for the nonzero
+    unknowns of the one particular solution, keys in sorted order, or None
+    when there is none.
 
     A product multiplies a form by a polynomial, so the system is
-    block-diagonal by wedge index, and block_of(idx) is the factored block
-    of wedge index idx.  Each block that rhs meets replays its
-    factorization on one right-hand side per wedge index; wedge indices
-    that rhs does not meet have the zero solution.  The pivots of a
+    block-diagonal by (e, wedge index).  Each block that the terms meet
+    replays its factorization on one right-hand side per (e, wedge index);
+    those the terms do not meet have the zero solution.  The pivots of a
     block-diagonal matrix are its blocks' pivots, so the solution is that
-    of the whole system.  A right-hand side in an equation that no unknown
-    reaches is 0 = q, and the answer is None with nothing replayed.
+    of the whole system.  A term in an equation that no unknown reaches is
+    0 = q, and the answer is None with nothing replayed.
     """
-    vectors: dict[tuple, tuple] = {}  # wedge index -> (its block, right-hand side)
-    for slot, form in rhs.items():
-        for idx, coeff in form.terms.items():
-            entry = vectors.get(idx)
-            if entry is None:
-                block = block_of(idx)
-                entry = vectors[idx] = (block, [0] * len(block.rows))
-            block, b = entry
-            for e, q in coeff.terms.items():
-                r = block.rows.get((slot, e))
-                if r is None:
-                    return None
-                b[r] = q
-    columns: dict[_Block, list] = {}  # block -> the wedge indices it solves
-    for idx, (block, _) in vectors.items():
-        columns.setdefault(block, []).append(idx)
-    solved = {}
-    for block, idxs in columns.items():
-        solutions = block.factored.solve([vectors[idx][1] for idx in idxs])
+    vectors: dict[tuple, tuple] = {}  # (e, wedge index) -> (its block, right-hand side)
+    for e, slot, idx, expt, q in terms:
+        entry = vectors.get((e, idx))
+        if entry is None:
+            block = block_of(e)
+            entry = vectors[e, idx] = (block, [0] * len(block.rows))
+        r = entry[0].rows.get((slot, expt))
+        if r is None:
+            return None
+        entry[1][r] = q
+    columns: dict[_Block, list] = {}  # block -> the (e, wedge index) it solves
+    for col, (block, _) in vectors.items():
+        columns.setdefault(block, []).append(col)
+    acc: dict = {}  # key -> {idx: {expt: value}}
+    for block, cols in columns.items():
+        solutions = block.factored.solve([vectors[col][1] for col in cols])
         if solutions is None:
             return None
-        solved.update(zip(idxs, solutions))
-    acc: dict = {}  # key -> {idx: {expt: value}}
-    for idx in sorted(solved):
-        x = iter(solved[idx])
-        for key, expts in vectors[idx][0].unknowns:
-            for expt, v in zip(expts, x):
-                if v:
-                    acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
-    return {key: _form_of_terms(n, k, acc[key]) for key in sorted(acc)}
+        # one key's unknowns in distinct e run over distinct exponents
+        for (_, idx), x in zip(cols, solutions):
+            x = iter(x)
+            for key, expts in block.unknowns:
+                for expt, v in zip(expts, x):
+                    if v:
+                        acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
+    return {key: Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in acc[key].items()})
+            for key in sorted(acc)}
 
 
 def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e: int) -> _Block:
@@ -181,8 +151,8 @@ def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e:
 
 
 def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
-    """chaincore.solve_coboundary: one _solve_products per internal degree
-    of c, on the blocks that src keeps for tgt."""
+    """chaincore.solve_coboundary: one _solve_products over c's terms, on
+    the blocks that src keeps for tgt."""
     src, tgt = c.source, c.target
     if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
         raise GradingError("solve_coboundary requires graded complexes")
@@ -195,20 +165,20 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
     weights = src.var_weights
     # holding tgt keeps its id from being reused while src lives
     blocks = src._coboundary_blocks.setdefault(id(tgt), (tgt, {}))[1]
+    # a term q * x^expt in wedge index idx of c's entry from s to t has
+    # internal degree wdeg(expt) + weight(idx) + weight(t) - weight(s); its
+    # block's e is that less weight(idx)
+    terms = ((base + sum(map(mul, weights, expt)), (i, t, s), idx, expt, q)
+             for i, t, s, f in c.nonzeros()
+             for base in (tgt.basis(i + c.degree)[t].weight - src.basis(i)[s].weight,)
+             for idx, coeff in f.terms.items()
+             for expt, q in coeff.terms.items())
+    solved = _solve_products(partial(_graded_block, blocks, src, tgt, r_h), terms, src.n, k)
+    if solved is None:
+        return GradedSolveReport(False, None)
     mats: dict[int, dict] = {}
-    for d_internal, layer in sorted(internal_degree_layers(c).items()):
-        rhs = {(i, t, s): f for i, t, s, f in layer.nonzeros()}
-
-        def block_of(idx, d=d_internal):
-            return _graded_block(blocks, src, tgt, r_h, d - sum(weights[j] for j in idx))
-
-        solved = _solve_products(block_of, rhs, src.n, k)
-        if solved is None:
-            return GradedSolveReport(False, None)
-        # layers have distinct internal degrees, so their terms never cancel
-        for (i, t, s), form in solved.items():
-            row = mats.setdefault(i, {}).setdefault(t, {})
-            row[s] = row[s] + form if s in row else form
+    for (i, t, s), form in solved.items():
+        mats.setdefault(i, {}).setdefault(t, {})[s] = form
     witness = ChainMap._raw(src, tgt, r_h, k, mats)
     if hom_bracket(witness) != c:
         raise AssertionError("solver produced an unsound witness")
@@ -256,7 +226,9 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
         return None
     top = max(c.total_degree() for c in num.terms.values()) + excess
     block = _cousin_block(target.seq, m, top)
-    nums = _solve_products(lambda idx: block, {full: num}, n, num.degree)
+    terms = ((0, full, idx, expt, q)
+             for idx, coeff in num.terms.items() for expt, q in coeff.terms.items())
+    nums = _solve_products(lambda e: block, terms, n, num.degree)
     if nums is None:
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
     witness = CousinElement(n, target.seq, q - 1, {

@@ -767,7 +767,7 @@ def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Names and weights of a ring declaration `Q[x, y:2, z]`.
 
     Weights default to 1 and must be positive ASCII integers; names must be
-    distinct identifiers.  Raises ValueError on anything else.
+    distinct identifiers, at most MAX_ARITY.  Raises ValueError otherwise.
     """
     text = text.strip()
     if not (text.startswith("Q[") and text.endswith("]")):
@@ -791,4 +791,6 @@ def parse_ring(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
         weights.append(weight)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
+    if len(names) > MAX_ARITY:
+        raise ValueError(f"ring arity must be in 1..{MAX_ARITY}, got {len(names)}")
     return tuple(names), tuple(weights)

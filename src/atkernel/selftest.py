@@ -549,10 +549,7 @@ def check_fundamental_class(corpus: Corpus):
         for f in ideal.polys:
             num = wedge(num, exterior_derivative(f))
         full = tuple(range(1, ideal.q + 1))
-        target = CousinElement(
-            ideal.n, ideal.polys, ideal.q,
-            {full: LocalizedForm(num, 1)} if not num.is_zero() else {},
-        )
+        target = CousinElement(ideal.n, ideal.polys, ideal.q, {full: LocalizedForm(num, 1)})
         yield chern_character(ideal, ideal.q) == target
 
 

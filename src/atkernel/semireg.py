@@ -89,8 +89,7 @@ def bloch_mu(phi: NormalHom) -> CousinElement:
             if j != i:
                 part = wedge(part, exterior_derivative(ideal.polys[j - 1]))
         num = num + part
-    entries = {} if num.is_zero() else {full: LocalizedForm(num, 1)}
-    return CousinElement(n, ideal.polys, q, entries)
+    return CousinElement(n, ideal.polys, q, {full: LocalizedForm(num, 1)})
 
 
 def sigma_component(xi: ChainMap, k: int, kz: KoszulComplex) -> CousinElement:

@@ -44,23 +44,25 @@ class SessionFile:
 def parse_derivation(body: str, names: tuple[str, ...]) -> DerivationSpec:
     """The derivation `x: g1, y: g2` over the variables `names`.
 
-    Chunks are comma-separated `var: poly`; empty chunks are skipped and
-    unnamed variables map to zero.
+    Chunks are comma-separated `var: poly`; empty chunks are skipped,
+    unnamed variables map to zero and a variable named twice is refused.
     """
-    values = {v: Poly.zero(len(names)) for v in names}
+    values: dict[str, Poly] = {}
     for chunk in body.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         var, _, expr = chunk.partition(":")
         var = var.strip()
-        if var not in values:
+        if var not in names:
             raise SessionError(f"unknown variable {var!r} in derivation")
+        if var in values:
+            raise SessionError(f"variable {var!r} given twice in derivation")
         try:
             values[var] = parse_poly(expr.strip(), names)
         except ParseError as exc:
             raise SessionError(f"bad polynomial in derivation: {exc}") from None
-    return DerivationSpec(tuple(values[v] for v in names))
+    return DerivationSpec(tuple(values.get(v, Poly.zero(len(names))) for v in names))
 
 
 def _poly_list(body: str, names: tuple[str, ...], empty: str, lineno: int) -> tuple[Poly, ...]:

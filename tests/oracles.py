@@ -24,8 +24,8 @@ Gauss-Jordan elimination over Q that shares no code with linalg's
 fraction-free factorization and its replay, as every exact solve here:
 
 - coboundary_reference, for [d,h] = c, reads both differentials entry by
-  entry at every position, with none of coboundary's internal-degree
-  layers, _form_of_terms, kept blocks or _solve_products;
+  entry at every position, with none of coboundary's term stream, kept
+  blocks or _solve_products;
 - cousin_reference, for d(b) = target in top degree, multiplies the
   public powers f_i^m, with no block kept by (sequence, m, top).  It
   takes the decision's Groebner bound top as given, so it checks the

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -605,7 +606,7 @@ class TestWitnessOracle:
 
     def test_witness_entry_spanning_two_internal_degrees(self):
         # d h determines h, so the witness is h, whose one entry 1 + x has
-        # internal degrees 1 and 2: two layers meet in one entry
+        # internal degrees 1 and 2, in two blocks: both meet in one entry
         cx = FreeComplex(
             1,
             {0: [BasisElement("a", 1)], 1: [BasisElement("b", 0)]},
@@ -615,6 +616,17 @@ class TestWitnessOracle:
         h = ChainMap(cx, cx, -1, 0, {1: [[Form.from_poly(parse_poly("1 + x", X))]]})
         report = self.solve_both(hom_bracket(h))
         assert report.witness == h
+
+
+def graded_terms(c: ChainMap):
+    """(i, t, s, idx, expt, q, d) for each term q * x^expt in wedge index
+    idx of c's entry from s to t, and d its internal degree."""
+    w = c.source.var_weights
+    for i, t, s, f in c.nonzeros():
+        base = c.target.basis(i + c.degree)[t].weight - c.source.basis(i)[s].weight
+        for idx, coeff in f.terms.items():
+            for expt, q in coeff.terms.items():
+                yield i, t, s, idx, expt, q, base + sum(w[j] for j in idx) + sum(map(mul, w, expt))
 
 
 class TestSolveProductsOracle:
@@ -666,9 +678,8 @@ class TestSolveProductsOracle:
         """Over Q[x:1, y:2] the 1-forms dx and dy have weights 1 and 2, so
         in one internal degree d their unknowns run over monomials of
         degrees d - 1 and d - 2: two blocks.  On a fresh complex each
-        distinct degree is eliminated once, and some layer meets both."""
-        from atkernel.coboundary import internal_degree_layers
-
+        distinct degree is eliminated once, and some internal degree meets
+        both."""
         names, weights = ("x", "y"), (1, 2)
         eliminations = []
         original = linalg._echelon
@@ -683,10 +694,12 @@ class TestSolveProductsOracle:
             eliminations.clear()
             report = solve_coboundary(c)
             assert report.solvable
-            degrees = [{d - weights[j] for _, _, _, f in layer.nonzeros() for (j,) in f.terms}
-                       for d, layer in internal_degree_layers(c).items()]
-            assert len(eliminations) == len(set().union(*degrees))
-            two_blocks += any(len(ds) == 2 for ds in degrees)
+            # internal degree -> the degrees e = d - weight(dx_j) of its blocks
+            degrees: dict[int, set] = {}
+            for _, _, _, (j,), _, _, d in graded_terms(c):
+                degrees.setdefault(d, set()).add(d - weights[j])
+            assert len(eliminations) == len(set().union(*degrees.values()))
+            two_blocks += any(len(es) == 2 for es in degrees.values())
             assert_same_decision(report, coboundary_reference(c))
         assert two_blocks > 0
 
@@ -697,22 +710,27 @@ class TestSolveProductsOracle:
         x = parse_poly("x", XY)
         block = _Block((("u", ((0, 0), (1, 0))),), {"u": [("slot", x, 1)]})
         empty = _Block((), {"u": [("slot", x, 1)]})
-        blocks = {(0,): block, (1,): empty}.__getitem__
+        blocks = {0: block, 1: empty}.__getitem__
+
+        def terms(text):
+            # the dx terms lie in block 0, the dy terms in block 1
+            return [(idx[0], "slot", idx, expt, q)
+                    for idx, coeff in parse_form(text, XY).terms.items()
+                    for expt, q in coeff.terms.items()]
+
         replays = []
         monkeypatch.setattr(linalg.Factorization, "solve", lambda *args: replays.append(args))
-        rhs = {"slot": parse_form("x*dx + y*dy", XY)}
-        assert _solve_products(blocks, rhs, 2, 1) is None
+        assert _solve_products(blocks, terms("x*dx + y*dy"), 2, 1) is None
         assert replays == []
         monkeypatch.undo()
         # without the dy term the system is solvable, with u = dx
-        rhs = {"slot": parse_form("x*dx", XY)}
-        assert _solve_products(blocks, rhs, 2, 1) == {"u": parse_form("dx", XY)}
+        assert _solve_products(blocks, terms("x*dx"), 2, 1) == {"u": parse_form("dx", XY)}
 
     def test_rows_per_elimination_are_one_wedge_index(self, monkeypatch):
         """A form-degree-1 bracket on x ; y ; z: its three wedge indices
-        share one matrix, so each layer factors a third of the rows that the
-        single system (828 rows over 3 layers) did.  The bracket is on a
-        fresh complex, so no block is factored before it."""
+        share one matrix, so each elimination factors a third of the rows
+        that the single system (828 rows over 3 internal degrees) did.  The
+        bracket is on a fresh complex, so no block is factored before it."""
         parent_rows = 828
         names = ("x", "y", "z")
         ideal = RegularSequenceIdeal(3, tuple(parse_poly(v, names) for v in names), (1, 1, 1))
@@ -737,19 +755,24 @@ class TestKeptBlocks:
         return rows
 
     def test_second_cocycle_in_the_same_degrees_factors_nothing_new(self, monkeypatch):
-        from atkernel.coboundary import internal_degree_layers
-
         eliminations = self.count_eliminations(monkeypatch)
         kz = build_koszul(corpus_entries()[3].ideal)  # the cone x^2 - y*z ; y^2 - x*z
         first = hom_bracket(random_chain_map(random.Random(11), kz, 0, 1))
         assert solve_coboundary(first).solvable and eliminations
         # each internal degree scaled by its own factor: another coboundary
-        # with the same layers, and not a multiple of the first
-        layers = sorted(internal_degree_layers(first).items())
-        assert len(layers) >= 2
-        second = layers[0][1].scale(2)
-        for d, layer in layers[1:]:
-            second = second + layer.scale(d + 3)
+        # with the same degrees, and not a multiple of the first
+        degrees = sorted({d for *_, d in graded_terms(first)})
+        assert len(degrees) >= 2
+        factor = {d: d + 3 for d in degrees} | {degrees[0]: 2}
+        entries: dict[tuple, dict] = {}
+        for i, t, s, idx, expt, q, d in graded_terms(first):
+            entries.setdefault((i, t, s), {}).setdefault(idx, {})[expt] = q * factor[d]
+        n, k = first.source.n, first.form_degree
+        mats: dict[int, dict] = {}
+        for (i, t, s), terms in entries.items():
+            mats.setdefault(i, {}).setdefault(t, {})[s] = Form(
+                n, k, {idx: Poly(n, poly) for idx, poly in terms.items()})
+        second = ChainMap(first.source, first.target, first.degree, k, mats)
         assert second != first.scale(2)
         eliminations.clear()
         report = solve_coboundary(second)

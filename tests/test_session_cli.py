@@ -90,6 +90,20 @@ class TestSessionParsing:
             parse_session("ring Q[x, y]\n" + text)
         assert str(err.value) == message
 
+    def test_repeated_derivation_variable_refused(self):
+        # the later value used to replace the first silently: x -> y
+        with pytest.raises(SessionError) as err:
+            parse_session("ring Q[x, y]\nseq Z = x ; y\nder d = x: 1, x: y\n")
+        assert str(err.value) == "variable 'x' given twice in derivation (line 3)"
+
+    def test_ring_arity_refused_on_its_line(self):
+        # a 17-variable ring used to fail only at its first polynomial
+        names = [f"x{i}" for i in range(17)]
+        assert parse_ring(f"Q[{', '.join(names[:16])}]")[0] == tuple(names[:16])
+        with pytest.raises(SessionError) as err:
+            parse_session(f"ring Q[{', '.join(names)}]\n")
+        assert str(err.value) == "ring arity must be in 1..16, got 17 (line 1)"
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
     def test_non_ascii_digit_names_the_line(self, digit):
         with pytest.raises(SessionError) as err:
@@ -464,6 +478,22 @@ class TestUsageMessages:
         path = tmp_path / "session.sr"
         path.write_text(SESSION + extra + "\n")
         assert main([*argv, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "extra, derivation, message",
+        [
+            ("der d = x: 1, x: y", "d", "variable 'x' given twice in derivation (line 8)"),
+            ("", "x: 1, x: y", "argument --derivation: variable 'x' given twice in derivation"),
+        ],
+    )
+    def test_repeated_derivation_variable_is_two(self, extra, derivation, message, tmp_path,
+                                                 capsys):
+        path = tmp_path / "session.sr"
+        path.write_text(SESSION + extra + "\n")
+        argv = ["obstruct", "--seq", "Z", "--derivation", derivation, "--input", str(path)]
+        assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
