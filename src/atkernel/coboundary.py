@@ -23,6 +23,13 @@ equation and the factorization, not the supports, product tables or
 assembled rows.  Pivot columns are the leftmost independent columns and
 free variables are zero, in any row order, so every solution and witness
 is the one that assembling and eliminating afresh gives.
+
+Both decisions are witness-first: they solve before they check, and a
+check runs only where it decides something.  A solvable answer rests on
+its witness, checked exactly ([d,h] = c, or d(b) = target).  An
+unsolvable graded c is bracketed once more, to tell a non-cocycle from a
+cocycle that is no coboundary.  A Cousin non-member rests on an
+inconsistent bounded system and a nonzero Groebner normal form, both.
 """
 from __future__ import annotations
 
@@ -152,12 +159,12 @@ def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e:
 
 def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
     """chaincore.solve_coboundary: one _solve_products over c's terms, on
-    the blocks that src keeps for tgt."""
+    the blocks that src keeps for tgt.  A witness h with [d,h] = c proves c
+    a cocycle, as d o d = 0 on both complexes, so only an unsolvable c is
+    checked for being one."""
     src, tgt = c.source, c.target
     if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
         raise GradingError("solve_coboundary requires graded complexes")
-    if not is_cocycle(c):
-        raise ShapeError("solve_coboundary requires a cocycle input")
     r_h = c.degree - 1
     k = c.form_degree
     if c.is_zero():
@@ -175,6 +182,8 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
              for expt, q in coeff.terms.items())
     solved = _solve_products(partial(_graded_block, blocks, src, tgt, r_h), terms, src.n, k)
     if solved is None:
+        if not is_cocycle(c):
+            raise ShapeError("solve_coboundary requires a cocycle input")
         return GradedSolveReport(False, None)
     mats: dict[int, dict] = {}
     for (i, t, s), form in solved.items():
@@ -211,7 +220,10 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     H^q_I = lim H^q(f^m) are injective (Bruns-Herzog 3.5).  A member's
     cofactors num_i, the numerators of b at full-minus-i, come from one
     linear solve in the degrees that the Groebner basis bounds, on the
-    block that _cousin_block keeps.
+    block that _cousin_block keeps, and the checked d(b) = target proves
+    the answer.  Only when that system is inconsistent are num's
+    coefficients reduced by the basis: a nonzero normal form gives None,
+    and a zero one means the bound failed a member, an AssertionError.
     """
     q, n = target.q, target.n
     if target.degree != q or q == 0:
@@ -221,15 +233,15 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     if lf is None:
         return cousin_zero(n, target.seq, q - 1)
     num, m = lf.num, lf.m
-    excess = membership_excess([f ** m for f in target.seq], num.terms.values())
-    if excess is None:
-        return None
-    top = max(c.total_degree() for c in num.terms.values()) + excess
+    gens = [f ** m for f in target.seq]
+    top = max(c.total_degree() for c in num.terms.values()) + membership_excess(gens, ())
     block = _cousin_block(target.seq, m, top)
     terms = ((0, full, idx, expt, q)
              for idx, coeff in num.terms.items() for expt, q in coeff.terms.items())
     nums = _solve_products(lambda e: block, terms, n, num.degree)
     if nums is None:
+        if membership_excess(gens, num.terms.values()) is None:
+            return None
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
     witness = CousinElement(n, target.seq, q - 1, {
         full[: i - 1] + full[i:]: LocalizedForm(form, m) for i, form in nums.items()

@@ -197,7 +197,8 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
 
 def cousin_coboundary_solve(target: CousinElement) -> CousinElement | None:
     """Decide whether a top-degree element is a coboundary: b of degree q-1
-    with d(b) = target, or None, which proves that its class is not zero.
+    with d(b) = target checked, or None, which proves its class nonzero by
+    an inconsistent bounded solve and a nonzero Groebner normal form both.
     The decision lives in coboundary, imported on the first call."""
     return _coboundary()._solve_cousin_coboundary(target)
 

@@ -38,7 +38,7 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
     """The degree-1 derivation on K with gf_i -> phi_i, zero on the ring.
 
     The bracket of this extension vanishes identically over the ambient
-    ring, which the constructor asserts.
+    ring, which is asserted.  The built matrices go to ChainMap._raw.
     """
     if kz is None:
         kz = build_koszul(phi.ideal)
@@ -46,9 +46,9 @@ def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> Chai
         raise ShapeError("Koszul complex resolves a different sequence")
     mats = {
         i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}
-        for i, mat in _derivation_matrices(phi.values).items()
+        for i, mat in _derivation_matrices(phi.values).items() if mat
     }
-    out = ChainMap(kz.complex, kz.complex, 1, 0, mats)
+    out = ChainMap._raw(kz.complex, kz.complex, 1, 0, mats)
     if not is_cocycle(out):
         raise AssertionError("derivation extension failed to be a cocycle")
     return out

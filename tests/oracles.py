@@ -664,6 +664,12 @@ def sparse(rows):
     return {t: row for t, row in out.items() if row}
 
 
+def stored_invariant(mats):
+    """No zero entry, empty row or empty matrix is stored."""
+    return all(mat and all(row and all(x.terms for x in row.values()) for row in mat.values())
+               for mat in mats.values())
+
+
 def split_free_ladder(rank_prime: int, rank_dprime: int, n: int) -> ExtensionLadder:
     """Trivial split sequence of free modules (everything is its own resolution)."""
     rank = rank_prime + rank_dprime

@@ -24,7 +24,7 @@ from atkernel.chaincore import (
     _product,
     _settle,
 )
-from atkernel import linalg
+from atkernel import coboundary, linalg
 from atkernel.corpus import (
     corpus_entries,
     functoriality_pairs,
@@ -66,6 +66,7 @@ from oracles import (
     poly_matmul_oracle,
     sparse,
     square_ladder,
+    stored_invariant,
     wedge_matmul_oracle,
 )
 
@@ -201,12 +202,6 @@ def _zero_padded(rng, u):
     return ChainMap(u.source, u.target, u.degree, u.form_degree, mats)
 
 
-def _stored_invariant(mats):
-    """No zero entry, empty row or empty matrix is stored."""
-    return all(mat and all(row and all(x.terms for x in row.values()) for row in mat.values())
-               for mat in mats.values())
-
-
 class TestFusedProducts:
     """The sparse accumulate-once matrix product against the naive sums of
     the public binary operations on densified inputs, entry by entry."""
@@ -264,7 +259,7 @@ class TestFusedProducts:
             i: [[w if w.terms else Form.zero(3, 0) for w in row] for row in dense(at, i)]
             for i in at.mats
         })
-        assert padded == at and _stored_invariant(padded.mats)
+        assert padded == at and stored_invariant(padded.mats)
         composed = compose(padded, identity_map(cx))
         assert composed == at
         xi = DerivationSpec((Poly.one(3), Poly.zero(3), Poly.variable(3, 2)))
@@ -349,9 +344,9 @@ class TestStoredForm:
             assert (u - u).mats == {} and u.scale(0).mats == {}
             assert (u + v) - v == u and _entrywise_equal((u + v) - v, u)
             for result in results:
-                assert _stored_invariant(result.mats)
+                assert stored_invariant(result.mats)
             for c in (cone(identity_map(cx)), parse_complex(complex_to_text(cx, "K"))[1]):
-                assert _stored_invariant(c.diff)
+                assert stored_invariant(c.diff)
 
     def test_equality_agrees_with_entrywise_equality(self):
         rng = random.Random(13)
@@ -561,6 +556,40 @@ class TestSolveCoboundary:
         assert not is_cocycle(c)
         with pytest.raises(ShapeError):
             solve_coboundary(c)
+
+    @staticmethod
+    def count_brackets(monkeypatch):
+        """Record each bracket the decision takes, by the route it takes it:
+        'witness' for the check of a solution, 'cocycle' for is_cocycle."""
+        calls = []
+
+        def bracket(h):
+            calls.append("witness")
+            return hom_bracket(h)
+
+        def cocycle(h):
+            calls.append("cocycle")
+            return is_cocycle(h)
+
+        monkeypatch.setattr(coboundary, "hom_bracket", bracket)
+        monkeypatch.setattr(coboundary, "is_cocycle", cocycle)
+        return calls
+
+    def test_solvable_cocycle_is_bracketed_once_by_its_witness(self, monkeypatch):
+        kz = build_koszul(corpus_entries()[0].ideal)
+        c = hom_bracket(random_chain_map(random.Random(12), kz, 0, 1))
+        assert not c.is_zero()
+        calls = self.count_brackets(monkeypatch)
+        report = solve_coboundary(c)
+        assert report.solvable and calls == ["witness"]
+
+    def test_unsolvable_cocycle_is_bracketed_once_by_the_cocycle_check(self, monkeypatch):
+        from atkernel.atiyah import atiyah_cocycle
+
+        c = atiyah_cocycle(koszul_x2().complex).chain_map
+        calls = self.count_brackets(monkeypatch)
+        assert not solve_coboundary(c).solvable
+        assert calls == ["cocycle"]
 
 
 def assert_same_decision(report, want):

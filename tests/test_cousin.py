@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from atkernel import groebner
+from atkernel import coboundary, groebner
 from atkernel.atiyah import DerivationSpec, atiyah_cocycle, atiyah_power, contract_derivation
 from atkernel.chaincore import ChainMap, ShapeError, compose, hom_bracket, identity_map
 from atkernel.corpus import corpus_entries, normal_homs_for, random_chain_map
@@ -330,6 +330,48 @@ class TestCoboundarySolve:
         # the top Chern character is the fundamental class, never zero
         for entry in corpus_entries():
             assert cousin_coboundary_solve(chern_character(entry.ideal, entry.ideal.q)) is None
+
+    @staticmethod
+    def numerator_reductions(monkeypatch, member_ok=True):
+        """Wrap coboundary.membership_excess: every call that reduces
+        polynomials is recorded, or, unless member_ok, refused."""
+        real, reduced = coboundary.membership_excess, []
+
+        def wrapped(gens, polys):
+            polys = list(polys)
+            if polys:
+                if not member_ok:
+                    raise AssertionError("the numerator was reduced")
+                reduced.append(polys)
+            return real(gens, polys)
+
+        monkeypatch.setattr(coboundary, "membership_excess", wrapped)
+        return reduced
+
+    def test_member_is_answered_without_reducing_its_numerator(self, monkeypatch):
+        self.numerator_reductions(monkeypatch, member_ok=False)
+        cone = ideal_of(CONE, XYZ)
+        f1, f2 = cone.polys
+        num = parse_poly("z + x*y*z", XYZ) * f1 ** 3 + parse_poly("x", XYZ) * f2 ** 3
+        target = CousinElement(3, cone.polys, 2, {(1, 2): LocalizedForm(Form.from_poly(num), 3)})
+        witness = cousin_coboundary_solve(target)
+        assert witness is not None and cousin_differential(witness) == target
+
+    def test_non_members_are_reduced_and_answer_none(self, monkeypatch):
+        # the top Chern characters: each inconsistent bounded system is
+        # followed by one reduction of the numerator, which is nonzero
+        reduced = self.numerator_reductions(monkeypatch)
+        targets = [chern_character(entry.ideal, entry.ideal.q) for entry in corpus_entries()]
+        assert all(cousin_coboundary_solve(target) is None for target in targets)
+        assert len(reduced) == len(targets)
+
+    def test_member_without_bounded_cofactors_is_an_assertion(self, monkeypatch):
+        monkeypatch.setattr(coboundary, "_solve_products", lambda *args: None)
+        ideal = ideal_of(["x", "y"], XY)
+        y = Form.from_poly(parse_poly("y", XY))
+        b = CousinElement(2, ideal.polys, 1, {(1,): LocalizedForm(y, 1)})
+        with pytest.raises(AssertionError, match="no cofactors within the Groebner degree bound"):
+            cousin_coboundary_solve(cousin_differential(b))
 
     def test_work_bound_names_the_cousin_decision(self, monkeypatch):
         monkeypatch.setattr(groebner, "MAX_TERM_OPS", 0)

@@ -8,6 +8,7 @@ import pytest
 from atkernel.atiyah import atiyah_cocycle
 from atkernel.chaincore import (
     MAX_TOTAL_RANK,
+    ChainMap,
     ShapeError,
     identity_map,
     is_cocycle,
@@ -16,7 +17,7 @@ from atkernel.chaincore import (
 )
 from atkernel.corpus import corpus_entries, derivations_for, normal_homs_for
 from atkernel.cousin import CousinElement, LocalizedForm, _lf_add, cousin_to_text
-from atkernel.koszul import RegularSequenceIdeal, build_koszul
+from atkernel.koszul import RegularSequenceIdeal, _derivation_matrices, build_koszul
 from atkernel.ladder import (
     _free_module,
     _poly_map,
@@ -52,6 +53,7 @@ from oracles import (
     poly_rows,
     second_fundamental_form_oracle,
     split_free_ladder,
+    stored_invariant,
 )
 
 X = ("x",)
@@ -87,6 +89,28 @@ class TestExt1Representative:
         # phi(gx ^ gy) = phi1 gy - phi2 gx = gy
         assert rep.entry(-2, 0, 0).is_zero()  # gx coordinate
         assert rep.entry(-2, 1, 0).to_poly() == Poly.one(2)  # gy coordinate
+
+    def test_stored_as_the_public_constructor_stores(self):
+        # the trusted map equals the one the validating constructor builds
+        # from the same entries, and keeps no zero entry, empty row or
+        # empty matrix
+        cases = [(["x", "y"], XY, ["0", "0"]), (["x", "y"], XY, ["1", "0"]),
+                 (["x", "y^2", "z"], XYZ, ["0", "x", "0"]), (["x", "y^2", "z"], XYZ, ["0"] * 3),
+                 (["x^2"], X, ["0"])]
+        homs = [NormalHom(ideal_of(seq, names), tuple(parse_poly(v, names) for v in values))
+                for seq, names, values in cases]
+        homs += [phi for entry in corpus_entries() for phi in normal_homs_for(entry)]
+        assert any(not p.terms for phi in homs for p in phi.values)
+        for phi in homs:
+            kz = build_koszul(phi.ideal)
+            mats = {
+                i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}
+                for i, mat in _derivation_matrices(phi.values).items()
+            }
+            rep = ext1_representative(phi, kz)
+            assert rep == ChainMap(kz.complex, kz.complex, 1, 0, mats)
+            assert stored_invariant(rep.mats)
+            assert rep.is_zero() == all(not p.terms for p in phi.values)
 
     def test_is_cocycle_on_the_nose(self):
         for entry in corpus_entries():
