@@ -77,7 +77,7 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
     """
     if p._basis_atiyah is None:
         p._basis_atiyah = AtiyahCocycle(
-            ChainMap(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry))), 1
+            ChainMap._raw(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry))), 1
         )
     if connection is None:
         return p._basis_atiyah
@@ -139,4 +139,5 @@ def obstruction_cocycle(k: KoszulComplex, delta: DerivationSpec) -> ChainMap:
     cx = k.complex
     if len(delta.values) != cx.n:
         raise ShapeError("derivation arity mismatch")
-    return ChainMap(cx, cx, 1, 0, cx.entrywise(lambda entry: Form.from_poly(-delta.apply(entry))))
+    return ChainMap._raw(cx, cx, 1, 0,
+                         cx.entrywise(lambda entry: Form.from_poly(-delta.apply(entry))))

@@ -94,15 +94,6 @@ def _nonzeros(mats: dict):
                 yield i, t, s, x
 
 
-def _entrywise(mats: dict, fn) -> dict:
-    """fn applied to every stored entry; stored as it is when fn keeps
-    nonzero entries nonzero."""
-    return {
-        i: {t: {s: fn(x) for s, x in row.items()} for t, row in mat.items()}
-        for i, mat in mats.items()
-    }
-
-
 def _pruned(mats: dict) -> dict:
     """mats without its empty rows and empty matrices."""
     out = {}
@@ -143,6 +134,12 @@ def _settle(acc: dict, build) -> dict:
         if kept:
             out[t] = kept
     return out
+
+
+def _entrywise(mats: dict, fn) -> dict:
+    """fn of every stored entry, stored: the zero values, and the rows and
+    matrices they empty, dropped."""
+    return {i: out for i, mat in mats.items() if (out := _settle(mat, fn))}
 
 
 class FreeComplex:
@@ -217,8 +214,8 @@ class FreeComplex:
         return _nonzeros(self.diff)
 
     def entrywise(self, fn) -> dict:
-        """fn of every nonzero entry, as matrices {i: {row: {col: value}}}
-        that the constructors take; they drop the zero values."""
+        """fn of every nonzero entry, as stored matrices {i: {row: {col:
+        value}}} with the zero values dropped, which ChainMap._raw takes."""
         return _entrywise(self.diff, fn)
 
     def __eq__(self, other) -> bool:
@@ -285,10 +282,8 @@ class ChainMap:
         return _nonzeros(self.mats)
 
     def entrywise(self, fn) -> dict:
-        """fn of every nonzero entry, as stored matrices with the zero values
-        dropped, which ChainMap._raw takes as they are."""
-        mats = {i: _settle(mat, fn) for i, mat in self.mats.items()}
-        return {i: mat for i, mat in mats.items() if mat}
+        """fn of every nonzero entry, as FreeComplex.entrywise gives it."""
+        return _entrywise(self.mats, fn)
 
     def is_zero(self) -> bool:
         return not self.mats

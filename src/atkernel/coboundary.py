@@ -28,8 +28,10 @@ Both decisions are witness-first: they solve before they check, and a
 check runs only where it decides something.  A solvable answer rests on
 its witness, checked exactly ([d,h] = c, or d(b) = target).  An
 unsolvable graded c is bracketed once more, to tell a non-cocycle from a
-cocycle that is no coboundary.  A Cousin non-member rests on an
-inconsistent bounded system and a nonzero Groebner normal form, both.
+cocycle that is no coboundary.  A Cousin decision builds one
+groebner.Basis: its excess bounds the system, and only when that system
+is inconsistent does it reduce the numerator, so a non-member rests on
+an inconsistent bounded system and a nonzero normal form, both.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from . import linalg
 from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, hom_bracket, is_cocycle,
                         monomials_of_weighted_degree, zero_map)
 from .cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
-from .groebner import membership_excess
+from .groebner import Basis
 from .polyforms import Form, Poly
 
 
@@ -222,8 +224,9 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     linear solve in the degrees that the Groebner basis bounds, on the
     block that _cousin_block keeps, and the checked d(b) = target proves
     the answer.  Only when that system is inconsistent are num's
-    coefficients reduced by the basis: a nonzero normal form gives None,
-    and a zero one means the bound failed a member, an AssertionError.
+    coefficients reduced by that same basis, under the same work bound: a
+    nonzero normal form gives None, and a zero one means the bound failed
+    a member, an AssertionError.
     """
     q, n = target.q, target.n
     if target.degree != q or q == 0:
@@ -233,14 +236,14 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     if lf is None:
         return cousin_zero(n, target.seq, q - 1)
     num, m = lf.num, lf.m
-    gens = [f ** m for f in target.seq]
-    top = max(c.total_degree() for c in num.terms.values()) + membership_excess(gens, ())
+    basis = Basis([f ** m for f in target.seq], "Cousin decision")
+    top = max(c.total_degree() for c in num.terms.values()) + basis.excess
     block = _cousin_block(target.seq, m, top)
     terms = ((0, full, idx, expt, q)
              for idx, coeff in num.terms.items() for expt, q in coeff.terms.items())
     nums = _solve_products(lambda e: block, terms, n, num.degree)
     if nums is None:
-        if membership_excess(gens, num.terms.values()) is None:
+        if not basis.contains(num.terms.values()):
             return None
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
     witness = CousinElement(n, target.seq, q - 1, {

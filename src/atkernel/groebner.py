@@ -3,9 +3,10 @@ grlex today), on raw {exponent: coefficient} dicts kept primitive over Z
 with a positive leading coefficient.  Buchberger's algorithm takes S-pairs
 smallest lcm first and skips those the coprime or the chain criterion
 shows reduce to 0 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-ch. 2 sections 6-10).  Callers read a basis element's lead through
-leading_monomial, not Poly.leading_term, so that it is taken in the order
-the basis was computed in.
+ch. 2 sections 6-10).  A Basis is built once per task and holds its
+elements, their leads, its excess and its work budget; callers read a
+lead from Basis.leads, not Poly.leading_term, so that it is taken in the
+order the basis was computed in.
 """
 from __future__ import annotations
 
@@ -78,11 +79,11 @@ def _reduce(p: dict, basis: Sequence[dict], leads: Sequence[tuple], budget: list
     return _primitive(rem) if rem else rem
 
 
-def _basis(polys: Iterable[dict], budget: list) -> tuple[list[dict], int]:
-    """A basis and its excess E: each element h is sum c_i p_i over the
-    inputs with deg(c_i p_i) <= deg h + E.  An S-pair with lcm L and its
-    reduction stay in degree |L| (grlex is degree-compatible), so each new
-    h adds |L| - deg h; E stays 0 on homogeneous input."""
+def _basis(polys: Iterable[dict], budget: list) -> tuple[list[dict], list[tuple], int]:
+    """A basis, its leads and its excess E: each element h is sum c_i p_i
+    over the inputs with deg(c_i p_i) <= deg h + E.  An S-pair with lcm L
+    and its reduction stay in degree |L| (grlex is degree-compatible), so
+    each new h adds |L| - deg h; E stays 0 on homogeneous input."""
     basis = [_primitive(p) for p in polys]
     leads = [_lead(g) for g in basis]
     pairs: list = []
@@ -119,33 +120,31 @@ def _basis(polys: Iterable[dict], budget: list) -> tuple[list[dict], int]:
             leads.append(_lead(h))
             excess += sum(m) - sum(leads[-1])
             add_pairs(len(basis) - 1)
-    return basis, excess
+    return basis, leads, excess
 
 
-def groebner_basis(polys: Sequence[Poly]) -> list[Poly]:
-    """A Groebner basis of the ideal the nonzero polys generate: the inputs
-    made primitive, then the S-polynomials whose full normal form did not
-    vanish.  Raises ValueError after MAX_TERM_OPS term operations."""
-    basis, _ = _basis((p.terms for p in polys if p.terms), [MAX_TERM_OPS, "regularity guard"])
-    return [Poly._raw(polys[0].n, g) for g in basis]
+class Basis:
+    """A Groebner basis of the ideal the nonzero polys generate, for one
+    task: elements are the inputs made primitive, then the S-polynomials
+    whose full normal form did not vanish; leads are their leading
+    monomials in this module's order; excess is the E of _basis.  The
+    build and every `contains` spend one budget of MAX_TERM_OPS term
+    operations, past which a ValueError names the task."""
 
+    __slots__ = ("elements", "leads", "excess", "_budget")
 
-def membership_excess(gens: Sequence[Poly], polys: Iterable[Poly]) -> int | None:
-    """None when some poly lies outside the ideal of the nonzero gens, else
-    an E with every poly g = sum c_i gens_i, deg(c_i gens_i) <= deg g + E.
-    Reduction to 0 only subtracts multiples of degree <= deg g, so E is the
-    basis excess.  Raises ValueError after MAX_TERM_OPS term operations."""
-    budget = [MAX_TERM_OPS, "Cousin decision"]
-    basis, excess = _basis((g.terms for g in gens if g.terms), budget)
-    leads = [_lead(g) for g in basis]
-    if any(_reduce(_primitive(p.terms), basis, leads, budget) for p in polys if p.terms):
-        return None
-    return excess
+    def __init__(self, polys: Sequence[Poly], task: str):
+        self._budget = [MAX_TERM_OPS, task]
+        basis, self.leads, self.excess = _basis((p.terms for p in polys if p.terms), self._budget)
+        self.elements = [Poly._raw(polys[0].n, g) for g in basis]
 
-
-def leading_monomial(g: Poly) -> tuple[int, ...]:
-    """The leading monomial of g in the order the bases are computed in."""
-    return _lead(g.terms)
+    def contains(self, polys: Iterable[Poly]) -> bool:
+        """Whether every poly lies in the ideal.  A member g is then
+        sum c_i p_i over the inputs with deg(c_i p_i) <= deg g + excess, as
+        reduction to 0 only subtracts multiples of degree <= deg g."""
+        basis = [g.terms for g in self.elements]
+        return not any(_reduce(_primitive(p.terms), basis, self.leads, self._budget)
+                       for p in polys if p.terms)
 
 
 def monomial_quotient_dimension(n: int, gens: Iterable[Sequence[int]]) -> int:

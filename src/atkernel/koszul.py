@@ -158,7 +158,7 @@ def verify_regular(ideal: RegularSequenceIdeal) -> bool:
     when dim Q[x]/LT(I) = n - q (Cox-Little-O'Shea, ch. 9 section 3).
     Raises ValueError after groebner.MAX_TERM_OPS term operations.
     """
-    from .groebner import groebner_basis, leading_monomial, monomial_quotient_dimension
+    from .groebner import Basis, monomial_quotient_dimension
 
-    leads = [leading_monomial(g) for g in groebner_basis(ideal.polys)]
+    leads = Basis(ideal.polys, "regularity guard").leads
     return monomial_quotient_dimension(ideal.n, leads) == ideal.n - ideal.q

@@ -35,8 +35,8 @@ def _poly_map(source: FreeComplex, target: FreeComplex, rows) -> ChainMap:
 
 def _d(u: ChainMap) -> ChainMap:
     """The entrywise exterior derivative of a polynomial map."""
-    return ChainMap(u.source, u.target, u.degree, 1,
-                    u.entrywise(lambda f: exterior_derivative(f.to_poly())))
+    return ChainMap._raw(u.source, u.target, u.degree, 1,
+                         u.entrywise(lambda f: exterior_derivative(f.to_poly())))
 
 
 def second_fundamental_form(j: ChainMap, p: ChainMap, relation: Poly | None = None) -> ChainMap:
@@ -142,7 +142,7 @@ def connecting_delta(ladder: ExtensionLadder) -> ChainMap:
     if ladder.p_prime.diff:
         raise ShapeError("connecting_delta supports resolutions of free F' only")
     total = ladder.total
-    d_total = ChainMap(total, total, 1, 0, total.entrywise(Form.from_poly))
+    d_total = ChainMap._raw(total, total, 1, 0, total.entrywise(Form.from_poly))
     sigma_tilde = compose(ladder.p, _d(ladder.pi))
     return -compose(compose(sigma_tilde, d_total), ladder.iota)
 

@@ -618,7 +618,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _FormParser:
-    """Recursive descent for the canonical signed-sum-of-terms grammar."""
+    """Recursive descent for the canonical signed-sum-of-terms grammar.  A
+    term is the wedge of its factors, so `wedge` alone orders a term's
+    differentials, with their sign, and drops a repeated one."""
 
     def __init__(self, toks: list[_Tok], names: Sequence[str]):
         self.toks = toks
@@ -664,85 +666,63 @@ class _FormParser:
         return total
 
     def _term(self) -> Form:
-        coeff: Coeff = 1
-        expt = [0] * self.n
-        didx: list[int] = []
-        saw_atom = False
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind in "+-":
-                break
-            if saw_atom:
-                if tok.kind != "*":
-                    self._fail("expected '*' between factors", tok)
-                self._next()
-            coeff = self._factor(coeff, expt, didx)
-            saw_atom = True
-        if not saw_atom:
+        """The wedge of the factors up to the next '+' or '-': '*' joins
+        any two, and '^' joins a differential to the d<var> after it, read
+        as a differential even where d<var> is itself a variable."""
+        tok = self._peek()
+        if tok is None or tok.kind in "+-":
             self._fail("empty term")
-        if didx != sorted(set(didx)):
-            # canonicalize an out-of-order or repeated wedge, one factor at a time
-            idx: tuple[int, ...] = ()
-            for i in didx:
-                merged = _merge_indices(idx, (i,))
-                if merged is None:
-                    return Form.zero(self.n, len(set(didx)))
-                sign, idx = merged
-                coeff *= sign
-            didx = list(idx)
-        p = Poly.monomial(self.n, tuple(expt), coeff)
-        return Form(self.n, len(didx), {tuple(didx): p})
+        term = factor = self._factor()
+        while (tok := self._peek()) is not None and tok.kind not in "+-":
+            self._next()
+            if tok.kind == "^" and factor.degree and (dx := self._differential(self._peek())):
+                self._next()
+                factor = dx
+            elif tok.kind == "*":
+                factor = self._factor()
+            else:
+                self._fail("expected '*' between factors", tok)
+            term = wedge(term, factor)
+        return term
 
-    def _factor(self, coeff: Coeff, expt: list[int], didx: list[int]):
+    def _differential(self, tok: _Tok | None) -> Form | None:
+        """The differential d<var> when tok is that name, else None."""
+        if tok and tok.kind == "name" and tok.text.startswith("d") and tok.text[1:] in self.names:
+            return self._monomial((self.names.index(tok.text[1:]),), (0,) * self.n)
+        return None
+
+    def _monomial(self, idx: tuple[int, ...], expt: tuple[int, ...], coeff: Coeff = 1) -> Form:
+        return Form._raw(self.n, len(idx), {idx: Poly._raw(self.n, {expt: coeff})} if coeff else {})
+
+    def _factor(self) -> Form:
+        """A number, a variable power or a differential d<var>."""
         tok = self._next()
         if tok.kind == "num":
             value = int(tok.text)
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "/":
+            if (nxt := self._peek()) is not None and nxt.kind == "/":
                 self._next()
                 den = self._next()
                 if den.kind != "num":
                     self._fail("expected integer denominator", den)
                 if int(den.text) == 0:
                     self._fail("zero denominator", den)
-                value = Fraction(value, int(den.text))
-            return coeff * value
+                value = _canon(Fraction(value, int(den.text)))
+            return self._monomial((), (0,) * self.n, value)
         if tok.kind == "name":
-            name = tok.text
-            if name in self.names:
-                i = self.names.index(name)
+            if tok.text in self.names:
+                expt = [0] * self.n
                 power = 1
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == "^":
+                if (nxt := self._peek()) is not None and nxt.kind == "^":
                     self._next()
                     ptok = self._next()
                     if ptok.kind != "num":
                         self._fail("expected integer exponent", ptok)
                     power = int(ptok.text)
-                expt[i] += power
-                return coeff
-            if name.startswith("d") and name[1:] in self.names:
-                didx.append(self.names.index(name[1:]))
-                while True:
-                    nxt = self._peek()
-                    if nxt is None or nxt.kind != "^":
-                        break
-                    save = self.pos
-                    self._next()
-                    dtok = self._peek()
-                    if (
-                        dtok is not None
-                        and dtok.kind == "name"
-                        and dtok.text.startswith("d")
-                        and dtok.text[1:] in self.names
-                    ):
-                        self._next()
-                        didx.append(self.names.index(dtok.text[1:]))
-                    else:
-                        self.pos = save
-                        break
-                return coeff
-            self._fail(f"unknown name {name!r}", tok)
+                expt[self.names.index(tok.text)] = power
+                return self._monomial((), tuple(expt))
+            if dx := self._differential(tok):
+                return dx
+            self._fail(f"unknown name {tok.text!r}", tok)
         self._fail(f"unexpected token {tok.text!r}", tok)
 
 

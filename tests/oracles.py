@@ -606,8 +606,8 @@ def cousin_reference(target: CousinElement, top: int) -> CousinElement | None:
     for a top-degree target num / f_full^m, or None when num has no
     cofactors of degree at most top.
 
-    top is the decision's Groebner bound: the degree of num plus
-    groebner.membership_excess of num over the f_i^m.  One system over
+    top is the decision's Groebner bound: the degree of num plus the
+    excess of the groebner.Basis of the f_i^m.  One system over
     every wedge index of num, sum_i -(-1)^(i-1) num_i * f_i^m = num: an
     unknown per coefficient of num_i in wedge index idx and exponent e, of
     degree at most top - deg(f_i^m), ordered by i, then idx, then degree,

@@ -7,7 +7,8 @@ from operator import mul
 
 import pytest
 
-from atkernel.atiyah import DerivationSpec, atiyah_cocycle, atiyah_power, contract_derivation
+from atkernel.atiyah import (DerivationSpec, atiyah_cocycle, atiyah_power, contract_derivation,
+                             obstruction_cocycle)
 from atkernel.chaincore import (
     BasisElement,
     ChainMap,
@@ -340,6 +341,7 @@ class TestStoredForm:
                 compose(u, w), compose(w, u), hom_bracket(u), hom_bracket(w), u + v, u - v,
                 u - u, (u + v) - v, u.scale(0), u.scale(-2), contract_derivation(xi, u),
                 contract_derivation(xi, at), shift_map(u, 1), witness,
+                obstruction_cocycle(kz, xi), atiyah_cocycle(cone(identity_map(cx))).chain_map,
             ] + [atiyah_power(at, k).chain_map for k in range(kz.q + 2)]
             assert (u - u).mats == {} and u.scale(0).mats == {}
             assert (u + v) - v == u and _entrywise_equal((u + v) - v, u)
@@ -688,7 +690,7 @@ class TestSolveProductsOracle:
 
     def test_cousin_systems_of_the_commutator_targets(self):
         from atkernel import cousin
-        from atkernel.groebner import membership_excess
+        from atkernel.groebner import Basis
         from atkernel.selftest import commutator_class_targets
 
         targets = [t for t in commutator_class_targets("commclass") if not t.is_zero()]
@@ -697,7 +699,7 @@ class TestSolveProductsOracle:
             lf = target.entries[tuple(range(1, target.q + 1))]
             coeffs = lf.num.terms.values()
             top = (max(c.total_degree() for c in coeffs)
-                   + membership_excess([f ** lf.m for f in target.seq], coeffs))
+                   + Basis([f ** lf.m for f in target.seq], "test").excess)
             got, want = cousin.cousin_coboundary_solve(target), cousin_reference(target, top)
             assert got is not None and got == want
             assert cousin.cousin_to_text(got) == cousin.cousin_to_text(want)

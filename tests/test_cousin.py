@@ -333,19 +333,19 @@ class TestCoboundarySolve:
 
     @staticmethod
     def numerator_reductions(monkeypatch, member_ok=True):
-        """Wrap coboundary.membership_excess: every call that reduces
+        """Wrap groebner.Basis.contains: every call that reduces
         polynomials is recorded, or, unless member_ok, refused."""
-        real, reduced = coboundary.membership_excess, []
+        real, reduced = groebner.Basis.contains, []
 
-        def wrapped(gens, polys):
+        def wrapped(basis, polys):
             polys = list(polys)
             if polys:
                 if not member_ok:
                     raise AssertionError("the numerator was reduced")
                 reduced.append(polys)
-            return real(gens, polys)
+            return real(basis, polys)
 
-        monkeypatch.setattr(coboundary, "membership_excess", wrapped)
+        monkeypatch.setattr(groebner.Basis, "contains", wrapped)
         return reduced
 
     def test_member_is_answered_without_reducing_its_numerator(self, monkeypatch):
@@ -364,6 +364,24 @@ class TestCoboundarySolve:
         targets = [chern_character(entry.ideal, entry.ideal.q) for entry in corpus_entries()]
         assert all(cousin_coboundary_solve(target) is None for target in targets)
         assert len(reduced) == len(targets)
+
+    def test_each_decision_builds_one_basis(self, monkeypatch):
+        # members and non-members alike: a non-member's numerator is
+        # reduced by the basis that bounded its system, not by a second one
+        real, builds = groebner._basis, []
+        monkeypatch.setattr(groebner, "_basis",
+                            lambda polys, budget: builds.append(budget[1]) or real(polys, budget))
+        cone = ideal_of(CONE, XYZ)
+        f1, f2 = cone.polys
+        num = parse_poly("z + x*y*z", XYZ) * f1 ** 3 + parse_poly("x", XYZ) * f2 ** 3
+        member = CousinElement(3, cone.polys, 2, {(1, 2): LocalizedForm(Form.from_poly(num), 3)})
+        targets = [member] + [chern_character(entry.ideal, entry.ideal.q)
+                              for entry in corpus_entries()]
+        for target in targets:
+            builds.clear()
+            witness = cousin_coboundary_solve(target)
+            assert (witness is None) == (target is not member)
+            assert builds == ["Cousin decision"]
 
     def test_member_without_bounded_cofactors_is_an_assertion(self, monkeypatch):
         monkeypatch.setattr(coboundary, "_solve_products", lambda *args: None)

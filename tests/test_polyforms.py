@@ -313,6 +313,36 @@ class TestCanonicalText:
             parse_poly(text.format(digit), XY)
         assert (exc.value.line, exc.value.col) == (1, col)
 
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("x +", "empty term", 1, 3),
+            ("-", "empty term", 1, 1),
+            ("+ - x", "empty term", 1, 3),
+            ("dx^2", "expected '*' between factors", 1, 3),
+            ("dx^x", "expected '*' between factors", 1, 3),
+            ("x^dy", "expected integer exponent", 1, 3),
+            ("2^3", "expected '*' between factors", 1, 2),
+            ("x 2", "expected '*' between factors", 1, 3),
+            ("1/x", "expected integer denominator", 1, 3),
+            ("x + dx", "mixed form degrees in one expression", 1, 5),
+            ("x\n+ 2 y", "expected '*' between factors", 2, 5),
+            ("x*y +\n\n  - y", "empty term", 3, 3),
+        ],
+    )
+    def test_refusals_name_their_token(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_form(text, XY)
+        assert str(exc.value) == f"{message} (line {line}, col {col})"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+    def test_d_name_after_a_wedge_is_a_differential(self):
+        # dx is a variable of this ring, but after '^' it is read as d(x)
+        names = ("x", "dx", "y")
+        w = parse_form("dy^dx", names)
+        assert w == Form(3, 2, {(0, 2): Poly.const(3, -1)})
+        assert form_to_text(w, names) == "-dx^dy"
+
     def test_zero_denominator_is_a_parse_error(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly("x + 1/0*y", XY)

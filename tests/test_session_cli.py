@@ -1024,7 +1024,7 @@ class TestImportSurface:
     # 3,041 while both coboundary decisions, shifts, cones, the complex
     # text format and the dual basis maps sat in the modules `ch` imports
     CH_LINES_BEFORE = 3041
-    CH_LINES = 2497
+    CH_LINES = 2471
 
     def test_ch_loads_at_most_its_line_budget(self, tmp_path):
         path = tmp_path / "session.sr"
