@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Write a demo session file and run every CLI command against it.
 
-Usage: python scripts/demo_session.py [workdir]
+Usage: python scripts/demo_session.py [workdir], with atkernel importable
+(`pip install -e .` or PYTHONPATH=src), as the `atk` children need it too.
 """
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from atkernel.cli import COMMANDS as CLI_COMMANDS
 
 SESSION = """\
 ring Q[x, y, z]
@@ -32,6 +35,18 @@ COMMANDS = [
     ["dimcheck", "--ideal", "x*y"],
 ]
 
+# the commands that read a session file: those with an --input flag
+READS_SESSION = {name for name, (_, _, flags) in CLI_COMMANDS.items()
+                 if any(option == "--input" for option, _, _ in flags)}
+
+
+def command_line(command: list[str], session_path: Path) -> list[str]:
+    """The arguments of `atk` for a demo command, reading session_path if
+    the command reads a session."""
+    if command[0] in READS_SESSION:
+        return [*command, "--input", str(session_path)]
+    return list(command)
+
 
 def main() -> int:
     workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp())
@@ -39,10 +54,7 @@ def main() -> int:
     session_path.write_text(SESSION)
     worst = 0
     for command in COMMANDS:
-        needs_input = command[0] not in ("sff", "iclosure", "curvdim", "dimcheck")
-        full = [sys.executable, "-m", "atkernel.cli", *command]
-        if needs_input:
-            full += ["--input", str(session_path)]
+        full = [sys.executable, "-m", "atkernel.cli", *command_line(command, session_path)]
         print(f"$ atk {' '.join(command)}")
         proc = subprocess.run(full, capture_output=True, text=True)
         sys.stdout.write(proc.stdout)

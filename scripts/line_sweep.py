@@ -70,10 +70,7 @@ def run_commands() -> None:
         path.write_text(demo.SESSION)
         main(["selftest"])
         for command in demo.COMMANDS:
-            argv = list(command)
-            if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
-                argv += ["--input", str(path)]
-            main(argv)
+            main(demo.command_line(command, path))
         for command in presets:
             main(command.split(" ", 2))
         cwd = os.getcwd()
@@ -112,11 +109,8 @@ def loaded_per_command() -> list[tuple[str, list[str], list[str]]]:
         path = Path(tmp) / "demo.sr"
         path.write_text(demo.SESSION)
         for command in demo.COMMANDS:
-            argv = list(command)
-            if argv[0] not in ("sff", "iclosure", "curvdim", "dimcheck"):
-                argv += ["--input", str(path)]
-            proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
-                                  capture_output=True, text=True, check=True)
+            argv = [sys.executable, "-c", LOADED, *demo.command_line(command, path)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
             loaded = proc.stdout.split()
             out.append((" ".join(command), [m for m in loaded if m.split(".")[0] == "atkernel"],
                         [m for m in loaded if m.split(".")[0] != "atkernel" and m not in base]))

@@ -42,7 +42,7 @@ from operator import add, mul
 from . import linalg
 from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, hom_bracket, is_cocycle,
                         monomials_of_weighted_degree, zero_map)
-from .cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
+from .cousin import CousinElement, LocalizedForm, cousin_differential
 from .groebner import Basis
 from .polyforms import Form, Poly
 
@@ -234,7 +234,7 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
     full = tuple(range(1, q + 1))
     lf = target.entries.get(full)
     if lf is None:
-        return cousin_zero(n, target.seq, q - 1)
+        return CousinElement(n, target.seq, q - 1)
     num, m = lf.num, lf.m
     basis = Basis([f ** m for f in target.seq], "Cousin decision")
     top = max(c.total_degree() for c in num.terms.values()) + basis.excess

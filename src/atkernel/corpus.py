@@ -62,7 +62,7 @@ def random_form(rng: random.Random, n: int, degree: int, max_deg: int = 2) -> Fo
     return out
 
 
-def normal_homs_for(entry: CorpusEntry, extra: int = 2, seed: int = 7) -> list[NormalHom]:
+def normal_homs_for(entry: CorpusEntry, seed: int = 7) -> list[NormalHom]:
     """Coordinate normal homs plus seeded pseudo-random ones."""
     ideal = entry.ideal
     n, q = ideal.n, ideal.q
@@ -71,7 +71,7 @@ def normal_homs_for(entry: CorpusEntry, extra: int = 2, seed: int = 7) -> list[N
         values = tuple(Poly.one(n) if j == i else Poly.zero(n) for j in range(q))
         homs.append(NormalHom(ideal, values))
     rng = random.Random(f"{seed}:{entry.name}")
-    for _ in range(max(extra, 3 - q)):
+    for _ in range(max(2, 3 - q)):
         values = tuple(random_poly(rng, n, 2, 2) for _ in range(q))
         homs.append(NormalHom(ideal, values))
     return homs

@@ -2,13 +2,14 @@
 local trace from Koszul endomorphisms to Cousin representatives.
 
 A Cousin element in degree p is a finite family, indexed by size-p
-subsets alpha of {1..q}, of form-valued fractions with denominator a
-power of f_alpha = prod_{i in alpha} f_i.  The local trace expands a map
-in the dual-gamma basis, pairs against the canonical section of
-K (x) Cousin, and applies the supertrace; the resulting closed formula
-is a signed partial trace over entry pairs gf_alpha -> gf_beta with
-beta contained in alpha.  Whether a top-degree element is a coboundary
-is decided exactly, by ideal membership of its numerator, in coboundary.
+subsets alpha of {1..q}, of form-valued fractions with denominator a power
+of f_alpha = prod_{i in alpha} f_i, put in lowest terms by the constructor
+and nowhere else.  The local trace expands a map in the dual-gamma basis,
+pairs against the canonical section of K (x) Cousin, and applies the
+supertrace; the resulting closed formula is a signed partial trace over
+entry pairs gf_alpha -> gf_beta with beta contained in alpha.  Whether a
+top-degree element is a coboundary is decided exactly, by ideal
+membership of its numerator, in coboundary.
 """
 from __future__ import annotations
 
@@ -47,8 +48,6 @@ class LocalizedForm(Record):
 def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
     """Divide out common f_alpha factors of the numerator, exactly."""
     num, m = lf.num, lf.m
-    if num.is_zero():
-        return LocalizedForm(num, 0)
     while m > 0:
         quotients = {}
         for idx, coeff in num.terms.items():
@@ -62,9 +61,10 @@ def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
 
 
 def _lf_add(a: LocalizedForm, b: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
+    """a + b over the larger power of f_alpha, left for CousinElement to reduce."""
     m = max(a.m, b.m)
     num = a.num.mul_poly(f_alpha ** (m - a.m)) + b.num.mul_poly(f_alpha ** (m - b.m))
-    return _lf_canonical(LocalizedForm(num, m), f_alpha)
+    return LocalizedForm(num, m)
 
 
 class CousinElement:
@@ -126,10 +126,6 @@ class CousinElement:
         return f"CousinElement({cousin_to_text(self)!r})"
 
 
-def cousin_zero(n: int, seq: Sequence[Poly], degree: int = 0) -> CousinElement:
-    return CousinElement(n, seq, degree, {})
-
-
 def cousin_differential(c: CousinElement) -> CousinElement:
     """d(delta f_alpha) = -sum_i delta f_i ^ delta f_alpha, coefficients
     re-expressed in the larger localization."""
@@ -183,7 +179,7 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree
     if d < 0 or d > k.q:
-        return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
+        return CousinElement(k.n, k.ideal.polys, min(max(d, 0), k.q))
     acc: dict[tuple[int, ...], dict] = {}
     for i, t, s, entry in u.nonzeros():
         read = _trace_plan(k.q, -i, d).get((t, s))

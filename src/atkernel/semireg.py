@@ -34,15 +34,13 @@ class SemiregReport:
         self.verdict = verdict
 
 
-def ext1_representative(phi: NormalHom, kz: KoszulComplex | None = None) -> ChainMap:
-    """The degree-1 derivation on K with gf_i -> phi_i, zero on the ring.
+def ext1_representative(phi: NormalHom, kz: KoszulComplex) -> ChainMap:
+    """The degree-1 derivation gf_i -> phi_i on kz, zero on the ring.
 
-    The bracket of this extension vanishes identically over the ambient
-    ring, which is asserted.  The built matrices go to ChainMap._raw.
+    kz must resolve phi's sequence.  The bracket vanishes identically over
+    the ambient ring, which is asserted; the matrices go to ChainMap._raw.
     """
-    if kz is None:
-        kz = build_koszul(phi.ideal)
-    elif kz.ideal != phi.ideal:
+    if kz.ideal != phi.ideal:
         raise ShapeError("Koszul complex resolves a different sequence")
     mats = {
         i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}

@@ -61,7 +61,7 @@ from atkernel.chaincore import (
     identity_map,
     monomials_of_weighted_degree,
 )
-from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential, cousin_zero
+from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
@@ -504,7 +504,7 @@ def local_trace_oracle(u: ChainMap, k: KoszulComplex) -> CousinElement:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree
     if d < 0 or d > k.q:
-        return cousin_zero(k.n, k.ideal.polys, min(max(d, 0), k.q))
+        return CousinElement(k.n, k.ideal.polys, min(max(d, 0), k.q))
     acc: dict[tuple[int, ...], Form] = {}
     for i, t, s, entry in u.nonzeros():
         p_beta = -i - d

@@ -19,6 +19,7 @@ from atkernel.cousin import (
     cousin_to_text,
     local_trace,
     _lf_add,
+    _lf_canonical,
 )
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import Form, Poly, parse_form, parse_poly
@@ -95,6 +96,22 @@ class TestCousinDifferential:
         out = cousin_differential(c)
         for i in (1, 2):
             assert out.entries[(i,)].num == Form.from_poly(Poly.const(2, -3))
+
+    def test_each_image_entry_is_reduced_once(self, monkeypatch):
+        # the three pairs of x ; y ; z all land on (1, 2, 3), whose sum the
+        # constructor, and not each pairwise add, puts in lowest terms
+        from atkernel import cousin
+
+        ideal = ideal_of(["x", "y", "z"], XYZ)
+        one = LocalizedForm(Form.from_poly(Poly.one(3)), 1)
+        c = CousinElement(3, ideal.polys, 2, {alpha: one for alpha in index_sets(3, 2)})
+        real, calls = cousin._lf_canonical, []
+        monkeypatch.setattr(cousin, "_lf_canonical",
+                            lambda lf, f_alpha: calls.append(lf) or real(lf, f_alpha))
+        out = cousin_differential(c)
+        assert len(calls) == 1
+        num = Form.from_poly(parse_poly("-x + y - z", XYZ))
+        assert out == CousinElement(3, ideal.polys, 3, {(1, 2, 3): LocalizedForm(num, 1)})
 
     def test_squares_to_zero(self):
         rng = random.Random(30)
@@ -241,8 +258,9 @@ class TestLocalTrace:
         tu, tv = local_trace(u, kz).scale(c), local_trace(v, kz)
         zero = LocalizedForm(Form.zero(2, u.form_degree), 0)
         for alpha in set(lhs.entries) | set(tu.entries) | set(tv.entries):
-            rhs = _lf_add(tu.entries.get(alpha, zero), tv.entries.get(alpha, zero),
-                          lhs.f_alpha(alpha))
+            f_alpha = lhs.f_alpha(alpha)
+            rhs = _lf_canonical(_lf_add(tu.entries.get(alpha, zero), tv.entries.get(alpha, zero),
+                                        f_alpha), f_alpha)
             assert lhs.entries.get(alpha, zero) == rhs
 
     def test_intertwines_brackets_with_cousin_differential(self):
@@ -465,6 +483,6 @@ class TestLocalizedFormProperties:
         c = LocalizedForm(Form.from_poly(Poly.const(1, c2) * f ** m1), m1)
         lowest = LocalizedForm(Form.from_poly(Poly.const(1, c1)), 0)
         assert _lf_canonical(a, f) == _lf_canonical(b, f) == lowest
-        lhs = _lf_add(a, c, f)
+        lhs = _lf_canonical(_lf_add(a, c, f), f)
         rhs = LocalizedForm(Form.from_poly(Poly.const(1, c1 + c2) * f ** m1), m1)
         assert lhs == _lf_canonical(rhs, f)
