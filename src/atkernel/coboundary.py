@@ -9,8 +9,8 @@ Both solves are sums of products sign * poly * u_key, block-diagonal by
 wedge index and by the degree e that picks a block.  A block's matrix
 depends only on the complexes, or the sequence, and a few degrees; the
 cocycle is only its right-hand side.  So each block is assembled and
-factored (linalg.Factorization) once, kept, and replayed on the
-right-hand sides of every later decision:
+factored (linalg.Factorization) once, kept, and replayed in every later
+decision, on one right-hand side per (e, wedge index) at a time:
 
 - graded blocks on the source FreeComplex, in _coboundary_blocks, keyed
   by the target complex by identity (equal but distinct complexes share
@@ -41,7 +41,7 @@ from operator import add, mul
 
 from . import linalg
 from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, hom_bracket, is_cocycle,
-                        monomials_of_weighted_degree, zero_map)
+                        monomials_of_weighted_degree)
 from .cousin import CousinElement, LocalizedForm, cousin_differential
 from .groebner import Basis
 from .polyforms import Form, Poly
@@ -91,12 +91,13 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
     when there is none.
 
     A product multiplies a form by a polynomial, so the system is
-    block-diagonal by (e, wedge index).  Each block that the terms meet
-    replays its factorization on one right-hand side per (e, wedge index);
-    those the terms do not meet have the zero solution.  The pivots of a
-    block-diagonal matrix are its blocks' pivots, so the solution is that
-    of the whole system.  A term in an equation that no unknown reaches is
-    0 = q, and the answer is None with nothing replayed.
+    block-diagonal by (e, wedge index).  Each (e, wedge index) that the
+    terms meet replays its block's factorization on its own right-hand
+    side, one solve each; those the terms do not meet have the zero
+    solution.  The pivots of a block-diagonal matrix are its blocks'
+    pivots, so the solution is that of the whole system.  A term in an
+    equation that no unknown reaches is 0 = q, and the answer is None
+    with nothing replayed.
     """
     vectors: dict[tuple, tuple] = {}  # (e, wedge index) -> (its block, right-hand side)
     for e, slot, idx, expt, q in terms:
@@ -108,21 +109,17 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
         if r is None:
             return None
         entry[1][r] = q
-    columns: dict[_Block, list] = {}  # block -> the (e, wedge index) it solves
-    for col, (block, _) in vectors.items():
-        columns.setdefault(block, []).append(col)
     acc: dict = {}  # key -> {idx: {expt: value}}
-    for block, cols in columns.items():
-        solutions = block.factored.solve([vectors[col][1] for col in cols])
-        if solutions is None:
+    for (_, idx), (block, b) in vectors.items():
+        x = block.factored.solve(b)
+        if x is None:
             return None
         # one key's unknowns in distinct e run over distinct exponents
-        for (_, idx), x in zip(cols, solutions):
-            x = iter(x)
-            for key, expts in block.unknowns:
-                for expt, v in zip(expts, x):
-                    if v:
-                        acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
+        x = iter(x)
+        for key, expts in block.unknowns:
+            for expt, v in zip(expts, x):
+                if v:
+                    acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
     return {key: Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in acc[key].items()})
             for key in sorted(acc)}
 
@@ -163,14 +160,12 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
     """chaincore.solve_coboundary: one _solve_products over c's terms, on
     the blocks that src keeps for tgt.  A witness h with [d,h] = c proves c
     a cocycle, as d o d = 0 on both complexes, so only an unsolvable c is
-    checked for being one."""
+    checked for being one.  A zero c has no terms and the empty witness."""
     src, tgt = c.source, c.target
     if not (src.graded and tgt.graded) or src.var_weights != tgt.var_weights:
         raise GradingError("solve_coboundary requires graded complexes")
     r_h = c.degree - 1
     k = c.form_degree
-    if c.is_zero():
-        return GradedSolveReport(True, zero_map(src, tgt, r_h, k))
     weights = src.var_weights
     # holding tgt keeps its id from being reused while src lives
     blocks = src._coboundary_blocks.setdefault(id(tgt), (tgt, {}))[1]

@@ -218,12 +218,12 @@ def _dx(n: int, i: int) -> Form:
 
 
 def sff_preset(preset: str) -> tuple[list[str], bool]:
-    """The lines that `atk sff --preset <preset>` prints, for euler[:n] or
-    hypersurface:<f>, and whether its verdict holds."""
-    if preset.startswith("euler"):
+    """The lines that `atk sff --preset <preset>` prints, for exactly euler,
+    euler:<n> or hypersurface:<f>, and whether its verdict holds."""
+    name, colon, text = preset.partition(":")
+    if name == "euler":
         n_proj = 1
-        if ":" in preset:
-            text = preset.split(":", 1)[1]
+        if colon:
             if excess := digit_excess(text):
                 raise ValueError(f"euler needs a positive integer n, got one of {excess}")
             if not (text.isascii() and text.isdigit()) or int(text) < 1:
@@ -234,8 +234,7 @@ def sff_preset(preset: str) -> tuple[list[str], bool]:
         return [map_to_text(sigma, "sigma", names),
                 f"sigma on generators: {'-id' if good else 'mismatch'}",
                 f"VERDICT: {'exact' if good else 'FAIL'}"], good
-    if preset.startswith("hypersurface:"):
-        text = preset.split(":", 1)[1]
+    if name == "hypersurface" and colon:
         names = variable_names(text) or ("x",)
         f = parse_poly(text, names)
         weights = (1,) * f.n

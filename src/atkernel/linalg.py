@@ -6,12 +6,13 @@ in two steps.  `Factorization(rows, ncols)` factors the matrix once: each
 incoming row has its denominators cleared once (by their lcm) and is
 reduced on integers against pivot rows stored primitive (content 1,
 positive pivot), and the integer operations each row took are logged.
-`Factorization.solve(rhs)` replays that log on each right-hand side, in
+`Factorization.solve(b)` replays that log on one right-hand side, in
 O(operations), and back-substitutes; any number of calls replay one
 factorization, so a matrix that many right-hand sides share is factored
 once.  Pivot columns are the leftmost linearly independent columns, in
 any row order, and free variables are zero: one solution per right-hand
-side, the same from a replay as from a fresh elimination.
+side, the same from a replay as from a fresh elimination.  The rank of
+a matrix is the number of its factorization's pivots.
 """
 from __future__ import annotations
 
@@ -37,8 +38,7 @@ def _echelon(rows: Sequence[Row]) -> tuple[dict[int, dict[int, int]], list]:
     log = []
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
-        row = ({c: v.numerator for c, v in row.items() if v} if den == 1 else
-               {c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         ops = []
         new = (-1, 1)
         while row:
@@ -83,38 +83,31 @@ class Factorization:
         self.ncols = ncols
         self.pivots, self.log = _echelon(rows)
 
-    def solve(self, rhs: Sequence[Sequence]) -> list[list[int | Fraction]] | None:
-        """One particular solution of rows*x = b per column b of rhs (a
-        value per row), or None if any column is inconsistent: a row that
-        reduced to zero replays to a nonzero value.  Each value is
-        canonical (polyforms._canon): an int when integral, else a Fraction."""
-        if any(len(b) != len(self.log) for b in rhs):
+    def solve(self, b: Sequence) -> list[int | Fraction] | None:
+        """The particular solution of rows*x = b (a value per row), or None
+        if b is inconsistent: a row that reduced to zero replays to a
+        nonzero value.  Each value is canonical (polyforms._canon): an int
+        when integral, else a Fraction."""
+        if len(b) != len(self.log):
             raise ValueError("rhs length mismatch")
-        solutions = []
-        for b in rhs:
-            # the replayed value of each pivot row, divided by its content
-            # as the row was, so a Fraction where the content does not divide it
-            values = {}
-            for (den, pivot, g, ops), v in zip(self.log, b):
-                v *= den
-                steps = iter(ops)
-                for c, a, p in zip(steps, steps, steps):
-                    v = p * v - a * values[c]
-                if pivot >= 0:
-                    values[pivot] = _quotient(v, g) if v else 0
-                elif v:
-                    return None
-            x = [0] * self.ncols
-            for c, prow in self.pivots.items():
-                total = values[c]
-                for i, v in prow.items():
-                    if i != c and x[i]:
-                        total -= v * x[i]
-                if total:
-                    x[c] = _quotient(total, prow[c])
-            solutions.append(x)
-        return solutions
-
-
-def rank(rows: Sequence[Row]) -> int:
-    return len(_echelon(rows)[0])
+        # the replayed value of each pivot row, divided by its content
+        # as the row was, so a Fraction where the content does not divide it
+        values = {}
+        for (den, pivot, g, ops), v in zip(self.log, b):
+            v *= den
+            steps = iter(ops)
+            for c, a, p in zip(steps, steps, steps):
+                v = p * v - a * values[c]
+            if pivot >= 0:
+                values[pivot] = _quotient(v, g) if v else 0
+            elif v:
+                return None
+        x = [0] * self.ncols
+        for c, prow in self.pivots.items():
+            total = values[c]
+            for i, v in prow.items():
+                if i != c and x[i]:
+                    total -= v * x[i]
+            if total:
+                x[c] = _quotient(total, prow[c])
+        return x

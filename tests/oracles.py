@@ -33,13 +33,13 @@ fraction-free factorization and its replay, as every exact solve here:
 
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
-regularity scan and the cone checks rank them with linalg.rank, so the
-scan is independent of the Groebner guard, not of elimination), and, at
-the end, the differential as a chain map, a matrix as dense rows (of
-polynomials for a polynomial map) and dense rows in the stored sparse
-form, the split ladder of free modules, the contraction of a Cousin
-element against a derivation, the x_i^2 ladder and seeded maps with
-non-integral Fraction coefficients.
+regularity scan and the cone checks rank each as the number of pivots
+of its linalg.Factorization, so the scan is independent of the Groebner
+guard, not of elimination), and, at the end, the differential as a chain
+map, a matrix as dense rows (of polynomials for a polynomial map) and
+dense rows in the stored sparse form, the split ladder of free modules,
+the contraction of a Cousin element against a derivation, the x_i^2
+ladder and seeded maps with non-integral Fraction coefficients.
 """
 from __future__ import annotations
 
@@ -251,10 +251,11 @@ def component_basis(c, i, d):
 
 def homology_rank(c, i, d):
     """dim_Q H^i(C)_d for a graded complex."""
-    basis = component_basis(c, i, d)
+    basis, below = component_basis(c, i, d), component_basis(c, i - 1, d)
     out = component_matrix_oracle(c, i, basis, component_basis(c, i + 1, d))
-    into = component_matrix_oracle(c, i - 1, component_basis(c, i - 1, d), basis)
-    return len(basis) - linalg.rank(out) - linalg.rank(into)
+    into = component_matrix_oracle(c, i - 1, below, basis)
+    return (len(basis) - len(linalg.Factorization(out, len(basis)).pivots)
+            - len(linalg.Factorization(into, len(below)).pivots))
 
 
 def component_matrix_oracle(c, i, src, tgt):

@@ -772,6 +772,22 @@ class TestSolveProductsOracle:
         assert solve_coboundary(c).solvable
         assert len(rows) == 3 and 3 * sum(rows) == parent_rows
 
+    def test_one_replay_per_degree_and_wedge_index(self, monkeypatch):
+        """The bracket above meets three degrees e in each of its three
+        wedge indices: nine right-hand sides, each replayed alone.  In one
+        wedge index e = d - weight(idx) is one-to-one in the internal
+        degree d, so the vectors are the distinct pairs (d, idx)."""
+        names = ("x", "y", "z")
+        ideal = RegularSequenceIdeal(3, tuple(parse_poly(v, names) for v in names), (1, 1, 1))
+        c = hom_bracket(random_chain_map(random.Random(7), build_koszul(ideal), 0, 1))
+        vectors = {(d, idx) for *_, idx, _, _, d in graded_terms(c)}
+        replays = []
+        original = linalg.Factorization.solve
+        monkeypatch.setattr(linalg.Factorization, "solve",
+                            lambda self, b: replays.append(b) or original(self, b))
+        assert solve_coboundary(c).solvable
+        assert len(replays) == len(vectors) == 9
+
 
 class TestKeptBlocks:
     """A complex keeps the factored blocks of the maps out of it, keyed by

@@ -556,6 +556,13 @@ class TestUsageMessages:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: euler needs a positive integer n, got '\u00b2'\n"
 
+    @pytest.mark.parametrize("preset", ["eulerx", "euler2", "euler-3"])
+    def test_preset_that_only_starts_with_euler_is_unknown(self, preset, capsys):
+        """Only euler and euler:<n> name the Euler preset."""
+        assert main(["sff", "--preset", preset]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unknown preset '{preset}'\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
