@@ -63,9 +63,6 @@ class DerivationSpec(Record):
     def __init__(self, values: tuple[Poly, ...]):
         self.values = values
 
-    def apply(self, p: Poly) -> Poly:
-        return p.apply_derivation(self.values)
-
 
 def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> AtiyahCocycle:
     """[d, nabla] for the given connection.
@@ -139,5 +136,5 @@ def obstruction_cocycle(k: KoszulComplex, delta: DerivationSpec) -> ChainMap:
     cx = k.complex
     if len(delta.values) != cx.n:
         raise ShapeError("derivation arity mismatch")
-    return ChainMap._raw(cx, cx, 1, 0,
-                         cx.entrywise(lambda entry: Form.from_poly(-delta.apply(entry))))
+    return ChainMap._raw(cx, cx, 1, 0, cx.entrywise(
+        lambda entry: Form.from_poly(-entry.apply_derivation(delta.values))))

@@ -25,7 +25,6 @@ from .polyforms import (
     Record,
     _form_from_acc,
     _mul_into,
-    _poly_from_acc,
     _scale_into,
     _wedge_into,
     default_names,
@@ -94,16 +93,6 @@ def _nonzeros(mats: dict):
                 yield i, t, s, x
 
 
-def _pruned(mats: dict) -> dict:
-    """mats without its empty rows and empty matrices."""
-    out = {}
-    for i, mat in mats.items():
-        mat = {t: row for t, row in mat.items() if row}
-        if mat:
-            out[i] = mat
-    return out
-
-
 def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
     """Add the product a . b of two stored matrices, or its negative, into
     acc[t][s] and return acc.  Each acc[t][s] is a raw accumulator, and
@@ -119,6 +108,19 @@ def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
                     entry = out[s] = {}
                 into(entry, x, y, negate)
     return acc
+
+
+def _first_defect(pairs) -> int | None:
+    """The first degree i, in the order the right factors store them, at
+    which the sum of a[i + 1] . b[i] over the pairs (a, b) of stored
+    polynomial matrices has a nonzero entry; None when every sum is zero."""
+    for i in dict.fromkeys(j for _, b in pairs for j in b):
+        acc = {}
+        for a, b in pairs:
+            _product(acc, a.get(i + 1, {}), b.get(i, {}), _mul_into)
+        if any(c for row in acc.values() for raw in row.values() for c in raw.values()):
+            return i
+    return None
 
 
 def _settle(acc: dict, build) -> dict:
@@ -174,10 +176,8 @@ class FreeComplex:
             mat = _stored(mat, self.rank(i + 1), self.rank(i), n, None, f"differential d({i})")
             if mat:
                 self.diff[i] = mat
-        for i, mat in self.diff.items():
-            square = _product({}, self.diff.get(i + 1, {}), mat, _mul_into)
-            if _settle(square, partial(_poly_from_acc, n)):
-                raise ShapeError(f"d o d != 0 between degrees {i} and {i + 2}")
+        if (i := _first_defect([(self.diff, self.diff)])) is not None:
+            raise ShapeError(f"d o d != 0 between degrees {i} and {i + 2}")
         if self.graded:
             # a graded differential preserves internal degree, so each
             # entry is homogeneous of degree weight(source) - weight(target)
@@ -293,12 +293,10 @@ class ChainMap:
         mats = {i: {t: dict(row) for t, row in mat.items()} for i, mat in self.mats.items()}
         for i, t, s, y in other.nonzeros():
             row = mats.setdefault(i, {}).setdefault(t, {})
-            x = row.pop(s, None)
-            z = y if x is None else x + y
-            if z.terms:
-                row[s] = z
+            row[s] = y if (x := row.get(s)) is None else x + y
         form_degree = self.form_degree if self.mats else other.form_degree
-        return ChainMap._raw(self.source, self.target, self.degree, form_degree, _pruned(mats))
+        return ChainMap._raw(self.source, self.target, self.degree, form_degree,
+                             _entrywise(mats, lambda z: z))
 
     def __neg__(self) -> "ChainMap":
         return ChainMap._raw(self.source, self.target, self.degree, self.form_degree,

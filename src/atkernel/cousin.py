@@ -98,8 +98,8 @@ class CousinElement:
         return len(self.seq)
 
     def f_alpha(self, alpha: Sequence[int]) -> Poly:
-        out = Poly.one(self.n)
-        for i in alpha:
+        out = self.seq[alpha[0] - 1] if alpha else Poly.one(self.n)
+        for i in alpha[1:]:
             out = out * self.seq[i - 1]
         return out
 
@@ -181,8 +181,9 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     if d < 0 or d > k.q:
         return CousinElement(k.n, k.ideal.polys, min(max(d, 0), k.q))
     acc: dict[tuple[int, ...], dict] = {}
+    plans = {i: _trace_plan(k.q, -i, d) for i in u.mats}
     for i, t, s, entry in u.nonzeros():
-        read = _trace_plan(k.q, -i, d).get((t, s))
+        read = plans[i].get((t, s))
         if read is not None:
             alpha_prime, negate = read
             _add_into(acc.setdefault(alpha_prime, {}), entry, negate)

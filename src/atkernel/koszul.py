@@ -114,6 +114,7 @@ def _derivation_matrices(values: Sequence[Poly]) -> dict[int, dict]:
     entry is written once.
     """
     q = len(values)
+    signed = [(v, -v) for v in values]
     out: dict[int, dict] = {}
     for p in range(1, q + 1):
         tpos = {a: i for i, a in enumerate(index_sets(q, p - 1))}
@@ -122,7 +123,7 @@ def _derivation_matrices(values: Sequence[Poly]) -> dict[int, dict]:
             for pos, j in enumerate(alpha):
                 if values[j - 1].terms:
                     row = mat.setdefault(tpos[alpha[:pos] + alpha[pos + 1 :]], {})
-                    row[s] = values[j - 1].scale((-1) ** pos)
+                    row[s] = signed[j - 1][pos % 2]
     return out
 
 

@@ -180,8 +180,8 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        result = Poly.one(self.n)
-        for _ in range(k):
+        result = self if k else Poly.one(self.n)
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -432,7 +432,7 @@ def _add_into(acc: dict, w: Form, negate: bool = False) -> None:
 
 
 def _poly_from_acc(n: int, acc: dict) -> Poly:
-    return Poly._raw(n, {e: _canon(c) for e, c in acc.items() if c})
+    return Poly._raw(n, {e: c if type(c) is int else _canon(c) for e, c in acc.items() if c})
 
 
 def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
@@ -497,19 +497,22 @@ def contract_form(values: Sequence[Poly], w: Form) -> Form:
     standard alternating sign.  A trusted kernel: w has degree at least 1
     and every value has w's arity, as atiyah.contract_derivation checks.
     """
-    n = w.n
     acc: dict = {}
     for idx, coeff in w.terms.items():
-        for j, slot in enumerate(idx):
+        for slot, rest, negate in _splits(idx):
             val = values[slot]
-            if not val.terms:
-                continue
-            rest = idx[:j] + idx[j + 1 :]
-            out = acc.get(rest)
-            if out is None:
-                out = acc[rest] = {}
-            _mul_into(out, coeff, val, negate=j % 2 == 1)
-    return _form_from_acc(n, w.degree - 1, acc)
+            if val.terms:
+                out = acc.get(rest)
+                if out is None:
+                    out = acc[rest] = {}
+                _mul_into(out, coeff, val, negate)
+    return _form_from_acc(w.n, w.degree - 1, acc)
+
+
+@lru_cache(maxsize=4096)
+def _splits(idx: tuple[int, ...]) -> tuple:
+    """(slot, idx without it, odd sign) per slot of idx; memoised, as _merge_indices is."""
+    return tuple((slot, idx[:j] + idx[j + 1 :], j % 2 == 1) for j, slot in enumerate(idx))
 
 
 # -- canonical text ------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .atiyah import atiyah_cocycle, atiyah_power
-from .chaincore import ChainMap, ShapeError, compose, is_cocycle
+from .chaincore import ChainMap, ShapeError, _entrywise, _first_defect, compose, is_cocycle
 from .cousin import CousinElement, LocalizedForm, local_trace
 from .koszul import (
     KoszulComplex,
@@ -37,19 +37,17 @@ class SemiregReport:
 def ext1_representative(phi: NormalHom, kz: KoszulComplex) -> ChainMap:
     """The degree-1 derivation gf_i -> phi_i on kz, zero on the ring.
 
-    kz must resolve phi's sequence.  The bracket vanishes identically over
-    the ambient ring, which is asserted; the matrices go to ChainMap._raw.
+    kz must resolve phi's sequence.  The bracket [d, D] = dD + Dd vanishes
+    identically over the ambient ring, which is asserted entry by entry on
+    the polynomial matrices, as the d o d check does; the matrices then go
+    to ChainMap._raw as degree-0 forms.
     """
     if kz.ideal != phi.ideal:
         raise ShapeError("Koszul complex resolves a different sequence")
-    mats = {
-        i: {t: {s: Form.from_poly(p) for s, p in row.items()} for t, row in mat.items()}
-        for i, mat in _derivation_matrices(phi.values).items() if mat
-    }
-    out = ChainMap._raw(kz.complex, kz.complex, 1, 0, mats)
-    if not is_cocycle(out):
+    d, mats = kz.complex.diff, _derivation_matrices(phi.values)
+    if _first_defect([(d, mats), (mats, d)]) is not None:
         raise AssertionError("derivation extension failed to be a cocycle")
-    return out
+    return ChainMap._raw(kz.complex, kz.complex, 1, 0, _entrywise(mats, Form.from_poly))
 
 
 def _traced_power(kz: KoszulComplex, k: int, xi: ChainMap | None = None) -> CousinElement:
@@ -81,11 +79,12 @@ def bloch_mu(phi: NormalHom) -> CousinElement:
     n, q = ideal.n, ideal.q
     full = tuple(range(1, q + 1))
     num = Form.zero(n, q - 1)
+    dfs = [exterior_derivative(f) for f in ideal.polys]
     for i in range(1, q + 1):
         part = Form.from_poly(phi.values[i - 1].scale((-1) ** (i - 1)))
         for j in range(1, q + 1):
             if j != i:
-                part = wedge(part, exterior_derivative(ideal.polys[j - 1]))
+                part = wedge(part, dfs[j - 1])
         num = num + part
     return CousinElement(n, ideal.polys, q, {full: LocalizedForm(num, 1)})
 

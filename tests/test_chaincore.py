@@ -491,7 +491,7 @@ class TestCone:
 
     def test_cone_checks_square_zero(self):
         # construction of any FreeComplex validates d o d = 0
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^d o d != 0 between degrees -2 and 0$"):
             FreeComplex(
                 1,
                 {-2: [BasisElement("a")], -1: [BasisElement("b")], 0: [BasisElement("c")]},

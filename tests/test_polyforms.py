@@ -19,6 +19,7 @@ from atkernel.polyforms import (
     _form_from_acc,
     _mul_into,
     _poly_from_acc,
+    _splits,
     _wedge_into,
     contract_form,
     default_names,
@@ -368,6 +369,26 @@ class TestContract:
         dxdy = parse_form("dx^dy", XY)
         assert contract_form([one, zero], dxdy) == parse_form("dy", XY)
         assert contract_form([zero, one], dxdy) == parse_form("-dx", XY)
+
+    def test_split_memo_depends_on_the_wedge_index_alone(self):
+        """The same seeded forms against the unit derivations, the zero
+        derivation and one with Fraction values, interleaved: a split
+        memoised on anything but the index would give a wrong contraction,
+        and the memo holds one split per distinct index."""
+        rng = random.Random(35)
+        n = 4
+        forms = [_rand_form(rng, n, degree) for degree in range(1, n + 1) for _ in range(4)]
+        units = [[Poly.const(n, int(j == i)) for j in range(n)] for i in range(n)]
+        fractional = [Poly.monomial(n, [int(j == i) for j in range(n)], Fraction(i + 1, 3))
+                      for i in range(n)]
+        derivations = [*units, [Poly.zero(n)] * n, fractional]
+        _splits.cache_clear()
+        for _ in range(2):
+            for w in forms:
+                for values in derivations:
+                    assert contract_form(values, w) == contract_form_oracle(values, w)
+        indices = {idx for w in forms for idx in w.terms}
+        assert len(indices) > n and _splits.cache_info().currsize == len(indices)
 
 
 def _rand_poly(rng, n, terms=3, max_exp=2):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from atkernel.atiyah import atiyah_cocycle
+from atkernel import cousin, semireg
+from atkernel.atiyah import atiyah_cocycle, atiyah_power
 from atkernel.chaincore import (
     MAX_TOTAL_RANK,
     ChainMap,
@@ -17,7 +18,7 @@ from atkernel.chaincore import (
 )
 from atkernel.corpus import corpus_entries, derivations_for, normal_homs_for
 from atkernel.cousin import CousinElement, LocalizedForm, _lf_add, _lf_canonical, cousin_to_text
-from atkernel.koszul import RegularSequenceIdeal, _derivation_matrices, build_koszul
+from atkernel.koszul import RegularSequenceIdeal, _derivation_matrices, build_koszul, index_sets
 from atkernel.ladder import (
     _free_module,
     _poly_map,
@@ -49,6 +50,7 @@ from atkernel.semireg import (
 from oracles import (
     connecting_delta_oracle,
     contract_cousin,
+    koszul_differential_oracle,
     ladder_verdict_oracle,
     poly_rows,
     second_fundamental_form_oracle,
@@ -59,6 +61,12 @@ from oracles import (
 X = ("x",)
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+
+
+def scale_ladder(q):
+    """The sequence x_i^2 in q variables, graded, and the hom x_i on it."""
+    ideal = RegularSequenceIdeal(q, tuple(Poly.variable(q, i) ** 2 for i in range(q)), (1,) * q)
+    return ideal, NormalHom(ideal, tuple(Poly.variable(q, i) for i in range(q)))
 
 
 def ideal_of(texts, names, weights=None):
@@ -116,6 +124,70 @@ class TestExt1Representative:
         for entry in corpus_entries():
             for phi in normal_homs_for(entry):
                 assert is_cocycle(ext1_representative(phi, build_koszul(phi.ideal)))
+
+    def test_cocycle_assert_fires_on_each_negated_entry(self, monkeypatch):
+        # negating one stored entry v of D adds -2v at one place, whose
+        # bracket with d is nonzero for q >= 2: the assert must see it
+        ideal, phi = scale_ladder(3)
+        kz = build_koszul(ideal)
+        stored = [(i, t, s) for i, mat in _derivation_matrices(phi.values).items()
+                  for t, row in mat.items() for s in row]
+        assert len(stored) == 12
+        for i, t, s in stored:
+            def negated(values, i=i, t=t, s=s):
+                mats = _derivation_matrices(values)
+                mats[i][t][s] = -mats[i][t][s]
+                return mats
+
+            monkeypatch.setattr(semireg, "_derivation_matrices", negated)
+            with pytest.raises(AssertionError, match="^derivation extension failed to be a cocycle$"):
+                ext1_representative(phi, kz)
+
+
+class TestOncePerCall:
+    """Work that depends only on the call's arguments is done once per
+    call, counted at the call sites on the ladder q = 4."""
+
+    def test_local_trace_looks_up_one_plan_per_stored_degree(self, monkeypatch):
+        ideal, _ = scale_ladder(4)
+        kz = build_koszul(ideal)
+        at2 = atiyah_power(atiyah_cocycle(kz.complex), 2).chain_map
+        expected = cousin.local_trace(at2, kz)
+        lookups = []
+        original = cousin._trace_plan
+        monkeypatch.setattr(cousin, "_trace_plan",
+                            lambda *key: lookups.append(key) or original(*key))
+        assert cousin.local_trace(at2, kz) == expected
+        entries = sum(len(row) for mat in at2.mats.values() for row in mat.values())
+        assert sorted(lookups) == sorted((4, -i, 2) for i in at2.mats)
+        assert len(lookups) == len(at2.mats) == 3 < entries
+
+    def test_bloch_mu_takes_one_exterior_derivative_per_generator(self, monkeypatch):
+        _, phi = scale_ladder(4)
+        expected = bloch_mu(phi)
+        calls = []
+        monkeypatch.setattr(semireg, "exterior_derivative",
+                            lambda f: calls.append(f) or exterior_derivative(f))
+        assert bloch_mu(phi) == expected
+        assert calls == list(phi.ideal.polys)
+
+    def test_derivation_matrices_form_at_most_two_polynomials_per_value(self, monkeypatch):
+        _, phi = scale_ladder(4)
+        made = []
+        raw, init = Poly._raw, Poly.__init__
+        monkeypatch.setattr(Poly, "_raw", staticmethod(lambda n, t: made.append(t) or raw(n, t)))
+        monkeypatch.setattr(Poly, "__init__",
+                            lambda self, *a: made.append(a) or init(self, *a))
+        got = _derivation_matrices(phi.values)
+        monkeypatch.undo()
+        assert len(made) <= 2 * len(phi.values)
+        entries = 0
+        for p in range(1, 5):
+            for s, alpha in enumerate(index_sets(4, p)):
+                column = {index_sets(4, p - 1)[t]: row[s] for t, row in got[-p].items() if s in row}
+                assert column == koszul_differential_oracle(phi.values, alpha)
+                entries += len(column)
+        assert entries == 32
 
 
 class TestChernCharacter:
