@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from operator import add, mul
 
 from . import linalg
 from .chaincore import (ChainMap, FreeComplex, GradingError, ShapeError, hom_bracket, is_cocycle,
                         monomials_of_weighted_degree)
 from .cousin import CousinElement, LocalizedForm, cousin_differential
 from .groebner import Basis
-from .polyforms import Form, Poly
+from .polyforms import FIELD, MASK, Form, Poly, pack
 
 
 class GradedSolveReport:
@@ -57,8 +56,8 @@ class GradedSolveReport:
 
 class _Block:
     """One factored block of a products system: its unknowns, as runs
-    (key, expts) of the exponents that key's unknowns run over, the row of
-    each equation (slot, expt), and its factored matrix."""
+    (key, expts) of the packed exponents that key's unknowns run over, the
+    row of each equation (slot, packed exponent), and its factored matrix."""
 
     __slots__ = ("unknowns", "rows", "factored")
 
@@ -74,7 +73,7 @@ class _Block:
             for expt in expts:
                 for slot, poly, sign in factors:
                     for e2, q in poly.terms.items():
-                        rows.setdefault((slot, tuple(map(add, expt, e2))), {})[vi] = sign * q
+                        rows.setdefault((slot, expt + e2), {})[vi] = sign * q
                 vi += 1
         self.unknowns = unknowns
         self.rows = dict(zip(rows, itertools.count()))
@@ -139,8 +138,8 @@ def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e:
                      for i in src.support()
                      for t, tbe in enumerate(tgt.basis(i + r_h))
                      for s, sbe in enumerate(src.basis(i))
-                     if (expts := monomials_of_weighted_degree(n, weights,
-                                                               sbe.weight - tbe.weight + e)))
+                     if (expts := tuple(map(pack, monomials_of_weighted_degree(
+                         n, weights, sbe.weight - tbe.weight + e)))))
     # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
     # column m of the target differential and row s of the source one
     columns: dict[tuple, list] = {}
@@ -166,13 +165,15 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
         raise GradingError("solve_coboundary requires graded complexes")
     r_h = c.degree - 1
     k = c.form_degree
-    weights = src.var_weights
+    # (weight, shift) per field of a packed exponent, for its weighted degree
+    fields = [(w, FIELD * (src.n - 1 - v)) for v, w in enumerate(src.var_weights)]
     # holding tgt keeps its id from being reused while src lives
     blocks = src._coboundary_blocks.setdefault(id(tgt), (tgt, {}))[1]
     # a term q * x^expt in wedge index idx of c's entry from s to t has
     # internal degree wdeg(expt) + weight(idx) + weight(t) - weight(s); its
     # block's e is that less weight(idx)
-    terms = ((base + sum(map(mul, weights, expt)), (i, t, s), idx, expt, q)
+    terms = ((base + sum(w * (expt >> shift & MASK) for w, shift in fields), (i, t, s), idx,
+              expt, q)
              for i, t, s, f in c.nonzeros()
              for base in (tgt.basis(i + c.degree)[t].weight - src.basis(i)[s].weight,)
              for idx, coeff in f.terms.items()
@@ -200,7 +201,7 @@ def _cousin_block(seq: tuple[Poly, ...], m: int, top: int) -> _Block:
     n = seq[0].n
     fpows = [f ** m for f in seq]
     units = (1,) * n
-    unknowns = tuple((i, monomials_of_weighted_degree(n, units, d))
+    unknowns = tuple((i, tuple(map(pack, monomials_of_weighted_degree(n, units, d))))
                      for i, fpow in enumerate(fpows, 1)
                      for d in range(top - fpow.total_degree() + 1))
     full = tuple(range(1, len(seq) + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .polyforms import Record, parse_poly, variable_names
+from .polyforms import Record, parse_poly, unpack, variable_names
 
 
 class MonomialIdealError(ValueError):
@@ -74,7 +74,7 @@ def monomial_exponent(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
     p = parse_poly(text, names)
     if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
         raise MonomialIdealError(f"not a monomial: {text!r}")
-    return next(iter(p.terms))
+    return unpack(next(iter(p.terms)), p.n)
 
 
 Vector = tuple[Fraction, ...]

@@ -1,14 +1,15 @@
 """Exact arithmetic for multivariate polynomials over Q and exterior forms.
 
-Polynomials are sparse maps from exponent vectors to nonzero rational
-coefficients.  A coefficient is stored as an int when it is integral and
-as a Fraction with denominator > 1 otherwise, so the integer arithmetic
-that dominates Koszul complexes never builds a Fraction.  Floats are
-refused: a binary fraction is not the rational that was meant.  Forms
-carry polynomial coefficients on strictly increasing wedge index tuples,
-so every value has one canonical representation and equality is literal
-dictionary equality.  Term order is graded lexicographic with the
-variable order fixed by the ring declaration.
+A polynomial maps packed monomials to nonzero rationals: an int when
+integral, else a Fraction with denominator > 1, so Koszul arithmetic never
+builds a Fraction; floats are refused.  pack alone fixes the layout: one
+int of FIELD-bit fields, the total degree on top, then x_1 down to x_n as
+the ring declares them.  So int order is grlex order, a product adds keys,
+and x^a | x^b when b - a >= 0 sets no field's top (guard) bit; degrees
+stay below CEILING, so no field carries.  Another order (grevlex, a local
+order) would complement or reorder the fields in pack and unpack.  Forms
+map strictly increasing wedge index tuples to polynomials, so equality is
+literal dictionary equality.
 """
 from __future__ import annotations
 
@@ -17,9 +18,12 @@ import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 MAX_ARITY = 16
+FIELD = 32
+CEILING = 1 << FIELD - 1
+MASK = (1 << FIELD) - 1
+GUARD = CEILING * sum(1 << FIELD * i for i in range(MAX_ARITY + 1))
 
 
 class Record:
@@ -67,8 +71,18 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(n))
 
 
-def _grlex_key(expt: tuple[int, ...]) -> tuple:
-    return (sum(expt), expt)
+def pack(expt: Sequence[int]) -> int:
+    """The key of the monomial x^expt; refuses a total degree of CEILING or more."""
+    if (key := sum(expt)) >= CEILING:
+        raise ValueError(f"total degree {key} reaches the degree ceiling 2^{FIELD - 1}")
+    for k in expt:
+        key = key << FIELD | k
+    return key
+
+
+def unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of an arity-n key: pack's inverse."""
+    return tuple(key >> FIELD * i & MASK for i in range(n - 1, -1, -1))
 
 
 Coeff = int | Fraction
@@ -94,7 +108,7 @@ class Poly:
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], Coeff] | None = None):
         if not 0 < n <= MAX_ARITY:
             raise ArityError(f"ring arity must be in 1..{MAX_ARITY}, got {n}")
-        clean: dict[tuple[int, ...], Coeff] = {}
+        clean: dict[int, Coeff] = {}
         for expt, coeff in (terms or {}).items():
             coeff = _canon(coeff)
             if coeff == 0:
@@ -102,16 +116,16 @@ class Poly:
             expt = tuple(int(e) for e in expt)
             if len(expt) != n or any(e < 0 for e in expt):
                 raise ValueError(f"bad exponent vector {expt} for arity {n}")
-            clean[expt] = coeff
+            clean[pack(expt)] = coeff
         self.n = n
         self.terms = clean
 
     @staticmethod
-    def _raw(n: int, terms: dict[tuple[int, ...], Coeff]) -> "Poly":
+    def _raw(n: int, terms: dict[int, Coeff]) -> "Poly":
         """Trusted constructor for internal arithmetic: `terms` must already
-        be canonical (length-n exponent tuples, nonzero values, each an int
-        when integral and a Fraction with denominator > 1 otherwise) and is
-        kept, not copied."""
+        be canonical (arity-n packed keys, nonzero values, each an int when
+        integral and a Fraction with denominator > 1 otherwise) and is kept,
+        not copied."""
         p = object.__new__(Poly)
         p.n = n
         p.terms = terms
@@ -137,8 +151,7 @@ class Poly:
     def variable(n: int, i: int) -> "Poly":
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for arity {n}")
-        expt = tuple(1 if j == i else 0 for j in range(n))
-        return Poly(n, {expt: 1})
+        return Poly(n, {tuple(int(j == i) for j in range(n)): 1})
 
     @staticmethod
     def monomial(n: int, expt: Sequence[int], coeff=1) -> "Poly":
@@ -173,7 +186,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc: dict[tuple[int, ...], Coeff] = {}
+        acc: dict[int, Coeff] = {}
         _mul_into(acc, self, other)
         return _poly_from_acc(self.n, acc)
 
@@ -199,17 +212,16 @@ class Poly:
         return not self.terms
 
     def constant_term(self) -> Coeff:
-        return self.terms.get((0,) * self.n, 0)
+        return self.terms.get(0, 0)
 
     # -- degrees ----------------------------------------------------------
 
     def total_degree(self) -> int:
-        # zero polynomial reports -1
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> FIELD * self.n if self.terms else -1
 
     def homogeneous_degree(self, weights: Sequence[int]) -> int | None:
         """Weighted degree if homogeneous, else None.  Zero counts as any degree."""
-        degs = {sum(w * k for w, k in zip(weights, e)) for e in self.terms}
+        degs = {sum(w * k for w, k in zip(weights, unpack(e, self.n))) for e in self.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else 0
@@ -217,14 +229,10 @@ class Poly:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self, i: int) -> "Poly":
-        terms: dict[tuple[int, ...], Coeff] = {}
-        for expt, coeff in self.terms.items():
-            if expt[i] == 0:
-                continue
-            e = list(expt)
-            e[i] -= 1
-            terms[tuple(e)] = _canon(coeff * expt[i])
-        return Poly._raw(self.n, terms)
+        shift = FIELD * (self.n - 1 - i)
+        step = (1 << FIELD * self.n) + (1 << shift)  # one off the degree and off x_i
+        return Poly._raw(self.n, {e - step: _canon(c * k) for e, c in self.terms.items()
+                                  if (k := e >> shift & MASK)})
 
     def apply_derivation(self, values: Sequence["Poly"]) -> "Poly":
         """Extend x_i -> values[i] to this polynomial by the Leibniz rule."""
@@ -238,9 +246,8 @@ class Poly:
 
     # -- division by a single polynomial ----------------------------------
 
-    def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
-        expt = max(self.terms, key=_grlex_key)
-        return expt, self.terms[expt]
+    def leading_term(self) -> tuple[int, Coeff]:
+        return max(self.terms.items())  # keys are distinct, so coefficients never compare
 
     def exact_quotient(self, divisor: "Poly") -> "Poly | None":
         """self / divisor when divisor divides self, else None.
@@ -256,25 +263,23 @@ class Poly:
         lt_e, lt_c = divisor.leading_term()
         tail = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
         work = dict(self.terms)
-        quot: dict[tuple[int, ...], Coeff] = {}
+        quot: dict[int, Coeff] = {}
         while work:
-            e = max(work, key=_grlex_key)
-            q_e = tuple(a - b for a, b in zip(e, lt_e))
-            if min(q_e) < 0:
+            e = max(work)
+            q_e = e - lt_e
+            if q_e < 0 or q_e & GUARD:  # a field of lt_e exceeds e's
                 return None
-            q_c = _canon(Fraction(work.pop(e), lt_c))
-            quot[q_e] = q_c
+            q_c = quot[q_e] = _canon(Fraction(work.pop(e), lt_c))
             for d_e, d_c in tail:
-                m = tuple(a + b for a, b in zip(q_e, d_e))
-                v = work.get(m, 0) - q_c * d_c
+                v = work.get(m := q_e + d_e, 0) - q_c * d_c
                 if v:
                     work[m] = v
                 else:
                     del work[m]
         return Poly._raw(self.n, quot)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[int, Coeff]]:
+        return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self):
         return f"Poly({poly_to_text(self)!r})"
@@ -404,8 +409,8 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
 
 # -- raw accumulators ------------------------------------------------------
 #
-# The fused kernels sum many products into plain dicts, {expt: coeff} for a
-# polynomial and {idx: {expt: coeff}} for a form, which may hold zero or
+# The fused kernels sum many products into plain dicts, {key: coeff} for a
+# polynomial and {idx: {key: coeff}} for a form, which may hold zero or
 # integral Fraction coefficients until the result is built once, and made
 # canonical, by _poly_from_acc or _form_from_acc.  Operands are canonical
 # and share one arity.
@@ -413,12 +418,14 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
 
 def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
     """Add p*q, or -(p*q) when negate is set, into a raw polynomial accumulator."""
+    bound = CEILING << FIELD * p.n  # the least key of degree CEILING
     q_items = q.terms.items()
     for e1, c1 in p.terms.items():
         if negate:
             c1 = -c1
         for e2, c2 in q_items:
-            e = tuple(map(add, e1, e2))
+            if (e := e1 + e2) >= bound:
+                pack(unpack(e, p.n))  # raises: no field has carried, so unpack reads them all
             prev = acc.get(e)
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
@@ -519,12 +526,7 @@ def _splits(idx: tuple[int, ...]) -> tuple:
 
 
 def _monomial_text(expt: tuple[int, ...], names: Sequence[str]) -> str:
-    parts = []
-    for name, k in zip(names, expt):
-        if k == 0:
-            continue
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return "*".join(parts)
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, expt) if k)
 
 
 def _dform_text(idx: tuple[int, ...], names: Sequence[str]) -> str:
@@ -552,13 +554,13 @@ def _terms_text(terms, names: Sequence[str]) -> str:
 
 def poly_to_text(p: Poly, names: Sequence[str] | None = None) -> str:
     names = names or default_names(p.n)
-    return _terms_text((((), expt, coeff) for expt, coeff in p.sorted_terms()), names)
+    return _terms_text((((), unpack(e, p.n), c) for e, c in p.sorted_terms()), names)
 
 
 def form_to_text(w: Form, names: Sequence[str] | None = None) -> str:
     names = names or default_names(w.n)
-    return _terms_text(((idx, expt, coeff) for idx in sorted(w.terms)
-                        for expt, coeff in w.terms[idx].sorted_terms()), names)
+    return _terms_text(((idx, unpack(e, w.n), c) for idx in sorted(w.terms)
+                        for e, c in w.terms[idx].sorted_terms()), names)
 
 
 class _Tok:
@@ -691,11 +693,11 @@ class _FormParser:
     def _differential(self, tok: _Tok | None) -> Form | None:
         """The differential d<var> when tok is that name, else None."""
         if tok and tok.kind == "name" and tok.text.startswith("d") and tok.text[1:] in self.names:
-            return self._monomial((self.names.index(tok.text[1:]),), (0,) * self.n)
+            return self._monomial((self.names.index(tok.text[1:]),), 0)
         return None
 
-    def _monomial(self, idx: tuple[int, ...], expt: tuple[int, ...], coeff: Coeff = 1) -> Form:
-        return Form._raw(self.n, len(idx), {idx: Poly._raw(self.n, {expt: coeff})} if coeff else {})
+    def _monomial(self, idx: tuple[int, ...], key: int, coeff: Coeff = 1) -> Form:
+        return Form._raw(self.n, len(idx), {idx: Poly._raw(self.n, {key: coeff})} if coeff else {})
 
     def _factor(self) -> Form:
         """A number, a variable power or a differential d<var>."""
@@ -710,19 +712,20 @@ class _FormParser:
                 if int(den.text) == 0:
                     self._fail("zero denominator", den)
                 value = _canon(Fraction(value, int(den.text)))
-            return self._monomial((), (0,) * self.n, value)
+            return self._monomial((), 0, value)
         if tok.kind == "name":
             if tok.text in self.names:
-                expt = [0] * self.n
-                power = 1
+                i, power = self.names.index(tok.text), 1
                 if (nxt := self._peek()) is not None and nxt.kind == "^":
                     self._next()
-                    ptok = self._next()
-                    if ptok.kind != "num":
-                        self._fail("expected integer exponent", ptok)
-                    power = int(ptok.text)
-                expt[self.names.index(tok.text)] = power
-                return self._monomial((), tuple(expt))
+                    tok = self._next()
+                    if tok.kind != "num":
+                        self._fail("expected integer exponent", tok)
+                    power = int(tok.text)
+                try:
+                    return self._monomial((), pack([power * (j == i) for j in range(self.n)]))
+                except ValueError as exc:  # the degree ceiling, at the exponent
+                    self._fail(str(exc), tok)
             if dx := self._differential(tok):
                 return dx
             self._fail(f"unknown name {tok.text!r}", tok)

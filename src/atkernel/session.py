@@ -15,7 +15,7 @@ from __future__ import annotations
 from .atiyah import DerivationSpec
 from .chaincore import GradingError
 from .koszul import NormalHom, RegularSequenceIdeal
-from .polyforms import ParseError, Poly, digit_excess, parse_poly, parse_ring
+from .polyforms import Poly, digit_excess, parse_poly, parse_ring
 
 
 class SessionError(ValueError):
@@ -60,7 +60,7 @@ def parse_derivation(body: str, names: tuple[str, ...]) -> DerivationSpec:
             raise SessionError(f"variable {var!r} given twice in derivation")
         try:
             values[var] = parse_poly(expr.strip(), names)
-        except ParseError as exc:
+        except ValueError as exc:  # a ParseError, or a product past the degree ceiling
             raise SessionError(f"bad polynomial in derivation: {exc}") from None
     return DerivationSpec(tuple(values.get(v, Poly.zero(len(names))) for v in names))
 
@@ -74,7 +74,7 @@ def _poly_list(body: str, names: tuple[str, ...], empty: str, lineno: int) -> tu
             raise SessionError(empty, lineno)
         try:
             polys.append(parse_poly(chunk, names))
-        except ParseError as exc:
+        except ValueError as exc:  # a ParseError, or a product past the degree ceiling
             raise SessionError(f"bad polynomial {chunk!r}: {exc}", lineno) from None
     return tuple(polys)
 

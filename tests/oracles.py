@@ -6,7 +6,7 @@ polyhedron membership is decided by brute-force enumeration of candidate
 LP bases, matrix products are sums of the public binary operations,
 regularity is read off Koszul homology ranks, not off a Groebner basis,
 division by a list of polynomials, and by one polynomial to its
-remainder, runs over Fractions on Poly.leading_term,
+remainder, runs over Fractions on Poly.leading_term (read through tuple_terms),
 Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps,
@@ -73,8 +73,23 @@ from atkernel.polyforms import (
     _wedge_into,
     contract_form,
     exterior_derivative,
+    unpack,
     wedge,
 )
+
+
+def tuple_terms(p: Poly) -> dict:
+    """p's terms keyed by exponent tuple, leading term first and then down
+    in Poly's order: the one place the tests read Poly's packed keys.  The
+    first item is Poly.leading_term, unpacked."""
+    items = p.sorted_terms()
+    assert not items or items[0] == p.leading_term()
+    return {unpack(e, p.n): c for e, c in items}
+
+
+def lead(p: Poly) -> tuple:
+    """(exponent tuple, coefficient) of p's leading term, from tuple_terms."""
+    return next(iter(tuple_terms(p).items()))
 
 
 def koszul_differential_oracle(polys, alpha):
@@ -273,7 +288,7 @@ def component_matrix_oracle(c, i, src, tgt):
             entry = c.entry(i, t_idx, s_idx)
             if entry.is_zero():
                 continue
-            for e, coeff in (entry * mono).terms.items():
+            for e, coeff in tuple_terms(entry * mono).items():
                 row = mat[tgt_index[(t_idx, e)]]
                 row[col] = row.get(col, 0) + coeff
     return [{col: v for col, v in row.items() if v} for row in mat]
@@ -361,9 +376,9 @@ def normal_form_oracle(f, basis):
     arithmetic and the public Poly operations only."""
     rem, p = Poly.zero(f.n), f
     while not p.is_zero():
-        e, c = p.leading_term()
+        e, c = lead(p)
         for g in basis:
-            lt, lc = g.leading_term()
+            lt, lc = lead(g)
             if all(a >= b for a, b in zip(e, lt)):
                 p = p - Poly.monomial(f.n, [a - b for a, b in zip(e, lt)], Fraction(c) / lc) * g
                 break
@@ -383,12 +398,12 @@ def divmod_single_oracle(f, divisor):
         raise ArityError(f"arity mismatch: {f.n} vs {divisor.n}")
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    lt_e, lt_c = divisor.leading_term()
+    lt_e, lt_c = lead(divisor)
     quot = Poly.zero(f.n)
     rem = Poly.zero(f.n)
     work = f
     while not work.is_zero():
-        e, c = work.leading_term()
+        e, c = lead(work)
         if all(a >= b for a, b in zip(e, lt_e)):
             q = Poly.monomial(f.n, tuple(a - b for a, b in zip(e, lt_e)), Fraction(c, lt_c))
             quot = quot + q
@@ -451,12 +466,12 @@ def cousin_search_oracle(
         rows: dict[tuple, dict] = {}
         rhs: dict[tuple, Fraction] = {}
         for idx, coeff in target_num.terms.items():
-            for e, c in coeff.terms.items():
+            for e, c in tuple_terms(coeff).items():
                 rhs[(idx, e)] = c
         fpows = [f ** m for f in target.seq]
         for (i, idx, e), vi in var_index.items():
             sign = -((-1) ** (i - 1))
-            for e2, c2 in fpows[i - 1].terms.items():
+            for e2, c2 in tuple_terms(fpows[i - 1]).items():
                 key = (idx, tuple(a + b for a, b in zip(e, e2)))
                 rows.setdefault(key, {})[vi] = sign * c2
         solution = solve_keyed(rows, rhs, len(var_index))
@@ -562,7 +577,7 @@ def coboundary_reference(c: ChainMap) -> ChainMap | None:
     rhs = {(i, t, s, idx, e): q
            for i, t, s, f in c.nonzeros()
            for idx, coeff in f.terms.items()
-           for e, q in coeff.terms.items()}
+           for e, q in tuple_terms(coeff).items()}
     # internal degree: the weight of x^e dx_idx, plus weight(t) - weight(s)
     degrees = {sum(map(operator.mul, weights, e)) + sum(weights[j] for j in idx)
                + tgt.basis(i + c.degree)[t].weight - src.basis(i)[s].weight
@@ -582,10 +597,10 @@ def coboundary_reference(c: ChainMap) -> ChainMap | None:
     rows: dict[tuple, dict] = {}
     for col, (i, t, s, idx, e) in enumerate(unknowns):
         for row in range(tgt.rank(i + r_h + 1)):
-            for e2, q in tgt.entry(i + r_h, row, t).terms.items():
+            for e2, q in tuple_terms(tgt.entry(i + r_h, row, t)).items():
                 rows.setdefault((i, row, s, idx, tuple(map(operator.add, e, e2))), {})[col] = q
         for m in range(src.rank(i - 1)):
-            for e2, q in src.entry(i - 1, s, m).terms.items():
+            for e2, q in tuple_terms(src.entry(i - 1, s, m)).items():
                 rows.setdefault((i - 1, t, m, idx, tuple(map(operator.add, e, e2))), {})[col] = (
                     sign * q)
     solution = solve_keyed(rows, rhs, len(unknowns))
@@ -627,9 +642,10 @@ def cousin_reference(target: CousinElement, top: int) -> CousinElement | None:
     rows: dict[tuple, dict] = {}
     for col, (i, idx, e) in enumerate(unknowns):
         sign = -((-1) ** (i - 1))
-        for e2, c in fpows[i - 1].terms.items():
+        for e2, c in tuple_terms(fpows[i - 1]).items():
             rows.setdefault((idx, tuple(map(operator.add, e, e2))), {})[col] = sign * c
-    rhs = {(idx, e): c for idx, coeff in num.terms.items() for e, c in coeff.terms.items()}
+    rhs = {(idx, e): c
+           for idx, coeff in num.terms.items() for e, c in tuple_terms(coeff).items()}
     solution = solve_keyed(rows, rhs, len(unknowns))
     if solution is None:
         return None

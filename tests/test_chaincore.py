@@ -43,6 +43,7 @@ from atkernel.polyforms import (
     _mul_into,
     _poly_from_acc,
     _wedge_into,
+    pack,
     parse_form,
     parse_poly,
 )
@@ -68,6 +69,7 @@ from oracles import (
     sparse,
     square_ladder,
     stored_invariant,
+    tuple_terms,
     wedge_matmul_oracle,
 )
 
@@ -656,7 +658,7 @@ def graded_terms(c: ChainMap):
     for i, t, s, f in c.nonzeros():
         base = c.target.basis(i + c.degree)[t].weight - c.source.basis(i)[s].weight
         for idx, coeff in f.terms.items():
-            for expt, q in coeff.terms.items():
+            for expt, q in tuple_terms(coeff).items():
                 yield i, t, s, idx, expt, q, base + sum(w[j] for j in idx) + sum(map(mul, w, expt))
 
 
@@ -739,7 +741,7 @@ class TestSolveProductsOracle:
         from atkernel.coboundary import _Block, _solve_products
 
         x = parse_poly("x", XY)
-        block = _Block((("u", ((0, 0), (1, 0))),), {"u": [("slot", x, 1)]})
+        block = _Block((("u", (pack((0, 0)), pack((1, 0)))),), {"u": [("slot", x, 1)]})
         empty = _Block((), {"u": [("slot", x, 1)]})
         blocks = {0: block, 1: empty}.__getitem__
 

@@ -139,3 +139,30 @@ def test_every_generated_session_ends_in_an_answer(tmp_path):
                 assert out.endswith("VERDICT: exact\n"), where
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_degree_past_the_ceiling_is_refused(tmp_path):
+    """x^2147483648 has total degree 2^31, the ceiling of packed monomials:
+    `ch` exits 2 within the same alarm, naming the ceiling and the place of
+    the exponent; a product that reaches it is refused on its line."""
+    path = tmp_path / "ceiling.sr"
+    cases = [
+        ("seq Z = x^2147483648 ; y", "bad polynomial 'x^2147483648': total degree 2147483648 "
+         "reaches the degree ceiling 2^31 (line 1, col 3) (line 2)"),
+        ("seq Z = x^2147483647*y ; y", "bad polynomial 'x^2147483647*y': total degree "
+         "2147483648 reaches the degree ceiling 2^31 (line 2)"),
+    ]
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    try:
+        for line, message in cases:
+            path.write_text(f"ring Q[x, y]\n{line}\n")
+            out, err = io.StringIO(), io.StringIO()
+            signal.alarm(BUDGET_S)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["ch", "--seq", "Z", "--input", str(path)])
+            finally:
+                signal.alarm(0)
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import contract_form_oracle, divmod_single_oracle, sparse
+from oracles import contract_form_oracle, divmod_single_oracle, sparse, tuple_terms
 
+from atkernel import groebner
 from atkernel.chaincore import _product, _settle
 from atkernel.selftest import form_d
 from atkernel.polyforms import (
+    CEILING,
+    MAX_ARITY,
     ArityError,
     Form,
     ParseError,
@@ -25,9 +28,11 @@ from atkernel.polyforms import (
     default_names,
     exterior_derivative,
     form_to_text,
+    pack,
     parse_form,
     parse_poly,
     poly_to_text,
+    unpack,
     wedge,
 )
 
@@ -129,7 +134,7 @@ class TestExactQuotient:
         assert type(q.constant_term()) is Fraction
         assert P("2*x^2 + y").exact_quotient(P("4*x")) is None
         assert P("2*x^2").exact_quotient(P("4*x")) == P("1/2*x")
-        assert P("6*x^2").exact_quotient(P("3*x")).terms == {(1, 0): 2}
+        assert tuple_terms(P("6*x^2").exact_quotient(P("3*x"))) == {(1, 0): 2}
 
     def test_agrees_with_division_oracle(self):
         # 300 seeded pairs g*f and g*f + r over Q in 1-3 variables, with
@@ -173,6 +178,90 @@ class TestExactQuotient:
     def test_arity_mismatch_raises(self):
         with pytest.raises(ArityError):
             P("x").exact_quotient(parse_poly("x", ("x",)))
+
+
+def _packing_vectors(rng, n):
+    """Seeded exponent vectors of arity n: the zero vector, small ones, and
+    ones of total degree CEILING - 1, one below the ceiling, split at
+    random over the variables or all in x_1 or all in x_n."""
+    out = [(0,) * n] + [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(30)]
+    for _ in range(8):
+        cuts = sorted(rng.randint(0, CEILING - 1) for _ in range(n - 1))
+        out.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, CEILING - 1])))
+    return out + [tuple((CEILING - 1) * (j == i) for j in range(n)) for i in (0, n - 1)]
+
+
+def _divides_both_ways(a, b):
+    """Whether x^a divides x^b by Poly.exact_quotient and by the Groebner
+    reduction, which must agree; the quotient must be x^(b - a)."""
+    n = len(a)
+    quot = Poly.monomial(n, b, 3).exact_quotient(Poly.monomial(n, a))
+    rem = groebner._reduce({pack(b): 1}, [{pack(a): 1}], [pack(a)], [10, "test"])
+    assert (quot is not None) == (rem == {})
+    if quot is not None:
+        assert tuple_terms(quot) == {tuple(y - x for x, y in zip(a, b)): 3}
+    return quot is not None
+
+
+class TestPackedMonomials:
+    """pack and unpack, for every arity, against the exponent tuples they
+    encode: int order is the tuple order (sum(e), e), and divisibility is
+    the componentwise <=, borrows between fields included."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_ARITY + 1))
+    def test_int_order_is_grlex_and_unpack_inverts_pack(self, n):
+        vectors = _packing_vectors(random.Random(f"pack:{n}"), n)
+        keys = [pack(e) for e in vectors]
+        assert all(type(key) is int and unpack(key, n) == e for e, key in zip(vectors, keys))
+        for e, a in zip(vectors, keys):
+            for f, b in zip(vectors, keys):
+                assert (a < b) == ((sum(e), e) < (sum(f), f)), (e, f)
+                assert (a == b) == (e == f)
+
+    @pytest.mark.parametrize("n", range(1, MAX_ARITY + 1))
+    def test_divisibility_is_componentwise(self, n):
+        rng = random.Random(f"divides:{n}")
+        vectors = _packing_vectors(rng, n)
+        borrows = 0
+        for b in vectors:
+            for j in range(n):
+                a = [rng.randint(0, k) for k in b]
+                assert _divides_both_ways(tuple(a), b)
+                # one field of the divisor one larger: when the divisor's
+                # degree is no larger, b - a >= 0 and only a borrow shows it
+                a[j] = b[j] + 1
+                if sum(a) < CEILING:
+                    assert not _divides_both_ways(tuple(a), b), (a, b)
+                    borrows += sum(a) <= sum(b)
+        for a in vectors[:12]:
+            for b in vectors:
+                assert _divides_both_ways(a, b) == all(x <= y for x, y in zip(a, b)), (a, b)
+        assert borrows >= (n > 1) * 10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, MAX_ARITY])
+    def test_degree_ceiling_refuses_and_nothing_carries(self, n):
+        def power(k, i):
+            return tuple(k * (j == i) for j in range(n))
+
+        message = r"total degree 2147483648 reaches the degree ceiling 2\^31"
+        assert CEILING == 2 ** 31
+        with pytest.raises(ValueError, match=message):
+            pack(power(CEILING, n - 1))
+        with pytest.raises(ValueError, match=message):
+            Poly.monomial(n, power(CEILING, 0))
+        for i in range(n):
+            top = Poly.monomial(n, power(CEILING - 1, i), 5)
+            x_i, x_next = Poly.variable(n, i), Poly.variable(n, (i + 1) % n)
+            # a degree one below the ceiling fills field i and no other
+            assert tuple_terms(Poly.monomial(n, power(CEILING - 2, i)) * x_i) == {
+                power(CEILING - 1, i): 1}
+            assert unpack(pack(power(CEILING - 1, i)), n) == power(CEILING - 1, i)
+            for other in (x_i, x_next, x_i + x_next):
+                with pytest.raises(ValueError, match=message):
+                    top * other
+                with pytest.raises(ValueError, match=message):
+                    wedge(Form.from_poly(other), Form.from_poly(top))
+            assert tuple_terms(top.derivative(i)) == {power(CEILING - 2, i): 5 * (CEILING - 1)}
 
 
 def _random(rng, n=2):
@@ -350,7 +439,7 @@ class TestCanonicalText:
 
     def test_parsed_coefficients_are_canonical(self):
         f = P("4/2*x + 3/6*y - 5")
-        assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): -5}
+        assert tuple_terms(f) == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): -5}
         assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
 
 
@@ -407,8 +496,9 @@ def _rand_form(rng, n, degree):
 
 def assert_canonical_poly(p, n):
     assert p.n == n
-    assert p == Poly(p.n, p.terms)
-    for expt, coeff in p.terms.items():
+    # every key is packed from its own exponent vector
+    assert all(type(key) is int for key in p.terms) and p == Poly(p.n, tuple_terms(p))
+    for expt, coeff in tuple_terms(p).items():
         assert type(expt) is tuple and len(expt) == n
         assert all(type(e) is int and e >= 0 for e in expt)
         # one type per value: int when integral, Fraction otherwise
@@ -543,10 +633,10 @@ class TestPublicBoundary:
             make()
 
     def test_public_constructors_store_canonical_coefficients(self):
-        assert type(Poly.const(2, Fraction(6, 3)).terms[(0, 0)]) is int
-        assert type(Poly.monomial(2, (1, 1), Fraction(3)).terms[(1, 1)]) is int
-        assert type(Poly(2, {(0, 1): Fraction(1, 2)}).terms[(0, 1)]) is Fraction
-        assert Poly.variable(2, 1).terms == {(0, 1): 1}
+        assert type(tuple_terms(Poly.const(2, Fraction(6, 3)))[(0, 0)]) is int
+        assert type(tuple_terms(Poly.monomial(2, (1, 1), Fraction(3)))[(1, 1)]) is int
+        assert type(tuple_terms(Poly(2, {(0, 1): Fraction(1, 2)}))[(0, 1)]) is Fraction
+        assert tuple_terms(Poly.variable(2, 1)) == {(0, 1): 1}
         assert type(Poly.zero(2).constant_term()) is int
 
     def test_operators_reject_mixed_arity(self):
