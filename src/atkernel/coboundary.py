@@ -9,8 +9,8 @@ Both solves are sums of products sign * poly * u_key, block-diagonal by
 wedge index and by the degree e that picks a block.  A block's matrix
 depends only on the complexes, or the sequence, and a few degrees; the
 cocycle is only its right-hand side.  So each block is assembled and
-factored (linalg.Factorization) once, kept, and replayed in every later
-decision, on one right-hand side per (e, wedge index) at a time:
+factored (linalg.Factorization) once and kept, with the solution columns
+its solves build, for every later decision, one (e, wedge index) at a time:
 
 - graded blocks on the source FreeComplex, in _coboundary_blocks, keyed
   by the target complex by identity (equal but distinct complexes share
@@ -91,12 +91,12 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
 
     A product multiplies a form by a polynomial, so the system is
     block-diagonal by (e, wedge index).  Each (e, wedge index) that the
-    terms meet replays its block's factorization on its own right-hand
-    side, one solve each; those the terms do not meet have the zero
-    solution.  The pivots of a block-diagonal matrix are its blocks'
+    terms meet is solved on its block's factorization with its own
+    right-hand side, one solve each; those the terms do not meet have the
+    zero solution.  The pivots of a block-diagonal matrix are its blocks'
     pivots, so the solution is that of the whole system.  A term in an
     equation that no unknown reaches is 0 = q, and the answer is None
-    with nothing replayed.
+    with nothing solved.
     """
     vectors: dict[tuple, tuple] = {}  # (e, wedge index) -> (its block, right-hand side)
     for e, slot, idx, expt, q in terms:

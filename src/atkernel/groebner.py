@@ -83,15 +83,14 @@ def _basis(polys: Sequence[Poly], budget: list) -> tuple[list[dict], list[tuple]
     leads = [_lead(g) for g in basis]
     n = polys[0].n
     expts = [unpack(lt, n) for lt in leads]
-    pairs: list = []
-    pending: set[tuple[int, int]] = set()
-    excess = 0
+    pairs, pending, excess = [], set(), 0  # pending: the (i, j) still in pairs
+    named = f"{budget[1]}: "  # a pair's lcm past the degree ceiling names the task
 
     def add_pairs(j: int) -> None:
         for i in range(j):
             if any(map(min, expts[i], expts[j])):  # coprime pairs reduce to 0
                 pending.add((i, j))
-                heapq.heappush(pairs, (pack([*map(max, expts[i], expts[j])]), i, j))
+                heapq.heappush(pairs, (pack([*map(max, expts[i], expts[j])], named), i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -126,7 +125,8 @@ class Basis:
     whose full normal form did not vanish; leads are the exponent vectors
     of their leading monomials in this module's order; excess is the E of
     _basis.  The build and every `contains` spend one budget of
-    MAX_TERM_OPS term operations, past which a ValueError names the task."""
+    MAX_TERM_OPS term operations, past which a ValueError names the task, as
+    it does when a pair's lcm reaches the degree ceiling."""
 
     __slots__ = ("elements", "leads", "excess", "_budget")
 

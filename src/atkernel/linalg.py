@@ -6,18 +6,20 @@ in two steps.  `Factorization(rows, ncols)` factors the matrix once: each
 incoming row has its denominators cleared once (by their lcm) and is
 reduced on integers against pivot rows stored primitive (content 1,
 positive pivot), and the integer operations each row took are logged.
-`Factorization.solve(b)` replays that log on one right-hand side, in
-O(operations), and back-substitutes; any number of calls replay one
-factorization, so a matrix that many right-hand sides share is factored
-once.  Pivot columns are the leftmost linearly independent columns, in
-any row order, and free variables are zero: one solution per right-hand
-side, the same from a replay as from a fresh elimination.  The rank of
-a matrix is the number of its factorization's pivots.
+`Factorization.solve(b)` sums b_r times the kept solution column of each
+nonzero b_r, the solution for the unit vector e_r, which a sparse reach
+from e_r builds on first use (Gilbert-Peierls), in time proportional to
+its arithmetic.  Pivot columns are the leftmost linearly independent
+columns, in any row order, and free variables are zero: one solution per
+right-hand side, linear in it, so the sum of columns is the solution that
+replaying the log on b gives, the same as from a fresh elimination.  The
+rank of a matrix is the number of its factorization's pivots.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 Row = dict[int, Fraction]
@@ -74,14 +76,28 @@ def _quotient(total, p: int):
 
 class Factorization:
     """The factored matrix of rows with ncols unknowns: its pivot rows,
-    highest column first, and the operation log of _echelon.  It holds no
+    highest column first, the operation log of _echelon, and the solution
+    column of each row built so far: the flat tuple (i1, v1, i2, v2, ...) of
+    the nonzero values of the solution for e_r, then (ncols + j, v) for each
+    row j that reduced to zero and replays to v != 0.  It holds no
     right-hand side, so one factorization serves any number of them."""
 
-    __slots__ = ("ncols", "pivots", "log")
+    __slots__ = ("ncols", "pivots", "log", "columns", "_readers", "_users")
 
     def __init__(self, rows: Sequence[Row], ncols: int):
         self.ncols = ncols
         self.pivots, self.log = _echelon(rows)
+        self.columns: dict[int, tuple] = {}
+        # log rows by the pivot they read, pivot rows by the column they read
+        self._readers: dict[int, list[int]] = {}
+        for j, (_, _, _, ops) in enumerate(self.log):
+            for c in ops[::3]:
+                self._readers.setdefault(c, []).append(j)
+        self._users: dict[int, list[int]] = {}
+        for c, prow in self.pivots.items():
+            for i in prow:
+                if i != c and i in self.pivots:
+                    self._users.setdefault(i, []).append(c)
 
     def solve(self, b: Sequence) -> list[int | Fraction] | None:
         """The particular solution of rows*x = b (a value per row), or None
@@ -90,24 +106,58 @@ class Factorization:
         when integral, else a Fraction."""
         if len(b) != len(self.log):
             raise ValueError("rhs length mismatch")
-        # the replayed value of each pivot row, divided by its content
-        # as the row was, so a Fraction where the content does not divide it
-        values = {}
-        for (den, pivot, g, ops), v in zip(self.log, b):
-            v *= den
+        acc: dict = {}
+        for r, v in enumerate(b):
+            if v:  # a column is never empty: x = 0 does not solve e_r
+                entries = iter(self.columns.get(r) or self._column(r))
+                for i, w in zip(entries, entries):
+                    acc[i] = acc.get(i, 0) + v * w
+        x = [0] * self.ncols
+        for i, v in acc.items():
+            if v:
+                if i >= self.ncols:
+                    return None
+                x[i] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        return x
+
+    def _column(self, r: int) -> tuple:
+        """Build and keep row r's column by a sparse reach from e_r: replay
+        a log row once a pivot it reads is nonzero, in log order (it reads
+        earlier rows' pivots), dividing a pivot row's value by its content,
+        then back-substitute a pivot once its value or an x it reads is
+        nonzero, highest column first (its row reads higher columns)."""
+        values, column = {}, []  # the replayed value of each nonzero pivot row
+        heap, queued = [r], {r}
+        while heap:
+            j = heappop(heap)
+            den, pivot, g, ops = self.log[j]
+            v = den if j == r else 0
             steps = iter(ops)
             for c, a, p in zip(steps, steps, steps):
-                v = p * v - a * values[c]
-            if pivot >= 0:
-                values[pivot] = _quotient(v, g) if v else 0
+                v = p * v - a * values.get(c, 0)
+            if v and pivot < 0:
+                column += (self.ncols + j, v)
             elif v:
-                return None
-        x = [0] * self.ncols
-        for c, prow in self.pivots.items():
-            total = values[c]
+                values[pivot] = _quotient(v, g)
+                for k in self._readers.get(pivot, ()):
+                    if k not in queued:
+                        queued.add(k)
+                        heappush(heap, k)
+        x = {}
+        heap, queued = sorted(-c for c in values), set(values)  # a sorted list is a heap
+        while heap:
+            c = -heappop(heap)
+            prow = self.pivots[c]
+            total = values.get(c, 0)
             for i, v in prow.items():
-                if i != c and x[i]:
+                if i in x:
                     total -= v * x[i]
             if total:
                 x[c] = _quotient(total, prow[c])
-        return x
+                column += (c, x[c])
+                for u in self._users.get(c, ()):
+                    if u not in queued:
+                        queued.add(u)
+                        heappush(heap, -u)
+        self.columns[r] = column = tuple(column)
+        return column

@@ -71,10 +71,10 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(n))
 
 
-def pack(expt: Sequence[int]) -> int:
-    """The key of the monomial x^expt; refuses a total degree of CEILING or more."""
+def pack(expt: Sequence[int], prefix: str = "") -> int:
+    """The key of x^expt; refuses a total degree of CEILING or more, after prefix."""
     if (key := sum(expt)) >= CEILING:
-        raise ValueError(f"total degree {key} reaches the degree ceiling 2^{FIELD - 1}")
+        raise ValueError(f"{prefix}total degree {key} reaches the degree ceiling 2^{FIELD - 1}")
     for k in expt:
         key = key << FIELD | k
     return key

@@ -828,6 +828,20 @@ class TestKeptBlocks:
         assert report.solvable and eliminations == []
         assert_same_decision(report, coboundary_reference(second))
 
+    def test_second_solve_of_the_same_cocycle_builds_no_column(self, monkeypatch):
+        kz = build_koszul(corpus_entries()[3].ideal)  # the cone x^2 - y*z ; y^2 - x*z
+        c = hom_bracket(random_chain_map(random.Random(11), kz, 0, 1))
+        built = []
+        original = linalg.Factorization._column
+        monkeypatch.setattr(linalg.Factorization, "_column",
+                            lambda system, r: built.append(r) or original(system, r))
+        first = solve_coboundary(c)
+        assert first.solvable and built
+        built.clear()
+        second = solve_coboundary(c)
+        assert second.solvable and built == []
+        assert map_to_text(second.witness, "h") == map_to_text(first.witness, "h")
+
     def test_one_source_with_two_targets_keeps_two_entries(self):
         f, src, tgt = functoriality_pairs()[2]  # x*y ; z^2 -> x*y ; z
         at_src, at_tgt = atiyah_cocycle(src.complex), atiyah_cocycle(tgt.complex)

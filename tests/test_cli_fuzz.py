@@ -166,3 +166,23 @@ def test_degree_past_the_ceiling_is_refused(tmp_path):
             assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_guard_names_itself_at_the_degree_ceiling(tmp_path):
+    """Each generator is below the ceiling, but the lcm of their leads,
+    x^2000000000*y^2000000000, reaches it: the regularity guard refuses the
+    S-pair, and `ch` exits 2 within the same alarm with a message that
+    names the guard, as its work-bound refusal does."""
+    path = tmp_path / "guard_ceiling.sr"
+    path.write_text("ring Q[x, y]\nseq Z = x^2000000000*y ; x*y^2000000000\n")
+    message = "regularity guard: total degree 4000000000 reaches the degree ceiling 2^31"
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    out, err = io.StringIO(), io.StringIO()
+    signal.alarm(BUDGET_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ch", "--seq", "Z", "--input", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from atkernel import linalg
-from oracles import gauss_jordan
+from oracles import gauss_jordan, log_replay_oracle
 
 
 def _random_system(rng, nrows, ncols, density):
@@ -296,3 +296,108 @@ def test_factorization_is_reused_without_change():
     assert (system.pivots, system.log) == snapshot
     with pytest.raises(ValueError):
         system.solve([1, 2, 0])
+
+
+def _assert_matches_both_oracles(system, rows, b, ncols):
+    """solve(b) equals the full-log replay, value and type, and the
+    Gauss-Jordan reference.  Returns the answer."""
+    got = system.solve(b)
+    replayed = log_replay_oracle(system, b)
+    assert got == replayed == gauss_jordan(rows, b, ncols)[1]
+    if got is not None:
+        assert list(map(type, got)) == list(map(type, replayed))
+        _assert_canonical(got)
+    return got
+
+
+def _dependent_system(rng):
+    """Random rows, some scaled by 2, 3 or 6 so that their content is > 1,
+    and 1-3 extra rows that are combinations of them, inserted anywhere,
+    so that some rows reduce to zero through the others."""
+    nrows, ncols = rng.randint(2, 10), rng.randint(1, 10)
+    rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.25, 0.5)))
+    rows = [{c: v * rng.choice((1, 2, 3, 6)) for c, v in row.items()} for row in rows]
+    for _ in range(rng.randint(1, 3)):
+        combo = {}
+        for row in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+            k = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.insert(rng.randrange(len(rows) + 1), {c: v for c, v in combo.items() if v})
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solution_columns_match_the_log_replay(seed):
+    """Each system is solved against both oracles on a fresh factorization,
+    then again after other right-hand sides have filled some of its
+    columns: consistent fractional b, and b that is nonzero only on pivot
+    rows, which is inconsistent exactly when a row that reduced to zero,
+    with b = 0 there, is reached through the others (the residual path)."""
+    rng = random.Random(f"linalg:columns-vs-replay:{seed}")
+    seen = {"fraction in a column": 0, "fractional b": 0, "residual path": 0}
+    for _ in range(40):
+        rows, ncols = _dependent_system(rng)
+        zero_reduced = [j for j, entry in enumerate(linalg.Factorization(rows, ncols).log)
+                        if entry[1] < 0]
+        consistent = _consistent_column(rng, rows, ncols)
+        on_pivot_rows = [0 if j in zero_reduced else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for j in range(len(rows))]
+        for b in (consistent, on_pivot_rows):
+            fresh = linalg.Factorization(rows, ncols)
+            first = _assert_matches_both_oracles(fresh, rows, b, ncols)
+            warmed = linalg.Factorization(rows, ncols)
+            for _ in range(rng.randint(1, 3)):
+                other = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4
+                         else 0 for _ in rows]
+                other[rng.randrange(len(rows))] = rng.choice((-1, 1, Fraction(1, 2)))
+                _assert_matches_both_oracles(warmed, rows, other, ncols)
+            assert warmed.columns
+            assert _assert_matches_both_oracles(warmed, rows, b, ncols) == first
+            assert _assert_matches_both_oracles(fresh, rows, b, ncols) == first
+            seen["fraction in a column"] += any(
+                type(v) is Fraction for column in warmed.columns.values() for v in column[1::2])
+            seen["fractional b"] += any(type(v) is Fraction and v.denominator > 1 for v in b)
+            seen["residual path"] += first is None and b is on_pivot_rows
+    assert all(seen.values()), seen
+
+
+def test_inconsistency_on_a_zero_reduced_row_with_zero_right_hand_side():
+    """Row 2 is row 0 plus row 1, so it reduces to zero; b is zero there,
+    and nonzero only on the pivot rows, whose columns reach row 2."""
+    rows = [{0: 2, 1: 4}, {1: 3}, {0: 2, 1: 7}]
+    system = linalg.Factorization(rows, 2)
+    assert [entry[1] for entry in system.log] == [0, 1, -1]
+    for b in ([1, 0, 0], [0, 1, 0], [Fraction(1, 2), 1, 0]):
+        assert _assert_matches_both_oracles(system, rows, b, 2) is None
+    assert _assert_matches_both_oracles(system, rows, [1, 3, 4], 2) == [Fraction(-3, 2), 1]
+    # row 0's pivot row is x0 + 2*x1 after division by its content 2
+    assert Fraction(1, 2) in system.columns[0][1::2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_column_is_built_once(seed, monkeypatch):
+    """A right-hand side with k nonzero rows builds at most k new columns,
+    solving it again builds none, and no (factorization, row) column is
+    built twice, whatever the right-hand sides before it."""
+    built = []  # the (factorization, row) of every column built
+    original = linalg.Factorization._column
+    monkeypatch.setattr(linalg.Factorization, "_column",
+                        lambda self, r: built.append((id(self), r)) or original(self, r))
+    rng = random.Random(f"linalg:built-once:{seed}")
+    systems = []  # kept alive, so that no two share an id
+    for _ in range(20):
+        rows, ncols = _dependent_system(rng)
+        system = linalg.Factorization(rows, ncols)
+        systems.append(system)
+        for _ in range(rng.randint(1, 5)):
+            b = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+                 for _ in rows]
+            before = len(built)
+            first = system.solve(b)
+            assert len(built) - before <= sum(1 for v in b if v)
+            assert {r for _, r in built[before:]} <= {r for r, v in enumerate(b) if v}
+            before = len(built)
+            assert system.solve(b) == first and len(built) == before
+        assert len(system.columns) == len({r for key, r in built if key == id(system)})
+    assert len(built) == len(set(built)) and built
