@@ -15,7 +15,9 @@ fresh `atk` process and prints the source lines of the atkernel modules
 that the process loaded, which is what it compiles without a bytecode
 cache, and the standard-library modules it loaded beyond those of
 `python -c pass`, so that a start-up import such as argparse or
-dataclasses shows.  Standard library only.
+dataclasses shows.  It ends with the lines that `ch` loads against the
+budget CH_LINES, read as text from tests/test_session_cli.py, and the
+headroom left.  Standard library only.
 
 Usage: python scripts/line_sweep.py
 """
@@ -159,11 +161,17 @@ def main() -> int:
             print(f"  {line}: {source[line - 1].strip()}")
     print(f"total: {total} unreached")
     print("library loaded by a fresh `atk` process:")
+    loaded = {}
     for command, modules, stdlib in loaded_per_command():
-        lines = sum(source_lines(module_path(m)) for m in modules)
+        lines = loaded[command] = sum(source_lines(module_path(m)) for m in modules)
         names = ", ".join(m.split(".", 1)[-1] for m in modules)
         print(f"  {command}: {lines} lines in {len(modules)} modules ({names})")
         print(f"    standard library beyond `python -c pass`: {', '.join(stdlib) or 'none'}")
+    test = ROOT / "tests" / "test_session_cli.py"
+    budget = int(re.search(r"^ +CH_LINES = (\d+)$", test.read_text(), flags=re.M).group(1))
+    ch = loaded["ch --seq Z"]
+    print(f"`ch --seq Z` loads {ch} lines; CH_LINES = {budget} in {test.relative_to(ROOT)}; "
+          f"headroom {budget - ch}")
     return 0
 
 

@@ -9,8 +9,10 @@ form slot.
 Both are computed once and shared: a complex keeps its basis-connection
 cocycle, and a cocycle keeps the powers At^2, At^3, ... composed so far,
 each as compose(At, At^{k-1}).  The Chern character and every component
-of the semiregularity map read the same powers.  Nothing shared is ever
-mutated; only new powers are added.
+of the semiregularity map read the same powers.  Each kept map holds one
+object per distinct entry value (on K(f), At^k has at most 2 C(q, k)), so
+a contraction contracts, and the local trace adds, each object once.
+Nothing shared is ever mutated; only new powers are added.
 """
 from __future__ import annotations
 
@@ -73,9 +75,8 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
     perturbation.
     """
     if p._basis_atiyah is None:
-        p._basis_atiyah = AtiyahCocycle(
-            ChainMap._raw(p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry))), 1
-        )
+        p._basis_atiyah = AtiyahCocycle(_interned(ChainMap._raw(
+            p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))), 1)
     if connection is None:
         return p._basis_atiyah
     if connection.complex != p:
@@ -107,14 +108,23 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
     acc = at.chain_map
     for j in range(2, k + 1):
         if j not in at._powers:
-            at._powers[j] = compose(at.chain_map, acc)
+            at._powers[j] = _interned(compose(at.chain_map, acc))
         acc = at._powers[j]
     return AtiyahCocycle(acc, k)
 
 
+def _interned(u: ChainMap) -> ChainMap:
+    """u with one object per distinct entry value; a Form hashes and compares
+    by its terms whatever their order."""
+    seen: dict[Form, Form] = {}
+    return ChainMap._raw(u.source, u.target, u.degree, u.form_degree,
+                         u.entrywise(lambda f: seen.setdefault(f, f)))
+
+
 def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> ChainMap:
     """Interior product of every matrix entry against the derivation; the
-    input is checked here, once, for the trusted kernel contract_form."""
+    input is checked here, once, for the trusted kernel contract_form,
+    which runs once per distinct entry object (u keeps each id alive)."""
     u = a.chain_map if isinstance(a, AtiyahCocycle) else a
     if u.form_degree < 1:
         raise ShapeError("cannot contract a form-degree-0 map")
@@ -123,7 +133,8 @@ def contract_derivation(xi: DerivationSpec, a: AtiyahCocycle | ChainMap) -> Chai
         raise ShapeError("derivation arity mismatch")
     if any(v.n != n for v in xi.values):
         raise ArityError("derivation values must share the form's arity")
-    mats = u.entrywise(lambda f: contract_form(xi.values, f))
+    done: dict[int, Form] = {}
+    mats = u.entrywise(lambda f: done.get(id(f)) or done.setdefault(id(f), contract_form(xi.values, f)))
     return ChainMap._raw(u.source, u.target, u.degree, u.form_degree - 1, mats)
 
 

@@ -151,7 +151,7 @@ def cousin_differential(c: CousinElement) -> CousinElement:
 @lru_cache(maxsize=None)
 def _trace_plan(q: int, p_alpha: int, d: int) -> dict:
     """The entries that the local trace reads of a degree-d map out of degree
-    -p_alpha: (t, s) -> (alpha minus beta, negate), for alpha the s-th index
+    -p_alpha: (t, s) -> (alpha minus beta, sign), for alpha the s-th index
     set of size p_alpha and beta the t-th of size p_alpha - d, beta in alpha.
     The sign is the canonical section's times the shuffle's times the supertrace's."""
     p_beta = p_alpha - d
@@ -161,8 +161,7 @@ def _trace_plan(q: int, p_alpha: int, d: int) -> dict:
         for beta in combinations(alpha, p_beta):
             alpha_prime = tuple(i for i in alpha if i not in beta)
             shuffle, _ = _merge_indices(beta, alpha_prime)
-            sign = (-1) ** comb(d, 2) * shuffle * (-1) ** (p_beta * (1 + d))
-            plan[position[beta], s] = (alpha_prime, sign < 0)
+            plan[position[beta], s] = (alpha_prime, (-1) ** (comb(d, 2) + p_beta * (1 + d)) * shuffle)
     return plan
 
 
@@ -173,20 +172,25 @@ def local_trace(u: ChainMap, k: KoszulComplex) -> CousinElement:
     section, whose sign at alpha is (-1)^{binom(|alpha|,2)}, and applies
     the supertrace.  The entry from gf_alpha to gf_beta contributes only
     when beta is contained in alpha, landing on delta f_{alpha minus beta}.
-    One pass adds the stored entries that the plan reads into raw accumulators.
+    The signs that the plan gives each (alpha minus beta, entry object) are
+    summed first, so an entry shared by many positions, as in the kept
+    Atiyah powers, is added into the raw accumulators once per target.
     """
     if u.source != k.complex or u.target != k.complex:
         raise ShapeError("local_trace needs an endomorphism of the Koszul complex")
     d = u.degree
     if d < 0 or d > k.q:
         return CousinElement(k.n, k.ideal.polys, min(max(d, 0), k.q))
-    acc: dict[tuple[int, ...], dict] = {}
+    groups: dict[tuple, list] = {}  # (alpha minus beta, id) -> [entry, summed sign]
     plans = {i: _trace_plan(k.q, -i, d) for i in u.mats}
     for i, t, s, entry in u.nonzeros():
-        read = plans[i].get((t, s))
-        if read is not None:
-            alpha_prime, negate = read
-            _add_into(acc.setdefault(alpha_prime, {}), entry, negate)
+        if (read := plans[i].get((t, s))) is not None:
+            group = groups.setdefault((read[0], id(entry)), [entry, 0])
+            group[1] += read[1]
+    acc: dict[tuple[int, ...], dict] = {}
+    for (alpha_prime, _), (entry, times) in groups.items():
+        if times:
+            _add_into(acc.setdefault(alpha_prime, {}), entry, times)
     entries = {alpha: LocalizedForm(_form_from_acc(k.n, u.form_degree, raw), 1 if alpha else 0)
                for alpha, raw in acc.items()}
     return CousinElement(k.n, k.ideal.polys, d, entries)

@@ -46,13 +46,12 @@ class MonomialIdeal(Record):
         return MonomialIdeal(n, tuple(sorted(minimal)))
 
     def multiply_by_maximal_ideal(self) -> "MonomialIdeal":
-        bumped = []
-        for g in self.gens:
-            for i in range(self.n):
-                e = list(g)
-                e[i] += 1
-                bumped.append(tuple(e))
-        return MonomialIdeal.from_exponents(self.n, bumped)
+        return MonomialIdeal.from_exponents(self.n, _products(self))
+
+
+def _products(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The generators g + e_i of m*I, each once, sorted; not minimal."""
+    return sorted({g[:i] + (g[i] + 1,) + g[i + 1:] for g in ideal.gens for i in range(ideal.n)})
 
 
 def monomial_ideal_from_text(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
@@ -221,14 +220,56 @@ def curvilinear_dim(ideal: MonomialIdeal) -> int:
     """Number of minimal generators not integral over m*I.
 
     This is dim of I modulo (closure of m*I inside I) + m*I, since the
-    minimal generators present a basis of I/mI.
+    minimal generators present a basis of I/mI.  Each generator's
+    certificate is verified against the generators g_j + e_i of m*I, which
+    `verify` reads as it reads any generating set, before it is counted.
     """
-    bumped = ideal.multiply_by_maximal_ideal()
+    bumped = _products(ideal)
+    products = MonomialIdeal(ideal.n, tuple(bumped))  # generates m*I, not minimally
+    position = {h: k for k, h in enumerate(bumped)}
     count = 0
     for g in ideal.gens:
-        if not closure_member(bumped, g).verdict:
-            count += 1
+        cert = _curvilinear_certificate(ideal, g, position)
+        if not cert.verify(products):
+            raise AssertionError("certificate failed exact verification")
+        count += not cert.verdict
     return count
+
+
+def _curvilinear_certificate(ideal: MonomialIdeal, g: tuple[int, ...],
+                             position: dict[tuple[int, ...], int]) -> ClosureCertificate:
+    """Is x^g integral over m*I?  One LP over I's own generators g_j.
+
+    NP(m*I) = conv(g_j) + conv(e_1..e_n) + R_+^n, and the last two sum to
+    the v >= 0 with |v| >= 1.  So g is integral exactly when convex weights
+    lam have sum lam_j g_j + s = g and sum lam_j |g_j| + t = |g| - 1 for
+    some s, t >= 0: n + 2 rows.  The certificate is lifted to the
+    generators of m*I, whose positions `position` gives: on YES the weight
+    lam_j s_i / |s| goes to g_j + e_i; on NO the Farkas vector gives c, w
+    >= 0 and mu with c.g_j + w|g_j| >= mu > c.g + w(|g| - 1), so c + w(1..1)
+    and mu + w separate g from every g_j + e_i.  When I is generated in one
+    degree d nothing is integral, and |.| >= d + 1 separates, with no LP.
+    """
+    n, m, d = ideal.n, len(ideal.gens), sum(g)
+    if all(sum(h) == d for h in ideal.gens):  # int entries keep verify's n*|m*I| products cheap
+        return ClosureCertificate(g, False, separator=(1,) * n, threshold=d + 1)
+    # columns: lam_1..lam_m, s_1..s_n, t
+    rows = [[h[i] for h in ideal.gens] + [int(j == i) for j in range(n + 1)] for i in range(n)]
+    rows.append([sum(h) for h in ideal.gens] + [0] * n + [1])
+    rows.append([1] * m + [0] * (n + 1))
+    kind, vec = _phase1_lp(rows, [*g, d - 1, 1])
+    if kind == "y":
+        w = -vec[n]
+        return ClosureCertificate(g, False, separator=tuple(w - v for v in vec[:n]),
+                                  threshold=vec[n + 1] + w)
+    lam, s = vec[:m], vec[m:m + n]
+    size = sum(s)
+    weights = [Fraction(0)] * len(position)
+    for lam_j, h in zip(lam, ideal.gens):
+        for i in range(n):
+            if lam_j and s[i]:
+                weights[position[h[:i] + (h[i] + 1,) + h[i + 1:]]] += lam_j * s[i] / size
+    return ClosureCertificate(g, True, lambdas=tuple(weights))
 
 
 class DimBoundReport:

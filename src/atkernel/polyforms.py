@@ -430,12 +430,12 @@ def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _add_into(acc: dict, w: Form, negate: bool = False) -> None:
-    """Add w, or -w when negate is set, into a raw form accumulator."""
+def _add_into(acc: dict, w: Form, times: int) -> None:
+    """Add times * w, for a nonzero integer times, into a raw form accumulator."""
     for idx, coeff in w.terms.items():
         out = acc.setdefault(idx, {})
         for e, c in coeff.terms.items():
-            out[e] = out.get(e, 0) + (-c if negate else c)
+            out[e] = out.get(e, 0) + times * c
 
 
 def _poly_from_acc(n: int, acc: dict) -> Poly:
@@ -567,10 +567,7 @@ class _Tok:
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def digit_excess(text: str) -> str:
@@ -582,43 +579,30 @@ def digit_excess(text: str) -> str:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i = 0
+    line, col, i = 1, 1, 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        ch, j = text[i], i + 1
         if ch.isspace():
-            col += 1
-            i += 1
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+            i = j
             continue
         if "0" <= ch <= "9":
-            j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if excess := digit_excess(text[i:j]):
                 raise ParseError(f"integer of {excess}", line, col)
-            toks.append(_Tok("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            kind = "num"
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            toks.append(_Tok(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+            kind = "name"
+        elif ch in "+-*/^":
+            kind = ch
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        toks.append(_Tok(kind, text[i:j], line, col))
+        col += j - i
+        i = j
     return toks
 
 

@@ -10,9 +10,12 @@ remainder, runs over Fractions on Poly.leading_term (read through tuple_terms),
 Cousin coboundaries are searched for under bounded denominators and
 degrees, not decided by ideal membership, powers of an Atiyah cocycle
 are composed from scratch, not read from the powers the cocycle keeps,
+or, on a Koszul complex, written down entry by entry from the closed
+form (-1)^k k! sum df_I ^ iota_I, with no composition,
 the local trace tests the index sets of every stored entry and sums
-one signed public Form per entry, with no cached plan and no raw
-accumulator,
+one signed public Form per entry, with no cached plan, no raw
+accumulator and no grouping of entries that share one object, a
+contraction contracts every stored entry on its own,
 the Hom-complex bracket wedges the differentials wrapped as degree-0
 forms, not multiplied by their Poly entries,
 and the extension ladder's sigma, delta'' and verdict are summed entry
@@ -49,7 +52,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, factorial
 
 from atkernel import linalg
 from atkernel.atiyah import atiyah_cocycle
@@ -535,6 +538,43 @@ def atiyah_power_oracle(at, k):
     for _ in range(k - 1):
         acc = compose(at.chain_map, acc)
     return acc
+
+
+def atiyah_power_closed_form(kz: KoszulComplex, k: int) -> ChainMap:
+    """At^k on K(f) as (-1)^k k! sum_{|I|=k} df_I ^ iota_I, I sorted, built
+    entry by entry with no composition: iota_I = iota_{i_1} o .. o iota_{i_k},
+    and iota_i(gf_alpha) = (-1)^pos gf_{alpha minus i} for i at position pos
+    of alpha, so that d = sum_i f_i iota_i.  On K(f) each factor of At is a
+    sum of contractions, At = -sum_i df_i iota_i, whence the formula."""
+    q, n = kz.q, kz.n
+    dfs = [exterior_derivative(f) for f in kz.ideal.polys]
+    mats = {}
+    for p in range(k, q + 1):
+        position = {beta: t for t, beta in enumerate(index_sets(q, p - k))}
+        mat = mats[-p] = {}
+        for s, alpha in enumerate(index_sets(q, p)):
+            for subset in itertools.combinations(alpha, k):
+                rest, sign = list(alpha), (-1) ** k * factorial(k)
+                for i in reversed(subset):  # iota_{i_k} acts first
+                    sign *= (-1) ** rest.index(i)
+                    rest.remove(i)
+                form = Form.from_poly(Poly.const(n, sign))
+                for i in subset:
+                    form = wedge(form, dfs[i - 1])
+                if not form.is_zero():
+                    mat.setdefault(position[tuple(rest)], {})[s] = form
+    return ChainMap(kz.complex, kz.complex, k, min(k, n), mats)
+
+
+def contract_derivation_oracle(values, u: ChainMap) -> ChainMap:
+    """u with every stored entry contracted on its own, by
+    contract_form_oracle, whether or not entries share one object."""
+    mats = {}
+    for i, t, s, entry in u.nonzeros():
+        x = contract_form_oracle(values, entry)
+        if not x.is_zero():
+            mats.setdefault(i, {}).setdefault(t, {})[s] = x
+    return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)
 
 
 def local_trace_oracle(u: ChainMap, k: KoszulComplex) -> CousinElement:

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from atkernel import atiyah
+from atkernel import atiyah, cousin
 from atkernel.atiyah import (
     AtiyahCocycle,
     ConnectionSpec,
@@ -25,7 +25,8 @@ from atkernel.chaincore import (
     is_cocycle,
     solve_coboundary,
 )
-from atkernel.corpus import corpus_entries, graded_random_connection
+from atkernel.corpus import (corpus_entries, derivations_for, graded_random_connection,
+                             random_chain_map)
 from atkernel.cousin import local_trace
 from atkernel.koszul import RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.polyforms import (
@@ -38,7 +39,13 @@ from atkernel.polyforms import (
     wedge,
 )
 from atkernel.semireg import chern_character
-from oracles import atiyah_power_oracle
+from oracles import (
+    atiyah_power_closed_form,
+    atiyah_power_oracle,
+    contract_derivation_oracle,
+    local_trace_oracle,
+    square_ladder,
+)
 
 X = ("x",)
 XY = ("x", "y")
@@ -343,3 +350,122 @@ class TestObstruction:
             at = atiyah_cocycle(kz.complex)
             for delta in derivations_for(entry):
                 assert obstruction_cocycle(kz, delta) == contract_derivation(delta, at)
+
+
+def _koszul_family():
+    """(name, Koszul complex, derivations) for every corpus entry, then for
+    the x_i^2 ladder with q <= 6 and a seeded derivation of degree <= 1."""
+    family = [(entry.name, build_koszul(entry.ideal), derivations_for(entry))
+              for entry in corpus_entries()]
+    for q in range(1, 7):
+        rng = random.Random(f"ladder:{q}")
+        values = tuple(Poly.monomial(q, [rng.randint(0, 1) * (j == i) for j in range(q)],
+                                     rng.randint(1, 3)) for i in range(q))
+        family.append((f"ladder{q}", build_koszul(square_ladder(q)), [DerivationSpec(values)]))
+    return family
+
+
+def _objects(u):
+    """The distinct entry objects of a map, by id."""
+    return {id(f): f for *_, f in u.nonzeros()}
+
+
+class TestSharedEntries:
+    """Each kept Atiyah power holds one object per distinct entry value, and
+    the contraction and the trace do their work once per object."""
+
+    def test_powers_equal_the_closed_form(self):
+        """At^k = (-1)^k k! sum_{|I|=k} df_I ^ iota_I for every k, zero and
+        past the length included: the formula that bounds the distinct entries."""
+        for name, kz, _ in _koszul_family():
+            at = atiyah_cocycle(kz.complex)
+            for k in range(kz.q + 2):
+                assert atiyah_power(at, k).chain_map == atiyah_power_closed_form(kz, k), (name, k)
+
+    def test_one_object_per_distinct_entry_value(self):
+        for name, kz, _ in _koszul_family():
+            at = atiyah_cocycle(kz.complex)
+            for k in range(1, kz.q + 1):
+                u = atiyah_power(at, k).chain_map
+                values = {f for *_, f in u.nonzeros()}
+                assert len(_objects(u)) == len(values) <= 2 * comb(kz.q, k), (name, k)
+        # ladder q = 6, k = 1: 6 * 2^5 entries -2 x_i dx_i and, for i > 1, 2 x_i dx_i
+        u = atiyah_cocycle(build_koszul(square_ladder(6)).complex).chain_map
+        assert (sum(1 for _ in u.nonzeros()), len(_objects(u))) == (192, 11)
+
+    def test_one_contraction_per_distinct_entry_object(self, monkeypatch):
+        calls = []
+        original = atiyah.contract_form
+        monkeypatch.setattr(atiyah, "contract_form",
+                            lambda values, w: calls.append(id(w)) or original(values, w))
+        for name, kz, derivations in _koszul_family():
+            at = atiyah_cocycle(kz.complex)
+            for k in range(1, kz.q + 1):
+                u = atiyah_power(at, k).chain_map
+                fresh = u.scale(1)  # a new object for every entry
+                assert len(_objects(fresh)) == sum(1 for _ in fresh.nonzeros())
+                for delta in derivations:
+                    calls.clear()
+                    got = contract_derivation(delta, u)
+                    assert sorted(calls) == sorted(_objects(u)), (name, k)
+                    # equal entries in distinct objects: one call per entry, the same map
+                    calls.clear()
+                    assert contract_derivation(delta, fresh) == got
+                    assert len(calls) == sum(1 for _ in fresh.nonzeros())
+                    assert got == contract_derivation_oracle(delta.values, u)
+
+    def test_one_trace_addition_per_target_and_object(self, monkeypatch):
+        """local_trace adds each entry object once into each delta f_{alpha minus
+        beta} that it reaches with a nonzero summed sign, and equals the
+        entry-by-entry oracle whether entries are shared or not."""
+        calls = []
+        original = cousin._add_into
+        monkeypatch.setattr(cousin, "_add_into",
+                            lambda acc, w, times: calls.append((id(w), times)) or original(acc, w, times))
+        for name, kz, _ in _koszul_family():
+            at = atiyah_cocycle(kz.complex)
+            for k in range(1, kz.q + 1):
+                u = atiyah_power(at, k).chain_map
+                calls.clear()
+                got, added = local_trace(u, kz), list(calls)
+                reads = {(cousin._trace_plan(kz.q, -i, k)[t, s][0], id(f))
+                         for i, t, s, f in u.nonzeros() if (t, s) in cousin._trace_plan(kz.q, -i, k)}
+                assert len(added) <= len(reads) and all(times for _, times in added), (name, k)
+                assert got == local_trace_oracle(u, kz) == local_trace(atiyah_power_oracle(at, k), kz)
+        # the ladder's top power is one entry, read once
+        assert len(added) == 1
+
+    def test_unshared_inputs_agree_with_the_oracles(self):
+        """Perturbed-connection cocycles, seeded random maps and repeated
+        contractions, as `atk --power --derivation` makes, against the
+        per-entry contraction and trace."""
+        rng = random.Random(38)
+        for name, kz, derivations in _koszul_family():
+            cx = kz.complex
+            maps = [atiyah_cocycle(cx, graded_random_connection(rng, cx, 1)).chain_map]
+            maps += [random_chain_map(rng, kz, d, 1) for d in (1, 2)]
+            for k in range(2, kz.q + 1):
+                maps.append(contract_derivation(derivations[-1], atiyah_power(atiyah_cocycle(cx), k)))
+            for u in maps:
+                assert local_trace(u, kz) == local_trace_oracle(u, kz), name
+                if u.form_degree < 1:
+                    continue
+                for delta in derivations:
+                    once = contract_derivation(delta, u)
+                    assert once == contract_derivation_oracle(delta.values, u), name
+                    if once.form_degree >= 1 and not once.is_zero():
+                        assert (contract_derivation(delta, once)
+                                == contract_derivation_oracle(delta.values, once)), name
+
+    def test_kept_powers_are_unchanged_by_contraction_and_trace(self):
+        for name, kz, derivations in _koszul_family():
+            at = atiyah_cocycle(kz.complex)
+            kept = {k: atiyah_power(at, k).chain_map for k in range(1, kz.q + 1)}
+            for k, u in kept.items():
+                for delta in derivations:
+                    local_trace(contract_derivation(delta, u), kz)
+                local_trace(u, kz)
+                chern_character(kz.ideal, k)
+            for k, u in kept.items():
+                assert atiyah_power(at, k).chain_map is u
+                assert u == atiyah_power_oracle(at, k) == atiyah_power_closed_form(kz, k), (name, k)

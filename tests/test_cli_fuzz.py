@@ -186,3 +186,24 @@ def test_guard_names_itself_at_the_degree_ceiling(tmp_path):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
+
+def test_curvilinear_dimension_of_all_quadric_products_in_16_variables():
+    """`curvdim` and `dimcheck` on the 120 products x_i*x_j, i < j, in 16
+    variables answer within the same alarm: the ideal is generated in one
+    degree, so no generator is integral over m*I and no LP runs."""
+    ideal = ",".join(f"x{i}*x{j}" for i in range(1, 17) for j in range(i + 1, 17))
+    cases = [
+        (["curvdim", "--ideal", ideal], (0, "120\n")),
+        (["dimcheck", "--ideal", ideal], (0, "dim = 1; bound = -104; curvilinear = 120; holds: yes\n")),
+    ]
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    try:
+        for argv, want in cases:
+            signal.alarm(BUDGET_S)
+            try:
+                assert _run(argv) == want
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

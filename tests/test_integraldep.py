@@ -96,18 +96,32 @@ class TestClosureMember:
             if rng.random() < 0.5:
                 ideal = ideal.multiply_by_maximal_ideal()
             closure_member(ideal, tuple(rng.randint(0, 6) for _ in range(n)))
-        # 6-variable ideals of eight degree-6 generators, as curvdim/dimcheck pose them
-        for _ in range(2):
+        # 6-variable ideals of eight generators, as curvdim/dimcheck pose them
+
+        def eight_generators(degree):
             gens = set()
             while len(gens) < 8:
+                d = degree()
                 support = rng.sample(range(6), 3)
-                cuts = sorted(rng.sample(range(1, 6), 2))
+                cuts = sorted(rng.sample(range(1, d), 2))
                 expt = [0] * 6
-                for v, e in zip(support, (cuts[0], cuts[1] - cuts[0], 6 - cuts[1])):
+                for v, e in zip(support, (cuts[0], cuts[1] - cuts[0], d - cuts[1])):
                     expt[v] = e
                 gens.add(tuple(expt))
-            dim_bound_check(mono_ideal(6, gens))
-        assert len(kinds) == 316 and set(kinds) == {"x", "y"}
+            return mono_ideal(6, gens)
+
+        # of degree 6 only, which the curvilinear count answers with no LP
+        for _ in range(2):
+            dim_bound_check(eight_generators(lambda: 6))
+        assert len(kinds) == 300
+        # of degrees 5 to 7: one LP per minimal generator
+        posed = 0
+        for _ in range(2):
+            ideal = eight_generators(lambda: rng.randint(5, 7))
+            assert len({sum(g) for g in ideal.gens}) > 1
+            dim_bound_check(ideal)
+            posed += len(ideal.gens)
+        assert posed >= 12 and len(kinds) == 300 + posed and set(kinds) == {"x", "y"}
 
     def test_certificates_always_verify(self):
         rng = random.Random(50)
@@ -169,6 +183,52 @@ class TestCurvilinearDim:
 
     def test_principal_variable(self):
         assert curvilinear_dim(mono_ideal(2, [(1, 0)])) == 1
+
+    @pytest.mark.parametrize("one_degree", [False, True])
+    def test_small_lp_matches_closure_over_the_product(self, one_degree):
+        """The count from one LP over I's own generators, or from none when
+        I is generated in one degree, equals the count of generators that
+        closure_member finds not integral over the minimal generators of m*I,
+        on 600 seeded ideals in at most 5 variables with up to 8 generators,
+        and on 300 generated in one degree."""
+        rng = random.Random(f"curvdim:{one_degree}")
+        integral = 0
+        for _ in range(300 if one_degree else 600):
+            n = rng.randint(2, 5)
+            d = rng.randint(1, 4)
+            gens = set()
+            for _ in range(rng.randint(1, 8)):
+                if one_degree:
+                    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+                    gens.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, d])))
+                else:
+                    gens.add(tuple(rng.randint(0, 4) for _ in range(n)))
+            ideal = mono_ideal(n, [g for g in gens if sum(g)] or [(1,) + (0,) * (n - 1)])
+            product = ideal.multiply_by_maximal_ideal()
+            want = sum(not closure_member(product, g).verdict for g in ideal.gens)
+            assert curvilinear_dim(ideal) == want, ideal
+            integral += want < len(ideal.gens)
+        assert integral == (0 if one_degree else 33)
+
+    def test_every_certificate_is_verified_against_the_product(self, monkeypatch):
+        """One verification per generator, against the generators g_j + e_i
+        of m*I, YES certificates included; a failed one is never counted."""
+        verify, seen = integraldep.ClosureCertificate.verify, []
+
+        def recorded(cert, ideal):
+            seen.append((cert.query, cert.verdict, ideal.gens))
+            return verify(cert, ideal)
+
+        monkeypatch.setattr(integraldep.ClosureCertificate, "verify", recorded)
+        # x^2 y^2 is integral over m*I: (2, 2) >= 2/3 (1, 3) + 1/3 (4, 0)
+        assert curvilinear_dim(mono_ideal(2, [(3, 0), (0, 3), (2, 2)])) == 2
+        product = ((0, 4), (1, 3), (2, 3), (3, 1), (3, 2), (4, 0))
+        assert seen == [((0, 3), False, product), ((2, 2), True, product),
+                        ((3, 0), False, product)]
+        monkeypatch.setattr(integraldep.ClosureCertificate, "verify", lambda cert, ideal: False)
+        for gens in ([(2, 0), (1, 1), (0, 2)], [(3, 0), (0, 3), (2, 2)]):
+            with pytest.raises(AssertionError, match="^certificate failed exact verification$"):
+                curvilinear_dim(mono_ideal(2, gens))
 
 
 class TestDimBound:
