@@ -428,8 +428,8 @@ class TestSharedEntries:
                 u = atiyah_power(at, k).chain_map
                 calls.clear()
                 got, added = local_trace(u, kz), list(calls)
-                reads = {(cousin._trace_plan(kz.q, -i, k)[t, s][0], id(f))
-                         for i, t, s, f in u.nonzeros() if (t, s) in cousin._trace_plan(kz.q, -i, k)}
+                plans = {i: cousin._trace_plan(kz.q, -i, k) for i in u.mats}
+                reads = {(plans[i][t, s][0], id(f)) for i, t, s, f in u.nonzeros() if (t, s) in plans[i]}
                 assert len(added) <= len(reads) and all(times for _, times in added), (name, k)
                 assert got == local_trace_oracle(u, kz) == local_trace(atiyah_power_oracle(at, k), kz)
         # the ladder's top power is one entry, read once
