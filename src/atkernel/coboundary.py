@@ -9,8 +9,8 @@ Both solves are sums of products sign * poly * u_key, block-diagonal by
 wedge index and by the degree e that picks a block.  A block's matrix
 depends only on the complexes, or the sequence, and a few degrees; the
 cocycle is only its right-hand side.  So each block is assembled and
-factored (linalg.Factorization) once and kept, with the solution columns
-its solves build, for every later decision, one (e, wedge index) at a time:
+factored (linalg.Factorization) once and kept, with the solution column
+of every equation, for every later decision, one (e, wedge index) at a time:
 
 - graded blocks on the source FreeComplex, in _coboundary_blocks, keyed
   by the target complex by identity (equal but distinct complexes share

@@ -24,9 +24,8 @@ by entry over dense rows, not composed as chain maps.
 Each coboundary decision has one reference, which assembles its whole
 system afresh on every call and solves it once with gauss_jordan, a
 Gauss-Jordan elimination over Q that shares no code with linalg's
-fraction-free factorization and its solution columns, as every exact
-solve here (log_replay_oracle, which replays a factorization's whole log
-on one right-hand side, checks the columns against the log they come from):
+fraction-free reduced echelon form and the solution columns it reads
+off, as every exact solve here:
 
 - coboundary_reference, for [d,h] = c, reads both differentials entry by
   entry at every position, with none of coboundary's term stream, kept
@@ -205,34 +204,6 @@ def gauss_jordan(rows, rhs, ncols):
     for c, p in pivots.items():
         solution[c] = work[p].get(ncols, Fraction(0))
     return len(pivots), solution
-
-
-def log_replay_oracle(factorization, b):
-    """factorization.solve(b) by a replay of the whole operation log on b,
-    then a back-substitution over every pivot row, with no solution column:
-    the particular solution, canonical as linalg._quotient makes it, or
-    None when a row that reduced to zero replays to a nonzero value."""
-    if len(b) != len(factorization.log):
-        raise ValueError("rhs length mismatch")
-    values = {}
-    for (den, pivot, g, ops), v in zip(factorization.log, b):
-        v *= den
-        steps = iter(ops)
-        for c, a, p in zip(steps, steps, steps):
-            v = p * v - a * values[c]
-        if pivot >= 0:
-            values[pivot] = linalg._quotient(v, g) if v else 0
-        elif v:
-            return None
-    x = [0] * factorization.ncols
-    for c, prow in factorization.pivots.items():
-        total = values[c]
-        for i, v in prow.items():
-            if i != c and x[i]:
-                total -= v * x[i]
-        if total:
-            x[c] = linalg._quotient(total, prow[c])
-    return x
 
 
 def solve_keyed(rows, rhs, ncols):

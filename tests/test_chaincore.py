@@ -829,17 +829,28 @@ class TestKeptBlocks:
         assert_same_decision(report, coboundary_reference(second))
 
     def test_second_solve_of_the_same_cocycle_builds_no_column(self, monkeypatch):
+        """Each kept block has a column for every equation from the moment
+        it is factored; neither solve changes one, and the second factors
+        nothing."""
+        built = []  # each factorization, with its columns as it built them
+        original = linalg.Factorization.__init__
+
+        def record(system, rows, ncols):
+            original(system, rows, ncols)
+            built.append((system, list(system.columns)))
+
+        monkeypatch.setattr(linalg.Factorization, "__init__", record)
         kz = build_koszul(corpus_entries()[3].ideal)  # the cone x^2 - y*z ; y^2 - x*z
         c = hom_bracket(random_chain_map(random.Random(11), kz, 0, 1))
-        built = []
-        original = linalg.Factorization._column
-        monkeypatch.setattr(linalg.Factorization, "_column",
-                            lambda system, r: built.append(r) or original(system, r))
         first = solve_coboundary(c)
         assert first.solvable and built
-        built.clear()
+        blocks = [block for _, kept in kz.complex._coboundary_blocks.values()
+                  for block in kept.values()]
+        assert [block.factored for block in blocks] == [system for system, _ in built]
+        assert all(len(block.factored.columns) == len(block.rows) for block in blocks)
         second = solve_coboundary(c)
-        assert second.solvable and built == []
+        assert second.solvable and len(built) == len(blocks)
+        assert all(system.columns == columns for system, columns in built)
         assert map_to_text(second.witness, "h") == map_to_text(first.witness, "h")
 
     def test_one_source_with_two_targets_keeps_two_entries(self):

@@ -6,7 +6,10 @@ from math import gcd
 import pytest
 
 from atkernel import linalg
-from oracles import gauss_jordan, log_replay_oracle
+from atkernel.chaincore import hom_bracket, solve_coboundary
+from atkernel.corpus import corpus_entries, random_chain_map
+from atkernel.koszul import build_koszul
+from oracles import gauss_jordan
 
 
 def _random_system(rng, nrows, ncols, density):
@@ -158,6 +161,18 @@ def test_solution_entries_are_canonical():
     assert fractional > 0
 
 
+def _assert_reduced_echelon(system):
+    """Each pivot row is zero on every other pivot column, primitive, with
+    a positive pivot at its lowest column; the pivots run highest column
+    first."""
+    assert list(system.pivots) == sorted(system.pivots, reverse=True)
+    for c, prow in system.pivots.items():
+        assert min(prow) == c and prow[c] > 0
+        assert all(type(v) is int and v for v in prow.values())
+        assert gcd(*prow.values()) == 1
+        assert not prow.keys() & system.pivots.keys() - {c}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_pivot_rows_are_primitive_with_positive_pivot(seed):
     rng = random.Random(f"linalg:primitive:{seed}")
@@ -167,11 +182,7 @@ def test_pivot_rows_are_primitive_with_positive_pivot(seed):
         with_rhs = [{**row, ncols: b} for row, b in zip(rows, rhs)]
         for system in (linalg.Factorization(rows, ncols),
                        linalg.Factorization(with_rhs, ncols + 1)):
-            assert list(system.pivots) == sorted(system.pivots, reverse=True)
-            for c, prow in system.pivots.items():
-                assert min(prow) == c and prow[c] > 0
-                assert all(type(v) is int and v for v in prow.values())
-                assert gcd(*prow.values()) == 1
+            _assert_reduced_echelon(system)
 
 
 def _assert_columns_match_reference(rows, columns, ncols):
@@ -282,32 +293,36 @@ def test_one_factorization_replays_many_right_hand_sides(seed):
 
 
 def test_factorization_is_reused_without_change():
-    """Replaying leaves the factorization as it was, so an inconsistent
+    """Solving leaves the factorization as it was, so an inconsistent
     column between two consistent ones changes neither answer."""
     rows = [{0: Fraction(1, 2), 1: 3}, {0: 1, 1: 6}, {}, {1: Fraction(2, 3), 2: 1}]
     system = linalg.Factorization(rows, 3)
-    snapshot = (dict(system.pivots), list(system.log))
+    snapshot = ({c: dict(prow) for c, prow in system.pivots.items()}, list(system.columns))
     good = [Fraction(1, 3), Fraction(2, 3), 0, 2]
     # pivots in columns 0 and 1, x2 free: x1 = 3, x0 = 2 * (1/3 - 9)
     assert system.solve(good) == [Fraction(-52, 3), 3, 0]
     assert system.solve([1, 2, 1, 0]) is None
     assert system.solve([1, 3, 0, 0]) is None
     assert system.solve(good) == [Fraction(-52, 3), 3, 0]
-    assert (system.pivots, system.log) == snapshot
+    assert (system.pivots, system.columns) == snapshot
     with pytest.raises(ValueError):
         system.solve([1, 2, 0])
 
 
-def _assert_matches_both_oracles(system, rows, b, ncols):
-    """solve(b) equals the full-log replay, value and type, and the
-    Gauss-Jordan reference.  Returns the answer."""
+def _assert_matches_gauss_jordan(system, rows, b, ncols):
+    """solve(b) equals the Gauss-Jordan reference, canonical.  Returns the
+    answer."""
     got = system.solve(b)
-    replayed = log_replay_oracle(system, b)
-    assert got == replayed == gauss_jordan(rows, b, ncols)[1]
+    assert got == gauss_jordan(rows, b, ncols)[1]
     if got is not None:
-        assert list(map(type, got)) == list(map(type, replayed))
         _assert_canonical(got)
     return got
+
+
+def _zero_reduced(system):
+    """The rows that reduced to zero, read off their keys ncols + j."""
+    return {i - system.ncols for column in system.columns for i in column[::2]
+            if i >= system.ncols}
 
 
 def _dependent_system(rng):
@@ -328,35 +343,39 @@ def _dependent_system(rng):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solution_columns_match_the_log_replay(seed):
-    """Each system is solved against both oracles on a fresh factorization,
-    then again after other right-hand sides have filled some of its
-    columns: consistent fractional b, and b that is nonzero only on pivot
-    rows, which is inconsistent exactly when a row that reduced to zero,
-    with b = 0 there, is reached through the others (the residual path)."""
+def test_solution_columns_match_gauss_jordan(seed):
+    """Every unit vector, and then consistent fractional b and b that is
+    nonzero only on pivot rows, matches Gauss-Jordan, on a fresh
+    factorization and again after other right-hand sides.  b on the pivot
+    rows is inconsistent exactly when a row that reduced to zero, with
+    b = 0 there, depends on them (the residual path)."""
     rng = random.Random(f"linalg:columns-vs-replay:{seed}")
-    seen = {"fraction in a column": 0, "fractional b": 0, "residual path": 0}
+    seen = {"fraction in a column": 0, "fractional b": 0, "residual path": 0,
+            "inconsistent unit vector": 0}
     for _ in range(40):
         rows, ncols = _dependent_system(rng)
-        zero_reduced = [j for j, entry in enumerate(linalg.Factorization(rows, ncols).log)
-                        if entry[1] < 0]
+        zero_reduced = _zero_reduced(linalg.Factorization(rows, ncols))
         consistent = _consistent_column(rng, rows, ncols)
         on_pivot_rows = [0 if j in zero_reduced else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                          for j in range(len(rows))]
+        units = linalg.Factorization(rows, ncols)
+        for r in range(len(rows)):
+            unit = [int(j == r) for j in range(len(rows))]
+            seen["inconsistent unit vector"] += _assert_matches_gauss_jordan(
+                units, rows, unit, ncols) is None
         for b in (consistent, on_pivot_rows):
             fresh = linalg.Factorization(rows, ncols)
-            first = _assert_matches_both_oracles(fresh, rows, b, ncols)
+            first = _assert_matches_gauss_jordan(fresh, rows, b, ncols)
             warmed = linalg.Factorization(rows, ncols)
             for _ in range(rng.randint(1, 3)):
                 other = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4
                          else 0 for _ in rows]
                 other[rng.randrange(len(rows))] = rng.choice((-1, 1, Fraction(1, 2)))
-                _assert_matches_both_oracles(warmed, rows, other, ncols)
-            assert warmed.columns
-            assert _assert_matches_both_oracles(warmed, rows, b, ncols) == first
-            assert _assert_matches_both_oracles(fresh, rows, b, ncols) == first
+                _assert_matches_gauss_jordan(warmed, rows, other, ncols)
+            assert _assert_matches_gauss_jordan(warmed, rows, b, ncols) == first
+            assert _assert_matches_gauss_jordan(fresh, rows, b, ncols) == first
             seen["fraction in a column"] += any(
-                type(v) is Fraction for column in warmed.columns.values() for v in column[1::2])
+                type(v) is Fraction for column in warmed.columns for v in column[1::2])
             seen["fractional b"] += any(type(v) is Fraction and v.denominator > 1 for v in b)
             seen["residual path"] += first is None and b is on_pivot_rows
     assert all(seen.values()), seen
@@ -367,37 +386,85 @@ def test_inconsistency_on_a_zero_reduced_row_with_zero_right_hand_side():
     and nonzero only on the pivot rows, whose columns reach row 2."""
     rows = [{0: 2, 1: 4}, {1: 3}, {0: 2, 1: 7}]
     system = linalg.Factorization(rows, 2)
-    assert [entry[1] for entry in system.log] == [0, 1, -1]
+    assert list(system.pivots) == [1, 0] and _zero_reduced(system) == {2}
+    assert all(2 + 2 in column[::2] for column in system.columns)
     for b in ([1, 0, 0], [0, 1, 0], [Fraction(1, 2), 1, 0]):
-        assert _assert_matches_both_oracles(system, rows, b, 2) is None
-    assert _assert_matches_both_oracles(system, rows, [1, 3, 4], 2) == [Fraction(-3, 2), 1]
-    # row 0's pivot row is x0 + 2*x1 after division by its content 2
-    assert Fraction(1, 2) in system.columns[0][1::2]
+        assert _assert_matches_gauss_jordan(system, rows, b, 2) is None
+    assert _assert_matches_gauss_jordan(system, rows, [1, 3, 4], 2) == [Fraction(-3, 2), 1]
+    # the reduced pivot row of column 0 is 6*x0 = 3*row 0 - 4*row 1
+    assert system.columns[0][:2] == (0, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_each_column_is_built_once(seed, monkeypatch):
-    """A right-hand side with k nonzero rows builds at most k new columns,
-    solving it again builds none, and no (factorization, row) column is
-    built twice, whatever the right-hand sides before it."""
-    built = []  # the (factorization, row) of every column built
-    original = linalg.Factorization._column
-    monkeypatch.setattr(linalg.Factorization, "_column",
-                        lambda self, r: built.append((id(self), r)) or original(self, r))
+def test_each_column_is_built_once(seed):
+    """Every row's solution column is complete at construction: read as a
+    solution, column r is Gauss-Jordan's for e_r, with a key ncols + j
+    exactly when e_r is inconsistent.  No solve adds or changes a column,
+    and solving again gives the same answer."""
     rng = random.Random(f"linalg:built-once:{seed}")
-    systems = []  # kept alive, so that no two share an id
     for _ in range(20):
         rows, ncols = _dependent_system(rng)
         system = linalg.Factorization(rows, ncols)
-        systems.append(system)
+        snapshot = list(system.columns)
+        assert len(snapshot) == len(rows)
+        for r, column in enumerate(snapshot):
+            entries = dict(zip(column[::2], column[1::2]))
+            reference = gauss_jordan(rows, [int(j == r) for j in range(len(rows))], ncols)[1]
+            if reference is None:
+                assert max(entries) >= ncols
+            else:
+                assert entries == {i: v for i, v in enumerate(reference) if v}
         for _ in range(rng.randint(1, 5)):
             b = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
                  for _ in rows]
-            before = len(built)
             first = system.solve(b)
-            assert len(built) - before <= sum(1 for v in b if v)
-            assert {r for _, r in built[before:]} <= {r for r, v in enumerate(b) if v}
-            before = len(built)
-            assert system.solve(b) == first and len(built) == before
-        assert len(system.columns) == len({r for key, r in built if key == id(system)})
-    assert len(built) == len(set(built)) and built
+            assert system.columns == snapshot
+            assert system.solve(b) == first and system.columns == snapshot
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_rows_are_in_reduced_echelon_form(seed):
+    """On seeded dependent systems, many with an input row that meets two
+    pivot columns, and on every block that one solve_coboundary factors
+    and keeps.  (test_pivot_rows_are_primitive_with_positive_pivot checks
+    the same on independent random systems.)"""
+    rng = random.Random(f"linalg:reduced:{seed}")
+    two_pivots = 0
+    for _ in range(40):
+        rows, ncols = _dependent_system(rng)
+        system = linalg.Factorization(rows, ncols)
+        _assert_reduced_echelon(system)
+        two_pivots += any(len({c for c, v in row.items() if v} & system.pivots.keys()) > 1
+                          for row in rows)
+    assert two_pivots
+    kz = build_koszul(corpus_entries()[seed].ideal)
+    assert solve_coboundary(hom_bracket(random_chain_map(random.Random(seed), kz, 0, 1))).solvable
+    blocks = [block for _, kept in kz.complex._coboundary_blocks.values()
+              for block in kept.values()]
+    assert blocks
+    for block in blocks:
+        _assert_reduced_echelon(block.factored)
+
+
+def test_dense_system_with_dependent_rows_matches_gauss_jordan():
+    """A dense 40 x 40 system, entries in -3..3, with 4 rows that are
+    combinations of the others, inserted anywhere: every unit vector
+    matches Gauss-Jordan.  Dense rows are where the back pass grows its
+    integers most."""
+    rng = random.Random("linalg:dense")
+    n = 40
+    rows = [{c: v for c in range(n) if (v := rng.randint(-3, 3))} for _ in range(n - 4)]
+    for _ in range(4):
+        combo = {}
+        for row in rng.sample(rows, 3):
+            k = rng.choice((-2, -1, 1, 3))
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.insert(rng.randrange(len(rows) + 1), {c: v for c, v in combo.items() if v})
+    system = linalg.Factorization(rows, n)
+    _assert_reduced_echelon(system)
+    inconsistent = 0
+    for r in range(n):
+        unit = [int(j == r) for j in range(n)]
+        inconsistent += _assert_matches_gauss_jordan(system, rows, unit, n) is None
+    assert len(system.pivots) == n - 4 and inconsistent
