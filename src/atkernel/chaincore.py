@@ -25,7 +25,6 @@ from .polyforms import (
     Record,
     _form_from_acc,
     _mul_into,
-    _scale_into,
     _wedge_into,
     default_names,
     form_to_text,
@@ -97,8 +96,8 @@ def _product(acc: dict, a: dict, b: dict, into, negate: bool = False) -> dict:
     """Add the product a . b of two stored matrices, or its negative, into
     acc[t][s] and return acc.  Each acc[t][s] is a raw accumulator, and
     into(entry, x, y, negate) adds x * y to it: polyforms._mul_into for
-    polynomials, _wedge_into for forms and _scale_into for a polynomial and
-    a form.  Only nonzero entries meet."""
+    polynomials, or a polynomial and a form, and _wedge_into for forms.
+    Only nonzero entries meet."""
     for t, arow in a.items():
         out = acc.setdefault(t, {})
         for m, x in arow.items():
@@ -372,8 +371,8 @@ def hom_bracket(h: ChainMap) -> ChainMap:
     mats = {}
     for i in sorted(set(h.mats) | {j - 1 for j in h.mats}):
         # d h and -(-1)^r h d accumulate into one sum per entry
-        acc = _product({}, tgt.diff.get(i + r, {}), h.mats.get(i, {}), _scale_into)
-        _product(acc, h.mats.get(i + 1, {}), src.diff.get(i, {}), _scale_into, negate=r % 2 == 0)
+        acc = _product({}, tgt.diff.get(i + r, {}), h.mats.get(i, {}), _mul_into)
+        _product(acc, h.mats.get(i + 1, {}), src.diff.get(i, {}), _mul_into, negate=r % 2 == 0)
         mat = _settle(acc, build)
         if mat:
             mats[i] = mat

@@ -83,14 +83,14 @@ class _Block:
 def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
     """Unknown k-forms u_key with sum(sign * poly * u_key) = rhs[slot] in
     every slot, summed over products (slot, key, poly, sign).  The
-    right-hand side comes as terms (e, slot, idx, expt, q): q times the
-    monomial expt in wedge index idx of rhs[slot], whose equation lies in
+    right-hand side comes as terms (e, slot, mask, expt, q): q times the
+    monomial expt in wedge mask `mask` of rhs[slot], whose equation lies in
     the factored block block_of(e).  Returns {key: form} for the nonzero
     unknowns of the one particular solution, keys in sorted order, or None
     when there is none.
 
     A product multiplies a form by a polynomial, so the system is
-    block-diagonal by (e, wedge index).  Each (e, wedge index) that the
+    block-diagonal by (e, mask).  Each (e, mask) that the
     terms meet is solved on its block's factorization with its own
     right-hand side, one solve each; those the terms do not meet have the
     zero solution.  The pivots of a block-diagonal matrix are its blocks'
@@ -98,29 +98,28 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
     equation that no unknown reaches is 0 = q, and the answer is None
     with nothing solved.
     """
-    vectors: dict[tuple, tuple] = {}  # (e, wedge index) -> (its block, right-hand side)
-    for e, slot, idx, expt, q in terms:
-        entry = vectors.get((e, idx))
+    vectors: dict[tuple, tuple] = {}  # (e, mask) -> (its block, right-hand side)
+    for e, slot, mask, expt, q in terms:
+        entry = vectors.get((e, mask))
         if entry is None:
             block = block_of(e)
-            entry = vectors[e, idx] = (block, [0] * len(block.rows))
+            entry = vectors[e, mask] = (block, [0] * len(block.rows))
         r = entry[0].rows.get((slot, expt))
         if r is None:
             return None
         entry[1][r] = q
-    acc: dict = {}  # key -> {idx: {expt: value}}
-    for (_, idx), (block, b) in vectors.items():
+    acc: dict = {}  # key -> the terms of its form
+    for (_, mask), (block, b) in vectors.items():
         x = block.factored.solve(b)
         if x is None:
             return None
         # one key's unknowns in distinct e run over distinct exponents
-        x = iter(x)
+        x, top = iter(x), mask << FIELD * (n + 1)
         for key, expts in block.unknowns:
             for expt, v in zip(expts, x):
                 if v:
-                    acc.setdefault(key, {}).setdefault(idx, {})[expt] = v
-    return {key: Form._raw(n, k, {idx: Poly._raw(n, poly) for idx, poly in acc[key].items()})
-            for key in sorted(acc)}
+                    acc.setdefault(key, {})[top | expt] = v
+    return {key: Form._raw(n, k, acc[key]) for key in sorted(acc)}
 
 
 def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e: int) -> _Block:
@@ -169,15 +168,15 @@ def _solve_coboundary(c: ChainMap) -> GradedSolveReport:
     fields = [(w, FIELD * (src.n - 1 - v)) for v, w in enumerate(src.var_weights)]
     # holding tgt keeps its id from being reused while src lives
     blocks = src._coboundary_blocks.setdefault(id(tgt), (tgt, {}))[1]
-    # a term q * x^expt in wedge index idx of c's entry from s to t has
-    # internal degree wdeg(expt) + weight(idx) + weight(t) - weight(s); its
-    # block's e is that less weight(idx)
-    terms = ((base + sum(w * (expt >> shift & MASK) for w, shift in fields), (i, t, s), idx,
-              expt, q)
+    # a term q * x^expt dx_mask of c's entry from s to t has internal degree
+    # wdeg(expt) + weight(mask) + weight(t) - weight(s); its block's e is
+    # that less weight(mask), and the fields hold expt's exponents alone
+    mask_shift = FIELD * (src.n + 1)
+    terms = ((base + sum(w * (key >> shift & MASK) for w, shift in fields), (i, t, s),
+              key >> mask_shift, key & (1 << mask_shift) - 1, q)
              for i, t, s, f in c.nonzeros()
              for base in (tgt.basis(i + c.degree)[t].weight - src.basis(i)[s].weight,)
-             for idx, coeff in f.terms.items()
-             for expt, q in coeff.terms.items())
+             for key, q in f.terms.items())
     solved = _solve_products(partial(_graded_block, blocks, src, tgt, r_h), terms, src.n, k)
     if solved is None:
         if not is_cocycle(c):
@@ -233,13 +232,16 @@ def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:
         return CousinElement(n, target.seq, q - 1)
     num, m = lf.num, lf.m
     basis = Basis([f ** m for f in target.seq], "Cousin decision")
-    top = max(c.total_degree() for c in num.terms.values()) + basis.excess
+    coeffs: dict[int, dict] = {}  # mask -> the terms of its coefficient
+    shift = FIELD * (n + 1)
+    for key, c in num.terms.items():
+        coeffs.setdefault(key >> shift, {})[key & (1 << shift) - 1] = c
+    top = max(key >> FIELD * n & MASK for key in num.terms) + basis.excess
     block = _cousin_block(target.seq, m, top)
-    terms = ((0, full, idx, expt, q)
-             for idx, coeff in num.terms.items() for expt, q in coeff.terms.items())
+    terms = ((0, full, mask, expt, q) for mask, coeff in coeffs.items() for expt, q in coeff.items())
     nums = _solve_products(lambda e: block, terms, n, num.degree)
     if nums is None:
-        if not basis.contains(num.terms.values()):
+        if not basis.contains(Poly._raw(n, coeff) for coeff in coeffs.values()):
             return None
         raise AssertionError("an ideal member has no cofactors within the Groebner degree bound")
     witness = CousinElement(n, target.seq, q - 1, {

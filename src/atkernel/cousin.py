@@ -48,15 +48,8 @@ class LocalizedForm(Record):
 def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
     """Divide out common f_alpha factors of the numerator, exactly."""
     num, m = lf.num, lf.m
-    while m > 0:
-        quotients = {}
-        for idx, coeff in num.terms.items():
-            quot = coeff.exact_quotient(f_alpha)
-            if quot is None:
-                return LocalizedForm(num, m)
-            quotients[idx] = quot
-        num = Form._raw(num.n, num.degree, quotients)
-        m -= 1
+    while m > 0 and (quot := num.exact_quotient(f_alpha)) is not None:
+        num, m = quot, m - 1
     return LocalizedForm(num, m)
 
 

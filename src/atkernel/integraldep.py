@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .polyforms import Record, parse_poly, unpack, variable_names
 
@@ -114,10 +116,13 @@ class ClosureCertificate:
             return False
         if any(v < 0 for v in c):
             return False
-        dot_a = sum(ci * ai for ci, ai in zip(c, a))
-        if dot_a >= mu:
+        # times the lcm of the denominators, a positive scale, which keeps
+        # every inequality: the dot products are then of ints
+        scale = lcm(*(Fraction(v).denominator for v in (*c, mu)))
+        c, mu = [int(v * scale) for v in c], int(mu * scale)
+        if sum(map(mul, c, a)) >= mu:
             return False
-        return all(sum(ci * gi for ci, gi in zip(c, g)) >= mu for g in ideal.gens)
+        return all(sum(map(mul, c, g)) >= mu for g in ideal.gens)
 
 
 def _phase1_lp(a_eq: list[list[int]], b: list[int]):

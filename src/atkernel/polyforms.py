@@ -1,14 +1,17 @@
 """Exact arithmetic for multivariate polynomials over Q and exterior forms.
 
-A polynomial maps packed monomials to nonzero rationals: an int when
+Both are one dict of nonzero rationals on int keys: an int coefficient when
 integral, else a Fraction with denominator > 1, so Koszul arithmetic never
-builds a Fraction; floats are refused.  pack alone fixes the layout: one
-int of FIELD-bit fields, the total degree on top, then x_1 down to x_n as
-the ring declares them.  So int order is grlex order, a product adds keys,
-and x^a | x^b when b - a >= 0 sets no field's top (guard) bit; degrees
-stay below CEILING, so no field carries.  Another order (grevlex, a local
-order) would complement or reorder the fields in pack and unpack.  Forms
-map strictly increasing wedge index tuples to polynomials, so equality is
+builds a Fraction; floats are refused.  pack alone fixes a monomial's key:
+one int of FIELD-bit fields, the total degree on top, then x_1 down to x_n
+as the ring declares them.  So int order is grlex order, a product adds
+keys, and x^a | x^b when b - a >= 0 sets no field's top (guard) bit;
+degrees stay below CEILING, so no field carries.  Another order (grevlex,
+a local order) would complement or reorder the fields in pack and unpack.
+A form's key puts its wedge index above that, as mask << FIELD * (n + 1)
+| monomial with bit i of the mask for dx_i; no mask bit is a guard bit.
+A product of a form and a polynomial adds keys as well, and so does a
+wedge of terms with disjoint masks, times _wedge_sign.  Equality is
 literal dictionary equality.
 """
 from __future__ import annotations
@@ -24,6 +27,7 @@ FIELD = 32
 CEILING = 1 << FIELD - 1
 MASK = (1 << FIELD) - 1
 GUARD = CEILING * sum(1 << FIELD * i for i in range(MAX_ARITY + 1))
+TOPS = tuple(CEILING << FIELD * n for n in range(MAX_ARITY + 1))  # arity n's degree-field top bit
 
 
 class Record:
@@ -100,10 +104,86 @@ def _canon(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+class _Terms:
+    """What Poly and Form share: arity n and one dict of canonical terms,
+    so that their linear arithmetic and equality are one loop each."""
 
     __slots__ = ("n", "terms")
+
+    def _check(self, other) -> None:
+        if self.n != other.n:
+            raise ArityError(f"arity mismatch: {self.n} vs {other.n}")
+
+    def _sum(self, other) -> dict:
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = coeff
+                continue
+            total = prev + coeff
+            if total:
+                terms[key] = _canon(total)
+            else:
+                del terms[key]
+        return terms
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _canon(c)
+        return self._like({k: _canon(c * v) for k, v in self.terms.items()} if c else {})
+
+    def __eq__(self, other) -> bool:
+        # a zero Form equals one of any degree; nonzero keys fix the degree
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def exact_quotient(self, divisor: "Poly"):
+        """self / divisor when divisor divides self, else None.
+
+        Graded-lex division by one polynomial, which is its own Groebner
+        basis, of every coefficient at once: a form's largest key is the
+        largest of its largest mask, and a step changes only that mask's
+        lower terms.  It stops at the first leading term that lt(divisor)
+        does not divide: that term belongs to the remainder, and every
+        later step only changes terms below it, so nothing can cancel it.
+        """
+        self._check(divisor)
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        lt_e, lt_c = divisor.leading_term()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
+        work = dict(self.terms)
+        quot: dict[int, Coeff] = {}
+        while work:
+            e = max(work)
+            q_e = e - lt_e
+            if q_e < 0 or q_e & GUARD:  # a field of lt_e exceeds e's
+                return None
+            q_c = quot[q_e] = _canon(Fraction(work.pop(e), lt_c))
+            for d_e, d_c in tail:
+                v = work.get(m := q_e + d_e, 0) - q_c * d_c
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
+        return self._like(quot)
+
+
+class Poly(_Terms):
+    """Sparse multivariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], Coeff] | None = None):
         if not 0 < n <= MAX_ARITY:
@@ -130,6 +210,9 @@ class Poly:
         p.n = n
         p.terms = terms
         return p
+
+    def _like(self, terms: dict) -> "Poly":
+        return Poly._raw(self.n, terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -159,30 +242,9 @@ class Poly:
 
     # -- ring operations ------------------------------------------------
 
-    def _check(self, other: "Poly") -> None:
-        if self.n != other.n:
-            raise ArityError(f"arity mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms = dict(self.terms)
-        for expt, coeff in other.terms.items():
-            prev = terms.get(expt)
-            if prev is None:
-                terms[expt] = coeff
-                continue
-            total = prev + coeff
-            if total:
-                terms[expt] = _canon(total)
-            else:
-                del terms[expt]
-        return Poly._raw(self.n, terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly._raw(self.n, self._sum(other))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -197,19 +259,6 @@ class Poly:
         for _ in range(k - 1):
             result = result * self
         return result
-
-    def scale(self, c) -> "Poly":
-        c = _canon(c)
-        return Poly._raw(self.n, {e: _canon(c * v) for e, v in self.terms.items()} if c else {})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def constant_term(self) -> Coeff:
         return self.terms.get(0, 0)
@@ -244,39 +293,8 @@ class Poly:
                 out = out + self.derivative(i) * val
         return out
 
-    # -- division by a single polynomial ----------------------------------
-
     def leading_term(self) -> tuple[int, Coeff]:
         return max(self.terms.items())  # keys are distinct, so coefficients never compare
-
-    def exact_quotient(self, divisor: "Poly") -> "Poly | None":
-        """self / divisor when divisor divides self, else None.
-
-        Graded-lex division by one polynomial, which is its own Groebner
-        basis.  It stops at the first leading term that lt(divisor) does
-        not divide: that term belongs to the remainder, and every later
-        step only changes terms below it, so nothing can cancel it.
-        """
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        lt_e, lt_c = divisor.leading_term()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
-        work = dict(self.terms)
-        quot: dict[int, Coeff] = {}
-        while work:
-            e = max(work)
-            q_e = e - lt_e
-            if q_e < 0 or q_e & GUARD:  # a field of lt_e exceeds e's
-                return None
-            q_c = quot[q_e] = _canon(Fraction(work.pop(e), lt_c))
-            for d_e, d_c in tail:
-                v = work.get(m := q_e + d_e, 0) - q_c * d_c
-                if v:
-                    work[m] = v
-                else:
-                    del work[m]
-        return Poly._raw(self.n, quot)
 
     def sorted_terms(self) -> list[tuple[int, Coeff]]:
         return sorted(self.terms.items(), reverse=True)
@@ -285,15 +303,16 @@ class Poly:
         return f"Poly({poly_to_text(self)!r})"
 
 
-class Form:
-    """Exterior form with Poly coefficients on increasing index tuples."""
+class Form(_Terms):
+    """Exterior form, keyed as the module docstring says; the public
+    constructor takes {increasing index tuple: Poly}."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("degree",)
 
     def __init__(self, n: int, degree: int, terms: Mapping[tuple[int, ...], Poly] | None = None):
         if not 0 <= degree <= n:
             raise ValueError(f"form degree {degree} out of range for arity {n}")
-        clean: dict[tuple[int, ...], Poly] = {}
+        clean: dict[int, Coeff] = {}
         for idx, coeff in (terms or {}).items():
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(set(idx)):
@@ -302,22 +321,25 @@ class Form:
                 raise ValueError(f"index out of range in {idx}")
             if coeff.n != n:
                 raise ArityError("coefficient arity differs from form arity")
-            if not coeff.is_zero():
-                clean[idx] = coeff
+            top = sum(1 << i for i in idx) << FIELD * (n + 1)
+            clean.update((top | e, c) for e, c in coeff.terms.items())
         self.n = n
         self.degree = degree
         self.terms = clean
 
     @staticmethod
-    def _raw(n: int, degree: int, terms: dict[tuple[int, ...], Poly]) -> "Form":
-        """Trusted constructor for internal arithmetic: `terms` must map
-        strictly increasing length-`degree` index tuples to nonzero arity-n
-        canonical Polys (see Poly._raw), and is kept, not copied."""
+    def _raw(n: int, degree: int, terms: dict[int, Coeff]) -> "Form":
+        """Trusted constructor for internal arithmetic: `terms` must be
+        canonical as Poly._raw's, on keys whose masks have `degree` bits
+        below n, and is kept, not copied."""
         w = object.__new__(Form)
         w.n = n
         w.degree = degree
         w.terms = terms
         return w
+
+    def _like(self, terms: dict) -> "Form":
+        return Form._raw(self.n, self.degree, terms)
 
     @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
@@ -327,16 +349,12 @@ class Form:
 
     @staticmethod
     def from_poly(p: Poly) -> "Form":
-        return Form._raw(p.n, 0, {(): p} if p.terms else {})
+        return Form._raw(p.n, 0, p.terms)
 
     def to_poly(self) -> Poly:
         if self.degree != 0:
             raise ValueError("only degree-0 forms convert to Poly")
-        return self.terms.get((), Poly.zero(self.n))
-
-    def _check(self, other: "Form") -> None:
-        if self.n != other.n:
-            raise ArityError(f"arity mismatch: {self.n} vs {other.n}")
+        return Poly._raw(self.n, self.terms)
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
@@ -346,48 +364,13 @@ class Form:
             if other.is_zero():
                 return self
             raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            prev = terms.get(idx)
-            if prev is None:
-                terms[idx] = coeff
-                continue
-            total = prev + coeff
-            if total.terms:
-                terms[idx] = total
-            else:
-                del terms[idx]
-        return Form._raw(self.n, self.degree, terms)
-
-    def __neg__(self) -> "Form":
-        return Form._raw(self.n, self.degree, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
-    def scale(self, c) -> "Form":
-        c = _canon(c)
-        if not c:
-            return Form._raw(self.n, self.degree, {})
-        return Form._raw(self.n, self.degree, {i: p.scale(c) for i, p in self.terms.items()})
+        return Form._raw(self.n, self.degree, self._sum(other))
 
     def mul_poly(self, p: Poly) -> "Form":
-        # a product of nonzero polynomials is nonzero, so only p can kill terms
-        terms = {i: c * p for i, c in self.terms.items()}
-        return Form._raw(self.n, self.degree, terms if p.terms else {})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form) or self.n != other.n:
-            return NotImplemented if not isinstance(other, Form) else False
-        if not self.terms and not other.terms:
-            return True  # the zero form is degree-agnostic
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        self._check(p)
+        acc: dict[int, Coeff] = {}
+        _mul_into(acc, self, p)
+        return _form_from_acc(self.n, self.degree, acc)
 
     def __repr__(self):
         return f"Form({form_to_text(self)!r})"
@@ -407,73 +390,83 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
     return (-1) ** inversions, tuple(sorted(merged))
 
 
+@lru_cache(maxsize=4096)
+def _indices(mask: int) -> tuple[int, ...]:
+    """The increasing wedge index of a mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=4096)
+def _wedge_sign(a: int, b: int) -> int:
+    """dx_a ^ dx_b = sign * dx_(a | b) for masks a and b: 0 when they share
+    a bit, else -1 to the number of pairs i in a, j in b with i > j."""
+    if a & b:
+        return 0
+    return -1 if sum((a >> j + 1).bit_count() for j in _indices(b)) % 2 else 1
+
+
 # -- raw accumulators ------------------------------------------------------
 #
-# The fused kernels sum many products into plain dicts, {key: coeff} for a
-# polynomial and {idx: {key: coeff}} for a form, which may hold zero or
-# integral Fraction coefficients until the result is built once, and made
-# canonical, by _poly_from_acc or _form_from_acc.  Operands are canonical
-# and share one arity.
+# The fused kernels sum many products into one plain {key: coeff} dict, for
+# a polynomial or a form alike, which may hold zero or integral Fraction
+# coefficients until the result is built once, and made canonical, by
+# _poly_from_acc or _form_from_acc.  Operands are canonical and share one
+# arity.  The ceiling check reads the top bit of the degree field, which
+# no sum of two degrees below CEILING carries out of, and no mask bit.
 
 
-def _mul_into(acc: dict, p: Poly, q: Poly, negate: bool = False) -> None:
-    """Add p*q, or -(p*q) when negate is set, into a raw polynomial accumulator."""
-    bound = CEILING << FIELD * p.n  # the least key of degree CEILING
+def _mul_into(acc: dict, p, q, negate: bool = False) -> None:
+    """Add p*q, or -(p*q) when negate is set, into a raw accumulator; p and
+    q are Polys, or a Poly and a Form, whose keys add."""
+    top = TOPS[p.n]
     q_items = q.terms.items()
     for e1, c1 in p.terms.items():
         if negate:
             c1 = -c1
         for e2, c2 in q_items:
-            if (e := e1 + e2) >= bound:
+            if (e := e1 + e2) & top:
                 pack(unpack(e, p.n))  # raises: no field has carried, so unpack reads them all
             prev = acc.get(e)
             acc[e] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 def _add_into(acc: dict, w: Form, times: int) -> None:
-    """Add times * w, for a nonzero integer times, into a raw form accumulator."""
-    for idx, coeff in w.terms.items():
-        out = acc.setdefault(idx, {})
-        for e, c in coeff.terms.items():
-            out[e] = out.get(e, 0) + times * c
+    """Add times * w, for a nonzero integer times, into a raw accumulator."""
+    for e, c in w.terms.items():
+        acc[e] = acc.get(e, 0) + times * c
 
 
 def _poly_from_acc(n: int, acc: dict) -> Poly:
-    return Poly._raw(n, {e: c if type(c) is int else _canon(c) for e, c in acc.items() if c})
-
-
-def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
-    """Add a ^ b, or -(a ^ b) when negate is set, into a raw form accumulator.
-
-    The caller has checked that a.degree + b.degree <= n.
-    """
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            merged = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            out = acc.get(idx)
-            if out is None:
-                out = acc[idx] = {}
-            _mul_into(out, ca, cb, negate ^ (sign < 0))
-
-
-def _scale_into(acc: dict, a, b, negate: bool = False) -> None:
-    """Add a*b, or -(a*b) when negate is set, into a raw form accumulator;
-    one factor is a Poly, which commutes with the other, a Form."""
-    p, w = (a, b) if type(a) is Poly else (b, a)
-    for idx, coeff in w.terms.items():
-        _mul_into(acc.setdefault(idx, {}), p, coeff, negate)
+    return Poly._raw(n, _canon_terms(acc))
 
 
 def _form_from_acc(n: int, degree: int, acc: dict) -> Form:
-    terms = {}
-    for idx, coeffs in acc.items():
-        p = _poly_from_acc(n, coeffs)
-        if p.terms:
-            terms[idx] = p
-    return Form._raw(n, degree, terms)
+    return Form._raw(n, degree, _canon_terms(acc))
+
+
+def _canon_terms(acc: dict) -> dict:
+    return {e: c if type(c) is int else _canon(c) for e, c in acc.items() if c}
+
+
+def _wedge_into(acc: dict, a: Form, b: Form, negate: bool = False) -> None:
+    """Add a ^ b, or -(a ^ b) when negate is set, into a raw accumulator.
+
+    The caller has checked that a.degree + b.degree <= n.  A degree-0
+    factor has the zero mask, so the product is _mul_into's.
+    """
+    if not (a.degree and b.degree):
+        return _mul_into(acc, a, b, negate)
+    shift, top = FIELD * (a.n + 1), TOPS[a.n]
+    b_items = b.terms.items()
+    for e1, c1 in a.terms.items():
+        ma = e1 >> shift
+        for e2, c2 in b_items:
+            if sign := _wedge_sign(ma, e2 >> shift):
+                if (e := e1 + e2) & top:
+                    pack(unpack(e, a.n))
+                c = c1 * c2 if (sign > 0) ^ negate else -c1 * c2
+                prev = acc.get(e)
+                acc[e] = c if prev is None else prev + c
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -491,9 +484,8 @@ def exterior_derivative(f: Poly) -> Form:
     """d(f) = sum_i (df/dx_i) dx_i."""
     terms = {}
     for i in range(f.n):
-        df = f.derivative(i)
-        if df.terms:
-            terms[(i,)] = df
+        dx = 1 << FIELD * (f.n + 1) + i
+        terms.update((e + dx, c) for e, c in f.derivative(i).terms.items())
     return Form._raw(f.n, 1, terms)
 
 
@@ -501,25 +493,29 @@ def contract_form(values: Sequence[Poly], w: Form) -> Form:
     """Interior product against the derivation x_i -> values[i].
 
     Contracts the leftmost matching slot of each wedge monomial with the
-    standard alternating sign.  A trusted kernel: w has degree at least 1
-    and every value has w's arity, as atiyah.contract_derivation checks.
+    standard alternating sign: slot i clears bit i of the mask, negated
+    after an odd number of lower bits.  A trusted kernel: w has degree at
+    least 1 and every value has w's arity, as atiyah.contract_derivation
+    checks.
     """
     acc: dict = {}
-    for idx, coeff in w.terms.items():
-        for slot, rest, negate in _splits(idx):
-            val = values[slot]
-            if val.terms:
-                out = acc.get(rest)
-                if out is None:
-                    out = acc[rest] = {}
-                _mul_into(out, coeff, val, negate)
+    shift, top = FIELD * (w.n + 1), TOPS[w.n]
+    for e1, c1 in w.terms.items():
+        for slot, drop, odd in _slots(e1 >> shift, shift):
+            rest, c = e1 - drop, -c1 if odd else c1
+            for e2, c2 in values[slot].terms.items():
+                if (e := rest + e2) & top:
+                    pack(unpack(e, w.n))
+                prev = acc.get(e)
+                acc[e] = c * c2 if prev is None else prev + c * c2
     return _form_from_acc(w.n, w.degree - 1, acc)
 
 
 @lru_cache(maxsize=4096)
-def _splits(idx: tuple[int, ...]) -> tuple:
-    """(slot, idx without it, odd sign) per slot of idx; memoised, as _merge_indices is."""
-    return tuple((slot, idx[:j] + idx[j + 1 :], j % 2 == 1) for j, slot in enumerate(idx))
+def _slots(mask: int, shift: int) -> tuple:
+    """(slot, its mask bit shifted, odd) per slot of mask; memoised, as
+    _wedge_sign is."""
+    return tuple((i, 1 << shift + i, j % 2 == 1) for j, i in enumerate(_indices(mask)))
 
 
 # -- canonical text ------------------------------------------------------
@@ -558,9 +554,11 @@ def poly_to_text(p: Poly, names: Sequence[str] | None = None) -> str:
 
 
 def form_to_text(w: Form, names: Sequence[str] | None = None) -> str:
+    """Wedge indices in increasing order, each one's terms in Poly's order."""
     names = names or default_names(w.n)
-    return _terms_text(((idx, unpack(e, w.n), c) for idx in sorted(w.terms)
-                        for e, c in w.terms[idx].sorted_terms()), names)
+    shift = FIELD * (w.n + 1)
+    keys = sorted(w.terms, key=lambda e: (_indices(e >> shift), -(e & (1 << shift) - 1)))
+    return _terms_text(((_indices(e >> shift), unpack(e, w.n), w.terms[e]) for e in keys), names)
 
 
 class _Tok:
@@ -677,11 +675,11 @@ class _FormParser:
     def _differential(self, tok: _Tok | None) -> Form | None:
         """The differential d<var> when tok is that name, else None."""
         if tok and tok.kind == "name" and tok.text.startswith("d") and tok.text[1:] in self.names:
-            return self._monomial((self.names.index(tok.text[1:]),), 0)
+            return self._monomial(1, 1 << FIELD * (self.n + 1) + self.names.index(tok.text[1:]))
         return None
 
-    def _monomial(self, idx: tuple[int, ...], key: int, coeff: Coeff = 1) -> Form:
-        return Form._raw(self.n, len(idx), {idx: Poly._raw(self.n, {key: coeff})} if coeff else {})
+    def _monomial(self, degree: int, key: int, coeff: Coeff = 1) -> Form:
+        return Form._raw(self.n, degree, {key: coeff} if coeff else {})
 
     def _factor(self) -> Form:
         """A number, a variable power or a differential d<var>."""
@@ -696,7 +694,7 @@ class _FormParser:
                 if int(den.text) == 0:
                     self._fail("zero denominator", den)
                 value = _canon(Fraction(value, int(den.text)))
-            return self._monomial((), 0, value)
+            return self._monomial(0, 0, value)
         if tok.kind == "name":
             if tok.text in self.names:
                 i, power = self.names.index(tok.text), 1
@@ -707,7 +705,7 @@ class _FormParser:
                         self._fail("expected integer exponent", tok)
                     power = int(tok.text)
                 try:
-                    return self._monomial((), pack([power * (j == i) for j in range(self.n)]))
+                    return self._monomial(0, pack([power * (j == i) for j in range(self.n)]))
                 except ValueError as exc:  # the degree ceiling, at the exponent
                     self._fail(str(exc), tok)
             if dx := self._differential(tok):

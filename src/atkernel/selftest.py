@@ -68,6 +68,7 @@ from .ladder import (
     hypersurface_ladder,
 )
 from .polyforms import (
+    FIELD,
     Form,
     ParseError,
     Poly,
@@ -123,11 +124,12 @@ def _group(name: str):
 
 
 def form_d(w: Form) -> Form:
-    """Wedge-extended exterior derivative on forms."""
-    out = Form.zero(w.n, min(w.degree + 1, w.n))
-    for idx, coeff in w.terms.items():
-        dcoeff = exterior_derivative(coeff)
-        out = out + wedge(dcoeff, Form(w.n, w.degree, {idx: Poly.one(w.n)}))
+    """Wedge-extended exterior derivative on forms, one term c x^e dx_I at
+    a time: d(c x^e) ^ dx_I."""
+    out, low = Form.zero(w.n, min(w.degree + 1, w.n)), (1 << FIELD * (w.n + 1)) - 1
+    for key, c in w.terms.items():
+        dcoeff = exterior_derivative(Poly._raw(w.n, {key & low: c}))
+        out = out + wedge(dcoeff, Form._raw(w.n, w.degree, {key & ~low: 1}))
     return out
 
 

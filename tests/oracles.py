@@ -37,9 +37,9 @@ off, as every exact solve here:
 
 Some functions are not oracles but constructions that only the tests use:
 the graded component matrices and homology ranks of a complex (the
-regularity scan and the cone checks rank each as the number of pivots
-of its linalg.Factorization, so the scan is independent of the Groebner
-guard, not of elimination), and, at the end, the differential as a chain
+regularity scan and the cone checks rank each by rank_oracle, a
+fraction-free elimination that computes the rank alone and shares no
+code with linalg or the Groebner guard), and, at the end, the differential as a chain
 map, a matrix as dense rows (of polynomials for a polynomial map) and
 dense rows in the stored sparse form, the split ladder of free modules,
 the contraction of a Cousin element against a derivation, the x_i^2
@@ -48,12 +48,12 @@ ladder and seeded maps with non-integral Fraction coefficients.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from atkernel import linalg
 from atkernel.atiyah import atiyah_cocycle
 from atkernel.chaincore import (
     ChainMap,
@@ -69,14 +69,17 @@ from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
+    FIELD,
     ArityError,
     Form,
     Poly,
     _form_from_acc,
     _merge_indices,
+    _terms_text,
     _wedge_into,
     contract_form,
     exterior_derivative,
+    pack,
     unpack,
     wedge,
 )
@@ -89,6 +92,29 @@ def tuple_terms(p: Poly) -> dict:
     items = p.sorted_terms()
     assert not items or items[0] == p.leading_term()
     return {unpack(e, p.n): c for e, c in items}
+
+
+def form_terms(w: Form) -> dict:
+    """w's terms as {increasing index tuple: Poly}, indices in increasing
+    order: the one place the tests read Form's flat keys, bit i of the mask
+    above the monomial fields read as index i, as tuple_terms reads Poly's."""
+    shift = FIELD * (w.n + 1)
+    out: dict[tuple, dict] = {}
+    for key, c in w.terms.items():
+        mask = key >> shift
+        idx = tuple(i for i in range(w.n) if mask >> i & 1)
+        expt = unpack(key, w.n)
+        assert mask >> w.n == 0 and len(idx) == w.degree and key & (1 << shift) - 1 == pack(expt)
+        out.setdefault(idx, {})[expt] = c
+    return {idx: Poly._raw(w.n, {pack(e): c for e, c in out[idx].items()}) for idx in sorted(out)}
+
+
+def form_text_oracle(w: Form, names) -> str:
+    """The canonical text of w from its tuple-keyed view: index tuples in
+    increasing order, each coefficient's terms leading term first."""
+    terms = form_terms(w)
+    return _terms_text(((idx, unpack(e, w.n), c) for idx in terms
+                        for e, c in terms[idx].sorted_terms()), names)
 
 
 def lead(p: Poly) -> tuple:
@@ -160,18 +186,26 @@ def _subsets(items, max_size):
 
 def gauss_jordan(rows, rhs, ncols):
     """Gauss-Jordan over Q (ints and Fractions) on sparse rows {col:
-    value}: (rank, solution or None).
+    value} with one right-hand side rhs: (rank, solution or None)."""
+    rank, (solution,) = gauss_jordan_columns(rows, [rhs], ncols)
+    return rank, solution
+
+
+def gauss_jordan_columns(rows, columns, ncols):
+    """(rank, [solution or None for each right-hand side in columns]) from
+    one elimination.
 
     The reference for the library's fraction-free elimination: pivots are
     taken column by column, leftmost first, each pivot row is scaled to a
     leading 1 and its column is cleared from every other row, and free
-    variables are zero.  The right-hand side rides along as column ncols.
+    variables are zero.  Right-hand side k rides along as column ncols + k.
     """
     work = [{c: v for c, v in row.items() if v} for row in rows]
     holders: dict[int, set] = {}  # column -> the rows with an entry there
-    for r, (row, b) in enumerate(zip(work, rhs)):
-        if b:
-            row[ncols] = b
+    for r, row in enumerate(work):
+        for k, rhs in enumerate(columns):
+            if rhs[r]:
+                row[ncols + k] = rhs[r]
         for c in row:
             holders.setdefault(c, set()).add(r)
     pivots = {}  # column -> its pivot row
@@ -197,13 +231,17 @@ def gauss_jordan(rows, rhs, ncols):
                 else:
                     del row[j]
                     holders[j].discard(r)
-    # a row with no pivot has no entry left but its right-hand side: 0 = b
-    if holders.get(ncols, set()) - taken:
-        return len(pivots), None
-    solution = [Fraction(0)] * ncols
-    for c, p in pivots.items():
-        solution[c] = work[p].get(ncols, Fraction(0))
-    return len(pivots), solution
+    solutions = []
+    for k in range(ncols, ncols + len(columns)):
+        # a row with no pivot has no entry left but its right-hand sides: 0 = b
+        if holders.get(k, set()) - taken:
+            solutions.append(None)
+            continue
+        solution = [Fraction(0)] * ncols
+        for c, p in pivots.items():
+            solution[c] = work[p].get(k, Fraction(0))
+        solutions.append(solution)
+    return len(pivots), solutions
 
 
 def solve_keyed(rows, rhs, ncols):
@@ -249,7 +287,7 @@ def wedge_matmul_oracle(a, b, n, out_deg):
 def contract_form_oracle(values, w):
     """Running sum of one public Form per contracted slot j, sign (-1)^j."""
     out = Form.zero(w.n, w.degree - 1)
-    for idx, coeff in w.terms.items():
+    for idx, coeff in form_terms(w).items():
         for j, slot in enumerate(idx):
             rest = idx[:j] + idx[j + 1 :]
             term = (coeff * values[slot]).scale(-1 if j % 2 else 1)
@@ -273,8 +311,38 @@ def homology_rank(c, i, d):
     basis, below = component_basis(c, i, d), component_basis(c, i - 1, d)
     out = component_matrix_oracle(c, i, basis, component_basis(c, i + 1, d))
     into = component_matrix_oracle(c, i - 1, below, basis)
-    return (len(basis) - len(linalg.Factorization(out, len(basis)).pivots)
-            - len(linalg.Factorization(into, len(below)).pivots))
+    return len(basis) - rank_oracle(out) - rank_oracle(into)
+
+
+def rank_oracle(rows):
+    """The rank over Q of sparse rows {col: value}, by fraction-free
+    elimination that keeps no combination and no solution: each row, made
+    integral, is reduced against the pivot rows so far at its lowest
+    column c, as row - (a / p) * pivot when the pivot's p divides the
+    row's a, else p * row - a * pivot, until it is zero or has a new
+    lowest column, whose pivot row it becomes, divided by its content."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        scale = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        row = {c: int(v * scale) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                g = math.gcd(*row.values())
+                pivots[c] = {j: v // g for j, v in row.items()}
+                break
+            a, p = row[c], prow[c]
+            if a % p:
+                row = {j: p * v for j, v in row.items()}
+            else:
+                a //= p
+            for j, v in prow.items():
+                if w := row.get(j, 0) - a * v:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def component_matrix_oracle(c, i, src, tgt):
@@ -296,6 +364,18 @@ def component_matrix_oracle(c, i, src, tgt):
                 row = mat[tgt_index[(t_idx, e)]]
                 row[col] = row.get(col, 0) + coeff
     return [{col: v for col, v in row.items() if v} for row in mat]
+
+
+def separator_oracle(c, mu, a, gens) -> bool:
+    """Whether c, a nonnegative functional, separates a from the Newton
+    polyhedron of gens at threshold mu, c.a < mu <= c.g for every g, with
+    every dot product a sum of Fractions: the check that
+    ClosureCertificate.verify made before it scaled to integers."""
+    if any(v < 0 for v in c):
+        return False
+    if sum(Fraction(ci) * ai for ci, ai in zip(c, a)) >= mu:
+        return False
+    return all(sum(Fraction(ci) * gi for ci, gi in zip(c, g)) >= mu for g in gens)
 
 
 def phase1_lp_oracle(a_eq, b):
@@ -447,7 +527,7 @@ def cousin_search_oracle(
             else Form.zero(n, form_degree)
         )
         target_deg = max(
-            (c.total_degree() for c in target_num.terms.values()), default=0
+            (c.total_degree() for c in form_terms(target_num).values()), default=0
         )
         # unknowns: coefficients of num_i, i = missing index, over monomials
         idx_tuples = list(itertools.combinations(range(n), form_degree))
@@ -469,7 +549,7 @@ def cousin_search_oracle(
         # give distinct keys, so each entry is set once
         rows: dict[tuple, dict] = {}
         rhs: dict[tuple, Fraction] = {}
-        for idx, coeff in target_num.terms.items():
+        for idx, coeff in form_terms(target_num).items():
             for e, c in tuple_terms(coeff).items():
                 rhs[(idx, e)] = c
         fpows = [f ** m for f in target.seq]
@@ -617,7 +697,7 @@ def coboundary_reference(c: ChainMap) -> ChainMap | None:
     r_h, k, n, weights = c.degree - 1, c.form_degree, src.n, src.var_weights
     rhs = {(i, t, s, idx, e): q
            for i, t, s, f in c.nonzeros()
-           for idx, coeff in f.terms.items()
+           for idx, coeff in form_terms(f).items()
            for e, q in tuple_terms(coeff).items()}
     # internal degree: the weight of x^e dx_idx, plus weight(t) - weight(s)
     degrees = {sum(map(operator.mul, weights, e)) + sum(weights[j] for j in idx)
@@ -677,7 +757,7 @@ def cousin_reference(target: CousinElement, top: int) -> CousinElement | None:
     fpows = [f ** m for f in target.seq]
     unknowns = [(i, idx, e)
                 for i, fpow in enumerate(fpows, 1)
-                for idx in num.terms
+                for idx in form_terms(num)
                 for d in range(top - fpow.total_degree() + 1)
                 for e in monomials_of_weighted_degree(n, (1,) * n, d)]
     rows: dict[tuple, dict] = {}
@@ -686,7 +766,7 @@ def cousin_reference(target: CousinElement, top: int) -> CousinElement | None:
         for e2, c in tuple_terms(fpows[i - 1]).items():
             rows.setdefault((idx, tuple(map(operator.add, e, e2))), {})[col] = sign * c
     rhs = {(idx, e): c
-           for idx, coeff in num.terms.items() for e, c in tuple_terms(coeff).items()}
+           for idx, coeff in form_terms(num).items() for e, c in tuple_terms(coeff).items()}
     solution = solve_keyed(rows, rhs, len(unknowns))
     if solution is None:
         return None

@@ -62,6 +62,7 @@ from oracles import (
     cousin_reference,
     dense,
     differential_map,
+    form_terms,
     fraction_map,
     hom_bracket_oracle,
     homology_rank,
@@ -657,7 +658,7 @@ def graded_terms(c: ChainMap):
     w = c.source.var_weights
     for i, t, s, f in c.nonzeros():
         base = c.target.basis(i + c.degree)[t].weight - c.source.basis(i)[s].weight
-        for idx, coeff in f.terms.items():
+        for idx, coeff in form_terms(f).items():
             for expt, q in tuple_terms(coeff).items():
                 yield i, t, s, idx, expt, q, base + sum(w[j] for j in idx) + sum(map(mul, w, expt))
 
@@ -699,7 +700,7 @@ class TestSolveProductsOracle:
         for target in targets:
             # the decision's Groebner bound on the cofactors' degree
             lf = target.entries[tuple(range(1, target.q + 1))]
-            coeffs = lf.num.terms.values()
+            coeffs = form_terms(lf.num).values()
             top = (max(c.total_degree() for c in coeffs)
                    + Basis([f ** lf.m for f in target.seq], "test").excess)
             got, want = cousin.cousin_coboundary_solve(target), cousin_reference(target, top)
@@ -746,9 +747,10 @@ class TestSolveProductsOracle:
         blocks = {0: block, 1: empty}.__getitem__
 
         def terms(text):
-            # the dx terms lie in block 0, the dy terms in block 1
-            return [(idx[0], "slot", idx, expt, q)
-                    for idx, coeff in parse_form(text, XY).terms.items()
+            # the dx terms lie in block 0, the dy terms in block 1; a term
+            # names its wedge index by its mask
+            return [(idx[0], "slot", 1 << idx[0], expt, q)
+                    for idx, coeff in form_terms(parse_form(text, XY)).items()
                     for expt, q in coeff.terms.items()]
 
         replays = []
@@ -944,8 +946,7 @@ class TestPinnedWitnesses:
     @staticmethod
     def canonical(witness):
         return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-                   for _, _, _, form in witness.nonzeros()
-                   for coeff in form.terms.values() for c in coeff.terms.values())
+                   for _, _, _, form in witness.nonzeros() for c in form.terms.values())
 
     def test_selftest_witnesses_and_verdicts_are_unchanged(self, monkeypatch):
         """The witnesses of the selftest centrality, connection-independence

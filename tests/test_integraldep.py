@@ -13,7 +13,7 @@ from atkernel.integraldep import (
     curvilinear_dim,
     dim_bound_check,
 )
-from oracles import newton_membership_oracle, phase1_lp_oracle
+from oracles import newton_membership_oracle, phase1_lp_oracle, separator_oracle
 
 
 def mono_ideal(n, exps):
@@ -164,6 +164,35 @@ class TestClosureMember:
                 a = closure_member(ideal, (i, j)).verdict
                 b = closure_member(closure_ideal, (i, j)).verdict
                 assert a == b
+
+    def test_integer_separator_check_matches_the_fraction_check(self):
+        """verify scales a NO certificate's separator and threshold by the
+        lcm of their denominators and compares ints; on 200 seeded NO
+        certificates, each also with its threshold, one coordinate or the
+        whole separator moved by a small Fraction, it accepts and rejects
+        exactly what the Fraction dot products do."""
+        rng = random.Random("separator")
+        verdicts = []
+        while len(verdicts) < 200 * 4:
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            ideal = mono_ideal(n, [g for g in gens if sum(g) > 0] or [(1,) + (0,) * (n - 1)])
+            query = tuple(rng.randint(0, 4) for _ in range(n))
+            cert = closure_member(ideal, query)
+            if cert.verdict:
+                continue
+            c, mu = list(cert.separator), cert.threshold
+            nudge = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 7))
+            j = rng.randrange(n)
+            for c2, mu2 in ((c, mu), (c, mu + nudge),
+                            ([v + nudge * (i == j) for i, v in enumerate(c)], mu),
+                            ([v * (1 + nudge) for v in c], mu)):
+                tried = integraldep.ClosureCertificate(query, False, separator=tuple(c2),
+                                                       threshold=mu2)
+                verdict = tried.verify(ideal)
+                assert verdict == separator_oracle(c2, mu2, query, ideal.gens), (c2, mu2)
+                verdicts.append(verdict)
+        assert 200 <= sum(verdicts) <= len(verdicts) - 200
 
     def test_monotone_in_the_ideal(self):
         small = mono_ideal(2, [(3, 0), (0, 3)])

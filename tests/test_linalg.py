@@ -9,7 +9,7 @@ from atkernel import linalg
 from atkernel.chaincore import hom_bracket, solve_coboundary
 from atkernel.corpus import corpus_entries, random_chain_map
 from atkernel.koszul import build_koszul
-from oracles import gauss_jordan
+from oracles import gauss_jordan, gauss_jordan_columns, rank_oracle
 
 
 def _random_system(rng, nrows, ncols, density):
@@ -51,6 +51,28 @@ def test_random_sparse_systems_match_dense_reference(seed):
         nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
         rows, rhs = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
         _assert_matches_reference(rows, rhs, ncols)
+
+
+def test_rank_oracle_matches_gauss_jordan():
+    """rank_oracle, by which the regularity scan ranks, against
+    gauss_jordan's rank: 300 seeded systems of Fraction rows, a third of
+    them with rows that are combinations of others."""
+    rng = random.Random("linalg:rank")
+    deficient = 0
+    for trial in range(300):
+        nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
+        rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5, 0.9)))
+        if trial % 3 == 0 and rows:
+            combo = {}
+            for row in rng.sample(rows, min(3, len(rows))):
+                k = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + k * v
+            rows.insert(rng.randrange(len(rows) + 1), combo)
+        rank = gauss_jordan(rows, [0] * len(rows), ncols)[0]
+        assert rank_oracle(rows) == rank, rows
+        deficient += rank < len(rows)
+    assert deficient >= 100
 
 
 def test_zero_rows():
@@ -309,11 +331,11 @@ def test_factorization_is_reused_without_change():
         system.solve([1, 2, 0])
 
 
-def _assert_matches_gauss_jordan(system, rows, b, ncols):
-    """solve(b) equals the Gauss-Jordan reference, canonical.  Returns the
-    answer."""
+def _assert_matches_gauss_jordan(system, rows, b, ncols, want=...):
+    """solve(b) equals the Gauss-Jordan reference, canonical, or want
+    when the caller has it from gauss_jordan_columns.  Returns the answer."""
     got = system.solve(b)
-    assert got == gauss_jordan(rows, b, ncols)[1]
+    assert got == (gauss_jordan(rows, b, ncols)[1] if want is ... else want)
     if got is not None:
         _assert_canonical(got)
     return got
@@ -449,8 +471,8 @@ def test_pivot_rows_are_in_reduced_echelon_form(seed):
 def test_dense_system_with_dependent_rows_matches_gauss_jordan():
     """A dense 40 x 40 system, entries in -3..3, with 4 rows that are
     combinations of the others, inserted anywhere: every unit vector
-    matches Gauss-Jordan.  Dense rows are where the back pass grows its
-    integers most."""
+    matches Gauss-Jordan, all 40 from one reference elimination.  Dense
+    rows are where the back pass grows its integers most."""
     rng = random.Random("linalg:dense")
     n = 40
     rows = [{c: v for c in range(n) if (v := rng.randint(-3, 3))} for _ in range(n - 4)]
@@ -464,7 +486,7 @@ def test_dense_system_with_dependent_rows_matches_gauss_jordan():
     system = linalg.Factorization(rows, n)
     _assert_reduced_echelon(system)
     inconsistent = 0
-    for r in range(n):
-        unit = [int(j == r) for j in range(n)]
-        inconsistent += _assert_matches_gauss_jordan(system, rows, unit, n) is None
+    units = [[int(j == r) for j in range(n)] for r in range(n)]
+    for unit, want in zip(units, gauss_jordan_columns(rows, units, n)[1]):
+        inconsistent += _assert_matches_gauss_jordan(system, rows, unit, n, want) is None
     assert len(system.pivots) == n - 4 and inconsistent

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import contract_form_oracle, divmod_single_oracle, sparse, tuple_terms
+from oracles import (contract_form_oracle, divmod_single_oracle, form_terms, form_text_oracle,
+                     sparse, tuple_terms)
 
-from atkernel import groebner
+from atkernel import groebner, polyforms
 from atkernel.chaincore import _product, _settle
 from atkernel.selftest import form_d
 from atkernel.polyforms import (
@@ -21,9 +22,11 @@ from atkernel.polyforms import (
     Poly,
     _form_from_acc,
     _mul_into,
+    _merge_indices,
     _poly_from_acc,
-    _splits,
+    _slots,
     _wedge_into,
+    _wedge_sign,
     contract_form,
     default_names,
     exterior_derivative,
@@ -443,6 +446,122 @@ class TestCanonicalText:
         assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
 
 
+def _mask(idx):
+    return sum(1 << i for i in idx)
+
+
+def _subsets(n):
+    return [idx for k in range(n + 1) for idx in itertools.combinations(range(n), k)]
+
+
+class TestFlatForms:
+    """A Form term is keyed mask << FIELD * (n + 1) | packed monomial, bit i
+    of the mask for dx_i; these pin the mask arithmetic against the tuple
+    index sets it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wedge_sign_matches_merge_indices_for_every_pair(self, n):
+        for a in _subsets(n):
+            for b in _subsets(n):
+                merged = _merge_indices(a, b)
+                sign = _wedge_sign(_mask(a), _mask(b))
+                assert (_mask(a) & _mask(b) != 0) == (merged is None) == (sign == 0), (a, b)
+                if merged is not None:
+                    assert (sign, _mask(a) | _mask(b)) == (merged[0], _mask(merged[1])), (a, b)
+
+    def test_wedge_sign_matches_merge_indices_at_full_arity(self):
+        rng = random.Random("wedge-sign:16")
+        disjoint = 0
+        for _ in range(2000):
+            a = tuple(sorted(rng.sample(range(MAX_ARITY), rng.randint(0, 8))))
+            rest = [i for i in range(MAX_ARITY) if i not in a or rng.random() < 0.1]
+            b = tuple(sorted(rng.sample(rest, rng.randint(0, min(8, len(rest))))))
+            merged = _merge_indices(a, b)
+            sign = _wedge_sign(_mask(a), _mask(b))
+            assert (_mask(a) & _mask(b) != 0) == (merged is None) == (sign == 0), (a, b)
+            if merged is not None:
+                disjoint += 1
+                assert (sign, _mask(a) | _mask(b)) == (merged[0], _mask(merged[1])), (a, b)
+        assert 500 <= disjoint < 2000
+
+    def test_exact_quotient_is_coefficientwise(self):
+        """A form's exact_quotient is Poly.exact_quotient of each
+        coefficient, or None when any is None: 300 seeded forms over 1-4
+        variables and at arity 16, half of them multiples of the divisor,
+        some of those with a non-divisible term added."""
+        rng = random.Random("form-quotient")
+        exact = refused = 0
+        for trial in range(300):
+            n = MAX_ARITY if trial % 10 == 0 else rng.randint(1, 4)
+            degree = rng.randint(0, min(n, 4))
+            divisor = _random_fraction_poly(rng, n, max_terms=3, max_exp=2)
+            if divisor.is_zero():
+                divisor = Poly.const(n, 3)
+            w = _rand_form(rng, n, degree)
+            if trial % 2:
+                w = w.mul_poly(divisor)
+                if rng.random() < 0.3:
+                    w = w + _rand_form(rng, n, degree)
+            coeffs = {idx: c.exact_quotient(divisor) for idx, c in form_terms(w).items()}
+            got = w.exact_quotient(divisor)
+            if None in coeffs.values():
+                refused += 1
+                assert got is None, (w, divisor)
+            else:
+                exact += 1
+                assert got == Form(n, degree, coeffs) and got.degree == degree, (w, divisor)
+                assert_canonical_form(got, n, degree)
+        assert exact >= 100 and refused >= 50
+
+    @pytest.mark.parametrize("n", [1, 2, 3, MAX_ARITY])
+    def test_masks_are_never_read_as_guard_or_degree(self, n, monkeypatch):
+        """At every mask, the top one at arity 16 included, a monomial of
+        degree CEILING - 1 is divided and multiplied as in a polynomial:
+        exact_quotient sees no borrow and the degree ceiling no degree in
+        the mask bits, as a comparison against every field would.  A
+        product below the ceiling never reaches its re-pack."""
+        message = r"total degree 2147483648 reaches the degree ceiling 2\^31"
+        packed = []
+        monkeypatch.setattr(polyforms, "pack", lambda *a: packed.append(a) or pack(*a))
+        for idx in [(), tuple(range(n)), (n - 1,), (0,)]:
+            for i in range(n):
+                power = tuple((CEILING - 1) * (j == i) for j in range(n))
+                top = Poly.monomial(n, power, 5)
+                w = Form(n, len(idx), {idx: top})
+                unit = Form(n, len(idx), {idx: Poly.one(n)})
+                assert w.exact_quotient(top) == unit
+                assert w.exact_quotient(Poly.variable(n, i)) == Form(
+                    n, len(idx), {idx: top.derivative(i).scale(Fraction(1, CEILING - 1))})
+                if n > 1:  # a borrow from another field
+                    assert w.exact_quotient(Poly.variable(n, (i + 1) % n)) is None
+                two = Poly.const(n, 2)
+                packed.clear()
+                assert unit.mul_poly(top) == w and w.mul_poly(two) == w.scale(2)
+                assert packed == []
+                with pytest.raises(ValueError, match=message):
+                    w.mul_poly(Poly.variable(n, (i + 1) % n))
+                if len(idx) < n:
+                    dx = Form(n, 1, {(min(set(range(n)) - set(idx)),): Poly.variable(n, i)})
+                    with pytest.raises(ValueError, match=message):
+                        wedge(dx, w)
+                if idx:
+                    with pytest.raises(ValueError, match=message):
+                        contract_form([Poly.variable(n, i)] * n, w)
+
+    def test_text_matches_the_tuple_key_printer(self):
+        """form_to_text of 300 seeded forms, Fraction and negative
+        coefficients included, byte for byte as the printer over the
+        {index tuple: Poly} view."""
+        rng = random.Random("form-text")
+        for _ in range(300):
+            n = rng.choice([1, 2, 3, 4, 5, 7, MAX_ARITY])
+            w = _rand_form(rng, n, rng.randint(0, min(n, 4)))
+            names = default_names(n)
+            assert form_to_text(w, names) == form_text_oracle(w, names)
+            other = tuple(f"v{i}" for i in reversed(range(n)))
+            assert form_to_text(w, other) == form_text_oracle(w, other)
+
+
 class TestContract:
     def test_interior_product_on_generators(self):
         one = Poly.one(2)
@@ -463,7 +582,7 @@ class TestContract:
         """The same seeded forms against the unit derivations, the zero
         derivation and one with Fraction values, interleaved: a split
         memoised on anything but the index would give a wrong contraction,
-        and the memo holds one split per distinct index."""
+        and the memo holds one split per distinct index, read off its mask."""
         rng = random.Random(35)
         n = 4
         forms = [_rand_form(rng, n, degree) for degree in range(1, n + 1) for _ in range(4)]
@@ -471,13 +590,13 @@ class TestContract:
         fractional = [Poly.monomial(n, [int(j == i) for j in range(n)], Fraction(i + 1, 3))
                       for i in range(n)]
         derivations = [*units, [Poly.zero(n)] * n, fractional]
-        _splits.cache_clear()
+        _slots.cache_clear()
         for _ in range(2):
             for w in forms:
                 for values in derivations:
                     assert contract_form(values, w) == contract_form_oracle(values, w)
-        indices = {idx for w in forms for idx in w.terms}
-        assert len(indices) > n and _splits.cache_info().currsize == len(indices)
+        indices = {idx for w in forms for idx in form_terms(w)}
+        assert len(indices) > n and _slots.cache_info().currsize == len(indices)
 
 
 def _rand_poly(rng, n, terms=3, max_exp=2):
@@ -511,8 +630,8 @@ def assert_canonical_poly(p, n):
 
 def assert_canonical_form(w, n, degree):
     assert w.n == n and w.degree == degree
-    assert w == Form(w.n, w.degree, w.terms)
-    for idx, coeff in w.terms.items():
+    assert w == Form(w.n, w.degree, form_terms(w))
+    for idx, coeff in form_terms(w).items():
         assert type(idx) is tuple and len(idx) == degree
         assert not coeff.is_zero()
         assert_canonical_poly(coeff, n)
