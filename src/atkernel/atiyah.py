@@ -49,11 +49,10 @@ class AtiyahCocycle:
     """A cocycle and its powers: `_powers[k]` is the k-fold composition of
     chain_map for 2 <= k <= the largest power asked for so far."""
 
-    __slots__ = ("chain_map", "power", "_powers")
+    __slots__ = ("chain_map", "_powers")
 
-    def __init__(self, chain_map: ChainMap, power: int):
+    def __init__(self, chain_map: ChainMap):
         self.chain_map = chain_map
-        self.power = power
         self._powers: dict[int, ChainMap] = {}
 
 
@@ -76,12 +75,12 @@ def atiyah_cocycle(p: FreeComplex, connection: ConnectionSpec | None = None) -> 
     """
     if p._basis_atiyah is None:
         p._basis_atiyah = AtiyahCocycle(_interned(ChainMap._raw(
-            p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))), 1)
+            p, p, 1, 1, p.entrywise(lambda entry: -exterior_derivative(entry)))))
     if connection is None:
         return p._basis_atiyah
     if connection.complex != p:
         raise ShapeError("connection is for a different complex")
-    return AtiyahCocycle(p._basis_atiyah.chain_map + hom_bracket(connection.perturbation), 1)
+    return AtiyahCocycle(p._basis_atiyah.chain_map + hom_bracket(connection.perturbation))
 
 
 def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
@@ -96,21 +95,21 @@ def atiyah_power(at: AtiyahCocycle, k: int) -> AtiyahCocycle:
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    if at.power != 1:
+    if at.chain_map.degree != 1:
         raise ShapeError("powers are taken of the degree-1 cocycle")
     cx = at.chain_map.source
     if k == 0:
-        return AtiyahCocycle(identity_map(cx), 0)
+        return AtiyahCocycle(identity_map(cx))
     support = cx.support()
     length = support[-1] - support[0] if support else 0
     if k > min(length, cx.n):
-        return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)), k)
+        return AtiyahCocycle(zero_map(cx, cx, k, min(k, cx.n)))
     acc = at.chain_map
     for j in range(2, k + 1):
         if j not in at._powers:
             at._powers[j] = _interned(compose(at.chain_map, acc))
         acc = at._powers[j]
-    return AtiyahCocycle(acc, k)
+    return AtiyahCocycle(acc)
 
 
 def _interned(u: ChainMap) -> ChainMap:

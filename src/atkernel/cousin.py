@@ -1,15 +1,16 @@
 """Cousin complexes with supports in a complete intersection, and the
 local trace from Koszul endomorphisms to Cousin representatives.
 
-A Cousin element in degree p is a finite family, indexed by size-p
-subsets alpha of {1..q}, of form-valued fractions with denominator a power
-of f_alpha = prod_{i in alpha} f_i, put in lowest terms by the constructor
-and nowhere else.  The local trace expands a map in the dual-gamma basis,
+A Cousin element in degree p is a finite family, indexed by size-p subsets
+alpha of {1..q}, of form-valued fractions with denominator a power of
+f_alpha = prod_{i in alpha} f_i, put in lowest terms by the constructor and
+nowhere else; the constructor refuses numerators of different form degrees.
+The differential puts every image term over one power, the largest among the
+element's entries.  The local trace expands a map in the dual-gamma basis,
 pairs against the canonical section of K (x) Cousin, and applies the
-supertrace; the resulting closed formula is a signed partial trace over
-entry pairs gf_alpha -> gf_beta with beta contained in alpha.  Whether a
-top-degree element is a coboundary is decided exactly, by ideal
-membership of its numerator, in coboundary.
+supertrace, a signed partial trace over entry pairs gf_alpha -> gf_beta with
+beta contained in alpha.  Whether a top-degree element is a coboundary is
+decided exactly, by ideal membership of its numerator, in coboundary.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from .polyforms import (
     Record,
     _add_into,
     _form_from_acc,
-    _merge_indices,
+    _indices,
+    _mul_into,
+    _wedge_sign,
     form_to_text,
     poly_to_text,
 )
@@ -50,13 +53,6 @@ def _lf_canonical(lf: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
     num, m = lf.num, lf.m
     while m > 0 and (quot := num.exact_quotient(f_alpha)) is not None:
         num, m = quot, m - 1
-    return LocalizedForm(num, m)
-
-
-def _lf_add(a: LocalizedForm, b: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
-    """a + b over the larger power of f_alpha, left for CousinElement to reduce."""
-    m = max(a.m, b.m)
-    num = a.num.mul_poly(f_alpha ** (m - a.m)) + b.num.mul_poly(f_alpha ** (m - b.m))
     return LocalizedForm(num, m)
 
 
@@ -85,6 +81,8 @@ class CousinElement:
                 raise ValueError(f"index out of range in {alpha}")
             if not lf.is_zero():
                 self.entries[alpha] = _lf_canonical(lf, self.f_alpha(alpha))
+        if len({lf.num.degree for lf in self.entries.values()}) > 1:
+            raise ValueError("cousin numerators of different form degrees")
 
     @property
     def q(self) -> int:
@@ -120,25 +118,22 @@ class CousinElement:
 
 
 def cousin_differential(c: CousinElement) -> CousinElement:
-    """d(delta f_alpha) = -sum_i delta f_i ^ delta f_alpha, coefficients
-    re-expressed in the larger localization."""
+    """d(delta f_alpha) = -sum_i delta f_i ^ delta f_alpha, every term over one
+    power m, the largest among c's entries, and each target's numerators summed
+    in one raw accumulator of the one form degree that CousinElement allows."""
     if c.degree >= c.q:
         raise ValueError("cousin differential out of range")
-    out: dict[tuple[int, ...], LocalizedForm] = {}
+    m = max((lf.m for lf in c.entries.values()), default=0)
+    acc: dict[int, dict] = {}  # bit i of the key for f_i
     for alpha, lf in c.entries.items():
+        mask = sum(1 << i for i in alpha)
+        num = lf.num.mul_poly(c.f_alpha(alpha) ** (m - lf.m)) if lf.m < m else lf.num
         for i in range(1, c.q + 1):
-            merged = _merge_indices((i,), alpha)
-            if merged is None:
-                continue
-            sign, bigger = merged
-            lifted = LocalizedForm(
-                lf.num.mul_poly(c.seq[i - 1] ** lf.m).scale(-sign), lf.m
-            )
-            if bigger in out:
-                out[bigger] = _lf_add(out[bigger], lifted, c.f_alpha(bigger))
-            else:
-                out[bigger] = lifted
-    return CousinElement(c.n, c.seq, c.degree + 1, out)
+            if sign := _wedge_sign(1 << i, mask):
+                _mul_into(acc.setdefault(mask | 1 << i, {}), num, c.seq[i - 1] ** m, sign > 0)
+    form_degree = next((lf.num.degree for lf in c.entries.values()), 0)
+    return CousinElement(c.n, c.seq, c.degree + 1, {_indices(mask): LocalizedForm(
+        _form_from_acc(c.n, form_degree, raw), m) for mask, raw in acc.items()})
 
 
 @lru_cache(maxsize=None)
@@ -152,9 +147,10 @@ def _trace_plan(q: int, p_alpha: int, d: int) -> dict:
     plan = {}
     for s, alpha in enumerate(index_sets(q, p_alpha)):
         for beta in combinations(alpha, p_beta):
-            alpha_prime = tuple(i for i in alpha if i not in beta)
-            shuffle, _ = _merge_indices(beta, alpha_prime)
-            plan[position[beta], s] = (alpha_prime, (-1) ** (comb(d, 2) + p_beta * (1 + d)) * shuffle)
+            mask = sum(1 << i for i in beta)
+            rest = sum(1 << i for i in alpha) - mask
+            shuffle = _wedge_sign(mask, rest)
+            plan[position[beta], s] = (_indices(rest), (-1) ** (comb(d, 2) + p_beta * (1 + d)) * shuffle)
     return plan
 
 

@@ -218,9 +218,7 @@ class Poly(_Terms):
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        if not 0 < n <= MAX_ARITY:
-            raise ArityError(f"ring arity must be in 1..{MAX_ARITY}, got {n}")
-        return Poly._raw(n, {})
+        return Poly(n)
 
     @staticmethod
     def const(n: int, c) -> "Poly":
@@ -343,9 +341,7 @@ class Form(_Terms):
 
     @staticmethod
     def zero(n: int, degree: int = 0) -> "Form":
-        if not 0 <= degree <= n:
-            raise ValueError(f"form degree {degree} out of range for arity {n}")
-        return Form._raw(n, degree, {})
+        return Form(n, degree)
 
     @staticmethod
     def from_poly(p: Poly) -> "Form":
@@ -377,29 +373,16 @@ class Form(_Terms):
 
 
 @lru_cache(maxsize=4096)
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort the concatenation a+b; return (sign, sorted) or None on repeats.
-
-    Memoised: the answer depends only on the pair, and a computation
-    multiplies few distinct index pairs many times."""
-    if set(a) & set(b):
-        return None
-    merged = a + b
-    # count inversions between the two sorted blocks
-    inversions = sum(1 for x in a for y in b if x > y)
-    return (-1) ** inversions, tuple(sorted(merged))
-
-
-@lru_cache(maxsize=4096)
 def _indices(mask: int) -> tuple[int, ...]:
-    """The increasing wedge index of a mask."""
+    """The increasing positions of a mask's bits: a wedge index, or a Cousin index set."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @lru_cache(maxsize=4096)
 def _wedge_sign(a: int, b: int) -> int:
-    """dx_a ^ dx_b = sign * dx_(a | b) for masks a and b: 0 when they share
-    a bit, else -1 to the number of pairs i in a, j in b with i > j."""
+    """dx_a ^ dx_b = sign * dx_(a | b) for masks a and b, and likewise for
+    Cousin index sets: 0 when they share a bit, else -1 to the number of
+    pairs i in a, j in b with i > j."""
     if a & b:
         return 0
     return -1 if sum((a >> j + 1).bit_count() for j in _indices(b)) % 2 else 1

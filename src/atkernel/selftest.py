@@ -72,7 +72,8 @@ from .polyforms import (
     Form,
     ParseError,
     Poly,
-    _merge_indices,
+    _indices,
+    _wedge_sign,
     default_names,
     digit_excess,
     exterior_derivative,
@@ -423,13 +424,12 @@ def dual_left_multiplication(k: KoszulComplex, alpha: Sequence[int]) -> ChainMap
     wedge gf^_i ^ gf^_alpha sorts with the usual alternating sign and dies
     on repeated indices.
     """
-    alpha = tuple(sorted(alpha))
+    mask = sum(1 << i for i in alpha)
     total = ChainMap._raw(k.complex, k.complex, len(alpha) + 1, 0, {})
     for i in range(1, k.q + 1):
-        merged = _merge_indices((i,), alpha)
-        if merged is None:
+        if not (sign := _wedge_sign(1 << i, mask)):
             continue
-        sign, bigger = merged
+        bigger = _indices(mask | 1 << i)
         f = k.ideal.polys[i - 1]
         mats = dual_basis_map(k, bigger).entrywise(lambda e: e.mul_poly(f).scale(-sign))
         total = total + ChainMap._raw(k.complex, k.complex, len(bigger), 0, mats)

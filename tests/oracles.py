@@ -14,7 +14,10 @@ or, on a Koszul complex, written down entry by entry from the closed
 form (-1)^k k! sum df_I ^ iota_I, with no composition,
 the local trace tests the index sets of every stored entry and sums
 one signed public Form per entry, with no cached plan, no raw
-accumulator and no grouping of entries that share one object, a
+accumulator and no grouping of entries that share one object, the
+Cousin differential lifts each image term to its own power and adds
+them pairwise, signed by sorting index tuples (_merge_indices, the
+reference for polyforms._wedge_sign), not by masks, a
 contraction contracts every stored entry on its own,
 the Hom-complex bracket wedges the differentials wrapped as degree-0
 forms, not multiplied by their Poly entries,
@@ -51,7 +54,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from atkernel.atiyah import atiyah_cocycle
@@ -74,7 +77,6 @@ from atkernel.polyforms import (
     Form,
     Poly,
     _form_from_acc,
-    _merge_indices,
     _terms_text,
     _wedge_into,
     contract_form,
@@ -626,6 +628,49 @@ def contract_derivation_oracle(values, u: ChainMap) -> ChainMap:
         if not x.is_zero():
             mats.setdefault(i, {}).setdefault(t, {})[s] = x
     return ChainMap(u.source, u.target, u.degree, u.form_degree - 1, mats)
+
+
+@lru_cache(maxsize=4096)
+def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Sort the concatenation a+b; return (sign, sorted) or None on repeats.
+
+    Memoised: the answer depends only on the pair, and a computation
+    multiplies few distinct index pairs many times."""
+    if set(a) & set(b):
+        return None
+    merged = a + b
+    # count inversions between the two sorted blocks
+    inversions = sum(1 for x in a for y in b if x > y)
+    return (-1) ** inversions, tuple(sorted(merged))
+
+
+def _lf_add(a: LocalizedForm, b: LocalizedForm, f_alpha: Poly) -> LocalizedForm:
+    """a + b over the larger power of f_alpha, left for CousinElement to reduce."""
+    m = max(a.m, b.m)
+    num = a.num.mul_poly(f_alpha ** (m - a.m)) + b.num.mul_poly(f_alpha ** (m - b.m))
+    return LocalizedForm(num, m)
+
+
+def cousin_differential_oracle(c: CousinElement) -> CousinElement:
+    """d(delta f_alpha) = -sum_i delta f_i ^ delta f_alpha, coefficients
+    re-expressed in the larger localization."""
+    if c.degree >= c.q:
+        raise ValueError("cousin differential out of range")
+    out: dict[tuple[int, ...], LocalizedForm] = {}
+    for alpha, lf in c.entries.items():
+        for i in range(1, c.q + 1):
+            merged = _merge_indices((i,), alpha)
+            if merged is None:
+                continue
+            sign, bigger = merged
+            lifted = LocalizedForm(
+                lf.num.mul_poly(c.seq[i - 1] ** lf.m).scale(-sign), lf.m
+            )
+            if bigger in out:
+                out[bigger] = _lf_add(out[bigger], lifted, c.f_alpha(bigger))
+            else:
+                out[bigger] = lifted
+    return CousinElement(c.n, c.seq, c.degree + 1, out)
 
 
 def local_trace_oracle(u: ChainMap, k: KoszulComplex) -> CousinElement:

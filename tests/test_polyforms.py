@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import (contract_form_oracle, divmod_single_oracle, form_terms, form_text_oracle,
-                     sparse, tuple_terms)
+from oracles import (_merge_indices, contract_form_oracle, divmod_single_oracle, form_terms,
+                     form_text_oracle, sparse, tuple_terms)
 
 from atkernel import groebner, polyforms
 from atkernel.chaincore import _product, _settle
@@ -22,7 +22,6 @@ from atkernel.polyforms import (
     Poly,
     _form_from_acc,
     _mul_into,
-    _merge_indices,
     _poly_from_acc,
     _slots,
     _wedge_into,

@@ -17,7 +17,7 @@ from atkernel.chaincore import (
     monomials_of_weighted_degree,
 )
 from atkernel.corpus import corpus_entries, derivations_for, normal_homs_for
-from atkernel.cousin import CousinElement, LocalizedForm, _lf_add, _lf_canonical, cousin_to_text
+from atkernel.cousin import CousinElement, LocalizedForm, _lf_canonical, cousin_to_text
 from atkernel.koszul import RegularSequenceIdeal, _derivation_matrices, build_koszul, index_sets
 from atkernel.ladder import (
     _free_module,
@@ -48,6 +48,7 @@ from atkernel.semireg import (
     tau_atiyah,
 )
 from oracles import (
+    _lf_add,
     connecting_delta_oracle,
     contract_cousin,
     koszul_differential_oracle,
