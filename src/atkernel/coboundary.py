@@ -55,29 +55,24 @@ class GradedSolveReport:
 
 
 class _Block:
-    """One factored block of a products system: its unknowns, as runs
-    (key, expts) of the packed exponents that key's unknowns run over, the
-    row of each equation (slot, packed exponent), and its factored matrix."""
+    """One factored block of a products system, one wedge index's: one
+    column per unknown, column v the packed exponent expts[v] of
+    u_keys[v], the row of each equation (slot, packed exponent), and the
+    factored matrix.  products maps a key to its (slot, poly, sign)."""
 
-    __slots__ = ("unknowns", "rows", "factored")
+    __slots__ = ("keys", "expts", "rows", "factored")
 
-    def __init__(self, unknowns: tuple, products: dict):
-        """unknowns lists the runs of one wedge index's unknowns; products
-        maps a key to its (slot, poly, sign)."""
+    def __init__(self, keys: list, expts: list, products: dict):
         # one Q-linear equation per (slot, expt); one product's terms give
         # distinct equations, so each entry is set once
         rows: dict[tuple, linalg.Row] = {}
-        vi = 0
-        for key, expts in unknowns:
-            factors = products.get(key, ())
-            for expt in expts:
-                for slot, poly, sign in factors:
-                    for e2, q in poly.terms.items():
-                        rows.setdefault((slot, expt + e2), {})[vi] = sign * q
-                vi += 1
-        self.unknowns = unknowns
+        for v, (key, expt) in enumerate(zip(keys, expts)):
+            for slot, poly, sign in products.get(key, ()):
+                for e2, q in poly.terms.items():
+                    rows.setdefault((slot, expt + e2), {})[v] = sign * q
+        self.keys, self.expts = tuple(keys), tuple(expts)
         self.rows = dict(zip(rows, itertools.count()))
-        self.factored = linalg.Factorization(list(rows.values()), vi)
+        self.factored = linalg.Factorization(list(rows.values()), len(keys))
 
 
 def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
@@ -100,10 +95,8 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
     """
     vectors: dict[tuple, tuple] = {}  # (e, mask) -> (its block, right-hand side)
     for e, slot, mask, expt, q in terms:
-        entry = vectors.get((e, mask))
-        if entry is None:
-            block = block_of(e)
-            entry = vectors[e, mask] = (block, [0] * len(block.rows))
+        if (entry := vectors.get((e, mask))) is None:
+            entry = vectors[e, mask] = (block_of(e), {})
         r = entry[0].rows.get((slot, expt))
         if r is None:
             return None
@@ -114,11 +107,9 @@ def _solve_products(block_of, terms, n: int, k: int) -> dict | None:
         if x is None:
             return None
         # one key's unknowns in distinct e run over distinct exponents
-        x, top = iter(x), mask << FIELD * (n + 1)
-        for key, expts in block.unknowns:
-            for expt, v in zip(expts, x):
-                if v:
-                    acc.setdefault(key, {})[top | expt] = v
+        keys, expts, top = block.keys, block.expts, mask << FIELD * (n + 1)
+        for v, q in x.items():
+            acc.setdefault(keys[v], {})[top | expts[v]] = q
     return {key: Form._raw(n, k, acc[key]) for key in sorted(acc)}
 
 
@@ -133,24 +124,24 @@ def _graded_block(blocks: dict, src: FreeComplex, tgt: FreeComplex, r_h: int, e:
     if block is not None:
         return block
     n, weights = src.n, src.var_weights
-    unknowns = tuple(((i, t, s), expts)
-                     for i in src.support()
-                     for t, tbe in enumerate(tgt.basis(i + r_h))
-                     for s, sbe in enumerate(src.basis(i))
-                     if (expts := tuple(map(pack, monomials_of_weighted_degree(
-                         n, weights, sbe.weight - tbe.weight + e)))))
     # [d,h]_i = d h_i - (-1)^{r_h} h_{i+1} d, so the unknown h_i[m][s] meets
     # column m of the target differential and row s of the source one
     columns: dict[tuple, list] = {}
     for j, t, m, p in tgt.nonzeros():
         columns.setdefault((j - r_h, m), []).append((t, p))
     sign = -((-1) ** (r_h % 2))
-    products = {}
-    for (i, t, s), _ in unknowns:
-        products[i, t, s] = [((i, row, s), p, 1) for row, p in columns.get((i, t), ())]
-        for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
-            products[i, t, s].append(((i - 1, t, col), p, sign))
-    block = blocks[r_h, e] = _Block(unknowns, products)
+    keys, expts, products = [], [], {}
+    for i in src.support():
+        for t, tbe in enumerate(tgt.basis(i + r_h)):
+            for s, sbe in enumerate(src.basis(i)):
+                key = (i, t, s)
+                basis = monomials_of_weighted_degree(n, weights, sbe.weight - tbe.weight + e)
+                keys += [key] * len(basis)
+                expts += map(pack, basis)
+                products[key] = [((i, row, s), p, 1) for row, p in columns.get((i, t), ())]
+                for col, p in src.diff.get(i - 1, {}).get(s, {}).items():
+                    products[key].append(((i - 1, t, col), p, sign))
+    block = blocks[r_h, e] = _Block(keys, expts, products)
     return block
 
 
@@ -200,13 +191,16 @@ def _cousin_block(seq: tuple[Poly, ...], m: int, top: int) -> _Block:
     n = seq[0].n
     fpows = [f ** m for f in seq]
     units = (1,) * n
-    unknowns = tuple((i, tuple(map(pack, monomials_of_weighted_degree(n, units, d))))
-                     for i, fpow in enumerate(fpows, 1)
-                     for d in range(top - fpow.total_degree() + 1))
+    keys, expts = [], []
+    for i, fpow in enumerate(fpows, 1):
+        for d in range(top - fpow.total_degree() + 1):
+            basis = monomials_of_weighted_degree(n, units, d)
+            keys += [i] * len(basis)
+            expts += map(pack, basis)
     full = tuple(range(1, len(seq) + 1))
     # d(b) at full = sum_i -(-1)^{i-1} num_i * f_i^m
-    return _Block(unknowns, {i: [(full, fpow, -((-1) ** (i - 1)))]
-                             for i, fpow in enumerate(fpows, 1)})
+    return _Block(keys, expts, {i: [(full, fpow, -((-1) ** (i - 1)))]
+                                for i, fpow in enumerate(fpows, 1)})
 
 
 def _solve_cousin_coboundary(target: CousinElement) -> CousinElement | None:

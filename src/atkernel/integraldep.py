@@ -47,9 +47,6 @@ class MonomialIdeal(Record):
         ]
         return MonomialIdeal(n, tuple(sorted(minimal)))
 
-    def multiply_by_maximal_ideal(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_exponents(self.n, _products(self))
-
 
 def _products(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """The generators g + e_i of m*I, each once, sorted; not minimal."""

@@ -10,8 +10,9 @@ other pivot columns.  Pivot columns are the leftmost linearly independent
 columns, in any row order, and free variables are zero, so the pivot row
 of column c gives x_c = sum_r comb[r] * b_r / row[c] outright, the same
 solution as a fresh elimination gives.  Each row r keeps its terms as its
-solution column, the solution for e_r, and `Factorization.solve(b)` sums
-b_r times the column of each nonzero b_r.  The rank is the pivot count.
+solution column, the solution for e_r, and `Factorization.solve(b)`, b as
+{row: value}, sums b_r times the column of each nonzero b_r.  The rank is
+the pivot count.
 """
 from __future__ import annotations
 
@@ -102,23 +103,21 @@ class Factorization:
                 columns[r - n] += (ncols + j, v)
         self.columns = [tuple(column) for column in columns]
 
-    def solve(self, b: Sequence) -> list[int | Fraction] | None:
-        """The particular solution of rows*x = b (a value per row), or None
-        if b is inconsistent: the comb of a row that reduced to zero takes b
-        to a nonzero value.  Each value is canonical (polyforms._canon): an
-        int when integral, else a Fraction."""
-        if len(b) != len(self.columns):
-            raise ValueError("rhs length mismatch")
+    def solve(self, b: dict[int, int | Fraction]) -> dict[int, int | Fraction] | None:
+        """The particular solution of rows*x = b, b = {row: value}, as
+        {column: value} of its nonzero values, each canonical
+        (polyforms._canon): an int when integral, else a Fraction.  None if
+        b is inconsistent: the comb of a row that reduced to zero takes b to
+        a nonzero value.  A row that the matrix lacks raises ValueError."""
         acc: dict = {}
-        for r, v in enumerate(b):
+        for r, v in b.items():
+            if not 0 <= r < len(self.columns):
+                raise ValueError(f"row {r} is not a row of the matrix")
             if v:  # a column is never empty: x = 0 does not solve e_r
                 entries = iter(self.columns[r])
                 for i, w in zip(entries, entries):
                     acc[i] = acc.get(i, 0) + v * w
-        x = [0] * self.ncols
-        for i, v in acc.items():
-            if v:
-                if i >= self.ncols:
-                    return None
-                x[i] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
-        return x
+        if any(v for i, v in acc.items() if i >= self.ncols):
+            return None
+        return {i: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                for i, v in acc.items() if v}

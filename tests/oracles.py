@@ -46,7 +46,8 @@ code with linalg or the Groebner guard), and, at the end, the differential as a 
 map, a matrix as dense rows (of polynomials for a polynomial map) and
 dense rows in the stored sparse form, the split ladder of free modules,
 the contraction of a Cousin element against a derivation, the x_i^2
-ladder and seeded maps with non-integral Fraction coefficients.
+ladder, seeded maps with non-integral Fraction coefficients and the
+product m*I of a monomial ideal with the maximal ideal.
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ from atkernel.chaincore import (
     monomials_of_weighted_degree,
 )
 from atkernel.cousin import CousinElement, LocalizedForm, cousin_differential
+from atkernel.integraldep import MonomialIdeal
 from atkernel.koszul import KoszulComplex, RegularSequenceIdeal, build_koszul, index_sets
 from atkernel.ladder import ExtensionLadder, _free_module, _poly_map
 from atkernel.polyforms import (
@@ -1024,3 +1026,9 @@ def fraction_map(rng, kz, d, k, per_matrix=24, target=None):
         for t, s in rng.sample(pairs, min(per_matrix, len(pairs))):
             mat.setdefault(t, {})[s] = fraction_form(rng, kz.ideal, k)
     return ChainMap(cx, tgt, d, k, mats)
+
+
+def multiply_by_maximal_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
+    """m*I by its minimal generators: every generator times every variable."""
+    return MonomialIdeal.from_exponents(ideal.n, [
+        tuple(e + (j == i) for j, e in enumerate(g)) for g in ideal.gens for i in range(ideal.n)])

@@ -742,8 +742,8 @@ class TestSolveProductsOracle:
         from atkernel.coboundary import _Block, _solve_products
 
         x = parse_poly("x", XY)
-        block = _Block((("u", (pack((0, 0)), pack((1, 0)))),), {"u": [("slot", x, 1)]})
-        empty = _Block((), {"u": [("slot", x, 1)]})
+        block = _Block(["u", "u"], [pack((0, 0)), pack((1, 0))], {"u": [("slot", x, 1)]})
+        empty = _Block([], [], {"u": [("slot", x, 1)]})
         blocks = {0: block, 1: empty}.__getitem__
 
         def terms(text):

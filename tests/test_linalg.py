@@ -1,4 +1,7 @@
-"""The sparse exact solver against a Gauss-Jordan reference over Fraction."""
+"""The sparse exact solver against a Gauss-Jordan reference over Fraction.
+
+The tests draw right-hand sides as dense lists, as the reference takes
+them, and pass solve only their nonzeros, as {row: value}."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -33,15 +36,30 @@ def _rank(rows, ncols):
     return len(linalg.Factorization(rows, ncols).pivots)
 
 
+def _sparse(vector):
+    """A dense right-hand side or solution as {index: value} of its
+    nonzeros, the form solve takes and returns; None stays None."""
+    return None if vector is None else {i: v for i, v in enumerate(vector) if v}
+
+
+def _assert_canonical(solution, ncols):
+    """Nonzero values only, on unknowns 0 .. ncols - 1, each an int when
+    integral, else a Fraction with denominator > 1."""
+    for c, v in solution.items():
+        assert 0 <= c < ncols and v, (c, v)
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+
+
 def _assert_matches_reference(rows, rhs, ncols):
     ref_rank, ref_solution = gauss_jordan(rows, rhs, ncols)
     system = linalg.Factorization(rows, ncols)
     assert len(system.pivots) == ref_rank
-    solution = system.solve(rhs)
-    assert solution == ref_solution
+    solution = system.solve(_sparse(rhs))
+    assert solution == _sparse(ref_solution)
     if solution is not None:
+        _assert_canonical(solution, ncols)
         for row, b in zip(rows, rhs):
-            assert sum((v * solution[c] for c, v in row.items()), Fraction(0)) == b
+            assert sum((v * solution.get(c, 0) for c, v in row.items()), Fraction(0)) == b
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -77,14 +95,14 @@ def test_rank_oracle_matches_gauss_jordan():
 
 def test_zero_rows():
     assert _rank([], 3) == 0
-    assert linalg.Factorization([], 3).solve([]) == [0, 0, 0]
+    assert linalg.Factorization([], 3).solve({}) == {}
     _assert_matches_reference([], [], 3)
 
 
 def test_zero_columns():
     assert _rank([{}, {}], 0) == 0
-    assert linalg.Factorization([{}, {}], 0).solve([Fraction(0), Fraction(0)]) == []
-    assert linalg.Factorization([{}, {}], 0).solve([Fraction(0), Fraction(1)]) is None
+    assert linalg.Factorization([{}, {}], 0).solve({0: Fraction(0), 1: Fraction(0)}) == {}
+    assert linalg.Factorization([{}, {}], 0).solve({1: Fraction(1)}) is None
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(0)], 0)
     _assert_matches_reference([{}, {}], [Fraction(0), Fraction(1)], 0)
 
@@ -92,7 +110,8 @@ def test_zero_columns():
 def test_all_zero_rhs_gives_zero_solution():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
     rhs = [Fraction(0)] * 3
-    assert linalg.Factorization(rows, 3).solve(rhs) == [0, 0, 0]
+    # zero values given explicitly are zero rows of b
+    assert linalg.Factorization(rows, 3).solve(dict(enumerate(rhs))) == {}
     _assert_matches_reference(rows, rhs, 3)
 
 
@@ -101,15 +120,15 @@ def test_duplicate_rows():
     rows = [row, dict(row), {1: Fraction(1)}, dict(row)]
     rhs = [Fraction(5)] * 4
     assert _rank(rows, 4) == 2
-    assert linalg.Factorization(rows, 4).solve(rhs) == [10, 5, 0, 0]
+    assert linalg.Factorization(rows, 4).solve(_sparse(rhs)) == {0: 10, 1: 5}
     _assert_matches_reference(rows, rhs, 4)
 
 
 def test_inconsistent_only_in_last_row():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
     system = linalg.Factorization(rows, 2)
-    assert system.solve([Fraction(1), Fraction(2), Fraction(3)]) == [1, 2]
-    assert system.solve([Fraction(1), Fraction(2), Fraction(4)]) is None
+    assert system.solve({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}) == {0: 1, 1: 2}
+    assert system.solve({0: Fraction(1), 1: Fraction(2), 2: Fraction(4)}) is None
     _assert_matches_reference(rows, [Fraction(1), Fraction(2), Fraction(4)], 2)
 
 
@@ -117,14 +136,22 @@ def test_cancelled_entries_and_inputs_untouched():
     rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(4), 2: Fraction(0)}]
     snapshot = [dict(row) for row in rows]
     assert _rank(rows, 3) == 1
-    solved = linalg.Factorization(rows, 3).solve([Fraction(1), Fraction(2)])
-    assert solved == [0, Fraction(1, 2), 0]
+    solved = linalg.Factorization(rows, 3).solve({0: Fraction(1), 1: Fraction(2)})
+    assert solved == {1: Fraction(1, 2)}
     assert rows == snapshot
 
 
-def test_rhs_length_mismatch():
+def test_rows_outside_the_matrix_raise():
+    """b names rows by index, so a row that the matrix lacks, negative or
+    past the end, is refused, even with a zero value, not read as another
+    row's column."""
+    system = linalg.Factorization([{0: Fraction(1)}, {1: Fraction(1)}], 2)
+    for b in ({-1: 1}, {2: 1}, {0: 1, -1: 0}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError):
+            system.solve(b)
+    assert system.solve({0: 1, 1: 2}) == {0: 1, 1: 2}
     with pytest.raises(ValueError):
-        linalg.Factorization([{0: Fraction(1)}], 1).solve([])
+        linalg.Factorization([], 3).solve({0: 1})
 
 
 def _hilbert(n):
@@ -155,18 +182,13 @@ def test_rows_mixing_int_and_fraction_values(seed):
         _assert_matches_reference(rows, rhs, ncols)
 
 
-def _assert_canonical(solution):
-    for v in solution:
-        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
-
-
 def test_solution_entries_are_canonical():
     """An int when integral, else a Fraction with denominator > 1, and
     equal to the reference's solution."""
     rows = [{0: 2, 1: 1}, {1: 3}, {0: Fraction(1, 2), 2: 1}]
     for rhs in ([1, 2, 3], [0, 0, 0], [Fraction(1, 3), 0, 5]):
-        solution = linalg.Factorization(rows, 4).solve(rhs)
-        _assert_canonical(solution)
+        solution = linalg.Factorization(rows, 4).solve(_sparse(rhs))
+        _assert_canonical(solution, 4)
         _assert_matches_reference(rows, rhs, 4)
     # seeded Fraction rows, with integral and non-integral solutions
     rng = random.Random("linalg:canonical")
@@ -176,10 +198,10 @@ def test_solution_entries_are_canonical():
         rows, _ = _random_system(rng, rng.randint(1, 10), ncols, 0.4)
         x = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
         rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
-        solution = linalg.Factorization(rows, ncols).solve(rhs)
-        _assert_canonical(solution)
+        solution = linalg.Factorization(rows, ncols).solve(_sparse(rhs))
+        _assert_canonical(solution, ncols)
         _assert_matches_reference(rows, rhs, ncols)
-        fractional += any(type(v) is Fraction for v in solution)
+        fractional += any(type(v) is Fraction for v in solution.values())
     assert fractional > 0
 
 
@@ -212,8 +234,8 @@ def _assert_columns_match_reference(rows, columns, ncols):
     each answer is the reference's, None for an inconsistent column.
     Returns the answers."""
     system = linalg.Factorization(rows, ncols)
-    solved = [system.solve(b) for b in columns]
-    assert solved == [gauss_jordan(rows, b, ncols)[1] for b in columns]
+    solved = [system.solve(_sparse(b)) for b in columns]
+    assert solved == [_sparse(gauss_jordan(rows, b, ncols)[1]) for b in columns]
     return solved
 
 
@@ -242,31 +264,22 @@ def test_one_inconsistent_column_makes_the_result_none():
     rows = [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
     good, bad = [Fraction(1), Fraction(2), Fraction(3)], [Fraction(1), Fraction(2), Fraction(4)]
     system = linalg.Factorization(rows, 2)
-    assert system.solve(good) == [1, 2]
-    assert system.solve(bad) is None
-    assert system.solve(good) == [1, 2]
+    assert system.solve(_sparse(good)) == {0: 1, 1: 2}
+    assert system.solve(_sparse(bad)) is None
+    assert system.solve(_sparse(good)) == {0: 1, 1: 2}
     _assert_columns_match_reference(rows, [good, bad], 2)
 
 
 def test_all_zero_columns_give_zero_solutions():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}, {0: Fraction(3), 2: Fraction(-3)}]
-    zero = [Fraction(0)] * 3
+    zero = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0)}
     system = linalg.Factorization(rows, 3)
-    assert system.solve(zero) == [0, 0, 0]
-    assert system.solve([1, 0, 3]) == [1, 0, 0]
-    assert system.solve(zero) == [0, 0, 0]
+    assert system.solve(zero) == {}
+    assert system.solve({0: 1, 2: 3}) == {0: 1}
+    assert system.solve(zero) == {}
     empty = linalg.Factorization([{}, {}], 0)
-    assert empty.solve([0, 0]) == []
-    assert empty.solve([0, 1]) is None
-
-
-def test_column_length_mismatch_raises():
-    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
-    system = linalg.Factorization(rows, 2)
-    with pytest.raises(ValueError):
-        system.solve([1])
-    with pytest.raises(ValueError):
-        system.solve([1, 2, 3])
+    assert empty.solve({}) == {}
+    assert empty.solve({1: 1}) is None
 
 
 def _consistent_column(rng, rows, ncols):
@@ -291,10 +304,10 @@ def test_one_factorization_replays_many_right_hand_sides(seed):
         assert len(system.pivots) == gauss_jordan(rows, [0] * len(rows), ncols)[0]
 
         def check(b):
-            got = system.solve(b)
-            assert got == gauss_jordan(rows, b, ncols)[1]
+            got = system.solve(_sparse(b))
+            assert got == _sparse(gauss_jordan(rows, b, ncols)[1])
             if got is not None:
-                _assert_canonical(got)
+                _assert_canonical(got, ncols)
             return got
 
         def consistent():
@@ -322,22 +335,22 @@ def test_factorization_is_reused_without_change():
     snapshot = ({c: dict(prow) for c, prow in system.pivots.items()}, list(system.columns))
     good = [Fraction(1, 3), Fraction(2, 3), 0, 2]
     # pivots in columns 0 and 1, x2 free: x1 = 3, x0 = 2 * (1/3 - 9)
-    assert system.solve(good) == [Fraction(-52, 3), 3, 0]
-    assert system.solve([1, 2, 1, 0]) is None
-    assert system.solve([1, 3, 0, 0]) is None
-    assert system.solve(good) == [Fraction(-52, 3), 3, 0]
+    assert system.solve(_sparse(good)) == {0: Fraction(-52, 3), 1: 3}
+    assert system.solve({0: 1, 1: 2, 2: 1}) is None
+    assert system.solve({0: 1, 1: 3}) is None
+    assert system.solve(_sparse(good)) == {0: Fraction(-52, 3), 1: 3}
     assert (system.pivots, system.columns) == snapshot
     with pytest.raises(ValueError):
-        system.solve([1, 2, 0])
+        system.solve({4: 1})
 
 
 def _assert_matches_gauss_jordan(system, rows, b, ncols, want=...):
     """solve(b) equals the Gauss-Jordan reference, canonical, or want
     when the caller has it from gauss_jordan_columns.  Returns the answer."""
-    got = system.solve(b)
-    assert got == (gauss_jordan(rows, b, ncols)[1] if want is ... else want)
+    got = system.solve(_sparse(b))
+    assert got == _sparse(gauss_jordan(rows, b, ncols)[1] if want is ... else want)
     if got is not None:
-        _assert_canonical(got)
+        _assert_canonical(got, ncols)
     return got
 
 
@@ -412,7 +425,7 @@ def test_inconsistency_on_a_zero_reduced_row_with_zero_right_hand_side():
     assert all(2 + 2 in column[::2] for column in system.columns)
     for b in ([1, 0, 0], [0, 1, 0], [Fraction(1, 2), 1, 0]):
         assert _assert_matches_gauss_jordan(system, rows, b, 2) is None
-    assert _assert_matches_gauss_jordan(system, rows, [1, 3, 4], 2) == [Fraction(-3, 2), 1]
+    assert _assert_matches_gauss_jordan(system, rows, [1, 3, 4], 2) == {0: Fraction(-3, 2), 1: 1}
     # the reduced pivot row of column 0 is 6*x0 = 3*row 0 - 4*row 1
     assert system.columns[0][:2] == (0, Fraction(1, 2))
 
@@ -435,13 +448,13 @@ def test_each_column_is_built_once(seed):
             if reference is None:
                 assert max(entries) >= ncols
             else:
-                assert entries == {i: v for i, v in enumerate(reference) if v}
+                assert entries == _sparse(reference)
         for _ in range(rng.randint(1, 5)):
             b = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
                  for _ in rows]
-            first = system.solve(b)
+            first = system.solve(_sparse(b))
             assert system.columns == snapshot
-            assert system.solve(b) == first and system.columns == snapshot
+            assert system.solve(_sparse(b)) == first and system.columns == snapshot
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -490,3 +503,34 @@ def test_dense_system_with_dependent_rows_matches_gauss_jordan():
     for unit, want in zip(units, gauss_jordan_columns(rows, units, n)[1]):
         inconsistent += _assert_matches_gauss_jordan(system, rows, unit, n, want) is None
     assert len(system.pivots) == n - 4 and inconsistent
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_right_hand_sides_with_few_nonzeros_match_gauss_jordan(seed):
+    """The shape of right-hand side that the coboundary decisions send:
+    1-3 nonzeros, on the random sparse systems and the dependent systems
+    drawn above, each against Gauss-Jordan.  A solution holds nonzero
+    values only, on unknowns below ncols."""
+    rng = random.Random(f"linalg:few-nonzeros:{seed}")
+    seen = {"solvable": 0, "inconsistent": 0, "fractional": 0, "three nonzeros": 0}
+    for trial in range(40):
+        if trial % 2:
+            rows, ncols = _dependent_system(rng)
+        else:
+            nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+            rows, _ = _random_system(rng, nrows, ncols, rng.choice((0.1, 0.25, 0.5)))
+        system = linalg.Factorization(rows, ncols)
+        for _ in range(6):
+            support = rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 3)))
+            b = {r: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for r in support}
+            got = system.solve(b)
+            assert got == _sparse(gauss_jordan(rows, [b.get(r, 0) for r in range(len(rows))],
+                                               ncols)[1])
+            seen["three nonzeros"] += len(b) == 3
+            if got is None:
+                seen["inconsistent"] += 1
+                continue
+            _assert_canonical(got, ncols)
+            seen["solvable"] += 1
+            seen["fractional"] += any(type(v) is Fraction for v in got.values())
+    assert all(seen.values()), seen

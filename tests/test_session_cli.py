@@ -972,6 +972,24 @@ class TestImportSurface:
     def test_package_loads_no_submodule(self):
         assert loaded_modules("import atkernel") == {"atkernel"}
 
+    def test_only_coboundary_imports_linalg(self):
+        """The exact solver is linalg's one importer (README, Layout), in
+        any spelling: import atkernel.linalg, from . import linalg, from
+        .linalg import Row."""
+        importers = set()
+        for path in sorted((SRC / "atkernel").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any("linalg" in name.split(".") for name in names):
+                    importers.add(path.stem)
+        assert importers == {"coboundary"}
+
     @pytest.mark.parametrize(
         "argv",
         [["iclosure", "--ideal", "x^3,y^3", "--test", "x^2*y"], ["curvdim", "--ideal", "x^2"],
