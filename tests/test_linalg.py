@@ -141,17 +141,25 @@ def test_cancelled_entries_and_inputs_untouched():
     assert rows == snapshot
 
 
-def test_rows_outside_the_matrix_raise():
-    """b names rows by index, so a row that the matrix lacks, negative or
-    past the end, is refused, even with a zero value, not read as another
-    row's column."""
+def test_rhs_length_mismatch():
+    """b names rows by index, so a row past the end of the matrix is
+    refused, even with a zero value, and so is any row of an empty one."""
+    system = linalg.Factorization([{0: Fraction(1)}], 1)
+    for b in ({1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError):
+            system.solve(b)
+    with pytest.raises(ValueError):
+        linalg.Factorization([], 3).solve({0: 1})
+
+
+def test_column_length_mismatch_raises():
+    """A negative row is refused, not read as another row's column, and so
+    is a row past the end; rows inside the matrix still solve."""
     system = linalg.Factorization([{0: Fraction(1)}, {1: Fraction(1)}], 2)
     for b in ({-1: 1}, {2: 1}, {0: 1, -1: 0}, {0: 1, 5: 0}):
         with pytest.raises(ValueError):
             system.solve(b)
     assert system.solve({0: 1, 1: 2}) == {0: 1, 1: 2}
-    with pytest.raises(ValueError):
-        linalg.Factorization([], 3).solve({0: 1})
 
 
 def _hilbert(n):
